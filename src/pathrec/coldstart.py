@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import (EmptyProfile, MissingNeighborEmbedding, SchemaViolation,
-                     UnknownEntity, UnknownUser)
+from .errors import (EmptyProfile, MissingEmbedding, MissingNeighborEmbedding,
+                     SchemaViolation, UnknownEntity, UnknownUser)
 from .graph import FORWARD, KnowledgeGraph
 from .inference import RecommendationList, beam_search, rank_recommendations
 from .mdp import SELF_LOOP
@@ -134,28 +134,45 @@ def integrate_entity(graph: KnowledgeGraph, profile: ColdProfile) -> int:
 
 def cold_embedding(table: EmbeddingTable, graph: KnowledgeGraph, entity: int,
                    strategy: ColdStrategy) -> np.ndarray:
-    """Synthesize and append an embedding row for an integrated cold entity.
+    """Synthesize and append an embedding row for an integrated cold entity."""
+    return append_cold_embeddings(table, graph, [entity], strategy)[0]
+
+
+def append_cold_embeddings(table: EmbeddingTable, graph: KnowledgeGraph,
+                           entities: Sequence[int], strategy: ColdStrategy) -> np.ndarray:
+    """Synthesize rows for integrated cold entities and append them.
 
     AverageTranslation: mean of (e_tail - e_relation) over the triplets
     headed at the entity. Null: zeros. The bias is 0 either way, and
-    existing rows are never modified.
+    existing rows are never modified. ``entities`` must be the ids right
+    after the table's last row, in order; a neighbor may be an earlier
+    entity of the same batch. All rows are computed first and appended in
+    one copy. Returns the new rows.
     """
-    forward = [(r, n) for r, n, d in graph.neighbors(entity) if d == FORWARD]
-    if not forward:
-        raise EmptyProfile(f"entity {entity} has no outgoing triplets to average")
-    if strategy == ColdStrategy.NULL:
-        vec = np.zeros(table.dim)
-    else:
+    base = table.entity_count
+    rows = np.zeros((len(entities), table.dim))
+    for i, entity in enumerate(entities):
+        forward = [(r, n) for r, n, d in graph.neighbors(entity) if d == FORWARD]
+        if not forward:
+            raise EmptyProfile(f"entity {entity} has no outgoing triplets to average")
+        if strategy == ColdStrategy.NULL:
+            continue
         acc = np.zeros(table.dim)
         for r, n in forward:
-            if n >= table.entity_count:
+            if n < base:
+                neighbor = table.entity_vecs[n]
+            elif n < base + i:  # an earlier row of this batch (ids checked below)
+                neighbor = rows[n - base]
+            else:
                 raise MissingNeighborEmbedding(
                     f"neighbor {n} of cold entity {entity} has no embedding row"
                 )
-            acc += table.entity_vecs[n] - table.relation_vecs[r]
-        vec = acc / len(forward)
-    table.append_entity(entity, vec, 0.0)
-    return vec
+            acc += neighbor - table.relation_vecs[r]
+        rows[i] = acc / len(forward)
+    if list(entities) != list(range(base, base + len(entities))):
+        raise MissingEmbedding(f"entity rows must be appended in id order, from {base}")
+    table.append_entities(base, rows, np.zeros(len(entities)))
+    return rows
 
 
 def integrate_cold_entities(train_graph: KnowledgeGraph, table: EmbeddingTable,
@@ -176,8 +193,7 @@ def integrate_cold_entities(train_graph: KnowledgeGraph, table: EmbeddingTable,
         except EmptyProfile:
             log.info("profile %s skipped: no usable declarations", profile.name)
     aug.freeze()
-    for name in ids:  # insertion order == id order, required by append_entity
-        cold_embedding(ext, aug, ids[name], strategy)
+    append_cold_embeddings(ext, aug, list(ids.values()), strategy)  # insertion order == id order
     return aug, ext, ids
 
 

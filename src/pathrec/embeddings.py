@@ -99,14 +99,19 @@ class EmbeddingTable:
         Ids must stay aligned with graph ids, so rows are appended in id
         order; existing rows are never touched.
         """
-        if e != self.entity_count:
+        self.append_entities(e, vec[None, :], np.asarray([bias], dtype=float))
+
+    def append_entities(self, first: int, vecs: np.ndarray, biases: np.ndarray):
+        """Append rows for entities ``first, first + 1, ...`` in one copy."""
+        if first != self.entity_count:
             raise MissingEmbedding(
-                f"entity rows must be appended in id order (got {e}, expected {self.entity_count})"
+                f"entity rows must be appended in id order (got {first}, expected {self.entity_count})"
             )
-        if vec.shape != (self.dim,):
-            raise InvalidSpec(f"expected a {self.dim}-dim vector, got {vec.shape}")
-        self.entity_vecs = np.vstack([self.entity_vecs, vec[None, :]])
-        self.entity_bias = np.append(self.entity_bias, float(bias))
+        if vecs.ndim != 2 or vecs.shape[1] != self.dim or biases.shape != (len(vecs),):
+            raise InvalidSpec(f"expected {self.dim}-dim rows with one bias each, "
+                              f"got {vecs.shape} and {biases.shape}")
+        self.entity_vecs = np.concatenate([self.entity_vecs, vecs])
+        self.entity_bias = np.concatenate([self.entity_bias, biases])
 
 
 def init_table(graph: KnowledgeGraph, config: EmbedTrainConfig) -> EmbeddingTable:

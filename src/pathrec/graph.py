@@ -8,6 +8,14 @@ be shared across threads; ``clone()`` returns a mutable copy with the same
 ids, which is how cold entities are integrated without touching the
 original.
 
+For array-native walking, ``csr()`` returns the adjacency in compressed
+sparse row form: entity ``e``'s edges are positions
+``indptr[e]:indptr[e + 1]`` of the parallel ``rel``, ``nbr`` and ``dir``
+arrays, in the same canonical (relation, neighbor, direction) order as
+``neighbors(e)``. A frozen graph builds the arrays on first use and caches
+them, so frozen clones that are never walked pay nothing; a mutable graph
+rebuilds them on every call, so later mutation can never leave them stale.
+
 Serialization uses a tab-separated triplet file (one triplet per line,
 ``head_type:head_name<TAB>relation<TAB>tail_type:tail_name``) plus a JSON
 schema file. Entities that appear in no triplet are not serialized.
@@ -18,7 +26,9 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
+
+import numpy as np
 
 from .errors import NotAnItem, ParseError, SchemaViolation, UnknownEntity
 
@@ -183,6 +193,16 @@ class KGSchema:
         return cls.from_json(data)
 
 
+class CSRAdjacency(NamedTuple):
+    """Every entity's edges as (relation, neighbor, direction) rows; entity
+    ``e`` owns rows ``indptr[e]:indptr[e + 1]``, canonically sorted."""
+
+    indptr: np.ndarray
+    rel: np.ndarray
+    nbr: np.ndarray
+    dir: np.ndarray
+
+
 class KnowledgeGraph:
     """Adjacency-indexed triplet store over a fixed schema.
 
@@ -206,6 +226,7 @@ class KnowledgeGraph:
         self._frozen = False
         self._dup_warned = False
         self._sorted = True
+        self._csr: CSRAdjacency | None = None
 
     # -- registry ---------------------------------------------------------
 
@@ -350,6 +371,25 @@ class KnowledgeGraph:
         if relation is not None:
             edges = [x for x in edges if x[0] == relation]
         return list(edges)
+
+    def csr(self) -> CSRAdjacency:
+        """The adjacency as CSR arrays; cached only once the graph is frozen."""
+        if self._csr is not None:
+            return self._csr
+        n = len(self._names)
+        h, r, t = np.asarray(self._triplet_log, dtype=np.intp).reshape(-1, 3).T
+        m = len(h)
+        owner = np.concatenate([h, t])
+        rel = np.concatenate([r, r])
+        nbr = np.concatenate([t, h])
+        direction = np.repeat(np.asarray([FORWARD, INVERSE], dtype=np.intp), m)
+        order = np.lexsort((direction, nbr, rel, owner))
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+        adj = CSRAdjacency(indptr, rel[order], nbr[order], direction[order])
+        if self._frozen:
+            self._csr = adj
+        return adj
 
     def degree(self, e: int) -> int:
         self._check_entity(e)

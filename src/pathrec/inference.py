@@ -5,6 +5,12 @@ each surviving partial path keeps its ``widths[t]`` most probable
 continuations, so widths that cover the whole slate make the search
 exhaustive. Complete paths are ranked by cumulative log probability and
 deduplicated per terminal item, keeping the best path as the explanation.
+
+The beam is an array frontier (``mdp.Frontier``) plus one log-probability
+per row, kept in the order a path-by-path search would produce: one
+policy forward per hop over all rows, one batched slate build, one
+lexsort for the per-row top-``width``. ``PathState``/``ScoredPath``
+objects are built only for the final frontier.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable, score_tails
-from .errors import UnknownUser
+from .errors import InvalidSpec, UnknownUser
 from .graph import FORWARD, KnowledgeGraph
-from .mdp import PathState, encode_state, step, valid_actions
+from .mdp import Frontier, PathState
 from .policy import PolicyModel
 
 
@@ -38,33 +44,46 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
 
     Per-hop, each partial path keeps its widths[t] most probable actions
     (ties broken by target entity id, then relation, then direction).
-    Deterministic for a fixed policy.
+    Deterministic for a fixed policy. ``max_actions`` may narrow the
+    policy's slate but not widen it.
     """
     if not graph.is_user(user):
         raise UnknownUser(f"entity {user} is not of type {graph.schema.user_type}")
     if any(w < 1 for w in widths):
         raise ValueError("beam widths must be >= 1")
-    budget = len(widths)
     cap = policy.config.max_actions if max_actions is None else max_actions
+    if cap > policy.config.max_actions:
+        raise InvalidSpec(f"max_actions {cap} exceeds the policy's slate of "
+                          f"{policy.config.max_actions} actions")
+    budget = len(widths)
     all_ids = np.arange(graph.entity_count, dtype=np.intp)
-    user_scores = score_tails(table, user, graph.interaction_relation, all_ids)
-    frontier = [ScoredPath(PathState.start(user, budget), 0.0)]
+    user_scores = score_tails(table, user, graph.interaction_relation, all_ids)[None, :]
+    frontier = Frontier.start([user])
+    logprob = np.zeros(1)
     for width in widths:
-        slates = [valid_actions(p.state, graph, max_actions=cap,
-                                user_scores=user_scores) for p in frontier]
-        sizes = np.asarray([len(s) for s in slates], dtype=np.intp)
-        X = np.stack([encode_state(p.state, table) for p in frontier])
-        probs, _, _ = policy.forward(X, sizes)
-        grown: list[ScoredPath] = []
-        for path, slate, p in zip(frontier, slates, probs):
-            order = sorted(range(len(slate)),
-                           key=lambda i: (-p[i], slate[i].target, slate[i].relation,
-                                          slate[i].direction))
-            for i in order[:width]:
-                grown.append(ScoredPath(step(path.state, slate[i], graph),
-                                        path.logprob + float(np.log(p[i]))))
-        frontier = grown
-    return frontier
+        P = len(frontier)
+        slates = frontier.slates(graph, cap, user_scores, np.zeros(P, dtype=np.intp))
+        probs, _, _ = policy.forward(frontier.encode(table, budget), slates.sizes)
+        S = slates.target.shape[1]
+        valid = np.arange(S) < slates.sizes[:, None]
+        p = np.where(valid, probs[:, :S], -1.0)
+        # Candidates: valid slots at least as probable as the row's
+        # width-th best, so ties at the cut stay in; one lexsort then
+        # orders them by (row, -p, target, relation, direction).
+        if width < S:
+            cut = -np.partition(-p, width - 1, axis=1)[:, width - 1]
+            rows, slots = np.nonzero(valid & (p >= cut[:, None]))
+        else:
+            rows, slots = np.nonzero(valid)
+        order = np.lexsort((slates.direction[rows, slots], slates.relation[rows, slots],
+                            slates.target[rows, slots], -p[rows, slots], rows))
+        rows, slots = rows[order], slots[order]
+        take = np.arange(len(rows)) - np.searchsorted(rows, rows) < width
+        rows, slots = rows[take], slots[take]
+        logprob = logprob[rows] + np.log(p[rows, slots])
+        frontier = frontier.advance(slates, rows, slots)
+    return [ScoredPath(state, lp) for state, lp in
+            zip(frontier.states(budget), logprob.tolist())]
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,15 @@ self-loop plus moves along edges to unvisited neighbors; transitions are
 deterministic. Rewards are terminal-only and come in two flavors: a
 pattern-gated score normalized by the user's best item score, and a binary
 hit test on the user's training interactions.
+
+Walks run on a ``Frontier``: many paths held as (P, t+1) entity and
+(P, t) relation/direction arrays. ``Frontier.slates`` builds every row's
+slate in one pass over the graph's CSR arrays and ``Frontier.encode``
+every row's state vector in one gather; beam search and rollouts use
+only these. The scalar per-state functions ``valid_actions``, ``step``
+and ``encode_state`` define the same semantics one state at a time; they
+remain the public per-state API and the oracles the batched kernels are
+tested against.
 """
 
 from __future__ import annotations
@@ -141,6 +150,132 @@ def encode_state(state: PathState, table: EmbeddingTable) -> np.ndarray:
         out[(1 + 2 * i) * d:(2 + 2 * i) * d] = rel_vec
         out[(2 + 2 * i) * d:(3 + 2 * i) * d] = table.entity_vec(ent)
     return out
+
+
+class Slates(NamedTuple):
+    """Every frontier row's slate, padded to a common width S.
+
+    Row b holds ``sizes[b]`` valid slots: slot 0 is the self-loop
+    (SELF_LOOP, current entity, FORWARD), the rest are the kept moves in
+    canonical order. Slots at or beyond ``sizes[b]`` are padding.
+    """
+
+    relation: np.ndarray  # (P, S)
+    target: np.ndarray    # (P, S)
+    direction: np.ndarray  # (P, S)
+    sizes: np.ndarray     # (P,)
+
+
+@dataclass(frozen=True, eq=False)
+class Frontier:
+    """P paths from their start entities, walked in lockstep.
+
+    ``entities[b]`` is row b's path (start first); ``relations[b, i]`` and
+    ``directions[b, i]`` are the edge from ``entities[b, i]`` to
+    ``entities[b, i + 1]``, (SELF_LOOP, FORWARD) for self-loops, exactly
+    as in ``PathState``. Self-loops repeat an entity already on the path,
+    so a row's visited set is the set of its entities.
+    """
+
+    entities: np.ndarray    # (P, t+1)
+    relations: np.ndarray   # (P, t)
+    directions: np.ndarray  # (P, t)
+
+    @classmethod
+    def start(cls, starts: Sequence[int]) -> "Frontier":
+        empty = np.zeros((len(starts), 0), dtype=np.intp)
+        return cls(np.asarray(starts, dtype=np.intp).reshape(-1, 1), empty, empty)
+
+    def __len__(self) -> int:
+        return self.entities.shape[0]
+
+    @property
+    def hops(self) -> int:
+        return self.relations.shape[1]
+
+    def slates(self, graph: KnowledgeGraph, max_actions: int,
+               user_scores: np.ndarray, score_rows: np.ndarray) -> Slates:
+        """Every row's ``valid_actions`` slate at once.
+
+        ``user_scores[score_rows[b]]`` holds f(start user, . | interaction)
+        over all entity ids for row b; it ranks moves when a row has more
+        than ``max_actions`` of them. The top ``max_actions`` by
+        (-score, relation, target, direction) are kept, as in the scalar
+        function, then left in canonical order.
+        """
+        adj = graph.csr()
+        P = len(self)
+        current = self.entities[:, -1]
+        first = adj.indptr[current]
+        degree = adj.indptr[current + 1] - first
+        row = np.repeat(np.arange(P), degree)
+        offset = np.cumsum(degree) - degree
+        edge = np.arange(len(row)) + np.repeat(first - offset, degree)
+        # unvisited targets only; a row's visited set is its entities
+        target = adj.nbr[edge]
+        fresh = np.ones(len(row), dtype=bool)
+        for visited in self.entities.T:
+            fresh &= visited[row] != target
+        row, edge, target = row[fresh], edge[fresh], target[fresh]
+        counts = np.bincount(row, minlength=P)
+        if (counts > max_actions).any():
+            over = np.nonzero((counts > max_actions)[row])[0]
+            r, e, t = row[over], edge[over], target[over]
+            score = user_scores[score_rows[r], t]
+            order = np.lexsort((adj.dir[e], t, adj.rel[e], -score, r))
+            ranked_rows = r[order]
+            rank = np.arange(len(order)) - np.searchsorted(ranked_rows, ranked_rows)
+            keep = np.ones(len(row), dtype=bool)
+            keep[over[order[rank >= max_actions]]] = False
+            row, edge, target = row[keep], edge[keep], target[keep]
+            counts = np.minimum(counts, max_actions)
+        sizes = counts + 1
+        width = int(sizes.max()) if P else 1
+        slot = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+        out = []
+        for moves, loop in ((adj.rel[edge], SELF_LOOP), (target, current),
+                            (adj.dir[edge], FORWARD)):
+            a = np.zeros((P, width), dtype=np.intp)
+            a[:, 0] = loop
+            a[row, slot] = moves
+            out.append(a)
+        return Slates(*out, sizes)
+
+    def encode(self, table: EmbeddingTable, budget: int) -> np.ndarray:
+        """Every row's ``encode_state`` vector, gathered in one pass.
+
+        Relation rows come from the relation table extended by the
+        self-loop vector, which SELF_LOOP (-1) indexes as its last row.
+        """
+        if self.entities.size and self.entities.max() >= table.entity_count:
+            raise MissingEmbedding("a frontier entity has no embedding row")
+        P, t = len(self), self.hops
+        out = np.zeros((P, 1 + 2 * budget, table.dim))
+        out[:, 0] = table.entity_vecs[self.entities[:, 0]]
+        if t:
+            rel_rows = np.vstack([table.relation_vecs, table.self_loop_vec])
+            out[:, 1:2 * t:2] = rel_rows[self.relations]
+            out[:, 2:2 * t + 1:2] = table.entity_vecs[self.entities[:, 1:]]
+        return out.reshape(P, -1)
+
+    def advance(self, slates: Slates, parent: np.ndarray, slot: np.ndarray) -> "Frontier":
+        """The frontier whose row i extends row ``parent[i]`` by its slate's
+        action ``slot[i]``."""
+        def grow(have, slate_column):
+            return np.concatenate([have[parent], slate_column[parent, slot][:, None]], axis=1)
+
+        return Frontier(grow(self.entities, slates.target),
+                        grow(self.relations, slates.relation),
+                        grow(self.directions, slates.direction))
+
+    def states(self, budget: int) -> list[PathState]:
+        """One ``PathState`` per row, equal to the one ``step`` would build."""
+        out = []
+        for ents, rels, dirs in zip(self.entities.tolist(), self.relations.tolist(),
+                                    self.directions.tolist()):
+            out.append(PathState(ents[0], tuple(ents), tuple(zip(rels, dirs)),
+                                 frozenset(ents), rels.count(SELF_LOOP), budget))
+        return out
 
 
 # -- patterns -----------------------------------------------------------------

@@ -44,11 +44,18 @@ def train_popularity(train_graph: KnowledgeGraph) -> dict[str, int]:
             for i in train_graph.items()}
 
 
-def _best_mass(popularity: Mapping[Hashable, int], k: int,
-               exclude: set) -> float:
-    pool = sorted((item for item in popularity if item not in exclude),
-                  key=lambda it: (-popularity[it], it))
-    return float(sum(popularity[it] for it in pool[:k]))
+def _best_mass(ordered: Sequence[Hashable], popularity: Mapping[Hashable, int],
+               k: int, exclude: set) -> float:
+    """Mass of the first k items of ``ordered`` (most popular first) that
+    are not excluded."""
+    mass, taken = 0, 0
+    for item in ordered:
+        if taken == k:
+            break
+        if item not in exclude:
+            mass += popularity[item]
+            taken += 1
+    return float(mass)
 
 
 def popb_at_k(recs_per_user: Mapping[Hashable, Sequence[Hashable]],
@@ -62,10 +69,11 @@ def popb_at_k(recs_per_user: Mapping[Hashable, Sequence[Hashable]],
     """
     if not recs_per_user:
         return 0.0
+    ordered = sorted(popularity, key=lambda it: (-popularity[it], it))
     total = 0.0
     for user, recs in recs_per_user.items():
         exclude = exclude_per_user.get(user, set()) if exclude_per_user else set()
-        denom = _best_mass(popularity, k, exclude)
+        denom = _best_mass(ordered, popularity, k, exclude)
         num = float(sum(popularity.get(item, 0) for item in recs[:k]))
         total += num / denom if denom > 0 else 0.0
     return total / len(recs_per_user)

@@ -293,8 +293,7 @@ def build_augmented(split: DatasetSplit, table: EmbeddingTable,
                     aug.add_triplet(ids[uname], rel, aug.entity_id(item_type, iname))
     aug.freeze()
     ext = table.copy()
-    for name in ids:
-        coldstart.cold_embedding(ext, aug, ids[name], strategy)
+    coldstart.append_cold_embeddings(ext, aug, list(ids.values()), strategy)
     return aug, ext, ids, moved
 
 

@@ -16,10 +16,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .embeddings import EmbeddingTable, rng_for, score_tails
-from .errors import EmptyGraph, InvalidSpec, MissingEmbedding
+from .errors import EmptyGraph, InvalidAction, InvalidSpec
 from .graph import KnowledgeGraph
-from .mdp import (MAX_ACTIONS_DEFAULT, Action, PathState, RewardSpec,
-                  encode_state, step, valid_actions)
+from .mdp import MAX_ACTIONS_DEFAULT, Frontier, RewardSpec
 from .optim import Adam
 
 
@@ -163,32 +162,39 @@ def rollout_batch(policy: PolicyModel | None, graph: KnowledgeGraph,
     (records then carry no caches). ``forced_actions[t][b]`` overrides
     sampling with a fixed slot index, used for exact expectation tests.
     """
-    states = [PathState.start(u, hop_budget) for u in users]
+    if policy is not None and max_actions > policy.config.max_actions:
+        raise InvalidSpec(f"max_actions {max_actions} exceeds the policy's slate of "
+                          f"{policy.config.max_actions} actions")
     # One score vector per start user funds the slate truncation for the
     # whole episode; embeddings are frozen so it never changes mid-walk.
     all_ids = np.arange(graph.entity_count, dtype=np.intp)
     rel = graph.interaction_relation
-    scores = {u: score_tails(table, u, rel, all_ids) for u in dict.fromkeys(users)}
+    score_row = {u: i for i, u in enumerate(dict.fromkeys(users))}
+    scores = np.stack([score_tails(table, u, rel, all_ids) for u in score_row])
+    score_rows = np.asarray([score_row[u] for u in users], dtype=np.intp)
+    frontier = Frontier.start(users)
+    rows = np.arange(len(users))
     records: list[StepRecord] = []
     for t in range(hop_budget):
-        slates = [valid_actions(s, graph, max_actions=max_actions,
-                                user_scores=scores[s.user]) for s in states]
-        sizes = np.asarray([len(sl) for sl in slates], dtype=np.intp)
+        slates = frontier.slates(graph, max_actions, scores, score_rows)
+        sizes = slates.sizes
         if policy is not None:
-            X = np.stack([encode_state(s, table) for s in states])
-            probs, values, cache = policy.forward(X, sizes)
+            probs, values, cache = policy.forward(frontier.encode(table, hop_budget), sizes)
         else:
             mask = np.arange(max(sizes.max(), 1)) < sizes[:, None]
             probs = mask / sizes[:, None]
-            values = np.zeros(len(states))
+            values = np.zeros(len(users))
             cache = None
         if forced_actions is not None:
             chosen = np.asarray(forced_actions[t], dtype=np.intp)
+            if np.any((chosen < 0) | (chosen >= sizes)):
+                raise InvalidAction(f"forced slot outside the slate at hop {t}")
         else:
             # cumsum can undershoot 1.0 by an ulp; clip into the slate
             chosen = np.minimum(_sample_rows(probs, rng), sizes - 1)
         records.append(StepRecord(cache, probs, values, chosen, sizes))
-        states = [step(s, sl[c], graph) for s, sl, c in zip(states, slates, chosen)]
+        frontier = frontier.advance(slates, rows, chosen)
+    states = frontier.states(hop_budget)
     rewards = np.asarray([reward_spec.terminal_reward(s) for s in states])
     return records, rewards, states
 

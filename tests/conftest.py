@@ -81,3 +81,35 @@ def small_table(tiny_graph):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def build_multi_edge_graph(n_users=4, n_items=10, seed=0):
+    """Graph whose nodes meet their neighbors through several edges.
+
+    Users both ``view`` and ``purchase`` items (two relations to one
+    target) and items are ``similar`` to each other in both directions
+    (one relation to one target, forward and inverse), so slate and beam
+    tie-breaks on relation and direction are exercised.
+    """
+    from pathrec.graph import KGSchema, RelationSpec
+
+    schema = KGSchema(entity_types=("user", "item"), relations=(
+        RelationSpec("purchase", "user", "item", interaction=True),
+        RelationSpec("view", "user", "item"),
+        RelationSpec("similar", "item", "item"),
+    ))
+    g = KnowledgeGraph(schema)
+    rng = rng_for(seed, "multi-edge-graph")
+    users = [g.add_entity("user", f"u{i}") for i in range(n_users)]
+    items = [g.add_entity("item", f"i{i}") for i in range(n_items)]
+    pu, view, sim = (g.relation_id(r) for r in ("purchase", "view", "similar"))
+    for u in users:
+        for it in rng.choice(n_items, size=min(4, n_items), replace=False):
+            g.add_triplet(u, pu, items[int(it)])
+            g.add_triplet(u, view, items[int(it)])
+    for a in range(n_items):
+        for b in rng.choice(n_items, size=3, replace=False):
+            if int(b) != a:
+                g.add_triplet(items[a], sim, items[int(b)])
+                g.add_triplet(items[int(b)], sim, items[a])
+    return g.freeze()

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from pathrec.coldstart import (ColdDeclaration, ColdProfile, ColdStrategy,
-                               cold_embedding, integrate_cold_entities,
+                               append_cold_embeddings, cold_embedding,
+                               integrate_cold_entities,
                                integrate_entity, read_profiles, recommend_cold,
                                write_profiles)
 from pathrec.embeddings import EmbedTrainConfig, init_table, rng_for
-from pathrec.errors import (EmptyProfile, MissingNeighborEmbedding,
-                            SchemaViolation, UnknownUser)
+from pathrec.errors import (EmptyProfile, MissingEmbedding,
+                            MissingNeighborEmbedding, SchemaViolation,
+                            UnknownUser)
 from pathrec.graph import FORWARD, KnowledgeGraph
 from pathrec.policy import AgentConfig, PolicyModel, state_dim_for
 
@@ -150,6 +152,40 @@ class TestColdEmbedding:
         with pytest.raises(MissingNeighborEmbedding):
             cold_embedding(small_table.copy(), g.freeze(), second,
                            ColdStrategy.AVERAGE_TRANSLATION)
+
+
+class TestBatchedAppend:
+    def cold_pair(self, tiny_graph):
+        """Cold item i9 (brand b0) and cold user u9 who bought it: u9's only
+        neighbor is an earlier entity of the same batch."""
+        g = tiny_graph.clone()
+        i9 = integrate_entity(g, profile("i9", "item", ("produced_by", "brand", "b0"),
+                                         ("belong_to", "category", "c0")))
+        u9 = g.add_entity("user", "u9")
+        g.add_triplet(u9, g.relation_id("purchase"), i9)
+        g.add_triplet(u9, g.relation_id("like"), g.entity_id("brand", "b1"))
+        return g.freeze(), [i9, u9]
+
+    def test_equals_one_row_at_a_time(self, tiny_graph, small_table):
+        g, ids = self.cold_pair(tiny_graph)
+        for strategy in ColdStrategy:
+            one_by_one = small_table.copy()
+            for e in ids:
+                cold_embedding(one_by_one, g, e, strategy)
+            batched = small_table.copy()
+            rows = append_cold_embeddings(batched, g, ids, strategy)
+            np.testing.assert_array_equal(batched.entity_vecs, one_by_one.entity_vecs)
+            np.testing.assert_array_equal(batched.entity_bias, one_by_one.entity_bias)
+            np.testing.assert_array_equal(rows, one_by_one.entity_vecs[ids])
+
+    def test_out_of_order_ids_rejected(self, tiny_graph, small_table):
+        g, ids = self.cold_pair(tiny_graph)
+        table = small_table.copy()
+        with pytest.raises(MissingNeighborEmbedding):
+            append_cold_embeddings(table, g, ids[::-1], ColdStrategy.AVERAGE_TRANSLATION)
+        with pytest.raises(MissingEmbedding, match="id order"):
+            append_cold_embeddings(table, g, ids[1:], ColdStrategy.NULL)
+        assert table.entity_count == small_table.entity_count
 
 
 class TestBatchIntegration:

@@ -50,6 +50,21 @@ class TestInit:
         assert small_table.bias(n) == 0.5
 
 
+    def test_append_entities_in_one_copy(self, small_table):
+        n, d = small_table.entity_count, small_table.dim
+        vecs = np.arange(3 * d, dtype=float).reshape(3, d)
+        with pytest.raises(MissingEmbedding, match="id order"):
+            small_table.append_entities(n + 1, vecs, np.zeros(3))
+        with pytest.raises(InvalidSpec):
+            small_table.append_entities(n, vecs[:, 1:], np.zeros(3))
+        with pytest.raises(InvalidSpec):
+            small_table.append_entities(n, vecs, np.zeros(2))
+        small_table.append_entities(n, vecs, np.asarray([0.5, 0.0, -1.0]))
+        assert small_table.entity_count == n + 3
+        np.testing.assert_array_equal(small_table.entity_vecs[n:], vecs)
+        assert small_table.bias(n + 2) == -1.0
+
+
 class TestScoring:
     def test_score_matches_manual(self, tiny_graph, small_table):
         t = small_table

@@ -9,7 +9,7 @@ from pathrec.graph import (FORWARD, INVERSE, DerivationRule, KGSchema,
                            KnowledgeGraph, RelationSpec, parse_entity_token,
                            read_triplet_file)
 
-from conftest import build_shop_graph
+from conftest import build_multi_edge_graph, build_shop_graph
 
 
 def minimal_schema(**overrides):
@@ -258,3 +258,44 @@ class TestProperties:
         g = build_shop_graph(synthetic_schema(), n_users=5, n_items=8,
                              n_brands=3, n_categories=2, interactions=4, seed=seed)
         assert sum(g.degree(e) for e in range(g.entity_count)) == 2 * g.triplet_count
+
+
+class TestCSR:
+    def test_rows_equal_neighbors(self, make_graph):
+        for g in (make_graph(n_users=7, n_items=15, n_brands=3, n_categories=2,
+                             interactions=5, seed=5),
+                  build_multi_edge_graph(seed=2)):
+            adj = g.csr()
+            assert adj.indptr[0] == 0 and adj.indptr[-1] == 2 * g.triplet_count
+            for e in range(g.entity_count):
+                lo, hi = adj.indptr[e], adj.indptr[e + 1]
+                rows = list(zip(adj.rel[lo:hi].tolist(), adj.nbr[lo:hi].tolist(),
+                                adj.dir[lo:hi].tolist()))
+                assert rows == g.neighbors(e)
+
+    def test_cached_only_when_frozen(self, tiny_graph):
+        assert tiny_graph.csr() is tiny_graph.csr()
+        g = tiny_graph.clone()
+        assert g.csr() is not g.csr()
+
+    def test_mutable_graph_reflects_later_triplets(self, tiny_graph):
+        g = tiny_graph.clone()
+        u0 = g.entity_id("user", "u0")
+        i2 = g.entity_id("item", "i2")
+        pu = g.relation_id("purchase")
+        before = g.csr()
+        g.add_triplet(u0, pu, i2)
+        after = g.csr()
+        lo, hi = after.indptr[u0], after.indptr[u0 + 1]
+        assert hi - lo == before.indptr[u0 + 1] - before.indptr[u0] + 1
+        assert (pu, i2, FORWARD) in zip(after.rel[lo:hi].tolist(),
+                                        after.nbr[lo:hi].tolist(),
+                                        after.dir[lo:hi].tolist())
+
+    def test_entities_without_edges_have_empty_rows(self, schema):
+        g = KnowledgeGraph(schema)
+        g.add_entity("user", "u0")
+        g.add_entity("item", "i0")
+        adj = g.freeze().csr()
+        assert adj.indptr.tolist() == [0, 0, 0]
+        assert len(adj.rel) == len(adj.nbr) == len(adj.dir) == 0

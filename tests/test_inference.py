@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from pathrec.embeddings import (EmbedTrainConfig, init_table, score_tails)
-from pathrec.errors import UnknownUser
+from pathrec.errors import InvalidSpec, UnknownUser
 from pathrec.graph import FORWARD, INVERSE, KnowledgeGraph
 from pathrec.inference import (Explanation, Recommendation, ScoredPath,
                                beam_search, explain, rank_recommendations)
 from pathrec.mdp import (SELF_LOOP, Action, PathState, encode_state, step,
                          valid_actions)
 from pathrec.policy import AgentConfig, PolicyModel, state_dim_for
+
+from conftest import build_multi_edge_graph
 
 
 def fresh_policy(table, hop_budget, max_actions=50, seed=7):
@@ -36,6 +38,27 @@ def enumerate_paths(user, policy, graph, table, budget, cap):
 
     walk(PathState.start(user, budget), 0.0)
     return out
+
+
+def reference_beam(user, policy, graph, table, widths, cap):
+    """Path-by-path beam search built from the scalar MDP functions."""
+    all_ids = np.arange(graph.entity_count, dtype=np.intp)
+    scores = score_tails(table, user, graph.interaction_relation, all_ids)
+    frontier = [(PathState.start(user, len(widths)), 0.0)]
+    for width in widths:
+        slates = [valid_actions(s, graph, max_actions=cap, user_scores=scores)
+                  for s, _ in frontier]
+        X = np.stack([encode_state(s, table) for s, _ in frontier])
+        probs, _, _ = policy.forward(X, np.asarray([len(sl) for sl in slates]))
+        grown = []
+        for (state, lp), slate, p in zip(frontier, slates, probs):
+            order = sorted(range(len(slate)),
+                           key=lambda i: (-p[i], slate[i].target, slate[i].relation,
+                                          slate[i].direction))
+            for i in order[:width]:
+                grown.append((step(state, slate[i], graph), lp + float(np.log(p[i]))))
+        frontier = grown
+    return frontier
 
 
 class TestBeamSearch:
@@ -94,6 +117,52 @@ class TestBeamSearch:
         assert found[0].state.entities == state.entities
         assert found[0].state.relations == state.relations
         assert found[0].logprob == pytest.approx(expect_lp, rel=1e-12)
+
+    @pytest.mark.parametrize("seed,widths,cap", [
+        (0, [25, 5, 1], 6), (1, [3, 3, 2], 60), (2, [4, 2], 3), (3, [1, 7, 3], 12)])
+    def test_equals_scalar_reference_beam(self, make_graph, seed, widths, cap):
+        g = make_graph(n_users=6, n_items=25, n_brands=2, n_categories=2,
+                       interactions=9, seed=seed)
+        table = init_table(g, EmbedTrainConfig(dim=6, seed=seed))
+        policy = fresh_policy(table, len(widths), max_actions=60, seed=seed)
+        for user in g.users():
+            got = beam_search(user, policy, g, table, widths, max_actions=cap)
+            want = reference_beam(user, policy, g, table, widths, cap)
+            assert [p.state for p in got] == [s for s, _ in want]
+            assert [p.logprob for p in got] == [lp for _, lp in want]
+
+    def test_tied_probabilities_follow_reference_order(self, make_graph):
+        g = make_graph(n_users=4, n_items=12, interactions=6, seed=4)
+        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        policy = fresh_policy(table, 3, max_actions=30)
+        for param in policy.params:  # uniform slates: every choice is a tie
+            param[...] = 0.0
+        user = g.users()[1]
+        got = beam_search(user, policy, g, table, [4, 3, 2])
+        want = reference_beam(user, policy, g, table, [4, 3, 2], 30)
+        assert [p.state for p in got] == [s for s, _ in want]
+        assert [p.logprob for p in got] == [lp for _, lp in want]
+
+    def test_multi_edge_ties_follow_reference_order(self):
+        g = build_multi_edge_graph(seed=1)
+        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        policy = fresh_policy(table, 3, max_actions=30)
+        for param in policy.params:
+            param[...] = 0.0
+        for user in g.users():
+            for cap in (3, 30):
+                got = beam_search(user, policy, g, table, [5, 3, 2], max_actions=cap)
+                want = reference_beam(user, policy, g, table, [5, 3, 2], cap)
+                assert [p.state for p in got] == [s for s, _ in want]
+                assert [p.logprob for p in got] == [lp for _, lp in want]
+
+    def test_cap_above_policy_slate_rejected(self, tiny_graph, small_table):
+        policy = fresh_policy(small_table, 2, max_actions=5)
+        u0 = tiny_graph.entity_id("user", "u0")
+        with pytest.raises(InvalidSpec, match="exceeds"):
+            beam_search(u0, policy, tiny_graph, small_table, [2, 2], max_actions=6)
+        assert len(beam_search(u0, policy, tiny_graph, small_table, [2, 2],
+                               max_actions=5)) == 4
 
     def test_frontier_sizes_multiply(self, tiny_graph, small_table):
         policy = fresh_policy(small_table, 2)

@@ -7,14 +7,14 @@ from pathrec.embeddings import EmbedTrainConfig, init_table, score_tails, score_
 from pathrec.errors import (BudgetExhausted, IncompletePath, InvalidAction,
                             MissingEmbedding)
 from pathrec.graph import FORWARD, INVERSE
-from pathrec.mdp import (SELF_LOOP, Action, PathState, RewardSpec,
+from pathrec.mdp import (SELF_LOOP, Action, Frontier, PathState, RewardSpec,
                          compile_pattern, compile_patterns, encode_state,
                          match_pattern, max_item_score,
                          normalized_interaction_score, path_signature,
                          reward_binary, reward_pattern, signature_label, step,
                          valid_actions)
 
-from conftest import build_shop_graph
+from conftest import build_multi_edge_graph, build_shop_graph
 
 
 def walk(graph, state, actions):
@@ -322,3 +322,141 @@ class TestWalkProperties:
         non_loop = sum(1 for r, _ in state.relations if r != SELF_LOOP)
         assert non_loop + state.self_loops == budget
         assert len(state.visited) == non_loop + 1
+
+
+def frontier_of(states):
+    """The array frontier holding ``states`` (all with the same hop count)."""
+    return Frontier(np.asarray([s.entities for s in states], dtype=np.intp),
+                    np.asarray([[r for r, _ in s.relations] for s in states],
+                               dtype=np.intp).reshape(len(states), -1),
+                    np.asarray([[d for _, d in s.relations] for s in states],
+                               dtype=np.intp).reshape(len(states), -1))
+
+
+def random_states(graph, rng, n, hops, budget, loop_share=0.3):
+    """Scalar random walks of ``hops`` steps from random users; each step
+    is a self-loop with probability ``loop_share``, else a random move."""
+    users = graph.users()
+    out = []
+    for _ in range(n):
+        state = PathState.start(users[int(rng.integers(len(users)))], budget)
+        for _ in range(hops):
+            acts = valid_actions(state, graph, max_actions=10_000)
+            if len(acts) == 1 or rng.random() < loop_share:
+                act = acts[0]
+            else:
+                act = acts[1 + int(rng.integers(len(acts) - 1))]
+            state = step(state, act, graph)
+        out.append(state)
+    return out
+
+
+def slate_rows(slates):
+    """Each row's valid slots as Action lists."""
+    return [[Action(*a) for a in zip(slates.relation[b, :n].tolist(),
+                                     slates.target[b, :n].tolist(),
+                                     slates.direction[b, :n].tolist())]
+            for b, n in enumerate(slates.sizes.tolist())]
+
+
+class TestFrontier:
+    """The batched kernels against the scalar per-state functions."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_slates_equal_valid_actions(self, seed):
+        from pathrec.datasets import synthetic_schema
+
+        g = build_shop_graph(synthetic_schema(), n_users=8, n_items=30,
+                             n_brands=2, n_categories=2, interactions=8, seed=seed)
+        rng = np.random.default_rng(seed)
+        # few distinct score values: truncation must break many exact ties
+        scores = np.round(rng.random((3, g.entity_count)), 1)
+        for hops in range(3):
+            states = random_states(g, rng, 12, hops, budget=3)
+            score_rows = rng.integers(0, 3, size=len(states))
+            for cap in (1, 3, 7, 250):
+                got = frontier_of(states).slates(g, cap, scores, score_rows)
+                want = [valid_actions(s, g, max_actions=cap, user_scores=scores[r])
+                        for s, r in zip(states, score_rows)]
+                assert slate_rows(got) == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multi_edge_ties_equal_valid_actions(self, seed):
+        g = build_multi_edge_graph(seed=seed)
+        rng = np.random.default_rng(seed)
+        scores = np.zeros((1, g.entity_count))  # ties reach relation and direction
+        for hops in range(3):
+            states = random_states(g, rng, 10, hops, budget=3)
+            rows = np.zeros(len(states), dtype=np.intp)
+            for cap in (1, 2, 5, 250):
+                got = frontier_of(states).slates(g, cap, scores, rows)
+                want = [valid_actions(s, g, max_actions=cap, user_scores=scores[0])
+                        for s in states]
+                assert slate_rows(got) == want
+
+    def test_truncation_path_is_exercised(self, make_graph):
+        g = make_graph(n_users=6, n_items=20, n_brands=3, n_categories=2,
+                       interactions=10, seed=3)
+        u = g.users()[0]
+        scores = np.zeros((1, g.entity_count))  # every move ties
+        got = Frontier.start([u]).slates(g, 4, scores, np.zeros(1, dtype=np.intp))
+        want = valid_actions(PathState.start(u, 3), g, max_actions=4,
+                             user_scores=scores[0])
+        assert len(g.neighbors(u)) > 4
+        assert slate_rows(got) == [want]
+        assert got.sizes.tolist() == [5]
+
+    def test_visited_entities_and_self_loop_prefix(self, tiny_graph, u0_start):
+        pu = tiny_graph.relation_id("purchase")
+        i0 = tiny_graph.entity_id("item", "i0")
+        loop = Action(SELF_LOOP, u0_start.user, FORWARD)
+        states = [walk(tiny_graph, u0_start, [loop, Action(pu, i0, FORWARD)]),
+                  walk(tiny_graph, u0_start, [loop, loop])]
+        scores = np.zeros((1, tiny_graph.entity_count))
+        got = frontier_of(states).slates(tiny_graph, 250, scores,
+                                         np.zeros(2, dtype=np.intp))
+        rows = slate_rows(got)
+        assert rows == [valid_actions(s, tiny_graph) for s in states]
+        assert u0_start.user not in {a.target for a in rows[0][1:]}
+        assert rows[0][0] == Action(SELF_LOOP, i0, FORWARD)
+
+    def test_encode_equals_scalar_stack(self, make_graph):
+        g = make_graph(n_users=6, n_items=12, seed=1)
+        table = init_table(g, EmbedTrainConfig(dim=5, seed=4))
+        rng = np.random.default_rng(8)
+        for hops in range(4):
+            states = random_states(g, rng, 9, hops, budget=3, loop_share=0.5)
+            want = np.stack([encode_state(s, table) for s in states])
+            np.testing.assert_array_equal(frontier_of(states).encode(table, 3), want)
+
+    def test_encode_rejects_rowless_entity(self, tiny_graph, small_table):
+        f = Frontier.start([small_table.entity_count])
+        with pytest.raises(MissingEmbedding):
+            f.encode(small_table, 2)
+
+    def test_advance_and_states_equal_step(self, make_graph):
+        g = make_graph(n_users=5, n_items=10, seed=2)
+        rng = np.random.default_rng(3)
+        scores = np.zeros((1, g.entity_count))
+        states = random_states(g, rng, 7, 1, budget=3)
+        frontier = frontier_of(states)
+        slates = frontier.slates(g, 250, scores, np.zeros(len(states), dtype=np.intp))
+        parent = np.asarray([0, 0, 3, 6, 2], dtype=np.intp)
+        slot = np.asarray([rng.integers(slates.sizes[p]) for p in parent], dtype=np.intp)
+        grown = frontier.advance(slates, parent, slot).states(3)
+        rows = slate_rows(slates)
+        assert grown == [step(states[p], rows[p][k], g) for p, k in zip(parent, slot)]
+        assert frontier.states(3) == states
+
+    def test_unfrozen_graph_slates_see_new_triplets(self, tiny_graph):
+        g = tiny_graph.clone()
+        u0 = g.entity_id("user", "u0")
+        i2 = g.entity_id("item", "i2")
+        start = Frontier.start([u0])
+        scores = np.zeros((1, g.entity_count))
+        rows = np.zeros(1, dtype=np.intp)
+        before = slate_rows(start.slates(g, 250, scores, rows))[0]
+        g.add_triplet(u0, g.relation_id("purchase"), i2)
+        after = slate_rows(start.slates(g, 250, scores, rows))[0]
+        assert after == valid_actions(PathState.start(u0, 3), g)
+        assert set(after) - set(before) == {Action(g.relation_id("purchase"), i2, FORWARD)}

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from pathrec.embeddings import EmbedTrainConfig, init_table, rng_for
-from pathrec.errors import EmptyGraph, InvalidSpec
+from pathrec.embeddings import EmbedTrainConfig, init_table, rng_for, score_tails
+from pathrec.errors import EmptyGraph, InvalidAction, InvalidSpec
 from pathrec.mdp import (PathState, RewardSpec, encode_state, step,
                          valid_actions)
-from pathrec.policy import (AgentConfig, PolicyModel, episode_gradients,
-                            evaluate_mean_reward, rollout_batch,
-                            state_dim_for, train_agent, training_users,
-                            write_history)
+from pathrec.policy import (AgentConfig, PolicyModel, _sample_rows,
+                            episode_gradients, evaluate_mean_reward,
+                            rollout_batch, state_dim_for, train_agent,
+                            training_users, write_history)
 
 
 class FixedReward:
@@ -175,6 +175,102 @@ class TestMultiStep:
                                      2, cfg.max_actions, spec,
                                      rng_for(3, "roll"))
         assert all(s.is_complete for s in states)
+
+
+def reference_rollout(policy, graph, table, users, hop_budget, max_actions,
+                      reward_spec, rng, forced_actions=None):
+    """State-by-state rollout built from the scalar MDP functions; returns
+    (per-hop (X, probs, values, chosen, sizes), rewards, final states)."""
+    states = [PathState.start(u, hop_budget) for u in users]
+    all_ids = np.arange(graph.entity_count, dtype=np.intp)
+    scores = {u: score_tails(table, u, graph.interaction_relation, all_ids)
+              for u in users}
+    hops = []
+    for t in range(hop_budget):
+        slates = [valid_actions(s, graph, max_actions=max_actions,
+                                user_scores=scores[s.user]) for s in states]
+        sizes = np.asarray([len(sl) for sl in slates], dtype=np.intp)
+        if policy is not None:
+            X = np.stack([encode_state(s, table) for s in states])
+            probs, values, _ = policy.forward(X, sizes)
+        else:
+            X = None
+            probs = (np.arange(max(sizes.max(), 1)) < sizes[:, None]) / sizes[:, None]
+            values = np.zeros(len(states))
+        if forced_actions is not None:
+            chosen = np.asarray(forced_actions[t], dtype=np.intp)
+        else:
+            chosen = np.minimum(_sample_rows(probs, rng), sizes - 1)
+        hops.append((X, probs, values, chosen, sizes))
+        states = [step(s, sl[c], graph) for s, sl, c in zip(states, slates, chosen)]
+    rewards = np.asarray([reward_spec.terminal_reward(s) for s in states])
+    return hops, rewards, states
+
+
+class TestBatchedRollout:
+    """rollout_batch against a state-by-state walk with the scalar functions."""
+
+    def assert_same(self, got, want):
+        records, rewards, states = got
+        hops, want_rewards, want_states = want
+        assert states == want_states
+        np.testing.assert_array_equal(rewards, want_rewards)
+        assert len(records) == len(hops)
+        for rec, (X, probs, values, chosen, sizes) in zip(records, hops):
+            if X is None:
+                assert rec.cache is None
+            else:
+                np.testing.assert_array_equal(rec.cache[0], X)
+            np.testing.assert_array_equal(rec.probs, probs)
+            np.testing.assert_array_equal(rec.values, values)
+            np.testing.assert_array_equal(rec.chosen, chosen)
+            np.testing.assert_array_equal(rec.slate_sizes, sizes)
+
+    def setup_case(self, make_graph, seed):
+        g = make_graph(n_users=8, n_items=20, n_brands=2, n_categories=2,
+                       interactions=7, seed=seed)
+        table = init_table(g, EmbedTrainConfig(dim=6, seed=seed))
+        policy, cfg = small_policy(table, 3, seed=seed)
+        users = training_users(g)
+        return g, table, policy, cfg, users + users[:3]  # repeated users share scores
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sampled_rollouts_equal_scalar_walk(self, make_graph, seed):
+        g, table, policy, cfg, users = self.setup_case(make_graph, seed)
+        spec = RewardSpec.binary(g)
+        for pol in (policy, None):
+            got = rollout_batch(pol, g, table, users, 3, cfg.max_actions, spec,
+                                rng_for(seed, "roll"))
+            want = reference_rollout(pol, g, table, users, 3, cfg.max_actions, spec,
+                                     rng_for(seed, "roll"))
+            self.assert_same(got, want)
+
+    def test_forced_rollouts_equal_scalar_walk(self, make_graph):
+        g, table, policy, cfg, users = self.setup_case(make_graph, 5)
+        spec = RewardSpec.binary(g)
+        rng = np.random.default_rng(0)
+        # the first hop's slates are the widest; forced slots stay inside them
+        forced = [rng.integers(0, 2, size=len(users)).tolist() for _ in range(3)]
+        got = rollout_batch(policy, g, table, users, 3, cfg.max_actions, spec,
+                            rng_for(0, "unused"), forced_actions=forced)
+        want = reference_rollout(policy, g, table, users, 3, cfg.max_actions, spec,
+                                 rng_for(0, "unused"), forced_actions=forced)
+        self.assert_same(got, want)
+
+    def test_forced_slot_outside_slate_rejected(self, tiny_graph, small_table):
+        policy, cfg = small_policy(small_table, 1)
+        u0 = tiny_graph.entity_id("user", "u0")
+        with pytest.raises(InvalidAction):
+            rollout_batch(policy, tiny_graph, small_table, [u0], 1, cfg.max_actions,
+                          RewardSpec.binary(tiny_graph), rng_for(0, "unused"),
+                          forced_actions=[[cfg.max_actions + 1]])
+
+    def test_cap_above_policy_slate_rejected(self, tiny_graph, small_table):
+        policy, cfg = small_policy(small_table, 2)
+        u0 = tiny_graph.entity_id("user", "u0")
+        with pytest.raises(InvalidSpec, match="exceeds"):
+            rollout_batch(policy, tiny_graph, small_table, [u0], 2, cfg.max_actions + 1,
+                          RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
 
 
 class TestTraining:
