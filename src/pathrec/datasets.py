@@ -52,16 +52,23 @@ def load_dataset(triplet_path: str, schema_path: str | KGSchema) -> KnowledgeGra
 
 def derive_relations(graph: KnowledgeGraph):
     """Materialize derived relations by joining interactions with their via
-    relation. Idempotent; the same pair may be joined through many items."""
+    relation. Idempotent; the same pair may be joined through many items.
+
+    Each item's via targets are read once per derived relation: on a
+    mutable graph every ``neighbors`` call re-sorts the item's adjacency.
+    """
     interactions = [(u, i) for u, items in sorted(graph.interactions_by_user().items())
                     for i in items]
     for rel_id, spec in enumerate(graph.schema.relations):
         if spec.derived_from is None:
             continue
         via_id = graph.relation_id(spec.derived_from.via)
+        via_targets: dict[int, list[int]] = {}
         for u, i in interactions:
-            for _, x, d in graph.neighbors(i, via_id):
-                if d == FORWARD and not graph.has_triplet(u, rel_id, x):
+            if i not in via_targets:
+                via_targets[i] = [x for _, x, d in graph.neighbors(i, via_id) if d == FORWARD]
+            for x in via_targets[i]:
+                if not graph.has_triplet(u, rel_id, x):
                     graph.add_triplet(u, rel_id, x)
 
 

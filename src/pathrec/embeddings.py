@@ -139,6 +139,16 @@ def score_tails(table: EmbeddingTable, head: int, relation: int, tails: np.ndarr
     return table.entity_vecs[tails] @ query + table.entity_bias[tails]
 
 
+def score_all_tails(table: EmbeddingTable, head: int, relation: int) -> np.ndarray:
+    """f(h, . | r) over every entity row, read from the table in place.
+
+    Bitwise equal to ``score_tails(table, head, relation, arange(N))`` but
+    without gathering a copy of the whole entity table first.
+    """
+    query = table.entity_vec(head) + table.relation_vec(relation)
+    return table.entity_vecs @ query + table.entity_bias
+
+
 def conditional_prob(table: EmbeddingTable, head: int, relation: int, tail: int,
                      candidates) -> float:
     """Softmax probability of ``tail`` among ``candidates`` under f(h, . | r)."""

@@ -10,7 +10,10 @@ The beam is an array frontier (``mdp.Frontier``) plus one log-probability
 per row, kept in the order a path-by-path search would produce: one
 policy forward per hop over all rows, one batched slate build, one
 lexsort for the per-row top-``width``. ``PathState``/``ScoredPath``
-objects are built only for the final frontier.
+objects are built only for the final frontier. The user's scores over
+all entities, which truncate over-cap slates by selection, are computed
+once per search from the embedding table in place
+(``embeddings.score_all_tails``).
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, score_tails
-from .errors import InvalidSpec, UnknownUser
+from .embeddings import EmbeddingTable, score_all_tails, score_tails
+from .errors import InvalidSpec, MissingEmbedding, UnknownUser
 from .graph import FORWARD, KnowledgeGraph
 from .mdp import Frontier, PathState
 from .policy import PolicyModel
@@ -55,9 +58,11 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
     if cap > policy.config.max_actions:
         raise InvalidSpec(f"max_actions {cap} exceeds the policy's slate of "
                           f"{policy.config.max_actions} actions")
+    if table.entity_count < graph.entity_count:
+        raise MissingEmbedding(f"table has {table.entity_count} entity rows, "
+                               f"the graph {graph.entity_count} entities")
     budget = len(widths)
-    all_ids = np.arange(graph.entity_count, dtype=np.intp)
-    user_scores = score_tails(table, user, graph.interaction_relation, all_ids)[None, :]
+    user_scores = score_all_tails(table, user, graph.interaction_relation)[None, :]
     frontier = Frontier.start([user])
     logprob = np.zeros(1)
     for width in widths:

@@ -10,10 +10,13 @@ Walks run on a ``Frontier``: many paths held as (P, t+1) entity and
 (P, t) relation/direction arrays. ``Frontier.slates`` builds every row's
 slate in one pass over the graph's CSR arrays and ``Frontier.encode``
 every row's state vector in one gather; beam search and rollouts use
-only these. The scalar per-state functions ``valid_actions``, ``step``
-and ``encode_state`` define the same semantics one state at a time; they
-remain the public per-state API and the oracles the batched kernels are
-tested against.
+only these. A row with more moves than the action cap keeps its top
+moves by selection: one ``np.partition`` finds each such row's cut
+score, and ties at the cut go to the moves earliest in canonical order,
+which is the scalar tie-break. The scalar per-state functions
+``valid_actions``, ``step`` and ``encode_state`` define the same
+semantics one state at a time; they remain the public per-state API and
+the oracles the batched kernels are tested against.
 """
 
 from __future__ import annotations
@@ -201,7 +204,13 @@ class Frontier:
         over all entity ids for row b; it ranks moves when a row has more
         than ``max_actions`` of them. The top ``max_actions`` by
         (-score, relation, target, direction) are kept, as in the scalar
-        function, then left in canonical order.
+        function, then left in canonical order. No sort is needed for
+        that: one ``np.partition`` over the over-cap rows' padded scores
+        gives each row's ``max_actions``-th best score, the cut; moves
+        scoring above it are kept, then the earliest moves scoring exactly
+        the cut until the row holds ``max_actions``. A row's moves are in
+        canonical CSR order, so earliest is the (relation, target,
+        direction) tie-break.
         """
         adj = graph.csr()
         P = len(self)
@@ -218,15 +227,28 @@ class Frontier:
             fresh &= visited[row] != target
         row, edge, target = row[fresh], edge[fresh], target[fresh]
         counts = np.bincount(row, minlength=P)
-        if (counts > max_actions).any():
-            over = np.nonzero((counts > max_actions)[row])[0]
-            r, e, t = row[over], edge[over], target[over]
-            score = user_scores[score_rows[r], t]
-            order = np.lexsort((adj.dir[e], t, adj.rel[e], -score, r))
-            ranked_rows = r[order]
-            rank = np.arange(len(order)) - np.searchsorted(ranked_rows, ranked_rows)
+        is_over = counts > max_actions
+        if is_over.any():
+            over_rows = np.nonzero(is_over)[0]
+            over = np.nonzero(is_over[row])[0]
+            n = counts[over_rows]
+            local = np.repeat(np.arange(len(over_rows)), n)
+            pos = np.arange(len(over)) - np.repeat(np.cumsum(n) - n, n)
+            score = user_scores[score_rows[row[over]], target[over]]
+            padded = np.full((len(over_rows), int(n.max())), -np.inf)
+            padded[local, pos] = score
+            kth = padded.shape[1] - max_actions
+            cut = (np.partition(padded, kth, axis=1)[:, kth] if max_actions > 0
+                   else np.full(len(over_rows), np.inf))
+            kept = score > cut[local]
+            # ties at the cut fill each row up to max_actions, earliest first
+            tie = np.nonzero(score == cut[local])[0]
+            tie_local = local[tie]
+            tie_rank = np.arange(len(tie)) - np.searchsorted(tie_local, tie_local)
+            need = max_actions - np.bincount(local[kept], minlength=len(over_rows))
+            kept[tie[tie_rank < need[tie_local]]] = True
             keep = np.ones(len(row), dtype=bool)
-            keep[over[order[rank >= max_actions]]] = False
+            keep[over[~kept]] = False
             row, edge, target = row[keep], edge[keep], target[keep]
             counts = np.minimum(counts, max_actions)
         sizes = counts + 1

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, rng_for, score_tails
-from .errors import EmptyGraph, InvalidAction, InvalidSpec
+from .embeddings import EmbeddingTable, rng_for, score_all_tails
+from .errors import EmptyGraph, InvalidAction, InvalidSpec, MissingEmbedding
 from .graph import KnowledgeGraph
 from .mdp import MAX_ACTIONS_DEFAULT, Frontier, RewardSpec
 from .optim import Adam
@@ -165,12 +165,16 @@ def rollout_batch(policy: PolicyModel | None, graph: KnowledgeGraph,
     if policy is not None and max_actions > policy.config.max_actions:
         raise InvalidSpec(f"max_actions {max_actions} exceeds the policy's slate of "
                           f"{policy.config.max_actions} actions")
+    if table.entity_count < graph.entity_count:
+        raise MissingEmbedding(f"table has {table.entity_count} entity rows, "
+                               f"the graph {graph.entity_count} entities")
     # One score vector per start user funds the slate truncation for the
     # whole episode; embeddings are frozen so it never changes mid-walk.
-    all_ids = np.arange(graph.entity_count, dtype=np.intp)
     rel = graph.interaction_relation
     score_row = {u: i for i, u in enumerate(dict.fromkeys(users))}
-    scores = np.stack([score_tails(table, u, rel, all_ids) for u in score_row])
+    scores = np.empty((len(score_row), table.entity_count))
+    for u, i in score_row.items():
+        scores[i] = score_all_tails(table, u, rel)
     score_rows = np.asarray([score_row[u] for u in users], dtype=np.intp)
     frontier = Frontier.start(users)
     rows = np.arange(len(users))

@@ -10,7 +10,7 @@ from scipy import stats
 from pathrec.coldstart import ColdDeclaration
 from pathrec.datasets import (DatasetSplit, RelationTargets, SplitConfig,
                               SyntheticSpec, cap_cold_relations,
-                              generate_synthetic, load_dataset, prefix_shares,
+                              derive_relations, generate_synthetic, load_dataset, prefix_shares,
                               split_dataset, synthetic_schema)
 from pathrec.embeddings import rng_for
 from pathrec.errors import EmptyUser, InvalidSpec, ParseError
@@ -32,6 +32,37 @@ class TestLoadDataset:
         path.write_text("user:u0\tlike\tbrand:b0\n")
         with pytest.raises(ParseError):
             load_dataset(str(path), schema)
+
+    def test_derived_log_equals_reference_join(self, schema):
+        """Many users share few items, and some items carry two brands; the
+        derived triplets and their order equal a join written from the log."""
+        base = build_shop_graph(schema, n_users=30, n_items=8, n_brands=3,
+                                n_categories=2, interactions=5, seed=4, derive=False)
+        base = base.clone()
+        pb = base.relation_id("produced_by")
+        for item in base.items()[:4]:
+            for brand in base.entities_of_type("brand"):
+                if not base.has_triplet(item, pb, brand):
+                    base.add_triplet(item, pb, brand)
+                    break
+        log = list(base.triplets())
+        want, seen = list(log), set(log)
+        for rel, spec in enumerate(schema.relations):
+            if spec.derived_from is None:
+                continue
+            via = base.relation_id(spec.derived_from.via)
+            for u, items in sorted(base.interactions_by_user().items()):
+                for i in items:
+                    for x in sorted(t for h, r, t in log if h == i and r == via):
+                        if (u, rel, x) not in seen:
+                            seen.add((u, rel, x))
+                            want.append((u, rel, x))
+        got = base.clone()
+        derive_relations(got)
+        assert list(got.triplets()) == want
+        assert len(want) > len(log)
+        derive_relations(got)  # idempotent
+        assert list(got.triplets()) == want
 
 
 class TestPrefixShares:

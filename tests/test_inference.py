@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pathrec.embeddings import (EmbedTrainConfig, init_table, score_tails)
-from pathrec.errors import InvalidSpec, UnknownUser
+from pathrec.embeddings import (EmbedTrainConfig, EmbeddingTable, init_table, score_tails)
+from pathrec.errors import InvalidSpec, MissingEmbedding, UnknownUser
 from pathrec.graph import FORWARD, INVERSE, KnowledgeGraph
 from pathrec.inference import (Explanation, Recommendation, ScoredPath,
                                beam_search, explain, rank_recommendations)
@@ -163,6 +163,15 @@ class TestBeamSearch:
             beam_search(u0, policy, tiny_graph, small_table, [2, 2], max_actions=6)
         assert len(beam_search(u0, policy, tiny_graph, small_table, [2, 2],
                                max_actions=5)) == 4
+
+    def test_table_short_of_graph_rejected(self, tiny_graph, small_table):
+        short = EmbeddingTable(small_table.entity_vecs[:-1], small_table.entity_bias[:-1],
+                               small_table.relation_vecs, small_table.self_loop_vec)
+        policy = fresh_policy(short, 1)
+        u0 = tiny_graph.entity_id("user", "u0")
+        # one hop encodes only the start user, so no later lookup would fail
+        with pytest.raises(MissingEmbedding):
+            beam_search(u0, policy, tiny_graph, short, [2])
 
     def test_frontier_sizes_multiply(self, tiny_graph, small_table):
         policy = fresh_policy(small_table, 2)

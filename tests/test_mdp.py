@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathrec.embeddings import EmbedTrainConfig, init_table, score_tails, score_triplet
+from pathrec.embeddings import (EmbedTrainConfig, init_table, score_all_tails, score_tails,
+                                score_triplet)
 from pathrec.errors import (BudgetExhausted, IncompletePath, InvalidAction,
                             MissingEmbedding)
 from pathrec.graph import FORWARD, INVERSE
@@ -460,3 +461,132 @@ class TestFrontier:
         after = slate_rows(start.slates(g, 250, scores, rows))[0]
         assert after == valid_actions(PathState.start(u0, 3), g)
         assert set(after) - set(before) == {Action(g.relation_id("purchase"), i2, FORWARD)}
+
+
+def hub_states(graph, budget=3):
+    """One-hop states from each user to each brand or category it likes or
+    is interested in: the walk then stands on a high-degree hub."""
+    out = []
+    for u in graph.users():
+        for rel, x, d in graph.neighbors(u):
+            if d == FORWARD and not graph.is_item(x):
+                out.append(step(PathState.start(u, budget), Action(rel, x, d), graph))
+    return out
+
+
+def fresh_count(state, graph):
+    return len(valid_actions(state, graph, max_actions=10**9)) - 1
+
+
+class TestSlateSelection:
+    """Over-cap rows keep their top ``max_actions`` moves by a cut score
+    plus the earliest ties; every case is checked against ``valid_actions``."""
+
+    @pytest.fixture
+    def hub_graph(self, make_graph):
+        return make_graph(n_users=10, n_items=24, n_brands=2, n_categories=3,
+                          interactions=8, seed=5)
+
+    def test_score_all_tails_bitwise_equals_score_tails(self, hub_graph):
+        table = init_table(hub_graph, EmbedTrainConfig(dim=7, seed=2))
+        table.entity_bias[:] = np.random.default_rng(0).normal(size=table.entity_count)
+        table.append_entities(table.entity_count, np.ones((2, 7)), np.zeros(2))
+        all_ids = np.arange(table.entity_count, dtype=np.intp)
+        for head in range(0, table.entity_count, 3):
+            for rel in range(hub_graph.relation_count):
+                got = score_all_tails(table, head, rel)
+                want = score_tails(table, head, rel, all_ids)
+                assert got.tobytes() == want.tobytes()
+
+    def test_ties_straddle_cut_under_null_table(self, hub_graph):
+        """A table of NULL-strategy rows (all zeros) scores every move 0.0,
+        so every cut falls inside one run of ties."""
+        table = init_table(hub_graph, EmbedTrainConfig(dim=6, seed=1))
+        table.entity_vecs[:] = 0.0
+        states = hub_states(hub_graph)
+        users = sorted({s.user for s in states})
+        scores = np.stack([score_all_tails(table, u, hub_graph.interaction_relation)
+                           for u in users])
+        assert not scores.any()
+        rows = np.asarray([users.index(s.user) for s in states], dtype=np.intp)
+        for cap in (1, 2, 5, 9):
+            got = frontier_of(states).slates(hub_graph, cap, scores, rows)
+            want = [valid_actions(s, hub_graph, table, max_actions=cap) for s in states]
+            assert slate_rows(got) == want
+            assert any(fresh_count(s, hub_graph) > cap for s in states)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_straddle_cut_with_scores_above(self, hub_graph, seed):
+        """Three score levels: some moves beat the cut, a run of ties spans it."""
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, 3, size=(1, hub_graph.entity_count)).astype(float)
+        states = hub_states(hub_graph)
+        rows = np.zeros(len(states), dtype=np.intp)
+        for cap in (0, 2, 4, 7):
+            got = frontier_of(states).slates(hub_graph, cap, scores, rows)
+            want = [valid_actions(s, hub_graph, max_actions=cap, user_scores=scores[0])
+                    for s in states]
+            assert slate_rows(got) == want
+
+    def test_visited_entity_among_top_scores(self, hub_graph):
+        """The start user and the hub it came from score highest; neither may
+        take a slot, and the slate still fills to the cap."""
+        pu = hub_graph.relation_id("purchase")
+        states = []
+        for u in hub_graph.users():
+            item = next(x for r, x, d in hub_graph.neighbors(u) if r == pu)
+            at_item = step(PathState.start(u, 3), Action(pu, item, FORWARD), hub_graph)
+            hub = next(x for r, x, d in hub_graph.neighbors(item) if d == FORWARD)
+            rel = next(r for r, x, d in hub_graph.neighbors(item) if x == hub)
+            states.append(step(at_item, Action(rel, hub, FORWARD), hub_graph))
+        scores = np.zeros((1, hub_graph.entity_count))
+        for s in states:
+            scores[0, list(s.entities)] = 1e6
+        rows = np.zeros(len(states), dtype=np.intp)
+        cap = 3
+        got = slate_rows(frontier_of(states).slates(hub_graph, cap, scores, rows))
+        for s, slate in zip(states, got):
+            assert fresh_count(s, hub_graph) > cap
+            assert slate == valid_actions(s, hub_graph, max_actions=cap,
+                                          user_scores=scores[0])
+            assert len(slate) == cap + 1
+            assert not {a.target for a in slate[1:]} & s.visited
+
+    def test_cap_one_and_one_below_fresh_count(self, hub_graph):
+        rng = np.random.default_rng(4)
+        scores = np.round(rng.random((1, hub_graph.entity_count)), 1)
+        states = hub_states(hub_graph)
+        rows = np.zeros(len(states), dtype=np.intp)
+        got = frontier_of(states).slates(hub_graph, 1, scores, rows)
+        assert slate_rows(got) == [valid_actions(s, hub_graph, max_actions=1,
+                                                 user_scores=scores[0]) for s in states]
+        assert got.sizes.tolist() == [2] * len(states)
+        for s in states:
+            cap = fresh_count(s, hub_graph) - 1
+            assert cap >= 1
+            got = frontier_of([s]).slates(hub_graph, cap, scores, rows[:1])
+            assert slate_rows(got) == [valid_actions(s, hub_graph, max_actions=cap,
+                                                     user_scores=scores[0])]
+            assert got.sizes.tolist() == [cap + 1]
+
+    def test_over_cap_rows_at_different_hubs_in_one_batch(self, hub_graph):
+        """Rows over the cap at distinct hubs, each scored for its own user,
+        mixed with rows under it."""
+        pu = hub_graph.relation_id("purchase")
+        at_items = [step(PathState.start(u, 3), Action(pu, hub_graph.neighbors(u, pu)[0][1],
+                                                       FORWARD), hub_graph)
+                    for u in hub_graph.users()[:3]]
+        states = hub_states(hub_graph)
+        states = states[:4] + at_items + states[4:]
+        users = sorted({s.user for s in states})
+        rng = np.random.default_rng(9)
+        scores = np.round(rng.normal(size=(len(users), hub_graph.entity_count)), 1)
+        rows = np.asarray([users.index(s.user) for s in states], dtype=np.intp)
+        cap = 6
+        over = [s for s in states if fresh_count(s, hub_graph) > cap]
+        assert len({s.current for s in over}) >= 3
+        assert any(fresh_count(s, hub_graph) <= cap for s in states)
+        got = frontier_of(states).slates(hub_graph, cap, scores, rows)
+        want = [valid_actions(s, hub_graph, max_actions=cap, user_scores=scores[r])
+                for s, r in zip(states, rows)]
+        assert slate_rows(got) == want

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pathrec.embeddings import EmbedTrainConfig, init_table, rng_for, score_tails
-from pathrec.errors import EmptyGraph, InvalidAction, InvalidSpec
+from pathrec.embeddings import (EmbedTrainConfig, EmbeddingTable, init_table, rng_for,
+                                score_tails)
+from pathrec.errors import EmptyGraph, InvalidAction, InvalidSpec, MissingEmbedding
 from pathrec.mdp import (PathState, RewardSpec, encode_state, step,
                          valid_actions)
 from pathrec.policy import (AgentConfig, PolicyModel, _sample_rows,
@@ -271,6 +272,16 @@ class TestBatchedRollout:
         with pytest.raises(InvalidSpec, match="exceeds"):
             rollout_batch(policy, tiny_graph, small_table, [u0], 2, cfg.max_actions + 1,
                           RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
+
+    def test_table_short_of_graph_rejected(self, tiny_graph, small_table):
+        short = EmbeddingTable(small_table.entity_vecs[:-1], small_table.entity_bias[:-1],
+                               small_table.relation_vecs, small_table.self_loop_vec)
+        policy, cfg = small_policy(short, 2)
+        u0 = tiny_graph.entity_id("user", "u0")
+        for behavior in (policy, None):
+            with pytest.raises(MissingEmbedding):
+                rollout_batch(behavior, tiny_graph, short, [u0], 2, cfg.max_actions,
+                              RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
 
 
 class TestTraining:
