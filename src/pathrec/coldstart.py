@@ -1,11 +1,14 @@
 """Cold-entity integration without retraining.
 
 A cold entity arrives as a profile of declared (relation, existing-entity)
-edges. Integration adds the entity and its triplets to a mutable clone of
-the training graph, then an embedding is synthesized from its neighbors:
-the AverageTranslation strategy averages (e_tail - e_relation) over the
-triplets headed at the entity; the Null strategy is an all-zeros vector.
-Warm embeddings, biases and the policy are never touched.
+edges. Integration validates and resolves each profile in turn (a profile
+may name an entity integrated before it), adds all their triplets to a
+mutable clone of the training graph in one batch, then synthesizes each
+entity's embedding from its neighbors: the AverageTranslation strategy
+averages (e_tail - e_relation) over the triplets headed at the entity;
+the Null strategy is an all-zeros vector. The rows are computed from the
+triplet arrays, without building the graph's CSR. Warm embeddings, biases
+and the policy are never touched.
 """
 
 from __future__ import annotations
@@ -14,14 +17,14 @@ import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import (EmptyProfile, MissingEmbedding, MissingNeighborEmbedding,
                      SchemaViolation, UnknownEntity, UnknownUser)
-from .graph import FORWARD, KnowledgeGraph
+from .graph import KnowledgeGraph
 from .inference import RecommendationList, beam_search, rank_recommendations
 from .mdp import SELF_LOOP
 from .policy import PolicyModel
@@ -109,8 +112,9 @@ def read_profiles(path: str) -> list[ColdProfile]:
     return out
 
 
-def integrate_entity(graph: KnowledgeGraph, profile: ColdProfile) -> int:
-    """Add a cold entity and its declared triplets to a mutable graph.
+def _resolve(graph: KnowledgeGraph, profile: ColdProfile) -> tuple[int, list[int], list[int]]:
+    """Register a cold entity; returns it with its declared (relation,
+    target) ids, which the caller stores as triplets headed at it.
 
     Declarations whose target is not in the graph are dropped with a log
     line; if none survive the profile is unusable and EmptyProfile is
@@ -126,9 +130,14 @@ def integrate_entity(graph: KnowledgeGraph, profile: ColdProfile) -> int:
     if not resolvable:
         raise EmptyProfile(f"profile {profile.name!r} has no known targets")
     e = graph.add_entity(profile.entity_type, profile.name)
-    for d in resolvable:
-        graph.add_triplet(e, graph.relation_id(d.relation),
-                          graph.entity_id(d.target_type, d.target_name))
+    return (e, [graph.relation_id(d.relation) for d in resolvable],
+            [graph.entity_id(d.target_type, d.target_name) for d in resolvable])
+
+
+def integrate_entity(graph: KnowledgeGraph, profile: ColdProfile) -> int:
+    """Add a cold entity and its declared triplets to a mutable graph."""
+    e, relations, targets = _resolve(graph, profile)
+    graph.add_triplets([e] * len(relations), relations, targets)
     return e
 
 
@@ -136,6 +145,65 @@ def cold_embedding(table: EmbeddingTable, graph: KnowledgeGraph, entity: int,
                    strategy: ColdStrategy) -> np.ndarray:
     """Synthesize and append an embedding row for an integrated cold entity."""
     return append_cold_embeddings(table, graph, [entity], strategy)[0]
+
+
+def _cold_rows(table: EmbeddingTable, graph: KnowledgeGraph, entities: Sequence[int],
+               strategy: ColdStrategy) -> np.ndarray:
+    """Rows of ``append_cold_embeddings``, read from the graph's triplet
+    arrays (no CSR is built) and checked, without touching the table."""
+    base, dim = table.entity_count, table.dim
+    ents = np.asarray(entities, dtype=np.intp).reshape(-1)
+    heads, rels, tails = graph.triplet_arrays()
+    sel = np.flatnonzero(np.isin(heads, ents))
+    # each entity's forward edges in canonical (relation, neighbor) order
+    sel = sel[np.lexsort((tails[sel], rels[sel], heads[sel]))]
+    by_id = np.argsort(ents, kind="stable")
+    pos = by_id[np.searchsorted(ents[by_id], heads[sel])]  # batch position of each edge
+    rel, nbr = rels[sel], tails[sel]
+    counts = np.bincount(pos, minlength=len(ents))
+    # the first failing entity decides the error, as in a one-by-one pass;
+    # position i may lean on rows of positions before it only
+    bad = counts == 0
+    late = nbr >= base + pos
+    if strategy != ColdStrategy.NULL:
+        bad[pos[late]] = True
+    if bad.any():
+        i = int(np.argmax(bad))
+        if counts[i] == 0:
+            raise EmptyProfile(f"entity {ents[i]} has no outgoing triplets to average")
+        n = nbr[(pos == i) & late][0]
+        raise MissingNeighborEmbedding(
+            f"neighbor {n} of cold entity {ents[i]} has no embedding row")
+    if ents.tolist() != list(range(base, base + len(ents))):
+        raise MissingEmbedding(f"entity rows must be appended in id order, from {base}")
+    rows = np.zeros((len(ents), dim))
+    if strategy == ColdStrategy.NULL:
+        return rows
+    # Rows are filled in waves: a row is summed once every batch row it
+    # leans on is final. Within a wave, the j-th edges of all rows are
+    # added in one step, so each row is the sequential sum over its edges
+    # in canonical order, term for term as a one-by-one pass adds them.
+    first = np.cumsum(counts) - counts  # each row's first edge
+    in_batch = nbr >= base
+    done = np.zeros(len(ents), dtype=bool)
+    while not done.all():
+        waiting = in_batch & ~done[np.where(in_batch, nbr - base, 0)]
+        ready = np.flatnonzero(~done & (np.bincount(pos[waiting], minlength=len(ents)) == 0))
+        ready = ready[np.argsort(-counts[ready], kind="stable")]  # most edges first
+        n_edges = counts[ready]
+        acc = np.zeros((len(ready), dim))
+        for j in range(int(n_edges[0])):
+            live = int(np.count_nonzero(n_edges > j))  # a prefix of ``ready``
+            edge = first[ready[:live]] + j
+            nb = nbr[edge]
+            warm = nb < base
+            vecs = np.empty((live, dim))
+            vecs[warm] = table.entity_vecs[nb[warm]]
+            vecs[~warm] = rows[nb[~warm] - base]
+            acc[:live] += vecs - table.relation_vecs[rel[edge]]
+        rows[ready] = acc / n_edges[:, None]
+        done[ready] = True
+    return rows
 
 
 def append_cold_embeddings(table: EmbeddingTable, graph: KnowledgeGraph,
@@ -149,52 +217,53 @@ def append_cold_embeddings(table: EmbeddingTable, graph: KnowledgeGraph,
     entity of the same batch. All rows are computed first and appended in
     one copy. Returns the new rows.
     """
-    base = table.entity_count
-    rows = np.zeros((len(entities), table.dim))
-    for i, entity in enumerate(entities):
-        forward = [(r, n) for r, n, d in graph.neighbors(entity) if d == FORWARD]
-        if not forward:
-            raise EmptyProfile(f"entity {entity} has no outgoing triplets to average")
-        if strategy == ColdStrategy.NULL:
-            continue
-        acc = np.zeros(table.dim)
-        for r, n in forward:
-            if n < base:
-                neighbor = table.entity_vecs[n]
-            elif n < base + i:  # an earlier row of this batch (ids checked below)
-                neighbor = rows[n - base]
-            else:
-                raise MissingNeighborEmbedding(
-                    f"neighbor {n} of cold entity {entity} has no embedding row"
-                )
-            acc += neighbor - table.relation_vecs[r]
-        rows[i] = acc / len(forward)
-    if list(entities) != list(range(base, base + len(entities))):
-        raise MissingEmbedding(f"entity rows must be appended in id order, from {base}")
-    table.append_entities(base, rows, np.zeros(len(entities)))
+    rows = _cold_rows(table, graph, entities, strategy)
+    table.append_entities(table.entity_count, rows, np.zeros(len(rows)))
     return rows
 
 
 def integrate_cold_entities(train_graph: KnowledgeGraph, table: EmbeddingTable,
                             profiles: Iterable[ColdProfile],
-                            strategy: ColdStrategy):
+                            strategy: ColdStrategy,
+                            interactions: Mapping[str, Sequence[str]] | None = None):
     """Clone the training graph, integrate every profile, extend the table.
+
+    Profiles are validated and resolved one by one, in order, so a profile
+    may target an entity integrated before it. Their declarations, then
+    the ``interactions`` (cold user name -> item names, each pair added
+    when both ends are in the graph), go into the clone in one batch.
 
     Returns (augmented graph frozen, extended table, name -> id map).
     Profiles that cannot be integrated are skipped and omitted from the
     map; the originals are left untouched.
     """
     aug = train_graph.clone()
-    ext = table.copy()
     ids: dict[str, int] = {}
+    heads: list[int] = []
+    relations: list[int] = []
+    tails: list[int] = []
     for profile in profiles:
         try:
-            ids[profile.name] = integrate_entity(aug, profile)
+            e, rels, targets = _resolve(aug, profile)
         except EmptyProfile:
             log.info("profile %s skipped: no usable declarations", profile.name)
+            continue
+        ids[profile.name] = e
+        heads += [e] * len(rels)
+        relations += rels
+        tails += targets
+    item_type, interaction = aug.schema.item_type, aug.interaction_relation
+    for user, items in (interactions or {}).items():
+        if user in ids:
+            for item in items:
+                if aug.has_entity(item_type, item):
+                    heads.append(ids[user])
+                    relations.append(interaction)
+                    tails.append(aug.entity_id(item_type, item))
+    aug.add_triplets(heads, relations, tails)
     aug.freeze()
-    append_cold_embeddings(ext, aug, list(ids.values()), strategy)  # insertion order == id order
-    return aug, ext, ids
+    rows = _cold_rows(table, aug, list(ids.values()), strategy)  # insertion order == id order
+    return aug, table.extended(rows), ids
 
 
 def recommend_cold(user: int, policy: PolicyModel, graph: KnowledgeGraph,

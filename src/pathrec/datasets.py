@@ -23,8 +23,9 @@ import numpy as np
 
 from .coldstart import ColdDeclaration, ColdProfile, read_profiles, write_profiles
 from .embeddings import rng_for
-from .errors import EmptyUser, InvalidSpec, ParseError
-from .graph import FORWARD, KGSchema, KnowledgeGraph, read_triplet_file
+from .errors import EmptyUser, InvalidSpec, ParseError, SchemaViolation
+from .graph import (FORWARD, KGSchema, KnowledgeGraph, check_triplet_row,
+                    read_triplet_rows)
 
 log = logging.getLogger(__name__)
 
@@ -33,19 +34,44 @@ def load_dataset(triplet_path: str, schema_path: str | KGSchema) -> KnowledgeGra
     """Build a frozen graph from a triplet file, deriving declared relations.
 
     Derived relations must not appear in the file; they are joined from the
-    interactions it contains.
+    interactions it contains. The file is parsed whole and its triplets are
+    added in one batch; a faulty file raises the error a line-by-line load
+    would raise at its first faulty line.
     """
     schema = schema_path if isinstance(schema_path, KGSchema) else KGSchema.load(schema_path)
     derived = {r.name for r in schema.relations if r.derived_from is not None}
     graph = KnowledgeGraph(schema)
-    for ht, hn, rel, tt, tn in read_triplet_file(triplet_path):
+    rows = read_triplet_rows(triplet_path)
+    n_rows = next((k for k, (_, f) in enumerate(rows) if len(f) != 3), len(rows))
+    fields = [f for _, f in rows[:n_rows]]
+    tokens = dict.fromkeys(tok for f in fields for tok in (f[0], f[2]))
+    ids = {}
+    for tok in tokens:
+        etype, sep, name = tok.partition(":")
+        if sep and etype and name and etype in schema.entity_types:
+            ids[tok] = graph.add_entity(etype, name)
+    known = {r.name for r in schema.relations}
+    bad_rels = {rel for rel in dict.fromkeys(f[1] for f in fields)
+                if rel in derived or rel not in known}
+    if len(ids) < len(tokens) or bad_rels:
+        n_rows = next(k for k, f in enumerate(fields)
+                      if f[0] not in ids or f[2] not in ids or f[1] in bad_rels)
+    # schema violations before the first faulty line raise here, as they would
+    # have line by line
+    graph.add_triplets(np.fromiter((ids[f[0]] for f in fields[:n_rows]), np.intp, n_rows),
+                       np.fromiter((graph.relation_id(f[1]) for f in fields[:n_rows]),
+                                   np.intp, n_rows),
+                       np.fromiter((ids[f[2]] for f in fields[:n_rows]), np.intp, n_rows))
+    if n_rows < len(rows):
+        lineno, f = rows[n_rows]
+        ht, hn, rel, tt, tn = check_triplet_row(triplet_path, lineno, f)
         if rel in derived:
             raise ParseError(
                 f"{triplet_path}: derived relation {rel!r} may not appear in a triplet file"
             )
-        h = graph.add_entity(ht, hn)
-        t = graph.add_entity(tt, tn)
-        graph.add_triplet(h, graph.relation_id(rel), t)
+        graph.add_entity(ht, hn)  # raises for an unknown entity type
+        graph.add_entity(tt, tn)
+        raise SchemaViolation(f"unknown relation {rel!r}")
     derive_relations(graph)
     return graph.freeze()
 
@@ -54,22 +80,29 @@ def derive_relations(graph: KnowledgeGraph):
     """Materialize derived relations by joining interactions with their via
     relation. Idempotent; the same pair may be joined through many items.
 
-    Each item's via targets are read once per derived relation: on a
-    mutable graph every ``neighbors`` call re-sorts the item's adjacency.
+    Derived triplets are added in the order of a user-by-user walk: users
+    by id, each user's items in interaction order, each item's via targets
+    by id, keeping the first occurrence of every new pair.
     """
-    interactions = [(u, i) for u, items in sorted(graph.interactions_by_user().items())
-                    for i in items]
+    heads, rels, tails = graph.triplet_arrays()
+    inter = rels == graph.interaction_relation
+    order = np.argsort(heads[inter], kind="stable")
+    users, items = heads[inter][order], tails[inter][order]
     for rel_id, spec in enumerate(graph.schema.relations):
         if spec.derived_from is None:
             continue
-        via_id = graph.relation_id(spec.derived_from.via)
-        via_targets: dict[int, list[int]] = {}
-        for u, i in interactions:
-            if i not in via_targets:
-                via_targets[i] = [x for _, x, d in graph.neighbors(i, via_id) if d == FORWARD]
-            for x in via_targets[i]:
-                if not graph.has_triplet(u, rel_id, x):
-                    graph.add_triplet(u, rel_id, x)
+        heads, rels, tails = graph.triplet_arrays()
+        via = rels == graph.relation_id(spec.derived_from.via)
+        by_item = np.lexsort((tails[via], heads[via]))
+        via_items, via_targets = heads[via][by_item], tails[via][by_item]
+        lo = np.searchsorted(via_items, items, side="left")
+        n = np.searchsorted(via_items, items, side="right") - lo
+        at = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        u, x = np.repeat(users, n), via_targets[at]
+        _, first = np.unique(u * graph.entity_count + x, return_index=True)
+        first.sort()
+        new = first[~graph.has_triplets(u[first], np.full(len(first), rel_id), x[first])]
+        graph.add_triplets(u[new], np.full(len(new), rel_id), x[new])
 
 
 @dataclass(frozen=True)
@@ -253,6 +286,35 @@ def _item_profile(graph: KnowledgeGraph, item: int) -> ColdProfile:
                        declarations=tuple(decls))
 
 
+def _train_graph(graph: KnowledgeGraph, cold: list[int],
+                 train_pairs: set[tuple[int, int]]) -> KnowledgeGraph:
+    """The stored (non-derived) triplets that touch no cold entity, with
+    interactions limited to ``train_pairs``, then derivations recomputed.
+
+    Entities get new ids in order of first appearance along the triplets,
+    head before tail, and triplets keep their order.
+    """
+    n = graph.entity_count
+    heads, rels, tails = graph.triplet_arrays()
+    derived = np.asarray([r.derived_from is not None for r in graph.schema.relations])
+    is_cold = np.zeros(n, dtype=bool)
+    is_cold[cold] = True
+    pairs = np.asarray(sorted(u * n + i for u, i in train_pairs), dtype=np.intp)
+    keep = ~derived[rels] & ~is_cold[heads] & ~is_cold[tails]
+    keep &= ((rels != graph.interaction_relation)
+             | np.isin(heads * n + tails, pairs))
+    heads, rels, tails = heads[keep], rels[keep], tails[keep]
+    ends = np.stack([heads, tails], axis=1).reshape(-1)
+    seen, first = np.unique(ends, return_index=True)
+    new_id = np.full(n, -1, dtype=np.intp)
+    train_graph = KnowledgeGraph(graph.schema)
+    for e in seen[np.argsort(first)].tolist():
+        new_id[e] = train_graph.add_entity(graph.entity_type(e), graph.entity_name(e))
+    train_graph.add_triplets(new_id[heads], rels, new_id[tails])
+    derive_relations(train_graph)
+    return train_graph.freeze()
+
+
 def split_dataset(graph: KnowledgeGraph, config: SplitConfig) -> DatasetSplit:
     """Carve cold cohorts and chronological shares out of a loaded graph.
 
@@ -307,20 +369,7 @@ def split_dataset(graph: KnowledgeGraph, config: SplitConfig) -> DatasetSplit:
     cold_test = {graph.entity_name(u): [graph.entity_name(i) for i in by_user[u]]
                  for u in sorted(cold_test_users)}
 
-    train_graph = KnowledgeGraph(graph.schema)
-    interaction = graph.interaction_relation
-    for h, r, t in graph.triplets():
-        if graph.schema.relations[r].derived_from is not None:
-            continue
-        if h in cold_user_set or h in cold_item_set or t in cold_user_set or t in cold_item_set:
-            continue
-        if r == interaction and (h, t) not in train_pairs:
-            continue
-        nh = train_graph.add_entity(graph.entity_type(h), graph.entity_name(h))
-        nt = train_graph.add_entity(graph.entity_type(t), graph.entity_name(t))
-        train_graph.add_triplet(nh, r, nt)
-    derive_relations(train_graph)
-    train_graph.freeze()
+    train_graph = _train_graph(graph, cold_users + cold_items, train_pairs)
 
     cold_user_targets: dict[str, list[RelationTargets]] = {}
     user_profiles = []

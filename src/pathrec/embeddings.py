@@ -93,6 +93,14 @@ class EmbeddingTable:
         return EmbeddingTable(self.entity_vecs.copy(), self.entity_bias.copy(),
                               self.relation_vecs.copy(), self.self_loop_vec.copy(), self.seed)
 
+    def extended(self, vecs: np.ndarray) -> "EmbeddingTable":
+        """A new table holding these rows, with zero biases, after this
+        table's rows; this table is left untouched. One copy of the rows."""
+        out = EmbeddingTable(self.entity_vecs, self.entity_bias, self.relation_vecs.copy(),
+                             self.self_loop_vec.copy(), self.seed)
+        out.append_entities(self.entity_count, vecs, np.zeros(len(vecs)))
+        return out
+
     def append_entity(self, e: int, vec: np.ndarray, bias: float):
         """Extend the table with a row for a newly integrated entity.
 
@@ -258,7 +266,7 @@ def train_embeddings(graph: KnowledgeGraph, config: EmbedTrainConfig) -> Embeddi
     if config.full_softmax and graph.entity_count > 1000:
         raise InvalidSpec("full_softmax mode is limited to graphs with <= 1000 entities")
     table = init_table(graph, config)
-    triplets = np.asarray(list(graph.triplets()), dtype=np.intp)
+    triplets = np.stack(graph.triplet_arrays(), axis=1)
     pools = _type_pools(graph)
     params = [table.entity_vecs, table.relation_vecs, table.entity_bias]
     opt = Adam(params, lr=config.learning_rate)

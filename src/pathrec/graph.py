@@ -1,20 +1,25 @@
 """Typed knowledge-graph store with implicit inverse edges.
 
-Entities and relations are interned to dense integer ids. Every stored
+Entities and relations are interned to dense integer ids; the entity
+registry (names, types, key -> id) is the only per-entity Python state.
+Triplets live in int arrays in insertion order, with an open-addressing
+hash of their keys for duplicate checks and ``has_triplet``. Every stored
 triplet is navigable in both directions: the tail side sees the same
 relation id with an inverse direction flag, so no separate inverse
-relation is materialized. After ``freeze()`` a graph is immutable and can
-be shared across threads; ``clone()`` returns a mutable copy with the same
-ids, which is how cold entities are integrated without touching the
-original.
+relation is materialized.
 
-For array-native walking, ``csr()`` returns the adjacency in compressed
-sparse row form: entity ``e``'s edges are positions
-``indptr[e]:indptr[e + 1]`` of the parallel ``rel``, ``nbr`` and ``dir``
-arrays, in the same canonical (relation, neighbor, direction) order as
-``neighbors(e)``. A frozen graph builds the arrays on first use and caches
-them, so frozen clones that are never walked pay nothing; a mutable graph
-rebuilds them on every call, so later mutation can never leave them stale.
+The adjacency is the CSR form that ``csr()`` returns: entity ``e``'s
+edges are positions ``indptr[e]:indptr[e + 1]`` of the parallel ``rel``,
+``nbr`` and ``dir`` arrays, in canonical (relation, neighbor, direction)
+order. ``neighbors``, ``degree`` and ``user_items`` read it. It is built
+by one lexsort at first use after a change and kept until the next one.
+
+``add_triplets`` is the one ingest path: it checks and stores a whole
+batch with array operations, and ``add_triplet`` is its one-edge call
+(amortized O(1)). ``freeze()`` only marks the graph immutable, so a frozen
+graph can be shared across threads; ``clone()`` returns a mutable copy
+with the same ids by copying the registry and a few arrays, which is how
+cold entities are integrated without touching the original.
 
 Serialization uses a tab-separated triplet file (one triplet per line,
 ``head_type:head_name<TAB>relation<TAB>tail_type:tail_name``) plus a JSON
@@ -30,7 +35,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NotAnItem, ParseError, SchemaViolation, UnknownEntity
+from .errors import InvalidSpec, NotAnItem, ParseError, SchemaViolation, UnknownEntity
 
 log = logging.getLogger(__name__)
 
@@ -203,8 +208,69 @@ class CSRAdjacency(NamedTuple):
     dir: np.ndarray
 
 
+_EMPTY = -1
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
+
+
+class _KeySet:
+    """A set of non-negative int64 keys in one open-addressing table.
+
+    Linear probing at load factor at most 1/2, so a lookup or insert costs
+    O(1) expected probes; both run over whole key arrays at once, one
+    vectorized probe round per step along the probe sequences.
+    """
+
+    def __init__(self, slots: np.ndarray | None = None, size: int = 0):
+        self.slots = np.full(16, _EMPTY, dtype=np.int64) if slots is None else slots
+        self.size = size
+
+    def copy(self) -> "_KeySet":
+        return _KeySet(self.slots.copy(), self.size)
+
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        shift = np.uint64(64 - (len(self.slots).bit_length() - 1))
+        return ((keys.astype(np.uint64) * _FIBONACCI) >> shift).astype(np.intp)
+
+    def contains(self, keys: np.ndarray) -> np.ndarray:
+        slots, mask = self.slots, len(self.slots) - 1
+        found = np.zeros(len(keys), dtype=bool)
+        todo, pos = np.arange(len(keys)), self._home(keys)
+        while len(todo):
+            at = slots[pos]
+            hit = at == keys[todo]
+            found[todo[hit]] = True
+            go = (at != _EMPTY) & ~hit
+            todo, pos = todo[go], (pos[go] + 1) & mask
+        return found
+
+    def add(self, keys: np.ndarray):
+        """Insert keys that are distinct and not yet in the set."""
+        need = 2 * (self.size + len(keys))
+        if need > len(self.slots):
+            old = self.slots[self.slots != _EMPTY]
+            self.slots = np.full(1 << (need - 1).bit_length(), _EMPTY, dtype=np.int64)
+            self._place(old)
+        self._place(keys)
+        self.size += len(keys)
+
+    def _place(self, keys: np.ndarray):
+        # Each round, every key still unplaced tries its current slot; of
+        # the keys trying one free slot the first takes it, and every other
+        # key moves one slot on, past a slot that is now taken.
+        slots, mask = self.slots, len(self.slots) - 1
+        pos = self._home(keys)
+        while len(keys):
+            free = np.flatnonzero(slots[pos] == _EMPTY)
+            _, first = np.unique(pos[free], return_index=True)
+            won = free[first]
+            slots[pos[won]] = keys[won]
+            rest = np.ones(len(keys), dtype=bool)
+            rest[won] = False
+            keys, pos = keys[rest], (pos[rest] + 1) & mask
+
+
 class KnowledgeGraph:
-    """Adjacency-indexed triplet store over a fixed schema.
+    """Array-backed triplet store over a fixed schema.
 
     Neighbor lists are canonically ordered (relation id, neighbor id,
     direction) so traversal order never depends on insertion order.
@@ -215,18 +281,21 @@ class KnowledgeGraph:
         self.schema = schema
         self._type_index = {t: i for i, t in enumerate(schema.entity_types)}
         self._rel_index = {r.name: i for i, r in enumerate(schema.relations)}
+        self._interaction = self._rel_index[schema.interaction_relation.name]
+        self._rel_head = np.asarray([self._type_index[r.head_type] for r in schema.relations],
+                                    dtype=np.intp)
+        self._rel_tail = np.asarray([self._type_index[r.tail_type] for r in schema.relations],
+                                    dtype=np.intp)
         self._names: list[str] = []
-        self._types: list[int] = []
         self._by_key: dict[tuple[str, str], int] = {}
-        self._adj: list[list[tuple[int, int, int]]] = []
-        self._triplets: set[tuple[int, int, int]] = set()
-        self._triplet_log: list[tuple[int, int, int]] = []
-        self._interaction_log: list[tuple[int, int]] = []
-        self._tail_interactions: list[int] = []
+        self._types = np.zeros(16, dtype=np.intp)  # entity -> type index; grows by doubling
+        self._spo = np.zeros((3, 16), dtype=np.intp)  # head/relation/tail rows, insertion order
+        self._m = 0
+        self._keys = _KeySet()
         self._frozen = False
         self._dup_warned = False
-        self._sorted = True
         self._csr: CSRAdjacency | None = None
+        self._tail_interactions: np.ndarray | None = None
 
     # -- registry ---------------------------------------------------------
 
@@ -244,11 +313,11 @@ class KnowledgeGraph:
 
     @property
     def triplet_count(self) -> int:
-        return len(self._triplets)
+        return self._m
 
     @property
     def interaction_relation(self) -> int:
-        return self._rel_index[self.schema.interaction_relation.name]
+        return self._interaction
 
     def relation_id(self, name: str) -> int:
         try:
@@ -272,11 +341,12 @@ class KnowledgeGraph:
         if etype not in self._type_index:
             raise SchemaViolation(f"unknown entity type {etype!r}")
         eid = len(self._names)
+        if eid == len(self._types):
+            self._types = np.concatenate([self._types, np.zeros_like(self._types)])
+        self._types[eid] = self._type_index[etype]
         self._names.append(name)
-        self._types.append(self._type_index[etype])
         self._by_key[key] = eid
-        self._adj.append([])
-        self._tail_interactions.append(0)
+        self._changed()
         return eid
 
     def entity_id(self, etype: str, name: str) -> int:
@@ -298,7 +368,7 @@ class KnowledgeGraph:
 
     def entity_type(self, e: int) -> str:
         self._check_entity(e)
-        return self.schema.entity_types[self._types[e]]
+        return self.schema.entity_types[self._types.item(e)]
 
     def entity_key(self, e: int) -> str:
         return f"{self.entity_type(e)}:{self.entity_name(e)}"
@@ -306,8 +376,8 @@ class KnowledgeGraph:
     def entities_of_type(self, etype: str) -> list[int]:
         if etype not in self._type_index:
             raise SchemaViolation(f"unknown entity type {etype!r}")
-        ti = self._type_index[etype]
-        return [e for e, t in enumerate(self._types) if t == ti]
+        types = self._types[:len(self._names)]
+        return np.flatnonzero(types == self._type_index[etype]).tolist()
 
     def users(self) -> list[int]:
         return self.entities_of_type(self.schema.user_type)
@@ -327,9 +397,12 @@ class KnowledgeGraph:
         if self._frozen:
             raise SchemaViolation("graph is frozen")
 
-    def add_triplet(self, head: int, relation: int, tail: int):
-        """Insert one triplet; both endpoints must already be registered."""
-        self._check_mutable()
+    def _changed(self):
+        self._csr = None
+        self._tail_interactions = None
+
+    def _check_triplet(self, head: int, relation: int, tail: int):
+        """Raise the error ``add_triplet`` reports for an invalid triplet."""
         self._check_entity(head)
         self._check_entity(tail)
         if not 0 <= relation < len(self.schema.relations):
@@ -340,121 +413,193 @@ class KnowledgeGraph:
                 f"({self.entity_key(head)}, {spec.name}, {self.entity_key(tail)}) "
                 f"violates schema ({spec.head_type} -> {spec.tail_type})"
             )
-        key = (head, relation, tail)
-        if key in self._triplets:
-            if not self._dup_warned:
-                log.warning("duplicate triplet %s dropped (warning once per graph)", key)
-                self._dup_warned = True
+
+    def _encode(self, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        # registered ids and relation ids only; unique while tails < 2**32
+        return ((heads * len(self.schema.relations) + relations) << 32) | tails
+
+    def add_triplet(self, head: int, relation: int, tail: int):
+        """Insert one triplet; both endpoints must already be registered."""
+        self.add_triplets([head], [relation], [tail])
+
+    def add_triplets(self, heads, relations, tails):
+        """Insert triplets in order, as ``add_triplet`` would one by one.
+
+        Every triplet is checked before any is stored: unregistered ids,
+        unknown relation ids and schema violations raise the error of the
+        first offending triplet and leave the graph unchanged. A triplet
+        already stored, or repeated earlier in the batch, is dropped with
+        the graph's one duplicate warning.
+        """
+        self._check_mutable()
+        h, r, t = (np.asarray(a, dtype=np.intp).reshape(-1) for a in (heads, relations, tails))
+        if not len(h) == len(r) == len(t):
+            raise InvalidSpec("heads, relations and tails must have equal lengths")
+        n = len(self._names)
+        bad = (h < 0) | (h >= n) | (t < 0) | (t >= n) | (r < 0) | (r >= len(self.schema.relations))
+        ok = ~bad
+        types = self._types
+        bad[ok] = ((types[h[ok]] != self._rel_head[r[ok]])
+                   | (types[t[ok]] != self._rel_tail[r[ok]]))
+        if bad.any():
+            i = int(np.argmax(bad))
+            self._check_triplet(int(h[i]), int(r[i]), int(t[i]))
+        keys = self._encode(h, r, t)
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        new = first[~self._keys.contains(keys[first])]
+        if len(new) < len(keys) and not self._dup_warned:
+            dup = np.ones(len(keys), dtype=bool)
+            dup[new] = False
+            i = int(np.argmax(dup))
+            log.warning("duplicate triplet %s dropped (warning once per graph)",
+                        (int(h[i]), int(r[i]), int(t[i])))
+            self._dup_warned = True
+        if not len(new):
             return
-        self._triplets.add(key)
-        self._triplet_log.append(key)
-        self._adj[head].append((relation, tail, FORWARD))
-        self._adj[tail].append((relation, head, INVERSE))
-        self._sorted = False
-        if spec.interaction:
-            self._interaction_log.append((head, tail))
-            self._tail_interactions[tail] += 1
+        m, k = self._m, len(new)
+        if m + k > self._spo.shape[1]:
+            grown = np.zeros((3, max(2 * self._spo.shape[1], m + k)), dtype=np.intp)
+            grown[:, :m] = self._spo[:, :m]
+            self._spo = grown
+        self._spo[0, m:m + k] = h[new]
+        self._spo[1, m:m + k] = r[new]
+        self._spo[2, m:m + k] = t[new]
+        self._m = m + k
+        self._keys.add(keys[new])
+        self._changed()
+
+    def triplet_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (heads, relations, tails) of the stored triplets, in
+        insertion order."""
+        out = []
+        for row in self._spo[:, :self._m]:
+            view = row.view()
+            view.flags.writeable = False
+            out.append(view)
+        return tuple(out)
+
+    def has_triplets(self, heads, relations, tails) -> np.ndarray:
+        """Membership of each (head, relation, tail) as a bool array."""
+        h, r, t = (np.asarray(a, dtype=np.intp).reshape(-1) for a in (heads, relations, tails))
+        n = len(self._names)
+        ok = (h >= 0) & (h < n) & (t >= 0) & (t < n) & (r >= 0) & (r < len(self.schema.relations))
+        found = np.zeros(len(h), dtype=bool)
+        found[ok] = self._keys.contains(self._encode(h[ok], r[ok], t[ok]))
+        return found
 
     def has_triplet(self, head: int, relation: int, tail: int) -> bool:
-        return (head, relation, tail) in self._triplets
+        return bool(self.has_triplets([head], [relation], [tail])[0])
 
     def triplets(self) -> Iterator[tuple[int, int, int]]:
         """Stored triplets in insertion order."""
-        return iter(self._triplet_log)
+        return zip(*(row.tolist() for row in self._spo[:, :self._m]))
 
     def neighbors(self, e: int, relation: int | None = None) -> list[tuple[int, int, int]]:
         """Edges at ``e`` as (relation, neighbor, direction), canonically sorted."""
         self._check_entity(e)
-        edges = self._adj[e]
-        if not self._sorted:
-            edges = sorted(edges)
+        adj = self.csr()
+        lo, hi = adj.indptr.item(e), adj.indptr.item(e + 1)
         if relation is not None:
-            edges = [x for x in edges if x[0] == relation]
-        return list(edges)
+            a, b = np.searchsorted(adj.rel[lo:hi], (relation, relation + 1))
+            lo, hi = lo + int(a), lo + int(b)
+        return list(zip(adj.rel[lo:hi].tolist(), adj.nbr[lo:hi].tolist(),
+                        adj.dir[lo:hi].tolist()))
 
     def csr(self) -> CSRAdjacency:
-        """The adjacency as CSR arrays; cached only once the graph is frozen."""
-        if self._csr is not None:
-            return self._csr
-        n = len(self._names)
-        h, r, t = np.asarray(self._triplet_log, dtype=np.intp).reshape(-1, 3).T
-        m = len(h)
-        owner = np.concatenate([h, t])
-        rel = np.concatenate([r, r])
-        nbr = np.concatenate([t, h])
-        direction = np.repeat(np.asarray([FORWARD, INVERSE], dtype=np.intp), m)
-        order = np.lexsort((direction, nbr, rel, owner))
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
-        adj = CSRAdjacency(indptr, rel[order], nbr[order], direction[order])
-        if self._frozen:
-            self._csr = adj
-        return adj
+        """The adjacency as CSR arrays, built at first use after a change.
+
+        A frozen graph returns one cached object; a mutable graph returns
+        a fresh tuple each call and rebuilds the arrays after every write.
+        """
+        if self._csr is None:
+            n = len(self._names)
+            h, r, t = self._spo[:, :self._m]
+            owner = np.concatenate([h, t])
+            rel = np.concatenate([r, r])
+            nbr = np.concatenate([t, h])
+            direction = np.repeat(np.asarray([FORWARD, INVERSE], dtype=np.intp), self._m)
+            order = np.lexsort((direction, nbr, rel, owner))
+            indptr = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+            self._csr = CSRAdjacency(indptr, rel[order], nbr[order], direction[order])
+        return self._csr if self._frozen else CSRAdjacency(*self._csr)
 
     def degree(self, e: int) -> int:
         self._check_entity(e)
-        return len(self._adj[e])
+        indptr = self.csr().indptr
+        return int(indptr[e + 1] - indptr[e])
 
     def interaction_count(self, item: int) -> int:
         """Number of interaction triplets with ``item`` as tail."""
         self._check_entity(item)
         if not self.is_item(item):
             raise NotAnItem(f"{self.entity_key(item)} is not of type {self.schema.item_type}")
-        return self._tail_interactions[item]
+        if self._tail_interactions is None:
+            _, r, t = self._spo[:, :self._m]
+            self._tail_interactions = np.bincount(t[r == self.interaction_relation],
+                                                  minlength=len(self._names))
+        return int(self._tail_interactions[item])
 
     def interactions_by_user(self) -> dict[int, list[int]]:
-        """Per-user interacted items in insertion (chronological) order."""
-        out: dict[int, list[int]] = {}
-        for u, i in self._interaction_log:
-            out.setdefault(u, []).append(i)
-        return out
+        """Per-user interacted items in insertion (chronological) order;
+        users in order of their first interaction."""
+        h, r, t = self._spo[:, :self._m]
+        sel = r == self.interaction_relation
+        users, items = h[sel], t[sel]
+        order = np.argsort(users, kind="stable")
+        uniq, start = np.unique(users[order], return_index=True)
+        uniq, items = uniq.tolist(), items[order].tolist()
+        bounds = np.append(start, len(items)).tolist()
+        # order[start] is each user's first interaction
+        return {uniq[k]: items[bounds[k]:bounds[k + 1]]
+                for k in np.argsort(order[start]).tolist()}
 
     def user_items(self, user: int) -> frozenset[int]:
-        rel = self.interaction_relation
-        return frozenset(n for r, n, d in self._adj[user] if r == rel and d == FORWARD)
+        self._check_entity(user)
+        adj = self.csr()
+        lo, hi = adj.indptr.item(user), adj.indptr.item(user + 1)
+        edges = zip(adj.rel[lo:hi].tolist(), adj.nbr[lo:hi].tolist(), adj.dir[lo:hi].tolist())
+        return frozenset(n for r, n, d in edges if r == self._interaction and d == FORWARD)
 
     # -- lifecycle --------------------------------------------------------
 
     def freeze(self) -> "KnowledgeGraph":
-        """Sort adjacency into canonical order and make the graph immutable."""
-        if not self._frozen:
-            for i, edges in enumerate(self._adj):
-                edges.sort()
-            self._sorted = True
-            self._frozen = True
+        """Make the graph immutable; its CSR is then built once and kept."""
+        self._frozen = True
         return self
 
     def clone(self) -> "KnowledgeGraph":
         """Mutable copy sharing no state; entity and relation ids are preserved."""
         g = KnowledgeGraph(self.schema)
         g._names = list(self._names)
-        g._types = list(self._types)
         g._by_key = dict(self._by_key)
-        g._adj = [list(edges) for edges in self._adj]
-        g._triplets = set(self._triplets)
-        g._triplet_log = list(self._triplet_log)
-        g._interaction_log = list(self._interaction_log)
-        g._tail_interactions = list(self._tail_interactions)
-        g._sorted = self._sorted
+        g._types = self._types.copy()
+        g._spo = self._spo[:, :self._m].copy()
+        g._m = self._m
+        g._keys = self._keys.copy()
         return g
 
     # -- serialization ----------------------------------------------------
 
-    def triplet_line(self, head: int, relation: int, tail: int) -> str:
-        return f"{self.entity_key(head)}\t{self.relation_name(relation)}\t{self.entity_key(tail)}"
+    def _triplet_lines(self, include_derived: bool = True) -> list[str]:
+        """Stored triplets as triplet-file lines, in insertion order."""
+        keys = [f"{self.schema.entity_types[t]}:{name}"
+                for t, name in zip(self._types[:len(self._names)].tolist(), self._names)]
+        names = [r.name for r in self.schema.relations]
+        derived = [r.derived_from is not None for r in self.schema.relations]
+        return [f"{keys[h]}\t{names[r]}\t{keys[t]}" for h, r, t in self.triplets()
+                if include_derived or not derived[r]]
 
     def write_triplets(self, path: str, include_derived: bool = False):
         """Write triplets in insertion order; derived edges are recomputable."""
         with open(path, "w") as fh:
-            for h, r, t in self._triplet_log:
-                if not include_derived and self.schema.relations[r].derived_from is not None:
-                    continue
-                fh.write(self.triplet_line(h, r, t) + "\n")
+            fh.writelines(line + "\n" for line in self._triplet_lines(include_derived))
 
     def fingerprint(self) -> str:
         import hashlib
 
-        lines = sorted(self.triplet_line(*t) for t in self._triplet_log)
+        lines = sorted(self._triplet_lines())
         blob = json.dumps(self.schema.to_json(), sort_keys=True) + "\n" + "\n".join(lines)
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -467,19 +612,30 @@ def parse_entity_token(token: str) -> tuple[str, str]:
     return etype, name
 
 
+def read_triplet_rows(path: str) -> list[tuple[int, list[str]]]:
+    """(line number, tab-separated fields) of every triplet line, unchecked.
+
+    Blank lines and lines starting with ``#`` are skipped.
+    """
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    return [(lineno, line.split("\t")) for lineno, line in enumerate(lines, start=1)
+            if line and not line.startswith("#")]
+
+
+def check_triplet_row(path: str, lineno: int, fields: list[str]) -> tuple[str, str, str, str, str]:
+    """(head_type, head_name, relation, tail_type, tail_name) of one row."""
+    if len(fields) != 3:
+        raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
+    ht, hn = parse_entity_token(fields[0])
+    tt, tn = parse_entity_token(fields[2])
+    return ht, hn, fields[1], tt, tn
+
+
 def read_triplet_file(path: str) -> Iterator[tuple[str, str, str, str, str]]:
     """Yield (head_type, head_name, relation, tail_type, tail_name) per line.
 
     Blank lines and lines starting with ``#`` are skipped.
     """
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            ht, hn = parse_entity_token(parts[0])
-            tt, tn = parse_entity_token(parts[2])
-            yield ht, hn, parts[1], tt, tn
+    for lineno, fields in read_triplet_rows(path):
+        yield check_triplet_row(path, lineno, fields)

@@ -127,8 +127,9 @@ class PopBaseline:
 def pop_baseline(train_graph: KnowledgeGraph, k: int) -> PopBaseline:
     popularity = train_popularity(train_graph)
     ordered = tuple(sorted(popularity, key=lambda it: (-popularity[it], it)))
+    by_user = train_graph.interactions_by_user()
     train_items = {train_graph.entity_name(u):
-                   {train_graph.entity_name(i) for i in train_graph.user_items(u)}
+                   {train_graph.entity_name(i) for i in by_user.get(u, ())}
                    for u in train_graph.users()}
     return PopBaseline(ordered_items=ordered, train_items=train_items, k=k)
 

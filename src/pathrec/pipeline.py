@@ -19,10 +19,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import coldstart, datasets, inference, metrics
-from .coldstart import ColdProfile, ColdStrategy, integrate_entity
+from .coldstart import ColdProfile, ColdStrategy
 from .datasets import DatasetSplit, SplitConfig, SyntheticSpec, cap_cold_relations
 from .embeddings import EmbedTrainConfig, EmbeddingTable, load_table, save_table, train_embeddings
-from .errors import EmptyProfile, InvalidAxisValue, InvalidSpec, PathRecError, StageError
+from .errors import InvalidAxisValue, InvalidSpec, PathRecError, StageError
 from .graph import INVERSE, KnowledgeGraph
 from .mdp import SELF_LOOP, RewardSpec, path_signature, signature_label
 from .policy import AgentConfig, PolicyModel, train_agent, write_history
@@ -50,6 +50,44 @@ class InferenceConfig:
 
     def to_json(self) -> dict:
         return {"widths": list(self.widths), "topk": self.topk}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_keys(section, allowed: tuple[str, ...], where: str):
+    if not isinstance(section, dict):
+        raise InvalidSpec(f"{where} must be a JSON object")
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise InvalidSpec(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
+def _sub_config(cls, section, where: str, **fixed):
+    """A config dataclass from its JSON object; each value must have the
+    type of the field's default (an int may stand for a float, a list for a
+    tuple of ints). ``fixed`` values override the object's."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    _check_keys(section, tuple(fields), where)
+    values = {**section, **fixed}
+    for name, value in values.items():
+        default = fields[name].default
+        if isinstance(default, tuple) and isinstance(value, (list, tuple)):
+            value = values[name] = tuple(value)
+            ok = all(_is_int(v) for v in value)
+        elif isinstance(default, bool):
+            ok = isinstance(value, bool)
+        elif isinstance(default, int):
+            ok = _is_int(value)
+        elif isinstance(default, float):
+            ok = _is_int(value) or isinstance(value, float)
+        else:
+            ok = isinstance(value, type(default))
+        if not ok:
+            kind = "a list of ints" if isinstance(default, tuple) else type(default).__name__
+            raise InvalidSpec(f"{where}.{name} must be {kind}, got {value!r}")
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -100,27 +138,37 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
-        seed = int(data.get("seed", 0))
+        """Parse a run config; unknown keys, values of the wrong type and
+        unknown cold strategies raise InvalidSpec."""
+        _check_keys(data, ("seed", "workdir", "dataset", "split", "embed", "agent", "cold",
+                           "inference"), "config")
+        seed = data.get("seed", 0)
+        workdir = data.get("workdir", "run")
+        if not _is_int(seed) or not isinstance(workdir, str):
+            raise InvalidSpec("seed must be an integer and workdir a string")
         dataset = data.get("dataset", {"synthetic": {}})
         synthetic = triplets = schema = None
-        if "synthetic" in dataset:
-            synthetic = SyntheticSpec(**dataset["synthetic"])
+        if isinstance(dataset, dict) and "synthetic" in dataset:
+            _check_keys(dataset, ("synthetic",), "dataset")
+            synthetic = _sub_config(SyntheticSpec, dataset["synthetic"], "dataset.synthetic")
         else:
-            triplets, schema = dataset["triplets"], dataset["schema"]
-        split = SplitConfig(**{**data.get("split", {}), "seed": seed})
-        embed = EmbedTrainConfig(**{**data.get("embed", {}), "seed": seed})
-        agent_raw = dict(data.get("agent", {}))
-        if "hidden" in agent_raw:
-            agent_raw["hidden"] = tuple(agent_raw["hidden"])
-        agent = AgentConfig(**{**agent_raw, "seed": seed})
-        cold = ColdStrategy(data.get("cold", {}).get("strategy", "average_translation"))
-        inf_raw = dict(data.get("inference", {}))
-        if "widths" in inf_raw:
-            inf_raw["widths"] = tuple(inf_raw["widths"])
-        cfg = cls(seed=seed, workdir=data.get("workdir", "run"), synthetic=synthetic,
-                  triplets=triplets, schema=schema, split=split, embed=embed,
-                  agent=agent, cold_strategy=cold,
-                  inference=InferenceConfig(**inf_raw))
+            _check_keys(dataset, ("triplets", "schema"), "dataset")
+            triplets, schema = dataset.get("triplets"), dataset.get("schema")
+            if not all(p is None or isinstance(p, str) for p in (triplets, schema)):
+                raise InvalidSpec("dataset.triplets and dataset.schema must be paths")
+        cold = data.get("cold", {})
+        _check_keys(cold, ("strategy",), "cold")
+        strategy = cold.get("strategy", ColdStrategy.AVERAGE_TRANSLATION.value)
+        names = [s.value for s in ColdStrategy]
+        if strategy not in names:
+            raise InvalidSpec(f"unknown cold.strategy {strategy!r}; expected one of {names}")
+        cfg = cls(seed=seed, workdir=workdir, synthetic=synthetic,
+                  triplets=triplets, schema=schema,
+                  split=_sub_config(SplitConfig, data.get("split", {}), "split", seed=seed),
+                  embed=_sub_config(EmbedTrainConfig, data.get("embed", {}), "embed", seed=seed),
+                  agent=_sub_config(AgentConfig, data.get("agent", {}), "agent", seed=seed),
+                  cold_strategy=ColdStrategy(strategy),
+                  inference=_sub_config(InferenceConfig, data.get("inference", {}), "inference"))
         cfg.validate()
         return cfg
 
@@ -271,29 +319,13 @@ def build_augmented(split: DatasetSplit, table: EmbeddingTable,
     """Clone + integrate cold entities; optionally move the first n hidden
     interactions of each cold user into the graph. Returns (graph, table,
     ids, moved-items-by-user)."""
-    aug = split.train_graph.clone()
-    ids: dict[str, int] = {}
-    for profile in _ordered_profiles(split):
-        try:
-            ids[profile.name] = integrate_entity(aug, profile)
-        except EmptyProfile:
-            log.info("profile %s skipped during integration", profile.name)
-    moved: dict[str, list[str]] = {}
+    take: dict[str, list[str]] = {}
     if interactions_per_cold_user > 0:
-        rel = aug.interaction_relation
-        item_type = aug.schema.item_type
         hidden = {**split.cold_val, **split.cold_test}
-        for uname in sorted(hidden):
-            if uname not in ids:
-                continue
-            take = hidden[uname][:interactions_per_cold_user]
-            moved[uname] = take
-            for iname in take:
-                if aug.has_entity(item_type, iname):
-                    aug.add_triplet(ids[uname], rel, aug.entity_id(item_type, iname))
-    aug.freeze()
-    ext = table.copy()
-    coldstart.append_cold_embeddings(ext, aug, list(ids.values()), strategy)
+        take = {u: hidden[u][:interactions_per_cold_user] for u in sorted(hidden)}
+    aug, ext, ids = coldstart.integrate_cold_entities(
+        split.train_graph, table, _ordered_profiles(split), strategy, interactions=take)
+    moved = {u: items for u, items in take.items() if u in ids}
     return aug, ext, ids, moved
 
 
@@ -571,6 +603,7 @@ def sweep(config: RunConfig, axis: str, values: list[int]):
     if not values or any((not isinstance(v, int)) or v < 0 for v in values):
         raise InvalidAxisValue("sweep values must be non-negative integers")
     paths = RunPaths(config.workdir)
+    _check_run_meta("sweep", config, paths)
     split = _load_split("sweep", paths)
     _require("sweep", paths.embed_file, "train-embed")
     _require("sweep", paths.policy_file, "train-agent")

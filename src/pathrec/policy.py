@@ -162,6 +162,8 @@ def rollout_batch(policy: PolicyModel | None, graph: KnowledgeGraph,
     (records then carry no caches). ``forced_actions[t][b]`` overrides
     sampling with a fixed slot index, used for exact expectation tests.
     """
+    if not len(users):
+        raise InvalidSpec("rollouts need at least one user")
     if policy is not None and max_actions > policy.config.max_actions:
         raise InvalidSpec(f"max_actions {max_actions} exceeds the policy's slate of "
                           f"{policy.config.max_actions} actions")

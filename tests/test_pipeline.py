@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -75,6 +76,22 @@ class TestRunConfig:
     def test_widths_must_match_hop_budget(self, tmp_path):
         with pytest.raises(InvalidSpec):
             tiny_config(str(tmp_path), inference={"widths": [4, 3], "topk": 5})
+
+    @pytest.mark.parametrize("section, raw", [
+        ("extra", {"x": 1}),
+        ("dataset", {"synthetic": {}, "triplets": "t.tsv"}),
+        ("dataset", {"synthetic": {"users": True}}),
+        ("split", {"cold_frac": "0.2"}),
+        ("embed", {"epochs": 2.0}),
+        ("agent", {"hidden": [16, "8"]}),
+        ("agent", {"hidden": 16}),
+        ("inference", {"widths": [4, 3, 2], "topk": None}),
+        ("cold", {"strategy": ["null"]}),
+        ("seed", "1"),
+    ])
+    def test_bad_keys_and_types_rejected(self, tmp_path, section, raw):
+        with pytest.raises(InvalidSpec):
+            tiny_config(str(tmp_path), **{section: raw})
 
     def test_dataset_needs_both_file_paths(self):
         with pytest.raises(InvalidSpec):
@@ -187,6 +204,19 @@ class TestSweep:
         n_users = {r["n_users"] for r in rows if r["cohort"] == "cold_val"}
         assert len(n_users) == 1
 
+    def test_foreign_config_or_seed_rejected(self, tiny_run):
+        config, _, _ = tiny_run
+        def sweep_csv():
+            path = RunPaths(config.workdir).sweep_csv
+            return open(path).read() if os.path.exists(path) else None
+
+        before = sweep_csv()
+        other = dataclasses.replace(config, agent=dataclasses.replace(config.agent, epochs=1))
+        for foreign in (other, config.with_seed(2)):
+            with pytest.raises(StageError, match="different config"):
+                sweep(foreign, "relations", [1])
+        assert sweep_csv() == before
+
 
 class TestMultiSeed:
     def test_run_seeds_aggregate_oracle(self, tmp_path_factory):
@@ -276,6 +306,20 @@ class TestCli:
         with open(os.path.join(workdir, "run.json")) as fh:
             meta = json.load(fh)
         assert meta["config"]["dataset"]["synthetic"]["users"] == 7
+
+    @pytest.mark.parametrize("override, message", [
+        ("agent.foo=1", "unknown key(s) in agent: foo"),
+        ('inference.topk="x"', "inference.topk must be int"),
+        ("cold.strategy=null", "unknown cold.strategy None"),
+    ])
+    def test_bad_override_exits_2(self, cli_env, tmp_path, capsys, override, message):
+        config_path, _ = cli_env
+        code = cli.main(["synth", "-c", config_path, "--workdir", str(tmp_path / "bad"),
+                         "--set", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "bad").exists()
 
     def test_bad_set_syntax_exits(self, cli_env):
         config_path, _ = cli_env

@@ -283,6 +283,17 @@ class TestBatchedRollout:
                 rollout_batch(behavior, tiny_graph, short, [u0], 2, cfg.max_actions,
                               RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
 
+    def test_empty_cohort_rejected(self, tiny_graph, small_table):
+        policy, cfg = small_policy(small_table, 2)
+        spec = RewardSpec.binary(tiny_graph)
+        for behavior in (policy, None):
+            with pytest.raises(InvalidSpec, match="at least one user"):
+                rollout_batch(behavior, tiny_graph, small_table, [], 2, cfg.max_actions,
+                              spec, rng_for(0, "unused"))
+            with pytest.raises(InvalidSpec, match="at least one user"):
+                evaluate_mean_reward(behavior, tiny_graph, small_table, [], 2,
+                                     cfg.max_actions, spec, seed=0)
+
 
 class TestTraining:
     def test_zero_epochs_returns_fresh_init(self, tiny_graph, small_table):
