@@ -1,14 +1,14 @@
 """Cold-entity integration without retraining.
 
 A cold entity arrives as a profile of declared (relation, existing-entity)
-edges. Integration validates and resolves each profile in turn (a profile
-may name an entity integrated before it), adds all their triplets to a
-mutable clone of the training graph in one batch, then synthesizes each
-entity's embedding from its neighbors: the AverageTranslation strategy
-averages (e_tail - e_relation) over the triplets headed at the entity;
-the Null strategy is an all-zeros vector. The rows are computed from the
-triplet arrays, without building the graph's CSR. Warm embeddings, biases
-and the policy are never touched.
+edges. ``augment_graph`` resolves the profiles in order and adds all
+their triplets to a mutable clone of the training graph in one batch.
+``integrate_cold_entities`` also synthesizes each entity's embedding from
+its neighbors: the AverageTranslation strategy averages (e_tail -
+e_relation) over the triplets headed at the entity; the Null strategy is
+an all-zeros vector. The rows are computed from the triplet arrays,
+without building the graph's CSR. Warm embeddings, biases and the policy
+are never touched. ``recommend_cold`` serves any user, warm or cold.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import (EmptyProfile, MissingEmbedding, MissingNeighborEmbedding,
-                     SchemaViolation, UnknownEntity, UnknownUser)
+from .errors import (DuplicateEntity, EmptyProfile, MissingEmbedding,
+                     MissingNeighborEmbedding, SchemaViolation)
 from .graph import KnowledgeGraph
 from .inference import RecommendationList, beam_search, rank_recommendations
 from .mdp import SELF_LOOP
@@ -116,11 +116,16 @@ def _resolve(graph: KnowledgeGraph, profile: ColdProfile) -> tuple[int, list[int
     """Register a cold entity; returns it with its declared (relation,
     target) ids, which the caller stores as triplets headed at it.
 
+    A profile whose entity is already in the graph raises DuplicateEntity.
     Declarations whose target is not in the graph are dropped with a log
     line; if none survive the profile is unusable and EmptyProfile is
     raised (an entity related to nothing cannot be reached or embedded).
     """
     profile.validate(graph.schema)
+    key = (profile.entity_type, profile.name)
+    if graph.has_entity(*key):
+        raise DuplicateEntity(f"profile {profile.name!r} names existing entity "
+                              f"{graph.entity_id(*key)} ({':'.join(key)})")
     resolvable = [d for d in profile.declarations
                   if graph.has_entity(d.target_type, d.target_name)]
     dropped = len(profile.declarations) - len(resolvable)
@@ -222,20 +227,18 @@ def append_cold_embeddings(table: EmbeddingTable, graph: KnowledgeGraph,
     return rows
 
 
-def integrate_cold_entities(train_graph: KnowledgeGraph, table: EmbeddingTable,
-                            profiles: Iterable[ColdProfile],
-                            strategy: ColdStrategy,
-                            interactions: Mapping[str, Sequence[str]] | None = None):
-    """Clone the training graph, integrate every profile, extend the table.
+def augment_graph(train_graph: KnowledgeGraph, profiles: Iterable[ColdProfile],
+                  interactions: Mapping[str, Sequence[str]] | None = None):
+    """Clone the training graph and integrate every profile into the clone.
 
     Profiles are validated and resolved one by one, in order, so a profile
     may target an entity integrated before it. Their declarations, then
     the ``interactions`` (cold user name -> item names, each pair added
     when both ends are in the graph), go into the clone in one batch.
 
-    Returns (augmented graph frozen, extended table, name -> id map).
-    Profiles that cannot be integrated are skipped and omitted from the
-    map; the originals are left untouched.
+    Returns (augmented graph frozen, name -> id map). A profile with no
+    known target or naming an entity already in the graph is skipped and
+    omitted from the map; the training graph is left untouched.
     """
     aug = train_graph.clone()
     ids: dict[str, int] = {}
@@ -245,8 +248,8 @@ def integrate_cold_entities(train_graph: KnowledgeGraph, table: EmbeddingTable,
     for profile in profiles:
         try:
             e, rels, targets = _resolve(aug, profile)
-        except EmptyProfile:
-            log.info("profile %s skipped: no usable declarations", profile.name)
+        except (EmptyProfile, DuplicateEntity) as exc:
+            log.info("profile %s skipped: %s", profile.name, exc)
             continue
         ids[profile.name] = e
         heads += [e] * len(rels)
@@ -262,6 +265,16 @@ def integrate_cold_entities(train_graph: KnowledgeGraph, table: EmbeddingTable,
                     tails.append(aug.entity_id(item_type, item))
     aug.add_triplets(heads, relations, tails)
     aug.freeze()
+    return aug, ids
+
+
+def integrate_cold_entities(train_graph: KnowledgeGraph, table: EmbeddingTable,
+                            profiles: Iterable[ColdProfile],
+                            strategy: ColdStrategy,
+                            interactions: Mapping[str, Sequence[str]] | None = None):
+    """``augment_graph`` plus the table extended by the integrated entities'
+    rows (the table itself is left untouched); returns (graph, table, ids)."""
+    aug, ids = augment_graph(train_graph, profiles, interactions)
     rows = _cold_rows(table, aug, list(ids.values()), strategy)  # insertion order == id order
     return aug, table.extended(rows), ids
 
@@ -269,13 +282,9 @@ def integrate_cold_entities(train_graph: KnowledgeGraph, table: EmbeddingTable,
 def recommend_cold(user: int, policy: PolicyModel, graph: KnowledgeGraph,
                    table: EmbeddingTable, k: int, widths: Sequence[int],
                    max_actions: int | None = None) -> RecommendationList:
-    """Top-k recommendation for a cold user on the augmented graph.
-
-    Identical machinery to warm users; with no interaction edges, every
-    returned path necessarily starts through a declared profile relation.
-    """
-    if not graph.is_user(user):
-        raise UnknownUser(f"entity {user} is not of type {graph.schema.user_type}")
+    """Top-k recommendation for any user, warm or cold: beam search, then
+    ranking. A user with no interaction edges is checked to have no path
+    that opens with one: each starts through a declared profile relation."""
     paths = beam_search(user, policy, graph, table, widths, max_actions=max_actions)
     recs = rank_recommendations(paths, graph, table, user, k)
     if not graph.user_items(user):

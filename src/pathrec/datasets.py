@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -124,11 +124,6 @@ class SplitConfig:
         if self.cap_low < 1 or self.cap_high < self.cap_low:
             raise InvalidSpec("cap range must satisfy 1 <= low <= high")
 
-    def to_json(self) -> dict:
-        return {"train_frac": self.train_frac, "val_frac": self.val_frac,
-                "test_frac": self.test_frac, "cold_frac": self.cold_frac,
-                "cap_low": self.cap_low, "cap_high": self.cap_high, "seed": self.seed}
-
 
 def prefix_shares(n: int, config: SplitConfig) -> tuple[int, int, int]:
     """Chronological share sizes: ceil for train, then ceil for val on what
@@ -188,7 +183,7 @@ class DatasetSplit:
 
     def manifest(self) -> dict:
         return {
-            "config": self.config.to_json(),
+            "config": asdict(self.config),
             "warm_val": self.warm_val,
             "warm_test": self.warm_test,
             "cold_val": self.cold_val,
@@ -441,12 +436,6 @@ class SyntheticSpec:
         if not 0.0 <= self.p_pref <= 1.0:
             raise InvalidSpec("p_pref must be in [0, 1]")
 
-    def to_json(self) -> dict:
-        return {"users": self.users, "items": self.items, "brands": self.brands,
-                "categories": self.categories,
-                "interactions_per_user": self.interactions_per_user,
-                "p_pref": self.p_pref, "seed": self.seed}
-
 
 def generate_synthetic(spec: SyntheticSpec, out_dir: str) -> tuple[str, str]:
     """Write triplets.tsv, schema.json and a prefs.json ground-truth sidecar.
@@ -501,6 +490,6 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str) -> tuple[str, str]:
                 fh.write(f"user:{users[u]}\tpurchase\titem:{items[i]}\n")
     synthetic_schema().save(schema_path)
     with open(os.path.join(out_dir, "prefs.json"), "w") as fh:
-        json.dump({"spec": spec.to_json(), "prefs": prefs}, fh, indent=2, sort_keys=True)
+        json.dump({"spec": asdict(spec), "prefs": prefs}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return triplet_path, schema_path

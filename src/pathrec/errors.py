@@ -57,6 +57,10 @@ class EmptyProfile(PathRecError):
     """A cold-entity profile has no usable declarations."""
 
 
+class DuplicateEntity(PathRecError):
+    """A cold-entity profile names an entity the graph already holds."""
+
+
 class MissingNeighborEmbedding(PathRecError):
     """A declared neighbor of a cold entity has no embedding row."""
 

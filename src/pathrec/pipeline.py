@@ -22,7 +22,7 @@ from . import coldstart, datasets, inference, metrics
 from .coldstart import ColdProfile, ColdStrategy
 from .datasets import DatasetSplit, SplitConfig, SyntheticSpec, cap_cold_relations
 from .embeddings import EmbedTrainConfig, EmbeddingTable, load_table, save_table, train_embeddings
-from .errors import InvalidAxisValue, InvalidSpec, PathRecError, StageError
+from .errors import InvalidAxisValue, InvalidSpec, MissingEmbedding, PathRecError, StageError
 from .graph import INVERSE, KnowledgeGraph
 from .mdp import SELF_LOOP, RewardSpec, path_signature, signature_label
 from .policy import AgentConfig, PolicyModel, train_agent, write_history
@@ -47,9 +47,6 @@ class InferenceConfig:
             raise InvalidSpec("beam widths must be a non-empty list of ints >= 1")
         if self.topk < 1:
             raise InvalidSpec("topk must be >= 1")
-
-    def to_json(self) -> dict:
-        return {"widths": list(self.widths), "topk": self.topk}
 
 
 def _is_int(value) -> bool:
@@ -118,22 +115,21 @@ class RunConfig:
             raise InvalidSpec("len(inference.widths) must equal agent.hop_budget")
 
     def to_json(self) -> dict:
-        # sub-config seeds are a copy of the top-level seed; drop them so the
-        # config hash stays constant across seeds of the same run
-        def strip(d):
-            return {k: v for k, v in d.items() if k != "seed"}
+        # sub-config seeds copy the top-level seed and are dropped, so the config
+        # hash stays constant across seeds of a run; the catalog's own seed is kept
+        def section(cfg):
+            return {k: v for k, v in dataclasses.asdict(cfg).items() if k != "seed"}
 
         return {
             "seed": self.seed,
             "workdir": self.workdir,
-            "dataset": ({"synthetic": self.synthetic.to_json()} if self.triplets is None
+            "dataset": ({"synthetic": dataclasses.asdict(self.synthetic)} if self.triplets is None
                         else {"triplets": self.triplets, "schema": self.schema}),
-            "split": strip(self.split.to_json()),
-            "embed": strip(dataclasses.asdict(self.embed)),
-            "agent": strip({**dataclasses.asdict(self.agent),
-                            "hidden": list(self.agent.hidden)}),
+            "split": section(self.split),
+            "embed": section(self.embed),
+            "agent": section(self.agent),
             "cold": {"strategy": self.cold_strategy.value},
-            "inference": self.inference.to_json(),
+            "inference": section(self.inference),
         }
 
     @classmethod
@@ -361,10 +357,9 @@ def _serialize_path(spath: inference.ScoredPath, graph: KnowledgeGraph) -> dict:
     }
 
 
-def _recommend_users(split: DatasetSplit, aug: KnowledgeGraph, ext: EmbeddingTable,
-                     agent: PolicyModel, config: RunConfig,
-                     cohorts: dict[str, list[str]]):
-    """Beam + rank for each named user; returns jsonl-ready records."""
+def _recommend_users(aug: KnowledgeGraph, ext: EmbeddingTable, agent: PolicyModel,
+                     config: RunConfig, cohorts: dict[str, list[str]]):
+    """``recommend_cold`` for each named user; returns jsonl-ready records."""
     records = []
     user_type = aug.schema.user_type
     for cohort, names in cohorts.items():
@@ -373,12 +368,9 @@ def _recommend_users(split: DatasetSplit, aug: KnowledgeGraph, ext: EmbeddingTab
                 records.append({"user": name, "cohort": cohort, "served": False,
                                 "items": []})
                 continue
-            uid = aug.entity_id(user_type, name)
-            paths = inference.beam_search(uid, agent, aug, ext,
-                                          config.inference.widths,
-                                          max_actions=config.agent.max_actions)
-            recs = inference.rank_recommendations(paths, aug, ext, uid,
-                                                  config.inference.topk)
+            recs = coldstart.recommend_cold(aug.entity_id(user_type, name), agent, aug, ext,
+                                            config.inference.topk, config.inference.widths,
+                                            max_actions=config.agent.max_actions)
             records.append({
                 "user": name, "cohort": cohort, "served": True,
                 "items": [{
@@ -393,21 +385,22 @@ def stage_recommend(config: RunConfig):
     paths = RunPaths(config.workdir)
     _check_run_meta("recommend", config, paths)
     split = _load_split("recommend", paths)
-    _require("recommend", paths.embed_file, "train-embed")
     _require("recommend", paths.policy_file, "train-agent")
     _require("recommend", paths.cold_table_file, "cold-integrate")
-    table = load_table(paths.embed_file, split.train_graph)
     agent = PolicyModel.load(paths.policy_file)
-    aug, ext, _, _ = build_augmented(split, table, config.cold_strategy)
-    stored = load_table(paths.cold_table_file, aug)
-    if stored.entity_count != ext.entity_count:
+    aug, _ = coldstart.augment_graph(split.train_graph, _ordered_profiles(split))
+    try:
+        stored = load_table(paths.cold_table_file, aug)
+    except MissingEmbedding as exc:
+        raise StageError("recommend", str(exc)) from exc
+    if stored.entity_count != aug.entity_count:
         raise StageError("recommend", "cold table does not match the augmented graph")
     cohorts = {
         "warm_test": sorted(split.warm_test),
         "cold_val": sorted(split.cold_val),
         "cold_test": sorted(split.cold_test),
     }
-    records = _recommend_users(split, aug, stored, agent, config, cohorts)
+    records = _recommend_users(aug, stored, agent, config, cohorts)
     os.makedirs(os.path.dirname(paths.recs_file), exist_ok=True)
     with open(paths.recs_file, "w") as fh:
         fh.write(json.dumps({"meta": {"config_hash": config.config_hash(),
@@ -545,16 +538,14 @@ def run_pipeline(config: RunConfig):
 
 def run_seeds(config: RunConfig, seeds: list[int]):
     """One full run per seed under workdir/seed_<s>, then an aggregate report."""
-    all_rows = []
     for seed in seeds:
         sub = config.with_seed(seed, workdir=os.path.join(config.workdir, f"seed_{seed}"))
-        rows, _ = run_pipeline(sub)
-        all_rows.append((seed, rows))
+        run_pipeline(sub)
     return write_aggregate(config, seeds)
 
 
 def write_aggregate(config: RunConfig, seeds: list[int]):
-    """Mean/std across per-seed reports, written to the workdir root."""
+    """Mean/std across per-seed reports of this config, written to the workdir root."""
     rows_by_key: dict[tuple, list[float]] = {}
     n_rows = {}
     for seed in seeds:
@@ -562,6 +553,9 @@ def write_aggregate(config: RunConfig, seeds: list[int]):
         _require("report", report, "run")
         with open(report) as fh:
             data = json.load(fh)
+        if data.get("config_hash") != config.config_hash():
+            raise StageError("report", f"{report} was written under config "
+                             f"{data.get('config_hash')}, not {config.config_hash()}")
         for r in data["rows"]:
             key = (r["model"], r["cohort"], r["metric"])
             rows_by_key.setdefault(key, []).append(r["value"])
@@ -627,7 +621,7 @@ def sweep(config: RunConfig, axis: str, values: list[int]):
         aug, ext, _, moved = build_augmented(working, table, config.cold_strategy,
                                              interactions_per_cold_user=moved_n)
         cohorts = {"cold_val": sorted(split.cold_val), "cold_test": sorted(split.cold_test)}
-        records = _recommend_users(working, aug, ext, agent, config, cohorts)
+        records = _recommend_users(aug, ext, agent, config, cohorts)
         recs = {r["user"]: [it["item"] for it in r["items"]] for r in records}
         for cohort, hidden_lists in (("cold_val", split.cold_val),
                                      ("cold_test", split.cold_test)):

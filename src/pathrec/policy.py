@@ -292,6 +292,8 @@ def evaluate_mean_reward(policy: PolicyModel | None, graph: KnowledgeGraph,
     """Mean terminal reward of stochastic rollouts; ``policy=None`` is the
     uniform-random baseline. The rollout seed stream depends only on
     ``seed``, so two policies can be measured on the same episode draws."""
+    if episodes < 1:
+        raise InvalidSpec(f"episodes must be >= 1, got {episodes}")
     rng = rng_for(seed, "reward-eval")
     total = 0.0
     for _ in range(episodes):

@@ -401,8 +401,7 @@ def test_criterion_8_average_translation_covers_cold_items(planted):
             aug, ext, _, _ = build_augmented(split, table, strategy)
             cohorts = {"warm_test": sorted(split.warm_test),
                        "cold_test": sorted(split.cold_test)}
-            records = _recommend_users(split, aug, ext, agent,
-                                       run["config"], cohorts)
+            records = _recommend_users(aug, ext, agent, run["config"], cohorts)
             recs = {r["user"]: [it["item"] for it in r["items"]]
                     for r in records}
             coverage[strategy.value] = cold_item_coverage(recs, cold_items, k)

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from pathrec.coldstart import (ColdDeclaration, ColdProfile, ColdStrategy,
-                               append_cold_embeddings, cold_embedding,
+                               append_cold_embeddings, augment_graph, cold_embedding,
                                integrate_cold_entities,
                                integrate_entity, read_profiles, recommend_cold,
                                write_profiles)
 from pathrec.embeddings import EmbedTrainConfig, init_table, rng_for
-from pathrec.errors import (EmptyProfile, MissingEmbedding,
+from pathrec.errors import (DuplicateEntity, EmptyProfile, MissingEmbedding,
                             MissingNeighborEmbedding, SchemaViolation,
                             UnknownUser)
 from pathrec.graph import FORWARD, KnowledgeGraph
+from pathrec.inference import beam_search, rank_recommendations
 from pathrec.policy import AgentConfig, PolicyModel, state_dim_for
 
 
@@ -217,6 +218,36 @@ class TestBatchIntegration:
         assert tiny_graph.entity_count == n
         np.testing.assert_array_equal(small_table.entity_vecs, vecs)
 
+    def test_augment_graph_is_the_graph_half(self, tiny_graph, small_table):
+        profs = self.make_profiles()
+        aug, ids = augment_graph(tiny_graph, profs)
+        full, _, full_ids = integrate_cold_entities(tiny_graph, small_table, profs,
+                                                    ColdStrategy.NULL)
+        assert ids == full_ids
+        assert aug.entity_count == full.entity_count
+        assert aug.fingerprint() == full.fingerprint()
+
+    def test_profile_of_existing_entity_skipped(self, make_graph):
+        g = make_graph()
+        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        u0 = g.entity_id("user", "u0")
+        like, b1 = g.relation_id("like"), g.entity_id("brand", "b1")
+        had_edge = g.has_triplet(u0, like, b1)
+        profs = [profile("newbie", "user", ("like", "brand", "b0")),
+                 profile("u0", "user", ("like", "brand", "b1")),
+                 profile("newbie", "user", ("like", "brand", "b1"))]
+        aug, ext, ids = integrate_cold_entities(g, table, profs,
+                                                ColdStrategy.AVERAGE_TRANSLATION)
+        assert ids == {"newbie": g.entity_count}
+        assert aug.entity_count == g.entity_count + 1
+        assert aug.has_triplet(u0, like, b1) == had_edge
+        assert not aug.has_triplet(ids["newbie"], like, b1)
+        assert ext.entity_count == table.entity_count + 1
+        np.testing.assert_array_equal(ext.entity_vecs[u0], table.entity_vecs[u0])
+        assert ext.entity_bias[u0] == table.entity_bias[u0]
+        with pytest.raises(DuplicateEntity, match="u0"):
+            integrate_entity(g.clone(), profs[1])
+
     def test_strategies_differ_only_in_cold_rows(self, tiny_graph, small_table):
         profs = self.make_profiles()
         _, avg, _ = integrate_cold_entities(tiny_graph, small_table, profs,
@@ -248,6 +279,17 @@ class TestColdRecommendation:
             first = next(r for r, _ in entry.path.state.relations
                          if r != -1)
             assert first != interaction
+
+    def test_warm_user_served_by_beam_then_rank(self, make_graph):
+        g = make_graph(n_users=6, n_items=10, interactions=4, seed=3)
+        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        policy = PolicyModel(state_dim_for(table, 3),
+                             AgentConfig(hop_budget=3, max_actions=40, hidden=(16, 8), seed=4))
+        for name in ("u0", "u1"):
+            u = g.entity_id("user", name)
+            want = rank_recommendations(beam_search(u, policy, g, table, [8, 4, 2]),
+                                        g, table, u, 5)
+            assert recommend_cold(u, policy, g, table, k=5, widths=[8, 4, 2]) == want
 
     def test_non_user_rejected(self, tiny_graph, small_table):
         policy = PolicyModel(state_dim_for(small_table, 2),

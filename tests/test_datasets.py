@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -354,5 +355,5 @@ class TestSynthetic:
         generate_synthetic(spec, str(tmp_path))
         with open(os.path.join(str(tmp_path), "prefs.json")) as fh:
             data = json.load(fh)
-        assert data["spec"] == spec.to_json()
+        assert data["spec"] == dataclasses.asdict(spec)
         assert len(data["prefs"]) == 25

@@ -2,14 +2,20 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from pathrec import cli
+from pathrec.coldstart import integrate_cold_entities
+from pathrec.datasets import DatasetSplit, SplitConfig
+from pathrec.embeddings import load_table, save_table
 from pathrec.errors import InvalidAxisValue, InvalidSpec, StageError
-from pathrec.pipeline import (RunConfig, RunPaths, read_recommendations,
-                              run_pipeline, run_seeds, sweep, write_aggregate)
+from pathrec.pipeline import (InferenceConfig, RunConfig, RunPaths, _ordered_profiles,
+                              read_recommendations, run_pipeline, run_seeds,
+                              stage_recommend, sweep, write_aggregate)
+from pathrec.policy import AgentConfig
 
 TINY = {
     "seed": 1,
@@ -93,6 +99,18 @@ class TestRunConfig:
         with pytest.raises(InvalidSpec):
             tiny_config(str(tmp_path), **{section: raw})
 
+    def test_config_hashes_pinned(self, tmp_path):
+        # a serializer change that moves these renames every existing workdir
+        assert RunConfig().config_hash() == "2d4f07b0eb37f13c"
+        assert tiny_config(str(tmp_path)).config_hash() == "6a0bb7e6b3f032b4"
+        files = RunConfig(seed=3, synthetic=None, triplets="data/kg.tsv",
+                          schema="data/schema.json",
+                          split=SplitConfig(cold_frac=0.25, seed=3),
+                          agent=AgentConfig(hop_budget=2, seed=3),
+                          inference=InferenceConfig(widths=(10, 2), topk=5))
+        files.validate()
+        assert files.config_hash() == "c2db3927ef5cc1c0"
+
     def test_dataset_needs_both_file_paths(self):
         with pytest.raises(InvalidSpec):
             RunConfig.from_json({"dataset": {"triplets": "x.tsv",
@@ -173,6 +191,52 @@ class TestPipelineArtifacts:
             stage_synth(config.with_seed(2))
 
 
+def copy_run(config, workdir):
+    shutil.copytree(config.workdir, workdir)
+    return dataclasses.replace(config, workdir=workdir), RunPaths(workdir)
+
+
+class TestRecommendStage:
+    def test_reads_only_the_cold_table(self, tiny_run, tmp_path):
+        config, _, _ = tiny_run
+        copy, paths = copy_run(config, str(tmp_path / "run"))
+        os.remove(paths.embed_file)
+        os.remove(paths.recs_file)
+        stage_recommend(copy)
+        assert tree_hashes(copy.workdir) == tree_hashes(config.workdir, skip=(
+            os.path.relpath(paths.embed_file, copy.workdir),))
+
+    def test_warm_table_as_cold_table_rejected(self, tiny_run, tmp_path):
+        config, _, _ = tiny_run
+        copy, paths = copy_run(config, str(tmp_path / "run"))
+        shutil.copyfile(paths.embed_file, paths.cold_table_file)
+        with pytest.raises(StageError, match=r"\[recommend\]"):
+            stage_recommend(copy)
+
+    def test_other_seeds_cold_table_rejected(self, tiny_run, tmp_path):
+        config, _, _ = tiny_run
+        copy, paths = copy_run(config, str(tmp_path / "run"))
+        other = config.with_seed(2, workdir=str(tmp_path / "seed2"))
+        run_pipeline(other)
+        shutil.copyfile(RunPaths(other.workdir).cold_table_file, paths.cold_table_file)
+        with pytest.raises(StageError, match=r"\[recommend\]"):
+            stage_recommend(copy)
+
+    def test_cold_table_with_extra_rows_rejected(self, tiny_run, tmp_path):
+        config, _, _ = tiny_run
+        copy, paths = copy_run(config, str(tmp_path / "run"))
+        split = DatasetSplit.read(paths.split_dir)
+        table = load_table(paths.embed_file, split.train_graph)
+        extra = dataclasses.replace(split.user_profiles[0], name="one-more")
+        aug, ext, ids = integrate_cold_entities(
+            split.train_graph, table, _ordered_profiles(split) + [extra],
+            config.cold_strategy)
+        assert "one-more" in ids
+        save_table(ext, aug, paths.cold_table_file, config_hash=config.config_hash())
+        with pytest.raises(StageError, match="does not match the augmented graph"):
+            stage_recommend(copy)
+
+
 class TestSweep:
     def test_axis_validation(self, tiny_run):
         config, _, _ = tiny_run
@@ -243,6 +307,18 @@ class TestMultiSeed:
             assert row["n_seeds"] == 2
         assert os.path.exists(os.path.join(workdir, "aggregate.csv"))
         assert os.path.exists(os.path.join(workdir, "aggregate.json"))
+
+    def test_aggregate_rejects_foreign_report(self, tmp_path):
+        config = tiny_config(str(tmp_path / "runs"))
+        run_seeds(config, [1, 2])
+        report = os.path.join(config.workdir, "seed_2", "report", "metrics.json")
+        with open(report) as fh:
+            data = json.load(fh)
+        data["config_hash"] = "0" * 16
+        with open(report, "w") as fh:
+            json.dump(data, fh)
+        with pytest.raises(StageError, match=r"\[report\].*seed_2"):
+            write_aggregate(config, [1, 2])
 
     def test_aggregate_requires_reports(self, tmp_path):
         config = tiny_config(str(tmp_path))

@@ -294,6 +294,14 @@ class TestBatchedRollout:
                 evaluate_mean_reward(behavior, tiny_graph, small_table, [], 2,
                                      cfg.max_actions, spec, seed=0)
 
+    @pytest.mark.parametrize("episodes", [0, -1])
+    def test_no_episodes_rejected(self, tiny_graph, small_table, episodes):
+        policy, cfg = small_policy(small_table, 2)
+        u0 = tiny_graph.entity_id("user", "u0")
+        with pytest.raises(InvalidSpec, match="episodes"):
+            evaluate_mean_reward(policy, tiny_graph, small_table, [u0], 2, cfg.max_actions,
+                                 RewardSpec.binary(tiny_graph), seed=0, episodes=episodes)
+
 
 class TestTraining:
     def test_zero_epochs_returns_fresh_init(self, tiny_graph, small_table):
