@@ -7,7 +7,7 @@ ends at a recommended item doubles as its explanation.
 """
 
 from .coldstart import (ColdDeclaration, ColdProfile, ColdStrategy,
-                        cold_embedding, integrate_cold_entities, recommend_cold)
+                        augment_graph, integrate_cold_entities, recommend_cold)
 from .datasets import (DatasetSplit, SplitConfig, SyntheticSpec,
                        generate_synthetic, load_dataset, split_dataset,
                        synthetic_schema)
@@ -35,7 +35,7 @@ __all__ = [
     "Explanation", "FORWARD", "INVERSE", "KGSchema", "KnowledgeGraph",
     "PathState", "PolicyModel", "Recommendation", "RecommendationList",
     "RelationSpec", "RewardSpec", "RunConfig", "SplitConfig", "SyntheticSpec",
-    "beam_search", "cold_embedding", "cold_item_coverage",
+    "augment_graph", "beam_search", "cold_item_coverage",
     "cold_item_proportion", "conditional_prob", "evaluate_mean_reward",
     "explain", "generate_synthetic", "hit_at_k", "integrate_cold_entities",
     "load_dataset", "load_table", "ndcg_at_k", "path_signature",

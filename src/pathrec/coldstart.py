@@ -8,7 +8,9 @@ its neighbors: the AverageTranslation strategy averages (e_tail -
 e_relation) over the triplets headed at the entity; the Null strategy is
 an all-zeros vector. The rows are computed from the triplet arrays,
 without building the graph's CSR. Warm embeddings, biases and the policy
-are never touched. ``recommend_cold`` serves any user, warm or cold.
+are never touched. These two batch calls are the only way to integrate;
+a single profile is a batch of one. ``recommend_cold`` serves any user,
+warm or cold.
 """
 
 from __future__ import annotations
@@ -112,20 +114,23 @@ def read_profiles(path: str) -> list[ColdProfile]:
     return out
 
 
-def _resolve(graph: KnowledgeGraph, profile: ColdProfile) -> tuple[int, list[int], list[int]]:
+def _resolve(graph: KnowledgeGraph, profile: ColdProfile,
+             taken: Mapping[str, int]) -> tuple[int, list[int], list[int]]:
     """Register a cold entity; returns it with its declared (relation,
     target) ids, which the caller stores as triplets headed at it.
 
-    A profile whose entity is already in the graph raises DuplicateEntity.
+    A profile whose entity is already in the graph, or whose name is
+    ``taken`` by an entity of any type, raises DuplicateEntity.
     Declarations whose target is not in the graph are dropped with a log
     line; if none survive the profile is unusable and EmptyProfile is
     raised (an entity related to nothing cannot be reached or embedded).
     """
     profile.validate(graph.schema)
     key = (profile.entity_type, profile.name)
-    if graph.has_entity(*key):
+    e = graph.entity_id(*key) if graph.has_entity(*key) else taken.get(profile.name)
+    if e is not None:
         raise DuplicateEntity(f"profile {profile.name!r} names existing entity "
-                              f"{graph.entity_id(*key)} ({':'.join(key)})")
+                              f"{e} ({graph.entity_key(e)})")
     resolvable = [d for d in profile.declarations
                   if graph.has_entity(d.target_type, d.target_name)]
     dropped = len(profile.declarations) - len(resolvable)
@@ -139,23 +144,12 @@ def _resolve(graph: KnowledgeGraph, profile: ColdProfile) -> tuple[int, list[int
             [graph.entity_id(d.target_type, d.target_name) for d in resolvable])
 
 
-def integrate_entity(graph: KnowledgeGraph, profile: ColdProfile) -> int:
-    """Add a cold entity and its declared triplets to a mutable graph."""
-    e, relations, targets = _resolve(graph, profile)
-    graph.add_triplets([e] * len(relations), relations, targets)
-    return e
-
-
-def cold_embedding(table: EmbeddingTable, graph: KnowledgeGraph, entity: int,
-                   strategy: ColdStrategy) -> np.ndarray:
-    """Synthesize and append an embedding row for an integrated cold entity."""
-    return append_cold_embeddings(table, graph, [entity], strategy)[0]
-
-
 def _cold_rows(table: EmbeddingTable, graph: KnowledgeGraph, entities: Sequence[int],
                strategy: ColdStrategy) -> np.ndarray:
-    """Rows of ``append_cold_embeddings``, read from the graph's triplet
-    arrays (no CSR is built) and checked, without touching the table."""
+    """Rows for integrated cold entities, read from the graph's triplet
+    arrays (no CSR is built) and checked, without touching the table.
+    ``entities`` must be the ids right after the table's last row, in
+    order; a neighbor may be an earlier entity of the same batch."""
     base, dim = table.entity_count, table.dim
     ents = np.asarray(entities, dtype=np.intp).reshape(-1)
     heads, rels, tails = graph.triplet_arrays()
@@ -211,22 +205,6 @@ def _cold_rows(table: EmbeddingTable, graph: KnowledgeGraph, entities: Sequence[
     return rows
 
 
-def append_cold_embeddings(table: EmbeddingTable, graph: KnowledgeGraph,
-                           entities: Sequence[int], strategy: ColdStrategy) -> np.ndarray:
-    """Synthesize rows for integrated cold entities and append them.
-
-    AverageTranslation: mean of (e_tail - e_relation) over the triplets
-    headed at the entity. Null: zeros. The bias is 0 either way, and
-    existing rows are never modified. ``entities`` must be the ids right
-    after the table's last row, in order; a neighbor may be an earlier
-    entity of the same batch. All rows are computed first and appended in
-    one copy. Returns the new rows.
-    """
-    rows = _cold_rows(table, graph, entities, strategy)
-    table.append_entities(table.entity_count, rows, np.zeros(len(rows)))
-    return rows
-
-
 def augment_graph(train_graph: KnowledgeGraph, profiles: Iterable[ColdProfile],
                   interactions: Mapping[str, Sequence[str]] | None = None):
     """Clone the training graph and integrate every profile into the clone.
@@ -237,8 +215,9 @@ def augment_graph(train_graph: KnowledgeGraph, profiles: Iterable[ColdProfile],
     when both ends are in the graph), go into the clone in one batch.
 
     Returns (augmented graph frozen, name -> id map). A profile with no
-    known target or naming an entity already in the graph is skipped and
-    omitted from the map; the training graph is left untouched.
+    known target, naming an entity already in the graph, or repeating the
+    name of an earlier profile's entity is skipped and omitted from the
+    map; the training graph is left untouched.
     """
     aug = train_graph.clone()
     ids: dict[str, int] = {}
@@ -247,7 +226,7 @@ def augment_graph(train_graph: KnowledgeGraph, profiles: Iterable[ColdProfile],
     tails: list[int] = []
     for profile in profiles:
         try:
-            e, rels, targets = _resolve(aug, profile)
+            e, rels, targets = _resolve(aug, profile, ids)
         except (EmptyProfile, DuplicateEntity) as exc:
             log.info("profile %s skipped: %s", profile.name, exc)
             continue
@@ -257,7 +236,7 @@ def augment_graph(train_graph: KnowledgeGraph, profiles: Iterable[ColdProfile],
         tails += targets
     item_type, interaction = aug.schema.item_type, aug.interaction_relation
     for user, items in (interactions or {}).items():
-        if user in ids:
+        if user in ids and aug.is_user(ids[user]):
             for item in items:
                 if aug.has_entity(item_type, item):
                     heads.append(ids[user])

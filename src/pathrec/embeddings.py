@@ -95,31 +95,16 @@ class EmbeddingTable:
 
     def extended(self, vecs: np.ndarray) -> "EmbeddingTable":
         """A new table holding these rows, with zero biases, after this
-        table's rows; this table is left untouched. One copy of the rows."""
-        out = EmbeddingTable(self.entity_vecs, self.entity_bias, self.relation_vecs.copy(),
-                             self.self_loop_vec.copy(), self.seed)
-        out.append_entities(self.entity_count, vecs, np.zeros(len(vecs)))
-        return out
+        table's rows; this table is left untouched. One copy of the rows.
 
-    def append_entity(self, e: int, vec: np.ndarray, bias: float):
-        """Extend the table with a row for a newly integrated entity.
-
-        Ids must stay aligned with graph ids, so rows are appended in id
-        order; existing rows are never touched.
+        Ids must stay aligned with graph ids, so the new rows belong to
+        entities ``entity_count, entity_count + 1, ...`` in order.
         """
-        self.append_entities(e, vec[None, :], np.asarray([bias], dtype=float))
-
-    def append_entities(self, first: int, vecs: np.ndarray, biases: np.ndarray):
-        """Append rows for entities ``first, first + 1, ...`` in one copy."""
-        if first != self.entity_count:
-            raise MissingEmbedding(
-                f"entity rows must be appended in id order (got {first}, expected {self.entity_count})"
-            )
-        if vecs.ndim != 2 or vecs.shape[1] != self.dim or biases.shape != (len(vecs),):
-            raise InvalidSpec(f"expected {self.dim}-dim rows with one bias each, "
-                              f"got {vecs.shape} and {biases.shape}")
-        self.entity_vecs = np.concatenate([self.entity_vecs, vecs])
-        self.entity_bias = np.concatenate([self.entity_bias, biases])
+        if vecs.ndim != 2 or vecs.shape[1] != self.dim:
+            raise InvalidSpec(f"expected {self.dim}-dim rows, got {vecs.shape}")
+        return EmbeddingTable(np.concatenate([self.entity_vecs, vecs]),
+                              np.concatenate([self.entity_bias, np.zeros(len(vecs))]),
+                              self.relation_vecs.copy(), self.self_loop_vec.copy(), self.seed)
 
 
 def init_table(graph: KnowledgeGraph, config: EmbedTrainConfig) -> EmbeddingTable:

@@ -2,8 +2,8 @@
 
 Entities and relations are interned to dense integer ids; the entity
 registry (names, types, key -> id) is the only per-entity Python state.
-Triplets live in int arrays in insertion order, with an open-addressing
-hash of their keys for duplicate checks and ``has_triplet``. Every stored
+Triplets live in int arrays in insertion order, with one sorted array of
+their keys for duplicate checks and ``has_triplets``. Every stored
 triplet is navigable in both directions: the tail side sees the same
 relation id with an inverse direction flag, so no separate inverse
 relation is materialized.
@@ -15,11 +15,12 @@ order. ``neighbors``, ``degree`` and ``user_items`` read it. It is built
 by one lexsort at first use after a change and kept until the next one.
 
 ``add_triplets`` is the one ingest path: it checks and stores a whole
-batch with array operations, and ``add_triplet`` is its one-edge call
-(amortized O(1)). ``freeze()`` only marks the graph immutable, so a frozen
-graph can be shared across threads; ``clone()`` returns a mutable copy
-with the same ids by copying the registry and a few arrays, which is how
-cold entities are integrated without touching the original.
+batch with array operations and merges its keys into the sorted array in
+one ``np.insert``; ``add_triplet`` is its one-edge call and costs O(m).
+``freeze()`` only marks the graph immutable, so a frozen graph can be
+shared across threads; ``clone()`` returns a mutable copy with the same
+ids by copying the registry and a few arrays, which is how cold entities
+are integrated without touching the original.
 
 Serialization uses a tab-separated triplet file (one triplet per line,
 ``head_type:head_name<TAB>relation<TAB>tail_type:tail_name``) plus a JSON
@@ -208,67 +209,6 @@ class CSRAdjacency(NamedTuple):
     dir: np.ndarray
 
 
-_EMPTY = -1
-_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
-
-
-class _KeySet:
-    """A set of non-negative int64 keys in one open-addressing table.
-
-    Linear probing at load factor at most 1/2, so a lookup or insert costs
-    O(1) expected probes; both run over whole key arrays at once, one
-    vectorized probe round per step along the probe sequences.
-    """
-
-    def __init__(self, slots: np.ndarray | None = None, size: int = 0):
-        self.slots = np.full(16, _EMPTY, dtype=np.int64) if slots is None else slots
-        self.size = size
-
-    def copy(self) -> "_KeySet":
-        return _KeySet(self.slots.copy(), self.size)
-
-    def _home(self, keys: np.ndarray) -> np.ndarray:
-        shift = np.uint64(64 - (len(self.slots).bit_length() - 1))
-        return ((keys.astype(np.uint64) * _FIBONACCI) >> shift).astype(np.intp)
-
-    def contains(self, keys: np.ndarray) -> np.ndarray:
-        slots, mask = self.slots, len(self.slots) - 1
-        found = np.zeros(len(keys), dtype=bool)
-        todo, pos = np.arange(len(keys)), self._home(keys)
-        while len(todo):
-            at = slots[pos]
-            hit = at == keys[todo]
-            found[todo[hit]] = True
-            go = (at != _EMPTY) & ~hit
-            todo, pos = todo[go], (pos[go] + 1) & mask
-        return found
-
-    def add(self, keys: np.ndarray):
-        """Insert keys that are distinct and not yet in the set."""
-        need = 2 * (self.size + len(keys))
-        if need > len(self.slots):
-            old = self.slots[self.slots != _EMPTY]
-            self.slots = np.full(1 << (need - 1).bit_length(), _EMPTY, dtype=np.int64)
-            self._place(old)
-        self._place(keys)
-        self.size += len(keys)
-
-    def _place(self, keys: np.ndarray):
-        # Each round, every key still unplaced tries its current slot; of
-        # the keys trying one free slot the first takes it, and every other
-        # key moves one slot on, past a slot that is now taken.
-        slots, mask = self.slots, len(self.slots) - 1
-        pos = self._home(keys)
-        while len(keys):
-            free = np.flatnonzero(slots[pos] == _EMPTY)
-            _, first = np.unique(pos[free], return_index=True)
-            won = free[first]
-            slots[pos[won]] = keys[won]
-            rest = np.ones(len(keys), dtype=bool)
-            rest[won] = False
-            keys, pos = keys[rest], (pos[rest] + 1) & mask
-
-
 class KnowledgeGraph:
     """Array-backed triplet store over a fixed schema.
 
@@ -291,7 +231,7 @@ class KnowledgeGraph:
         self._types = np.zeros(16, dtype=np.intp)  # entity -> type index; grows by doubling
         self._spo = np.zeros((3, 16), dtype=np.intp)  # head/relation/tail rows, insertion order
         self._m = 0
-        self._keys = _KeySet()
+        self._keys = np.zeros(0, dtype=np.int64)  # sorted _encode keys of the stored triplets
         self._frozen = False
         self._dup_warned = False
         self._csr: CSRAdjacency | None = None
@@ -419,7 +359,11 @@ class KnowledgeGraph:
         return ((heads * len(self.schema.relations) + relations) << 32) | tails
 
     def add_triplet(self, head: int, relation: int, tail: int):
-        """Insert one triplet; both endpoints must already be registered."""
+        """Insert one triplet; both endpoints must already be registered.
+
+        O(m) in the stored triplets, since each write copies the sorted key
+        array; write many triplets with one ``add_triplets`` call.
+        """
         self.add_triplets([head], [relation], [tail])
 
     def add_triplets(self, heads, relations, tails):
@@ -445,9 +389,9 @@ class KnowledgeGraph:
             i = int(np.argmax(bad))
             self._check_triplet(int(h[i]), int(r[i]), int(t[i]))
         keys = self._encode(h, r, t)
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        new = first[~self._keys.contains(keys[first])]
+        uniq, first = np.unique(keys, return_index=True)
+        fresh = ~self.has_triplets(h[first], r[first], t[first])
+        new = np.sort(first[fresh])
         if len(new) < len(keys) and not self._dup_warned:
             dup = np.ones(len(keys), dtype=bool)
             dup[new] = False
@@ -466,7 +410,7 @@ class KnowledgeGraph:
         self._spo[1, m:m + k] = r[new]
         self._spo[2, m:m + k] = t[new]
         self._m = m + k
-        self._keys.add(keys[new])
+        self._keys = np.insert(self._keys, np.searchsorted(self._keys, uniq[fresh]), uniq[fresh])
         self._changed()
 
     def triplet_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -485,7 +429,10 @@ class KnowledgeGraph:
         n = len(self._names)
         ok = (h >= 0) & (h < n) & (t >= 0) & (t < n) & (r >= 0) & (r < len(self.schema.relations))
         found = np.zeros(len(h), dtype=bool)
-        found[ok] = self._keys.contains(self._encode(h[ok], r[ok], t[ok]))
+        if len(self._keys):  # a probe past the last key reads the last key
+            keys = self._encode(h[ok], r[ok], t[ok])
+            at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+            found[ok] = self._keys[at] == keys
         return found
 
     def has_triplet(self, head: int, relation: int, tail: int) -> bool:

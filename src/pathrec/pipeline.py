@@ -447,6 +447,7 @@ def evaluate_run(config: RunConfig, split: DatasetSplit, records: list[dict]):
 
     rows: list[dict] = []
     per_user: dict[str, dict] = {}
+    test_recs: dict[str, dict] = {"grecs": {}, "pop": {}}  # warm_test and cold_test lists
     for cohort in ("warm_test", "cold_val", "cold_test"):
         relevant = _relevance(split, cohort)
         if not relevant:
@@ -470,19 +471,14 @@ def evaluate_run(config: RunConfig, split: DatasetSplit, records: list[dict]):
             u: {"hit": metrics.hit_at_k(grecs[u], relevant[u], k),
                 "ndcg": metrics.ndcg_at_k(grecs[u], relevant[u], k)}
             for u in sorted(relevant)}
+        if cohort != "cold_val":
+            test_recs["grecs"].update(grecs)
+            test_recs["pop"].update(pop_recs)
 
     cold_items = set(split.cold_items)
     if cold_items:
         test_users = set(split.warm_test) | set(split.cold_test)
-        for model in ("grecs", "pop"):
-            recs = {}
-            for cohort in ("warm_test", "cold_test"):
-                relevant = _relevance(split, cohort)
-                for u in relevant:
-                    if model == "grecs":
-                        recs[u] = recs_by_cohort.get(cohort, {}).get(u, [])
-                    else:
-                        recs[u] = pop.recommend(u)
+        for model, recs in test_recs.items():
             rows.append({"model": model, "cohort": "test", "metric": f"coverage@{k}",
                          "value": metrics.cold_item_coverage(recs, cold_items, k),
                          "n_users": len(test_users)})

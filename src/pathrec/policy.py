@@ -309,4 +309,4 @@ def write_history(history: list[tuple[int, float, float]], path: str,
         fh.write(f"# config={config_hash} seed={seed}\n")
         fh.write("epoch,mean_reward,mean_entropy\n")
         for epoch, reward, entropy in history:
-            fh.write(f"{epoch},{reward!r},{entropy!r}\n")
+            fh.write(f"{epoch},{float(reward)!r},{float(entropy)!r}\n")

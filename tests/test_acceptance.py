@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pathrec.coldstart import (ColdDeclaration, ColdProfile, ColdStrategy,
-                               cold_embedding, integrate_entity)
+                               integrate_cold_entities)
 from pathrec.datasets import DatasetSplit, SplitConfig, split_dataset
 from pathrec.embeddings import (EmbedTrainConfig, conditional_prob,
                                 init_table, load_table, rng_for, score_tails,
@@ -125,8 +125,6 @@ def test_criterion_1_scoring_primitives_match_brute_force(schema):
     brands = [f"b{i}" for i in range(4)]
     cats = [f"c{i}" for i in range(3)]
     for trial in range(1000):
-        g = schema_graph.clone()
-        ext = table.copy()
         decls = []
         n_b = int(rng.integers(1, 4))
         for b in rng.choice(brands, size=n_b, replace=False):
@@ -135,8 +133,9 @@ def test_criterion_1_scoring_primitives_match_brute_force(schema):
             decls.append(("belong_to", "category", str(rng.choice(cats))))
         prof = ColdProfile(name=f"cold{trial}", entity_type="item",
                            declarations=tuple(ColdDeclaration(*d) for d in decls))
-        e = integrate_entity(g, prof)
-        vec = cold_embedding(ext, g.freeze(), e, ColdStrategy.AVERAGE_TRANSLATION)
+        g, ext, ids = integrate_cold_entities(schema_graph, table, [prof],
+                                              ColdStrategy.AVERAGE_TRANSLATION)
+        vec = ext.entity_vecs[ids[prof.name]]
         want = [math.fsum(table.entity_vecs[g.entity_id(tt, tn)][i]
                           - table.relation_vecs[g.relation_id(rel)][i]
                           for rel, tt, tn in decls) / len(decls)

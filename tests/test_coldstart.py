@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from pathrec.coldstart import (ColdDeclaration, ColdProfile, ColdStrategy,
-                               append_cold_embeddings, augment_graph, cold_embedding,
-                               integrate_cold_entities,
-                               integrate_entity, read_profiles, recommend_cold,
-                               write_profiles)
+                               _cold_rows, augment_graph, integrate_cold_entities,
+                               read_profiles, recommend_cold, write_profiles)
+from pathrec.datasets import synthetic_schema
 from pathrec.embeddings import EmbedTrainConfig, init_table, rng_for
 from pathrec.errors import (DuplicateEntity, EmptyProfile, MissingEmbedding,
                             MissingNeighborEmbedding, SchemaViolation,
@@ -14,10 +13,18 @@ from pathrec.graph import FORWARD, KnowledgeGraph
 from pathrec.inference import beam_search, rank_recommendations
 from pathrec.policy import AgentConfig, PolicyModel, state_dim_for
 
+from conftest import build_shop_graph
+
 
 def profile(name, entity_type, *decls):
     return ColdProfile(name=name, entity_type=entity_type,
                        declarations=tuple(ColdDeclaration(*d) for d in decls))
+
+
+def skip_reason(caplog, name):
+    """The exception ``augment_graph`` logged when it skipped profile ``name``."""
+    return next(r.args[1] for r in caplog.records
+                if r.msg == "profile %s skipped: %s" and r.args[0] == name)
 
 
 class TestProfileValidation:
@@ -49,10 +56,10 @@ class TestProfileValidation:
 
 class TestIntegration:
     def test_adds_entity_and_triplets(self, tiny_graph):
-        g = tiny_graph.clone()
         p = profile("i9", "item", ("produced_by", "brand", "b0"),
                     ("belong_to", "category", "c0"))
-        e = integrate_entity(g, p)
+        g, ids = augment_graph(tiny_graph, [p])
+        e = ids["i9"]
         assert g.entity_key(e) == "item:i9"
         hops = {(r, n, d) for r, n, d in g.neighbors(e)}
         assert (g.relation_id("produced_by"),
@@ -61,19 +68,20 @@ class TestIntegration:
                 g.entity_id("category", "c0"), FORWARD) in hops
 
     def test_unresolvable_targets_dropped(self, tiny_graph, caplog):
-        g = tiny_graph.clone()
         p = profile("i9", "item", ("produced_by", "brand", "b0"),
                     ("belong_to", "category", "zz"))
         with caplog.at_level("INFO", logger="pathrec.coldstart"):
-            e = integrate_entity(g, p)
+            g, ids = augment_graph(tiny_graph, [p])
+        e = ids["i9"]
         assert len(list(g.neighbors(e))) == 1
         assert "dropped 1" in caplog.text
 
-    def test_no_resolvable_targets_raises(self, tiny_graph):
-        g = tiny_graph.clone()
+    def test_no_resolvable_targets_raises(self, tiny_graph, caplog):
         p = profile("i9", "item", ("produced_by", "brand", "zz"))
-        with pytest.raises(EmptyProfile):
-            integrate_entity(g, p)
+        with caplog.at_level("INFO", logger="pathrec.coldstart"):
+            g, ids = augment_graph(tiny_graph, [p])
+        assert isinstance(skip_reason(caplog, "i9"), EmptyProfile)
+        assert ids == {} and g.entity_count == tiny_graph.entity_count
 
     def test_round_trip_jsonl(self, tmp_path, schema):
         items = [profile("i9", "item", ("produced_by", "brand", "b0")),
@@ -95,17 +103,16 @@ class TestColdEmbedding:
         brands = ["b0", "b1"]
         cats = ["c0"]
         for trial in range(1000):
-            g = tiny_graph.clone()
-            table = small_table.copy()
             n_b = int(rng.integers(1, len(brands) + 1))
             decls = [("produced_by", "brand", b)
                      for b in rng.choice(brands, size=n_b, replace=False)]
             if rng.random() < 0.5:
                 decls.append(("belong_to", "category", cats[0]))
             p = profile(f"fresh{trial}", "item", *decls)
-            e = integrate_entity(g, p)
-            vec = cold_embedding(table, g.freeze(), e,
-                                 ColdStrategy.AVERAGE_TRANSLATION)
+            g, table, ids = integrate_cold_entities(tiny_graph, small_table, [p],
+                                                    ColdStrategy.AVERAGE_TRANSLATION)
+            e = ids[p.name]
+            vec = table.entity_vecs[e]
             acc = np.zeros(small_table.dim)
             for rel, ttype, tname in decls:
                 acc += (small_table.entity_vecs[g.entity_id(ttype, tname)]
@@ -116,76 +123,75 @@ class TestColdEmbedding:
             assert table.entity_bias[e] == 0.0
 
     def test_null_strategy_is_zeros(self, tiny_graph, small_table):
-        g = tiny_graph.clone()
-        table = small_table.copy()
-        e = integrate_entity(g, profile("i9", "item",
-                                        ("produced_by", "brand", "b0")))
-        vec = cold_embedding(table, g.freeze(), e, ColdStrategy.NULL)
+        _, table, ids = integrate_cold_entities(
+            tiny_graph, small_table, [profile("i9", "item", ("produced_by", "brand", "b0"))],
+            ColdStrategy.NULL)
+        e = ids["i9"]
+        vec = table.entity_vecs[e]
         assert np.all(vec == 0.0)
         assert table.entity_bias[e] == 0.0
 
     def test_warm_rows_untouched(self, tiny_graph, small_table):
         for strategy in self.strategies():
-            g = tiny_graph.clone()
-            table = small_table.copy()
             before_vecs = small_table.entity_vecs.copy()
             before_bias = small_table.entity_bias.copy()
-            e = integrate_entity(g, profile("u9", "user",
-                                            ("like", "brand", "b0")))
-            cold_embedding(table, g.freeze(), e, strategy)
+            _, table, _ = integrate_cold_entities(
+                tiny_graph, small_table, [profile("u9", "user", ("like", "brand", "b0"))],
+                strategy)
             np.testing.assert_array_equal(table.entity_vecs[:-1], before_vecs)
             np.testing.assert_array_equal(table.entity_bias[:-1], before_bias)
             np.testing.assert_array_equal(table.relation_vecs,
                                           small_table.relation_vecs)
 
     def test_entity_without_forward_edges_rejected(self, tiny_graph, small_table):
+        # augment_graph never integrates such an entity; _cold_rows
+        # still refuses one rather than divide by zero
         g = tiny_graph.clone()
         e = g.add_entity("item", "island")
         with pytest.raises(EmptyProfile):
-            cold_embedding(small_table.copy(), g.freeze(), e, ColdStrategy.NULL)
+            _cold_rows(small_table, g.freeze(), [e], ColdStrategy.NULL)
 
     def test_neighbor_without_row_rejected(self, tiny_graph, small_table):
-        # second cold entity leans on the first, whose row was never added
+        # the cold entity leans on brand b9, whose row was never added
         g = tiny_graph.clone()
-        first = g.add_entity("brand", "b9")
-        second = g.add_entity("item", "i9")
-        g.add_triplet(second, g.relation_id("produced_by"), first)
+        g.add_entity("brand", "b9")
         with pytest.raises(MissingNeighborEmbedding):
-            cold_embedding(small_table.copy(), g.freeze(), second,
-                           ColdStrategy.AVERAGE_TRANSLATION)
+            integrate_cold_entities(g, small_table,
+                                    [profile("i9", "item", ("produced_by", "brand", "b9"))],
+                                    ColdStrategy.AVERAGE_TRANSLATION)
 
 
 class TestBatchedAppend:
-    def cold_pair(self, tiny_graph):
-        """Cold item i9 (brand b0) and cold user u9 who bought it: u9's only
-        neighbor is an earlier entity of the same batch."""
-        g = tiny_graph.clone()
-        i9 = integrate_entity(g, profile("i9", "item", ("produced_by", "brand", "b0"),
-                                         ("belong_to", "category", "c0")))
-        u9 = g.add_entity("user", "u9")
-        g.add_triplet(u9, g.relation_id("purchase"), i9)
-        g.add_triplet(u9, g.relation_id("like"), g.entity_id("brand", "b1"))
-        return g.freeze(), [i9, u9]
+    # Cold item i9 (brand b0) and cold user u9 who bought it and likes b1:
+    # u9 also leans on i9, an earlier entity of the same batch.
+    I9 = profile("i9", "item", ("produced_by", "brand", "b0"),
+                 ("belong_to", "category", "c0"))
+    U9 = profile("u9", "user", ("like", "brand", "b1"))
+    BOUGHT = {"u9": ["i9"]}
 
     def test_equals_one_row_at_a_time(self, tiny_graph, small_table):
-        g, ids = self.cold_pair(tiny_graph)
         for strategy in ColdStrategy:
-            one_by_one = small_table.copy()
-            for e in ids:
-                cold_embedding(one_by_one, g, e, strategy)
-            batched = small_table.copy()
-            rows = append_cold_embeddings(batched, g, ids, strategy)
+            g1, t1, _ = integrate_cold_entities(tiny_graph, small_table, [self.I9], strategy)
+            _, one_by_one, _ = integrate_cold_entities(g1, t1, [self.U9], strategy,
+                                                       self.BOUGHT)
+            _, batched, got = integrate_cold_entities(tiny_graph, small_table,
+                                                      [self.I9, self.U9], strategy,
+                                                      self.BOUGHT)
+            ids = list(got.values())
+            rows = batched.entity_vecs[small_table.entity_count:]
             np.testing.assert_array_equal(batched.entity_vecs, one_by_one.entity_vecs)
             np.testing.assert_array_equal(batched.entity_bias, one_by_one.entity_bias)
             np.testing.assert_array_equal(rows, one_by_one.entity_vecs[ids])
 
     def test_out_of_order_ids_rejected(self, tiny_graph, small_table):
-        g, ids = self.cold_pair(tiny_graph)
         table = small_table.copy()
         with pytest.raises(MissingNeighborEmbedding):
-            append_cold_embeddings(table, g, ids[::-1], ColdStrategy.AVERAGE_TRANSLATION)
+            integrate_cold_entities(tiny_graph, table, [self.U9, self.I9],
+                                    ColdStrategy.AVERAGE_TRANSLATION, self.BOUGHT)
+        # a table one row behind the graph: u9's row would land at i9's id
+        g1, _ = augment_graph(tiny_graph, [self.I9])
         with pytest.raises(MissingEmbedding, match="id order"):
-            append_cold_embeddings(table, g, ids[1:], ColdStrategy.NULL)
+            integrate_cold_entities(g1, table, [self.U9], ColdStrategy.NULL, self.BOUGHT)
         assert table.entity_count == small_table.entity_count
 
 
@@ -227,7 +233,7 @@ class TestBatchIntegration:
         assert aug.entity_count == full.entity_count
         assert aug.fingerprint() == full.fingerprint()
 
-    def test_profile_of_existing_entity_skipped(self, make_graph):
+    def test_profile_of_existing_entity_skipped(self, make_graph, caplog):
         g = make_graph()
         table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
         u0 = g.entity_id("user", "u0")
@@ -245,8 +251,28 @@ class TestBatchIntegration:
         assert ext.entity_count == table.entity_count + 1
         np.testing.assert_array_equal(ext.entity_vecs[u0], table.entity_vecs[u0])
         assert ext.entity_bias[u0] == table.entity_bias[u0]
-        with pytest.raises(DuplicateEntity, match="u0"):
-            integrate_entity(g.clone(), profs[1])
+        with caplog.at_level("INFO", logger="pathrec.coldstart"):
+            augment_graph(g, profs[1:2])
+        reason = skip_reason(caplog, "u0")
+        assert isinstance(reason, DuplicateEntity) and "u0" in str(reason)
+
+    def test_name_taken_by_other_type_skipped(self, caplog):
+        # ids is keyed by name: a cold user named like an earlier cold item
+        # is skipped, so the item keeps the name and the batch integrates
+        g = build_shop_graph(synthetic_schema()).freeze()
+        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        profs = [ColdProfile("x", "item", (ColdDeclaration("produced_by", "brand", "b0"),)),
+                 ColdProfile("x", "user", (ColdDeclaration("like", "brand", "b0"),))]
+        for bought in (None, {"x": ["i0"]}):
+            with caplog.at_level("INFO", logger="pathrec.coldstart"):
+                aug, ext, ids = integrate_cold_entities(
+                    g, table, profs, ColdStrategy.AVERAGE_TRANSLATION, bought)
+            assert ids == {"x": g.entity_count}
+            assert aug.entity_key(ids["x"]) == "item:x"
+            assert not aug.has_entity("user", "x")
+            assert aug.triplet_count == g.triplet_count + 1
+            assert ext.entity_count == table.entity_count + 1
+            assert isinstance(skip_reason(caplog, "x"), DuplicateEntity)
 
     def test_strategies_differ_only_in_cold_rows(self, tiny_graph, small_table):
         profs = self.make_profiles()

@@ -2,6 +2,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from pathrec.coldstart import (ColdDeclaration, ColdProfile, ColdStrategy,
+                               integrate_cold_entities)
 from pathrec.embeddings import (EmbedTrainConfig, EmbeddingTable,
                                 conditional_prob, full_softmax_grads,
                                 init_table, load_table, rng_for,
@@ -39,30 +41,36 @@ class TestInit:
         assert np.array_equal(a.entity_vecs, b.entity_vecs)
         assert np.array_equal(a.self_loop_vec, b.self_loop_vec)
 
-    def test_append_entity_enforces_id_order(self, small_table):
+    def test_append_entity_enforces_id_order(self, tiny_graph, small_table):
+        # rows land at the ids after the table's last row: a table one row
+        # ahead of the graph cannot take the graph's next entity
         n, d = small_table.entity_count, small_table.dim
+        ahead = small_table.extended(np.zeros((1, d)))
+        cold = ColdProfile("i9", "item", (ColdDeclaration("produced_by", "brand", "b0"),))
         with pytest.raises(MissingEmbedding, match="id order"):
-            small_table.append_entity(n + 1, np.zeros(d), 0.0)
+            integrate_cold_entities(tiny_graph, ahead, [cold], ColdStrategy.NULL)
         with pytest.raises(InvalidSpec):
-            small_table.append_entity(n, np.zeros(d + 1), 0.0)
-        small_table.append_entity(n, np.ones(d), 0.5)
-        assert small_table.entity_count == n + 1
-        assert small_table.bias(n) == 0.5
+            small_table.extended(np.zeros((1, d + 1)))
+        ext = small_table.extended(np.ones((1, d)))
+        assert ext.entity_count == n + 1
+        assert ext.bias(n) == 0.0
 
-
-    def test_append_entities_in_one_copy(self, small_table):
+    def test_append_entities_in_one_copy(self, tiny_graph, small_table):
         n, d = small_table.entity_count, small_table.dim
         vecs = np.arange(3 * d, dtype=float).reshape(3, d)
+        ahead = small_table.extended(vecs[:1])
+        cold = ColdProfile("i9", "item", (ColdDeclaration("produced_by", "brand", "b0"),))
         with pytest.raises(MissingEmbedding, match="id order"):
-            small_table.append_entities(n + 1, vecs, np.zeros(3))
+            integrate_cold_entities(tiny_graph, ahead, [cold], ColdStrategy.NULL)
         with pytest.raises(InvalidSpec):
-            small_table.append_entities(n, vecs[:, 1:], np.zeros(3))
+            small_table.extended(vecs[:, 1:])
         with pytest.raises(InvalidSpec):
-            small_table.append_entities(n, vecs, np.zeros(2))
-        small_table.append_entities(n, vecs, np.asarray([0.5, 0.0, -1.0]))
-        assert small_table.entity_count == n + 3
-        np.testing.assert_array_equal(small_table.entity_vecs[n:], vecs)
-        assert small_table.bias(n + 2) == -1.0
+            small_table.extended(vecs[0])
+        ext = small_table.extended(vecs)
+        assert ext.entity_count == n + 3
+        np.testing.assert_array_equal(ext.entity_vecs[n:], vecs)
+        assert ext.bias(n + 2) == 0.0
+        assert small_table.entity_count == n
 
 
 class TestScoring:
@@ -236,7 +244,8 @@ class TestSnapshots:
         g2 = tiny_graph.clone()
         extra = g2.add_entity("item", "i_new")
         table = init_table(tiny_graph, EmbedTrainConfig(dim=4))
-        table.append_entity(extra, np.zeros(4), 0.0)
+        table = table.extended(np.zeros((1, 4)))
+        assert extra == tiny_graph.entity_count
         path = str(tmp_path / "emb.npz")
         save_table(table, g2.freeze(), path)
         again = load_table(path, tiny_graph)

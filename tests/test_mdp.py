@@ -490,7 +490,7 @@ class TestSlateSelection:
     def test_score_all_tails_bitwise_equals_score_tails(self, hub_graph):
         table = init_table(hub_graph, EmbedTrainConfig(dim=7, seed=2))
         table.entity_bias[:] = np.random.default_rng(0).normal(size=table.entity_count)
-        table.append_entities(table.entity_count, np.ones((2, 7)), np.zeros(2))
+        table = table.extended(np.ones((2, 7)))
         all_ids = np.arange(table.entity_count, dtype=np.intp)
         for head in range(0, table.entity_count, 3):
             for rel in range(hub_graph.relation_count):

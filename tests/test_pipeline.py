@@ -401,3 +401,11 @@ class TestCli:
         config_path, _ = cli_env
         with pytest.raises(SystemExit):
             cli.main(["synth", "-c", config_path, "--set", "no-equals-sign"])
+
+
+def test_every_exported_name_resolves():
+    # a stale export of a deleted name fails here, not at a caller's import *
+    import pathrec
+
+    assert [name for name in pathrec.__all__ if not hasattr(pathrec, name)] == []
+    assert len(set(pathrec.__all__)) == len(pathrec.__all__)

@@ -386,3 +386,6 @@ class TestPersistence:
         assert lines[1] == "epoch,mean_reward,mean_entropy"
         assert lines[2].startswith("1,0.5,")
         assert len(lines) == 4
+        # train_agent's means are numpy scalars: written as plain floats
+        write_history([(1, np.float64(0.5), np.float64(1.2))], str(path))
+        assert path.read_text().splitlines()[2] == "1,0.5,1.2"

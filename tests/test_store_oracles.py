@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 
 from pathrec.coldstart import (ColdDeclaration, ColdProfile, ColdStrategy,
-                               integrate_cold_entities, integrate_entity)
+                               integrate_cold_entities)
 from pathrec.datasets import (SplitConfig, SyntheticSpec, derive_relations,
                               generate_synthetic, load_dataset, split_dataset)
 from pathrec.embeddings import EmbedTrainConfig, init_table, rng_for
-from pathrec.errors import (EmptyProfile, ParseError, SchemaViolation,
-                            UnknownEntity)
+from pathrec.errors import ParseError, SchemaViolation, UnknownEntity
 from pathrec.graph import (FORWARD, INVERSE, KGSchema, KnowledgeGraph,
                            RelationSpec, read_triplet_file)
 from pathrec.pipeline import build_augmented
@@ -264,6 +263,29 @@ class TestBulkStore:
         with pytest.raises(SchemaViolation, match="frozen"):
             g.add_triplets([], [], [])
 
+    def test_key_index_edge_cases(self, schema):
+        g = registered(schema, 3)  # users 0-2, items 3-5, no triplets yet
+        pu, n, n_rel = g.relation_id("purchase"), g.entity_count, g.relation_count
+        # in range, then a negative or out-of-range head, tail or relation id
+        heads = [1, -1, n, 1, 1, 1, 1]
+        rels = [pu, pu, pu, -1, n_rel, pu, pu]
+        tails = [4, 4, 4, 4, 4, -1, n]
+        empty = np.asarray([], dtype=np.intp)
+        for stored in ([], [(0, pu, 3)], [(0, pu, 3), (1, pu, 4), (2, pu, 5)]):
+            g = registered(schema, 3)
+            g.add_triplets(*np.asarray(stored, dtype=np.intp).reshape(-1, 3).T)
+            before = reference_of(g)
+            got = g.has_triplets(heads, rels, tails)
+            assert got.dtype == bool
+            assert got.tolist() == [(1, pu, 4) in stored] + [False] * 6
+            # keys below the smallest and above the largest stored key
+            assert g.has_triplets([0, 2], [pu, pu], [4, 5]).tolist() == [False, (2, pu, 5) in stored]
+            assert g.has_triplets(empty, empty, empty).shape == (0,)
+            g.add_triplets([], [], [])
+            g.add_triplets(empty, empty, empty)
+            assert_same_store(g, before)
+            assert [g.has_triplet(*tr) for tr in stored] == [True] * len(stored)
+
 
 # -- loading ---------------------------------------------------------------
 
@@ -401,17 +423,22 @@ def reference_cold_rows(table, graph, entities, strategy):
 
 
 def reference_integrate(train_graph, table, profiles, strategy, interactions=None):
-    """One profile at a time, then each moved interaction on its own."""
+    """One profile at a time, each entity and triplet registered on its own,
+    then each moved interaction on its own."""
     aug = train_graph.clone()
     ids = {}
     for p in profiles:
-        try:
-            ids[p.name] = integrate_entity(aug, p)
-        except EmptyProfile:
-            pass
+        known = [d for d in p.declarations if aug.has_entity(d.target_type, d.target_name)]
+        if not known or p.name in ids or aug.has_entity(p.entity_type, p.name):
+            continue
+        ids[p.name] = e = aug.add_entity(p.entity_type, p.name)
+        for d in known:
+            aug.add_triplet(e, aug.relation_id(d.relation),
+                            aug.entity_id(d.target_type, d.target_name))
     for user, items in (interactions or {}).items():
         for item in items:
-            if user in ids and aug.has_entity(aug.schema.item_type, item):
+            if (user in ids and aug.is_user(ids[user])
+                    and aug.has_entity(aug.schema.item_type, item)):
                 aug.add_triplet(ids[user], aug.interaction_relation,
                                 aug.entity_id(aug.schema.item_type, item))
     aug.freeze()
