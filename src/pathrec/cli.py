@@ -13,7 +13,7 @@ import logging
 import sys
 
 from . import pipeline
-from .errors import PathRecError, StageError
+from .errors import InvalidSpec, PathRecError, StageError
 from .pipeline import RunConfig
 
 
@@ -41,8 +41,13 @@ def _apply_override(raw: dict, assignment: str):
 def load_config(args) -> RunConfig:
     raw = {}
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InvalidSpec(f"config {args.config} is not readable JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise InvalidSpec(f"config {args.config} must hold a JSON object")
     if args.workdir:
         raw["workdir"] = args.workdir
     if args.seed is not None:
@@ -121,29 +126,20 @@ def main(argv=None) -> int:
             records = pipeline.stage_recommend(config)
             served = sum(1 for r in records if r["served"])
             print(f"recommendations for {served}/{len(records)} users")
-        elif args.command == "eval":
-            rows, _ = pipeline.stage_eval(config)
-            _print_rows(rows, ("model", "cohort", "metric", "value"))
-        elif args.command == "run":
-            if args.seeds:
-                rows = pipeline.run_seeds(config, _parse_int_list(args.seeds))
-                _print_rows(rows, ("model", "cohort", "metric", "mean", "std"))
-            else:
-                rows, _ = pipeline.run_pipeline(config)
-                _print_rows(rows, ("model", "cohort", "metric", "value"))
         elif args.command == "sweep":
             rows = pipeline.sweep(config, args.axis, _parse_int_list(args.values))
             _print_rows(rows, ("axis", "value", "cohort", "metric", "result"))
-        elif args.command == "report":
+        elif args.command == "eval" or (args.command == "run" and not args.seeds):
+            run = pipeline.stage_eval if args.command == "eval" else pipeline.run_pipeline
+            _print_rows(run(config)[0], ("model", "cohort", "metric", "value"))
+        else:  # run --seeds, report
             if not args.seeds:
                 raise SystemExit("report needs --seeds")
-            rows = pipeline.write_aggregate(config, _parse_int_list(args.seeds))
-            _print_rows(rows, ("model", "cohort", "metric", "mean", "std"))
-    except StageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except PathRecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            run = pipeline.run_seeds if args.command == "run" else pipeline.write_aggregate
+            _print_rows(run(config, _parse_int_list(args.seeds)),
+                        ("model", "cohort", "metric", "mean", "std"))
+    except PathRecError as exc:  # a StageError carries its "[stage] " tag
+        print(str(exc) if isinstance(exc, StageError) else f"error: {exc}", file=sys.stderr)
         return 2
     return 0
 

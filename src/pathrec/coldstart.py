@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .embeddings import EmbeddingTable
 from .errors import (DuplicateEntity, EmptyProfile, MissingEmbedding,
                      MissingNeighborEmbedding, SchemaViolation)
@@ -99,7 +100,7 @@ class ColdProfile:
 
 
 def write_profiles(profiles: Sequence[ColdProfile], path: str):
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for p in profiles:
             fh.write(json.dumps(p.to_json(), sort_keys=True) + "\n")
 
@@ -149,7 +150,8 @@ def _cold_rows(table: EmbeddingTable, graph: KnowledgeGraph, entities: Sequence[
     """Rows for integrated cold entities, read from the graph's triplet
     arrays (no CSR is built) and checked, without touching the table.
     ``entities`` must be the ids right after the table's last row, in
-    order; a neighbor may be an earlier entity of the same batch."""
+    order; a neighbor may be any other entity of the same batch, as long
+    as the batch's edges among themselves form no cycle."""
     base, dim = table.entity_count, table.dim
     ents = np.asarray(entities, dtype=np.intp).reshape(-1)
     heads, rels, tails = graph.triplet_arrays()
@@ -160,17 +162,16 @@ def _cold_rows(table: EmbeddingTable, graph: KnowledgeGraph, entities: Sequence[
     pos = by_id[np.searchsorted(ents[by_id], heads[sel])]  # batch position of each edge
     rel, nbr = rels[sel], tails[sel]
     counts = np.bincount(pos, minlength=len(ents))
-    # the first failing entity decides the error, as in a one-by-one pass;
-    # position i may lean on rows of positions before it only
+    # the first failing entity decides the error
     bad = counts == 0
-    late = nbr >= base + pos
+    outside = (nbr >= base) & ~np.isin(nbr, ents)  # neither warm nor in the batch
     if strategy != ColdStrategy.NULL:
-        bad[pos[late]] = True
+        bad[pos[outside]] = True
     if bad.any():
         i = int(np.argmax(bad))
         if counts[i] == 0:
             raise EmptyProfile(f"entity {ents[i]} has no outgoing triplets to average")
-        n = nbr[(pos == i) & late][0]
+        n = nbr[(pos == i) & outside][0]
         raise MissingNeighborEmbedding(
             f"neighbor {n} of cold entity {ents[i]} has no embedding row")
     if ents.tolist() != list(range(base, base + len(ents))):
@@ -188,6 +189,9 @@ def _cold_rows(table: EmbeddingTable, graph: KnowledgeGraph, entities: Sequence[
     while not done.all():
         waiting = in_batch & ~done[np.where(in_batch, nbr - base, 0)]
         ready = np.flatnonzero(~done & (np.bincount(pos[waiting], minlength=len(ents)) == 0))
+        if not len(ready):
+            raise MissingNeighborEmbedding(
+                f"cold entities {ents[~done].tolist()} lean on each other in a cycle")
         ready = ready[np.argsort(-counts[ready], kind="stable")]  # most edges first
         n_edges = counts[ready]
         acc = np.zeros((len(ready), dim))

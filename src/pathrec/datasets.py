@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .artifacts import atomic_open, write_json
 from .coldstart import ColdDeclaration, ColdProfile, read_profiles, write_profiles
 from .embeddings import rng_for
 from .errors import EmptyUser, InvalidSpec, ParseError, SchemaViolation
@@ -198,15 +199,12 @@ class DatasetSplit:
         }
 
     def write(self, out_dir: str, config_hash: str = ""):
-        os.makedirs(out_dir, exist_ok=True)
         self.schema.save(os.path.join(out_dir, "schema.json"))
         self.train_graph.write_triplets(os.path.join(out_dir, "train.tsv"))
         write_profiles(self.profiles, os.path.join(out_dir, "profiles.jsonl"))
         manifest = self.manifest()
         manifest["config_hash"] = config_hash
-        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
     @classmethod
     def read(cls, out_dir: str) -> "DatasetSplit":
@@ -447,7 +445,6 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str) -> tuple[str, str]:
     realized by the item assignment.
     """
     spec.validate()
-    os.makedirs(out_dir, exist_ok=True)
     rng = rng_for(spec.seed, "synth")
     u_w = max(4, len(str(spec.users)))
     i_w = max(4, len(str(spec.items)))
@@ -468,7 +465,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str) -> tuple[str, str]:
 
     triplet_path = os.path.join(out_dir, "triplets.tsv")
     schema_path = os.path.join(out_dir, "schema.json")
-    with open(triplet_path, "w") as fh:
+    with atomic_open(triplet_path) as fh:
         for i in range(spec.items):
             fh.write(f"item:{items[i]}\tproduced_by\tbrand:{brands[item_brand[i]]}\n")
             fh.write(f"item:{items[i]}\tbelong_to\tcategory:{cats[item_cat[i]]}\n")
@@ -489,7 +486,5 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str) -> tuple[str, str]:
             for i in chosen:
                 fh.write(f"user:{users[u]}\tpurchase\titem:{items[i]}\n")
     synthetic_schema().save(schema_path)
-    with open(os.path.join(out_dir, "prefs.json"), "w") as fh:
-        json.dump({"spec": asdict(spec), "prefs": prefs}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "prefs.json"), {"spec": asdict(spec), "prefs": prefs})
     return triplet_path, schema_path

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import write_npz
 from .errors import EmptyCandidates, EmptyGraph, InvalidSpec, MissingEmbedding
 from .graph import KnowledgeGraph
 from .optim import Adam
@@ -272,7 +273,7 @@ def train_embeddings(graph: KnowledgeGraph, config: EmbedTrainConfig) -> Embeddi
 def save_table(table: EmbeddingTable, graph: KnowledgeGraph, path: str,
                config_hash: str = ""):
     """Snapshot keyed by symbol names; round-trips bit-exactly."""
-    np.savez(
+    write_npz(
         path,
         entity_keys=np.asarray([graph.entity_key(e) for e in range(graph.entity_count)]),
         relation_keys=np.asarray([r.name for r in graph.schema.relations]),

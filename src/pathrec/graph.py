@@ -36,6 +36,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
+from .artifacts import atomic_open, write_json
 from .errors import InvalidSpec, NotAnItem, ParseError, SchemaViolation, UnknownEntity
 
 log = logging.getLogger(__name__)
@@ -185,9 +186,7 @@ class KGSchema:
             raise ParseError(f"malformed schema: {exc}") from exc
 
     def save(self, path: str):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "KGSchema":
@@ -264,9 +263,6 @@ class KnowledgeGraph:
             return self._rel_index[name]
         except KeyError:
             raise SchemaViolation(f"unknown relation {name!r}") from None
-
-    def relation_spec(self, relation: int) -> RelationSpec:
-        return self.schema.relations[relation]
 
     def relation_name(self, relation: int) -> str:
         return self.schema.relations[relation].name
@@ -540,7 +536,7 @@ class KnowledgeGraph:
 
     def write_triplets(self, path: str, include_derived: bool = False):
         """Write triplets in insertion order; derived edges are recomputable."""
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             fh.writelines(line + "\n" for line in self._triplet_lines(include_derived))
 
     def fingerprint(self) -> str:

@@ -1,10 +1,12 @@
 """End-to-end runs: staged artifacts, evaluation, seed aggregation, sweeps.
 
 Every stage reads its inputs from the run directory and writes its outputs
-there, so stages can be re-run individually. All artifacts embed the
-config hash and seed, and a second run with the same config and seed is
-byte-identical. The training stages run once; cold integration, sweeps
-and evaluation only ever extend clones, never retrain.
+there, so stages can be re-run individually. Each stage runs in one
+``_Stage`` frame that checks every artifact it reads and reports any
+failure as a StageError naming the stage; writes are atomic. A second run
+with the same config and seed is byte-identical. The training stages run
+once; cold integration, sweeps and evaluation only ever extend clones,
+never retrain.
 """
 
 from __future__ import annotations
@@ -14,15 +16,17 @@ import hashlib
 import json
 import logging
 import os
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import coldstart, datasets, inference, metrics
+from .artifacts import atomic_open, write_csv, write_json
 from .coldstart import ColdProfile, ColdStrategy
 from .datasets import DatasetSplit, SplitConfig, SyntheticSpec, cap_cold_relations
 from .embeddings import EmbedTrainConfig, EmbeddingTable, load_table, save_table, train_embeddings
-from .errors import InvalidAxisValue, InvalidSpec, MissingEmbedding, PathRecError, StageError
+from .errors import InvalidAxisValue, InvalidSpec, PathRecError, StageError
 from .graph import INVERSE, KnowledgeGraph
 from .mdp import SELF_LOOP, RewardSpec, path_signature, signature_label
 from .policy import AgentConfig, PolicyModel, train_agent, write_history
@@ -31,6 +35,7 @@ log = logging.getLogger(__name__)
 
 STAGES = ("synth", "split", "train-embed", "train-agent", "cold-integrate",
           "recommend", "eval")
+COHORTS = ("warm_test", "cold_val", "cold_test")
 
 
 def canonical_json(obj) -> str:
@@ -186,6 +191,7 @@ class RunPaths:
         self.run_meta = os.path.join(root, "run.json")
         self.data_dir = os.path.join(root, "data")
         self.split_dir = os.path.join(root, "split")
+        self.manifest = os.path.join(root, "split", "manifest.json")
         self.embed_file = os.path.join(root, "embed", "embeddings.npz")
         self.policy_file = os.path.join(root, "agent", "policy.npz")
         self.curve_file = os.path.join(root, "agent", "curve.csv")
@@ -198,114 +204,137 @@ class RunPaths:
         self.sweep_csv = os.path.join(root, "report", "sweep.csv")
 
 
-def _require(stage: str, path: str, producer: str):
-    if not os.path.exists(path):
-        raise StageError(stage, f"missing {path}; run the {producer!r} stage first")
+def _load_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
 
 
-def _write_run_meta(config: RunConfig, paths: RunPaths):
-    os.makedirs(paths.root, exist_ok=True)
-    meta = {"config": config.to_json(), "config_hash": config.config_hash(),
-            "seed": config.seed}
-    with open(paths.run_meta, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _stamp(path: str) -> tuple:
+    """The (config hash, seed) an artifact embeds: npz members, the meta line
+    of a jsonl file, or a json file's keys (a split manifest keeps its seed
+    in its config)."""
+    if path.endswith(".npz"):
+        with np.load(path, allow_pickle=False) as data:
+            return str(data["config_hash"]), int(data["seed"])
+    with open(path) as fh:
+        data = json.loads(fh.readline())["meta"] if path.endswith(".jsonl") else json.load(fh)
+    return data["config_hash"], data["seed"] if "seed" in data else data["config"]["seed"]
 
 
-def _check_run_meta(stage: str, config: RunConfig, paths: RunPaths):
-    if os.path.exists(paths.run_meta):
-        with open(paths.run_meta) as fh:
-            meta = json.load(fh)
-        if meta.get("config_hash") != config.config_hash() or meta.get("seed") != config.seed:
-            raise StageError(stage, f"{paths.root} holds artifacts of a different config/seed")
+_DAMAGED = (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile)
+
+
+class _Stage:
+    """One stage's frame: inside ``with _Stage(name, config) as run:`` every
+    PathRecError ends as ``StageError(name)``, and ``run.read`` loads each
+    artifact: a missing file names its producer stage, one that does not
+    decode is damaged, and an embedded (config hash, seed) must be the
+    run's. ``run.json`` is checked likewise once the first input is found,
+    so a stage run too early names the input it lacks."""
+
+    def __init__(self, name: str, config: RunConfig):
+        self.name, self.config = name, config
+        self.paths = RunPaths(config.workdir)
+        self._meta_checked = False
+
+    def __enter__(self) -> "_Stage":
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, PathRecError) and not isinstance(exc, StageError):
+            raise StageError(self.name, str(exc)) from exc
+        return False
+
+    def read(self, path: str, producer: str, load, stamped: bool = True):
+        """``load(path)``, once a ``stamped`` artifact's (config hash, seed)
+        is found equal to the run's."""
+        if not os.path.exists(path):
+            raise StageError(self.name, f"missing {path}; run the {producer!r} stage first")
+        if not self._meta_checked:
+            self._meta_checked = True
+            self.read(self.paths.run_meta, "synth", _stamp)
+        want = (self.config.config_hash(), self.config.seed)
+        try:
+            found = _stamp(path) if stamped else want
+            if found != want:
+                raise StageError(self.name, f"{path} is from a different config/seed "
+                                 f"({found[0]} seed {found[1]}, not {want[0]} seed {want[1]})")
+            return load(path)
+        except _DAMAGED as exc:
+            raise StageError(self.name, f"damaged artifact {path}: {exc!r}") from exc
+
+    def split(self) -> DatasetSplit:
+        split = self.read(self.paths.manifest, "split",
+                          lambda p: DatasetSplit.read(os.path.dirname(p)))
+        # the split writes one profile per cold user and cold item
+        if (sorted(p.name for p in split.profiles)
+                != sorted([*split.cold_val, *split.cold_test, *split.cold_items])):
+            raise StageError(self.name, f"{self.paths.split_dir}: profiles and manifest differ")
+        return split
+
+    def warm_table(self, split: DatasetSplit) -> EmbeddingTable:
+        return self.read(self.paths.embed_file, "train-embed",
+                         lambda p: load_table(p, split.train_graph))
+
+    def policy(self) -> PolicyModel:
+        return self.read(self.paths.policy_file, "train-agent", PolicyModel.load)
 
 
 # -- stages ---------------------------------------------------------------------
 
 
 def stage_synth(config: RunConfig) -> RunPaths:
-    paths = RunPaths(config.workdir)
-    _check_run_meta("synth", config, paths)
-    _write_run_meta(config, paths)
-    if config.synthetic is not None:
-        datasets.generate_synthetic(config.synthetic, paths.data_dir)
-    else:
-        for p in (config.triplets, config.schema):
-            if not os.path.exists(p):
-                raise StageError("synth", f"dataset file {p} does not exist")
-        os.makedirs(paths.data_dir, exist_ok=True)
-        with open(os.path.join(paths.data_dir, "source.json"), "w") as fh:
-            json.dump({"triplets": config.triplets, "schema": config.schema,
-                       "config_hash": config.config_hash(), "seed": config.seed},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return paths
-
-
-def _dataset_files(config: RunConfig, paths: RunPaths) -> tuple[str, str]:
-    if config.synthetic is not None:
-        return (os.path.join(paths.data_dir, "triplets.tsv"),
-                os.path.join(paths.data_dir, "schema.json"))
-    return config.triplets, config.schema
+    with _Stage("synth", config) as run:
+        if os.path.exists(run.paths.run_meta):
+            run.read(run.paths.run_meta, "synth", _stamp)
+        ident = {"config_hash": config.config_hash(), "seed": config.seed}
+        write_json(run.paths.run_meta, {"config": config.to_json(), **ident})
+        if config.synthetic is not None:
+            datasets.generate_synthetic(config.synthetic, run.paths.data_dir)
+        else:
+            for p in (config.triplets, config.schema):
+                if not os.path.exists(p):
+                    raise StageError("synth", f"dataset file {p} does not exist")
+            write_json(os.path.join(run.paths.data_dir, "source.json"),
+                       {"triplets": config.triplets, "schema": config.schema, **ident})
+    return run.paths
 
 
 def stage_split(config: RunConfig) -> DatasetSplit:
-    paths = RunPaths(config.workdir)
-    _check_run_meta("split", config, paths)
-    triplets, schema = _dataset_files(config, paths)
-    _require("split", triplets, "synth")
-    try:
-        graph = datasets.load_dataset(triplets, schema)
+    with _Stage("split", config) as run:
+        triplets, schema = (config.triplets, config.schema) if config.synthetic is None else (
+            os.path.join(run.paths.data_dir, name) for name in ("triplets.tsv", "schema.json"))
+        graph = run.read(triplets, "synth", lambda p: datasets.load_dataset(p, schema),
+                         stamped=False)
         split = datasets.split_dataset(graph, config.split)
-    except PathRecError as exc:
-        raise StageError("split", str(exc)) from exc
-    split.write(paths.split_dir, config_hash=config.config_hash())
+        split.write(run.paths.split_dir, config_hash=config.config_hash())
     return split
 
 
-def _load_split(stage: str, paths: RunPaths) -> DatasetSplit:
-    _require(stage, os.path.join(paths.split_dir, "manifest.json"), "split")
-    return DatasetSplit.read(paths.split_dir)
-
-
 def stage_train_embed(config: RunConfig) -> EmbeddingTable:
-    paths = RunPaths(config.workdir)
-    _check_run_meta("train-embed", config, paths)
-    split = _load_split("train-embed", paths)
-    try:
+    with _Stage("train-embed", config) as run:
+        split = run.split()
         table = train_embeddings(split.train_graph, config.embed)
-    except PathRecError as exc:
-        raise StageError("train-embed", str(exc)) from exc
-    os.makedirs(os.path.dirname(paths.embed_file), exist_ok=True)
-    save_table(table, split.train_graph, paths.embed_file,
-               config_hash=config.config_hash())
+        save_table(table, split.train_graph, run.paths.embed_file,
+                   config_hash=config.config_hash())
     return table
 
 
 def stage_train_agent(config: RunConfig) -> PolicyModel:
-    paths = RunPaths(config.workdir)
-    _check_run_meta("train-agent", config, paths)
-    split = _load_split("train-agent", paths)
-    _require("train-agent", paths.embed_file, "train-embed")
-    table = load_table(paths.embed_file, split.train_graph)
-    try:
-        if config.agent.reward == "pgpr":
-            reward = RewardSpec.pattern(split.train_graph, table)
-        else:
-            reward = RewardSpec.binary(split.train_graph)
+    with _Stage("train-agent", config) as run:
+        split = run.split()
+        table = run.warm_table(split)
+        reward = (RewardSpec.pattern(split.train_graph, table) if config.agent.reward == "pgpr"
+                  else RewardSpec.binary(split.train_graph))
         agent, history = train_agent(split.train_graph, table, reward, config.agent)
-    except PathRecError as exc:
-        raise StageError("train-agent", str(exc)) from exc
-    os.makedirs(os.path.dirname(paths.policy_file), exist_ok=True)
-    agent.save(paths.policy_file, config_hash=config.config_hash())
-    write_history(history, paths.curve_file, config_hash=config.config_hash(),
-                  seed=config.seed)
+        agent.save(run.paths.policy_file, config_hash=config.config_hash())
+        write_history(history, run.paths.curve_file, config_hash=config.config_hash(),
+                      seed=config.seed)
     return agent
 
 
 def _ordered_profiles(split: DatasetSplit) -> list[ColdProfile]:
-    # items first: a cold user integrated later may gain edges to cold items
-    # (interaction sweeps), and embedding rows are appended in id order.
+    # items first: ids, and with them every stored cold artifact, follow this order
     return split.item_profiles + split.user_profiles
 
 
@@ -326,21 +355,16 @@ def build_augmented(split: DatasetSplit, table: EmbeddingTable,
 
 
 def stage_cold_integrate(config: RunConfig):
-    paths = RunPaths(config.workdir)
-    _check_run_meta("cold-integrate", config, paths)
-    split = _load_split("cold-integrate", paths)
-    _require("cold-integrate", paths.embed_file, "train-embed")
-    table = load_table(paths.embed_file, split.train_graph)
-    aug, ext, ids, _ = build_augmented(split, table, config.cold_strategy)
-    os.makedirs(os.path.dirname(paths.cold_table_file), exist_ok=True)
-    save_table(ext, aug, paths.cold_table_file, config_hash=config.config_hash())
-    skipped = sorted(p.name for p in _ordered_profiles(split) if p.name not in ids)
-    with open(paths.cold_meta_file, "w") as fh:
-        json.dump({"integrated": list(ids), "skipped": skipped,
-                   "strategy": config.cold_strategy.value,
-                   "config_hash": config.config_hash(), "seed": config.seed},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _Stage("cold-integrate", config) as run:
+        split = run.split()
+        table = run.warm_table(split)
+        aug, ext, ids, _ = build_augmented(split, table, config.cold_strategy)
+        save_table(ext, aug, run.paths.cold_table_file, config_hash=config.config_hash())
+        skipped = sorted(p.name for p in _ordered_profiles(split) if p.name not in ids)
+        write_json(run.paths.cold_meta_file,
+                   {"integrated": list(ids), "skipped": skipped,
+                    "strategy": config.cold_strategy.value,
+                    "config_hash": config.config_hash(), "seed": config.seed})
     return aug, ext, ids
 
 
@@ -382,52 +406,30 @@ def _recommend_users(aug: KnowledgeGraph, ext: EmbeddingTable, agent: PolicyMode
 
 
 def stage_recommend(config: RunConfig):
-    paths = RunPaths(config.workdir)
-    _check_run_meta("recommend", config, paths)
-    split = _load_split("recommend", paths)
-    _require("recommend", paths.policy_file, "train-agent")
-    _require("recommend", paths.cold_table_file, "cold-integrate")
-    agent = PolicyModel.load(paths.policy_file)
-    aug, _ = coldstart.augment_graph(split.train_graph, _ordered_profiles(split))
-    try:
-        stored = load_table(paths.cold_table_file, aug)
-    except MissingEmbedding as exc:
-        raise StageError("recommend", str(exc)) from exc
-    if stored.entity_count != aug.entity_count:
-        raise StageError("recommend", "cold table does not match the augmented graph")
-    cohorts = {
-        "warm_test": sorted(split.warm_test),
-        "cold_val": sorted(split.cold_val),
-        "cold_test": sorted(split.cold_test),
-    }
-    records = _recommend_users(aug, stored, agent, config, cohorts)
-    os.makedirs(os.path.dirname(paths.recs_file), exist_ok=True)
-    with open(paths.recs_file, "w") as fh:
-        fh.write(json.dumps({"meta": {"config_hash": config.config_hash(),
-                                      "seed": config.seed,
-                                      "topk": config.inference.topk}},
-                            sort_keys=True) + "\n")
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    with _Stage("recommend", config) as run:
+        split = run.split()
+        agent = run.policy()
+        aug, _ = coldstart.augment_graph(split.train_graph, _ordered_profiles(split))
+        stored = run.read(run.paths.cold_table_file, "cold-integrate",
+                          lambda p: load_table(p, aug))
+        if stored.entity_count != aug.entity_count:
+            raise StageError("recommend", "cold table does not match the augmented graph")
+        records = _recommend_users(aug, stored, agent, config,
+                                   {c: sorted(getattr(split, c)) for c in COHORTS})
+        with atomic_open(run.paths.recs_file) as fh:
+            meta = {"config_hash": config.config_hash(), "seed": config.seed,
+                    "topk": config.inference.topk}
+            for rec in [{"meta": meta}, *records]:
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
     return records
 
 
 def read_recommendations(path: str):
-    meta, records = None, []
+    """(meta, records) of a recommendations file."""
     with open(path) as fh:
-        for line in fh:
-            data = json.loads(line)
-            if "meta" in data:
-                meta = data["meta"]
-            else:
-                records.append(data)
-    return meta, records
-
-
-def _relevance(split: DatasetSplit, cohort: str) -> dict[str, set]:
-    source = {"warm_test": split.warm_test, "cold_val": split.cold_val,
-              "cold_test": split.cold_test}[cohort]
-    return {u: set(items) for u, items in source.items()}
+        lines = [json.loads(line) for line in fh]
+    return (next((d["meta"] for d in lines if "meta" in d), None),
+            [d for d in lines if "meta" not in d])
 
 
 def evaluate_run(config: RunConfig, split: DatasetSplit, records: list[dict]):
@@ -448,29 +450,23 @@ def evaluate_run(config: RunConfig, split: DatasetSplit, records: list[dict]):
     rows: list[dict] = []
     per_user: dict[str, dict] = {}
     test_recs: dict[str, dict] = {"grecs": {}, "pop": {}}  # warm_test and cold_test lists
-    for cohort in ("warm_test", "cold_val", "cold_test"):
-        relevant = _relevance(split, cohort)
+    for cohort in COHORTS:
+        relevant = {u: set(items) for u, items in getattr(split, cohort).items()}
         if not relevant:
             continue
         grecs = {u: recs_by_cohort.get(cohort, {}).get(u, []) for u in relevant}
         pop_recs = {u: pop.recommend(u) for u in relevant}
         exclude = {u: train_items_by_user.get(u, set()) for u in relevant}
         for model, recs in (("grecs", grecs), ("pop", pop_recs)):
-            rows.append({"model": model, "cohort": cohort, "metric": f"ndcg@{k}",
-                         "value": float(np.mean([metrics.ndcg_at_k(recs[u], relevant[u], k)
-                                                 for u in relevant])),
-                         "n_users": len(relevant)})
-            rows.append({"model": model, "cohort": cohort, "metric": f"hr@{k}",
-                         "value": float(np.mean([metrics.hit_at_k(recs[u], relevant[u], k)
-                                                 for u in relevant])),
-                         "n_users": len(relevant)})
-            rows.append({"model": model, "cohort": cohort, "metric": f"popb@{k}",
-                         "value": metrics.popb_at_k(recs, popularity, k, exclude),
-                         "n_users": len(relevant)})
-        per_user[cohort] = {
-            u: {"hit": metrics.hit_at_k(grecs[u], relevant[u], k),
-                "ndcg": metrics.ndcg_at_k(grecs[u], relevant[u], k)}
-            for u in sorted(relevant)}
+            ndcg = [metrics.ndcg_at_k(recs[u], relevant[u], k) for u in relevant]
+            hit = [metrics.hit_at_k(recs[u], relevant[u], k) for u in relevant]
+            for metric, value in (("ndcg", np.mean(ndcg)), ("hr", np.mean(hit)),
+                                  ("popb", metrics.popb_at_k(recs, popularity, k, exclude))):
+                rows.append({"model": model, "cohort": cohort, "metric": f"{metric}@{k}",
+                             "value": float(value), "n_users": len(relevant)})
+            if model == "grecs":
+                per_user[cohort] = {u: {"hit": h, "ndcg": n}
+                                    for u, h, n in sorted(zip(relevant, hit, ndcg))}
         if cohort != "cold_val":
             test_recs["grecs"].update(grecs)
             test_recs["pop"].update(pop_recs)
@@ -479,12 +475,10 @@ def evaluate_run(config: RunConfig, split: DatasetSplit, records: list[dict]):
     if cold_items:
         test_users = set(split.warm_test) | set(split.cold_test)
         for model, recs in test_recs.items():
-            rows.append({"model": model, "cohort": "test", "metric": f"coverage@{k}",
-                         "value": metrics.cold_item_coverage(recs, cold_items, k),
-                         "n_users": len(test_users)})
-            rows.append({"model": model, "cohort": "test", "metric": f"proportion@{k}",
-                         "value": metrics.cold_item_proportion(recs, cold_items, k),
-                         "n_users": len(test_users)})
+            for metric, share in (("coverage", metrics.cold_item_coverage),
+                                  ("proportion", metrics.cold_item_proportion)):
+                rows.append({"model": model, "cohort": "test", "metric": f"{metric}@{k}",
+                             "value": share(recs, cold_items, k), "n_users": len(test_users)})
 
     patterns = {cohort: metrics.pattern_report(labels)
                 for cohort, labels in sorted(patterns_by_cohort.items())}
@@ -492,31 +486,20 @@ def evaluate_run(config: RunConfig, split: DatasetSplit, records: list[dict]):
 
 
 def stage_eval(config: RunConfig):
-    paths = RunPaths(config.workdir)
-    _check_run_meta("eval", config, paths)
-    split = _load_split("eval", paths)
-    _require("eval", paths.recs_file, "recommend")
-    _, records = read_recommendations(paths.recs_file)
-    rows, patterns, per_user = evaluate_run(config, split, records)
-    os.makedirs(os.path.dirname(paths.report_csv), exist_ok=True)
-    header = f"# config={config.config_hash()} seed={config.seed}\n"
-    with open(paths.report_csv, "w") as fh:
-        fh.write(header)
-        fh.write("model,cohort,metric,value,n_users\n")
-        for r in rows:
-            fh.write(f"{r['model']},{r['cohort']},{r['metric']},{r['value']!r},{r['n_users']}\n")
-    with open(paths.patterns_csv, "w") as fh:
-        fh.write(header)
-        fh.write("cohort,pattern,percent\n")
-        for cohort, report in patterns.items():
-            for label, pct in report:
-                fh.write(f"{cohort},\"{label}\",{pct!r}\n")
-    with open(paths.report_json, "w") as fh:
-        json.dump({"config_hash": config.config_hash(), "seed": config.seed,
-                   "k": config.inference.topk, "rows": rows,
-                   "patterns": patterns, "per_user": per_user},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _Stage("eval", config) as run:
+        split = run.split()
+        _, records = run.read(run.paths.recs_file, "recommend", read_recommendations)
+        rows, patterns, per_user = evaluate_run(config, split, records)
+        ident = f"config={config.config_hash()} seed={config.seed}"
+        write_csv(run.paths.report_csv, ident, ("model", "cohort", "metric", "value", "n_users"),
+                  rows)
+        write_csv(run.paths.patterns_csv, ident, ("cohort", "pattern", "percent"),
+                  ((cohort, f'"{label}"', pct) for cohort, report in patterns.items()
+                   for label, pct in report))
+        write_json(run.paths.report_json,
+                   {"config_hash": config.config_hash(), "seed": config.seed,
+                    "k": config.inference.topk, "rows": rows,
+                    "patterns": patterns, "per_user": per_user})
     return rows, patterns
 
 
@@ -545,14 +528,10 @@ def write_aggregate(config: RunConfig, seeds: list[int]):
     rows_by_key: dict[tuple, list[float]] = {}
     n_rows = {}
     for seed in seeds:
-        report = os.path.join(config.workdir, f"seed_{seed}", "report", "metrics.json")
-        _require("report", report, "run")
-        with open(report) as fh:
-            data = json.load(fh)
-        if data.get("config_hash") != config.config_hash():
-            raise StageError("report", f"{report} was written under config "
-                             f"{data.get('config_hash')}, not {config.config_hash()}")
-        for r in data["rows"]:
+        sub = config.with_seed(seed, workdir=os.path.join(config.workdir, f"seed_{seed}"))
+        with _Stage("report", sub) as run:
+            rows = run.read(run.paths.report_json, "eval", lambda p: _load_json(p)["rows"])
+        for r in rows:
             key = (r["model"], r["cohort"], r["metric"])
             rows_by_key.setdefault(key, []).append(r["value"])
             n_rows[key] = r["n_users"]
@@ -562,18 +541,11 @@ def write_aggregate(config: RunConfig, seeds: list[int]):
         out_rows.append({"model": key[0], "cohort": key[1], "metric": key[2],
                          "mean": float(vals.mean()), "std": float(vals.std()),
                          "n_seeds": len(vals), "n_users": n_rows[key]})
-    os.makedirs(config.workdir, exist_ok=True)
-    agg_csv = os.path.join(config.workdir, "aggregate.csv")
-    with open(agg_csv, "w") as fh:
-        fh.write(f"# config={config.config_hash()} seeds={','.join(map(str, seeds))}\n")
-        fh.write("model,cohort,metric,mean,std,n_seeds,n_users\n")
-        for r in out_rows:
-            fh.write(f"{r['model']},{r['cohort']},{r['metric']},{r['mean']!r},"
-                     f"{r['std']!r},{r['n_seeds']},{r['n_users']}\n")
-    with open(os.path.join(config.workdir, "aggregate.json"), "w") as fh:
-        json.dump({"config_hash": config.config_hash(), "seeds": seeds,
-                   "rows": out_rows}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_csv(os.path.join(config.workdir, "aggregate.csv"),
+              f"config={config.config_hash()} seeds={','.join(map(str, seeds))}",
+              ("model", "cohort", "metric", "mean", "std", "n_seeds", "n_users"), out_rows)
+    write_json(os.path.join(config.workdir, "aggregate.json"),
+               {"config_hash": config.config_hash(), "seeds": seeds, "rows": out_rows})
     return out_rows
 
 
@@ -592,55 +564,37 @@ def sweep(config: RunConfig, axis: str, values: list[int]):
         raise InvalidAxisValue(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if not values or any((not isinstance(v, int)) or v < 0 for v in values):
         raise InvalidAxisValue("sweep values must be non-negative integers")
-    paths = RunPaths(config.workdir)
-    _check_run_meta("sweep", config, paths)
-    split = _load_split("sweep", paths)
-    _require("sweep", paths.embed_file, "train-embed")
-    _require("sweep", paths.policy_file, "train-agent")
-    table = load_table(paths.embed_file, split.train_graph)
-    agent = PolicyModel.load(paths.policy_file)
     k = config.inference.topk
+    cold = ("cold_val", "cold_test")
     rows = []
-    for value in values:
-        working = split
-        if axis == "relations":
-            user_profiles = [
-                cap_cold_relations(u, split.schema.user_type,
-                                   split.cold_user_targets[u], rng=None,
-                                   fixed_k=value)
-                for u in sorted(split.cold_user_targets)
-            ]
-            working = dataclasses.replace(split, user_profiles=user_profiles)
-            moved_n = 0
-        else:
-            moved_n = value
-        aug, ext, _, moved = build_augmented(working, table, config.cold_strategy,
-                                             interactions_per_cold_user=moved_n)
-        cohorts = {"cold_val": sorted(split.cold_val), "cold_test": sorted(split.cold_test)}
-        records = _recommend_users(aug, ext, agent, config, cohorts)
-        recs = {r["user"]: [it["item"] for it in r["items"]] for r in records}
-        for cohort, hidden_lists in (("cold_val", split.cold_val),
-                                     ("cold_test", split.cold_test)):
+    with _Stage("sweep", config) as run:
+        split = run.split()
+        table = run.warm_table(split)
+        agent = run.policy()
+        for value in values:
+            working = split
+            if axis == "relations":
+                working = dataclasses.replace(split, user_profiles=[
+                    cap_cold_relations(u, split.schema.user_type, split.cold_user_targets[u],
+                                       rng=None, fixed_k=value)
+                    for u in sorted(split.cold_user_targets)])
+            aug, ext, _, moved = build_augmented(
+                working, table, config.cold_strategy,
+                interactions_per_cold_user=value if axis == "interactions" else 0)
+            records = _recommend_users(aug, ext, agent, config,
+                                       {c: sorted(getattr(split, c)) for c in cold})
+            # each cold user is scored on the hidden items that were not moved
             scored = {}
-            for u, hidden in hidden_lists.items():
-                rest = [i for i in hidden if i not in set(moved.get(u, []))]
-                if rest:
-                    scored[u] = set(rest)
-            if not scored:
-                continue
-            hr = float(np.mean([metrics.hit_at_k(recs.get(u, []), scored[u], k)
-                                for u in scored]))
-            ndcg = float(np.mean([metrics.ndcg_at_k(recs.get(u, []), scored[u], k)
-                                  for u in scored]))
-            rows.append({"axis": axis, "value": value, "cohort": cohort,
-                         "metric": f"hr@{k}", "result": hr, "n_users": len(scored)})
-            rows.append({"axis": axis, "value": value, "cohort": cohort,
-                         "metric": f"ndcg@{k}", "result": ndcg, "n_users": len(scored)})
-    os.makedirs(os.path.dirname(paths.sweep_csv), exist_ok=True)
-    with open(paths.sweep_csv, "w") as fh:
-        fh.write(f"# config={config.config_hash()} seed={config.seed} axis={axis}\n")
-        fh.write("axis,value,cohort,metric,result,n_users\n")
-        for r in rows:
-            fh.write(f"{r['axis']},{r['value']},{r['cohort']},{r['metric']},"
-                     f"{r['result']!r},{r['n_users']}\n")
+            for c in cold:
+                rest = {u: [i for i in hidden if i not in moved.get(u, ())]
+                        for u, hidden in getattr(split, c).items()}
+                scored[c] = {u: items for u, items in rest.items() if items}
+            report = evaluate_run(config, dataclasses.replace(split, warm_test={}, **scored),
+                                  records)[0]
+            found = {(r["cohort"], r["metric"]): r for r in report if r["model"] == "grecs"}
+            rows += [{"axis": axis, "value": value, "cohort": c, "metric": m,
+                      "result": found[c, m]["value"], "n_users": found[c, m]["n_users"]}
+                     for c in cold for m in (f"hr@{k}", f"ndcg@{k}") if (c, m) in found]
+        write_csv(run.paths.sweep_csv, f"config={config.config_hash()} seed={config.seed} "
+                  f"axis={axis}", ("axis", "value", "cohort", "metric", "result", "n_users"), rows)
     return rows

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .artifacts import write_csv, write_npz
 from .embeddings import EmbeddingTable, rng_for, score_all_tails
 from .errors import EmptyGraph, InvalidAction, InvalidSpec, MissingEmbedding
 from .graph import KnowledgeGraph
@@ -113,12 +114,12 @@ class PolicyModel:
     def save(self, path: str, config_hash: str = ""):
         cfg = asdict(self.config)
         cfg["hidden"] = list(cfg["hidden"])
-        np.savez(path, W1=self.W1, b1=self.b1, W2=self.W2, b2=self.b2,
-                 W3=self.W3, b3=self.b3, Wv=self.Wv, bv=self.bv,
-                 state_dim=np.asarray(self.state_dim),
-                 config=np.asarray(json.dumps(cfg, sort_keys=True)),
-                 seed=np.asarray(self.config.seed),
-                 config_hash=np.asarray(config_hash))
+        write_npz(path, W1=self.W1, b1=self.b1, W2=self.W2, b2=self.b2,
+                  W3=self.W3, b3=self.b3, Wv=self.Wv, bv=self.bv,
+                  state_dim=np.asarray(self.state_dim),
+                  config=np.asarray(json.dumps(cfg, sort_keys=True)),
+                  seed=np.asarray(self.config.seed),
+                  config_hash=np.asarray(config_hash))
 
     @classmethod
     def load(cls, path: str) -> "PolicyModel":
@@ -305,8 +306,5 @@ def evaluate_mean_reward(policy: PolicyModel | None, graph: KnowledgeGraph,
 
 def write_history(history: list[tuple[int, float, float]], path: str,
                   config_hash: str = "", seed: int = 0):
-    with open(path, "w") as fh:
-        fh.write(f"# config={config_hash} seed={seed}\n")
-        fh.write("epoch,mean_reward,mean_entropy\n")
-        for epoch, reward, entropy in history:
-            fh.write(f"{epoch},{float(reward)!r},{float(entropy)!r}\n")
+    write_csv(path, f"config={config_hash} seed={seed}", ("epoch", "mean_reward", "mean_entropy"),
+              ((epoch, float(reward), float(entropy)) for epoch, reward, entropy in history))

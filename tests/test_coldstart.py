@@ -151,6 +151,20 @@ class TestColdEmbedding:
         with pytest.raises(EmptyProfile):
             _cold_rows(small_table, g.freeze(), [e], ColdStrategy.NULL)
 
+    def test_cycle_rejected(self):
+        # two cold items similar to each other: neither row can be summed first
+        from conftest import build_multi_edge_graph
+
+        base = build_multi_edge_graph()
+        table = init_table(base, EmbedTrainConfig(dim=8, seed=3))
+        g = base.clone()
+        a, b = g.add_entity("item", "a"), g.add_entity("item", "b")
+        sim = g.relation_id("similar")
+        g.add_triplets([a, b], [sim, sim], [b, a])
+        with pytest.raises(MissingNeighborEmbedding, match="cycle"):
+            _cold_rows(table, g.freeze(), [a, b], ColdStrategy.AVERAGE_TRANSLATION)
+        assert _cold_rows(table, g, [a, b], ColdStrategy.NULL).shape == (2, 8)
+
     def test_neighbor_without_row_rejected(self, tiny_graph, small_table):
         # the cold entity leans on brand b9, whose row was never added
         g = tiny_graph.clone()
@@ -185,9 +199,17 @@ class TestBatchedAppend:
 
     def test_out_of_order_ids_rejected(self, tiny_graph, small_table):
         table = small_table.copy()
-        with pytest.raises(MissingNeighborEmbedding):
-            integrate_cold_entities(tiny_graph, table, [self.U9, self.I9],
-                                    ColdStrategy.AVERAGE_TRANSLATION, self.BOUGHT)
+        # a cold user may lean on a cold item listed after it: rows follow
+        # the batch's dependencies, not its order
+        for strategy in ColdStrategy:
+            _, t1, ids1 = integrate_cold_entities(tiny_graph, table, [self.U9, self.I9],
+                                                  strategy, self.BOUGHT)
+            _, t2, ids2 = integrate_cold_entities(tiny_graph, table, [self.I9, self.U9],
+                                                  strategy, self.BOUGHT)
+            assert ids1["u9"] < ids1["i9"] and ids2["i9"] < ids2["u9"]
+            for name in ("u9", "i9"):
+                np.testing.assert_array_equal(t1.entity_vecs[ids1[name]],
+                                              t2.entity_vecs[ids2[name]])
         # a table one row behind the graph: u9's row would land at i9's id
         g1, _ = augment_graph(tiny_graph, [self.I9])
         with pytest.raises(MissingEmbedding, match="id order"):

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 from pathrec import cli
+from pathrec.artifacts import atomic_open, write_json
 from pathrec.coldstart import integrate_cold_entities
 from pathrec.datasets import DatasetSplit, SplitConfig
 from pathrec.embeddings import load_table, save_table
 from pathrec.errors import InvalidAxisValue, InvalidSpec, StageError
-from pathrec.pipeline import (InferenceConfig, RunConfig, RunPaths, _ordered_profiles,
-                              read_recommendations, run_pipeline, run_seeds,
-                              stage_recommend, sweep, write_aggregate)
+from pathrec.pipeline import (STAGES, InferenceConfig, RunConfig, RunPaths,
+                              _ordered_profiles, read_recommendations, run_pipeline,
+                              run_seeds, stage_cold_integrate, stage_eval, stage_recommend,
+                              stage_split, stage_train_agent, stage_train_embed, sweep,
+                              write_aggregate)
 from pathrec.policy import AgentConfig
 
 TINY = {
@@ -237,6 +240,99 @@ class TestRecommendStage:
             stage_recommend(copy)
 
 
+@pytest.fixture(scope="module")
+def seed2_run(tmp_path_factory):
+    config = tiny_config(str(tmp_path_factory.mktemp("seed2") / "run"), seed=2)
+    run_pipeline(config)
+    return config
+
+
+STAGE_CALLS = {
+    "split": stage_split,
+    "train-embed": stage_train_embed,
+    "train-agent": stage_train_agent,
+    "cold-integrate": stage_cold_integrate,
+    "recommend": stage_recommend,
+    "eval": stage_eval,
+    "sweep": lambda config: sweep(config, "interactions", [0]),
+}
+
+
+def truncate(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:len(data) // 2])
+
+
+FAULTS = [
+    *(("truncate", artifact, stage) for artifact, stage in (
+        ("data/triplets.tsv", "split"),
+        ("split/manifest.json", "train-embed"),
+        ("split/profiles.jsonl", "train-embed"),  # cut at a line boundary
+        ("split/train.tsv", "train-embed"),
+        ("split/schema.json", "train-embed"),
+        ("embed/embeddings.npz", "train-agent"),
+        ("embed/embeddings.npz", "cold-integrate"),
+        ("embed/embeddings.npz", "sweep"),
+        ("agent/policy.npz", "recommend"),
+        ("agent/policy.npz", "sweep"),
+        ("cold/embeddings.npz", "recommend"),
+        ("recs/recommendations.jsonl", "eval"),
+        ("run.json", "eval"),
+    )),
+    *(("seed2", artifact, stage) for artifact, stage in (
+        ("split/manifest.json", "train-embed"),
+        ("split/profiles.jsonl", "train-embed"),
+        ("embed/embeddings.npz", "train-agent"),
+        ("embed/embeddings.npz", "sweep"),
+        ("agent/policy.npz", "recommend"),
+        ("agent/policy.npz", "sweep"),
+        ("cold/embeddings.npz", "recommend"),
+        ("recs/recommendations.jsonl", "eval"),
+    )),
+    *(("delete", "run.json", stage) for stage in STAGES[1:] + ("sweep",)),
+]
+
+
+class TestDamagedArtifacts:
+    @pytest.mark.parametrize("fault, artifact, stage", FAULTS)
+    def test_fault_ends_in_stage_error(self, tiny_run, seed2_run, tmp_path, capsys,
+                                       fault, artifact, stage):
+        config, _, _ = tiny_run
+        copy, _ = copy_run(config, str(tmp_path / "run"))
+        path = os.path.join(copy.workdir, artifact)
+        if fault == "truncate":
+            truncate(path)
+        elif fault == "seed2":
+            shutil.copyfile(os.path.join(seed2_run.workdir, artifact), path)
+        else:
+            os.remove(path)
+        with pytest.raises(StageError, match=rf"^\[{stage}\] ") as err:
+            STAGE_CALLS[stage](copy)
+        assert err.value.stage == stage
+        config_path = str(tmp_path / "config.json")
+        write_json(config_path, copy.to_json())
+        extra = ["--axis", "interactions", "--values", "0"] if stage == "sweep" else []
+        assert cli.main([stage, "-c", config_path, *extra]) == 2
+        assert capsys.readouterr().err.startswith(f"[{stage}] ")
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = str(tmp_path / "out" / "a.json")
+        write_json(path, {"a": 1})
+        with open(path, "rb") as fh:
+            before = fh.read()
+        with pytest.raises(TypeError):
+            write_json(path, {"a": 2, "b": object()})  # fails after "a" is written
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("interrupted")
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert os.listdir(tmp_path / "out") == ["a.json"]
+
+
 class TestSweep:
     def test_axis_validation(self, tiny_run):
         config, _, _ = tiny_run
@@ -396,6 +492,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("text", [None, '{"seed": 1,', "[1]"])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert cli.main(["synth", "-c", str(path), "--workdir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config {path}")
 
     def test_bad_set_syntax_exits(self, cli_env):
         config_path, _ = cli_env
