@@ -25,7 +25,7 @@ from .artifacts import atomic_open, write_json
 from .coldstart import ColdDeclaration, ColdProfile, read_profiles, write_profiles
 from .embeddings import rng_for
 from .errors import EmptyUser, InvalidSpec, ParseError, SchemaViolation
-from .graph import (FORWARD, KGSchema, KnowledgeGraph, check_triplet_row,
+from .graph import (KGSchema, KnowledgeGraph, check_triplet_row,
                     read_triplet_rows)
 
 log = logging.getLogger(__name__)
@@ -77,6 +77,20 @@ def load_dataset(triplet_path: str, schema_path: str | KGSchema) -> KnowledgeGra
     return graph.freeze()
 
 
+def _forward_join(graph: KnowledgeGraph, relation: int,
+                  heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every stored (heads[j], relation, x) triplet as parallel arrays
+    (j, x), ordered by j, then by x within each j."""
+    h, r, t = graph.triplet_arrays()
+    sel = r == relation
+    by_head = np.lexsort((t[sel], h[sel]))
+    rel_heads, rel_tails = h[sel][by_head], t[sel][by_head]
+    lo = np.searchsorted(rel_heads, heads, side="left")
+    n = np.searchsorted(rel_heads, heads, side="right") - lo
+    at = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    return np.repeat(np.arange(len(heads)), n), rel_tails[at]
+
+
 def derive_relations(graph: KnowledgeGraph):
     """Materialize derived relations by joining interactions with their via
     relation. Idempotent; the same pair may be joined through many items.
@@ -92,14 +106,8 @@ def derive_relations(graph: KnowledgeGraph):
     for rel_id, spec in enumerate(graph.schema.relations):
         if spec.derived_from is None:
             continue
-        heads, rels, tails = graph.triplet_arrays()
-        via = rels == graph.relation_id(spec.derived_from.via)
-        by_item = np.lexsort((tails[via], heads[via]))
-        via_items, via_targets = heads[via][by_item], tails[via][by_item]
-        lo = np.searchsorted(via_items, items, side="left")
-        n = np.searchsorted(via_items, items, side="right") - lo
-        at = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
-        u, x = np.repeat(users, n), via_targets[at]
+        at, x = _forward_join(graph, graph.relation_id(spec.derived_from.via), items)
+        u = users[at]
         _, first = np.unique(u * graph.entity_count + x, return_index=True)
         first.sort()
         new = first[~graph.has_triplets(u[first], np.full(len(first), rel_id), x[first])]
@@ -237,46 +245,55 @@ def _cold_selection(ids: list[int], frac: Fraction, rng: np.random.Generator) ->
     return [ids[i] for i in order[:n_cold]]
 
 
-def _user_relation_targets(graph: KnowledgeGraph, user: int,
-                           hidden: list[int]) -> list[RelationTargets]:
-    """Candidate profile targets of a cold user from their hidden history."""
-    out = []
+def _user_relation_targets(graph: KnowledgeGraph, users: list[int],
+                           hidden: list[list[int]]) -> list[list[RelationTargets]]:
+    """Candidate profile targets of each cold user from their hidden history.
+
+    A derived relation's target x counts the hidden items i with a
+    (i, via, x) triplet; a stored one counts the user's own triplets.
+    Targets rank by count, then id. One grouped join per relation serves
+    every user.
+    """
+    heads = np.asarray(users, dtype=np.intp)
+    owner = np.repeat(np.arange(len(users)), [len(h) for h in hidden])
+    items = np.asarray([i for h in hidden for i in h], dtype=np.intp)
+    out: list[list[RelationTargets]] = [[] for _ in users]
+    n = graph.entity_count
     for spec in graph.schema.relations:
         if not spec.cold_integration or spec.head_type != graph.schema.user_type:
             continue
-        freq: dict[int, int] = {}
         if spec.derived_from is not None:
-            via_id = graph.relation_id(spec.derived_from.via)
-            for i in hidden:
-                for _, x, d in graph.neighbors(i, via_id):
-                    if d == FORWARD:
-                        freq[x] = freq.get(x, 0) + 1
+            at, x = _forward_join(graph, graph.relation_id(spec.derived_from.via), items)
+            at = owner[at]
         else:
-            rel_id = graph.relation_id(spec.name)
-            for _, x, d in graph.neighbors(user, rel_id):
-                if d == FORWARD:
-                    freq[x] = freq.get(x, 0) + 1
-        ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
-        out.append(RelationTargets(
-            relation=spec.name, target_type=spec.tail_type,
-            targets=tuple((graph.entity_name(x), x, f) for x, f in ranked)))
+            at, x = _forward_join(graph, graph.relation_id(spec.name), heads)
+        pairs, freq = np.unique(at * n + x, return_counts=True)
+        at, x = pairs // n, pairs % n
+        ranked = np.lexsort((x, -freq, at))
+        bounds = np.searchsorted(at[ranked], np.arange(len(users) + 1)).tolist()
+        x, freq = x[ranked].tolist(), freq[ranked].tolist()
+        for j in range(len(users)):
+            row = range(bounds[j], bounds[j + 1])
+            out[j].append(RelationTargets(
+                relation=spec.name, target_type=spec.tail_type,
+                targets=tuple((graph.entity_name(x[k]), x[k], freq[k]) for k in row)))
     return out
 
 
-def _item_profile(graph: KnowledgeGraph, item: int) -> ColdProfile:
-    """Native attribute declarations of a cold item, uncapped."""
-    decls = []
+def _item_profiles(graph: KnowledgeGraph, items: list[int]) -> list[ColdProfile]:
+    """Native attribute declarations of each cold item, uncapped: relation
+    by relation in schema order, targets by id."""
+    heads = np.asarray(items, dtype=np.intp)
+    decls: list[list[ColdDeclaration]] = [[] for _ in items]
     for spec in graph.schema.relations:
         if not spec.cold_integration or spec.head_type != graph.schema.item_type:
             continue
-        rel_id = graph.relation_id(spec.name)
-        for _, x, d in graph.neighbors(item, rel_id):
-            if d == FORWARD:
-                decls.append(ColdDeclaration(spec.name, spec.tail_type,
-                                             graph.entity_name(x)))
-    return ColdProfile(name=graph.entity_name(item),
-                       entity_type=graph.schema.item_type,
-                       declarations=tuple(decls))
+        at, x = _forward_join(graph, graph.relation_id(spec.name), heads)
+        for j, target in zip(at.tolist(), x.tolist()):
+            decls[j].append(ColdDeclaration(spec.name, spec.tail_type,
+                                            graph.entity_name(target)))
+    return [ColdProfile(name=graph.entity_name(i), entity_type=graph.schema.item_type,
+                        declarations=tuple(d)) for i, d in zip(items, decls)]
 
 
 def _train_graph(graph: KnowledgeGraph, cold: list[int],
@@ -366,15 +383,15 @@ def split_dataset(graph: KnowledgeGraph, config: SplitConfig) -> DatasetSplit:
 
     cold_user_targets: dict[str, list[RelationTargets]] = {}
     user_profiles = []
-    for u in sorted(cold_users, key=graph.entity_name):
-        targets = _user_relation_targets(graph, u, by_user[u])
+    by_name = sorted(cold_users, key=graph.entity_name)
+    for u, targets in zip(by_name, _user_relation_targets(graph, by_name,
+                                                          [by_user[u] for u in by_name])):
         uname = graph.entity_name(u)
         cold_user_targets[uname] = targets
         user_profiles.append(cap_cold_relations(
             uname, graph.schema.user_type, targets, rng,
             config.cap_low, config.cap_high))
-    item_profiles = [_item_profile(graph, i)
-                     for i in sorted(cold_items, key=graph.entity_name)]
+    item_profiles = _item_profiles(graph, sorted(cold_items, key=graph.entity_name))
 
     return DatasetSplit(
         schema=graph.schema, config=config, train_graph=train_graph,

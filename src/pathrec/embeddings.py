@@ -162,12 +162,31 @@ def _type_pools(graph: KnowledgeGraph) -> dict[str, np.ndarray]:
             for t in graph.schema.entity_types}
 
 
-def _zero_grads(table: EmbeddingTable) -> dict[str, np.ndarray]:
-    return {
-        "entity_vecs": np.zeros_like(table.entity_vecs),
-        "entity_bias": np.zeros_like(table.entity_bias),
-        "relation_vecs": np.zeros_like(table.relation_vecs),
-    }
+def _zero_grads(table: EmbeddingTable,
+                grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Zeroed gradient buffers for the table: ``grads`` zeroed in place,
+    or fresh C-ordered buffers (``_scatter_rows`` writes through a flat
+    view) when none are given."""
+    if grads is None:
+        return {
+            "entity_vecs": np.zeros(table.entity_vecs.shape),
+            "entity_bias": np.zeros(table.entity_bias.shape),
+            "relation_vecs": np.zeros(table.relation_vecs.shape),
+        }
+    for g in grads.values():
+        g.fill(0.0)
+    return grads
+
+
+def _scatter_rows(grad: np.ndarray, idx: np.ndarray, rows: np.ndarray):
+    """``np.add.at(grad, idx, rows)`` as one call on the flattened table.
+
+    Element (i, j) goes to flat index ``idx[i] * d + j``; the flat indices
+    run row by row, so every element of ``grad`` receives its
+    contributions in the order of ``idx``, as the 2-D call adds them.
+    """
+    d = grad.shape[1]
+    np.add.at(grad.reshape(-1), (idx[:, None] * d + np.arange(d)).ravel(), rows.ravel())
 
 
 def _accumulate_batch(table, grads, heads, rels, cand_ids, cand_mask, true_col, scale):
@@ -175,6 +194,9 @@ def _accumulate_batch(table, grads, heads, rels, cand_ids, cand_mask, true_col, 
 
     cand_ids: (B, C) tail ids per row; cand_mask: True where the slot is a
     real candidate; true_col: column index of the true tail per row.
+    Gradients are scattered in a fixed order: the query gradient into the
+    head rows and the relation rows, then the candidate gradients into
+    the candidate rows and biases, each in row-major (b, c) order.
     """
     query = table.entity_vecs[heads] + table.relation_vecs[rels]      # (B, d)
     cand_vecs = table.entity_vecs[cand_ids]                            # (B, C, d)
@@ -188,23 +210,25 @@ def _accumulate_batch(table, grads, heads, rels, cand_ids, cand_mask, true_col, 
     dscores = probs * scale
     dscores[np.arange(len(heads)), true_col] -= scale
     dquery = np.einsum("bc,bcd->bd", dscores, cand_vecs)
-    np.add.at(grads["entity_vecs"], heads, dquery)
-    np.add.at(grads["relation_vecs"], rels, dquery)
+    _scatter_rows(grads["entity_vecs"], heads, dquery)
+    _scatter_rows(grads["relation_vecs"], rels, dquery)
     dcand = dscores[:, :, None] * query[:, None, :]
-    np.add.at(grads["entity_vecs"], cand_ids.ravel(), dcand.reshape(-1, table.dim))
+    _scatter_rows(grads["entity_vecs"], cand_ids.ravel(), dcand)
     np.add.at(grads["entity_bias"], cand_ids.ravel(), dscores.ravel())
     return loss
 
 
 def sampled_softmax_grads(table: EmbeddingTable, graph: KnowledgeGraph,
                           triplets: np.ndarray, pools: dict[str, np.ndarray],
-                          negatives: int, rng: np.random.Generator):
+                          negatives: int, rng: np.random.Generator,
+                          grads: dict[str, np.ndarray] | None = None):
     """Mean negative log sampled-softmax probability and its gradients.
 
     Negatives are drawn uniformly from entities of the tail type; draws
-    equal to the true tail are masked out of the slate.
+    equal to the true tail are masked out of the slate. The gradients go
+    into ``grads``, zeroed first, or into fresh buffers.
     """
-    grads = _zero_grads(table)
+    grads = _zero_grads(table, grads)
     B = len(triplets)
     heads, rels, tails = triplets[:, 0], triplets[:, 1], triplets[:, 2]
     neg = np.empty((B, negatives), dtype=np.intp)
@@ -221,9 +245,11 @@ def sampled_softmax_grads(table: EmbeddingTable, graph: KnowledgeGraph,
 
 
 def full_softmax_grads(table: EmbeddingTable, graph: KnowledgeGraph,
-                       triplets: np.ndarray, pools: dict[str, np.ndarray]):
-    """Exact softmax over all type-compatible tails; mean loss and gradients."""
-    grads = _zero_grads(table)
+                       triplets: np.ndarray, pools: dict[str, np.ndarray],
+                       grads: dict[str, np.ndarray] | None = None):
+    """Exact softmax over all type-compatible tails; mean loss and gradients
+    (into ``grads``, zeroed first, or into fresh buffers)."""
+    grads = _zero_grads(table, grads)
     B = len(triplets)
     loss = 0.0
     rels = triplets[:, 1]
@@ -257,15 +283,16 @@ def train_embeddings(graph: KnowledgeGraph, config: EmbedTrainConfig) -> Embeddi
     params = [table.entity_vecs, table.relation_vecs, table.entity_bias]
     opt = Adam(params, lr=config.learning_rate)
     rng = rng_for(config.seed, "embed-train")
+    grads = _zero_grads(table)
     for _ in range(config.epochs):
         order = rng.permutation(len(triplets))
         for start in range(0, len(order), config.batch_size):
             batch = triplets[order[start:start + config.batch_size]]
             if config.full_softmax:
-                _, grads = full_softmax_grads(table, graph, batch, pools)
+                full_softmax_grads(table, graph, batch, pools, grads=grads)
             else:
-                _, grads = sampled_softmax_grads(table, graph, batch, pools,
-                                                 config.negatives, rng)
+                sampled_softmax_grads(table, graph, batch, pools, config.negatives, rng,
+                                      grads=grads)
             opt.step([grads["entity_vecs"], grads["relation_vecs"], grads["entity_bias"]])
     return table
 

@@ -61,6 +61,7 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
     if table.entity_count < graph.entity_count:
         raise MissingEmbedding(f"table has {table.entity_count} entity rows, "
                                f"the graph {graph.entity_count} entities")
+    policy.check_walk(table, len(widths))
     budget = len(widths)
     user_scores = score_all_tails(table, user, graph.interaction_relation)[None, :]
     frontier = Frontier.start([user])
@@ -68,7 +69,7 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
     for width in widths:
         P = len(frontier)
         slates = frontier.slates(graph, cap, user_scores, np.zeros(P, dtype=np.intp))
-        probs, _, _ = policy.forward(frontier.encode(table, budget), slates.sizes)
+        probs, _, _ = policy.forward(frontier.encode(table), slates.sizes)
         S = slates.target.shape[1]
         valid = np.arange(S) < slates.sizes[:, None]
         p = np.where(valid, probs[:, :S], -1.0)

@@ -9,7 +9,7 @@ hit test on the user's training interactions.
 Walks run on a ``Frontier``: many paths held as (P, t+1) entity and
 (P, t) relation/direction arrays. ``Frontier.slates`` builds every row's
 slate in one pass over the graph's CSR arrays and ``Frontier.encode``
-every row's state vector in one gather; beam search and rollouts use
+every row's live state prefix in one gather; beam search and rollouts use
 only these. A row with more moves than the action cap keeps its top
 moves by selection: one ``np.partition`` finds each such row's cut
 score, and ties at the cut go to the moves earliest in canonical order,
@@ -263,21 +263,26 @@ class Frontier:
             out.append(a)
         return Slates(*out, sizes)
 
-    def encode(self, table: EmbeddingTable, budget: int) -> np.ndarray:
-        """Every row's ``encode_state`` vector, gathered in one pass.
+    def encode(self, table: EmbeddingTable) -> np.ndarray:
+        """Every row's live state prefix, gathered in one pass.
 
-        Relation rows come from the relation table extended by the
-        self-loop vector, which SELF_LOOP (-1) indexes as its last row.
+        At hop t only the first (1 + 2t)·d columns of an ``encode_state``
+        vector can be nonzero: the start user, then a relation block and
+        an entity block per hop taken. Those columns are returned, shape
+        (P, (1 + 2t)·d); ``PolicyModel.forward`` supplies the zero blocks
+        up to the hop budget where it needs them. Relation rows come from
+        the relation table extended by the self-loop vector, which
+        SELF_LOOP (-1) indexes as its last row.
         """
         if self.entities.size and self.entities.max() >= table.entity_count:
             raise MissingEmbedding("a frontier entity has no embedding row")
         P, t = len(self), self.hops
-        out = np.zeros((P, 1 + 2 * budget, table.dim))
+        out = np.empty((P, 1 + 2 * t, table.dim))
         out[:, 0] = table.entity_vecs[self.entities[:, 0]]
         if t:
             rel_rows = np.vstack([table.relation_vecs, table.self_loop_vec])
-            out[:, 1:2 * t:2] = rel_rows[self.relations]
-            out[:, 2:2 * t + 1:2] = table.entity_vecs[self.entities[:, 1:]]
+            out[:, 1::2] = rel_rows[self.relations]
+            out[:, 2::2] = table.entity_vecs[self.entities[:, 1:]]
         return out.reshape(P, -1)
 
     def advance(self, slates: Slates, parent: np.ndarray, slot: np.ndarray) -> "Frontier":

@@ -57,6 +57,9 @@ class PolicyModel:
 
     def __init__(self, state_dim: int, config: AgentConfig):
         config.validate()
+        if state_dim < 1 or state_dim % (1 + 2 * config.hop_budget):
+            raise InvalidSpec(f"state_dim {state_dim} is no whole number of blocks "
+                              f"for {config.hop_budget} hops")
         self.config = config
         self.state_dim = state_dim
         self.slate_size = 1 + config.max_actions
@@ -78,22 +81,55 @@ class PolicyModel:
         return [self.W1, self.b1, self.W2, self.b2, self.W3, self.b3, self.Wv, self.bv]
 
     def forward(self, X: np.ndarray, slate_sizes: np.ndarray):
-        """Masked action probabilities, baseline values, and a backward cache."""
-        h1 = np.maximum(X @ self.W1 + self.b1, 0.0)
-        h2 = np.maximum(h1 @ self.W2 + self.b2, 0.0)
-        logits = h2 @ self.W3 + self.b3
+        """Masked action probabilities, baseline values, and a backward cache.
+
+        ``X`` holds each row's live state prefix (``Frontier.encode``): at
+        hop t the first k = (1 + 2t)·d columns of a ``state_dim``-wide
+        state, whose other columns are zero. With more than one row and
+        2k <= ``state_dim`` the prefix is multiplied by ``W1[:k]``;
+        otherwise it is zero-padded to full width. The rule keeps every
+        product bitwise equal to the full-width one: this OpenBLAS build
+        appears to sum K in two halves, so the prefix product matches up
+        to half the width and differs beyond it, and a single row goes
+        to gemv, whose remainder loop sums a prefix of 3 mod 4 columns
+        differently. The tests pin both. The elementwise tail runs in
+        place; it is the same sequence of operations.
+        """
+        k = X.shape[1]
+        d = self.state_dim // (1 + 2 * self.config.hop_budget)
+        if k > self.state_dim or k % d or (k // d) % 2 == 0:
+            raise InvalidSpec(f"a {k}-wide state is no live prefix of the policy's "
+                              f"{self.state_dim}-wide state of {d}-dim blocks")
+        rows = X
+        if k < self.state_dim and (len(X) == 1 or 2 * k > self.state_dim):
+            rows = np.zeros((len(X), self.state_dim))
+            rows[:, :k] = X
+        h1 = rows @ self.W1[:rows.shape[1]]
+        h1 += self.b1
+        np.maximum(h1, 0.0, out=h1)
+        h2 = h1 @ self.W2
+        h2 += self.b2
+        np.maximum(h2, 0.0, out=h2)
+        logits = h2 @ self.W3
+        logits += self.b3
         mask = np.arange(self.slate_size) < slate_sizes[:, None]
-        logits = np.where(mask, logits, -np.inf)
-        logits = logits - logits.max(axis=1, keepdims=True)
-        exp = np.where(mask, np.exp(logits), 0.0)
-        probs = exp / exp.sum(axis=1, keepdims=True)
+        logits[~mask] = -np.inf
+        logits -= logits.max(axis=1, keepdims=True)
+        probs = np.exp(logits, out=logits)
+        probs /= probs.sum(axis=1, keepdims=True)
         values = h2 @ self.Wv + self.bv[0]
         cache = (X, h1, h2, mask)
         return probs, values, cache
 
     def backward(self, cache, dlogits: np.ndarray, dvalues: np.ndarray,
                  grads: list[np.ndarray]):
-        """Accumulate parameter gradients for one cached forward pass."""
+        """Accumulate parameter gradients for one cached forward pass.
+
+        The cached state is a k-column prefix, so only ``W1``'s first k
+        gradient rows receive a product; the rest would receive exact
+        zeros. Slicing picks output rows and leaves each sum's order as
+        it is, so this is bitwise equal at every width.
+        """
         X, h1, h2, _ = cache
         grads[4] += h2.T @ dlogits
         grads[5] += dlogits.sum(axis=0)
@@ -105,11 +141,26 @@ class PolicyModel:
         grads[3] += dz2.sum(axis=0)
         dh1 = dz2 @ self.W2.T
         dz1 = dh1 * (h1 > 0)
-        grads[0] += X.T @ dz1
+        grads[0][:X.shape[1]] += X.T @ dz1
         grads[1] += dz1.sum(axis=0)
 
-    def zero_grads(self) -> list[np.ndarray]:
-        return [np.zeros_like(p) for p in self.params]
+    def zero_grads(self, grads: list[np.ndarray] | None = None) -> list[np.ndarray]:
+        """One zeroed gradient buffer per parameter: ``grads`` zeroed in
+        place, or fresh buffers when none are given."""
+        if grads is None:
+            return [np.zeros_like(p) for p in self.params]
+        for g in grads:
+            g.fill(0.0)
+        return grads
+
+    def check_walk(self, table: EmbeddingTable, hops: int):
+        """Raise unless ``hops``-hop walks over ``table`` encode this
+        policy's states, so each state prefix meets the right rows of W1."""
+        if hops != self.config.hop_budget or state_dim_for(table, hops) != self.state_dim:
+            raise InvalidSpec(
+                f"{hops}-hop walks over {table.dim}-dim embeddings encode "
+                f"{state_dim_for(table, hops)}-wide states; the policy takes "
+                f"{self.config.hop_budget} hops and {self.state_dim}-wide states")
 
     def save(self, path: str, config_hash: str = ""):
         cfg = asdict(self.config)
@@ -165,9 +216,11 @@ def rollout_batch(policy: PolicyModel | None, graph: KnowledgeGraph,
     """
     if not len(users):
         raise InvalidSpec("rollouts need at least one user")
-    if policy is not None and max_actions > policy.config.max_actions:
-        raise InvalidSpec(f"max_actions {max_actions} exceeds the policy's slate of "
-                          f"{policy.config.max_actions} actions")
+    if policy is not None:
+        policy.check_walk(table, hop_budget)
+        if max_actions > policy.config.max_actions:
+            raise InvalidSpec(f"max_actions {max_actions} exceeds the policy's slate of "
+                              f"{policy.config.max_actions} actions")
     if table.entity_count < graph.entity_count:
         raise MissingEmbedding(f"table has {table.entity_count} entity rows, "
                                f"the graph {graph.entity_count} entities")
@@ -186,7 +239,7 @@ def rollout_batch(policy: PolicyModel | None, graph: KnowledgeGraph,
         slates = frontier.slates(graph, max_actions, scores, score_rows)
         sizes = slates.sizes
         if policy is not None:
-            probs, values, cache = policy.forward(frontier.encode(table, hop_budget), sizes)
+            probs, values, cache = policy.forward(frontier.encode(table), sizes)
         else:
             mask = np.arange(max(sizes.max(), 1)) < sizes[:, None]
             probs = mask / sizes[:, None]
@@ -237,12 +290,16 @@ def _apply_reinforce_grads(policy: PolicyModel, records: list[StepRecord],
 def episode_gradients(policy: PolicyModel, graph: KnowledgeGraph,
                       table: EmbeddingTable, users: list[int], config: AgentConfig,
                       reward_spec: RewardSpec, rng: np.random.Generator,
-                      forced_actions: list[list[int]] | None = None):
-    """One rollout batch and its REINFORCE gradients (exposed for tests)."""
+                      forced_actions: list[list[int]] | None = None,
+                      grads: list[np.ndarray] | None = None):
+    """One rollout batch and its REINFORCE gradients (exposed for tests).
+
+    The gradients go into ``grads``, zeroed first, or into fresh buffers.
+    """
     records, rewards, _ = rollout_batch(policy, graph, table, users,
                                         config.hop_budget, config.max_actions,
                                         reward_spec, rng, forced_actions)
-    grads = policy.zero_grads()
+    grads = policy.zero_grads(grads)
     entropy = _apply_reinforce_grads(policy, records, rewards, config.gamma,
                                      config.entropy_coef, grads)
     return grads, rewards, entropy
@@ -267,6 +324,7 @@ def train_agent(graph: KnowledgeGraph, table: EmbeddingTable,
     policy = PolicyModel(state_dim_for(table, config.hop_budget), config)
     opt = Adam(policy.params, lr=config.learning_rate)
     rng = rng_for(config.seed, "agent-train")
+    grads = policy.zero_grads()
     history: list[tuple[int, float, float]] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(users))
@@ -274,8 +332,8 @@ def train_agent(graph: KnowledgeGraph, table: EmbeddingTable,
         for _ in range(config.episodes_per_user):
             for start in range(0, len(order), config.batch_size):
                 batch = [users[i] for i in order[start:start + config.batch_size]]
-                grads, rewards, entropy = episode_gradients(
-                    policy, graph, table, batch, config, reward_spec, rng)
+                _, rewards, entropy = episode_gradients(
+                    policy, graph, table, batch, config, reward_spec, rng, grads=grads)
                 opt.step(grads)
                 reward_sum += rewards.sum()
                 entropy_sum += entropy

@@ -9,7 +9,7 @@ from pathrec.embeddings import (EmbedTrainConfig, EmbeddingTable,
                                 init_table, load_table, rng_for,
                                 sampled_softmax_grads, save_table,
                                 score_tails, score_triplet, train_embeddings,
-                                _type_pools)
+                                _scatter_rows, _type_pools)
 from pathrec.errors import (EmptyCandidates, EmptyGraph, InvalidSpec,
                             MissingEmbedding)
 from pathrec.graph import KnowledgeGraph
@@ -158,6 +158,40 @@ class TestGradients:
             return full_softmax_grads(table, tiny_graph, triplets, pools)
 
         finite_difference_check(tiny_graph, loss_and_grads)
+
+
+    def test_flat_scatter_bitwise_equals_2d_add_at(self):
+        rng = np.random.default_rng(5)
+        for rows, entities, d in ((3072, 820, 100), (40, 3, 6), (7, 1, 1)):
+            idx = rng.integers(0, entities, size=rows)  # heavily repeated
+            vals = rng.normal(size=(rows, d)) * 10.0 ** rng.integers(-8, 8, size=(rows, 1))
+            base = rng.normal(size=(entities, d))
+            want = base.copy()
+            np.add.at(want, idx, vals)
+            got = base.copy()
+            _scatter_rows(got, idx, vals)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_reused_buffers_equal_fresh_over_two_batches(self, tiny_graph, full):
+        table = init_table(tiny_graph, EmbedTrainConfig(dim=6, seed=2))
+        triplets = np.asarray(list(tiny_graph.triplets()), dtype=np.intp)
+        pools = _type_pools(tiny_graph)
+        fresh_rng, reused_rng = rng_for(3, "batches"), rng_for(3, "batches")
+        buffers = None
+        for batch in (triplets[:5], triplets[2:]):
+            if full:
+                fresh = full_softmax_grads(table, tiny_graph, batch, pools)
+                reused = full_softmax_grads(table, tiny_graph, batch, pools, grads=buffers)
+            else:
+                fresh = sampled_softmax_grads(table, tiny_graph, batch, pools, 3, fresh_rng)
+                reused = sampled_softmax_grads(table, tiny_graph, batch, pools, 3,
+                                               reused_rng, grads=buffers)
+            assert buffers is None or reused[1] is buffers
+            buffers = reused[1]
+            assert reused[0] == fresh[0]
+            for name in fresh[1]:
+                np.testing.assert_array_equal(reused[1][name], fresh[1][name])
 
 
 class TestTraining:

@@ -71,6 +71,20 @@ class TestBeamSearch:
         with pytest.raises(ValueError):
             beam_search(user, policy, tiny_graph, small_table, [2, 0])
 
+    def test_table_of_another_dim_rejected(self, tiny_graph, small_table):
+        narrow = init_table(tiny_graph, EmbedTrainConfig(dim=4, seed=3))
+        policy = fresh_policy(small_table, 3)  # 56-wide states; narrow encodes 28
+        user = tiny_graph.entity_id("user", "u0")
+        with pytest.raises(InvalidSpec, match="28-wide states"):
+            beam_search(user, policy, tiny_graph, narrow, [2, 2, 2])
+
+    def test_widths_other_than_the_hop_budget_rejected(self, tiny_graph, small_table):
+        policy = fresh_policy(small_table, 3)
+        user = tiny_graph.entity_id("user", "u0")
+        for widths in ([2, 2], [2, 2, 2, 2]):
+            with pytest.raises(InvalidSpec, match="3 hops"):
+                beam_search(user, policy, tiny_graph, small_table, widths)
+
     def test_wide_beam_is_exhaustive(self, tiny_graph, small_table):
         policy = fresh_policy(small_table, 2)
         u0 = tiny_graph.entity_id("user", "u0")

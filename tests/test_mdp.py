@@ -422,18 +422,22 @@ class TestFrontier:
         assert rows[0][0] == Action(SELF_LOOP, i0, FORWARD)
 
     def test_encode_equals_scalar_stack(self, make_graph):
+        """encode returns the live prefix of the scalar state: its first
+        (1 + 2t)·d columns at hop t; the rest of the scalar row is zero."""
         g = make_graph(n_users=6, n_items=12, seed=1)
         table = init_table(g, EmbedTrainConfig(dim=5, seed=4))
         rng = np.random.default_rng(8)
         for hops in range(4):
             states = random_states(g, rng, 9, hops, budget=3, loop_share=0.5)
             want = np.stack([encode_state(s, table) for s in states])
-            np.testing.assert_array_equal(frontier_of(states).encode(table, 3), want)
+            live = (1 + 2 * hops) * table.dim
+            np.testing.assert_array_equal(frontier_of(states).encode(table), want[:, :live])
+            assert np.all(want[:, live:] == 0.0)
 
     def test_encode_rejects_rowless_entity(self, tiny_graph, small_table):
         f = Frontier.start([small_table.entity_count])
         with pytest.raises(MissingEmbedding):
-            f.encode(small_table, 2)
+            f.encode(small_table)
 
     def test_advance_and_states_equal_step(self, make_graph):
         g = make_graph(n_users=5, n_items=10, seed=2)

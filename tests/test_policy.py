@@ -51,6 +51,110 @@ class TestForward:
             AgentConfig(hidden=(4, 4, 4)).validate()
 
 
+def pad(X, width):
+    full = np.zeros((len(X), width))
+    full[:, :X.shape[1]] = X
+    return full
+
+
+# (embedding dim, hidden sizes): the default config and the test dims
+KERNEL_DIMS = [(100, (512, 256)), (4, (16, 8)), (5, (16, 8)), (6, (16, 8)),
+               (7, (16, 8)), (8, (16, 8))]
+PREFIX_ROWS = [1, 10, 25, 47, 64, 125]
+
+
+def kernel_policy(d, hidden):
+    cfg = AgentConfig(hop_budget=3, max_actions=250, hidden=hidden, seed=d)
+    return PolicyModel(7 * d, cfg)
+
+
+class TestPrefixKernels:
+    """The live-prefix forward and backward against the full-width ones.
+
+    Equality of the sliced products depends on how the BLAS build sums
+    K; if it blocks differently these fail, rather than the trained
+    artifacts changing silently."""
+
+    @pytest.mark.parametrize("d,hidden", KERNEL_DIMS)
+    def test_prefix_forward_bitwise_equals_full_width(self, d, hidden):
+        policy = kernel_policy(d, hidden)
+        rng = np.random.default_rng(d)
+        for t in range(4):
+            k = (1 + 2 * t) * d
+            for P in PREFIX_ROWS:
+                X = rng.normal(size=(P, k))
+                sizes = rng.integers(1, policy.slate_size + 1, size=P)
+                if P > 1 and 2 * k <= policy.state_dim:  # the sliced hops
+                    np.testing.assert_array_equal(X @ policy.W1[:k],
+                                                  pad(X, policy.state_dim) @ policy.W1)
+                got = policy.forward(X, sizes)
+                want = policy.forward(pad(X, policy.state_dim), sizes)
+                for a, b in zip(got[:2] + got[2][1:], want[:2] + want[2][1:]):
+                    np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("d,hidden", KERNEL_DIMS[:2])
+    def test_only_short_multi_row_prefixes_are_sliced(self, d, hidden):
+        """W1 rows beyond the prefix are poisoned with NaN: a product
+        that reads them (the zero-padded full width) turns NaN."""
+        policy = kernel_policy(d, hidden)
+        rng = np.random.default_rng(1)
+        for t in range(3):
+            k = (1 + 2 * t) * d
+            policy.W1[k:] = np.nan
+            for P in (1, 10):
+                probs, _, _ = policy.forward(rng.normal(size=(P, k)), np.full(P, 3))
+                sliced = P > 1 and 2 * k <= policy.state_dim
+                assert np.isnan(probs).any() != sliced, (t, P)
+            policy.W1[k:] = 0.0
+
+    @pytest.mark.parametrize("d,hidden", KERNEL_DIMS)
+    def test_prefix_backward_bitwise_equals_full_width(self, d, hidden):
+        policy = kernel_policy(d, hidden)
+        rng = np.random.default_rng(d + 1)
+        for t in range(4):
+            k = (1 + 2 * t) * d
+            for P in PREFIX_ROWS:
+                X = rng.normal(size=(P, k))
+                sizes = rng.integers(1, policy.slate_size + 1, size=P)
+                _, _, cache = policy.forward(X, sizes)
+                dlogits = rng.normal(size=(P, policy.slate_size))
+                dvalues = rng.normal(size=P)
+                got, want = policy.zero_grads(), policy.zero_grads()
+                policy.backward(cache, dlogits, dvalues, got)
+                policy.backward((pad(X, policy.state_dim),) + cache[1:], dlogits,
+                                dvalues, want)
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_width_that_is_no_live_prefix_rejected(self, small_table):
+        policy, _ = small_policy(small_table, 3)
+        d = small_table.dim
+        for width in (2 * d, 3 * d + 1, 9 * d):
+            with pytest.raises(InvalidSpec, match="live prefix"):
+                policy.forward(np.zeros((2, width)), np.asarray([1, 1]))
+
+    def test_state_dim_off_the_block_grid_rejected(self):
+        with pytest.raises(InvalidSpec, match="blocks"):
+            PolicyModel(20, AgentConfig(hop_budget=3, hidden=(16, 8)))
+
+    def test_reused_buffers_equal_fresh_over_two_batches(self, make_graph):
+        g = make_graph(n_users=8, n_items=20, n_brands=2, n_categories=2,
+                       interactions=7, seed=1)
+        table = init_table(g, EmbedTrainConfig(dim=6, seed=1))
+        policy, cfg = small_policy(table, 3)
+        spec = RewardSpec.binary(g)
+        users = training_users(g)
+        buffers = policy.zero_grads()
+        fresh_rng, reused_rng = rng_for(4, "batches"), rng_for(4, "batches")
+        for batch in (users[:5], users[3:]):
+            fresh, _, _ = episode_gradients(policy, g, table, batch, cfg, spec, fresh_rng)
+            reused, _, _ = episode_gradients(policy, g, table, batch, cfg, spec,
+                                             reused_rng, grads=buffers)
+            assert reused is buffers
+            for a, b in zip(reused, fresh):
+                np.testing.assert_array_equal(a, b)
+
+
 class TestGradientOracle:
     """Single-step policy gradient against finite differences.
 
@@ -217,11 +321,14 @@ class TestBatchedRollout:
         assert states == want_states
         np.testing.assert_array_equal(rewards, want_rewards)
         assert len(records) == len(hops)
-        for rec, (X, probs, values, chosen, sizes) in zip(records, hops):
+        for t, (rec, (X, probs, values, chosen, sizes)) in enumerate(zip(records, hops)):
             if X is None:
                 assert rec.cache is None
             else:
-                np.testing.assert_array_equal(rec.cache[0], X)
+                # the cache holds the live prefix; the scalar row is zero beyond it
+                live = (1 + 2 * t) * X.shape[1] // (1 + 2 * len(hops))
+                np.testing.assert_array_equal(rec.cache[0], X[:, :live])
+                assert np.all(X[:, live:] == 0.0)
             np.testing.assert_array_equal(rec.probs, probs)
             np.testing.assert_array_equal(rec.values, values)
             np.testing.assert_array_equal(rec.chosen, chosen)
@@ -293,6 +400,21 @@ class TestBatchedRollout:
             with pytest.raises(InvalidSpec, match="at least one user"):
                 evaluate_mean_reward(behavior, tiny_graph, small_table, [], 2,
                                      cfg.max_actions, spec, seed=0)
+
+    def test_table_of_another_dim_rejected(self, tiny_graph, small_table):
+        narrow = init_table(tiny_graph, EmbedTrainConfig(dim=4, seed=3))
+        policy, cfg = small_policy(small_table, 3)  # 56-wide states; narrow encodes 28
+        u0 = tiny_graph.entity_id("user", "u0")
+        with pytest.raises(InvalidSpec, match="28-wide states"):
+            rollout_batch(policy, tiny_graph, narrow, [u0], 3, cfg.max_actions,
+                          RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
+
+    def test_hop_count_other_than_the_policy_rejected(self, tiny_graph, small_table):
+        policy, cfg = small_policy(small_table, 3)
+        u0 = tiny_graph.entity_id("user", "u0")
+        with pytest.raises(InvalidSpec, match="3 hops"):
+            rollout_batch(policy, tiny_graph, small_table, [u0], 2, cfg.max_actions,
+                          RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
 
     @pytest.mark.parametrize("episodes", [0, -1])
     def test_no_episodes_rejected(self, tiny_graph, small_table, episodes):

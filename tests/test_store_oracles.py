@@ -403,6 +403,68 @@ class TestBulkLoad:
         assert_same_store(split.train_graph, reference_load(str(path), graph.schema))
 
 
+    def test_split_profiles_equal_walk_reference(self, schema, monkeypatch):
+        """Cold-user targets and cold-item profiles against the per-user,
+        per-item neighbor walk; the split itself calls no ``neighbors``.
+        A stored (not derived) user relation covers the other join, and
+        items in several categories fix the declaration order."""
+        spec = schema.to_json()
+        spec["relations"].append({"name": "follows", "head": "user", "tail": "brand",
+                                  "cold_integration": True})
+        schema = KGSchema.from_json(spec)
+        g = build_shop_graph(schema, n_users=30, n_items=24, n_brands=4,
+                             n_categories=3, interactions=6, seed=11).clone()
+        rng = np.random.default_rng(2)
+        users, brands = g.entities_of_type("user"), g.entities_of_type("brand")
+        follows = rng.choice(len(users) * len(brands), size=40, replace=False)
+        g.add_triplets(np.asarray(users)[follows // len(brands)],
+                       np.full(40, g.relation_id("follows")),
+                       np.asarray(brands)[follows % len(brands)])
+        items = np.asarray(g.entities_of_type("item"))[::2]
+        cats = np.asarray(g.entities_of_type("category"))
+        g.add_triplets(items, np.full(len(items), g.relation_id("belong_to")),
+                       cats[np.arange(len(items)) % len(cats)])
+        g = g.freeze()
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("split_dataset walked graph.neighbors")
+
+        monkeypatch.setattr(KnowledgeGraph, "neighbors", no_walk)
+        split = split_dataset(g, SplitConfig(cold_frac=0.3, seed=5))
+        monkeypatch.undo()
+
+        by_user = g.interactions_by_user()
+        for uname, got in split.cold_user_targets.items():
+            u = g.entity_id("user", uname)
+            want = []
+            for rs in schema.relations:
+                if not rs.cold_integration or rs.head_type != "user":
+                    continue
+                freq: dict[int, int] = {}
+                walks = ([(i, rs.derived_from.via) for i in by_user[u]]
+                         if rs.derived_from else [(u, rs.name)])
+                for e, rel in walks:
+                    for _, x, d in g.neighbors(e, g.relation_id(rel)):
+                        if d == FORWARD:
+                            freq[x] = freq.get(x, 0) + 1
+                ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
+                want.append((rs.name, rs.tail_type,
+                             tuple((g.entity_name(x), x, f) for x, f in ranked)))
+            assert [(rt.relation, rt.target_type, rt.targets) for rt in got] == want
+        assert any(rt.targets for rts in split.cold_user_targets.values()
+                   for rt in rts if rt.relation == "follows")
+        assert any(sum(d.relation == "belong_to" for d in prof.declarations) > 1
+                   for prof in split.item_profiles)
+        for prof in split.item_profiles:
+            item = g.entity_id("item", prof.name)
+            want = [ColdDeclaration(rs.name, rs.tail_type, g.entity_name(x))
+                    for rs in schema.relations
+                    if rs.cold_integration and rs.head_type == "item"
+                    for _, x, d in g.neighbors(item, g.relation_id(rs.name))
+                    if d == FORWARD]
+            assert list(prof.declarations) == want
+
+
 # -- cold integration ------------------------------------------------------------
 
 
