@@ -18,9 +18,7 @@ from .graph import (FORWARD, INVERSE, DerivationRule, KGSchema, KnowledgeGraph,
                     RelationSpec)
 from .inference import (Explanation, Recommendation, RecommendationList,
                         beam_search, explain, rank_recommendations)
-from .mdp import (Action, PathState, RewardSpec, path_signature,
-                  reward_binary, reward_pattern, signature_label, step,
-                  valid_actions)
+from .mdp import PathState, RewardSpec, path_signature, signature_label
 from .metrics import (cold_item_coverage, cold_item_proportion, hit_at_k,
                       ndcg_at_k, pattern_report, pop_baseline, popb_at_k,
                       train_popularity)
@@ -30,7 +28,7 @@ from .policy import AgentConfig, PolicyModel, evaluate_mean_reward, train_agent
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action", "AgentConfig", "ColdDeclaration", "ColdProfile", "ColdStrategy",
+    "AgentConfig", "ColdDeclaration", "ColdProfile", "ColdStrategy",
     "DatasetSplit", "DerivationRule", "EmbedTrainConfig", "EmbeddingTable",
     "Explanation", "FORWARD", "INVERSE", "KGSchema", "KnowledgeGraph",
     "PathState", "PolicyModel", "Recommendation", "RecommendationList",
@@ -40,8 +38,8 @@ __all__ = [
     "explain", "generate_synthetic", "hit_at_k", "integrate_cold_entities",
     "load_dataset", "load_table", "ndcg_at_k", "path_signature",
     "pattern_report", "pop_baseline", "popb_at_k", "rank_recommendations",
-    "recommend_cold", "reward_binary", "reward_pattern", "rng_for",
+    "recommend_cold", "rng_for",
     "run_pipeline", "run_seeds", "save_table", "score_triplet",
-    "signature_label", "split_dataset", "step", "sweep", "synthetic_schema",
-    "train_agent", "train_embeddings", "train_popularity", "valid_actions",
+    "signature_label", "split_dataset", "sweep", "synthetic_schema",
+    "train_agent", "train_embeddings", "train_popularity",
 ]

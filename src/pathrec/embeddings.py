@@ -150,7 +150,7 @@ def conditional_prob(table: EmbeddingTable, head: int, relation: int, tail: int,
     if not cands:
         raise EmptyCandidates("candidate set is empty")
     if tail not in set(cands):
-        raise ValueError("tail must be a member of the candidate set")
+        raise InvalidSpec("tail must be a member of the candidate set")
     scores = score_tails(table, head, relation, np.asarray(cands, dtype=np.intp))
     scores = scores - scores.max()
     exp = np.exp(scores)

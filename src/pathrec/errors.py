@@ -49,10 +49,6 @@ class InvalidAction(PathRecError):
     """An action is not valid in the current path state."""
 
 
-class IncompletePath(PathRecError):
-    """A terminal-only operation was applied to a partial path."""
-
-
 class EmptyProfile(PathRecError):
     """A cold-entity profile has no usable declarations."""
 

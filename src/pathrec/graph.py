@@ -327,6 +327,10 @@ class KnowledgeGraph:
     def is_user(self, e: int) -> bool:
         return self.entity_type(e) == self.schema.user_type
 
+    def has_type(self, entities: np.ndarray, etype: str) -> np.ndarray:
+        """Whether each registered entity id in an array is of type ``etype``."""
+        return self._types[entities] == self._type_index[etype]
+
     # -- triplets ---------------------------------------------------------
 
     def _check_mutable(self):

@@ -24,10 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable, score_all_tails, score_tails
-from .errors import InvalidSpec, MissingEmbedding, UnknownUser
+from .errors import InvalidSpec, UnknownUser
 from .graph import FORWARD, KnowledgeGraph
-from .mdp import Frontier, PathState
-from .policy import PolicyModel
+from .mdp import SELF_LOOP, Frontier, PathState
+from .policy import PolicyModel, check_walk
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,10 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
     if not graph.is_user(user):
         raise UnknownUser(f"entity {user} is not of type {graph.schema.user_type}")
     if any(w < 1 for w in widths):
-        raise ValueError("beam widths must be >= 1")
+        raise InvalidSpec("beam widths must be >= 1")
     cap = policy.config.max_actions if max_actions is None else max_actions
-    if cap > policy.config.max_actions:
-        raise InvalidSpec(f"max_actions {cap} exceeds the policy's slate of "
-                          f"{policy.config.max_actions} actions")
-    if table.entity_count < graph.entity_count:
-        raise MissingEmbedding(f"table has {table.entity_count} entity rows, "
-                               f"the graph {graph.entity_count} entities")
-    policy.check_walk(table, len(widths))
     budget = len(widths)
+    check_walk(policy, graph, table, budget, cap)
     user_scores = score_all_tails(table, user, graph.interaction_relation)[None, :]
     frontier = Frontier.start([user])
     logprob = np.zeros(1)
@@ -173,8 +167,6 @@ def explain(path: ScoredPath | PathState, graph: KnowledgeGraph) -> Explanation:
     """Render a path as readable hops; self-loop steps are skipped."""
     state = path.state if isinstance(path, ScoredPath) else path
     hops = []
-    from .mdp import SELF_LOOP
-
     for (rel, d), head, tail in zip(state.relations, state.entities, state.entities[1:]):
         if rel == SELF_LOOP:
             continue

@@ -8,42 +8,30 @@ hit test on the user's training interactions.
 
 Walks run on a ``Frontier``: many paths held as (P, t+1) entity and
 (P, t) relation/direction arrays. ``Frontier.slates`` builds every row's
-slate in one pass over the graph's CSR arrays and ``Frontier.encode``
-every row's live state prefix in one gather; beam search and rollouts use
-only these. A row with more moves than the action cap keeps its top
-moves by selection: one ``np.partition`` finds each such row's cut
-score, and ties at the cut go to the moves earliest in canonical order,
-which is the scalar tie-break. The scalar per-state functions
-``valid_actions``, ``step`` and ``encode_state`` define the same
-semantics one state at a time; they remain the public per-state API and
-the oracles the batched kernels are tested against.
+slate in one pass over the graph's CSR arrays, ``Frontier.encode`` every
+row's live state prefix in one gather, and ``RewardSpec.terminal_reward``
+every row's reward in one call; beam search and rollouts use only these.
+A row with more moves than the action cap keeps its top moves by
+selection: one ``np.partition`` finds each such row's cut score, and ties
+at the cut go to the moves earliest in canonical order. ``PathState`` is
+one walked path as an immutable value, built from a frontier's rows where
+a path leaves the walk (beam search results, explanations, reports).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (BudgetExhausted, EmptyCandidates, IncompletePath,
-                     InvalidAction, MissingEmbedding, SchemaViolation)
+from .errors import MissingEmbedding, SchemaViolation
 from .embeddings import EmbeddingTable, score_tails
 from .graph import FORWARD, INVERSE, KnowledgeGraph
 
 SELF_LOOP = -1  # sentinel relation id for the stay-in-place action
 
 MAX_ACTIONS_DEFAULT = 250
-
-
-class Action(NamedTuple):
-    relation: int  # SELF_LOOP or a relation id
-    target: int    # entity id reached (current entity for self-loops)
-    direction: int
-
-    @property
-    def is_self_loop(self) -> bool:
-        return self.relation == SELF_LOOP
 
 
 @dataclass(frozen=True)
@@ -83,76 +71,6 @@ class PathState:
     @property
     def terminal(self) -> int:
         return self.entities[-1]
-
-
-def step(state: PathState, action: Action, graph: KnowledgeGraph) -> PathState:
-    """Apply one action; deterministic. Raises on budget or validity violations."""
-    if state.is_complete:
-        raise BudgetExhausted(f"hop budget {state.budget} already spent")
-    if action.is_self_loop:
-        if action.target != state.current:
-            raise InvalidAction("self-loop must stay at the current entity")
-        return PathState(state.user, state.entities + (state.current,),
-                         state.relations + ((SELF_LOOP, FORWARD),),
-                         state.visited, state.self_loops + 1, state.budget)
-    if action.target in state.visited:
-        raise InvalidAction(f"entity {action.target} was already visited")
-    if action.direction == FORWARD:
-        ok = graph.has_triplet(state.current, action.relation, action.target)
-    else:
-        ok = graph.has_triplet(action.target, action.relation, state.current)
-    if not ok:
-        raise InvalidAction(
-            f"no edge ({state.current}, {action.relation}, {action.target}, dir={action.direction})"
-        )
-    return PathState(state.user, state.entities + (action.target,),
-                     state.relations + ((action.relation, action.direction),),
-                     state.visited | {action.target}, state.self_loops, state.budget)
-
-
-def valid_actions(state: PathState, graph: KnowledgeGraph, table: EmbeddingTable | None = None,
-                  max_actions: int = MAX_ACTIONS_DEFAULT,
-                  user_scores: np.ndarray | None = None) -> list[Action]:
-    """Self-loop plus moves to unvisited neighbors, in canonical order.
-
-    When more than ``max_actions`` moves exist, the highest scoring ones
-    against the episode's start user are kept (f under the interaction
-    relation); ``user_scores`` may supply those scores precomputed over all
-    entity ids. The surviving moves are re-sorted canonically so slot
-    semantics stay stable.
-    """
-    if state.is_complete:
-        raise BudgetExhausted(f"hop budget {state.budget} already spent")
-    moves = [Action(r, n, d) for r, n, d in graph.neighbors(state.current)
-             if n not in state.visited]
-    if len(moves) > max_actions:
-        if user_scores is not None:
-            scores = user_scores[[m.target for m in moves]]
-        elif table is not None:
-            targets = np.asarray([m.target for m in moves], dtype=np.intp)
-            scores = score_tails(table, state.user, graph.interaction_relation, targets)
-        else:
-            raise MissingEmbedding("action truncation needs an embedding table or scores")
-        ranked = sorted(zip(moves, scores.tolist()),
-                        key=lambda ms: (-ms[1], ms[0].relation, ms[0].target, ms[0].direction))
-        moves = sorted(m for m, _ in ranked[:max_actions])
-    return [Action(SELF_LOOP, state.current, FORWARD)] + moves
-
-
-def encode_state(state: PathState, table: EmbeddingTable) -> np.ndarray:
-    """Fixed-width state vector: user slot plus (relation, entity) per hop.
-
-    1 + 2*budget slots of dim d, zero-padded beyond the hops taken.
-    Self-loop steps use the table's null-relation vector.
-    """
-    d = table.dim
-    out = np.zeros((1 + 2 * state.budget) * d)
-    out[:d] = table.entity_vec(state.user)
-    for i, ((rel, _), ent) in enumerate(zip(state.relations, state.entities[1:])):
-        rel_vec = table.self_loop_vec if rel == SELF_LOOP else table.relation_vec(rel)
-        out[(1 + 2 * i) * d:(2 + 2 * i) * d] = rel_vec
-        out[(2 + 2 * i) * d:(3 + 2 * i) * d] = table.entity_vec(ent)
-    return out
 
 
 class Slates(NamedTuple):
@@ -198,13 +116,14 @@ class Frontier:
 
     def slates(self, graph: KnowledgeGraph, max_actions: int,
                user_scores: np.ndarray, score_rows: np.ndarray) -> Slates:
-        """Every row's ``valid_actions`` slate at once.
+        """Every row's slate: the self-loop, then its moves to unvisited
+        neighbors in canonical (relation, target, direction) order.
 
         ``user_scores[score_rows[b]]`` holds f(start user, . | interaction)
         over all entity ids for row b; it ranks moves when a row has more
         than ``max_actions`` of them. The top ``max_actions`` by
-        (-score, relation, target, direction) are kept, as in the scalar
-        function, then left in canonical order. No sort is needed for
+        (-score, relation, target, direction) are kept, then left in
+        canonical order. No sort is needed for
         that: one ``np.partition`` over the over-cap rows' padded scores
         gives each row's ``max_actions``-th best score, the cut; moves
         scoring above it are kept, then the earliest moves scoring exactly
@@ -266,9 +185,10 @@ class Frontier:
     def encode(self, table: EmbeddingTable) -> np.ndarray:
         """Every row's live state prefix, gathered in one pass.
 
-        At hop t only the first (1 + 2t)·d columns of an ``encode_state``
-        vector can be nonzero: the start user, then a relation block and
-        an entity block per hop taken. Those columns are returned, shape
+        A full state is 1 + 2·budget blocks of d columns: the start user,
+        then a relation block and an entity block per hop, zero beyond the
+        hops taken; at hop t only its first (1 + 2t)·d columns can be
+        nonzero. Those columns are returned, shape
         (P, (1 + 2t)·d); ``PolicyModel.forward`` supplies the zero blocks
         up to the hop budget where it needs them. Relation rows come from
         the relation table extended by the self-loop vector, which
@@ -296,7 +216,7 @@ class Frontier:
                         grow(self.directions, slates.direction))
 
     def states(self, budget: int) -> list[PathState]:
-        """One ``PathState`` per row, equal to the one ``step`` would build."""
+        """One ``PathState`` per row, walked under a budget of ``budget`` hops."""
         out = []
         for ents, rels, dirs in zip(self.entities.tolist(), self.relations.tolist(),
                                     self.directions.tolist()):
@@ -312,7 +232,7 @@ Signature = tuple  # (type, (rel, dir), type, ..., type) with names resolved to 
 
 @dataclass(frozen=True)
 class PathPattern:
-    """Compiled semantic path: entity type indices and directed relation steps."""
+    """Compiled semantic path: entity type names and directed relation steps."""
 
     types: tuple[str, ...]
     steps: tuple[tuple[int, int], ...]
@@ -320,13 +240,6 @@ class PathPattern:
     @property
     def hops(self) -> int:
         return len(self.steps)
-
-    def signature(self) -> Signature:
-        sig: list = [self.types[0]]
-        for (rel, d), t in zip(self.steps, self.types[1:]):
-            sig.append((rel, d))
-            sig.append(t)
-        return tuple(sig)
 
 
 def compile_pattern(tokens: Sequence[str], graph: KnowledgeGraph) -> PathPattern:
@@ -374,82 +287,32 @@ def signature_label(sig: Signature, graph: KnowledgeGraph) -> str:
     return " ".join(parts)
 
 
-def match_pattern(state: PathState, patterns: Iterable[PathPattern],
-                  graph: KnowledgeGraph) -> bool:
-    """True when the path (trailing self-loops collapsed) equals a pattern."""
-    if not state.is_complete:
-        raise IncompletePath(f"path has {state.hops} of {state.budget} hops")
-    sig = path_signature(state, graph)
-    return any(sig == p.signature() for p in patterns)
-
-
 # -- rewards ------------------------------------------------------------------
-
-def normalized_interaction_score(score: float, item_max: float) -> float:
-    """Normalize f(u, e_T) by the user's best item score, clipped to [0, 1].
-
-    The raw ratio can leave [0, 1] when scores are negative; the clip keeps
-    the reward a proper score, and the argmax item always earns 1.0.
-    """
-    if item_max > 0:
-        return min(max(score / item_max, 0.0), 1.0)
-    return 1.0 if score >= item_max else 0.0
-
-
-def max_item_score(table: EmbeddingTable, graph: KnowledgeGraph, user: int) -> float:
-    """max over items of f(u, i | interaction relation)."""
-    items = np.asarray(graph.items(), dtype=np.intp)
-    if len(items) == 0:
-        raise EmptyCandidates("graph has no items to normalize against")
-    return float(score_tails(table, user, graph.interaction_relation, items).max())
-
-
-def reward_pattern(state: PathState, graph: KnowledgeGraph, table: EmbeddingTable,
-                   patterns: Iterable[PathPattern], item_max: float) -> float:
-    """Pattern-gated terminal reward: normalized f(u, e_T) or 0."""
-    if not state.is_complete:
-        raise IncompletePath(f"path has {state.hops} of {state.budget} hops")
-    if not graph.is_item(state.terminal):
-        return 0.0
-    if not match_pattern(state, patterns, graph):
-        return 0.0
-    score = float(score_tails(table, state.user, graph.interaction_relation,
-                              np.asarray([state.terminal], dtype=np.intp))[0])
-    reward = normalized_interaction_score(score, item_max)
-    assert reward <= 1.0
-    return reward
-
-
-def reward_binary(state: PathState, train_items: frozenset[int]) -> float:
-    """1 iff the terminal entity is a training interaction of the user and
-    fewer than budget-1 self-loops were taken, else 0."""
-    if not state.is_complete:
-        raise IncompletePath(f"path has {state.hops} of {state.budget} hops")
-    if state.terminal in train_items and state.self_loops < state.budget - 1:
-        return 1.0
-    return 0.0
-
 
 @dataclass
 class RewardSpec:
-    """Terminal reward bound to a training graph.
+    """Terminal reward of every row of a walked frontier, bound to a
+    training graph; a frontier's hop count is the walk's budget.
 
-    ``pgpr`` gates on path patterns and normalizes by a per-user max item
-    score (precomputed once, since embeddings are frozen during agent
-    training); ``upgpr`` is the binary hit test.
+    ``upgpr`` is the binary hit test: 1 where the terminal is a training
+    interaction of the start user and fewer than hops - 1 steps were
+    self-loops. ``pgpr`` gates on path patterns: a row whose terminal is
+    an item and whose walk, trailing self-loops dropped, equals a pattern
+    earns f(u, e_T | interaction) over the user's best item score, clipped
+    to [0, 1] (at or above a best score <= 0 it earns 1). ``item_max``
+    holds that best score per user id, computed once, since embeddings are
+    frozen during agent training.
     """
 
     mode: str
     graph: KnowledgeGraph
     table: EmbeddingTable | None = None
     patterns: tuple[PathPattern, ...] = ()
-    item_max: dict[int, float] | None = None
-    interactions: dict[int, frozenset[int]] | None = None
+    item_max: np.ndarray | None = None
 
     @classmethod
     def binary(cls, graph: KnowledgeGraph) -> "RewardSpec":
-        inter = {u: frozenset(items) for u, items in graph.interactions_by_user().items()}
-        return cls(mode="upgpr", graph=graph, interactions=inter)
+        return cls(mode="upgpr", graph=graph)
 
     @classmethod
     def pattern(cls, graph: KnowledgeGraph, table: EmbeddingTable) -> "RewardSpec":
@@ -457,14 +320,39 @@ class RewardSpec:
         if not patterns:
             raise SchemaViolation("pattern reward requires path_patterns in the schema")
         items = np.asarray(graph.items(), dtype=np.intp)
-        rel = graph.interaction_relation
-        item_max = {u: float(score_tails(table, u, rel, items).max())
-                    for u in graph.users()}
+        item_max = np.full(graph.entity_count, np.nan)
+        for u in graph.users():
+            item_max[u] = score_tails(table, u, graph.interaction_relation, items).max()
         return cls(mode="pgpr", graph=graph, table=table, patterns=patterns,
                    item_max=item_max)
 
-    def terminal_reward(self, state: PathState) -> float:
+    def terminal_reward(self, frontier: Frontier) -> np.ndarray:
+        g, ents, rels = self.graph, frontier.entities, frontier.relations
+        start, terminal = ents[:, 0], ents[:, -1]
+        loop = rels == SELF_LOOP
         if self.mode == "upgpr":
-            return reward_binary(state, self.interactions.get(state.user, frozenset()))
-        return reward_pattern(state, self.graph, self.table, self.patterns,
-                              self.item_max[state.user])
+            hit = g.has_triplets(start, np.full_like(start, g.interaction_relation), terminal)
+            return (hit & (loop.sum(axis=1) < frontier.hops - 1)).astype(float)
+        # a row's live length: its hops before the trailing self-loops; a
+        # row matches a pattern step by step over it (the schema types every
+        # relation, so the steps fix the entity types along the path)
+        live = np.max(np.where(loop, 0, np.arange(1, frontier.hops + 1)), axis=1, initial=0)
+        ok = np.zeros(len(frontier), dtype=bool)
+        for p in self.patterns:
+            if p.hops > frontier.hops:
+                continue
+            match = live == p.hops
+            for i, (rel, d) in enumerate(p.steps):
+                match &= (rels[:, i] == rel) & (frontier.directions[:, i] == d)
+            ok |= match
+        rows = np.flatnonzero(ok & g.has_type(terminal, g.schema.item_type))
+        t, E = terminal[rows], self.table.entity_vecs
+        q = E[start[rows]] + self.table.relation_vecs[g.interaction_relation]
+        # one (1, d) @ (d, 1) product per row sums in the order of a one-tail
+        # ``score_tails``; a row of ``score_all_tails`` can differ in the last bits
+        score = (E[t][:, None, :] @ q[:, :, None])[:, 0, 0] + self.table.entity_bias[t]
+        best = self.item_max[start[rows]]
+        out = np.zeros(len(frontier))
+        out[rows] = np.where(best > 0, np.clip(score / np.where(best > 0, best, 1.0), 0.0, 1.0),
+                             score >= best)
+        return out

@@ -13,14 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .errors import EmptyColdSet
+from .errors import EmptyColdSet, InvalidSpec
 from .graph import KnowledgeGraph
 
 
 def ndcg_at_k(recommended: Sequence[Hashable], relevant: set, k: int) -> float:
     """Binary-relevance nDCG@k with 1/log2(rank+1) discounts."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidSpec("k must be >= 1")
     if not relevant:
         return 0.0
     dcg = sum(1.0 / math.log2(rank + 1)
@@ -34,7 +34,7 @@ def ndcg_at_k(recommended: Sequence[Hashable], relevant: set, k: int) -> float:
 def hit_at_k(recommended: Sequence[Hashable], relevant: set, k: int) -> float:
     """1.0 if any of the top-k items is relevant, else 0.0."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidSpec("k must be >= 1")
     return 1.0 if any(item in relevant for item in recommended[:k]) else 0.0
 
 

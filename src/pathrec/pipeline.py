@@ -488,7 +488,16 @@ def evaluate_run(config: RunConfig, split: DatasetSplit, records: list[dict]):
 def stage_eval(config: RunConfig):
     with _Stage("eval", config) as run:
         split = run.split()
-        _, records = run.read(run.paths.recs_file, "recommend", read_recommendations)
+        # recommend writes one record per warm_test, cold_val and cold_test user
+        users = sorted((c, u) for c in COHORTS for u in getattr(split, c))
+
+        def load(path):
+            records = read_recommendations(path)[1]
+            if sorted((r["cohort"], r["user"]) for r in records) != users:
+                raise StageError("eval", f"{path}: users differ from the split's")
+            return records
+
+        records = run.read(run.paths.recs_file, "recommend", load)
         rows, patterns, per_user = evaluate_run(config, split, records)
         ident = f"config={config.config_hash()} seed={config.seed}"
         write_csv(run.paths.report_csv, ident, ("model", "cohort", "metric", "value", "n_users"),

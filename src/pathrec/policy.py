@@ -6,12 +6,16 @@ are masked to -inf before the softmax. Reward is terminal-only and
 discounted backward; the learned baseline is fit by squared error and an
 entropy bonus keeps exploration alive. All math is float64 numpy, so
 training is deterministic given the seed.
+
+A rollout batch walks one ``mdp.Frontier`` row per user and scores every
+row's terminal reward in one ``RewardSpec.terminal_reward`` call on the
+walked arrays; no per-path objects are built.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -153,15 +157,6 @@ class PolicyModel:
             g.fill(0.0)
         return grads
 
-    def check_walk(self, table: EmbeddingTable, hops: int):
-        """Raise unless ``hops``-hop walks over ``table`` encode this
-        policy's states, so each state prefix meets the right rows of W1."""
-        if hops != self.config.hop_budget or state_dim_for(table, hops) != self.state_dim:
-            raise InvalidSpec(
-                f"{hops}-hop walks over {table.dim}-dim embeddings encode "
-                f"{state_dim_for(table, hops)}-wide states; the policy takes "
-                f"{self.config.hop_budget} hops and {self.state_dim}-wide states")
-
     def save(self, path: str, config_hash: str = ""):
         cfg = asdict(self.config)
         cfg["hidden"] = list(cfg["hidden"])
@@ -188,6 +183,27 @@ def state_dim_for(table: EmbeddingTable, hop_budget: int) -> int:
     return (1 + 2 * hop_budget) * table.dim
 
 
+def check_walk(policy: PolicyModel | None, graph: KnowledgeGraph, table: EmbeddingTable,
+               hops: int, max_actions: int):
+    """Raise unless ``table`` scores every entity of ``graph`` and, given a
+    policy, ``hops``-hop walks over ``table`` encode the policy's states
+    (so each state prefix meets the right rows of W1) and slates of
+    ``max_actions`` moves fit its slate."""
+    if policy is not None:
+        cfg = policy.config
+        if hops != cfg.hop_budget or state_dim_for(table, hops) != policy.state_dim:
+            raise InvalidSpec(
+                f"{hops}-hop walks over {table.dim}-dim embeddings encode "
+                f"{state_dim_for(table, hops)}-wide states; the policy takes "
+                f"{cfg.hop_budget} hops and {policy.state_dim}-wide states")
+        if max_actions > cfg.max_actions:
+            raise InvalidSpec(f"max_actions {max_actions} exceeds the policy's slate of "
+                              f"{cfg.max_actions} actions")
+    if table.entity_count < graph.entity_count:
+        raise MissingEmbedding(f"table has {table.entity_count} entity rows, "
+                               f"the graph {graph.entity_count} entities")
+
+
 def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One categorical draw per row."""
     u = rng.random(probs.shape[0])
@@ -208,7 +224,8 @@ def rollout_batch(policy: PolicyModel | None, graph: KnowledgeGraph,
                   max_actions: int, reward_spec: RewardSpec,
                   rng: np.random.Generator,
                   forced_actions: list[list[int]] | None = None):
-    """Walk one episode per user; returns (step records, rewards, final states).
+    """Walk one episode per user; returns (step records, rewards, walked
+    frontier): row b of the ``hop_budget``-hop frontier is user b's path.
 
     With ``policy=None`` the behavior policy is uniform over each slate
     (records then carry no caches). ``forced_actions[t][b]`` overrides
@@ -216,14 +233,7 @@ def rollout_batch(policy: PolicyModel | None, graph: KnowledgeGraph,
     """
     if not len(users):
         raise InvalidSpec("rollouts need at least one user")
-    if policy is not None:
-        policy.check_walk(table, hop_budget)
-        if max_actions > policy.config.max_actions:
-            raise InvalidSpec(f"max_actions {max_actions} exceeds the policy's slate of "
-                              f"{policy.config.max_actions} actions")
-    if table.entity_count < graph.entity_count:
-        raise MissingEmbedding(f"table has {table.entity_count} entity rows, "
-                               f"the graph {graph.entity_count} entities")
+    check_walk(policy, graph, table, hop_budget, max_actions)
     # One score vector per start user funds the slate truncation for the
     # whole episode; embeddings are frozen so it never changes mid-walk.
     rel = graph.interaction_relation
@@ -254,9 +264,7 @@ def rollout_batch(policy: PolicyModel | None, graph: KnowledgeGraph,
             chosen = np.minimum(_sample_rows(probs, rng), sizes - 1)
         records.append(StepRecord(cache, probs, values, chosen, sizes))
         frontier = frontier.advance(slates, rows, chosen)
-    states = frontier.states(hop_budget)
-    rewards = np.asarray([reward_spec.terminal_reward(s) for s in states])
-    return records, rewards, states
+    return records, reward_spec.terminal_reward(frontier), frontier
 
 
 def _apply_reinforce_grads(policy: PolicyModel, records: list[StepRecord],

@@ -1,0 +1,109 @@
+"""The scalar path-walking MDP: one state, one action at a time.
+
+``pathrec.mdp.Frontier`` walks many paths at once on arrays; these
+per-state functions define the same semantics one state at a time and are
+the oracles the batched kernels are tested against. ``valid_actions`` is
+a row of ``Frontier.slates``, ``step`` a row of ``Frontier.advance`` and
+``encode_state`` a zero-padded row of ``Frontier.encode``; ``frontier_of``
+stacks scalar states into the frontier the array calls take.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from pathrec.embeddings import EmbeddingTable, score_tails
+from pathrec.errors import BudgetExhausted, InvalidAction, MissingEmbedding
+from pathrec.graph import FORWARD, KnowledgeGraph
+from pathrec.mdp import MAX_ACTIONS_DEFAULT, SELF_LOOP, Frontier, PathState
+
+
+class Action(NamedTuple):
+    relation: int  # SELF_LOOP or a relation id
+    target: int    # entity id reached (current entity for self-loops)
+    direction: int
+
+    @property
+    def is_self_loop(self) -> bool:
+        return self.relation == SELF_LOOP
+
+
+def step(state: PathState, action: Action, graph: KnowledgeGraph) -> PathState:
+    """Apply one action; deterministic. Raises on budget or validity violations."""
+    if state.is_complete:
+        raise BudgetExhausted(f"hop budget {state.budget} already spent")
+    if action.is_self_loop:
+        if action.target != state.current:
+            raise InvalidAction("self-loop must stay at the current entity")
+        return PathState(state.user, state.entities + (state.current,),
+                         state.relations + ((SELF_LOOP, FORWARD),),
+                         state.visited, state.self_loops + 1, state.budget)
+    if action.target in state.visited:
+        raise InvalidAction(f"entity {action.target} was already visited")
+    if action.direction == FORWARD:
+        ok = graph.has_triplet(state.current, action.relation, action.target)
+    else:
+        ok = graph.has_triplet(action.target, action.relation, state.current)
+    if not ok:
+        raise InvalidAction(
+            f"no edge ({state.current}, {action.relation}, {action.target}, dir={action.direction})"
+        )
+    return PathState(state.user, state.entities + (action.target,),
+                     state.relations + ((action.relation, action.direction),),
+                     state.visited | {action.target}, state.self_loops, state.budget)
+
+
+def valid_actions(state: PathState, graph: KnowledgeGraph, table: EmbeddingTable | None = None,
+                  max_actions: int = MAX_ACTIONS_DEFAULT,
+                  user_scores: np.ndarray | None = None) -> list[Action]:
+    """Self-loop plus moves to unvisited neighbors, in canonical order.
+
+    When more than ``max_actions`` moves exist, the highest scoring ones
+    against the episode's start user are kept (f under the interaction
+    relation); ``user_scores`` may supply those scores precomputed over all
+    entity ids. The surviving moves are re-sorted canonically so slot
+    semantics stay stable.
+    """
+    if state.is_complete:
+        raise BudgetExhausted(f"hop budget {state.budget} already spent")
+    moves = [Action(r, n, d) for r, n, d in graph.neighbors(state.current)
+             if n not in state.visited]
+    if len(moves) > max_actions:
+        if user_scores is not None:
+            scores = user_scores[[m.target for m in moves]]
+        elif table is not None:
+            targets = np.asarray([m.target for m in moves], dtype=np.intp)
+            scores = score_tails(table, state.user, graph.interaction_relation, targets)
+        else:
+            raise MissingEmbedding("action truncation needs an embedding table or scores")
+        ranked = sorted(zip(moves, scores.tolist()),
+                        key=lambda ms: (-ms[1], ms[0].relation, ms[0].target, ms[0].direction))
+        moves = sorted(m for m, _ in ranked[:max_actions])
+    return [Action(SELF_LOOP, state.current, FORWARD)] + moves
+
+
+def encode_state(state: PathState, table: EmbeddingTable) -> np.ndarray:
+    """Fixed-width state vector: user slot plus (relation, entity) per hop.
+
+    1 + 2*budget slots of dim d, zero-padded beyond the hops taken.
+    Self-loop steps use the table's null-relation vector.
+    """
+    d = table.dim
+    out = np.zeros((1 + 2 * state.budget) * d)
+    out[:d] = table.entity_vec(state.user)
+    for i, ((rel, _), ent) in enumerate(zip(state.relations, state.entities[1:])):
+        rel_vec = table.self_loop_vec if rel == SELF_LOOP else table.relation_vec(rel)
+        out[(1 + 2 * i) * d:(2 + 2 * i) * d] = rel_vec
+        out[(2 + 2 * i) * d:(3 + 2 * i) * d] = table.entity_vec(ent)
+    return out
+
+
+def frontier_of(states: list[PathState]) -> Frontier:
+    """The array frontier holding ``states`` (all with the same hop count)."""
+    return Frontier(np.asarray([s.entities for s in states], dtype=np.intp),
+                    np.asarray([[r for r, _ in s.relations] for s in states],
+                               dtype=np.intp).reshape(len(states), -1),
+                    np.asarray([[d for _, d in s.relations] for s in states],
+                               dtype=np.intp).reshape(len(states), -1))

@@ -23,8 +23,7 @@ from pathrec.embeddings import (EmbedTrainConfig, conditional_prob,
                                 score_triplet)
 from pathrec.graph import INVERSE
 from pathrec.inference import beam_search, rank_recommendations
-from pathrec.mdp import (SELF_LOOP, PathState, RewardSpec, encode_state,
-                         step, valid_actions)
+from pathrec.mdp import SELF_LOOP, PathState, RewardSpec
 from pathrec.metrics import (cold_item_coverage, cold_item_proportion,
                              hit_at_k, ndcg_at_k, pop_baseline, popb_at_k,
                              train_popularity)
@@ -35,6 +34,7 @@ from pathrec.policy import (AgentConfig, PolicyModel, evaluate_mean_reward,
                             state_dim_for, training_users)
 
 from conftest import build_shop_graph
+from oracles import encode_state, frontier_of, step, valid_actions
 from test_datasets import assert_split_invariants
 
 SEEDS = (1, 2, 3)
@@ -196,18 +196,22 @@ def test_criterion_2_rewards_match_direct_formula_on_every_path(schema):
                                     + table.relation_vecs[interaction],
                                     table.entity_vecs[i])
                              + table.entity_bias[i]) for i in items)
-        stack = [PathState.start(user, 3)]
+        stack, complete = [PathState.start(user, 3)], []
         while stack:
             state = stack.pop()
             if state.is_complete:
-                n_paths += 1
-                assert binary.terminal_reward(state) == direct_binary(state)
-                got = pattern.terminal_reward(state)
-                want = direct_pattern(state, item_max)
-                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+                complete.append(state)
                 continue
             for action in valid_actions(state, g, max_actions=10_000):
                 stack.append(step(state, action, g))
+        # one reward call per mode scores every complete path of the user
+        walked = frontier_of(complete)
+        for state, got_binary, got in zip(complete, binary.terminal_reward(walked).tolist(),
+                                          pattern.terminal_reward(walked).tolist()):
+            n_paths += 1
+            assert got_binary == direct_binary(state)
+            want = direct_pattern(state, item_max)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0

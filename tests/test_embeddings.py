@@ -113,7 +113,7 @@ class TestScoring:
         rel = tiny_graph.interaction_relation
         with pytest.raises(EmptyCandidates):
             conditional_prob(small_table, u0, rel, 0, [])
-        with pytest.raises(ValueError, match="member"):
+        with pytest.raises(InvalidSpec, match="member"):
             conditional_prob(small_table, u0, rel, 0, tiny_graph.items())
 
 

@@ -6,11 +6,11 @@ from pathrec.errors import InvalidSpec, MissingEmbedding, UnknownUser
 from pathrec.graph import FORWARD, INVERSE, KnowledgeGraph
 from pathrec.inference import (Explanation, Recommendation, ScoredPath,
                                beam_search, explain, rank_recommendations)
-from pathrec.mdp import (SELF_LOOP, Action, PathState, encode_state, step,
-                         valid_actions)
+from pathrec.mdp import SELF_LOOP, PathState
 from pathrec.policy import AgentConfig, PolicyModel, state_dim_for
 
 from conftest import build_multi_edge_graph
+from oracles import Action, encode_state, step, valid_actions
 
 
 def fresh_policy(table, hop_budget, max_actions=50, seed=7):
@@ -68,7 +68,7 @@ class TestBeamSearch:
         with pytest.raises(UnknownUser):
             beam_search(item, policy, tiny_graph, small_table, [2, 2])
         user = tiny_graph.entity_id("user", "u0")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec):
             beam_search(user, policy, tiny_graph, small_table, [2, 0])
 
     def test_table_of_another_dim_rejected(self, tiny_graph, small_table):

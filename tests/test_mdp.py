@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,17 +7,13 @@ from hypothesis import strategies as st
 
 from pathrec.embeddings import (EmbedTrainConfig, init_table, score_all_tails, score_tails,
                                 score_triplet)
-from pathrec.errors import (BudgetExhausted, IncompletePath, InvalidAction,
-                            MissingEmbedding)
+from pathrec.errors import BudgetExhausted, InvalidAction, MissingEmbedding
 from pathrec.graph import FORWARD, INVERSE
-from pathrec.mdp import (SELF_LOOP, Action, Frontier, PathState, RewardSpec,
-                         compile_pattern, compile_patterns, encode_state,
-                         match_pattern, max_item_score,
-                         normalized_interaction_score, path_signature,
-                         reward_binary, reward_pattern, signature_label, step,
-                         valid_actions)
+from pathrec.mdp import (SELF_LOOP, Frontier, PathState, RewardSpec, compile_pattern,
+                         compile_patterns, path_signature, signature_label)
 
 from conftest import build_multi_edge_graph, build_shop_graph
+from oracles import Action, encode_state, frontier_of, step, valid_actions
 
 
 def walk(graph, state, actions):
@@ -190,6 +188,15 @@ class TestSignatures:
         assert label == "user -purchase-> item -produced_by-> brand <-produced_by- item"
 
 
+def flat_pattern_spec(graph):
+    """The pattern reward under a table that scores every item 1.0, so a
+    row earns exactly 1.0 iff its walk matches a pattern at an item."""
+    table = init_table(graph, EmbedTrainConfig(dim=4, seed=0))
+    table.entity_vecs[:] = 0.0
+    table.entity_bias[:] = 1.0
+    return RewardSpec.pattern(graph, table)
+
+
 class TestPatterns:
     def test_schema_patterns_compile_and_match(self, tiny_graph, u0_start):
         patterns = compile_patterns(tiny_graph)
@@ -202,68 +209,59 @@ class TestPatterns:
         s = walk(tiny_graph, u0_start, [Action(like, b0, FORWARD),
                                         Action(pb, i1, INVERSE),
                                         Action(SELF_LOOP, i1, FORWARD)])
-        assert match_pattern(s, patterns, tiny_graph)
         # the shared-brand pattern needs all three hops
         pu = tiny_graph.relation_id("purchase")
         s2 = walk(tiny_graph, u0_start, [Action(pu, i0, FORWARD),
                                          Action(pb, b0, FORWARD),
                                          Action(pb, i1, INVERSE)])
-        assert match_pattern(s2, patterns, tiny_graph)
-
-    def test_incomplete_path_rejected(self, tiny_graph, u0_start):
-        patterns = compile_patterns(tiny_graph)
-        with pytest.raises(IncompletePath):
-            match_pattern(u0_start, patterns, tiny_graph)
+        rewards = flat_pattern_spec(tiny_graph).terminal_reward(frontier_of([s, s2]))
+        assert rewards.tolist() == [1.0, 1.0]
 
     def test_compile_pattern_inverse_tokens(self, tiny_graph):
         p = compile_pattern(("user", "interested_in", "category", "~belong_to", "item"),
                             tiny_graph)
         assert p.steps == ((tiny_graph.relation_id("interested_in"), FORWARD),
                            (tiny_graph.relation_id("belong_to"), INVERSE))
-        assert p.signature()[0] == "user"
+        assert p.types[0] == "user"
+
+
+def direct_binary(graph, state):
+    """1 iff the terminal is a training item of the start user and fewer
+    than hops - 1 steps were self-loops."""
+    return float(state.terminal in graph.user_items(state.user)
+                 and state.self_loops < state.hops - 1)
+
+
+def direct_gate(graph, state):
+    """The terminal is an item and the path, trailing self-loops dropped,
+    spells a schema pattern."""
+    ents, rels = list(state.entities), list(state.relations)
+    while rels and rels[-1][0] == SELF_LOOP:
+        rels.pop()
+        ents.pop()
+    tokens = [graph.entity_type(ents[0])]
+    for (rel, d), e in zip(rels, ents[1:]):
+        name = "<self-loop>" if rel == SELF_LOOP else graph.relation_name(rel)
+        tokens += [f"~{name}" if d == INVERSE else name, graph.entity_type(e)]
+    return graph.is_item(state.terminal) and tokens in map(list, graph.schema.path_patterns)
+
+
+def direct_pattern(graph, table, state, item_max):
+    """f(u, e_T) / item_max clipped to [0, 1] (1 at or above an item_max
+    <= 0) where ``direct_gate`` passes; 0 otherwise."""
+    if not direct_gate(graph, state):
+        return 0.0
+    score = float(score_tails(table, state.user, graph.interaction_relation,
+                              np.asarray([state.terminal], dtype=np.intp))[0])
+    if item_max > 0:
+        return min(max(score / item_max, 0.0), 1.0)
+    return 1.0 if score >= item_max else 0.0
 
 
 class TestRewards:
-    def test_normalized_score_clipping(self):
-        assert normalized_interaction_score(0.5, 2.0) == 0.25
-        assert normalized_interaction_score(-0.5, 2.0) == 0.0
-        assert normalized_interaction_score(3.0, 2.0) == 1.0
-        assert normalized_interaction_score(-1.0, -2.0) == 1.0  # above a negative max
-        assert normalized_interaction_score(-3.0, -2.0) == 0.0
-
-    def test_reward_binary_cases(self, tiny_graph, u0_start):
-        pu = tiny_graph.relation_id("purchase")
-        pb = tiny_graph.relation_id("produced_by")
-        like = tiny_graph.relation_id("like")
-        i0 = tiny_graph.entity_id("item", "i0")
-        i1 = tiny_graph.entity_id("item", "i1")
-        i2 = tiny_graph.entity_id("item", "i2")
-        b0 = tiny_graph.entity_id("brand", "b0")
-        loop_i0 = Action(SELF_LOOP, i0, FORWARD)
-        hits = tiny_graph.user_items(u0_start.user)
-        # a single effective hop (budget-1 self-loops) earns nothing
-        s = walk(tiny_graph, u0_start, [Action(pu, i0, FORWARD), loop_i0, loop_i0])
-        assert reward_binary(s, hits) == 0.0
-        loop_u = Action(SELF_LOOP, u0_start.user, FORWARD)
-        s = walk(tiny_graph, u0_start, [loop_u, Action(pu, i0, FORWARD), loop_i0])
-        assert reward_binary(s, hits) == 0.0
-        # two effective hops and a hit
-        s = walk(tiny_graph, u0_start, [Action(like, b0, FORWARD),
-                                        Action(pb, i0, INVERSE),
-                                        Action(SELF_LOOP, i0, FORWARD)])
-        assert reward_binary(s, hits) == 1.0
-        s = walk(tiny_graph, u0_start, [Action(pu, i0, FORWARD),
-                                        Action(pb, b0, FORWARD),
-                                        Action(pb, i1, INVERSE)])
-        assert reward_binary(s, hits) == 1.0
-        assert reward_binary(s, frozenset((i2,))) == 0.0  # not a train item
-        with pytest.raises(IncompletePath):
-            reward_binary(u0_start, hits)
-
-    def test_reward_pattern_manual(self, tiny_graph, small_table, u0_start):
-        patterns = compile_patterns(tiny_graph)
-        rel = tiny_graph.interaction_relation
-        item_max = max_item_score(small_table, tiny_graph, u0_start.user)
+    def test_normalized_score_clipping(self, tiny_graph, u0_start):
+        """Item scores set through the bias alone (zero vectors) and a
+        chosen best score per case."""
         like = tiny_graph.relation_id("like")
         pb = tiny_graph.relation_id("produced_by")
         b0 = tiny_graph.entity_id("brand", "b0")
@@ -271,19 +269,74 @@ class TestRewards:
         s = walk(tiny_graph, u0_start, [Action(like, b0, FORWARD),
                                         Action(pb, i1, INVERSE),
                                         Action(SELF_LOOP, i1, FORWARD)])
-        got = reward_pattern(s, tiny_graph, small_table, patterns, item_max)
+        spec = flat_pattern_spec(tiny_graph)
+
+        def reward(score, item_max):
+            spec.table.entity_bias[i1] = score
+            spec.item_max[s.user] = item_max
+            return spec.terminal_reward(frontier_of([s]))[0]
+
+        assert reward(0.5, 2.0) == 0.25
+        assert reward(-0.5, 2.0) == 0.0
+        assert reward(3.0, 2.0) == 1.0
+        assert reward(-1.0, -2.0) == 1.0  # above a negative max
+        assert reward(-3.0, -2.0) == 0.0
+
+    def test_reward_binary_cases(self, tiny_graph, u0_start):
+        pu = tiny_graph.relation_id("purchase")
+        pb = tiny_graph.relation_id("produced_by")
+        bt = tiny_graph.relation_id("belong_to")
+        like = tiny_graph.relation_id("like")
+        interested = tiny_graph.relation_id("interested_in")
+        i0 = tiny_graph.entity_id("item", "i0")
+        i1 = tiny_graph.entity_id("item", "i1")
+        i2 = tiny_graph.entity_id("item", "i2")
+        b0 = tiny_graph.entity_id("brand", "b0")
+        c0 = tiny_graph.entity_id("category", "c0")
+        loop_i0 = Action(SELF_LOOP, i0, FORWARD)
+        binary = RewardSpec.binary(tiny_graph)
+
+        def reward(actions):
+            return binary.terminal_reward(frontier_of([walk(tiny_graph, u0_start,
+                                                            actions)]))[0]
+
+        # a single effective hop (budget-1 self-loops) earns nothing
+        assert reward([Action(pu, i0, FORWARD), loop_i0, loop_i0]) == 0.0
+        loop_u = Action(SELF_LOOP, u0_start.user, FORWARD)
+        assert reward([loop_u, Action(pu, i0, FORWARD), loop_i0]) == 0.0
+        # two effective hops and a hit
+        assert reward([Action(like, b0, FORWARD), Action(pb, i0, INVERSE),
+                       Action(SELF_LOOP, i0, FORWARD)]) == 1.0
+        assert reward([Action(pu, i0, FORWARD), Action(pb, b0, FORWARD),
+                       Action(pb, i1, INVERSE)]) == 1.0
+        # two effective hops to an item u0 never bought
+        assert reward([Action(interested, c0, FORWARD), Action(bt, i2, INVERSE),
+                       Action(SELF_LOOP, i2, FORWARD)]) == 0.0
+
+    def test_reward_pattern_manual(self, tiny_graph, small_table, u0_start):
+        rel = tiny_graph.interaction_relation
+        items = np.asarray(tiny_graph.items(), dtype=np.intp)
+        item_max = float(score_tails(small_table, u0_start.user, rel, items).max())
+        like = tiny_graph.relation_id("like")
+        pb = tiny_graph.relation_id("produced_by")
+        b0 = tiny_graph.entity_id("brand", "b0")
+        i1 = tiny_graph.entity_id("item", "i1")
+        s = walk(tiny_graph, u0_start, [Action(like, b0, FORWARD),
+                                        Action(pb, i1, INVERSE),
+                                        Action(SELF_LOOP, i1, FORWARD)])
+        spec = RewardSpec.pattern(tiny_graph, small_table)
+        got = spec.terminal_reward(frontier_of([s]))[0]
         raw = score_triplet(small_table, u0_start.user, rel, i1)
         want = min(max(raw / item_max, 0.0), 1.0) if item_max > 0 else float(raw >= item_max)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_reward_pattern_gates(self, tiny_graph, small_table, u0_start):
-        patterns = compile_patterns(tiny_graph)
-        item_max = max_item_score(small_table, tiny_graph, u0_start.user)
+        spec = RewardSpec.pattern(tiny_graph, small_table)
         like = tiny_graph.relation_id("like")
         b0 = tiny_graph.entity_id("brand", "b0")
         loop_b = Action(SELF_LOOP, b0, FORWARD)
         s = walk(tiny_graph, u0_start, [Action(like, b0, FORWARD), loop_b, loop_b])
-        assert reward_pattern(s, tiny_graph, small_table, patterns, item_max) == 0.0
+        assert spec.terminal_reward(frontier_of([s]))[0] == 0.0
 
     def test_reward_spec_matches_direct(self, tiny_graph, small_table, u0_start):
         pu = tiny_graph.relation_id("purchase")
@@ -292,12 +345,64 @@ class TestRewards:
         s = walk(tiny_graph, u0_start, [loop_u, Action(pu, i0, FORWARD),
                                         Action(SELF_LOOP, i0, FORWARD)])
         binary = RewardSpec.binary(tiny_graph)
-        assert binary.terminal_reward(s) == reward_binary(s, tiny_graph.user_items(s.user))
+        assert binary.terminal_reward(frontier_of([s]))[0] == direct_binary(tiny_graph, s)
         pattern = RewardSpec.pattern(tiny_graph, small_table)
-        want = reward_pattern(s, tiny_graph, small_table,
-                              compile_patterns(tiny_graph),
-                              max_item_score(small_table, tiny_graph, s.user))
-        assert pattern.terminal_reward(s) == want
+        items = np.asarray(tiny_graph.items(), dtype=np.intp)
+        item_max = float(score_tails(small_table, s.user, tiny_graph.interaction_relation,
+                                     items).max())
+        want = direct_pattern(tiny_graph, small_table, s, item_max)
+        assert pattern.terminal_reward(frontier_of([s]))[0] == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_terminal_reward_bitwise_on_random_frontiers(self, schema, seed):
+        """Both modes, 1-4 hops, against the direct formulas bit for bit.
+
+        The schema gains a pattern that ends at a user, which the item gate
+        must still refuse. Item biases are -1 except one at 0, so most
+        users' best item score is near 0 on either side; one user's query
+        is exactly zero (best score 0.0) and one user's points at the
+        0-bias item (best score > 0)."""
+        to_user = ("user", "purchase", "item", "~purchase", "user")
+        g = build_shop_graph(dataclasses.replace(
+            schema, path_patterns=schema.path_patterns + (to_user,)),
+            n_users=6, n_items=12, n_brands=2, n_categories=2, interactions=4, seed=seed)
+        table = init_table(g, EmbedTrainConfig(dim=6, seed=seed))
+        rel = g.interaction_relation
+        items = np.asarray(g.items(), dtype=np.intp)
+        table.entity_bias[items] = -1.0
+        table.entity_bias[items[0]] = 0.0
+        zero_user, pos_user = g.users()[:2]
+        table.entity_vecs[zero_user] = -table.relation_vecs[rel]
+        table.entity_vecs[pos_user] = 50.0 * table.entity_vecs[items[0]] - table.relation_vecs[rel]
+        item_max = {u: float(score_tails(table, u, rel, items).max()) for u in g.users()}
+        assert item_max[zero_user] == 0.0 and item_max[pos_user] > 0.0
+        binary, pattern = RewardSpec.binary(g), RewardSpec.pattern(g, table)
+        to_user_sig = ("user", (rel, FORWARD), "item", (rel, INVERSE), "user")
+        rng = np.random.default_rng(seed)
+        seen = dict.fromkeys(("internal loop", "trailing loop", "non-item terminal",
+                              "pattern to a user", "gated nonzero", "gated at best <= 0"),
+                             False)
+        for hops in range(1, 5):
+            states = random_states(g, rng, 150, hops, budget=hops, loop_share=0.3)
+            walked = frontier_of(states)
+            got_binary = binary.terminal_reward(walked)
+            got_pattern = pattern.terminal_reward(walked)
+            want_binary = np.asarray([direct_binary(g, s) for s in states])
+            want_pattern = np.asarray([direct_pattern(g, table, s, item_max[s.user])
+                                       for s in states])
+            assert got_binary.dtype == got_pattern.dtype == np.float64
+            np.testing.assert_array_equal(got_binary.view(np.int64), want_binary.view(np.int64))
+            np.testing.assert_array_equal(got_pattern.view(np.int64),
+                                          want_pattern.view(np.int64))
+            for s, r in zip(states, want_pattern.tolist()):
+                loops = [rel_ == SELF_LOOP for rel_, _ in s.relations]
+                seen["internal loop"] |= any(loops[:-1]) and not all(loops)
+                seen["trailing loop"] |= loops[-1] and not all(loops)
+                seen["non-item terminal"] |= not g.is_item(s.terminal)
+                seen["pattern to a user"] |= path_signature(s, g) == to_user_sig
+                seen["gated nonzero"] |= r != 0.0
+                seen["gated at best <= 0"] |= direct_gate(g, s) and item_max[s.user] <= 0.0
+        assert all(seen.values()), seen
 
 
 class TestWalkProperties:
@@ -323,15 +428,6 @@ class TestWalkProperties:
         non_loop = sum(1 for r, _ in state.relations if r != SELF_LOOP)
         assert non_loop + state.self_loops == budget
         assert len(state.visited) == non_loop + 1
-
-
-def frontier_of(states):
-    """The array frontier holding ``states`` (all with the same hop count)."""
-    return Frontier(np.asarray([s.entities for s in states], dtype=np.intp),
-                    np.asarray([[r for r, _ in s.relations] for s in states],
-                               dtype=np.intp).reshape(len(states), -1),
-                    np.asarray([[d for _, d in s.relations] for s in states],
-                               dtype=np.intp).reshape(len(states), -1))
 
 
 def random_states(graph, rng, n, hops, budget, loop_share=0.3):

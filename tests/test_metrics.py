@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathrec.embeddings import rng_for
-from pathrec.errors import EmptyColdSet
+from pathrec.errors import EmptyColdSet, InvalidSpec
 from pathrec.metrics import (cold_item_coverage, cold_item_proportion,
                              hit_at_k, ndcg_at_k, pattern_report,
                              pop_baseline, popb_at_k, train_popularity)
@@ -47,9 +47,9 @@ class TestRankingMetrics:
         assert hit_at_k(["x", "a"], {"a"}, 2) == 1.0
 
     def test_k_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec):
             ndcg_at_k(["a"], {"a"}, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec):
             hit_at_k(["a"], {"a"}, 0)
 
     @given(st.lists(st.integers(0, 50), max_size=30, unique=True),

@@ -265,6 +265,14 @@ def truncate(path):
         fh.write(data[:len(data) // 2])
 
 
+def cut_lines(path):
+    """Keep the first half of the file's lines, each of them whole."""
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    with open(path, "wb") as fh:
+        fh.writelines(lines[:len(lines) // 2])
+
+
 FAULTS = [
     *(("truncate", artifact, stage) for artifact, stage in (
         ("data/triplets.tsv", "split"),
@@ -292,6 +300,7 @@ FAULTS = [
         ("recs/recommendations.jsonl", "eval"),
     )),
     *(("delete", "run.json", stage) for stage in STAGES[1:] + ("sweep",)),
+    ("cut-lines", "recs/recommendations.jsonl", "eval"),  # every kept record decodes
 ]
 
 
@@ -304,6 +313,8 @@ class TestDamagedArtifacts:
         path = os.path.join(copy.workdir, artifact)
         if fault == "truncate":
             truncate(path)
+        elif fault == "cut-lines":
+            cut_lines(path)
         elif fault == "seed2":
             shutil.copyfile(os.path.join(seed2_run.workdir, artifact), path)
         else:

@@ -4,12 +4,13 @@ import pytest
 from pathrec.embeddings import (EmbedTrainConfig, EmbeddingTable, init_table, rng_for,
                                 score_tails)
 from pathrec.errors import EmptyGraph, InvalidAction, InvalidSpec, MissingEmbedding
-from pathrec.mdp import (PathState, RewardSpec, encode_state, step,
-                         valid_actions)
+from pathrec.mdp import PathState, RewardSpec
 from pathrec.policy import (AgentConfig, PolicyModel, _sample_rows,
                             episode_gradients, evaluate_mean_reward,
                             rollout_batch, state_dim_for, train_agent,
                             training_users, write_history)
+
+from oracles import encode_state, frontier_of, step, valid_actions
 
 
 class FixedReward:
@@ -18,8 +19,9 @@ class FixedReward:
     def __init__(self, by_terminal):
         self.by_terminal = by_terminal
 
-    def terminal_reward(self, state):
-        return float(self.by_terminal.get(state.terminal, 0.0))
+    def terminal_reward(self, frontier):
+        return np.asarray([float(self.by_terminal.get(t, 0.0))
+                           for t in frontier.entities[:, -1].tolist()])
 
 
 def small_policy(table, hop_budget, seed=5, **overrides):
@@ -175,8 +177,7 @@ class TestGradientOracle:
         spec = FixedReward(rewards)
         state = PathState.start(u0, 1)
         slate = valid_actions(state, tiny_graph, max_actions=cfg.max_actions)
-        R = np.asarray([spec.terminal_reward(step(state, a, tiny_graph))
-                        for a in slate])
+        R = spec.terminal_reward(frontier_of([step(state, a, tiny_graph) for a in slate]))
         X = encode_state(state, small_table)[None, :]
         return policy, cfg, u0, spec, slate, R, X
 
@@ -276,10 +277,10 @@ class TestMultiStep:
         policy, cfg = small_policy(small_table, 2)
         u0 = tiny_graph.entity_id("user", "u0")
         spec = RewardSpec.binary(tiny_graph)
-        _, _, states = rollout_batch(policy, tiny_graph, small_table, [u0],
-                                     2, cfg.max_actions, spec,
-                                     rng_for(3, "roll"))
-        assert all(s.is_complete for s in states)
+        _, _, frontier = rollout_batch(policy, tiny_graph, small_table, [u0],
+                                       2, cfg.max_actions, spec,
+                                       rng_for(3, "roll"))
+        assert all(s.is_complete for s in frontier.states(2))
 
 
 def reference_rollout(policy, graph, table, users, hop_budget, max_actions,
@@ -308,17 +309,16 @@ def reference_rollout(policy, graph, table, users, hop_budget, max_actions,
             chosen = np.minimum(_sample_rows(probs, rng), sizes - 1)
         hops.append((X, probs, values, chosen, sizes))
         states = [step(s, sl[c], graph) for s, sl, c in zip(states, slates, chosen)]
-    rewards = np.asarray([reward_spec.terminal_reward(s) for s in states])
-    return hops, rewards, states
+    return hops, reward_spec.terminal_reward(frontier_of(states)), states
 
 
 class TestBatchedRollout:
     """rollout_batch against a state-by-state walk with the scalar functions."""
 
     def assert_same(self, got, want):
-        records, rewards, states = got
+        records, rewards, frontier = got
         hops, want_rewards, want_states = want
-        assert states == want_states
+        assert frontier.states(len(hops)) == want_states
         np.testing.assert_array_equal(rewards, want_rewards)
         assert len(records) == len(hops)
         for t, (rec, (X, probs, values, chosen, sizes)) in enumerate(zip(records, hops)):
@@ -342,10 +342,12 @@ class TestBatchedRollout:
         users = training_users(g)
         return g, table, policy, cfg, users + users[:3]  # repeated users share scores
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_sampled_rollouts_equal_scalar_walk(self, make_graph, seed):
+    @pytest.mark.parametrize("seed, mode", [(0, "upgpr"), (1, "upgpr"), (2, "upgpr"),
+                                            (0, "pgpr"), (1, "pgpr"), (2, "pgpr")],
+                             ids=["0", "1", "2", "pgpr-0", "pgpr-1", "pgpr-2"])
+    def test_sampled_rollouts_equal_scalar_walk(self, make_graph, seed, mode):
         g, table, policy, cfg, users = self.setup_case(make_graph, seed)
-        spec = RewardSpec.binary(g)
+        spec = RewardSpec.binary(g) if mode == "upgpr" else RewardSpec.pattern(g, table)
         for pol in (policy, None):
             got = rollout_batch(pol, g, table, users, 3, cfg.max_actions, spec,
                                 rng_for(seed, "roll"))
