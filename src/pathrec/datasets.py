@@ -11,12 +11,11 @@ training interactions only, so the training graph leaks nothing.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np

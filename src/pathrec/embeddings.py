@@ -14,7 +14,7 @@ bit-reproducible given the seed, the config, and the graph.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

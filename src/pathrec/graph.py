@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 

@@ -9,17 +9,19 @@ deduplicated per terminal item, keeping the best path as the explanation.
 The beam is an array frontier (``mdp.Frontier``) plus one log-probability
 per row, kept in the order a path-by-path search would produce: one
 policy forward per hop over all rows, one batched slate build, one
-lexsort for the per-row top-``width``. ``PathState``/``ScoredPath``
-objects are built only for the final frontier. The user's scores over
-all entities, which truncate over-cap slates by selection, are computed
-once per search from the embedding table in place
-(``embeddings.score_all_tails``).
+lexsort for the per-row top-``width``. The search returns the final
+frontier as a ``Beam``; ranking sorts, filters and deduplicates its rows
+on the arrays, and ``PathState``/``ScoredPath`` objects are built only
+for the at most k served paths (or for rows a caller reads from the
+``Beam``). The user's scores over all entities, which truncate over-cap
+slates by selection, are computed once per search from the embedding
+table in place (``embeddings.score_all_tails``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -40,9 +42,45 @@ class ScoredPath:
         return self.state.terminal
 
 
+@dataclass(frozen=True, eq=False)
+class Beam(Sequence):
+    """The complete paths of one beam search: its final frontier and each
+    row's log probability. A read-only sequence of ``ScoredPath`` that
+    builds a path only when it is read."""
+
+    frontier: Frontier
+    logprob: np.ndarray
+
+    @classmethod
+    def of(cls, paths: Sequence[ScoredPath]) -> "Beam":
+        """``paths``, which share one hop count, stacked into a Beam; a Beam
+        is returned as it is."""
+        if isinstance(paths, Beam):
+            return paths
+        return cls(Frontier.of([p.state for p in paths]),
+                   np.asarray([p.logprob for p in paths], dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.frontier)
+
+    def __getitem__(self, i):
+        rows = range(len(self))[i]
+        if isinstance(rows, range):
+            return self.take(list(rows))
+        return self.take([rows])[0]
+
+    def __iter__(self):
+        return iter(self.take(slice(None)))
+
+    def take(self, rows) -> list[ScoredPath]:
+        """The paths of the rows that ``rows`` selects, built in one pass."""
+        states = self.frontier.states(self.frontier.hops, rows)
+        return [ScoredPath(s, lp) for s, lp in zip(states, self.logprob[rows].tolist())]
+
+
 def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
                 table: EmbeddingTable, widths: Sequence[int],
-                max_actions: int | None = None) -> list[ScoredPath]:
+                max_actions: int | None = None) -> Beam:
     """All complete len(widths)-hop paths explored from ``user``.
 
     Per-hop, each partial path keeps its widths[t] most probable actions
@@ -55,8 +93,7 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
     if any(w < 1 for w in widths):
         raise InvalidSpec("beam widths must be >= 1")
     cap = policy.config.max_actions if max_actions is None else max_actions
-    budget = len(widths)
-    check_walk(policy, graph, table, budget, cap)
+    check_walk(policy, graph, table, len(widths), cap)
     user_scores = score_all_tails(table, user, graph.interaction_relation)[None, :]
     frontier = Frontier.start([user])
     logprob = np.zeros(1)
@@ -64,26 +101,27 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
         P = len(frontier)
         slates = frontier.slates(graph, cap, user_scores, np.zeros(P, dtype=np.intp))
         probs, _, _ = policy.forward(frontier.encode(table), slates.sizes)
-        S = slates.target.shape[1]
+        S = int(slates.sizes.max())
         valid = np.arange(S) < slates.sizes[:, None]
-        p = np.where(valid, probs[:, :S], -1.0)
+        p = probs[:, :S]
         # Candidates: valid slots at least as probable as the row's
         # width-th best, so ties at the cut stay in; one lexsort then
-        # orders them by (row, -p, target, relation, direction).
+        # orders them by (row, -p, target, relation, direction). p is 0
+        # beyond a slate and >= 0 inside it, so a row with fewer than
+        # width valid slots gets a cut of 0 and all of them.
         if width < S:
-            cut = -np.partition(-p, width - 1, axis=1)[:, width - 1]
+            cut = p.max(axis=1) if width == 1 else np.partition(p, S - width, axis=1)[:, S - width]
             rows, slots = np.nonzero(valid & (p >= cut[:, None]))
         else:
             rows, slots = np.nonzero(valid)
-        order = np.lexsort((slates.direction[rows, slots], slates.relation[rows, slots],
-                            slates.target[rows, slots], -p[rows, slots], rows))
+        relation, target, direction = slates.actions(rows, slots)
+        order = np.lexsort((direction, relation, target, -p[rows, slots], rows))
+        ranked = rows[order]
+        order = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < width]
         rows, slots = rows[order], slots[order]
-        take = np.arange(len(rows)) - np.searchsorted(rows, rows) < width
-        rows, slots = rows[take], slots[take]
         logprob = logprob[rows] + np.log(p[rows, slots])
-        frontier = frontier.advance(slates, rows, slots)
-    return [ScoredPath(state, lp) for state, lp in
-            zip(frontier.states(budget), logprob.tolist())]
+        frontier = frontier.advance(rows, relation[order], target[order], direction[order])
+    return Beam(frontier, logprob)
 
 
 @dataclass(frozen=True)
@@ -108,28 +146,35 @@ def rank_recommendations(paths: Sequence[ScoredPath], graph: KnowledgeGraph,
     """Top-k items from complete paths, one best path per item.
 
     Paths not ending at an item and items the user already interacted with
-    in training are dropped. Items are ordered by path log probability,
-    ties by f(u, i | interaction), then item id.
+    in training are dropped. An item's path is its first in the order
+    (-log probability, entities, relations). Items are ordered by path log
+    probability, ties by f(u, i | interaction), then item id. The paths
+    are ranked as a ``Beam``'s arrays (``Beam.of``), and only the served
+    ones are built as ``ScoredPath`` objects.
     """
-    if any(p.state.user != user for p in paths):
+    beam = Beam.of(paths)
+    walks = beam.frontier
+    if (walks.entities[:, 0] != user).any():
         raise UnknownUser("all paths must start at the requested user")
-    seen = graph.user_items(user)
-    best: dict[int, ScoredPath] = {}
-    for p in sorted(paths, key=lambda p: (-p.logprob, p.state.entities, p.state.relations)):
-        t = p.terminal
-        if not graph.is_item(t) or t in seen:
-            continue
-        if t not in best:  # first hit is the best path for this item
-            best[t] = p
-    if not best:
+    # the tuple order of (-logprob, entities, relations): lexsort's last key
+    # is its first, and a relation step compares as (relation, direction)
+    steps = [column for i in reversed(range(walks.hops))
+             for column in (walks.directions[:, i], walks.relations[:, i])]
+    order = np.lexsort([*steps, *walks.entities.T[::-1], -beam.logprob])
+    terminal = walks.entities[order, -1]
+    seen = np.fromiter(graph.user_items(user), dtype=np.intp)
+    keep = (graph.has_type(terminal, graph.schema.item_type)
+            & (terminal[:, None] != seen).all(axis=1))
+    items, first = np.unique(terminal[keep], return_index=True)
+    if not len(items):
         return RecommendationList(user=user, entries=())
-    items = np.asarray(sorted(best), dtype=np.intp)
+    best = order[keep][first]  # each item's first path in that order
     fscores = score_tails(table, user, graph.interaction_relation, items)
-    f_by_item = dict(zip(items.tolist(), fscores.tolist()))
-    ranked = sorted(best, key=lambda i: (-best[i].logprob, -f_by_item[i], i))[:k]
-    entries = tuple(Recommendation(item=i, rank=r + 1, logprob=best[i].logprob,
-                                   path=best[i]) for r, i in enumerate(ranked))
-    return RecommendationList(user=user, entries=entries)
+    ranked = np.lexsort((items, -fscores, -beam.logprob[best]))[:k]
+    served = beam.take(best[ranked])
+    return RecommendationList(user=user, entries=tuple(
+        Recommendation(item=item, rank=r + 1, logprob=path.logprob, path=path)
+        for r, (item, path) in enumerate(zip(items[ranked].tolist(), served))))
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,18 @@ hit test on the user's training interactions.
 
 Walks run on a ``Frontier``: many paths held as (P, t+1) entity and
 (P, t) relation/direction arrays. ``Frontier.slates`` builds every row's
-slate in one pass over the graph's CSR arrays, ``Frontier.encode`` every
-row's live state prefix in one gather, and ``RewardSpec.terminal_reward``
-every row's reward in one call; beam search and rollouts use only these.
-A row with more moves than the action cap keeps its top moves by
-selection: one ``np.partition`` finds each such row's cut score, and ties
-at the cut go to the moves earliest in canonical order. ``PathState`` is
-one walked path as an immutable value, built from a frontier's rows where
-a path leaves the walk (beam search results, explanations, reports).
+slate in one pass over the graph's CSR arrays, kept compact: the kept
+moves of all rows as one run of CSR edge ids and targets, plus a per-row
+offset and size; ``Slates.actions`` reads the (relation, target,
+direction) of any (row, slot) pairs, which ``Frontier.advance`` appends.
+``Frontier.encode`` gathers every row's live state prefix in one pass, and
+``RewardSpec.terminal_reward`` scores every row in one call; beam search
+and rollouts use only these. A row with more moves than the action cap
+keeps its top moves by selection: one ``np.partition`` finds each such
+row's cut score, and ties at the cut go to the moves earliest in
+canonical order. ``PathState`` is one walked path as an immutable value,
+built only for the rows a caller reads out of a frontier (the served
+paths of a ranking, explanations, reports).
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import MissingEmbedding, SchemaViolation
+from .errors import InvalidSpec, MissingEmbedding, SchemaViolation
 from .embeddings import EmbeddingTable, score_tails
-from .graph import FORWARD, INVERSE, KnowledgeGraph
+from .graph import FORWARD, INVERSE, CSRAdjacency, KnowledgeGraph
 
 SELF_LOOP = -1  # sentinel relation id for the stay-in-place action
 
@@ -74,17 +78,33 @@ class PathState:
 
 
 class Slates(NamedTuple):
-    """Every frontier row's slate, padded to a common width S.
+    """Every frontier row's slate: its kept moves, compacted row by row.
 
-    Row b holds ``sizes[b]`` valid slots: slot 0 is the self-loop
-    (SELF_LOOP, current entity, FORWARD), the rest are the kept moves in
-    canonical order. Slots at or beyond ``sizes[b]`` are padding.
+    Row b holds ``sizes[b]`` slots. Slot 0 is the self-loop
+    (SELF_LOOP, current entity, FORWARD); slot s >= 1 is move
+    ``offset[b] + s - 1``, a CSR edge id and its target. A row's moves are
+    contiguous and in canonical order. ``actions`` reads any slots.
     """
 
-    relation: np.ndarray  # (P, S)
-    target: np.ndarray    # (P, S)
-    direction: np.ndarray  # (P, S)
-    sizes: np.ndarray     # (P,)
+    edge: np.ndarray     # (M,) CSR edge id per kept move
+    target: np.ndarray   # (M,)
+    offset: np.ndarray   # (P,) row b's first move
+    sizes: np.ndarray    # (P,)
+    current: np.ndarray  # (P,) row b's current entity, the self-loop target
+    adj: CSRAdjacency
+
+    def actions(self, rows: np.ndarray, slots: np.ndarray):
+        """(relation, target, direction) of slot ``slots[i]`` of row ``rows[i]``."""
+        relation = np.full(len(rows), SELF_LOOP, dtype=np.intp)
+        direction = np.full(len(rows), FORWARD, dtype=np.intp)
+        target = self.current[rows]
+        is_move = np.flatnonzero(slots)
+        move = self.offset[rows[is_move]] + slots[is_move] - 1
+        edge = self.edge[move]
+        relation[is_move] = self.adj.rel[edge]
+        target[is_move] = self.target[move]
+        direction[is_move] = self.adj.dir[edge]
+        return relation, target, direction
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +127,17 @@ class Frontier:
         empty = np.zeros((len(starts), 0), dtype=np.intp)
         return cls(np.asarray(starts, dtype=np.intp).reshape(-1, 1), empty, empty)
 
+    @classmethod
+    def of(cls, states: Sequence[PathState]) -> "Frontier":
+        """The frontier whose rows are ``states``, which share one hop count."""
+        hops = {s.hops for s in states}
+        if len(hops) > 1:
+            raise InvalidSpec(f"paths of {sorted(hops)} hops do not stack into one frontier")
+        P, t = len(states), hops.pop() if hops else 0
+        steps = np.asarray([s.relations for s in states], dtype=np.intp).reshape(P, t, 2)
+        return cls(np.asarray([s.entities for s in states], dtype=np.intp).reshape(P, t + 1),
+                   steps[:, :, 0], steps[:, :, 1])
+
     def __len__(self) -> int:
         return self.entities.shape[0]
 
@@ -117,7 +148,8 @@ class Frontier:
     def slates(self, graph: KnowledgeGraph, max_actions: int,
                user_scores: np.ndarray, score_rows: np.ndarray) -> Slates:
         """Every row's slate: the self-loop, then its moves to unvisited
-        neighbors in canonical (relation, target, direction) order.
+        neighbors in canonical (relation, target, direction) order, kept
+        compact (``Slates``).
 
         ``user_scores[score_rows[b]]`` holds f(start user, . | interaction)
         over all entity ids for row b; it ranks moves when a row has more
@@ -148,39 +180,25 @@ class Frontier:
         counts = np.bincount(row, minlength=P)
         is_over = counts > max_actions
         if is_over.any():
-            over_rows = np.nonzero(is_over)[0]
-            over = np.nonzero(is_over[row])[0]
+            # each over-cap row's moves laid out as one row of a grid, its
+            # cells the moves' scores, padded with -inf
+            over_rows = np.flatnonzero(is_over)
             n = counts[over_rows]
-            local = np.repeat(np.arange(len(over_rows)), n)
-            pos = np.arange(len(over)) - np.repeat(np.cumsum(n) - n, n)
-            score = user_scores[score_rows[row[over]], target[over]]
-            padded = np.full((len(over_rows), int(n.max())), -np.inf)
-            padded[local, pos] = score
-            kth = padded.shape[1] - max_actions
-            cut = (np.partition(padded, kth, axis=1)[:, kth] if max_actions > 0
-                   else np.full(len(over_rows), np.inf))
-            kept = score > cut[local]
+            cell = np.arange(n.max())
+            real = cell < n[:, None]
+            at = np.where(real, (np.cumsum(counts) - counts)[over_rows, None] + cell, 0)
+            grid = np.where(real, user_scores[score_rows[over_rows, None], target[at]], -np.inf)
+            kth = grid.shape[1] - max_actions
+            cut = np.partition(grid, kth, axis=1)[:, kth, None] if max_actions > 0 else np.inf
+            above, tie = grid > cut, grid == cut
             # ties at the cut fill each row up to max_actions, earliest first
-            tie = np.nonzero(score == cut[local])[0]
-            tie_local = local[tie]
-            tie_rank = np.arange(len(tie)) - np.searchsorted(tie_local, tie_local)
-            need = max_actions - np.bincount(local[kept], minlength=len(over_rows))
-            kept[tie[tie_rank < need[tie_local]]] = True
-            keep = np.ones(len(row), dtype=bool)
-            keep[over[~kept]] = False
-            row, edge, target = row[keep], edge[keep], target[keep]
+            need = max_actions - above.sum(axis=1, keepdims=True)
+            kept = above | (tie & (np.cumsum(tie, axis=1) <= need))
+            keep = np.ones(len(target), dtype=bool)
+            keep[at[real & ~kept]] = False
+            edge, target = edge[keep], target[keep]
             counts = np.minimum(counts, max_actions)
-        sizes = counts + 1
-        width = int(sizes.max()) if P else 1
-        slot = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-        out = []
-        for moves, loop in ((adj.rel[edge], SELF_LOOP), (target, current),
-                            (adj.dir[edge], FORWARD)):
-            a = np.zeros((P, width), dtype=np.intp)
-            a[:, 0] = loop
-            a[row, slot] = moves
-            out.append(a)
-        return Slates(*out, sizes)
+        return Slates(edge, target, np.cumsum(counts) - counts, counts + 1, current, adj)
 
     def encode(self, table: EmbeddingTable) -> np.ndarray:
         """Every row's live state prefix, gathered in one pass.
@@ -205,21 +223,23 @@ class Frontier:
             out[:, 2::2] = table.entity_vecs[self.entities[:, 1:]]
         return out.reshape(P, -1)
 
-    def advance(self, slates: Slates, parent: np.ndarray, slot: np.ndarray) -> "Frontier":
-        """The frontier whose row i extends row ``parent[i]`` by its slate's
-        action ``slot[i]``."""
-        def grow(have, slate_column):
-            return np.concatenate([have[parent], slate_column[parent, slot][:, None]], axis=1)
+    def advance(self, parent: np.ndarray, relation: np.ndarray, target: np.ndarray,
+                direction: np.ndarray) -> "Frontier":
+        """The frontier whose row i extends row ``parent[i]`` by the action
+        (``relation[i]``, ``target[i]``, ``direction[i]``), as read from a
+        slate by ``Slates.actions``."""
+        def grow(have, column):
+            return np.concatenate([have[parent], column[:, None]], axis=1)
 
-        return Frontier(grow(self.entities, slates.target),
-                        grow(self.relations, slates.relation),
-                        grow(self.directions, slates.direction))
+        return Frontier(grow(self.entities, target), grow(self.relations, relation),
+                        grow(self.directions, direction))
 
-    def states(self, budget: int) -> list[PathState]:
-        """One ``PathState`` per row, walked under a budget of ``budget`` hops."""
+    def states(self, budget: int, rows=slice(None)) -> list[PathState]:
+        """One ``PathState`` per row (of those ``rows`` selects), walked under
+        a budget of ``budget`` hops."""
         out = []
-        for ents, rels, dirs in zip(self.entities.tolist(), self.relations.tolist(),
-                                    self.directions.tolist()):
+        for ents, rels, dirs in zip(self.entities[rows].tolist(), self.relations[rows].tolist(),
+                                    self.directions[rows].tolist()):
             out.append(PathState(ents[0], tuple(ents), tuple(zip(rels, dirs)),
                                  frozenset(ents), rels.count(SELF_LOOP), budget))
         return out

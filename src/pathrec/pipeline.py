@@ -432,6 +432,14 @@ def read_recommendations(path: str):
             [d for d in lines if "meta" not in d])
 
 
+def _is_served_list(items) -> bool:
+    """Whether a record's ``items`` is a list of {"item", "path": {"pattern"}}
+    entries, the fields ``evaluate_run`` reads."""
+    return isinstance(items, list) and all(
+        isinstance(it, dict) and "item" in it and isinstance(it.get("path"), dict)
+        and "pattern" in it["path"] for it in items)
+
+
 def evaluate_run(config: RunConfig, split: DatasetSplit, records: list[dict]):
     """Metric rows for the recommender and the popularity baseline."""
     k = config.inference.topk
@@ -495,6 +503,10 @@ def stage_eval(config: RunConfig):
             records = read_recommendations(path)[1]
             if sorted((r["cohort"], r["user"]) for r in records) != users:
                 raise StageError("eval", f"{path}: users differ from the split's")
+            for r in records:
+                if not _is_served_list(r.get("items")):
+                    raise StageError("eval", f"{path}: the record of {r['cohort']} user "
+                                     f"{r['user']!r} holds no list of items with paths")
             return records
 
         records = run.read(run.paths.recs_file, "recommend", load)

@@ -89,15 +89,19 @@ class PolicyModel:
 
         ``X`` holds each row's live state prefix (``Frontier.encode``): at
         hop t the first k = (1 + 2t)·d columns of a ``state_dim``-wide
-        state, whose other columns are zero. With more than one row and
-        2k <= ``state_dim`` the prefix is multiplied by ``W1[:k]``;
-        otherwise it is zero-padded to full width. The rule keeps every
-        product bitwise equal to the full-width one: this OpenBLAS build
-        appears to sum K in two halves, so the prefix product matches up
-        to half the width and differs beyond it, and a single row goes
-        to gemv, whose remainder loop sums a prefix of 3 mod 4 columns
-        differently. The tests pin both. The elementwise tail runs in
-        place; it is the same sequence of operations.
+        state, whose other columns are zero. The prefix is multiplied by
+        ``W1[:k]`` when one row has k % 4 == 0 or more rows have
+        2k <= ``state_dim``; otherwise it is zero-padded to full width. The
+        rule keeps every product bitwise equal to the full-width one: this
+        OpenBLAS build appears to sum K in two halves, so a multi-row
+        prefix product matches up to half the width and differs beyond
+        it. Where it splits a 700-wide K depends on the BLAS thread count
+        (after 352 columns with one thread, 350 with two), so no fixed
+        two-block sum can stand in for it. A single row goes to gemv,
+        which matches at k % 4 == 0; its remainder loop sums a prefix of
+        3 mod 4 columns differently. The tests pin each rule. The
+        elementwise tail runs in place; it is the same sequence of
+        operations.
         """
         k = X.shape[1]
         d = self.state_dim // (1 + 2 * self.config.hop_budget)
@@ -105,7 +109,7 @@ class PolicyModel:
             raise InvalidSpec(f"a {k}-wide state is no live prefix of the policy's "
                               f"{self.state_dim}-wide state of {d}-dim blocks")
         rows = X
-        if k < self.state_dim and (len(X) == 1 or 2 * k > self.state_dim):
+        if k < self.state_dim and (k % 4 if len(X) == 1 else 2 * k > self.state_dim):
             rows = np.zeros((len(X), self.state_dim))
             rows[:, :k] = X
         h1 = rows @ self.W1[:rows.shape[1]]
@@ -263,7 +267,7 @@ def rollout_batch(policy: PolicyModel | None, graph: KnowledgeGraph,
             # cumsum can undershoot 1.0 by an ulp; clip into the slate
             chosen = np.minimum(_sample_rows(probs, rng), sizes - 1)
         records.append(StepRecord(cache, probs, values, chosen, sizes))
-        frontier = frontier.advance(slates, rows, chosen)
+        frontier = frontier.advance(rows, *slates.actions(rows, chosen))
     return records, reward_spec.terminal_reward(frontier), frontier
 
 

@@ -4,7 +4,7 @@
 per-state functions define the same semantics one state at a time and are
 the oracles the batched kernels are tested against. ``valid_actions`` is
 a row of ``Frontier.slates``, ``step`` a row of ``Frontier.advance`` and
-``encode_state`` a zero-padded row of ``Frontier.encode``; ``frontier_of``
+``encode_state`` a zero-padded row of ``Frontier.encode``; ``Frontier.of``
 stacks scalar states into the frontier the array calls take.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 from pathrec.embeddings import EmbeddingTable, score_tails
 from pathrec.errors import BudgetExhausted, InvalidAction, MissingEmbedding
 from pathrec.graph import FORWARD, KnowledgeGraph
-from pathrec.mdp import MAX_ACTIONS_DEFAULT, SELF_LOOP, Frontier, PathState
+from pathrec.mdp import MAX_ACTIONS_DEFAULT, SELF_LOOP, PathState
 
 
 class Action(NamedTuple):
@@ -98,12 +98,3 @@ def encode_state(state: PathState, table: EmbeddingTable) -> np.ndarray:
         out[(1 + 2 * i) * d:(2 + 2 * i) * d] = rel_vec
         out[(2 + 2 * i) * d:(3 + 2 * i) * d] = table.entity_vec(ent)
     return out
-
-
-def frontier_of(states: list[PathState]) -> Frontier:
-    """The array frontier holding ``states`` (all with the same hop count)."""
-    return Frontier(np.asarray([s.entities for s in states], dtype=np.intp),
-                    np.asarray([[r for r, _ in s.relations] for s in states],
-                               dtype=np.intp).reshape(len(states), -1),
-                    np.asarray([[d for _, d in s.relations] for s in states],
-                               dtype=np.intp).reshape(len(states), -1))

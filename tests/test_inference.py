@@ -61,6 +61,23 @@ def reference_beam(user, policy, graph, table, widths, cap):
     return frontier
 
 
+def reference_rank(paths, graph, table, user, k):
+    """Ranking by Python sorts over path objects: each item's first path
+    in (-logprob, entities, relations) order, items by (-logprob, -f, id);
+    returns (item, rank, logprob, path) per entry."""
+    seen = graph.user_items(user)
+    best = {}
+    for p in sorted(paths, key=lambda p: (-p.logprob, p.state.entities, p.state.relations)):
+        t = p.state.terminal
+        if graph.is_item(t) and t not in seen and t not in best:
+            best[t] = p
+    items = np.asarray(sorted(best), dtype=np.intp)
+    f = dict(zip(items.tolist(),
+                 score_tails(table, user, graph.interaction_relation, items).tolist()))
+    ranked = sorted(best, key=lambda i: (-best[i].logprob, -f[i], i))[:k]
+    return [(i, r + 1, best[i].logprob, best[i]) for r, i in enumerate(ranked)]
+
+
 class TestBeamSearch:
     def test_rejects_non_user_and_bad_widths(self, tiny_graph, small_table):
         policy = fresh_policy(small_table, 2)
@@ -259,6 +276,46 @@ class TestRanking:
 
         top2 = rank_recommendations(paths, g, table, u0, k=2)
         assert top2.items() == full.items()[:2]
+
+    @pytest.mark.parametrize("zero_table", [False, True])
+    @pytest.mark.parametrize("kind", ["shop", "multi-edge"])
+    def test_beam_ranks_like_its_paths_and_the_sorted_reference(self, make_graph, kind,
+                                                                zero_table):
+        """Tie-heavy beams: a zeroed policy ties the log probabilities of
+        equally wide slates, the multi-edge graph ties paths on entities
+        (two relations to one item), and a zeroed table ties f, leaving
+        the item id."""
+        g = (build_multi_edge_graph(seed=1) if kind == "multi-edge" else
+             make_graph(n_users=4, n_items=12, interactions=6, seed=4))
+        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        if zero_table:
+            table.entity_vecs[:] = 0.0
+        policy = fresh_policy(table, 3, max_actions=30)
+        for param in policy.params:
+            param[...] = 0.0
+        rng = np.random.default_rng(0)
+        served = 0
+        for user in g.users():
+            beam = beam_search(user, policy, g, table, [5, 3, 2])
+            paths = list(beam)
+            got = rank_recommendations(beam, g, table, user, k=4)
+            assert got == rank_recommendations(paths, g, table, user, k=4)
+            # shuffled, so that no tie is settled by the beam's own row order
+            shuffled = [paths[i] for i in rng.permutation(len(paths))]
+            assert got == rank_recommendations(shuffled, g, table, user, k=4)
+            assert ([(e.item, e.rank, e.logprob, e.path) for e in got.entries]
+                    == reference_rank(paths, g, table, user, 4))
+            served += len(got.entries)
+        assert served
+
+    def test_paths_of_different_hop_counts_rejected(self, tiny_graph, small_table):
+        u0 = tiny_graph.entity_id("user", "u0")
+        i0 = tiny_graph.entity_id("item", "i0")
+        one = step(PathState.start(u0, 2), Action(tiny_graph.relation_id("purchase"), i0,
+                                                  FORWARD), tiny_graph)
+        paths = [ScoredPath(one, -1.0), ScoredPath(PathState.start(u0, 2), 0.0)]
+        with pytest.raises(InvalidSpec, match="hops"):
+            rank_recommendations(paths, tiny_graph, small_table, u0, k=5)
 
     def test_foreign_user_rejected(self, tiny_graph, small_table):
         u0 = tiny_graph.entity_id("user", "u0")

@@ -13,7 +13,7 @@ from pathrec.mdp import (SELF_LOOP, Frontier, PathState, RewardSpec, compile_pat
                          compile_patterns, path_signature, signature_label)
 
 from conftest import build_multi_edge_graph, build_shop_graph
-from oracles import Action, encode_state, frontier_of, step, valid_actions
+from oracles import Action, encode_state, step, valid_actions
 
 
 def walk(graph, state, actions):
@@ -214,7 +214,7 @@ class TestPatterns:
         s2 = walk(tiny_graph, u0_start, [Action(pu, i0, FORWARD),
                                          Action(pb, b0, FORWARD),
                                          Action(pb, i1, INVERSE)])
-        rewards = flat_pattern_spec(tiny_graph).terminal_reward(frontier_of([s, s2]))
+        rewards = flat_pattern_spec(tiny_graph).terminal_reward(Frontier.of([s, s2]))
         assert rewards.tolist() == [1.0, 1.0]
 
     def test_compile_pattern_inverse_tokens(self, tiny_graph):
@@ -274,7 +274,7 @@ class TestRewards:
         def reward(score, item_max):
             spec.table.entity_bias[i1] = score
             spec.item_max[s.user] = item_max
-            return spec.terminal_reward(frontier_of([s]))[0]
+            return spec.terminal_reward(Frontier.of([s]))[0]
 
         assert reward(0.5, 2.0) == 0.25
         assert reward(-0.5, 2.0) == 0.0
@@ -297,7 +297,7 @@ class TestRewards:
         binary = RewardSpec.binary(tiny_graph)
 
         def reward(actions):
-            return binary.terminal_reward(frontier_of([walk(tiny_graph, u0_start,
+            return binary.terminal_reward(Frontier.of([walk(tiny_graph, u0_start,
                                                             actions)]))[0]
 
         # a single effective hop (budget-1 self-loops) earns nothing
@@ -325,7 +325,7 @@ class TestRewards:
                                         Action(pb, i1, INVERSE),
                                         Action(SELF_LOOP, i1, FORWARD)])
         spec = RewardSpec.pattern(tiny_graph, small_table)
-        got = spec.terminal_reward(frontier_of([s]))[0]
+        got = spec.terminal_reward(Frontier.of([s]))[0]
         raw = score_triplet(small_table, u0_start.user, rel, i1)
         want = min(max(raw / item_max, 0.0), 1.0) if item_max > 0 else float(raw >= item_max)
         assert got == pytest.approx(want, rel=1e-12)
@@ -336,7 +336,7 @@ class TestRewards:
         b0 = tiny_graph.entity_id("brand", "b0")
         loop_b = Action(SELF_LOOP, b0, FORWARD)
         s = walk(tiny_graph, u0_start, [Action(like, b0, FORWARD), loop_b, loop_b])
-        assert spec.terminal_reward(frontier_of([s]))[0] == 0.0
+        assert spec.terminal_reward(Frontier.of([s]))[0] == 0.0
 
     def test_reward_spec_matches_direct(self, tiny_graph, small_table, u0_start):
         pu = tiny_graph.relation_id("purchase")
@@ -345,13 +345,13 @@ class TestRewards:
         s = walk(tiny_graph, u0_start, [loop_u, Action(pu, i0, FORWARD),
                                         Action(SELF_LOOP, i0, FORWARD)])
         binary = RewardSpec.binary(tiny_graph)
-        assert binary.terminal_reward(frontier_of([s]))[0] == direct_binary(tiny_graph, s)
+        assert binary.terminal_reward(Frontier.of([s]))[0] == direct_binary(tiny_graph, s)
         pattern = RewardSpec.pattern(tiny_graph, small_table)
         items = np.asarray(tiny_graph.items(), dtype=np.intp)
         item_max = float(score_tails(small_table, s.user, tiny_graph.interaction_relation,
                                      items).max())
         want = direct_pattern(tiny_graph, small_table, s, item_max)
-        assert pattern.terminal_reward(frontier_of([s]))[0] == want
+        assert pattern.terminal_reward(Frontier.of([s]))[0] == want
 
     @pytest.mark.parametrize("seed", range(3))
     def test_terminal_reward_bitwise_on_random_frontiers(self, schema, seed):
@@ -384,7 +384,7 @@ class TestRewards:
                              False)
         for hops in range(1, 5):
             states = random_states(g, rng, 150, hops, budget=hops, loop_share=0.3)
-            walked = frontier_of(states)
+            walked = Frontier.of(states)
             got_binary = binary.terminal_reward(walked)
             got_pattern = pattern.terminal_reward(walked)
             want_binary = np.asarray([direct_binary(g, s) for s in states])
@@ -449,11 +449,12 @@ def random_states(graph, rng, n, hops, budget, loop_share=0.3):
 
 
 def slate_rows(slates):
-    """Each row's valid slots as Action lists."""
-    return [[Action(*a) for a in zip(slates.relation[b, :n].tolist(),
-                                     slates.target[b, :n].tolist(),
-                                     slates.direction[b, :n].tolist())]
-            for b, n in enumerate(slates.sizes.tolist())]
+    """Each row's valid slots as Action lists, read through ``Slates.actions``."""
+    out = []
+    for b, n in enumerate(slates.sizes.tolist()):
+        columns = slates.actions(np.full(n, b), np.arange(n))
+        out.append([Action(*a) for a in zip(*(c.tolist() for c in columns))])
+    return out
 
 
 class TestFrontier:
@@ -472,7 +473,7 @@ class TestFrontier:
             states = random_states(g, rng, 12, hops, budget=3)
             score_rows = rng.integers(0, 3, size=len(states))
             for cap in (1, 3, 7, 250):
-                got = frontier_of(states).slates(g, cap, scores, score_rows)
+                got = Frontier.of(states).slates(g, cap, scores, score_rows)
                 want = [valid_actions(s, g, max_actions=cap, user_scores=scores[r])
                         for s, r in zip(states, score_rows)]
                 assert slate_rows(got) == want
@@ -486,7 +487,7 @@ class TestFrontier:
             states = random_states(g, rng, 10, hops, budget=3)
             rows = np.zeros(len(states), dtype=np.intp)
             for cap in (1, 2, 5, 250):
-                got = frontier_of(states).slates(g, cap, scores, rows)
+                got = Frontier.of(states).slates(g, cap, scores, rows)
                 want = [valid_actions(s, g, max_actions=cap, user_scores=scores[0])
                         for s in states]
                 assert slate_rows(got) == want
@@ -510,7 +511,7 @@ class TestFrontier:
         states = [walk(tiny_graph, u0_start, [loop, Action(pu, i0, FORWARD)]),
                   walk(tiny_graph, u0_start, [loop, loop])]
         scores = np.zeros((1, tiny_graph.entity_count))
-        got = frontier_of(states).slates(tiny_graph, 250, scores,
+        got = Frontier.of(states).slates(tiny_graph, 250, scores,
                                          np.zeros(2, dtype=np.intp))
         rows = slate_rows(got)
         assert rows == [valid_actions(s, tiny_graph) for s in states]
@@ -527,7 +528,7 @@ class TestFrontier:
             states = random_states(g, rng, 9, hops, budget=3, loop_share=0.5)
             want = np.stack([encode_state(s, table) for s in states])
             live = (1 + 2 * hops) * table.dim
-            np.testing.assert_array_equal(frontier_of(states).encode(table), want[:, :live])
+            np.testing.assert_array_equal(Frontier.of(states).encode(table), want[:, :live])
             assert np.all(want[:, live:] == 0.0)
 
     def test_encode_rejects_rowless_entity(self, tiny_graph, small_table):
@@ -540,11 +541,11 @@ class TestFrontier:
         rng = np.random.default_rng(3)
         scores = np.zeros((1, g.entity_count))
         states = random_states(g, rng, 7, 1, budget=3)
-        frontier = frontier_of(states)
+        frontier = Frontier.of(states)
         slates = frontier.slates(g, 250, scores, np.zeros(len(states), dtype=np.intp))
         parent = np.asarray([0, 0, 3, 6, 2], dtype=np.intp)
         slot = np.asarray([rng.integers(slates.sizes[p]) for p in parent], dtype=np.intp)
-        grown = frontier.advance(slates, parent, slot).states(3)
+        grown = frontier.advance(parent, *slates.actions(parent, slot)).states(3)
         rows = slate_rows(slates)
         assert grown == [step(states[p], rows[p][k], g) for p, k in zip(parent, slot)]
         assert frontier.states(3) == states
@@ -610,7 +611,7 @@ class TestSlateSelection:
         assert not scores.any()
         rows = np.asarray([users.index(s.user) for s in states], dtype=np.intp)
         for cap in (1, 2, 5, 9):
-            got = frontier_of(states).slates(hub_graph, cap, scores, rows)
+            got = Frontier.of(states).slates(hub_graph, cap, scores, rows)
             want = [valid_actions(s, hub_graph, table, max_actions=cap) for s in states]
             assert slate_rows(got) == want
             assert any(fresh_count(s, hub_graph) > cap for s in states)
@@ -623,7 +624,7 @@ class TestSlateSelection:
         states = hub_states(hub_graph)
         rows = np.zeros(len(states), dtype=np.intp)
         for cap in (0, 2, 4, 7):
-            got = frontier_of(states).slates(hub_graph, cap, scores, rows)
+            got = Frontier.of(states).slates(hub_graph, cap, scores, rows)
             want = [valid_actions(s, hub_graph, max_actions=cap, user_scores=scores[0])
                     for s in states]
             assert slate_rows(got) == want
@@ -644,7 +645,7 @@ class TestSlateSelection:
             scores[0, list(s.entities)] = 1e6
         rows = np.zeros(len(states), dtype=np.intp)
         cap = 3
-        got = slate_rows(frontier_of(states).slates(hub_graph, cap, scores, rows))
+        got = slate_rows(Frontier.of(states).slates(hub_graph, cap, scores, rows))
         for s, slate in zip(states, got):
             assert fresh_count(s, hub_graph) > cap
             assert slate == valid_actions(s, hub_graph, max_actions=cap,
@@ -657,14 +658,14 @@ class TestSlateSelection:
         scores = np.round(rng.random((1, hub_graph.entity_count)), 1)
         states = hub_states(hub_graph)
         rows = np.zeros(len(states), dtype=np.intp)
-        got = frontier_of(states).slates(hub_graph, 1, scores, rows)
+        got = Frontier.of(states).slates(hub_graph, 1, scores, rows)
         assert slate_rows(got) == [valid_actions(s, hub_graph, max_actions=1,
                                                  user_scores=scores[0]) for s in states]
         assert got.sizes.tolist() == [2] * len(states)
         for s in states:
             cap = fresh_count(s, hub_graph) - 1
             assert cap >= 1
-            got = frontier_of([s]).slates(hub_graph, cap, scores, rows[:1])
+            got = Frontier.of([s]).slates(hub_graph, cap, scores, rows[:1])
             assert slate_rows(got) == [valid_actions(s, hub_graph, max_actions=cap,
                                                      user_scores=scores[0])]
             assert got.sizes.tolist() == [cap + 1]
@@ -686,7 +687,7 @@ class TestSlateSelection:
         over = [s for s in states if fresh_count(s, hub_graph) > cap]
         assert len({s.current for s in over}) >= 3
         assert any(fresh_count(s, hub_graph) <= cap for s in states)
-        got = frontier_of(states).slates(hub_graph, cap, scores, rows)
+        got = Frontier.of(states).slates(hub_graph, cap, scores, rows)
         want = [valid_actions(s, hub_graph, max_actions=cap, user_scores=scores[r])
                 for s, r in zip(states, rows)]
         assert slate_rows(got) == want

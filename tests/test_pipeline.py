@@ -273,6 +273,15 @@ def cut_lines(path):
         fh.writelines(lines[:len(lines) // 2])
 
 
+def drop_items(path):
+    """Remove ``items`` from the first user record; every line still decodes."""
+    with open(path) as fh:
+        lines = [json.loads(line) for line in fh]
+    del lines[1]["items"]
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(rec) + "\n" for rec in lines)
+
+
 FAULTS = [
     *(("truncate", artifact, stage) for artifact, stage in (
         ("data/triplets.tsv", "split"),
@@ -301,6 +310,7 @@ FAULTS = [
     )),
     *(("delete", "run.json", stage) for stage in STAGES[1:] + ("sweep",)),
     ("cut-lines", "recs/recommendations.jsonl", "eval"),  # every kept record decodes
+    ("drop-items", "recs/recommendations.jsonl", "eval"),
 ]
 
 
@@ -315,6 +325,8 @@ class TestDamagedArtifacts:
             truncate(path)
         elif fault == "cut-lines":
             cut_lines(path)
+        elif fault == "drop-items":
+            drop_items(path)
         elif fault == "seed2":
             shutil.copyfile(os.path.join(seed2_run.workdir, artifact), path)
         else:

@@ -4,13 +4,13 @@ import pytest
 from pathrec.embeddings import (EmbedTrainConfig, EmbeddingTable, init_table, rng_for,
                                 score_tails)
 from pathrec.errors import EmptyGraph, InvalidAction, InvalidSpec, MissingEmbedding
-from pathrec.mdp import PathState, RewardSpec
+from pathrec.mdp import Frontier, PathState, RewardSpec
 from pathrec.policy import (AgentConfig, PolicyModel, _sample_rows,
                             episode_gradients, evaluate_mean_reward,
                             rollout_batch, state_dim_for, train_agent,
                             training_users, write_history)
 
-from oracles import encode_state, frontier_of, step, valid_actions
+from oracles import encode_state, step, valid_actions
 
 
 class FixedReward:
@@ -62,7 +62,12 @@ def pad(X, width):
 # (embedding dim, hidden sizes): the default config and the test dims
 KERNEL_DIMS = [(100, (512, 256)), (4, (16, 8)), (5, (16, 8)), (6, (16, 8)),
                (7, (16, 8)), (8, (16, 8))]
-PREFIX_ROWS = [1, 10, 25, 47, 64, 125]
+PREFIX_ROWS = range(1, 131)  # every row count of a 25/5/1 beam or a 64-episode rollout batch
+
+
+def is_sliced(P, k, state_dim):
+    """Whether forward multiplies P rows of a k-wide prefix by W1[:k] unpadded."""
+    return k % 4 == 0 if P == 1 else 2 * k <= state_dim
 
 
 def kernel_policy(d, hidden):
@@ -86,7 +91,7 @@ class TestPrefixKernels:
             for P in PREFIX_ROWS:
                 X = rng.normal(size=(P, k))
                 sizes = rng.integers(1, policy.slate_size + 1, size=P)
-                if P > 1 and 2 * k <= policy.state_dim:  # the sliced hops
+                if is_sliced(P, k, policy.state_dim):
                     np.testing.assert_array_equal(X @ policy.W1[:k],
                                                   pad(X, policy.state_dim) @ policy.W1)
                 got = policy.forward(X, sizes)
@@ -94,19 +99,19 @@ class TestPrefixKernels:
                 for a, b in zip(got[:2] + got[2][1:], want[:2] + want[2][1:]):
                     np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("d,hidden", KERNEL_DIMS[:2])
-    def test_only_short_multi_row_prefixes_are_sliced(self, d, hidden):
+    @pytest.mark.parametrize("d,hidden", KERNEL_DIMS[:3])
+    def test_only_pinned_prefixes_are_sliced(self, d, hidden):
         """W1 rows beyond the prefix are poisoned with NaN: a product
-        that reads them (the zero-padded full width) turns NaN."""
+        that reads them (the zero-padded full width) turns NaN. One row is
+        sliced at k % 4 == 0, more rows up to half the width."""
         policy = kernel_policy(d, hidden)
         rng = np.random.default_rng(1)
         for t in range(3):
             k = (1 + 2 * t) * d
             policy.W1[k:] = np.nan
-            for P in (1, 10):
+            for P in (1, 2, 10):
                 probs, _, _ = policy.forward(rng.normal(size=(P, k)), np.full(P, 3))
-                sliced = P > 1 and 2 * k <= policy.state_dim
-                assert np.isnan(probs).any() != sliced, (t, P)
+                assert np.isnan(probs).any() != is_sliced(P, k, policy.state_dim), (t, P)
             policy.W1[k:] = 0.0
 
     @pytest.mark.parametrize("d,hidden", KERNEL_DIMS)
@@ -177,7 +182,7 @@ class TestGradientOracle:
         spec = FixedReward(rewards)
         state = PathState.start(u0, 1)
         slate = valid_actions(state, tiny_graph, max_actions=cfg.max_actions)
-        R = spec.terminal_reward(frontier_of([step(state, a, tiny_graph) for a in slate]))
+        R = spec.terminal_reward(Frontier.of([step(state, a, tiny_graph) for a in slate]))
         X = encode_state(state, small_table)[None, :]
         return policy, cfg, u0, spec, slate, R, X
 
@@ -309,7 +314,7 @@ def reference_rollout(policy, graph, table, users, hop_budget, max_actions,
             chosen = np.minimum(_sample_rows(probs, rng), sizes - 1)
         hops.append((X, probs, values, chosen, sizes))
         states = [step(s, sl[c], graph) for s, sl, c in zip(states, slates, chosen)]
-    return hops, reward_spec.terminal_reward(frontier_of(states)), states
+    return hops, reward_spec.terminal_reward(Frontier.of(states)), states
 
 
 class TestBatchedRollout:
