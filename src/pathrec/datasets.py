@@ -209,9 +209,9 @@ class DatasetSplit:
         self.schema.save(os.path.join(out_dir, "schema.json"))
         self.train_graph.write_triplets(os.path.join(out_dir, "train.tsv"))
         write_profiles(self.profiles, os.path.join(out_dir, "profiles.jsonl"))
-        manifest = self.manifest()
-        manifest["config_hash"] = config_hash
-        write_json(os.path.join(out_dir, "manifest.json"), manifest)
+        write_json(os.path.join(out_dir, "manifest.json"),
+                   {**self.manifest(), "train_fingerprint": self.train_graph.fingerprint(),
+                    "config_hash": config_hash})
 
     @classmethod
     def read(cls, out_dir: str) -> "DatasetSplit":

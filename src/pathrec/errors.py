@@ -41,10 +41,6 @@ class EmptyCandidates(PathRecError):
     """A candidate set that must be non-empty is empty."""
 
 
-class BudgetExhausted(PathRecError):
-    """The hop budget of a path state is already spent."""
-
-
 class InvalidAction(PathRecError):
     """An action is not valid in the current path state."""
 

@@ -29,6 +29,7 @@ schema file. Entities that appear in no triplet are not serialized.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from dataclasses import dataclass
@@ -544,8 +545,6 @@ class KnowledgeGraph:
             fh.writelines(line + "\n" for line in self._triplet_lines(include_derived))
 
     def fingerprint(self) -> str:
-        import hashlib
-
         lines = sorted(self._triplet_lines())
         blob = json.dumps(self.schema.to_json(), sort_keys=True) + "\n" + "\n".join(lines)
         return hashlib.sha256(blob.encode()).hexdigest()
@@ -577,12 +576,3 @@ def check_triplet_row(path: str, lineno: int, fields: list[str]) -> tuple[str, s
     ht, hn = parse_entity_token(fields[0])
     tt, tn = parse_entity_token(fields[2])
     return ht, hn, fields[1], tt, tn
-
-
-def read_triplet_file(path: str) -> Iterator[tuple[str, str, str, str, str]]:
-    """Yield (head_type, head_name, relation, tail_type, tail_name) per line.
-
-    Blank lines and lines starting with ``#`` are skipped.
-    """
-    for lineno, fields in read_triplet_rows(path):
-        yield check_triplet_row(path, lineno, fields)

@@ -8,8 +8,9 @@ deduplicated per terminal item, keeping the best path as the explanation.
 
 The beam is an array frontier (``mdp.Frontier``) plus one log-probability
 per row, kept in the order a path-by-path search would produce: one
-policy forward per hop over all rows, one batched slate build, one
-lexsort for the per-row top-``width``. The search returns the final
+policy forward per hop over all rows, each carrying its parent's
+first-layer sum, one batched slate build, one lexsort for the per-row
+top-``width``. The search returns the final
 frontier as a ``Beam``; ranking sorts, filters and deduplicates its rows
 on the arrays, and ``PathState``/``ScoredPath`` objects are built only
 for the at most k served paths (or for rows a caller reads from the
@@ -36,10 +37,6 @@ from .policy import PolicyModel, check_walk
 class ScoredPath:
     state: PathState
     logprob: float
-
-    @property
-    def terminal(self) -> int:
-        return self.state.terminal
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +94,10 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
     user_scores = score_all_tails(table, user, graph.interaction_relation)[None, :]
     frontier = Frontier.start([user])
     logprob = np.zeros(1)
+    carry = None
     for width in widths:
-        P = len(frontier)
-        slates = frontier.slates(graph, cap, user_scores, np.zeros(P, dtype=np.intp))
-        probs, _, _ = policy.forward(frontier.encode(table), slates.sizes)
+        slates = frontier.slates(graph, cap, user_scores, np.zeros(len(frontier), dtype=np.intp))
+        probs, _, cache = policy.forward(frontier.encode(table), slates.sizes, carry)
         S = int(slates.sizes.max())
         valid = np.arange(S) < slates.sizes[:, None]
         p = probs[:, :S]
@@ -120,6 +117,7 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
         order = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < width]
         rows, slots = rows[order], slots[order]
         logprob = logprob[rows] + np.log(p[rows, slots])
+        carry = cache.sum1[rows]
         frontier = frontier.advance(rows, relation[order], target[order], direction[order])
     return Beam(frontier, logprob)
 

@@ -69,10 +69,6 @@ class PathState:
         return len(self.relations)
 
     @property
-    def is_complete(self) -> bool:
-        return self.hops == self.budget
-
-    @property
     def terminal(self) -> int:
         return self.entities[-1]
 
@@ -205,12 +201,10 @@ class Frontier:
 
         A full state is 1 + 2·budget blocks of d columns: the start user,
         then a relation block and an entity block per hop, zero beyond the
-        hops taken; at hop t only its first (1 + 2t)·d columns can be
-        nonzero. Those columns are returned, shape
-        (P, (1 + 2t)·d); ``PolicyModel.forward`` supplies the zero blocks
-        up to the hop budget where it needs them. Relation rows come from
-        the relation table extended by the self-loop vector, which
-        SELF_LOOP (-1) indexes as its last row.
+        hops taken. At hop t its first (1 + 2t)·d columns are returned,
+        shape (P, (1 + 2t)·d). Relation rows come from the relation table
+        extended by the self-loop vector, which SELF_LOOP (-1) indexes as
+        its last row.
         """
         if self.entities.size and self.entities.max() >= table.entity_count:
             raise MissingEmbedding("a frontier entity has no embedding row")

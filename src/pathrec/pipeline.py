@@ -264,12 +264,14 @@ class _Stage:
             raise StageError(self.name, f"damaged artifact {path}: {exc!r}") from exc
 
     def split(self) -> DatasetSplit:
-        split = self.read(self.paths.manifest, "split",
-                          lambda p: DatasetSplit.read(os.path.dirname(p)))
+        split, fingerprint = self.read(self.paths.manifest, "split", lambda p: (
+            DatasetSplit.read(os.path.dirname(p)), _load_json(p)["train_fingerprint"]))
         # the split writes one profile per cold user and cold item
         if (sorted(p.name for p in split.profiles)
                 != sorted([*split.cold_val, *split.cold_test, *split.cold_items])):
             raise StageError(self.name, f"{self.paths.split_dir}: profiles and manifest differ")
+        if split.train_graph.fingerprint() != fingerprint:
+            raise StageError(self.name, f"{self.paths.split_dir}: train.tsv and manifest differ")
         return split
 
     def warm_table(self, split: DatasetSplit) -> EmbeddingTable:

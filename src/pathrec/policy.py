@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +57,27 @@ class AgentConfig:
             raise InvalidSpec("policy uses exactly two hidden layers")
 
 
+K_BLOCK = 256    # the widest K one product sums
+HEAD_ALIGN = 8   # the actor head's product width is a multiple of this
+PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "Wv", "bv")  # of ``params``, in order
+
+
+def _matmul(A: np.ndarray, W: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
+    """``acc + A @ W`` (``A @ W`` without ``acc``), K summed left to right in
+    blocks of at most ``K_BLOCK`` columns; ``acc`` itself is left as it is."""
+    for start in range(0, A.shape[1], K_BLOCK):
+        part = A[:, start:start + K_BLOCK] @ W[start:start + K_BLOCK]
+        acc = part if acc is None else np.add(acc, part, out=part)
+    return acc
+
+
+class ForwardCache(NamedTuple):
+    X: np.ndarray     # the live state prefixes
+    sum1: np.ndarray  # first-layer sums before the bias: the next hop's carry
+    h1: np.ndarray
+    h2: np.ndarray
+
+
 class PolicyModel:
     """Two ReLU hidden layers; actor and baseline heads share the trunk."""
 
@@ -75,7 +97,9 @@ class PolicyModel:
         self.b1 = np.zeros(h1)
         self.W2 = layer(h1, h2)
         self.b2 = np.zeros(h2)
-        self.W3 = layer(h2, self.slate_size)
+        self._W3 = np.zeros((h2, -(-self.slate_size // HEAD_ALIGN) * HEAD_ALIGN))
+        self.W3 = self._W3[:, :self.slate_size]
+        self.W3[...] = layer(h2, self.slate_size)
         self.b3 = np.zeros(self.slate_size)
         self.Wv = layer(h2, 1)[:, 0]
         self.bv = np.zeros(1)
@@ -84,72 +108,68 @@ class PolicyModel:
     def params(self) -> list[np.ndarray]:
         return [self.W1, self.b1, self.W2, self.b2, self.W3, self.b3, self.Wv, self.bv]
 
-    def forward(self, X: np.ndarray, slate_sizes: np.ndarray):
+    def forward(self, X: np.ndarray, slate_sizes: np.ndarray,
+                carry: np.ndarray | None = None):
         """Masked action probabilities, baseline values, and a backward cache.
 
         ``X`` holds each row's live state prefix (``Frontier.encode``): at
         hop t the first k = (1 + 2t)·d columns of a ``state_dim``-wide
-        state, whose other columns are zero. The prefix is multiplied by
-        ``W1[:k]`` when one row has k % 4 == 0 or more rows have
-        2k <= ``state_dim``; otherwise it is zero-padded to full width. The
-        rule keeps every product bitwise equal to the full-width one: this
-        OpenBLAS build appears to sum K in two halves, so a multi-row
-        prefix product matches up to half the width and differs beyond
-        it. Where it splits a 700-wide K depends on the BLAS thread count
-        (after 352 columns with one thread, 350 with two), so no fixed
-        two-block sum can stand in for it. A single row goes to gemv,
-        which matches at k % 4 == 0; its remainder loop sums a prefix of
-        3 mod 4 columns differently. The tests pin each rule. The
-        elementwise tail runs in place; it is the same sequence of
-        operations.
+        state, whose other columns are zero. Every sum has one fixed order.
+        A row's first-layer sum is ``carry`` (its parent's ``cache.sum1``,
+        gathered by parent row; zero when None) plus one product per new
+        d-wide block, left to right, and then the bias; with a carry the new
+        blocks are X's last two, the hop's relation and entity, without one
+        all of X's. Every product sums K in blocks of at most ``K_BLOCK``
+        columns, left to right (W2 in two halves), and the actor head is
+        computed over ``W3``'s buffer, zero-padded to a multiple of
+        ``HEAD_ALIGN`` columns. OpenBLAS splits a wider K, or an output width
+        off its 8-column grid, by the thread count; products of these shapes
+        give the same bits at any count, so the bytes do not depend on it.
         """
         k = X.shape[1]
         d = self.state_dim // (1 + 2 * self.config.hop_budget)
         if k > self.state_dim or k % d or (k // d) % 2 == 0:
             raise InvalidSpec(f"a {k}-wide state is no live prefix of the policy's "
                               f"{self.state_dim}-wide state of {d}-dim blocks")
-        rows = X
-        if k < self.state_dim and (k % 4 if len(X) == 1 else 2 * k > self.state_dim):
-            rows = np.zeros((len(X), self.state_dim))
-            rows[:, :k] = X
-        h1 = rows @ self.W1[:rows.shape[1]]
-        h1 += self.b1
+        if carry is not None and (k == d or carry.shape != (len(X), len(self.b1))):
+            raise InvalidSpec(f"a {carry.shape} carry is no parent sum of {len(X)} "
+                              f"{k}-wide states")
+        sum1 = carry
+        for start in range(0 if carry is None else k - 2 * d, k, d):
+            sum1 = _matmul(X[:, start:start + d], self.W1[start:start + d], sum1)
+        h1 = sum1 + self.b1
         np.maximum(h1, 0.0, out=h1)
-        h2 = h1 @ self.W2
+        h2 = _matmul(h1, self.W2)
         h2 += self.b2
         np.maximum(h2, 0.0, out=h2)
-        logits = h2 @ self.W3
+        logits = _matmul(h2, self._W3)[:, :self.slate_size]
         logits += self.b3
-        mask = np.arange(self.slate_size) < slate_sizes[:, None]
-        logits[~mask] = -np.inf
+        logits[np.arange(self.slate_size) >= slate_sizes[:, None]] = -np.inf
         logits -= logits.max(axis=1, keepdims=True)
         probs = np.exp(logits, out=logits)
         probs /= probs.sum(axis=1, keepdims=True)
-        values = h2 @ self.Wv + self.bv[0]
-        cache = (X, h1, h2, mask)
-        return probs, values, cache
+        values = _matmul(h2, self.Wv) + self.bv[0]
+        return probs, values, ForwardCache(X, sum1, h1, h2)
 
-    def backward(self, cache, dlogits: np.ndarray, dvalues: np.ndarray,
+    def backward(self, cache: ForwardCache, dlogits: np.ndarray, dvalues: np.ndarray,
                  grads: list[np.ndarray]):
-        """Accumulate parameter gradients for one cached forward pass.
-
-        The cached state is a k-column prefix, so only ``W1``'s first k
-        gradient rows receive a product; the rest would receive exact
-        zeros. Slicing picks output rows and leaves each sum's order as
-        it is, so this is bitwise equal at every width.
-        """
-        X, h1, h2, _ = cache
-        grads[4] += h2.T @ dlogits
+        """Accumulate parameter gradients for one cached forward pass, in
+        the forward's summation order. The cached state is a k-column
+        prefix, so ``W1``'s gradient rows beyond k stay exact zeros."""
+        X, _, h1, h2 = cache
+        wide = np.zeros((len(dlogits), self._W3.shape[1]))
+        wide[:, :self.slate_size] = dlogits
+        grads[4] += _matmul(h2.T, wide)[:, :self.slate_size]
         grads[5] += dlogits.sum(axis=0)
-        grads[6] += h2.T @ dvalues
+        grads[6] += _matmul(h2.T, dvalues)
         grads[7][0] += dvalues.sum()
-        dh2 = dlogits @ self.W3.T + np.outer(dvalues, self.Wv)
+        dh2 = _matmul(dlogits, self.W3.T) + np.outer(dvalues, self.Wv)
         dz2 = dh2 * (h2 > 0)
-        grads[2] += h1.T @ dz2
+        grads[2] += _matmul(h1.T, dz2)
         grads[3] += dz2.sum(axis=0)
-        dh1 = dz2 @ self.W2.T
+        dh1 = _matmul(dz2, self.W2.T)
         dz1 = dh1 * (h1 > 0)
-        grads[0][:X.shape[1]] += X.T @ dz1
+        grads[0][:X.shape[1]] += _matmul(X.T, dz1)
         grads[1] += dz1.sum(axis=0)
 
     def zero_grads(self, grads: list[np.ndarray] | None = None) -> list[np.ndarray]:
@@ -164,8 +184,7 @@ class PolicyModel:
     def save(self, path: str, config_hash: str = ""):
         cfg = asdict(self.config)
         cfg["hidden"] = list(cfg["hidden"])
-        write_npz(path, W1=self.W1, b1=self.b1, W2=self.W2, b2=self.b2,
-                  W3=self.W3, b3=self.b3, Wv=self.Wv, bv=self.bv,
+        write_npz(path, **dict(zip(PARAM_NAMES, self.params)),
                   state_dim=np.asarray(self.state_dim),
                   config=np.asarray(json.dumps(cfg, sort_keys=True)),
                   seed=np.asarray(self.config.seed),
@@ -177,8 +196,7 @@ class PolicyModel:
             cfg = json.loads(str(data["config"]))
             cfg["hidden"] = tuple(cfg["hidden"])
             model = cls(int(data["state_dim"]), AgentConfig(**cfg))
-            for name, param in zip(("W1", "b1", "W2", "b2", "W3", "b3", "Wv", "bv"),
-                                   model.params):
+            for name, param in zip(PARAM_NAMES, model.params):
                 param[...] = data[name]
         return model
 
@@ -216,7 +234,7 @@ def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class StepRecord:
-    cache: tuple
+    cache: ForwardCache | None
     probs: np.ndarray
     values: np.ndarray
     chosen: np.ndarray
@@ -249,11 +267,13 @@ def rollout_batch(policy: PolicyModel | None, graph: KnowledgeGraph,
     frontier = Frontier.start(users)
     rows = np.arange(len(users))
     records: list[StepRecord] = []
+    carry = None
     for t in range(hop_budget):
         slates = frontier.slates(graph, max_actions, scores, score_rows)
         sizes = slates.sizes
         if policy is not None:
-            probs, values, cache = policy.forward(frontier.encode(table), sizes)
+            probs, values, cache = policy.forward(frontier.encode(table), sizes, carry)
+            carry = cache.sum1  # rows keep their order: each carries its own sum
         else:
             mask = np.arange(max(sizes.max(), 1)) < sizes[:, None]
             probs = mask / sizes[:, None]

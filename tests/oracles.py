@@ -15,9 +15,17 @@ from typing import NamedTuple
 import numpy as np
 
 from pathrec.embeddings import EmbeddingTable, score_tails
-from pathrec.errors import BudgetExhausted, InvalidAction, MissingEmbedding
+from pathrec.errors import InvalidAction, MissingEmbedding, PathRecError
 from pathrec.graph import FORWARD, KnowledgeGraph
 from pathrec.mdp import MAX_ACTIONS_DEFAULT, SELF_LOOP, PathState
+
+
+class BudgetExhausted(PathRecError):
+    """The hop budget of a path state is already spent."""
+
+
+def is_complete(state: PathState) -> bool:
+    return state.hops == state.budget
 
 
 class Action(NamedTuple):
@@ -32,7 +40,7 @@ class Action(NamedTuple):
 
 def step(state: PathState, action: Action, graph: KnowledgeGraph) -> PathState:
     """Apply one action; deterministic. Raises on budget or validity violations."""
-    if state.is_complete:
+    if is_complete(state):
         raise BudgetExhausted(f"hop budget {state.budget} already spent")
     if action.is_self_loop:
         if action.target != state.current:
@@ -66,7 +74,7 @@ def valid_actions(state: PathState, graph: KnowledgeGraph, table: EmbeddingTable
     entity ids. The surviving moves are re-sorted canonically so slot
     semantics stay stable.
     """
-    if state.is_complete:
+    if is_complete(state):
         raise BudgetExhausted(f"hop budget {state.budget} already spent")
     moves = [Action(r, n, d) for r, n, d in graph.neighbors(state.current)
              if n not in state.visited]

@@ -34,7 +34,7 @@ from pathrec.policy import (AgentConfig, PolicyModel, evaluate_mean_reward,
                             state_dim_for, training_users)
 
 from conftest import build_shop_graph
-from oracles import encode_state, step, valid_actions
+from oracles import encode_state, is_complete, step, valid_actions
 from test_datasets import assert_split_invariants
 
 SEEDS = (1, 2, 3)
@@ -199,7 +199,7 @@ def test_criterion_2_rewards_match_direct_formula_on_every_path(schema):
         stack, complete = [PathState.start(user, 3)], []
         while stack:
             state = stack.pop()
-            if state.is_complete:
+            if is_complete(state):
                 complete.append(state)
                 continue
             for action in valid_actions(state, g, max_actions=10_000):
@@ -240,7 +240,7 @@ def test_criterion_3_wide_beam_equals_exhaustive_ranking(schema):
             best: dict[int, float] = {}
 
             def dfs(state, logprob):
-                if state.is_complete:
+                if is_complete(state):
                     t = state.terminal
                     if g.is_item(t) and t not in g.user_items(state.user):
                         if t not in best or logprob > best[t]:

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from pathrec.errors import NotAnItem, ParseError, SchemaViolation, UnknownEntity
 from pathrec.graph import (FORWARD, INVERSE, DerivationRule, KGSchema,
-                           KnowledgeGraph, RelationSpec, parse_entity_token,
-                           read_triplet_file)
+                           KnowledgeGraph, RelationSpec, check_triplet_row,
+                           parse_entity_token, read_triplet_rows)
 
 from conftest import build_multi_edge_graph, build_shop_graph
 
@@ -232,10 +232,12 @@ class TestSerialization:
     def test_read_triplet_file(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text("# comment\n\nuser:u0\tpurchase\titem:i0\n")
-        assert list(read_triplet_file(str(p))) == [("user", "u0", "purchase", "item", "i0")]
+        assert [check_triplet_row(str(p), lineno, fields)
+                for lineno, fields in read_triplet_rows(str(p))] == [
+            ("user", "u0", "purchase", "item", "i0")]
         p.write_text("user:u0 purchase item:i0\n")
         with pytest.raises(ParseError, match="3 tab-separated"):
-            list(read_triplet_file(str(p)))
+            check_triplet_row(str(p), *read_triplet_rows(str(p))[0])
 
 
 class TestProperties:

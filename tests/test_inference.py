@@ -10,7 +10,7 @@ from pathrec.mdp import SELF_LOOP, PathState
 from pathrec.policy import AgentConfig, PolicyModel, state_dim_for
 
 from conftest import build_multi_edge_graph
-from oracles import Action, encode_state, step, valid_actions
+from oracles import Action, encode_state, is_complete, step, valid_actions
 
 
 def fresh_policy(table, hop_budget, max_actions=50, seed=7):
@@ -27,7 +27,7 @@ def enumerate_paths(user, policy, graph, table, budget, cap):
     out = {}
 
     def walk(state, logprob):
-        if state.is_complete:
+        if is_complete(state):
             out[(state.entities, state.relations)] = logprob
             return
         slate = valid_actions(state, graph, max_actions=cap, user_scores=scores)
@@ -41,24 +41,27 @@ def enumerate_paths(user, policy, graph, table, budget, cap):
 
 
 def reference_beam(user, policy, graph, table, widths, cap):
-    """Path-by-path beam search built from the scalar MDP functions."""
+    """Path-by-path beam search built from the scalar MDP functions; each
+    path carries its first-layer sum to its children."""
     all_ids = np.arange(graph.entity_count, dtype=np.intp)
     scores = score_tails(table, user, graph.interaction_relation, all_ids)
-    frontier = [(PathState.start(user, len(widths)), 0.0)]
+    frontier = [(PathState.start(user, len(widths)), 0.0, None)]
     for width in widths:
         slates = [valid_actions(s, graph, max_actions=cap, user_scores=scores)
-                  for s, _ in frontier]
-        X = np.stack([encode_state(s, table) for s, _ in frontier])
-        probs, _, _ = policy.forward(X, np.asarray([len(sl) for sl in slates]))
+                  for s, _, _ in frontier]
+        live = (1 + 2 * frontier[0][0].hops) * table.dim  # a carry needs live prefixes
+        X = np.stack([encode_state(s, table)[:live] for s, _, _ in frontier])
+        carry = None if frontier[0][2] is None else np.stack([c for _, _, c in frontier])
+        probs, _, cache = policy.forward(X, np.asarray([len(sl) for sl in slates]), carry)
         grown = []
-        for (state, lp), slate, p in zip(frontier, slates, probs):
+        for (state, lp, _), slate, p, sum1 in zip(frontier, slates, probs, cache.sum1):
             order = sorted(range(len(slate)),
                            key=lambda i: (-p[i], slate[i].target, slate[i].relation,
                                           slate[i].direction))
             for i in order[:width]:
-                grown.append((step(state, slate[i], graph), lp + float(np.log(p[i]))))
+                grown.append((step(state, slate[i], graph), lp + float(np.log(p[i])), sum1))
         frontier = grown
-    return frontier
+    return [(state, lp) for state, lp, _ in frontier]
 
 
 def reference_rank(paths, graph, table, user, k):

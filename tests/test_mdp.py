@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from pathrec.embeddings import (EmbedTrainConfig, init_table, score_all_tails, score_tails,
                                 score_triplet)
-from pathrec.errors import BudgetExhausted, InvalidAction, MissingEmbedding
+from pathrec.errors import InvalidAction, MissingEmbedding
 from pathrec.graph import FORWARD, INVERSE
 from pathrec.mdp import (SELF_LOOP, Frontier, PathState, RewardSpec, compile_pattern,
                          compile_patterns, path_signature, signature_label)
 
 from conftest import build_multi_edge_graph, build_shop_graph
-from oracles import Action, encode_state, step, valid_actions
+from oracles import (Action, BudgetExhausted, encode_state, is_complete, step,
+                     valid_actions)
 
 
 def walk(graph, state, actions):
@@ -70,7 +71,7 @@ class TestStep:
     def test_budget_exhausted(self, tiny_graph, u0_start):
         loop = Action(SELF_LOOP, u0_start.user, FORWARD)
         s = walk(tiny_graph, u0_start, [loop, loop, loop])
-        assert s.is_complete
+        assert is_complete(s)
         with pytest.raises(BudgetExhausted):
             step(s, loop, tiny_graph)
         with pytest.raises(BudgetExhausted):
@@ -416,7 +417,7 @@ class TestWalkProperties:
                              seed=seed % 7)
         rng = np.random.default_rng(seed)
         state = PathState.start(g.users()[int(rng.integers(len(g.users())))], budget)
-        while not state.is_complete:
+        while not is_complete(state):
             acts = valid_actions(state, g)
             assert acts[0].is_self_loop
             # every offered move is a real unvisited edge

@@ -301,6 +301,7 @@ FAULTS = [
     *(("seed2", artifact, stage) for artifact, stage in (
         ("split/manifest.json", "train-embed"),
         ("split/profiles.jsonl", "train-embed"),
+        ("split/train.tsv", "train-embed"),
         ("embed/embeddings.npz", "train-agent"),
         ("embed/embeddings.npz", "sweep"),
         ("agent/policy.npz", "recommend"),

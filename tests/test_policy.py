@@ -1,16 +1,23 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import pathrec
 from pathrec.embeddings import (EmbedTrainConfig, EmbeddingTable, init_table, rng_for,
                                 score_tails)
 from pathrec.errors import EmptyGraph, InvalidAction, InvalidSpec, MissingEmbedding
 from pathrec.mdp import Frontier, PathState, RewardSpec
+from pathrec.optim import Adam
 from pathrec.policy import (AgentConfig, PolicyModel, _sample_rows,
                             episode_gradients, evaluate_mean_reward,
                             rollout_batch, state_dim_for, train_agent,
                             training_users, write_history)
 
-from oracles import encode_state, step, valid_actions
+from oracles import encode_state, is_complete, step, valid_actions
 
 
 class FixedReward:
@@ -62,25 +69,22 @@ def pad(X, width):
 # (embedding dim, hidden sizes): the default config and the test dims
 KERNEL_DIMS = [(100, (512, 256)), (4, (16, 8)), (5, (16, 8)), (6, (16, 8)),
                (7, (16, 8)), (8, (16, 8))]
-PREFIX_ROWS = range(1, 131)  # every row count of a 25/5/1 beam or a 64-episode rollout batch
+# (embedding dim, hidden sizes, action cap): the default config, the dims the
+# build-tuned slicing got wrong (150, 200), the test dims; slates of 251, 26, 9
+ORDER_DIMS = [(100, (512, 256), 250), (150, (512, 256), 25), (200, (512, 256), 8),
+              (4, (16, 8), 250), (5, (16, 8), 25), (6, (16, 8), 8),
+              (7, (16, 8), 250), (8, (16, 8), 25)]
 
 
-def is_sliced(P, k, state_dim):
-    """Whether forward multiplies P rows of a k-wide prefix by W1[:k] unpadded."""
-    return k % 4 == 0 if P == 1 else 2 * k <= state_dim
-
-
-def kernel_policy(d, hidden):
-    cfg = AgentConfig(hop_budget=3, max_actions=250, hidden=hidden, seed=d)
+def kernel_policy(d, hidden, max_actions=250):
+    cfg = AgentConfig(hop_budget=3, max_actions=max_actions, hidden=hidden, seed=d)
     return PolicyModel(7 * d, cfg)
 
 
 class TestPrefixKernels:
-    """The live-prefix forward and backward against the full-width ones.
-
-    Equality of the sliced products depends on how the BLAS build sums
-    K; if it blocks differently these fail, rather than the trained
-    artifacts changing silently."""
+    """The live-prefix forward and backward against the full-width ones,
+    which the scalar oracles feed: a zero block adds exact zeros to each
+    first-layer sum and each W1 gradient row, at any row count."""
 
     @pytest.mark.parametrize("d,hidden", KERNEL_DIMS)
     def test_prefix_forward_bitwise_equals_full_width(self, d, hidden):
@@ -88,22 +92,18 @@ class TestPrefixKernels:
         rng = np.random.default_rng(d)
         for t in range(4):
             k = (1 + 2 * t) * d
-            for P in PREFIX_ROWS:
+            for P in (1, 2, 25, 64, 125):
                 X = rng.normal(size=(P, k))
                 sizes = rng.integers(1, policy.slate_size + 1, size=P)
-                if is_sliced(P, k, policy.state_dim):
-                    np.testing.assert_array_equal(X @ policy.W1[:k],
-                                                  pad(X, policy.state_dim) @ policy.W1)
                 got = policy.forward(X, sizes)
                 want = policy.forward(pad(X, policy.state_dim), sizes)
                 for a, b in zip(got[:2] + got[2][1:], want[:2] + want[2][1:]):
                     np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("d,hidden", KERNEL_DIMS[:3])
-    def test_only_pinned_prefixes_are_sliced(self, d, hidden):
-        """W1 rows beyond the prefix are poisoned with NaN: a product
-        that reads them (the zero-padded full width) turns NaN. One row is
-        sliced at k % 4 == 0, more rows up to half the width."""
+    def test_rows_beyond_the_prefix_never_read(self, d, hidden):
+        """W1 rows beyond the prefix are poisoned with NaN: no row count
+        reads them."""
         policy = kernel_policy(d, hidden)
         rng = np.random.default_rng(1)
         for t in range(3):
@@ -111,7 +111,7 @@ class TestPrefixKernels:
             policy.W1[k:] = np.nan
             for P in (1, 2, 10):
                 probs, _, _ = policy.forward(rng.normal(size=(P, k)), np.full(P, 3))
-                assert np.isnan(probs).any() != is_sliced(P, k, policy.state_dim), (t, P)
+                assert not np.isnan(probs).any(), (t, P)
             policy.W1[k:] = 0.0
 
     @pytest.mark.parametrize("d,hidden", KERNEL_DIMS)
@@ -120,7 +120,7 @@ class TestPrefixKernels:
         rng = np.random.default_rng(d + 1)
         for t in range(4):
             k = (1 + 2 * t) * d
-            for P in PREFIX_ROWS:
+            for P in (1, 2, 25, 64, 125):
                 X = rng.normal(size=(P, k))
                 sizes = rng.integers(1, policy.slate_size + 1, size=P)
                 _, _, cache = policy.forward(X, sizes)
@@ -128,7 +128,7 @@ class TestPrefixKernels:
                 dvalues = rng.normal(size=P)
                 got, want = policy.zero_grads(), policy.zero_grads()
                 policy.backward(cache, dlogits, dvalues, got)
-                policy.backward((pad(X, policy.state_dim),) + cache[1:], dlogits,
+                policy.backward(cache._replace(X=pad(X, policy.state_dim)), dlogits,
                                 dvalues, want)
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a, b)
@@ -160,6 +160,113 @@ class TestPrefixKernels:
             assert reused is buffers
             for a, b in zip(reused, fresh):
                 np.testing.assert_array_equal(a, b)
+
+
+class TestFixedOrder:
+    @pytest.mark.parametrize("P", [1, 2, 25, 64])
+    @pytest.mark.parametrize("d,hidden,cap", ORDER_DIMS)
+    def test_carried_chain_equals_one_call(self, d, hidden, cap, P):
+        """Hop by hop with carries gathered by parent row, as the beam does,
+        against one carry-less call on each hop's whole live prefix. Bitwise
+        from P = 2 hop-0 rows; one row goes to gemv, whose sum the later
+        hops' gemm does not repeat bit for bit."""
+        policy = kernel_policy(d, hidden, cap)
+        rng = np.random.default_rng(d + P)
+        X, carry = rng.normal(size=(P, d)), None
+        for t in range(4):
+            sizes = rng.integers(1, policy.slate_size + 1, size=len(X))
+            probs, values, cache = policy.forward(X, sizes, carry)
+            want_probs, want_values, want = policy.forward(X, sizes)
+            for a, b in ((probs, want_probs), (values, want_values),
+                         (cache.sum1, want.sum1), (cache.h2, want.h2)):
+                if P == 1:
+                    np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+                else:
+                    np.testing.assert_array_equal(a, b)
+            parent = np.sort(rng.integers(len(X), size=2 * len(X)))
+            carry = cache.sum1[parent]
+            X = np.hstack([X[parent], rng.normal(size=(len(parent), 2 * d))])
+
+    def test_carry_without_a_parent_rejected(self):
+        policy = kernel_policy(4, (16, 8))
+        X = np.zeros((2, 12))
+        _, _, cache = policy.forward(X[:, :4], np.asarray([1, 1]))
+        with pytest.raises(InvalidSpec, match="carry"):
+            policy.forward(X[:, :4], np.asarray([1, 1]), cache.sum1)
+        with pytest.raises(InvalidSpec, match="carry"):
+            policy.forward(X, np.asarray([1, 1]), cache.sum1[:1])
+
+    @pytest.mark.parametrize("d,hidden,cap", ORDER_DIMS[:1] + ORDER_DIMS[3:6])
+    def test_dead_rows_and_padded_columns_stay_zero(self, d, hidden, cap):
+        """W1 rows beyond every prefix seen get exact-zero gradients and keep
+        their values through Adam; the head's padded columns stay zero."""
+        policy = kernel_policy(d, hidden, cap)
+        opt = Adam(policy.params, lr=0.01)
+        rng = np.random.default_rng(d)
+        W1 = policy.W1.copy()
+        grads = policy.zero_grads()
+        for t in range(3):
+            k = (1 + 2 * t) * d
+            _, _, cache = policy.forward(rng.normal(size=(8, k)), np.full(8, policy.slate_size))
+            policy.backward(cache, rng.normal(size=(8, policy.slate_size)),
+                            rng.normal(size=8), policy.zero_grads(grads))
+            assert not grads[0][k:].any()
+            opt.step(grads)
+            np.testing.assert_array_equal(policy.W1[k:], W1[k:])
+            assert policy._W3.shape[1] % 8 == 0 and np.shares_memory(policy.W3, policy._W3)
+            assert not policy._W3[:, policy.slate_size:].any()
+        assert policy.W3.shape == (hidden[1], policy.slate_size)
+
+
+THREAD_PROBE = """
+import hashlib, json, sys
+import numpy as np
+from pathrec.datasets import SyntheticSpec, generate_synthetic, load_dataset
+from pathrec.embeddings import EmbedTrainConfig, init_table, rng_for
+from pathrec.inference import beam_search, rank_recommendations
+from pathrec.mdp import RewardSpec
+from pathrec.optim import Adam
+from pathrec.policy import (AgentConfig, PolicyModel, episode_gradients, state_dim_for,
+                            training_users)
+
+graph = load_dataset(*generate_synthetic(SyntheticSpec(), sys.argv[1]))
+table = init_table(graph, EmbedTrainConfig())
+config = AgentConfig()
+policy = PolicyModel(state_dim_for(table, config.hop_budget), config)
+users = training_users(graph)
+grads, _, _ = episode_gradients(policy, graph, table, users[:config.batch_size], config,
+                                RewardSpec.binary(graph), rng_for(1, "threads"))
+Adam(policy.params, lr=config.learning_rate).step(grads)
+logprobs = []
+for user in users[:3]:
+    beam = beam_search(user, policy, graph, table, (25, 5, 1))
+    ranked = rank_recommendations(beam, graph, table, user, 10)
+    logprobs += [beam.logprob, np.asarray([e.logprob for e in ranked.entries])]
+
+def digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+print(json.dumps({"params": digest(policy.params), "grads": digest(grads),
+                  "logprobs": digest(logprobs)}))
+"""
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A default-shaped train step and beam search, in one process with
+    one BLAS thread and one with two."""
+    src = os.path.dirname(os.path.dirname(pathrec.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", THREAD_PROBE, str(tmp_path / threads)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        digests.append(json.loads(out.stdout))
+    assert digests[0] == digests[1]
 
 
 class TestGradientOracle:
@@ -217,16 +324,16 @@ class TestGradientOracle:
                                          u0, spec, slate)
         h = 1e-6
         for arr, grad in zip(policy.params, expected):
-            flat = arr.ravel()
             gflat = grad.ravel()
             idx = np.nonzero(np.abs(gflat) > 1e-10)[0]
             for j in idx[:: max(1, len(idx) // 25)]:
-                orig = flat[j]
-                flat[j] = orig + h
+                at = np.unravel_index(j, arr.shape)  # W3 is a view: no ravel copy
+                orig = arr[at]
+                arr[at] = orig + h
                 up = scalar(policy)
-                flat[j] = orig - h
+                arr[at] = orig - h
                 down = scalar(policy)
-                flat[j] = orig
+                arr[at] = orig
                 assert (up - down) / (2 * h) == pytest.approx(gflat[j], rel=1e-4, abs=1e-9)
 
     def test_sampled_gradient_converges_to_expectation(self, tiny_graph, small_table):
@@ -285,7 +392,7 @@ class TestMultiStep:
         _, _, frontier = rollout_batch(policy, tiny_graph, small_table, [u0],
                                        2, cfg.max_actions, spec,
                                        rng_for(3, "roll"))
-        assert all(s.is_complete for s in frontier.states(2))
+        assert all(is_complete(s) for s in frontier.states(2))
 
 
 def reference_rollout(policy, graph, table, users, hop_budget, max_actions,

@@ -21,7 +21,7 @@ from pathrec.datasets import (SplitConfig, SyntheticSpec, derive_relations,
 from pathrec.embeddings import EmbedTrainConfig, init_table, rng_for
 from pathrec.errors import ParseError, SchemaViolation, UnknownEntity
 from pathrec.graph import (FORWARD, INVERSE, KGSchema, KnowledgeGraph,
-                           RelationSpec, read_triplet_file)
+                           RelationSpec, check_triplet_row, read_triplet_rows)
 from pathrec.pipeline import build_augmented
 
 from conftest import build_multi_edge_graph, build_shop_graph
@@ -306,7 +306,8 @@ def reference_derive(ref: ReferenceGraph):
 def reference_load(path, schema) -> ReferenceGraph:
     derived = {r.name for r in schema.relations if r.derived_from is not None}
     ref = ReferenceGraph(schema)
-    for ht, hn, rel, tt, tn in read_triplet_file(path):
+    for lineno, fields in read_triplet_rows(path):
+        ht, hn, rel, tt, tn = check_triplet_row(path, lineno, fields)
         if rel in derived:
             raise ParseError(f"{path}: derived relation {rel!r} may not appear in a triplet file")
         h = ref.add_entity(ht, hn)
