@@ -17,14 +17,17 @@ from .errors import InvalidSpec, PathRecError, StageError
 from .pipeline import RunConfig
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _parse_int_list(text: str, option: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise InvalidSpec(f"{option} expects comma separated ints, got {text!r}") from None
 
 
 def _apply_override(raw: dict, assignment: str):
     key, sep, value = assignment.partition("=")
     if not sep or not key:
-        raise SystemExit(f"--set expects key=value, got {assignment!r}")
+        raise InvalidSpec(f"--set expects key=value, got {assignment!r}")
     try:
         parsed = json.loads(value)
     except json.JSONDecodeError:
@@ -34,7 +37,7 @@ def _apply_override(raw: dict, assignment: str):
     for part in parts[:-1]:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
-            raise SystemExit(f"--set path {key!r} crosses a non-object value")
+            raise InvalidSpec(f"--set path {key!r} crosses a non-object value")
     node[parts[-1]] = parsed
 
 
@@ -127,16 +130,16 @@ def main(argv=None) -> int:
             served = sum(1 for r in records if r["served"])
             print(f"recommendations for {served}/{len(records)} users")
         elif args.command == "sweep":
-            rows = pipeline.sweep(config, args.axis, _parse_int_list(args.values))
+            rows = pipeline.sweep(config, args.axis, _parse_int_list(args.values, "--values"))
             _print_rows(rows, ("axis", "value", "cohort", "metric", "result"))
         elif args.command == "eval" or (args.command == "run" and not args.seeds):
             run = pipeline.stage_eval if args.command == "eval" else pipeline.run_pipeline
             _print_rows(run(config)[0], ("model", "cohort", "metric", "value"))
         else:  # run --seeds, report
             if not args.seeds:
-                raise SystemExit("report needs --seeds")
+                raise InvalidSpec("report needs --seeds")
             run = pipeline.run_seeds if args.command == "run" else pipeline.write_aggregate
-            _print_rows(run(config, _parse_int_list(args.seeds)),
+            _print_rows(run(config, _parse_int_list(args.seeds, "--seeds")),
                         ("model", "cohort", "metric", "mean", "std"))
     except PathRecError as exc:  # a StageError carries its "[stage] " tag
         print(str(exc) if isinstance(exc, StageError) else f"error: {exc}", file=sys.stderr)

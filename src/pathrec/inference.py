@@ -8,15 +8,15 @@ deduplicated per terminal item, keeping the best path as the explanation.
 
 The beam is an array frontier (``mdp.Frontier``) plus one log-probability
 per row, kept in the order a path-by-path search would produce: one
-policy forward per hop over all rows, each carrying its parent's
-first-layer sum, one batched slate build, one lexsort for the per-row
-top-``width``. The search returns the final
-frontier as a ``Beam``; ranking sorts, filters and deduplicates its rows
-on the arrays, and ``PathState``/``ScoredPath`` objects are built only
-for the at most k served paths (or for rows a caller reads from the
-``Beam``). The user's scores over all entities, which truncate over-cap
-slates by selection, are computed once per search from the embedding
-table in place (``embeddings.score_all_tails``).
+policy forward per hop over all rows on the blocks that hop added, each
+row carrying its parent's state blocks and first-layer sum, one batched
+slate build, one lexsort for the per-row top-``width``. The search
+returns the final frontier as a ``Beam``; ranking sorts, filters and
+deduplicates its rows on the arrays, and ``PathState``/``ScoredPath``
+objects are built only for the at most k served paths (or for rows a
+caller reads from the ``Beam``). The user's scores over all entities,
+which truncate over-cap slates by selection, are computed once per
+search (``mdp.start_scores``).
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, score_all_tails, score_tails
+from .embeddings import EmbeddingTable, score_tails
 from .errors import InvalidSpec, UnknownUser
 from .graph import FORWARD, KnowledgeGraph
-from .mdp import SELF_LOOP, Frontier, PathState
+from .mdp import SELF_LOOP, Frontier, PathState, start_scores
 from .policy import PolicyModel, check_walk
 
 
@@ -91,7 +91,7 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
         raise InvalidSpec("beam widths must be >= 1")
     cap = policy.config.max_actions if max_actions is None else max_actions
     check_walk(policy, graph, table, len(widths), cap)
-    user_scores = score_all_tails(table, user, graph.interaction_relation)[None, :]
+    user_scores = start_scores(graph, table, [user])
     frontier = Frontier.start([user])
     logprob = np.zeros(1)
     carry = None
@@ -117,7 +117,7 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
         order = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < width]
         rows, slots = rows[order], slots[order]
         logprob = logprob[rows] + np.log(p[rows, slots])
-        carry = cache.sum1[rows]
+        carry = tuple(b[rows] for b in cache.blocks), cache.sum1[rows]
         frontier = frontier.advance(rows, relation[order], target[order], direction[order])
     return Beam(frontier, logprob)
 

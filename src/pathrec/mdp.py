@@ -12,14 +12,15 @@ slate in one pass over the graph's CSR arrays, kept compact: the kept
 moves of all rows as one run of CSR edge ids and targets, plus a per-row
 offset and size; ``Slates.actions`` reads the (relation, target,
 direction) of any (row, slot) pairs, which ``Frontier.advance`` appends.
-``Frontier.encode`` gathers every row's live state prefix in one pass, and
-``RewardSpec.terminal_reward`` scores every row in one call; beam search
-and rollouts use only these. A row with more moves than the action cap
-keeps its top moves by selection: one ``np.partition`` finds each such
-row's cut score, and ties at the cut go to the moves earliest in
-canonical order. ``PathState`` is one walked path as an immutable value,
-built only for the rows a caller reads out of a frontier (the served
-paths of a ranking, explanations, reports).
+``Frontier.encode`` gathers the state blocks every row's last hop added
+(the policy carries the earlier ones), and ``RewardSpec.terminal_reward``
+scores every row in one call; beam search and rollouts use only these.
+A row with more moves than the action cap keeps its top moves by
+selection: one ``np.partition`` finds each such row's cut score, and ties
+at the cut go to the moves earliest in canonical order. ``PathState`` is
+one walked path as an immutable value, built only for the rows a caller
+reads out of a frontier (the served paths of a ranking, explanations,
+reports).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidSpec, MissingEmbedding, SchemaViolation
-from .embeddings import EmbeddingTable, score_tails
+from .embeddings import EmbeddingTable, score_all_tails, score_tails
 from .graph import FORWARD, INVERSE, CSRAdjacency, KnowledgeGraph
 
 SELF_LOOP = -1  # sentinel relation id for the stay-in-place action
@@ -197,25 +198,21 @@ class Frontier:
         return Slates(edge, target, np.cumsum(counts) - counts, counts + 1, current, adj)
 
     def encode(self, table: EmbeddingTable) -> np.ndarray:
-        """Every row's live state prefix, gathered in one pass.
+        """The state blocks the last hop added to every row, in one pass.
 
-        A full state is 1 + 2·budget blocks of d columns: the start user,
-        then a relation block and an entity block per hop, zero beyond the
-        hops taken. At hop t its first (1 + 2t)·d columns are returned,
-        shape (P, (1 + 2t)·d). Relation rows come from the relation table
-        extended by the self-loop vector, which SELF_LOOP (-1) indexes as
-        its last row.
+        A state is 1 + 2·budget blocks of d columns: the start user, then a
+        relation and an entity block per hop. At hop 0 this is the user's
+        block, shape (P, d), after it the last hop's pair, shape (P, 2d);
+        the policy carries the earlier blocks. Relation rows come from the
+        relation table and the self-loop vector, which SELF_LOOP indexes.
         """
-        if self.entities.size and self.entities.max() >= table.entity_count:
+        entity = self.entities[:, -1]
+        if entity.size and entity.max() >= table.entity_count:
             raise MissingEmbedding("a frontier entity has no embedding row")
-        P, t = len(self), self.hops
-        out = np.empty((P, 1 + 2 * t, table.dim))
-        out[:, 0] = table.entity_vecs[self.entities[:, 0]]
-        if t:
-            rel_rows = np.vstack([table.relation_vecs, table.self_loop_vec])
-            out[:, 1::2] = rel_rows[self.relations]
-            out[:, 2::2] = table.entity_vecs[self.entities[:, 1:]]
-        return out.reshape(P, -1)
+        if not self.hops:
+            return table.entity_vecs[entity]
+        rel_rows = np.vstack([table.relation_vecs, table.self_loop_vec])
+        return np.hstack([rel_rows[self.relations[:, -1]], table.entity_vecs[entity]])
 
     def advance(self, parent: np.ndarray, relation: np.ndarray, target: np.ndarray,
                 direction: np.ndarray) -> "Frontier":
@@ -237,6 +234,13 @@ class Frontier:
             out.append(PathState(ents[0], tuple(ents), tuple(zip(rels, dirs)),
                                  frozenset(ents), rels.count(SELF_LOOP), budget))
         return out
+
+
+def start_scores(graph: KnowledgeGraph, table: EmbeddingTable, starts: Sequence[int]) -> np.ndarray:
+    """f(start, . | interaction) over all entity ids, one ``score_all_tails``
+    row per start: the ``user_scores`` of ``Frontier.slates``."""
+    rows = [score_all_tails(table, start, graph.interaction_relation) for start in starts]
+    return np.array(rows).reshape(len(starts), table.entity_count)
 
 
 # -- patterns -----------------------------------------------------------------

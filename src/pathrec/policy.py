@@ -21,10 +21,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import write_csv, write_npz
-from .embeddings import EmbeddingTable, rng_for, score_all_tails
+from .embeddings import EmbeddingTable, rng_for
 from .errors import EmptyGraph, InvalidAction, InvalidSpec, MissingEmbedding
 from .graph import KnowledgeGraph
-from .mdp import MAX_ACTIONS_DEFAULT, Frontier, RewardSpec
+from .mdp import MAX_ACTIONS_DEFAULT, Frontier, RewardSpec, start_scores
 from .optim import Adam
 
 
@@ -55,11 +55,15 @@ class AgentConfig:
             raise InvalidSpec(f"unknown reward mode {self.reward!r}")
         if len(self.hidden) != 2:
             raise InvalidSpec("policy uses exactly two hidden layers")
+        if any(w < 1 or w % HEAD_ALIGN for w in self.hidden):
+            raise InvalidSpec(f"hidden widths must be positive multiples of {HEAD_ALIGN}, "
+                              f"got {list(self.hidden)}")
 
 
 K_BLOCK = 256    # the widest K one product sums
-HEAD_ALIGN = 8   # the actor head's product width is a multiple of this
+HEAD_ALIGN = 8   # hidden widths and the padded actor head are multiples of this
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "Wv", "bv")  # of ``params``, in order
+SCORE_ROWS_BYTES = 32 << 20  # train_agent keeps every user's start scores up to this size
 
 
 def _matmul(A: np.ndarray, W: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
@@ -72,8 +76,8 @@ def _matmul(A: np.ndarray, W: np.ndarray, acc: np.ndarray | None = None) -> np.n
 
 
 class ForwardCache(NamedTuple):
-    X: np.ndarray     # the live state prefixes
-    sum1: np.ndarray  # first-layer sums before the bias: the next hop's carry
+    blocks: tuple[np.ndarray, ...]  # each row's state blocks so far, as its hops added them
+    sum1: np.ndarray                # their first-layer sums before the bias
     h1: np.ndarray
     h2: np.ndarray
 
@@ -109,34 +113,34 @@ class PolicyModel:
         return [self.W1, self.b1, self.W2, self.b2, self.W3, self.b3, self.Wv, self.bv]
 
     def forward(self, X: np.ndarray, slate_sizes: np.ndarray,
-                carry: np.ndarray | None = None):
+                carry: tuple[tuple[np.ndarray, ...], np.ndarray] | None = None):
         """Masked action probabilities, baseline values, and a backward cache.
 
-        ``X`` holds each row's live state prefix (``Frontier.encode``): at
-        hop t the first k = (1 + 2t)·d columns of a ``state_dim``-wide
-        state, whose other columns are zero. Every sum has one fixed order.
-        A row's first-layer sum is ``carry`` (its parent's ``cache.sum1``,
-        gathered by parent row; zero when None) plus one product per new
-        d-wide block, left to right, and then the bias; with a carry the new
-        blocks are X's last two, the hop's relation and entity, without one
-        all of X's. Every product sums K in blocks of at most ``K_BLOCK``
-        columns, left to right (W2 in two halves), and the actor head is
-        computed over ``W3``'s buffer, zero-padded to a multiple of
-        ``HEAD_ALIGN`` columns. OpenBLAS splits a wider K, or an output width
-        off its 8-column grid, by the thread count; products of these shapes
-        give the same bits at any count, so the bytes do not depend on it.
+        ``X`` holds the state blocks a hop adds to each row
+        (``Frontier.encode``); ``carry`` is each row's parent state, the
+        parent's ``cache[:2]`` = (blocks, sum1) gathered by parent row. X's
+        blocks meet the W1 rows after the carry's, or from row 0 without a
+        carry. Every sum has one fixed order: a row's first-layer sum is the
+        carry's sum1 (zero when None) plus one product per d-wide block of
+        X, left to right, and then the bias. Every product sums K in blocks
+        of at most ``K_BLOCK`` columns, left to right (W2 in two halves), and
+        the actor head is computed over ``W3``'s buffer, zero-padded to a
+        multiple of ``HEAD_ALIGN`` columns. OpenBLAS splits a wider K, or an
+        output width off its 8-column grid (hence the ``HEAD_ALIGN`` grid of
+        ``hidden``), by the thread count; products of these shapes give the
+        same bits at any count, so the bytes do not depend on it.
         """
-        k = X.shape[1]
+        blocks, sum1 = carry or ((), None)
+        start = sum(b.shape[1] for b in blocks)
+        k, end = X.shape[1], start + X.shape[1]
         d = self.state_dim // (1 + 2 * self.config.hop_budget)
-        if k > self.state_dim or k % d or (k // d) % 2 == 0:
-            raise InvalidSpec(f"a {k}-wide state is no live prefix of the policy's "
-                              f"{self.state_dim}-wide state of {d}-dim blocks")
-        if carry is not None and (k == d or carry.shape != (len(X), len(self.b1))):
-            raise InvalidSpec(f"a {carry.shape} carry is no parent sum of {len(X)} "
-                              f"{k}-wide states")
-        sum1 = carry
-        for start in range(0 if carry is None else k - 2 * d, k, d):
-            sum1 = _matmul(X[:, start:start + d], self.W1[start:start + d], sum1)
+        if not k or k % d or end > self.state_dim or (end // d) % 2 == 0:
+            raise InvalidSpec(f"{k} columns after a {start}-column carry are no live prefix "
+                              f"of the policy's {self.state_dim}-wide state of {d}-dim blocks")
+        if carry is not None and any(len(a) != len(X) for a in (*blocks, sum1)):
+            raise InvalidSpec(f"a carry of {len(sum1)} rows is no parent state of {len(X)} rows")
+        for col in range(0, k, d):
+            sum1 = _matmul(X[:, col:col + d], self.W1[start + col:start + col + d], sum1)
         h1 = sum1 + self.b1
         np.maximum(h1, 0.0, out=h1)
         h2 = _matmul(h1, self.W2)
@@ -149,14 +153,15 @@ class PolicyModel:
         probs = np.exp(logits, out=logits)
         probs /= probs.sum(axis=1, keepdims=True)
         values = _matmul(h2, self.Wv) + self.bv[0]
-        return probs, values, ForwardCache(X, sum1, h1, h2)
+        return probs, values, ForwardCache((*blocks, X), sum1, h1, h2)
 
     def backward(self, cache: ForwardCache, dlogits: np.ndarray, dvalues: np.ndarray,
                  grads: list[np.ndarray]):
         """Accumulate parameter gradients for one cached forward pass, in
-        the forward's summation order. The cached state is a k-column
-        prefix, so ``W1``'s gradient rows beyond k stay exact zeros."""
-        X, _, h1, h2 = cache
+        the forward's summation order. Each cached state block adds one
+        product into its own ``W1`` gradient rows; the rows after the
+        last block stay exact zeros."""
+        blocks, _, h1, h2 = cache
         wide = np.zeros((len(dlogits), self._W3.shape[1]))
         wide[:, :self.slate_size] = dlogits
         grads[4] += _matmul(h2.T, wide)[:, :self.slate_size]
@@ -169,7 +174,8 @@ class PolicyModel:
         grads[3] += dz2.sum(axis=0)
         dh1 = _matmul(dz2, self.W2.T)
         dz1 = dh1 * (h1 > 0)
-        grads[0][:X.shape[1]] += _matmul(X.T, dz1)
+        for block, end in zip(blocks, np.cumsum([b.shape[1] for b in blocks])):
+            grads[0][end - block.shape[1]:end] += _matmul(block.T, dz1)
         grads[1] += dz1.sum(axis=0)
 
     def zero_grads(self, grads: list[np.ndarray] | None = None) -> list[np.ndarray]:
@@ -209,7 +215,7 @@ def check_walk(policy: PolicyModel | None, graph: KnowledgeGraph, table: Embeddi
                hops: int, max_actions: int):
     """Raise unless ``table`` scores every entity of ``graph`` and, given a
     policy, ``hops``-hop walks over ``table`` encode the policy's states
-    (so each state prefix meets the right rows of W1) and slates of
+    (so each state block meets the right rows of W1) and slates of
     ``max_actions`` moves fit its slate."""
     if policy is not None:
         cfg = policy.config
@@ -242,13 +248,14 @@ class StepRecord:
 
 
 def rollout_batch(policy: PolicyModel | None, graph: KnowledgeGraph,
-                  table: EmbeddingTable, users: list[int], hop_budget: int,
-                  max_actions: int, reward_spec: RewardSpec,
+                  table: EmbeddingTable, users: list[int], user_scores: np.ndarray,
+                  hop_budget: int, max_actions: int, reward_spec: RewardSpec,
                   rng: np.random.Generator,
                   forced_actions: list[list[int]] | None = None):
     """Walk one episode per user; returns (step records, rewards, walked
     frontier): row b of the ``hop_budget``-hop frontier is user b's path.
 
+    ``user_scores[b]`` ranks user b's over-cap moves (``mdp.start_scores``).
     With ``policy=None`` the behavior policy is uniform over each slate
     (records then carry no caches). ``forced_actions[t][b]`` overrides
     sampling with a fixed slot index, used for exact expectation tests.
@@ -256,24 +263,16 @@ def rollout_batch(policy: PolicyModel | None, graph: KnowledgeGraph,
     if not len(users):
         raise InvalidSpec("rollouts need at least one user")
     check_walk(policy, graph, table, hop_budget, max_actions)
-    # One score vector per start user funds the slate truncation for the
-    # whole episode; embeddings are frozen so it never changes mid-walk.
-    rel = graph.interaction_relation
-    score_row = {u: i for i, u in enumerate(dict.fromkeys(users))}
-    scores = np.empty((len(score_row), table.entity_count))
-    for u, i in score_row.items():
-        scores[i] = score_all_tails(table, u, rel)
-    score_rows = np.asarray([score_row[u] for u in users], dtype=np.intp)
     frontier = Frontier.start(users)
     rows = np.arange(len(users))
     records: list[StepRecord] = []
     carry = None
     for t in range(hop_budget):
-        slates = frontier.slates(graph, max_actions, scores, score_rows)
+        slates = frontier.slates(graph, max_actions, user_scores, rows)
         sizes = slates.sizes
         if policy is not None:
             probs, values, cache = policy.forward(frontier.encode(table), sizes, carry)
-            carry = cache.sum1  # rows keep their order: each carries its own sum
+            carry = cache[:2]  # rows keep their order: each carries its own state
         else:
             mask = np.arange(max(sizes.max(), 1)) < sizes[:, None]
             probs = mask / sizes[:, None]
@@ -291,17 +290,26 @@ def rollout_batch(policy: PolicyModel | None, graph: KnowledgeGraph,
     return records, reward_spec.terminal_reward(frontier), frontier
 
 
-def _apply_reinforce_grads(policy: PolicyModel, records: list[StepRecord],
-                           rewards: np.ndarray, gamma: float, entropy_coef: float,
-                           grads: list[np.ndarray]):
-    """Gradient of the batch loss
-    mean_b sum_t [ -log pi(a_t) * (G_t - V_t) + (G_t - V_t)^2 - beta * H_t ].
-    Returns the mean per-step entropy for the curve."""
+def episode_gradients(policy: PolicyModel, graph: KnowledgeGraph,
+                      table: EmbeddingTable, users: list[int], user_scores: np.ndarray,
+                      config: AgentConfig, reward_spec: RewardSpec,
+                      rng: np.random.Generator,
+                      forced_actions: list[list[int]] | None = None,
+                      grads: list[np.ndarray] | None = None):
+    """One rollout batch (``user_scores`` as in ``rollout_batch``) and the
+    gradient of its loss
+    mean_b sum_t [ -log pi(a_t) * (G_t - V_t) + (G_t - V_t)^2 - beta * H_t ],
+    into ``grads`` (zeroed first) or fresh buffers. Returns (grads, rewards,
+    the mean per-step entropy for the curve)."""
+    records, rewards, _ = rollout_batch(policy, graph, table, users, user_scores,
+                                        config.hop_budget, config.max_actions,
+                                        reward_spec, rng, forced_actions)
+    grads = policy.zero_grads(grads)
     B = len(rewards)
     T = len(records)
     entropy_sum = 0.0
     for t, rec in enumerate(records):
-        G = rewards * gamma ** (T - 1 - t)
+        G = rewards * config.gamma ** (T - 1 - t)
         adv = G - rec.values
         p = rec.probs
         with np.errstate(divide="ignore"):
@@ -311,30 +319,12 @@ def _apply_reinforce_grads(policy: PolicyModel, records: list[StepRecord],
         # actor: (p - onehot) * adv ; entropy bonus: beta * p * (logp + H)
         dlogits = p * adv[:, None]
         dlogits[np.arange(B), rec.chosen] -= adv
-        dlogits += entropy_coef * p * (logp + H[:, None])
+        dlogits += config.entropy_coef * p * (logp + H[:, None])
         dlogits /= B
         # baseline: d/dV (G - V)^2 = -2 (G - V)
         dvalues = -2.0 * adv / B
         policy.backward(rec.cache, dlogits, dvalues, grads)
-    return entropy_sum / (B * T)
-
-
-def episode_gradients(policy: PolicyModel, graph: KnowledgeGraph,
-                      table: EmbeddingTable, users: list[int], config: AgentConfig,
-                      reward_spec: RewardSpec, rng: np.random.Generator,
-                      forced_actions: list[list[int]] | None = None,
-                      grads: list[np.ndarray] | None = None):
-    """One rollout batch and its REINFORCE gradients (exposed for tests).
-
-    The gradients go into ``grads``, zeroed first, or into fresh buffers.
-    """
-    records, rewards, _ = rollout_batch(policy, graph, table, users,
-                                        config.hop_budget, config.max_actions,
-                                        reward_spec, rng, forced_actions)
-    grads = policy.zero_grads(grads)
-    entropy = _apply_reinforce_grads(policy, records, rewards, config.gamma,
-                                     config.entropy_coef, grads)
-    return grads, rewards, entropy
+    return grads, rewards, entropy_sum / (B * T)
 
 
 def training_users(graph: KnowledgeGraph) -> list[int]:
@@ -348,6 +338,10 @@ def train_agent(graph: KnowledgeGraph, table: EmbeddingTable,
 
     History rows are (epoch, mean terminal reward, mean entropy), one per
     epoch. With ``epochs=0`` the freshly initialized policy is returned.
+    Embeddings are frozen here, so one ``start_scores`` row per user serves
+    every epoch while the rows (users x entities floats) fit
+    ``SCORE_ROWS_BYTES``; past that each batch scores its own users. Either
+    way a row is the same ``score_all_tails`` call, so the bytes agree.
     """
     config.validate()
     users = training_users(graph)
@@ -357,15 +351,20 @@ def train_agent(graph: KnowledgeGraph, table: EmbeddingTable,
     opt = Adam(policy.params, lr=config.learning_rate)
     rng = rng_for(config.seed, "agent-train")
     grads = policy.zero_grads()
+    keep = config.epochs and len(users) * table.entity_count * 8 <= SCORE_ROWS_BYTES
+    scores = start_scores(graph, table, users) if keep else None
     history: list[tuple[int, float, float]] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(users))
         reward_sum, entropy_sum, n_episodes, n_batches = 0.0, 0.0, 0, 0
         for _ in range(config.episodes_per_user):
             for start in range(0, len(order), config.batch_size):
-                batch = [users[i] for i in order[start:start + config.batch_size]]
+                rows = order[start:start + config.batch_size]
+                batch = [users[i] for i in rows]
+                batch_scores = start_scores(graph, table, batch) if scores is None else scores[rows]
                 _, rewards, entropy = episode_gradients(
-                    policy, graph, table, batch, config, reward_spec, rng, grads=grads)
+                    policy, graph, table, batch, batch_scores, config, reward_spec, rng,
+                    grads=grads)
                 opt.step(grads)
                 reward_sum += rewards.sum()
                 entropy_sum += entropy
@@ -386,9 +385,10 @@ def evaluate_mean_reward(policy: PolicyModel | None, graph: KnowledgeGraph,
     if episodes < 1:
         raise InvalidSpec(f"episodes must be >= 1, got {episodes}")
     rng = rng_for(seed, "reward-eval")
+    scores = start_scores(graph, table, users)
     total = 0.0
     for _ in range(episodes):
-        _, rewards, _ = rollout_batch(policy, graph, table, users, hop_budget,
+        _, rewards, _ = rollout_batch(policy, graph, table, users, scores, hop_budget,
                                       max_actions, reward_spec, rng)
         total += rewards.mean()
     return total / episodes

@@ -4,8 +4,10 @@
 per-state functions define the same semantics one state at a time and are
 the oracles the batched kernels are tested against. ``valid_actions`` is
 a row of ``Frontier.slates``, ``step`` a row of ``Frontier.advance`` and
-``encode_state`` a zero-padded row of ``Frontier.encode``; ``Frontier.of``
-stacks scalar states into the frontier the array calls take.
+``encode_state`` the whole zero-padded state whose last blocks (the last
+hop's relation and entity, or the user at hop 0) are a row of
+``Frontier.encode``; ``Frontier.of`` stacks scalar states into the
+frontier the array calls take.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ def encode_state(state: PathState, table: EmbeddingTable) -> np.ndarray:
     """Fixed-width state vector: user slot plus (relation, entity) per hop.
 
     1 + 2*budget slots of dim d, zero-padded beyond the hops taken.
-    Self-loop steps use the table's null-relation vector.
+    Self-loop steps use the table's null-relation vector. Passed to
+    ``PolicyModel.forward`` without a carry, it reads from W1's row 0.
     """
     d = table.dim
     out = np.zeros((1 + 2 * state.budget) * d)

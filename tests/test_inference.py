@@ -42,24 +42,30 @@ def enumerate_paths(user, policy, graph, table, budget, cap):
 
 def reference_beam(user, policy, graph, table, widths, cap):
     """Path-by-path beam search built from the scalar MDP functions; each
-    path carries its first-layer sum to its children."""
+    path carries its state blocks and first-layer sum to its children, and
+    each hop encodes the blocks it added: the scalar state's last ones."""
     all_ids = np.arange(graph.entity_count, dtype=np.intp)
     scores = score_tails(table, user, graph.interaction_relation, all_ids)
     frontier = [(PathState.start(user, len(widths)), 0.0, None)]
     for width in widths:
         slates = [valid_actions(s, graph, max_actions=cap, user_scores=scores)
                   for s, _, _ in frontier]
-        live = (1 + 2 * frontier[0][0].hops) * table.dim  # a carry needs live prefixes
-        X = np.stack([encode_state(s, table)[:live] for s, _, _ in frontier])
-        carry = None if frontier[0][2] is None else np.stack([c for _, _, c in frontier])
+        end = (1 + 2 * frontier[0][0].hops) * table.dim
+        start = max(end - 2 * table.dim, 0)
+        X = np.stack([encode_state(s, table)[start:end] for s, _, _ in frontier])
+        carry = None
+        if frontier[0][2] is not None:
+            blocks = zip(*(c[0] for _, _, c in frontier))
+            carry = tuple(map(np.stack, blocks)), np.stack([c[1] for _, _, c in frontier])
         probs, _, cache = policy.forward(X, np.asarray([len(sl) for sl in slates]), carry)
         grown = []
-        for (state, lp, _), slate, p, sum1 in zip(frontier, slates, probs, cache.sum1):
+        for row, ((state, lp, _), slate, p) in enumerate(zip(frontier, slates, probs)):
             order = sorted(range(len(slate)),
                            key=lambda i: (-p[i], slate[i].target, slate[i].relation,
                                           slate[i].direction))
+            own = tuple(b[row] for b in cache.blocks), cache.sum1[row]
             for i in order[:width]:
-                grown.append((step(state, slate[i], graph), lp + float(np.log(p[i])), sum1))
+                grown.append((step(state, slate[i], graph), lp + float(np.log(p[i])), own))
         frontier = grown
     return [(state, lp) for state, lp, _ in frontier]
 

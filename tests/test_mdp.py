@@ -520,17 +520,25 @@ class TestFrontier:
         assert rows[0][0] == Action(SELF_LOOP, i0, FORWARD)
 
     def test_encode_equals_scalar_stack(self, make_graph):
-        """encode returns the live prefix of the scalar state: its first
-        (1 + 2t)·d columns at hop t; the rest of the scalar row is zero."""
+        """encode returns the blocks the last hop added to the scalar state:
+        its first d columns at hop 0, the (relation, entity) pair ending at
+        column (1 + 2t)·d at hop t; the scalar row is zero beyond them."""
         g = make_graph(n_users=6, n_items=12, seed=1)
         table = init_table(g, EmbedTrainConfig(dim=5, seed=4))
+        d = table.dim
         rng = np.random.default_rng(8)
         for hops in range(4):
             states = random_states(g, rng, 9, hops, budget=3, loop_share=0.5)
+            frontier = Frontier.of(states)
+            if hops:  # both kinds of last step are encoded
+                last = frontier.relations[:, -1]
+                assert (last == SELF_LOOP).any() and (last != SELF_LOOP).any()
             want = np.stack([encode_state(s, table) for s in states])
-            live = (1 + 2 * hops) * table.dim
-            np.testing.assert_array_equal(Frontier.of(states).encode(table), want[:, :live])
-            assert np.all(want[:, live:] == 0.0)
+            end = (1 + 2 * hops) * d
+            got = frontier.encode(table)
+            assert got.shape == (9, 2 * d if hops else d)
+            np.testing.assert_array_equal(got, want[:, end - got.shape[1]:end])
+            assert np.all(want[:, end:] == 0.0)
 
     def test_encode_rejects_rowless_entity(self, tiny_graph, small_table):
         f = Frontier.start([small_table.entity_count])

@@ -97,6 +97,7 @@ class TestRunConfig:
         ("inference", {"widths": [4, 3, 2], "topk": None}),
         ("cold", {"strategy": ["null"]}),
         ("seed", "1"),
+        ("agent", {"hidden": [300, 100]}),
     ])
     def test_bad_keys_and_types_rejected(self, tmp_path, section, raw):
         with pytest.raises(InvalidSpec):
@@ -525,10 +526,29 @@ class TestCli:
         assert cli.main(["synth", "-c", str(path), "--workdir", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith(f"error: config {path}")
 
-    def test_bad_set_syntax_exits(self, cli_env):
+    def test_bad_set_syntax_exits(self, cli_env, tmp_path, capsys):
         config_path, _ = cli_env
-        with pytest.raises(SystemExit):
-            cli.main(["synth", "-c", config_path, "--set", "no-equals-sign"])
+        code = cli.main(["synth", "-c", config_path, "--workdir", str(tmp_path / "bad"),
+                         "--set", "no-equals-sign"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: --set expects key=value, got 'no-equals-sign'\n"
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--axis", "interactions", "--values", "1,x"],
+         "--values expects comma separated ints, got '1,x'"),
+        (["run", "--seeds", "1,x"], "--seeds expects comma separated ints, got '1,x'"),
+        (["report"], "report needs --seeds"),
+        (["synth", "--set", "seed.x=1"], "--set path 'seed.x' crosses a non-object value"),
+    ])
+    def test_bad_arguments_exit_2_with_one_line(self, cli_env, tmp_path, capsys, argv,
+                                                message):
+        config_path, _ = cli_env
+        code = cli.main([*argv, "-c", config_path, "--workdir", str(tmp_path / "bad")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "bad").exists()
 
 
 def test_every_exported_name_resolves():

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import pathrec
+from pathrec import mdp
+from pathrec import policy as policy_module
 from pathrec.embeddings import (EmbedTrainConfig, EmbeddingTable, init_table, rng_for,
                                 score_tails)
 from pathrec.errors import EmptyGraph, InvalidAction, InvalidSpec, MissingEmbedding
-from pathrec.mdp import Frontier, PathState, RewardSpec
+from pathrec.mdp import Frontier, PathState, RewardSpec, start_scores
 from pathrec.optim import Adam
 from pathrec.policy import (AgentConfig, PolicyModel, _sample_rows,
                             episode_gradients, evaluate_mean_reward,
@@ -116,20 +118,25 @@ class TestPrefixKernels:
 
     @pytest.mark.parametrize("d,hidden", KERNEL_DIMS)
     def test_prefix_backward_bitwise_equals_full_width(self, d, hidden):
+        """One product per cached block equals the rows of one product over
+        the whole state, zero-padded to full width."""
         policy = kernel_policy(d, hidden)
         rng = np.random.default_rng(d + 1)
         for t in range(4):
-            k = (1 + 2 * t) * d
             for P in (1, 2, 25, 64, 125):
-                X = rng.normal(size=(P, k))
-                sizes = rng.integers(1, policy.slate_size + 1, size=P)
-                _, _, cache = policy.forward(X, sizes)
+                carry = None
+                for hop in range(t + 1):
+                    X = rng.normal(size=(P, d if hop == 0 else 2 * d))
+                    sizes = rng.integers(1, policy.slate_size + 1, size=P)
+                    _, _, cache = policy.forward(X, sizes, carry)
+                    carry = cache[:2]
+                assert len(cache.blocks) == t + 1
                 dlogits = rng.normal(size=(P, policy.slate_size))
                 dvalues = rng.normal(size=P)
                 got, want = policy.zero_grads(), policy.zero_grads()
                 policy.backward(cache, dlogits, dvalues, got)
-                policy.backward(cache._replace(X=pad(X, policy.state_dim)), dlogits,
-                                dvalues, want)
+                whole = pad(np.hstack(cache.blocks), policy.state_dim)
+                policy.backward(cache._replace(blocks=(whole,)), dlogits, dvalues, want)
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a, b)
 
@@ -154,8 +161,10 @@ class TestPrefixKernels:
         buffers = policy.zero_grads()
         fresh_rng, reused_rng = rng_for(4, "batches"), rng_for(4, "batches")
         for batch in (users[:5], users[3:]):
-            fresh, _, _ = episode_gradients(policy, g, table, batch, cfg, spec, fresh_rng)
-            reused, _, _ = episode_gradients(policy, g, table, batch, cfg, spec,
+            scores = start_scores(g, table, batch)
+            fresh, _, _ = episode_gradients(policy, g, table, batch, scores, cfg, spec,
+                                            fresh_rng)
+            reused, _, _ = episode_gradients(policy, g, table, batch, scores, cfg, spec,
                                              reused_rng, grads=buffers)
             assert reused is buffers
             for a, b in zip(reused, fresh):
@@ -166,17 +175,19 @@ class TestFixedOrder:
     @pytest.mark.parametrize("P", [1, 2, 25, 64])
     @pytest.mark.parametrize("d,hidden,cap", ORDER_DIMS)
     def test_carried_chain_equals_one_call(self, d, hidden, cap, P):
-        """Hop by hop with carries gathered by parent row, as the beam does,
-        against one carry-less call on each hop's whole live prefix. Bitwise
-        from P = 2 hop-0 rows; one row goes to gemv, whose sum the later
-        hops' gemm does not repeat bit for bit."""
+        """Hop by hop on each hop's new blocks, with carries gathered by
+        parent row as the beam does, against one carry-less call on each
+        hop's whole live prefix. Bitwise from P = 2 hop-0 rows; one row goes
+        to gemv, whose sum the later hops' gemm does not repeat bit for bit."""
         policy = kernel_policy(d, hidden, cap)
         rng = np.random.default_rng(d + P)
         X, carry = rng.normal(size=(P, d)), None
         for t in range(4):
             sizes = rng.integers(1, policy.slate_size + 1, size=len(X))
             probs, values, cache = policy.forward(X, sizes, carry)
-            want_probs, want_values, want = policy.forward(X, sizes)
+            prefix = np.hstack(cache.blocks)
+            assert prefix.shape == (len(X), (1 + 2 * t) * d)
+            want_probs, want_values, want = policy.forward(prefix, sizes)
             for a, b in ((probs, want_probs), (values, want_values),
                          (cache.sum1, want.sum1), (cache.h2, want.h2)):
                 if P == 1:
@@ -184,17 +195,32 @@ class TestFixedOrder:
                 else:
                     np.testing.assert_array_equal(a, b)
             parent = np.sort(rng.integers(len(X), size=2 * len(X)))
-            carry = cache.sum1[parent]
-            X = np.hstack([X[parent], rng.normal(size=(len(parent), 2 * d))])
+            carry = tuple(b[parent] for b in cache.blocks), cache.sum1[parent]
+            X = rng.normal(size=(len(parent), 2 * d))
 
     def test_carry_without_a_parent_rejected(self):
         policy = kernel_policy(4, (16, 8))
-        X = np.zeros((2, 12))
+        X = np.zeros((2, 8))
         _, _, cache = policy.forward(X[:, :4], np.asarray([1, 1]))
         with pytest.raises(InvalidSpec, match="carry"):
-            policy.forward(X[:, :4], np.asarray([1, 1]), cache.sum1)
+            policy.forward(X[:, :4], np.asarray([1, 1]), cache[:2])
         with pytest.raises(InvalidSpec, match="carry"):
-            policy.forward(X, np.asarray([1, 1]), cache.sum1[:1])
+            policy.forward(X, np.asarray([1, 1]), (cache.blocks, cache.sum1[:1]))
+        with pytest.raises(InvalidSpec, match="carry"):
+            policy.forward(X, np.asarray([1, 1]), ((cache.blocks[0][:1],), cache.sum1))
+
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_full_width_state_with_a_carry_rejected(self, hops):
+        """A carry places X after its blocks, so a whole zero-padded state
+        passed with one overruns W1 rather than reading as the new blocks."""
+        policy = kernel_policy(4, (16, 8))
+        rng = np.random.default_rng(hops)
+        _, _, cache = policy.forward(rng.normal(size=(3, 4)), np.full(3, 2))
+        for _ in range(hops - 1):
+            _, _, cache = policy.forward(rng.normal(size=(3, 8)), np.full(3, 2), cache[:2])
+        full = pad(np.hstack([*cache.blocks, rng.normal(size=(3, 8))]), policy.state_dim)
+        with pytest.raises(InvalidSpec, match="no live prefix"):
+            policy.forward(full, np.full(3, 2), cache[:2])
 
     @pytest.mark.parametrize("d,hidden,cap", ORDER_DIMS[:1] + ORDER_DIMS[3:6])
     def test_dead_rows_and_padded_columns_stay_zero(self, d, hidden, cap):
@@ -224,7 +250,7 @@ import numpy as np
 from pathrec.datasets import SyntheticSpec, generate_synthetic, load_dataset
 from pathrec.embeddings import EmbedTrainConfig, init_table, rng_for
 from pathrec.inference import beam_search, rank_recommendations
-from pathrec.mdp import RewardSpec
+from pathrec.mdp import RewardSpec, start_scores
 from pathrec.optim import Adam
 from pathrec.policy import (AgentConfig, PolicyModel, episode_gradients, state_dim_for,
                             training_users)
@@ -234,8 +260,9 @@ table = init_table(graph, EmbedTrainConfig())
 config = AgentConfig()
 policy = PolicyModel(state_dim_for(table, config.hop_budget), config)
 users = training_users(graph)
-grads, _, _ = episode_gradients(policy, graph, table, users[:config.batch_size], config,
-                                RewardSpec.binary(graph), rng_for(1, "threads"))
+batch = users[:config.batch_size]
+grads, _, _ = episode_gradients(policy, graph, table, batch, start_scores(graph, table, batch),
+                                config, RewardSpec.binary(graph), rng_for(1, "threads"))
 Adam(policy.params, lr=config.learning_rate).step(grads)
 logprobs = []
 for user in users[:3]:
@@ -299,6 +326,7 @@ class TestGradientOracle:
         total = [np.zeros_like(p) for p in policy.params]
         for a_idx in range(len(slate)):
             grads, _, _ = episode_gradients(policy, tiny_graph, small_table, [u0],
+                                            start_scores(tiny_graph, small_table, [u0]),
                                             cfg, spec, rng_for(0, "unused"),
                                             forced_actions=[[a_idx]])
             for t, g in zip(total, grads):
@@ -343,9 +371,10 @@ class TestGradientOracle:
         rng = rng_for(77, "sample-check")
         acc = [np.zeros_like(p) for p in policy.params]
         batches, B = 12, 2000
+        scores = start_scores(tiny_graph, small_table, [u0] * B)
         for _ in range(batches):
             grads, _, _ = episode_gradients(policy, tiny_graph, small_table,
-                                            [u0] * B, cfg, spec, rng)
+                                            [u0] * B, scores, cfg, spec, rng)
             for a, g in zip(acc, grads):
                 a += g / batches
         # compare the large W1 block in norm; 24k episodes ~ 1% noise
@@ -362,11 +391,12 @@ class TestMultiStep:
                  tiny_graph.entity_id("user", "u1")]
         spec = RewardSpec.binary(tiny_graph)
         forced = [[1, 0], [2, 1]]
-        records, rewards, _ = rollout_batch(policy, tiny_graph, small_table,
+        records, rewards, _ = rollout_users(policy, tiny_graph, small_table,
                                             users, cfg.hop_budget, cfg.max_actions,
                                             spec, rng_for(0, "unused"),
                                             forced_actions=forced)
         grads, _, _ = episode_gradients(policy, tiny_graph, small_table, users,
+                                        start_scores(tiny_graph, small_table, users),
                                         cfg, spec, rng_for(0, "unused"),
                                         forced_actions=forced)
         manual = policy.zero_grads()
@@ -389,10 +419,16 @@ class TestMultiStep:
         policy, cfg = small_policy(small_table, 2)
         u0 = tiny_graph.entity_id("user", "u0")
         spec = RewardSpec.binary(tiny_graph)
-        _, _, frontier = rollout_batch(policy, tiny_graph, small_table, [u0],
+        _, _, frontier = rollout_users(policy, tiny_graph, small_table, [u0],
                                        2, cfg.max_actions, spec,
                                        rng_for(3, "roll"))
         assert all(is_complete(s) for s in frontier.states(2))
+
+
+def rollout_users(policy, graph, table, users, *args, **kwargs):
+    """``rollout_batch`` on the users' start scores, built for the call."""
+    return rollout_batch(policy, graph, table, users, start_scores(graph, table, users),
+                         *args, **kwargs)
 
 
 def reference_rollout(policy, graph, table, users, hop_budget, max_actions,
@@ -437,9 +473,10 @@ class TestBatchedRollout:
             if X is None:
                 assert rec.cache is None
             else:
-                # the cache holds the live prefix; the scalar row is zero beyond it
+                # the cache holds the live prefix's blocks; the scalar row is
+                # zero beyond them
                 live = (1 + 2 * t) * X.shape[1] // (1 + 2 * len(hops))
-                np.testing.assert_array_equal(rec.cache[0], X[:, :live])
+                np.testing.assert_array_equal(np.hstack(rec.cache.blocks), X[:, :live])
                 assert np.all(X[:, live:] == 0.0)
             np.testing.assert_array_equal(rec.probs, probs)
             np.testing.assert_array_equal(rec.values, values)
@@ -461,7 +498,7 @@ class TestBatchedRollout:
         g, table, policy, cfg, users = self.setup_case(make_graph, seed)
         spec = RewardSpec.binary(g) if mode == "upgpr" else RewardSpec.pattern(g, table)
         for pol in (policy, None):
-            got = rollout_batch(pol, g, table, users, 3, cfg.max_actions, spec,
+            got = rollout_users(pol, g, table, users, 3, cfg.max_actions, spec,
                                 rng_for(seed, "roll"))
             want = reference_rollout(pol, g, table, users, 3, cfg.max_actions, spec,
                                      rng_for(seed, "roll"))
@@ -473,7 +510,7 @@ class TestBatchedRollout:
         rng = np.random.default_rng(0)
         # the first hop's slates are the widest; forced slots stay inside them
         forced = [rng.integers(0, 2, size=len(users)).tolist() for _ in range(3)]
-        got = rollout_batch(policy, g, table, users, 3, cfg.max_actions, spec,
+        got = rollout_users(policy, g, table, users, 3, cfg.max_actions, spec,
                             rng_for(0, "unused"), forced_actions=forced)
         want = reference_rollout(policy, g, table, users, 3, cfg.max_actions, spec,
                                  rng_for(0, "unused"), forced_actions=forced)
@@ -483,7 +520,7 @@ class TestBatchedRollout:
         policy, cfg = small_policy(small_table, 1)
         u0 = tiny_graph.entity_id("user", "u0")
         with pytest.raises(InvalidAction):
-            rollout_batch(policy, tiny_graph, small_table, [u0], 1, cfg.max_actions,
+            rollout_users(policy, tiny_graph, small_table, [u0], 1, cfg.max_actions,
                           RewardSpec.binary(tiny_graph), rng_for(0, "unused"),
                           forced_actions=[[cfg.max_actions + 1]])
 
@@ -491,7 +528,7 @@ class TestBatchedRollout:
         policy, cfg = small_policy(small_table, 2)
         u0 = tiny_graph.entity_id("user", "u0")
         with pytest.raises(InvalidSpec, match="exceeds"):
-            rollout_batch(policy, tiny_graph, small_table, [u0], 2, cfg.max_actions + 1,
+            rollout_users(policy, tiny_graph, small_table, [u0], 2, cfg.max_actions + 1,
                           RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
 
     def test_table_short_of_graph_rejected(self, tiny_graph, small_table):
@@ -501,7 +538,7 @@ class TestBatchedRollout:
         u0 = tiny_graph.entity_id("user", "u0")
         for behavior in (policy, None):
             with pytest.raises(MissingEmbedding):
-                rollout_batch(behavior, tiny_graph, short, [u0], 2, cfg.max_actions,
+                rollout_users(behavior, tiny_graph, short, [u0], 2, cfg.max_actions,
                               RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
 
     def test_empty_cohort_rejected(self, tiny_graph, small_table):
@@ -509,7 +546,7 @@ class TestBatchedRollout:
         spec = RewardSpec.binary(tiny_graph)
         for behavior in (policy, None):
             with pytest.raises(InvalidSpec, match="at least one user"):
-                rollout_batch(behavior, tiny_graph, small_table, [], 2, cfg.max_actions,
+                rollout_users(behavior, tiny_graph, small_table, [], 2, cfg.max_actions,
                               spec, rng_for(0, "unused"))
             with pytest.raises(InvalidSpec, match="at least one user"):
                 evaluate_mean_reward(behavior, tiny_graph, small_table, [], 2,
@@ -520,14 +557,14 @@ class TestBatchedRollout:
         policy, cfg = small_policy(small_table, 3)  # 56-wide states; narrow encodes 28
         u0 = tiny_graph.entity_id("user", "u0")
         with pytest.raises(InvalidSpec, match="28-wide states"):
-            rollout_batch(policy, tiny_graph, narrow, [u0], 3, cfg.max_actions,
+            rollout_users(policy, tiny_graph, narrow, [u0], 3, cfg.max_actions,
                           RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
 
     def test_hop_count_other_than_the_policy_rejected(self, tiny_graph, small_table):
         policy, cfg = small_policy(small_table, 3)
         u0 = tiny_graph.entity_id("user", "u0")
         with pytest.raises(InvalidSpec, match="3 hops"):
-            rollout_batch(policy, tiny_graph, small_table, [u0], 2, cfg.max_actions,
+            rollout_users(policy, tiny_graph, small_table, [u0], 2, cfg.max_actions,
                           RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
 
     @pytest.mark.parametrize("episodes", [0, -1])
@@ -549,6 +586,33 @@ class TestTraining:
         assert history == []
         for a, b in zip(policy.params, fresh.params):
             np.testing.assert_array_equal(a, b)
+
+    def test_start_scores_built_once_per_run(self, make_graph, monkeypatch):
+        """Embeddings are frozen while the agent trains: one score row per
+        training user serves every batch of every epoch."""
+        g = make_graph(n_users=8, n_items=20, interactions=7, seed=1)
+        table = init_table(g, EmbedTrainConfig(dim=6, seed=1))
+        calls, score = [], mdp.score_all_tails
+        monkeypatch.setattr(mdp, "score_all_tails",
+                            lambda table, head, rel: calls.append(head) or score(table, head, rel))
+        cfg = AgentConfig(hop_budget=2, max_actions=8, hidden=(16, 8), epochs=3, batch_size=3)
+        kept, kept_history = train_agent(g, table, RewardSpec.binary(g), cfg)
+        assert calls == training_users(g)
+        # past the row budget each batch scores its own users, to the same bytes
+        calls.clear()
+        monkeypatch.setattr(policy_module, "SCORE_ROWS_BYTES", 0)
+        batched, batched_history = train_agent(g, table, RewardSpec.binary(g), cfg)
+        assert len(calls) == cfg.epochs * len(training_users(g))
+        assert batched_history == kept_history
+        for a, b in zip(batched.params, kept.params):
+            np.testing.assert_array_equal(a, b)
+
+    def test_hidden_widths_off_the_grid_rejected(self):
+        for hidden in ((300, 100), (16, 12), (0, 8)):
+            with pytest.raises(InvalidSpec, match="multiples of 8"):
+                AgentConfig(hidden=hidden).validate()
+        for hidden in ((512, 256), (16, 8)):
+            AgentConfig(hidden=hidden).validate()
 
     def test_training_users_skips_interactionless(self, schema):
         from pathrec.graph import KnowledgeGraph
