@@ -478,16 +478,23 @@ class KnowledgeGraph:
         indptr = self.csr().indptr
         return int(indptr[e + 1] - indptr[e])
 
+    def interaction_counts(self) -> np.ndarray:
+        """Read-only number of interaction triplets with each entity as tail,
+        indexed by entity id (0 for every non-item); built at first use
+        after a change and kept until the next one."""
+        if self._tail_interactions is None:
+            _, r, t = self._spo[:, :self._m]
+            counts = np.bincount(t[r == self.interaction_relation], minlength=len(self._names))
+            counts.flags.writeable = False
+            self._tail_interactions = counts
+        return self._tail_interactions
+
     def interaction_count(self, item: int) -> int:
         """Number of interaction triplets with ``item`` as tail."""
         self._check_entity(item)
         if not self.is_item(item):
             raise NotAnItem(f"{self.entity_key(item)} is not of type {self.schema.item_type}")
-        if self._tail_interactions is None:
-            _, r, t = self._spo[:, :self._m]
-            self._tail_interactions = np.bincount(t[r == self.interaction_relation],
-                                                  minlength=len(self._names))
-        return int(self._tail_interactions[item])
+        return int(self.interaction_counts()[item])
 
     def interactions_by_user(self) -> dict[int, list[int]]:
         """Per-user interacted items in insertion (chronological) order;
@@ -507,8 +514,8 @@ class KnowledgeGraph:
         self._check_entity(user)
         adj = self.csr()
         lo, hi = adj.indptr.item(user), adj.indptr.item(user + 1)
-        edges = zip(adj.rel[lo:hi].tolist(), adj.nbr[lo:hi].tolist(), adj.dir[lo:hi].tolist())
-        return frozenset(n for r, n, d in edges if r == self._interaction and d == FORWARD)
+        sel = (adj.rel[lo:hi] == self._interaction) & (adj.dir[lo:hi] == FORWARD)
+        return frozenset(adj.nbr[lo:hi][sel].tolist())
 
     # -- lifecycle --------------------------------------------------------
 

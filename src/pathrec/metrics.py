@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import EmptyColdSet, InvalidSpec
 from .graph import KnowledgeGraph
@@ -39,9 +39,10 @@ def hit_at_k(recommended: Sequence[Hashable], relevant: set, k: int) -> float:
 
 
 def train_popularity(train_graph: KnowledgeGraph) -> dict[str, int]:
-    """Item name -> number of training interactions."""
-    return {train_graph.entity_name(i): train_graph.interaction_count(i)
-            for i in train_graph.items()}
+    """Item name -> number of training interactions, in item id order."""
+    items = train_graph.items()
+    counts = train_graph.interaction_counts()[items].tolist()
+    return {train_graph.entity_name(i): n for i, n in zip(items, counts)}
 
 
 def _best_mass(ordered: Sequence[Hashable], popularity: Mapping[Hashable, int],
@@ -72,7 +73,7 @@ def popb_at_k(recs_per_user: Mapping[Hashable, Sequence[Hashable]],
     ordered = sorted(popularity, key=lambda it: (-popularity[it], it))
     total = 0.0
     for user, recs in recs_per_user.items():
-        exclude = exclude_per_user.get(user, set()) if exclude_per_user else set()
+        exclude = exclude_per_user.get(user, set()) if exclude_per_user is not None else set()
         denom = _best_mass(ordered, popularity, k, exclude)
         num = float(sum(popularity.get(item, 0) for item in recs[:k]))
         total += num / denom if denom > 0 else 0.0
@@ -105,12 +106,44 @@ def cold_item_proportion(recs_per_user: Mapping[Hashable, Sequence[Hashable]],
     return total / len(recs_per_user)
 
 
+class _TrainItems(Mapping):
+    """User name -> names of the user's training items, read from the graph
+    at a user's first lookup and kept; the keys are the graph's users."""
+
+    def __init__(self, graph: KnowledgeGraph):
+        self._graph = graph
+        self._read: dict[Hashable, frozenset] = {}
+
+    def __getitem__(self, user: Hashable) -> frozenset:
+        items = self._read.get(user)
+        if items is None:
+            g = self._graph
+            if not g.has_entity(g.schema.user_type, user):
+                raise KeyError(user)
+            ids = g.user_items(g.entity_id(g.schema.user_type, user))
+            items = self._read[user] = frozenset(g.entity_name(i) for i in ids)
+        return items
+
+    def __iter__(self) -> Iterator[str]:
+        return (self._graph.entity_name(u) for u in self._graph.users())
+
+    def __len__(self) -> int:
+        return len(self._graph.users())
+
+
 @dataclass(frozen=True)
 class PopBaseline:
-    """Pure popularity recommender with per-user filtering of training items."""
+    """Pure popularity recommender with per-user filtering of training items.
+
+    ``popularity`` holds the training counts most popular first, the order
+    of ``ordered_items``; ``train_items`` reads a user's items from the
+    graph only when that user is asked for, so building and querying the
+    baseline costs O(items + users asked for), not O(training users).
+    """
 
     ordered_items: tuple[Hashable, ...]
-    train_items: Mapping[Hashable, set]
+    popularity: Mapping[Hashable, int]
+    train_items: Mapping[Hashable, frozenset]
     k: int
 
     def recommend(self, user: Hashable) -> list[Hashable]:
@@ -125,13 +158,10 @@ class PopBaseline:
 
 
 def pop_baseline(train_graph: KnowledgeGraph, k: int) -> PopBaseline:
-    popularity = train_popularity(train_graph)
-    ordered = tuple(sorted(popularity, key=lambda it: (-popularity[it], it)))
-    by_user = train_graph.interactions_by_user()
-    train_items = {train_graph.entity_name(u):
-                   {train_graph.entity_name(i) for i in by_user.get(u, ())}
-                   for u in train_graph.users()}
-    return PopBaseline(ordered_items=ordered, train_items=train_items, k=k)
+    counts = train_popularity(train_graph)
+    ordered = tuple(sorted(counts, key=lambda it: (-counts[it], it)))
+    return PopBaseline(ordered_items=ordered, popularity={it: counts[it] for it in ordered},
+                       train_items=_TrainItems(train_graph), k=k)
 
 
 def pattern_report(signature_labels: Iterable[str]) -> list[tuple[str, float]]:

@@ -226,7 +226,8 @@ _DAMAGED = (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFi
 
 class _Stage:
     """One stage's frame: inside ``with _Stage(name, config) as run:`` every
-    PathRecError ends as ``StageError(name)``, and ``run.read`` loads each
+    PathRecError but a caller's bad sweep value (InvalidAxisValue) ends as
+    ``StageError(name)``, and ``run.read`` loads each
     artifact: a missing file names its producer stage, one that does not
     decode is damaged, and an embedded (config hash, seed) must be the
     run's. ``run.json`` is checked likewise once the first input is found,
@@ -241,7 +242,7 @@ class _Stage:
         return self
 
     def __exit__(self, kind, exc, tb):
-        if isinstance(exc, PathRecError) and not isinstance(exc, StageError):
+        if isinstance(exc, PathRecError) and not isinstance(exc, (StageError, InvalidAxisValue)):
             raise StageError(self.name, str(exc)) from exc
         return False
 
@@ -443,11 +444,13 @@ def _is_served_list(items) -> bool:
 
 
 def evaluate_run(config: RunConfig, split: DatasetSplit, records: list[dict]):
-    """Metric rows for the recommender and the popularity baseline."""
+    """Metric rows for the recommender and the popularity baseline.
+
+    Costs O(items + scored users): popularity is built once, and training
+    items, exclusions and pop lists are read only for the users scored.
+    """
     k = config.inference.topk
-    popularity = metrics.train_popularity(split.train_graph)
     pop = metrics.pop_baseline(split.train_graph, k)
-    train_items_by_user = dict(pop.train_items)
     recs_by_cohort: dict[str, dict[str, list[str]]] = {}
     patterns_by_cohort: dict[str, list[str]] = {}
     for rec in records:
@@ -466,12 +469,12 @@ def evaluate_run(config: RunConfig, split: DatasetSplit, records: list[dict]):
             continue
         grecs = {u: recs_by_cohort.get(cohort, {}).get(u, []) for u in relevant}
         pop_recs = {u: pop.recommend(u) for u in relevant}
-        exclude = {u: train_items_by_user.get(u, set()) for u in relevant}
+        exclude = {u: pop.train_items.get(u, set()) for u in relevant}
         for model, recs in (("grecs", grecs), ("pop", pop_recs)):
             ndcg = [metrics.ndcg_at_k(recs[u], relevant[u], k) for u in relevant]
             hit = [metrics.hit_at_k(recs[u], relevant[u], k) for u in relevant]
             for metric, value in (("ndcg", np.mean(ndcg)), ("hr", np.mean(hit)),
-                                  ("popb", metrics.popb_at_k(recs, popularity, k, exclude))):
+                                  ("popb", metrics.popb_at_k(recs, pop.popularity, k, exclude))):
                 rows.append({"model": model, "cohort": cohort, "metric": f"{metric}@{k}",
                              "value": float(value), "n_users": len(relevant)})
             if model == "grecs":
@@ -582,6 +585,9 @@ def sweep(config: RunConfig, axis: str, values: list[int]):
     user into the graph (0 = strict cold start) and score the rest.
     ``relations``: re-cap each cold user profile at exactly n targets per
     relation (capped at availability).
+
+    A value that leaves no cold user to score raises InvalidAxisValue, and
+    nothing is written.
     """
     if axis not in SWEEP_AXES:
         raise InvalidAxisValue(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -604,14 +610,17 @@ def sweep(config: RunConfig, axis: str, values: list[int]):
             aug, ext, _, moved = build_augmented(
                 working, table, config.cold_strategy,
                 interactions_per_cold_user=value if axis == "interactions" else 0)
-            records = _recommend_users(aug, ext, agent, config,
-                                       {c: sorted(getattr(split, c)) for c in cold})
             # each cold user is scored on the hidden items that were not moved
             scored = {}
             for c in cold:
                 rest = {u: [i for i in hidden if i not in moved.get(u, ())]
                         for u, hidden in getattr(split, c).items()}
                 scored[c] = {u: items for u, items in rest.items() if items}
+            if not any(scored.values()):
+                raise InvalidAxisValue(f"sweep {axis} value {value} leaves no cold user "
+                                       "with a hidden item to score")
+            records = _recommend_users(aug, ext, agent, config,
+                                       {c: sorted(getattr(split, c)) for c in cold})
             report = evaluate_run(config, dataclasses.replace(split, warm_test={}, **scored),
                                   records)[0]
             found = {(r["cohort"], r["metric"]): r for r in report if r["model"] == "grecs"}

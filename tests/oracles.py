@@ -1,4 +1,6 @@
-"""The scalar path-walking MDP: one state, one action at a time.
+"""Reference implementations the optimized code is tested against.
+
+The scalar path-walking MDP: one state, one action at a time.
 
 ``pathrec.mdp.Frontier`` walks many paths at once on arrays; these
 per-state functions define the same semantics one state at a time and are
@@ -8,6 +10,10 @@ a row of ``Frontier.slates``, ``step`` a row of ``Frontier.advance`` and
 hop's relation and entity, or the user at hop 0) are a row of
 ``Frontier.encode``; ``Frontier.of`` stacks scalar states into the
 frontier the array calls take.
+
+``reference_evaluate_run`` is evaluation as it was first written, at the
+cost of the catalog: popularity is built per call and the popularity
+baseline names every training user's items up front.
 """
 
 from __future__ import annotations
@@ -16,10 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from pathrec import metrics
 from pathrec.embeddings import EmbeddingTable, score_tails
 from pathrec.errors import InvalidAction, MissingEmbedding, PathRecError
 from pathrec.graph import FORWARD, KnowledgeGraph
 from pathrec.mdp import MAX_ACTIONS_DEFAULT, SELF_LOOP, PathState
+from pathrec.pipeline import COHORTS
 
 
 class BudgetExhausted(PathRecError):
@@ -109,3 +117,63 @@ def encode_state(state: PathState, table: EmbeddingTable) -> np.ndarray:
         out[(1 + 2 * i) * d:(2 + 2 * i) * d] = rel_vec
         out[(2 + 2 * i) * d:(3 + 2 * i) * d] = table.entity_vec(ent)
     return out
+
+
+def reference_evaluate_run(config, split, records):
+    """``pipeline.evaluate_run``'s (rows, patterns, per_user), computed over
+    every item and every training user as the first implementation did."""
+    k = config.inference.topk
+    g = split.train_graph
+    popularity = {g.entity_name(i): g.interaction_count(i) for i in g.items()}
+    ordered = sorted(popularity, key=lambda it: (-popularity[it], it))
+    by_user = g.interactions_by_user()
+    train_items_by_user = {g.entity_name(u): {g.entity_name(i) for i in by_user.get(u, ())}
+                           for u in g.users()}
+
+    def pop_recommend(user):
+        seen = train_items_by_user.get(user, set())
+        return [item for item in ordered if item not in seen][:k]
+
+    recs_by_cohort, patterns_by_cohort = {}, {}
+    for rec in records:
+        cohort = rec["cohort"]
+        recs_by_cohort.setdefault(cohort, {})[rec["user"]] = [
+            it["item"] for it in rec["items"]]
+        patterns_by_cohort.setdefault(cohort, []).extend(
+            it["path"]["pattern"] for it in rec["items"])
+
+    rows, per_user = [], {}
+    test_recs = {"grecs": {}, "pop": {}}
+    for cohort in COHORTS:
+        relevant = {u: set(items) for u, items in getattr(split, cohort).items()}
+        if not relevant:
+            continue
+        grecs = {u: recs_by_cohort.get(cohort, {}).get(u, []) for u in relevant}
+        pop_recs = {u: pop_recommend(u) for u in relevant}
+        exclude = {u: train_items_by_user.get(u, set()) for u in relevant}
+        for model, recs in (("grecs", grecs), ("pop", pop_recs)):
+            ndcg = [metrics.ndcg_at_k(recs[u], relevant[u], k) for u in relevant]
+            hit = [metrics.hit_at_k(recs[u], relevant[u], k) for u in relevant]
+            for metric, value in (("ndcg", np.mean(ndcg)), ("hr", np.mean(hit)),
+                                  ("popb", metrics.popb_at_k(recs, popularity, k, exclude))):
+                rows.append({"model": model, "cohort": cohort, "metric": f"{metric}@{k}",
+                             "value": float(value), "n_users": len(relevant)})
+            if model == "grecs":
+                per_user[cohort] = {u: {"hit": h, "ndcg": n}
+                                    for u, h, n in sorted(zip(relevant, hit, ndcg))}
+        if cohort != "cold_val":
+            test_recs["grecs"].update(grecs)
+            test_recs["pop"].update(pop_recs)
+
+    cold_items = set(split.cold_items)
+    if cold_items:
+        test_users = set(split.warm_test) | set(split.cold_test)
+        for model, recs in test_recs.items():
+            for metric, share in (("coverage", metrics.cold_item_coverage),
+                                  ("proportion", metrics.cold_item_proportion)):
+                rows.append({"model": model, "cohort": "test", "metric": f"{metric}@{k}",
+                             "value": share(recs, cold_items, k), "n_users": len(test_users)})
+
+    patterns = {cohort: metrics.pattern_report(labels)
+                for cohort, labels in sorted(patterns_by_cohort.items())}
+    return rows, patterns, per_user

@@ -389,6 +389,26 @@ class TestSweep:
         n_users = {r["n_users"] for r in rows if r["cohort"] == "cold_val"}
         assert len(n_users) == 1
 
+    def test_value_leaving_no_one_to_score_rejected(self, tiny_run, tmp_path, capsys):
+        # moving every hidden item into the graph once wrote a header-only sweep.csv
+        config, _, _ = tiny_run
+        path = RunPaths(config.workdir).sweep_csv
+        sweep(config, "relations", [1])
+        with open(path) as fh:
+            before = fh.read()
+        message = "sweep interactions value 100 leaves no cold user with a hidden item to score"
+        for values in ([100], [0, 100]):
+            with pytest.raises(InvalidAxisValue, match=message):
+                sweep(config, "interactions", values)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(TINY))
+        code = cli.main(["sweep", "-c", str(config_path), "--workdir", config.workdir,
+                         "--seed", "1", "--axis", "interactions", "--values", "0,100"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with open(path) as fh:
+            assert fh.read() == before
+
     def test_foreign_config_or_seed_rejected(self, tiny_run):
         config, _, _ = tiny_run
         def sweep_csv():
