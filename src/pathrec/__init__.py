@@ -16,8 +16,8 @@ from .embeddings import (EmbedTrainConfig, EmbeddingTable, conditional_prob,
                          train_embeddings)
 from .graph import (FORWARD, INVERSE, DerivationRule, KGSchema, KnowledgeGraph,
                     RelationSpec)
-from .inference import (Explanation, Recommendation, RecommendationList,
-                        beam_search, explain, rank_recommendations)
+from .inference import (Recommendation, RecommendationList, beam_search, explain,
+                        path_record, rank_recommendations)
 from .mdp import PathState, RewardSpec, path_signature, signature_label
 from .metrics import (cold_item_coverage, cold_item_proportion, hit_at_k,
                       ndcg_at_k, pattern_report, pop_baseline, popb_at_k,
@@ -30,13 +30,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentConfig", "ColdDeclaration", "ColdProfile", "ColdStrategy",
     "DatasetSplit", "DerivationRule", "EmbedTrainConfig", "EmbeddingTable",
-    "Explanation", "FORWARD", "INVERSE", "KGSchema", "KnowledgeGraph",
+    "FORWARD", "INVERSE", "KGSchema", "KnowledgeGraph",
     "PathState", "PolicyModel", "Recommendation", "RecommendationList",
     "RelationSpec", "RewardSpec", "RunConfig", "SplitConfig", "SyntheticSpec",
     "augment_graph", "beam_search", "cold_item_coverage",
     "cold_item_proportion", "conditional_prob", "evaluate_mean_reward",
     "explain", "generate_synthetic", "hit_at_k", "integrate_cold_entities",
-    "load_dataset", "load_table", "ndcg_at_k", "path_signature",
+    "load_dataset", "load_table", "ndcg_at_k", "path_record", "path_signature",
     "pattern_report", "pop_baseline", "popb_at_k", "rank_recommendations",
     "recommend_cold", "rng_for",
     "run_pipeline", "run_seeds", "save_table", "score_triplet",

@@ -26,10 +26,9 @@ import numpy as np
 from .artifacts import atomic_open
 from .embeddings import EmbeddingTable
 from .errors import (DuplicateEntity, EmptyProfile, MissingEmbedding,
-                     MissingNeighborEmbedding, SchemaViolation)
-from .graph import KnowledgeGraph
+                     MissingNeighborEmbedding, ParseError, SchemaViolation)
+from .graph import KnowledgeGraph, parse_entity_token
 from .inference import RecommendationList, beam_search, rank_recommendations
-from .mdp import SELF_LOOP
 from .policy import PolicyModel
 
 log = logging.getLogger(__name__)
@@ -92,11 +91,9 @@ class ColdProfile:
 
     @classmethod
     def from_json(cls, data: dict) -> "ColdProfile":
-        decls = []
-        for r in data["relations"]:
-            ttype, _, tname = r["target"].partition(":")
-            decls.append(ColdDeclaration(r["relation"], ttype, tname))
-        return cls(name=data["name"], entity_type=data["type"], declarations=tuple(decls))
+        decls = tuple(ColdDeclaration(r["relation"], *parse_entity_token(r["target"]))
+                      for r in data["relations"])
+        return cls(name=data["name"], entity_type=data["type"], declarations=decls)
 
 
 def write_profiles(profiles: Sequence[ColdProfile], path: str):
@@ -106,12 +103,17 @@ def write_profiles(profiles: Sequence[ColdProfile], path: str):
 
 
 def read_profiles(path: str) -> list[ColdProfile]:
+    """The profiles of a jsonl file; a malformed target raises ParseError
+    naming the file and line."""
     out = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                out.append(ColdProfile.from_json(json.loads(line)))
+                try:
+                    out.append(ColdProfile.from_json(json.loads(line)))
+                except ParseError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 
@@ -266,13 +268,6 @@ def recommend_cold(user: int, policy: PolicyModel, graph: KnowledgeGraph,
                    table: EmbeddingTable, k: int, widths: Sequence[int],
                    max_actions: int | None = None) -> RecommendationList:
     """Top-k recommendation for any user, warm or cold: beam search, then
-    ranking. A user with no interaction edges is checked to have no path
-    that opens with one: each starts through a declared profile relation."""
+    ranking."""
     paths = beam_search(user, policy, graph, table, widths, max_actions=max_actions)
-    recs = rank_recommendations(paths, graph, table, user, k)
-    if not graph.user_items(user):
-        interaction = graph.interaction_relation
-        for entry in recs.entries:
-            first_real = next((r for r, _ in entry.path.state.relations if r != SELF_LOOP), None)
-            assert first_real != interaction, "cold user paths cannot start with an interaction"
-    return recs
+    return rank_recommendations(paths, graph, table, user, k)

@@ -313,20 +313,17 @@ def save_table(table: EmbeddingTable, graph: KnowledgeGraph, path: str,
     )
 
 
-def load_table(path: str, graph: KnowledgeGraph | None = None) -> EmbeddingTable:
-    """Load a snapshot; when a graph is given, keys are checked against it."""
+def load_table(path: str, graph: KnowledgeGraph) -> EmbeddingTable:
+    """Load a snapshot whose entity and relation keys match ``graph``'s."""
     with np.load(path, allow_pickle=False) as data:
-        table = EmbeddingTable(
+        keys = data["entity_keys"].tolist()
+        want = [graph.entity_key(e) for e in range(graph.entity_count)]
+        if keys[:len(want)] != want or len(keys) < len(want):
+            raise MissingEmbedding(f"snapshot {path} does not match the graph's entities")
+        if data["relation_keys"].tolist() != [r.name for r in graph.schema.relations]:
+            raise MissingEmbedding(f"snapshot {path} does not match the graph's relations")
+        return EmbeddingTable(
             data["entity_vecs"].copy(), data["entity_bias"].copy(),
             data["relation_vecs"].copy(), data["self_loop_vec"].copy(),
             seed=int(data["seed"]),
         )
-        if graph is not None:
-            keys = data["entity_keys"].tolist()
-            want = [graph.entity_key(e) for e in range(graph.entity_count)]
-            if keys[:len(want)] != want or len(keys) < len(want):
-                raise MissingEmbedding(f"snapshot {path} does not match the graph's entities")
-            rel_keys = data["relation_keys"].tolist()
-            if rel_keys != [r.name for r in graph.schema.relations]:
-                raise MissingEmbedding(f"snapshot {path} does not match the graph's relations")
-    return table

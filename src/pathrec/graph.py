@@ -83,6 +83,8 @@ class KGSchema:
         names = [r.name for r in self.relations]
         if len(set(names)) != len(names):
             raise SchemaViolation("duplicate relation names")
+        if "self_loop" in names:  # a stored path record names its self-loop steps so
+            raise SchemaViolation("relation name 'self_loop' is reserved")
         interactions = [r for r in self.relations if r.interaction]
         if len(interactions) != 1:
             raise SchemaViolation(

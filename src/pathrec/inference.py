@@ -17,6 +17,10 @@ objects are built only for the at most k served paths (or for rows a
 caller reads from the ``Beam``). The user's scores over all entities,
 which truncate over-cap slates by selection, are computed once per
 search (``mdp.start_scores``).
+
+A served path has one format, the record ``path_record`` builds and
+``recs/recommendations.jsonl`` stores; ``explain`` renders a record as
+text without the graph, so a stored path explains itself.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ import numpy as np
 
 from .embeddings import EmbeddingTable, score_tails
 from .errors import InvalidSpec, UnknownUser
-from .graph import FORWARD, KnowledgeGraph
-from .mdp import SELF_LOOP, Frontier, PathState, start_scores
+from .graph import INVERSE, KnowledgeGraph
+from .mdp import (SELF_LOOP, Frontier, PathState, path_signature, signature_label,
+                  start_scores)
 from .policy import PolicyModel, check_walk
 
 
@@ -175,51 +180,27 @@ def rank_recommendations(paths: Sequence[ScoredPath], graph: KnowledgeGraph,
         for r, (item, path) in enumerate(zip(items[ranked].tolist(), served))))
 
 
-@dataclass(frozen=True)
-class ExplanationHop:
-    head: str
-    relation: str
-    direction: int
-    tail: str
+def path_record(state: PathState, graph: KnowledgeGraph) -> dict:
+    """A path as ``recs/recommendations.jsonl`` stores it: its entity keys,
+    its steps as ``{"name", "direction"}`` (a self-loop named
+    ``self_loop``) and its pattern label."""
+    return {
+        "entities": [graph.entity_key(e) for e in state.entities],
+        "relations": [{"name": "self_loop" if rel == SELF_LOOP else graph.relation_name(rel),
+                       "direction": "inverse" if d == INVERSE else "forward"}
+                      for rel, d in state.relations],
+        "pattern": signature_label(path_signature(state, graph), graph),
+    }
 
 
-@dataclass(frozen=True)
-class Explanation:
-    """Readable path with self-loops elided; keeps raw ids for a lossless
-    round trip back to the graph."""
-
-    user_key: str
-    hops: tuple[ExplanationHop, ...]
-    entity_ids: tuple[int, ...]
-    relation_ids: tuple[tuple[int, int], ...]
-    no_recommendation: bool
-
-    def to_text(self) -> str:
-        if self.no_recommendation:
-            return f"{self.user_key}: no recommendation (path never left the user)"
-        parts = []
-        for hop in self.hops:
-            if hop.direction == FORWARD:
-                parts.append(f"{hop.head} -[{hop.relation}]-> {hop.tail}")
-            else:
-                parts.append(f"{hop.head} <-[{hop.relation}]- {hop.tail}")
-        return "; ".join(parts)
-
-
-def explain(path: ScoredPath | PathState, graph: KnowledgeGraph) -> Explanation:
-    """Render a path as readable hops; self-loop steps are skipped."""
-    state = path.state if isinstance(path, ScoredPath) else path
-    hops = []
-    for (rel, d), head, tail in zip(state.relations, state.entities, state.entities[1:]):
-        if rel == SELF_LOOP:
-            continue
-        hops.append(ExplanationHop(head=graph.entity_key(head),
-                                   relation=graph.relation_name(rel),
-                                   direction=d, tail=graph.entity_key(tail)))
-    return Explanation(
-        user_key=graph.entity_key(state.user),
-        hops=tuple(hops),
-        entity_ids=state.entities,
-        relation_ids=state.relations,
-        no_recommendation=not hops,
-    )
+def explain(record: dict) -> str:
+    """A path record rendered as readable hops, ``a -[r]-> b`` or
+    ``a <-[r]- b`` joined by ``; ``; self-loop steps are skipped."""
+    entities = record["entities"]
+    hops = [f"{head} -[{rel['name']}]-> {tail}" if rel["direction"] == "forward"
+            else f"{head} <-[{rel['name']}]- {tail}"
+            for rel, head, tail in zip(record["relations"], entities, entities[1:])
+            if rel["name"] != "self_loop"]
+    if not hops:
+        return f"{entities[0]}: no recommendation (path never left the user)"
+    return "; ".join(hops)

@@ -27,8 +27,8 @@ from .coldstart import ColdProfile, ColdStrategy
 from .datasets import DatasetSplit, SplitConfig, SyntheticSpec, cap_cold_relations
 from .embeddings import EmbedTrainConfig, EmbeddingTable, load_table, save_table, train_embeddings
 from .errors import InvalidAxisValue, InvalidSpec, PathRecError, StageError
-from .graph import INVERSE, KnowledgeGraph
-from .mdp import SELF_LOOP, RewardSpec, path_signature, signature_label
+from .graph import KnowledgeGraph
+from .mdp import RewardSpec
 from .policy import AgentConfig, PolicyModel, train_agent, write_history
 
 log = logging.getLogger(__name__)
@@ -371,19 +371,6 @@ def stage_cold_integrate(config: RunConfig):
     return aug, ext, ids
 
 
-def _serialize_path(spath: inference.ScoredPath, graph: KnowledgeGraph) -> dict:
-    state = spath.state
-    rels = []
-    for rel, d in state.relations:
-        name = "self_loop" if rel == SELF_LOOP else graph.relation_name(rel)
-        rels.append({"name": name, "direction": "inverse" if d == INVERSE else "forward"})
-    return {
-        "entities": [graph.entity_key(e) for e in state.entities],
-        "relations": rels,
-        "pattern": signature_label(path_signature(state, graph), graph),
-    }
-
-
 def _recommend_users(aug: KnowledgeGraph, ext: EmbeddingTable, agent: PolicyModel,
                      config: RunConfig, cohorts: dict[str, list[str]]):
     """``recommend_cold`` for each named user; returns jsonl-ready records."""
@@ -402,7 +389,7 @@ def _recommend_users(aug: KnowledgeGraph, ext: EmbeddingTable, agent: PolicyMode
                 "user": name, "cohort": cohort, "served": True,
                 "items": [{
                     "item": aug.entity_name(e.item), "rank": e.rank,
-                    "logprob": e.logprob, "path": _serialize_path(e.path, aug),
+                    "logprob": e.logprob, "path": inference.path_record(e.path.state, aug),
                 } for e in recs.entries],
             })
     return records
@@ -586,13 +573,16 @@ def sweep(config: RunConfig, axis: str, values: list[int]):
     ``relations``: re-cap each cold user profile at exactly n targets per
     relation (capped at availability).
 
-    A value that leaves no cold user to score raises InvalidAxisValue, and
-    nothing is written.
+    A repeated value, or one that leaves no cold user to score, raises
+    InvalidAxisValue, and nothing is written.
     """
     if axis not in SWEEP_AXES:
         raise InvalidAxisValue(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if not values or any((not isinstance(v, int)) or v < 0 for v in values):
         raise InvalidAxisValue("sweep values must be non-negative integers")
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise InvalidAxisValue(f"sweep {axis} value {repeated} is repeated")
     k = config.inference.topk
     cold = ("cold_val", "cold_test")
     rows = []

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,9 @@ from pathrec.coldstart import (ColdDeclaration, ColdProfile, ColdStrategy,
 from pathrec.datasets import synthetic_schema
 from pathrec.embeddings import EmbedTrainConfig, init_table, rng_for
 from pathrec.errors import (DuplicateEntity, EmptyProfile, MissingEmbedding,
-                            MissingNeighborEmbedding, SchemaViolation,
+                            MissingNeighborEmbedding, ParseError, SchemaViolation,
                             UnknownUser)
-from pathrec.graph import FORWARD, KnowledgeGraph
+from pathrec.graph import FORWARD, INVERSE, KGSchema, KnowledgeGraph, RelationSpec
 from pathrec.inference import beam_search, rank_recommendations
 from pathrec.policy import AgentConfig, PolicyModel, state_dim_for
 
@@ -91,6 +94,19 @@ class TestIntegration:
         write_profiles(items, path)
         again = read_profiles(path)
         assert again == items
+
+    @pytest.mark.parametrize("target", ["brand:", "brandb00", ":b0"])
+    def test_malformed_target_names_file_and_line(self, tmp_path, target):
+        path = str(tmp_path / "profiles.jsonl")
+        write_profiles([profile("i9", "item", ("produced_by", "brand", "b0")),
+                        profile("u9", "user", ("like", "brand", "b1"))], path)
+        with open(path) as fh:
+            lines = fh.readlines()
+        lines[1] = lines[1].replace('"brand:b1"', json.dumps(target))
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        with pytest.raises(ParseError, match=rf"^{re.escape(path)}:2: malformed entity token"):
+            read_profiles(path)
 
 
 class TestColdEmbedding:
@@ -327,6 +343,29 @@ class TestColdRecommendation:
             first = next(r for r, _ in entry.path.state.relations
                          if r != -1)
             assert first != interaction
+
+    def test_inverse_interaction_of_one_type_serves(self):
+        """Users buy users: cold ``u``'s only interaction edge is the
+        inverse of ``v``'s purchase of it, and a path may open with it."""
+        schema = KGSchema(entity_types=("user", "brand"), relations=(
+            RelationSpec("purchase", "user", "user", interaction=True),
+            RelationSpec("like", "user", "brand", cold_integration=True)))
+        g = KnowledgeGraph(schema)
+        w = [g.add_entity("user", f"w{i}") for i in range(3)]
+        b = [g.add_entity("brand", f"b{i}") for i in range(2)]
+        pu, lk = g.relation_id("purchase"), g.relation_id("like")
+        g.add_triplets([w[0], w[1], w[0], w[1], w[2]], [pu, pu, lk, lk, lk],
+                       [w[1], w[2], b[0], b[1], b[0]])
+        table = init_table(g.freeze(), EmbedTrainConfig(dim=4, seed=0))
+        aug, ext, ids = integrate_cold_entities(
+            g, table, [profile("u", "user", ("like", "brand", "b0")),
+                       profile("v", "user", ("like", "brand", "b1"))],
+            ColdStrategy.AVERAGE_TRANSLATION, interactions={"v": ["u"]})
+        assert aug.user_items(ids["u"]) == set()
+        policy = PolicyModel(state_dim_for(ext, 3),
+                             AgentConfig(hop_budget=3, max_actions=16, hidden=(8, 8), seed=0))
+        recs = recommend_cold(ids["u"], policy, aug, ext, k=5, widths=[16, 16, 16])
+        assert (pu, INVERSE) in [e.path.state.relations[0] for e in recs.entries]
 
     def test_warm_user_served_by_beam_then_rank(self, make_graph):
         g = make_graph(n_users=6, n_items=10, interactions=4, seed=3)

@@ -40,6 +40,12 @@ class TestSchema:
         with pytest.raises(SchemaViolation, match="exactly one interaction"):
             KGSchema.from_json(data)
 
+    def test_self_loop_name_reserved(self):
+        data = minimal_schema()
+        data["relations"][1]["name"] = "self_loop"
+        with pytest.raises(SchemaViolation, match="'self_loop' is reserved"):
+            KGSchema.from_json(data)
+
     def test_unknown_type_in_relation(self):
         data = minimal_schema()
         data["relations"][1]["tail"] = "vendor"

@@ -3,9 +3,9 @@ import pytest
 
 from pathrec.embeddings import (EmbedTrainConfig, EmbeddingTable, init_table, score_tails)
 from pathrec.errors import InvalidSpec, MissingEmbedding, UnknownUser
-from pathrec.graph import FORWARD, INVERSE, KnowledgeGraph
-from pathrec.inference import (Explanation, Recommendation, ScoredPath,
-                               beam_search, explain, rank_recommendations)
+from pathrec.graph import FORWARD, INVERSE, KnowledgeGraph, parse_entity_token
+from pathrec.inference import (ScoredPath, beam_search, explain, path_record,
+                               rank_recommendations)
 from pathrec.mdp import SELF_LOOP, PathState
 from pathrec.policy import AgentConfig, PolicyModel, state_dim_for
 
@@ -340,6 +340,15 @@ class TestRanking:
         assert out.items() == []
 
 
+def record_ids(record, g):
+    """A path record's entities and (relation, direction) steps, as ids."""
+    entities = tuple(g.entity_id(*parse_entity_token(key)) for key in record["entities"])
+    steps = tuple((SELF_LOOP if r["name"] == "self_loop" else g.relation_id(r["name"]),
+                   FORWARD if r["direction"] == "forward" else INVERSE)
+                  for r in record["relations"])
+    return entities, steps
+
+
 class TestExplanations:
     def test_self_loops_elided_and_round_trip(self, tiny_graph):
         g = tiny_graph
@@ -349,12 +358,9 @@ class TestExplanations:
         s = step(s, Action(g.relation_id("purchase"), i0, FORWARD), g)
         s = step(s, Action(SELF_LOOP, i0, FORWARD), g)
         s = step(s, Action(SELF_LOOP, i0, FORWARD), g)
-        exp = explain(ScoredPath(s, -1.5), g)
-        assert not exp.no_recommendation
-        assert len(exp.hops) == 1
-        assert exp.to_text() == "user:u0 -[purchase]-> item:i0"
-        assert exp.entity_ids == s.entities
-        assert exp.relation_ids == s.relations
+        record = path_record(s, g)
+        assert explain(record) == "user:u0 -[purchase]-> item:i0"
+        assert record_ids(record, g) == (s.entities, s.relations)
 
     def test_inverse_hop_rendering(self, tiny_graph):
         g = tiny_graph
@@ -366,10 +372,11 @@ class TestExplanations:
         s = step(s, Action(g.relation_id("purchase"), i0, FORWARD), g)
         s = step(s, Action(g.relation_id("produced_by"), b0, FORWARD), g)
         s = step(s, Action(g.relation_id("produced_by"), i1, INVERSE), g)
-        text = explain(s, g).to_text()
-        assert text == ("user:u0 -[purchase]-> item:i0; "
-                        "item:i0 -[produced_by]-> brand:b0; "
-                        "brand:b0 <-[produced_by]- item:i1")
+        record = path_record(s, g)
+        assert explain(record) == ("user:u0 -[purchase]-> item:i0; "
+                                   "item:i0 -[produced_by]-> brand:b0; "
+                                   "brand:b0 <-[produced_by]- item:i1")
+        assert record_ids(record, g) == (s.entities, s.relations)
 
     def test_all_self_loops_is_no_recommendation(self, tiny_graph):
         g = tiny_graph
@@ -377,7 +384,5 @@ class TestExplanations:
         s = PathState.start(u0, 2)
         s = step(s, Action(SELF_LOOP, u0, FORWARD), g)
         s = step(s, Action(SELF_LOOP, u0, FORWARD), g)
-        exp = explain(s, g)
-        assert exp.no_recommendation
-        assert "no recommendation" in exp.to_text()
-        assert exp.hops == ()
+        assert explain(path_record(s, g)) == (
+            "user:u0: no recommendation (path never left the user)")

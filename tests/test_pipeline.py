@@ -13,6 +13,7 @@ from pathrec.coldstart import integrate_cold_entities
 from pathrec.datasets import DatasetSplit, SplitConfig
 from pathrec.embeddings import load_table, save_table
 from pathrec.errors import InvalidAxisValue, InvalidSpec, StageError
+from pathrec.inference import explain
 from pathrec.pipeline import (STAGES, InferenceConfig, RunConfig, RunPaths,
                               _ordered_profiles, read_recommendations, run_pipeline,
                               run_seeds, stage_cold_integrate, stage_eval, stage_recommend,
@@ -210,6 +211,18 @@ class TestRecommendStage:
         assert tree_hashes(copy.workdir) == tree_hashes(config.workdir, skip=(
             os.path.relpath(paths.embed_file, copy.workdir),))
 
+    def test_stored_paths_render_as_explanations(self, tiny_run):
+        config, _, _ = tiny_run
+        _, records = read_recommendations(RunPaths(config.workdir).recs_file)
+        served = [(rec["user"], it) for rec in records for it in rec["items"]]
+        assert served
+        for user, it in served:
+            text = explain(it["path"])
+            hops = [r for r in it["path"]["relations"] if r["name"] != "self_loop"]
+            assert text.startswith(f"user:{user} ")
+            assert text.endswith(f" item:{it['item']}")
+            assert len(text.split("; ")) == len(hops)
+
     def test_warm_table_as_cold_table_rejected(self, tiny_run, tmp_path):
         config, _, _ = tiny_run
         copy, paths = copy_run(config, str(tmp_path / "run"))
@@ -274,6 +287,16 @@ def cut_lines(path):
         fh.writelines(lines[:len(lines) // 2])
 
 
+def bad_target(path):
+    """Cut the name off the first declared target; every line still decodes."""
+    with open(path) as fh:
+        lines = [json.loads(line) for line in fh]
+    target = lines[0]["relations"][0]["target"]
+    lines[0]["relations"][0]["target"] = target[:target.index(":") + 1]
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(rec) + "\n" for rec in lines)
+
+
 def drop_items(path):
     """Remove ``items`` from the first user record; every line still decodes."""
     with open(path) as fh:
@@ -313,6 +336,8 @@ FAULTS = [
     *(("delete", "run.json", stage) for stage in STAGES[1:] + ("sweep",)),
     ("cut-lines", "recs/recommendations.jsonl", "eval"),  # every kept record decodes
     ("drop-items", "recs/recommendations.jsonl", "eval"),
+    ("bad-target", "split/profiles.jsonl", "train-embed"),
+    ("bad-target", "split/profiles.jsonl", "cold-integrate"),
 ]
 
 
@@ -329,6 +354,8 @@ class TestDamagedArtifacts:
             cut_lines(path)
         elif fault == "drop-items":
             drop_items(path)
+        elif fault == "bad-target":
+            bad_target(path)
         elif fault == "seed2":
             shutil.copyfile(os.path.join(seed2_run.workdir, artifact), path)
         else:
@@ -369,6 +396,22 @@ class TestSweep:
             sweep(config, "interactions", [0, -1])
         with pytest.raises(InvalidAxisValue):
             sweep(config, "interactions", [0.5])
+        with pytest.raises(InvalidAxisValue, match="^sweep relations value 1 is repeated$"):
+            sweep(config, "relations", [1, 1])
+
+    def test_repeated_value_rejected_by_cli(self, tiny_run, tmp_path, capsys):
+        config, _, _ = tiny_run
+        path = RunPaths(config.workdir).sweep_csv
+        before = open(path).read() if os.path.exists(path) else None
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(TINY))
+        code = cli.main(["sweep", "-c", str(config_path), "--workdir", config.workdir,
+                         "--seed", "1", "--axis", "relations", "--values", "2,1,2"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.err == "error: sweep relations value 2 is repeated\n"
+        assert out.out == ""
+        assert (open(path).read() if os.path.exists(path) else None) == before
 
     def test_interaction_sweep_rows(self, tiny_run):
         config, _, _ = tiny_run
