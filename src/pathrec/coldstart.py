@@ -1,8 +1,11 @@
 """Cold-entity integration without retraining.
 
 A cold entity arrives as a profile of declared (relation, existing-entity)
-edges. ``augment_graph`` resolves the profiles in order and adds all
-their triplets to a mutable clone of the training graph in one batch.
+edges. ``augment_graph`` integrates a batch of profiles into a mutable
+clone of the training graph in one pass: each kind of declaration is
+validated once, each target is one lookup, and the accepted entities and
+all their triplets are written with one ``add_entities`` and one
+``add_triplets`` call.
 ``integrate_cold_entities`` also synthesizes each entity's embedding from
 its neighbors: the AverageTranslation strategy averages (e_tail -
 e_relation) over the triplets headed at the entity; the Null strategy is
@@ -19,6 +22,7 @@ import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -117,34 +121,13 @@ def read_profiles(path: str) -> list[ColdProfile]:
     return out
 
 
-def _resolve(graph: KnowledgeGraph, profile: ColdProfile,
-             taken: Mapping[str, int]) -> tuple[int, list[int], list[int]]:
-    """Register a cold entity; returns it with its declared (relation,
-    target) ids, which the caller stores as triplets headed at it.
-
-    A profile whose entity is already in the graph, or whose name is
-    ``taken`` by an entity of any type, raises DuplicateEntity.
-    Declarations whose target is not in the graph are dropped with a log
-    line; if none survive the profile is unusable and EmptyProfile is
-    raised (an entity related to nothing cannot be reached or embedded).
-    """
-    profile.validate(graph.schema)
-    key = (profile.entity_type, profile.name)
-    e = graph.entity_id(*key) if graph.has_entity(*key) else taken.get(profile.name)
-    if e is not None:
-        raise DuplicateEntity(f"profile {profile.name!r} names existing entity "
-                              f"{e} ({graph.entity_key(e)})")
-    resolvable = [d for d in profile.declarations
-                  if graph.has_entity(d.target_type, d.target_name)]
-    dropped = len(profile.declarations) - len(resolvable)
-    if dropped:
-        log.info("profile %s: dropped %d declarations with unknown targets",
-                 profile.name, dropped)
-    if not resolvable:
-        raise EmptyProfile(f"profile {profile.name!r} has no known targets")
-    e = graph.add_entity(profile.entity_type, profile.name)
-    return (e, [graph.relation_id(d.relation) for d in resolvable],
-            [graph.entity_id(d.target_type, d.target_name) for d in resolvable])
+def _declarable(schema, etype: str, relation: str, target_type: str) -> bool:
+    """Whether ``ColdProfile.validate`` accepts declarations of this kind."""
+    try:
+        ColdProfile("", etype, (ColdDeclaration(relation, target_type, ""),)).validate(schema)
+    except SchemaViolation:
+        return False
+    return True
 
 
 def _cold_rows(table: EmbeddingTable, graph: KnowledgeGraph, entities: Sequence[int],
@@ -201,11 +184,14 @@ def _cold_rows(table: EmbeddingTable, graph: KnowledgeGraph, entities: Sequence[
             live = int(np.count_nonzero(n_edges > j))  # a prefix of ``ready``
             edge = first[ready[:live]] + j
             nb = nbr[edge]
-            warm = nb < base
-            vecs = np.empty((live, dim))
-            vecs[warm] = table.entity_vecs[nb[warm]]
-            vecs[~warm] = rows[nb[~warm] - base]
-            acc[:live] += vecs - table.relation_vecs[rel[edge]]
+            cold = nb >= base
+            # a batch neighbor's slot reads warm row 0, then its own row; row
+            # 0 exists, since without warm rows no batch row could be summed
+            vecs = table.entity_vecs[np.where(cold, 0, nb)]
+            if cold.any():
+                vecs[cold] = rows[nb[cold] - base]
+            vecs -= table.relation_vecs[rel[edge]]
+            acc[:live] += vecs
         rows[ready] = acc / n_edges[:, None]
         done[ready] = True
     return rows
@@ -215,40 +201,96 @@ def augment_graph(train_graph: KnowledgeGraph, profiles: Iterable[ColdProfile],
                   interactions: Mapping[str, Sequence[str]] | None = None):
     """Clone the training graph and integrate every profile into the clone.
 
-    Profiles are validated and resolved one by one, in order, so a profile
-    may target an entity integrated before it. Their declarations, then
-    the ``interactions`` (cold user name -> item names, each pair added
-    when both ends are in the graph), go into the clone in one batch.
+    The declarations of all profiles are read as flat arrays first: each
+    distinct (entity type, relation, target type) is validated once
+    (``_declarable``), and every target is looked up in the training keys.
+    One pass over the profiles, in order, then accepts or skips each one;
+    an accepted profile's entity takes the next id, and a target missing
+    from the training keys is looked up among the profiles accepted before
+    it. The accepted entities are registered in one write, and their
+    declarations, then the ``interactions`` (cold user name -> item names,
+    each pair added when both ends are in the graph), go into the clone in
+    one batch.
 
     Returns (augmented graph frozen, name -> id map). A profile with no
     known target, naming an entity already in the graph, or repeating the
     name of an earlier profile's entity is skipped and omitted from the
-    map; the training graph is left untouched.
+    map; declarations whose target is not in the graph are dropped. Both
+    are logged. The first profile that breaks the schema raises the
+    SchemaViolation of ``ColdProfile.validate``. The training graph is
+    left untouched.
     """
     aug = train_graph.clone()
-    ids: dict[str, int] = {}
-    heads: list[int] = []
-    relations: list[int] = []
-    tails: list[int] = []
-    for profile in profiles:
+    schema, warm, base = aug.schema, aug.entity_index(), aug.entity_count
+    profiles = list(profiles)
+    counts = [len(p.declarations) for p in profiles]
+    first = list(accumulate(counts, initial=0))  # each profile's first declaration
+    bad_kinds = {kind for kind in {(p.entity_type, d.relation, d.target_type)
+                                   for p in profiles for d in p.declarations}
+                 if not _declarable(schema, *kind)}
+    rel_index = {spec.name: aug.relation_id(spec.name) for spec in schema.relations}
+    relations = np.fromiter((rel_index.get(d.relation, -1)
+                             for p in profiles for d in p.declarations), np.intp, first[-1])
+    targets = np.fromiter((warm.get((d.target_type, d.target_name), -1)
+                           for p in profiles for d in p.declarations), np.intp, first[-1])
+    # profiles with a target outside the training graph
+    short = np.zeros(len(profiles), dtype=bool)
+    short[np.repeat(np.arange(len(profiles)), counts)[targets < 0]] = True
+
+    ids: dict[str, int] = {}  # accepted names in id order
+    types: list[str] = []  # their entity types
+
+    def in_batch(etype: str, name: str) -> int:
+        """The id of an accepted profile's entity, or -1; the names of
+        accepted profiles are distinct across types."""
+        e = ids.get(name, -1)
+        return e if e >= 0 and types[e - base] == etype else -1
+
+    owner = [-1] * len(profiles)  # each profile's entity; -1 when skipped
+    own = map(warm.get, ((p.entity_type, p.name) for p in profiles))
+    for j, (profile, e, check) in enumerate(zip(profiles, own, short.tolist())):
+        etype, name, decls = profile.entity_type, profile.name, profile.declarations
         try:
-            e, rels, targets = _resolve(aug, profile, ids)
+            if not decls or bad_kinds and any((etype, d.relation, d.target_type) in bad_kinds
+                                              for d in decls):
+                profile.validate(schema)  # raises EmptyProfile or SchemaViolation
+            e = ids.get(name) if e is None else e
+            if e is not None:
+                raise DuplicateEntity(f"profile {name!r} names existing entity {e} "
+                                      f"({types[e - base] if e >= base else etype}:{name})")
+            if check:
+                found = targets[first[j]:first[j + 1]]  # a view, completed in place
+                for i in np.flatnonzero(found < 0).tolist():
+                    found[i] = in_batch(decls[i].target_type, decls[i].target_name)
+                dropped = int(np.count_nonzero(found < 0))
+                if dropped:
+                    log.info("profile %s: dropped %d declarations with unknown targets",
+                             name, dropped)
+                if dropped == len(decls):
+                    raise EmptyProfile(f"profile {name!r} has no known targets")
         except (EmptyProfile, DuplicateEntity) as exc:
-            log.info("profile %s skipped: %s", profile.name, exc)
+            log.info("profile %s skipped: %s", name, exc)
             continue
-        ids[profile.name] = e
-        heads += [e] * len(rels)
-        relations += rels
-        tails += targets
-    item_type, interaction = aug.schema.item_type, aug.interaction_relation
+        owner[j] = ids[name] = base + len(types)
+        types.append(etype)
+    heads = np.repeat(np.asarray(owner, dtype=np.intp), counts)
+    keep = (heads >= 0) & (targets >= 0)
+    moved: list[tuple[int, int]] = []  # (cold user, item) interactions
+    item_type = schema.item_type
     for user, items in (interactions or {}).items():
-        if user in ids and aug.is_user(ids[user]):
+        e = ids.get(user)
+        if e is not None and types[e - base] == schema.user_type:
             for item in items:
-                if aug.has_entity(item_type, item):
-                    heads.append(ids[user])
-                    relations.append(interaction)
-                    tails.append(aug.entity_id(item_type, item))
-    aug.add_triplets(heads, relations, tails)
+                i = warm.get((item_type, item))
+                i = in_batch(item_type, item) if i is None else i
+                if i >= 0:
+                    moved.append((e, i))
+    pairs = np.asarray(moved, dtype=np.intp).reshape(-1, 2)
+    aug.add_entities(types, list(ids))
+    aug.add_triplets(np.concatenate([heads[keep], pairs[:, 0]]),
+                     np.concatenate([relations[keep],
+                                     np.full(len(pairs), aug.interaction_relation)]),
+                     np.concatenate([targets[keep], pairs[:, 1]]))
     aug.freeze()
     return aug, ids
 

@@ -17,6 +17,8 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -42,26 +44,30 @@ def load_dataset(triplet_path: str, schema_path: str | KGSchema) -> KnowledgeGra
     derived = {r.name for r in schema.relations if r.derived_from is not None}
     graph = KnowledgeGraph(schema)
     rows = read_triplet_rows(triplet_path)
-    n_rows = next((k for k, (_, f) in enumerate(rows) if len(f) != 3), len(rows))
-    fields = [f for _, f in rows[:n_rows]]
-    tokens = dict.fromkeys(tok for f in fields for tok in (f[0], f[2]))
-    ids = {}
-    for tok in tokens:
-        etype, sep, name = tok.partition(":")
-        if sep and etype and name and etype in schema.entity_types:
-            ids[tok] = graph.add_entity(etype, name)
-    known = {r.name for r in schema.relations}
-    bad_rels = {rel for rel in dict.fromkeys(f[1] for f in fields)
-                if rel in derived or rel not in known}
+    fields = list(map(itemgetter(1), rows))
+    n_rows = (len(rows) if set(map(len, fields)) <= {3}
+              else next(k for k, f in enumerate(fields) if len(f) != 3))
+    fields = fields[:n_rows]
+    tokens = dict.fromkeys(chain.from_iterable(map(itemgetter(0, 2), fields)))
+    types = set(schema.entity_types)
+    keys = {tok: (etype, name) for tok in tokens for etype, sep, name in [tok.partition(":")]
+            if sep and etype and name and etype in types}
+    ids = dict(zip(keys, graph.add_entities([t for t, _ in keys.values()],
+                                            [n for _, n in keys.values()])))
+    rel_ids = {r.name: graph.relation_id(r.name) for r in schema.relations
+               if r.name not in derived}
+    bad_rels = set(map(itemgetter(1), fields)) - rel_ids.keys()
     if len(ids) < len(tokens) or bad_rels:
         n_rows = next(k for k, f in enumerate(fields)
                       if f[0] not in ids or f[2] not in ids or f[1] in bad_rels)
     # schema violations before the first faulty line raise here, as they would
     # have line by line
-    graph.add_triplets(np.fromiter((ids[f[0]] for f in fields[:n_rows]), np.intp, n_rows),
-                       np.fromiter((graph.relation_id(f[1]) for f in fields[:n_rows]),
-                                   np.intp, n_rows),
-                       np.fromiter((ids[f[2]] for f in fields[:n_rows]), np.intp, n_rows))
+    good = fields[:n_rows]
+
+    def column(i: int, index: dict) -> np.ndarray:
+        return np.fromiter(map(index.__getitem__, map(itemgetter(i), good)), np.intp, n_rows)
+
+    graph.add_triplets(column(0, ids), column(1, rel_ids), column(2, ids))
     if n_rows < len(rows):
         lineno, f = rows[n_rows]
         ht, hn, rel, tt, tn = check_triplet_row(triplet_path, lineno, f)
@@ -214,11 +220,15 @@ class DatasetSplit:
                     "config_hash": config_hash})
 
     @classmethod
-    def read(cls, out_dir: str) -> "DatasetSplit":
+    def read(cls, out_dir: str, manifest: dict | None = None) -> "DatasetSplit":
+        """The split written to ``out_dir``; ``manifest`` is the content of
+        its manifest.json when the caller has parsed it already."""
         schema = KGSchema.load(os.path.join(out_dir, "schema.json"))
         train_graph = load_dataset(os.path.join(out_dir, "train.tsv"), schema)
-        with open(os.path.join(out_dir, "manifest.json")) as fh:
-            m = json.load(fh)
+        m = manifest
+        if m is None:
+            with open(os.path.join(out_dir, "manifest.json")) as fh:
+                m = json.load(fh)
         profiles = read_profiles(os.path.join(out_dir, "profiles.jsonl"))
         user_type = schema.user_type
         targets = {
@@ -317,8 +327,9 @@ def _train_graph(graph: KnowledgeGraph, cold: list[int],
     seen, first = np.unique(ends, return_index=True)
     new_id = np.full(n, -1, dtype=np.intp)
     train_graph = KnowledgeGraph(graph.schema)
-    for e in seen[np.argsort(first)].tolist():
-        new_id[e] = train_graph.add_entity(graph.entity_type(e), graph.entity_name(e))
+    kept = seen[np.argsort(first)].tolist()
+    new_id[kept] = train_graph.add_entities([graph.entity_type(e) for e in kept],
+                                            [graph.entity_name(e) for e in kept])
     train_graph.add_triplets(new_id[heads], rels, new_id[tails])
     derive_relations(train_graph)
     return train_graph.freeze()

@@ -17,6 +17,10 @@ by one lexsort at first use after a change and kept until the next one.
 ``add_triplets`` is the one ingest path: it checks and stores a whole
 batch with array operations and merges its keys into the sorted array in
 one ``np.insert``; ``add_triplet`` is its one-edge call and costs O(m).
+Entities are registered likewise: ``add_entities`` interns a batch with
+one growth of the type array, and ``add_entity`` is its one-entity call.
+``entity_index`` is a read-only view of the key -> id map, for callers
+that look up many keys.
 ``freeze()`` only marks the graph immutable, so a frozen graph can be
 shared across threads; ``clone()`` returns a mutable copy with the same
 ids by copying the registry and a few arrays, which is how cold entities
@@ -32,8 +36,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from itertools import filterfalse
+from types import MappingProxyType
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -272,21 +279,34 @@ class KnowledgeGraph:
 
     def add_entity(self, etype: str, name: str) -> int:
         """Intern (type, name); returns the existing id on repeat calls."""
-        key = (etype, name)
-        eid = self._by_key.get(key)
-        if eid is not None:
-            return eid
-        self._check_mutable()
-        if etype not in self._type_index:
-            raise SchemaViolation(f"unknown entity type {etype!r}")
-        eid = len(self._names)
-        if eid == len(self._types):
-            self._types = np.concatenate([self._types, np.zeros_like(self._types)])
-        self._types[eid] = self._type_index[etype]
-        self._names.append(name)
-        self._by_key[key] = eid
-        self._changed()
-        return eid
+        return self.add_entities((etype,), (name,))[0]
+
+    def add_entities(self, types: Sequence[str], names: Sequence[str]) -> list[int]:
+        """Intern each (type, name) in order, as ``add_entity`` would one by
+        one, and return their ids; a key already registered, or repeated in
+        the batch, keeps its first id. An unknown type raises before any
+        entity is registered."""
+        if len(types) != len(names):
+            raise InvalidSpec("types and names must have equal lengths")
+        by_key = self._by_key
+        keys = list(zip(types, names))
+        new = list(dict.fromkeys(filterfalse(by_key.__contains__, keys)))
+        if new:
+            self._check_mutable()
+            new_types, new_names = zip(*new)
+            if not self._type_index.keys() >= set(new_types):
+                unknown = next(t for t in new_types if t not in self._type_index)
+                raise SchemaViolation(f"unknown entity type {unknown!r}")
+            n, m = len(self._names), len(self._names) + len(new)
+            if m > len(self._types):
+                grown = np.zeros(max(2 * len(self._types), m), dtype=np.intp)
+                grown[:n] = self._types[:n]
+                self._types = grown
+            self._types[n:m] = list(map(self._type_index.__getitem__, new_types))
+            self._names.extend(new_names)
+            by_key.update(zip(new, range(n, m)))
+            self._changed()
+        return list(map(by_key.__getitem__, keys))
 
     def entity_id(self, etype: str, name: str) -> int:
         try:
@@ -296,6 +316,11 @@ class KnowledgeGraph:
 
     def has_entity(self, etype: str, name: str) -> bool:
         return (etype, name) in self._by_key
+
+    def entity_index(self) -> Mapping[tuple[str, str], int]:
+        """Read-only (type, name) -> id map of the registered entities; a
+        live view, so later registrations show in it."""
+        return MappingProxyType(self._by_key)
 
     def _check_entity(self, e: int):
         if not 0 <= e < len(self._names):

@@ -148,8 +148,9 @@ def rank_recommendations(paths: Sequence[ScoredPath], graph: KnowledgeGraph,
                          table: EmbeddingTable, user: int, k: int) -> RecommendationList:
     """Top-k items from complete paths, one best path per item.
 
-    Paths not ending at an item and items the user already interacted with
-    in training are dropped. An item's path is its first in the order
+    Paths not ending at an item, at the user itself (when users are the
+    item type) or at an item the user already interacted with in training
+    are dropped. An item's path is its first in the order
     (-log probability, entities, relations). Items are ordered by path log
     probability, ties by f(u, i | interaction), then item id. The paths
     are ranked as a ``Beam``'s arrays (``Beam.of``), and only the served
@@ -166,7 +167,7 @@ def rank_recommendations(paths: Sequence[ScoredPath], graph: KnowledgeGraph,
     order = np.lexsort([*steps, *walks.entities.T[::-1], -beam.logprob])
     terminal = walks.entities[order, -1]
     seen = np.fromiter(graph.user_items(user), dtype=np.intp)
-    keep = (graph.has_type(terminal, graph.schema.item_type)
+    keep = (graph.has_type(terminal, graph.schema.item_type) & (terminal != user)
             & (terminal[:, None] != seen).all(axis=1))
     items, first = np.unique(terminal[keep], return_index=True)
     if not len(items):

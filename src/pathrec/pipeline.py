@@ -204,23 +204,6 @@ class RunPaths:
         self.sweep_csv = os.path.join(root, "report", "sweep.csv")
 
 
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _stamp(path: str) -> tuple:
-    """The (config hash, seed) an artifact embeds: npz members, the meta line
-    of a jsonl file, or a json file's keys (a split manifest keeps its seed
-    in its config)."""
-    if path.endswith(".npz"):
-        with np.load(path, allow_pickle=False) as data:
-            return str(data["config_hash"]), int(data["seed"])
-    with open(path) as fh:
-        data = json.loads(fh.readline())["meta"] if path.endswith(".jsonl") else json.load(fh)
-    return data["config_hash"], data["seed"] if "seed" in data else data["config"]["seed"]
-
-
 _DAMAGED = (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile)
 
 
@@ -237,6 +220,7 @@ class _Stage:
         self.name, self.config = name, config
         self.paths = RunPaths(config.workdir)
         self._meta_checked = False
+        self._parsed: dict[str, object] = {}
 
     def __enter__(self) -> "_Stage":
         return self
@@ -246,6 +230,27 @@ class _Stage:
             raise StageError(self.name, str(exc)) from exc
         return False
 
+    def json(self, path: str):
+        """A json artifact's content, parsed at its first read in the stage."""
+        if path not in self._parsed:
+            with open(path) as fh:
+                self._parsed[path] = json.load(fh)
+        return self._parsed[path]
+
+    def stamp(self, path: str) -> tuple:
+        """The (config hash, seed) an artifact embeds: npz members, the meta
+        line of a jsonl file, or a json file's keys (a split manifest keeps
+        its seed in its config)."""
+        if path.endswith(".npz"):
+            with np.load(path, allow_pickle=False) as data:
+                return str(data["config_hash"]), int(data["seed"])
+        if path.endswith(".jsonl"):
+            with open(path) as fh:
+                data = json.loads(fh.readline())["meta"]
+        else:
+            data = self.json(path)
+        return data["config_hash"], data["seed"] if "seed" in data else data["config"]["seed"]
+
     def read(self, path: str, producer: str, load, stamped: bool = True):
         """``load(path)``, once a ``stamped`` artifact's (config hash, seed)
         is found equal to the run's."""
@@ -253,10 +258,10 @@ class _Stage:
             raise StageError(self.name, f"missing {path}; run the {producer!r} stage first")
         if not self._meta_checked:
             self._meta_checked = True
-            self.read(self.paths.run_meta, "synth", _stamp)
+            self.read(self.paths.run_meta, "synth", self.stamp)
         want = (self.config.config_hash(), self.config.seed)
         try:
-            found = _stamp(path) if stamped else want
+            found = self.stamp(path) if stamped else want
             if found != want:
                 raise StageError(self.name, f"{path} is from a different config/seed "
                                  f"({found[0]} seed {found[1]}, not {want[0]} seed {want[1]})")
@@ -266,7 +271,7 @@ class _Stage:
 
     def split(self) -> DatasetSplit:
         split, fingerprint = self.read(self.paths.manifest, "split", lambda p: (
-            DatasetSplit.read(os.path.dirname(p)), _load_json(p)["train_fingerprint"]))
+            DatasetSplit.read(os.path.dirname(p), self.json(p)), self.json(p)["train_fingerprint"]))
         # the split writes one profile per cold user and cold item
         if (sorted(p.name for p in split.profiles)
                 != sorted([*split.cold_val, *split.cold_test, *split.cold_items])):
@@ -289,7 +294,7 @@ class _Stage:
 def stage_synth(config: RunConfig) -> RunPaths:
     with _Stage("synth", config) as run:
         if os.path.exists(run.paths.run_meta):
-            run.read(run.paths.run_meta, "synth", _stamp)
+            run.read(run.paths.run_meta, "synth", run.stamp)
         ident = {"config_hash": config.config_hash(), "seed": config.seed}
         write_json(run.paths.run_meta, {"config": config.to_json(), **ident})
         if config.synthetic is not None:
@@ -433,8 +438,9 @@ def _is_served_list(items) -> bool:
 def evaluate_run(config: RunConfig, split: DatasetSplit, records: list[dict]):
     """Metric rows for the recommender and the popularity baseline.
 
-    Costs O(items + scored users): popularity is built once, and training
-    items, exclusions and pop lists are read only for the users scored.
+    Costs O(items + scored users): popularity is built and sorted once,
+    and training items, exclusions and pop lists are read only for the
+    users scored.
     """
     k = config.inference.topk
     pop = metrics.pop_baseline(split.train_graph, k)
@@ -461,7 +467,8 @@ def evaluate_run(config: RunConfig, split: DatasetSplit, records: list[dict]):
             ndcg = [metrics.ndcg_at_k(recs[u], relevant[u], k) for u in relevant]
             hit = [metrics.hit_at_k(recs[u], relevant[u], k) for u in relevant]
             for metric, value in (("ndcg", np.mean(ndcg)), ("hr", np.mean(hit)),
-                                  ("popb", metrics.popb_at_k(recs, pop.popularity, k, exclude))):
+                                  ("popb", metrics.popb_at_k(recs, pop.popularity, k, exclude,
+                                                             pop.ordered_items))):
                 rows.append({"model": model, "cohort": cohort, "metric": f"{metric}@{k}",
                              "value": float(value), "n_users": len(relevant)})
             if model == "grecs":
@@ -543,7 +550,7 @@ def write_aggregate(config: RunConfig, seeds: list[int]):
     for seed in seeds:
         sub = config.with_seed(seed, workdir=os.path.join(config.workdir, f"seed_{seed}"))
         with _Stage("report", sub) as run:
-            rows = run.read(run.paths.report_json, "eval", lambda p: _load_json(p)["rows"])
+            rows = run.read(run.paths.report_json, "eval", lambda p: run.json(p)["rows"])
         for r in rows:
             key = (r["model"], r["cohort"], r["metric"])
             rows_by_key.setdefault(key, []).append(r["value"])

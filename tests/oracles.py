@@ -14,6 +14,11 @@ frontier the array calls take.
 ``reference_evaluate_run`` is evaluation as it was first written, at the
 cost of the catalog: popularity is built per call and the popularity
 baseline names every training user's items up front.
+
+``reference_augment_graph`` is cold integration as it was first written:
+profiles validated, checked and registered one at a time, each entity
+with its own ``add_entity`` call; ``reference_cold_rows`` sums each cold
+entity's embedding row on its own.
 """
 
 from __future__ import annotations
@@ -23,8 +28,11 @@ from typing import NamedTuple
 import numpy as np
 
 from pathrec import metrics
+from pathrec.coldstart import ColdStrategy
+from pathrec.coldstart import log as coldstart_log
 from pathrec.embeddings import EmbeddingTable, score_tails
-from pathrec.errors import InvalidAction, MissingEmbedding, PathRecError
+from pathrec.errors import (DuplicateEntity, EmptyProfile, InvalidAction, MissingEmbedding,
+                            PathRecError)
 from pathrec.graph import FORWARD, KnowledgeGraph
 from pathrec.mdp import MAX_ACTIONS_DEFAULT, SELF_LOOP, PathState
 from pathrec.pipeline import COHORTS
@@ -177,3 +185,73 @@ def reference_evaluate_run(config, split, records):
     patterns = {cohort: metrics.pattern_report(labels)
                 for cohort, labels in sorted(patterns_by_cohort.items())}
     return rows, patterns, per_user
+
+
+def _resolve(graph: KnowledgeGraph, profile, taken) -> tuple[int, list[int], list[int]]:
+    """Register one cold entity; returns it with its declared (relation,
+    target) ids. Raises DuplicateEntity or EmptyProfile to skip it."""
+    profile.validate(graph.schema)
+    key = (profile.entity_type, profile.name)
+    e = graph.entity_id(*key) if graph.has_entity(*key) else taken.get(profile.name)
+    if e is not None:
+        raise DuplicateEntity(f"profile {profile.name!r} names existing entity "
+                              f"{e} ({graph.entity_key(e)})")
+    resolvable = [d for d in profile.declarations
+                  if graph.has_entity(d.target_type, d.target_name)]
+    dropped = len(profile.declarations) - len(resolvable)
+    if dropped:
+        coldstart_log.info("profile %s: dropped %d declarations with unknown targets",
+                           profile.name, dropped)
+    if not resolvable:
+        raise EmptyProfile(f"profile {profile.name!r} has no known targets")
+    e = graph.add_entity(profile.entity_type, profile.name)
+    return (e, [graph.relation_id(d.relation) for d in resolvable],
+            [graph.entity_id(d.target_type, d.target_name) for d in resolvable])
+
+
+def reference_augment_graph(train_graph: KnowledgeGraph, profiles, interactions=None):
+    """``coldstart.augment_graph``'s (graph, ids) and log lines, one profile
+    at a time: each is validated, checked against the entities registered
+    so far and registered on its own."""
+    aug = train_graph.clone()
+    ids: dict[str, int] = {}
+    heads: list[int] = []
+    relations: list[int] = []
+    tails: list[int] = []
+    for profile in profiles:
+        try:
+            e, rels, targets = _resolve(aug, profile, ids)
+        except (EmptyProfile, DuplicateEntity) as exc:
+            coldstart_log.info("profile %s skipped: %s", profile.name, exc)
+            continue
+        ids[profile.name] = e
+        heads += [e] * len(rels)
+        relations += rels
+        tails += targets
+    item_type, interaction = aug.schema.item_type, aug.interaction_relation
+    for user, items in (interactions or {}).items():
+        if user in ids and aug.is_user(ids[user]):
+            for item in items:
+                if aug.has_entity(item_type, item):
+                    heads.append(ids[user])
+                    relations.append(interaction)
+                    tails.append(aug.entity_id(item_type, item))
+    aug.add_triplets(heads, relations, tails)
+    aug.freeze()
+    return aug, ids
+
+
+def reference_cold_rows(table, graph, entities, strategy):
+    """The entity-by-entity mean of (e_tail - e_relation) over forward edges."""
+    base = table.entity_count
+    rows = np.zeros((len(entities), table.dim))
+    for i, e in enumerate(entities):
+        forward = [(r, n) for r, n, d in graph.neighbors(e) if d == FORWARD]
+        assert forward
+        if strategy == ColdStrategy.NULL:
+            continue
+        acc = np.zeros(table.dim)
+        for r, n in forward:
+            acc += (table.entity_vecs[n] if n < base else rows[n - base]) - table.relation_vecs[r]
+        rows[i] = acc / len(forward)
+    return rows

@@ -17,6 +17,7 @@ from pathrec.inference import beam_search, rank_recommendations
 from pathrec.policy import AgentConfig, PolicyModel, state_dim_for
 
 from conftest import build_shop_graph
+from oracles import reference_augment_graph, reference_cold_rows
 
 
 def profile(name, entity_type, *decls):
@@ -324,6 +325,192 @@ class TestBatchIntegration:
         assert np.any(avg.entity_vecs[n:] != 0.0)
 
 
+# A schema in which cold entities of every type can target each other:
+# cold users may watch cold items, cold items may be bought with cold items
+# and cold brands may be owned by cold brands.
+BATCH_SCHEMA = KGSchema(entity_types=("user", "item", "brand"), relations=(
+    RelationSpec("purchase", "user", "item", interaction=True),
+    RelationSpec("like", "user", "brand", cold_integration=True),
+    RelationSpec("watches", "user", "item", cold_integration=True),
+    RelationSpec("produced_by", "item", "brand", cold_integration=True),
+    RelationSpec("also_bought", "item", "item", cold_integration=True),
+    RelationSpec("owned_by", "brand", "brand", cold_integration=True)))
+WARM_NAMES = {"user": ["u0", "u1", "u2"], "item": ["i0", "i1", "i2", "i3"],
+              "brand": ["b0", "b1"]}
+# cold names: fresh ones, repeated within and across types, and warm names
+COLD_NAMES = ["n0", "n1", "n2", "n3", "n4", "u0", "i1", "b0"]
+
+
+def batch_warm_graph() -> KnowledgeGraph:
+    g = KnowledgeGraph(BATCH_SCHEMA)
+    ids = {(t, n): g.add_entity(t, n) for t, names in WARM_NAMES.items() for n in names}
+    rel = g.relation_id
+    g.add_triplets(
+        [ids["item", "i0"], ids["item", "i1"], ids["item", "i2"], ids["item", "i3"],
+         ids["user", "u0"], ids["user", "u1"], ids["user", "u2"], ids["user", "u0"]],
+        [rel("produced_by")] * 4 + [rel("purchase")] * 3 + [rel("like")],
+        [ids["brand", "b0"], ids["brand", "b1"], ids["brand", "b0"], ids["brand", "b1"],
+         ids["item", "i0"], ids["item", "i2"], ids["item", "i3"], ids["brand", "b1"]])
+    return g.freeze()
+
+
+def random_batch(seed: int):
+    """Profiles and moved interactions drawn so that a batch mixes every
+    case integration tells apart: empty profiles, names repeated within
+    and across types or taken by warm entities, unknown targets, profiles
+    with no known target, targets that are earlier or later batch
+    entities, repeated declarations and interactions naming unknowns."""
+    rng = np.random.default_rng([seed, 15])
+    profiles = []
+    for _ in range(int(rng.integers(3, 12))):
+        etype = str(rng.choice(list(WARM_NAMES)))
+        decls = []
+        for _ in range(int(rng.integers(0, 5))):
+            spec = rng.choice([r for r in BATCH_SCHEMA.relations
+                               if r.cold_integration and r.head_type == etype])
+            pool = WARM_NAMES[spec.tail_type] + COLD_NAMES + ["zz"]
+            decls.append((spec.name, spec.tail_type, str(rng.choice(pool))))
+        profiles.append(profile(str(rng.choice(COLD_NAMES)), etype, *decls))
+    names = COLD_NAMES + WARM_NAMES["item"] + ["nobody"]
+    interactions = {str(rng.choice(names)): [str(x) for x in rng.choice(names, size=3)]
+                    for _ in range(3)}
+    return profiles, interactions
+
+
+def logged(caplog) -> list[tuple]:
+    """Every captured record as (logger, level, message, args), exceptions
+    among the args as (type, text)."""
+    return [(r.name, r.levelname, r.msg,
+             tuple((type(a), str(a)) if isinstance(a, Exception) else a for a in r.args))
+            for r in caplog.records]
+
+
+def run_logged(fn, caplog, *args):
+    caplog.clear()
+    with caplog.at_level("INFO", logger="pathrec"):
+        result = fn(*args)
+    return result, logged(caplog)
+
+
+class TestBatchAgainstReference:
+    """``augment_graph`` against ``reference_augment_graph``, the
+    one-profile-at-a-time pass it replaced."""
+
+    def test_random_batches_equal_one_at_a_time(self, caplog):
+        g = batch_warm_graph()
+        seen = {"empty": 0, "dropped": 0, "no known target": 0, "taken by warm": 0,
+                "taken in batch": 0, "batch target": 0, "interaction": 0, "duplicate": 0}
+        for seed in range(300):
+            profiles, interactions = random_batch(seed)
+            (aug, ids), logs = run_logged(augment_graph, caplog, g, profiles, interactions)
+            (ref, ref_ids), ref_logs = run_logged(reference_augment_graph, caplog,
+                                                  g, profiles, interactions)
+            assert list(ids.items()) == list(ref_ids.items()), seed
+            assert ([aug.entity_key(e) for e in range(aug.entity_count)]
+                    == [ref.entity_key(e) for e in range(ref.entity_count)])
+            for got, want in zip(aug.triplet_arrays(), ref.triplet_arrays()):
+                np.testing.assert_array_equal(got, want)
+            assert aug.frozen and logs == ref_logs, seed
+            text = "\n".join(r.getMessage() for r in caplog.records)
+            seen["empty"] += text.count("declares no relations")
+            seen["dropped"] += text.count("dropped")
+            seen["no known target"] += text.count("has no known targets")
+            seen["taken by warm"] += sum(f"existing entity {e} " in text
+                                         for e in range(g.entity_count))
+            seen["taken in batch"] += sum(f"existing entity {e} " in text for e in ids.values())
+            heads, rels, tails = aug.triplet_arrays()
+            seen["batch target"] += int(np.count_nonzero(
+                (heads >= g.entity_count) & (tails >= g.entity_count)))
+            seen["interaction"] += int(np.count_nonzero(
+                (heads >= g.entity_count) & (rels == aug.interaction_relation)))
+            seen["duplicate"] += text.count("duplicate triplet")
+        assert all(seen.values()), seen
+
+    def test_cross_type_repeats_and_batch_targets(self, caplog):
+        g = batch_warm_graph()
+        profiles = [profile("n0", "item", ("also_bought", "item", "n1")),  # n1 comes later
+                    profile("n1", "item", ("produced_by", "brand", "b0")),
+                    profile("n1", "brand", ("owned_by", "brand", "b0")),  # name taken by an item
+                    profile("n2", "user", ("watches", "item", "n1"), ("like", "brand", "n1")),
+                    profile("i1", "brand", ("owned_by", "brand", "b1")),  # warm name, other type
+                    profile("i1", "item", ("produced_by", "brand", "b0"))]  # taken twice
+        (aug, ids), logs = run_logged(augment_graph, caplog, g, profiles, {"n2": ["n1"]})
+        (ref, ref_ids), ref_logs = run_logged(reference_augment_graph, caplog, g, profiles,
+                                              {"n2": ["n1"]})
+        base = g.entity_count
+        assert ids == ref_ids == {"n1": base, "n2": base + 1, "i1": base + 2}
+        assert logs == ref_logs
+        assert skip_reason(caplog, "n0").args[0] == "profile 'n0' has no known targets"
+        for got, want in zip(aug.triplet_arrays(), ref.triplet_arrays()):
+            np.testing.assert_array_equal(got, want)
+        # n2 watches and bought item n1; its like of brand "n1" is dropped
+        assert aug.neighbors(base + 1) == [
+            (aug.relation_id("purchase"), base, FORWARD),
+            (aug.relation_id("watches"), base, FORWARD)]
+
+    @pytest.mark.parametrize("bad", [("produced_by", "brand", "b0"),  # heads at item
+                                     ("purchase", "item", "i0"),  # interaction
+                                     ("like", "item", "i0"),  # targets brand
+                                     ("follows", "user", "u1")])  # unknown relation
+    def test_schema_violation_raised_as_one_at_a_time(self, caplog, bad):
+        g = batch_warm_graph()
+        profiles = [profile("n0", "user", ("like", "brand", "zz")),
+                    profile("n1", "user", ("like", "brand", "b0"), bad),
+                    profile("n2", "user", ("like", "brand", "b1"))]
+        errors, logs = [], []
+        for fn in (augment_graph, reference_augment_graph):
+            caplog.clear()
+            with caplog.at_level("INFO", logger="pathrec"), \
+                    pytest.raises(SchemaViolation) as exc:
+                fn(g, profiles)
+            errors.append(str(exc.value))
+            logs.append(logged(caplog))
+        assert errors[0] == errors[1] and logs[0] == logs[1]
+        assert len(logs[0]) == 2  # n0 was dropped and skipped before n1 raised
+
+    def test_cold_rows_equal_one_at_a_time(self):
+        g = batch_warm_graph()
+        table = init_table(g, EmbedTrainConfig(dim=6, seed=1))
+        for seed in range(40):
+            profiles, interactions = random_batch(seed)
+            aug, ext, ids = integrate_cold_entities(g, table, profiles,
+                                                    ColdStrategy.AVERAGE_TRANSLATION,
+                                                    interactions)
+            want = reference_cold_rows(table, aug, list(ids.values()),
+                                       ColdStrategy.AVERAGE_TRANSLATION)
+            assert ext.entity_vecs[table.entity_count:].tobytes() == want.tobytes()
+
+    def test_cost_is_one_check_per_kind_and_one_registry_write(self, make_graph,
+                                                               monkeypatch):
+        g = make_graph(n_users=6, n_items=8, seed=1)
+        rng = np.random.default_rng(7)
+        targets = {"brand": ["b0", "b1"], "category": ["c0", "c1"]}
+        relations = {"item": [("produced_by", "brand"), ("belong_to", "category")],
+                     "user": [("like", "brand"), ("interested_in", "category")]}
+        profiles = [profile(f"cold{j}", etype,
+                            *[(rel, ttype, str(rng.choice(targets[ttype])))
+                              for rel, ttype in relations[etype]])
+                    for j, etype in enumerate(rng.choice(["item", "user"], size=60))]
+        kinds = {(p.entity_type, d.relation, d.target_type)
+                 for p in profiles for d in p.declarations}
+        calls = {"validate": 0, "add_entity": 0, "add_entities": 0}
+
+        def counted(cls, name):
+            real = getattr(cls, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(cls, name, call)
+
+        counted(ColdProfile, "validate")
+        counted(KnowledgeGraph, "add_entity")
+        counted(KnowledgeGraph, "add_entities")
+        aug, ids = augment_graph(g, profiles)
+        assert len(ids) == len(profiles) == 60 and len(kinds) == 4
+        assert calls == {"validate": len(kinds), "add_entity": 0, "add_entities": 1}
+
+
 class TestColdRecommendation:
     def test_cold_user_gets_items_through_profile(self, make_graph):
         g = make_graph(n_users=6, n_items=10, n_brands=2, n_categories=2,
@@ -366,6 +553,8 @@ class TestColdRecommendation:
                              AgentConfig(hop_budget=3, max_actions=16, hidden=(8, 8), seed=0))
         recs = recommend_cold(ids["u"], policy, aug, ext, k=5, widths=[16, 16, 16])
         assert (pu, INVERSE) in [e.path.state.relations[0] for e in recs.entries]
+        # an all-self-loop path ends at u itself, which is never served to u
+        assert ids["u"] not in [e.item for e in recs.entries]
 
     def test_warm_user_served_by_beam_then_rank(self, make_graph):
         g = make_graph(n_users=6, n_items=10, interactions=4, seed=3)

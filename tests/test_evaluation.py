@@ -140,6 +140,41 @@ def test_graph_reads_follow_the_scored_users(monkeypatch):
     assert seen[0]["interactions_by_user"] == 0
 
 
+def test_popularity_sorted_once_per_run(monkeypatch, tiny_eval):
+    """``pop_baseline`` sorts the popularity table; each ``popb_at_k`` call
+    reads that order instead of sorting the table again."""
+    from pathrec import metrics
+
+    tables = []
+
+    def counting_sorted(iterable, *args, **kwargs):
+        if isinstance(iterable, dict):  # the popularity table, not a pattern count
+            tables.append(len(iterable))
+        return sorted(iterable, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "sorted", counting_sorted, raising=False)
+    config, split, records = tiny_eval
+    rows, _, _ = evaluate_run(config, split, records)
+    assert sum(r["metric"].startswith("popb") for r in rows) >= 4
+    assert tables == [len(train_popularity(split.train_graph))]
+
+
+def test_popb_given_its_order_equals_sorting():
+    from pathrec.metrics import popb_at_k
+
+    rng = rng_for(15, "popb-ordered")
+    for _ in range(200):
+        popularity = {f"i{j}": int(rng.integers(0, 5)) for j in range(int(rng.integers(1, 12)))}
+        ordered = sorted(popularity, key=lambda it: (-popularity[it], it))
+        items = list(popularity) + ["unseen"]
+        recs = {f"u{j}": [str(x) for x in rng.choice(items, size=int(rng.integers(0, 5)))]
+                for j in range(3)}
+        exclude = {u: {i for i in popularity if rng.random() < 0.3} for u in recs}
+        k = int(rng.integers(1, 6))
+        assert (popb_at_k(recs, popularity, k, exclude, ordered)
+                == popb_at_k(recs, popularity, k, exclude))
+
+
 def _random_graphs():
     """Shop graphs (derived user edges: inverse and non-interaction) and
     multi-edge graphs, each extended by users without edges and items

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathrec.errors import NotAnItem, ParseError, SchemaViolation, UnknownEntity
+from pathrec.errors import InvalidSpec, NotAnItem, ParseError, SchemaViolation, UnknownEntity
 from pathrec.graph import (FORWARD, INVERSE, DerivationRule, KGSchema,
                            KnowledgeGraph, RelationSpec, check_triplet_row,
                            parse_entity_token, read_triplet_rows)
@@ -119,6 +119,48 @@ class TestGraphRegistry:
             g.add_entity("vendor", "v0")
         with pytest.raises(SchemaViolation):
             g.relation_id("nope")
+
+    def test_batch_interning_equals_one_by_one(self, schema):
+        keys = [("user", "u0"), ("item", "x"), ("user", "x"), ("item", "x"),
+                ("brand", "b0"), ("user", "u0"), ("item", "i1")]
+        one = KnowledgeGraph(schema)
+        one.add_entity("item", "i1")
+        batch = one.clone()
+        want = [one.add_entity(*key) for key in keys]
+        got = batch.add_entities([t for t, _ in keys], [n for _, n in keys])
+        assert got == want == [1, 2, 3, 2, 4, 1, 0]
+        assert ([batch.entity_key(e) for e in range(batch.entity_count)]
+                == [one.entity_key(e) for e in range(one.entity_count)])
+        assert batch.items() == one.items() and batch.users() == one.users()
+        assert batch.add_entities([], []) == []
+
+    def test_batch_interning_is_all_or_nothing(self, schema, tiny_graph):
+        g = KnowledgeGraph(schema)
+        with pytest.raises(SchemaViolation, match="vendor"):
+            g.add_entities(["user", "vendor"], ["u0", "v0"])
+        assert g.entity_count == 0 and not g.has_entity("user", "u0")
+        with pytest.raises(InvalidSpec):
+            g.add_entities(["user"], ["u0", "u1"])
+        # a frozen graph still answers for keys it holds
+        assert tiny_graph.add_entities(["item", "user"], ["i0", "u0"]) == [
+            tiny_graph.entity_id("item", "i0"), tiny_graph.entity_id("user", "u0")]
+        with pytest.raises(SchemaViolation, match="frozen"):
+            tiny_graph.add_entities(["item", "user"], ["i0", "u9"])
+
+    def test_growth_past_capacity(self, schema):
+        g = KnowledgeGraph(schema)
+        g.add_entities(["user"] * 10, [f"u{i}" for i in range(10)])
+        ids = g.add_entities(["item"] * 40, [f"i{i}" for i in range(40)])
+        assert ids == list(range(10, 50))
+        assert g.users() == list(range(10)) and g.items() == ids
+
+    def test_entity_index_is_a_read_only_view(self, schema):
+        g = KnowledgeGraph(schema)
+        index = g.entity_index()
+        g.add_entity("user", "u0")
+        assert dict(index) == {("user", "u0"): 0}
+        with pytest.raises(TypeError):
+            index[("user", "u1")] = 1
 
 
 class TestTriplets:

@@ -201,6 +201,32 @@ def copy_run(config, workdir):
     return dataclasses.replace(config, workdir=workdir), RunPaths(workdir)
 
 
+def test_split_manifest_parsed_once(tiny_run, monkeypatch):
+    """A stage reads the split's manifest once for its stamp, the split
+    and the train fingerprint, and checks all three."""
+    import builtins
+
+    from pathrec.pipeline import _Stage
+
+    config, _, _ = tiny_run
+    paths = RunPaths(config.workdir)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    with _Stage("train-embed", config) as run:
+        split = run.split()
+    monkeypatch.undo()
+    assert opened.count(paths.manifest) == 1
+    want = DatasetSplit.read(paths.split_dir)
+    assert split.manifest() == want.manifest()
+    assert split.train_graph.fingerprint() == want.train_graph.fingerprint()
+
+
 class TestRecommendStage:
     def test_reads_only_the_cold_table(self, tiny_run, tmp_path):
         config, _, _ = tiny_run

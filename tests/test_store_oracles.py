@@ -2,9 +2,9 @@
 
 ``ReferenceGraph`` is the Python-container store the array store replaced:
 a triplet set, an insertion log and per-entity adjacency lists sorted on
-read. ``reference_load``, ``reference_derive`` and ``reference_cold_rows``
-are the line-by-line loader, the interaction-by-interaction join and the
-entity-by-entity embedding loop. Every comparison is exact.
+read. ``reference_load`` and ``reference_derive`` are the line-by-line
+loader and the interaction-by-interaction join; ``oracles.reference_cold_rows``
+is the entity-by-entity embedding loop. Every comparison is exact.
 """
 
 import hashlib
@@ -25,6 +25,7 @@ from pathrec.graph import (FORWARD, INVERSE, KGSchema, KnowledgeGraph,
 from pathrec.pipeline import build_augmented
 
 from conftest import build_multi_edge_graph, build_shop_graph
+from oracles import reference_cold_rows
 
 
 class ReferenceGraph:
@@ -467,22 +468,6 @@ class TestBulkLoad:
 
 
 # -- cold integration ------------------------------------------------------------
-
-
-def reference_cold_rows(table, graph, entities, strategy):
-    """The entity-by-entity mean of (e_tail - e_relation) over forward edges."""
-    base = table.entity_count
-    rows = np.zeros((len(entities), table.dim))
-    for i, e in enumerate(entities):
-        forward = [(r, n) for r, n, d in graph.neighbors(e) if d == FORWARD]
-        assert forward
-        if strategy == ColdStrategy.NULL:
-            continue
-        acc = np.zeros(table.dim)
-        for r, n in forward:
-            acc += (table.entity_vecs[n] if n < base else rows[n - base]) - table.relation_vecs[r]
-        rows[i] = acc / len(forward)
-    return rows
 
 
 def reference_integrate(train_graph, table, profiles, strategy, interactions=None):
