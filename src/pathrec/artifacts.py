@@ -33,10 +33,10 @@ def atomic_open(path: str, mode: str = "w"):
 
 
 def write_json(path: str, obj):
-    """Indented, key-sorted JSON with a trailing newline."""
+    """Indented, key-sorted JSON with a trailing newline, written at once."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
     with atomic_open(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv(path: str, comment: str, columns: tuple[str, ...], rows):

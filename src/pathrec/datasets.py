@@ -7,10 +7,17 @@ half go to validation, half to test. Cold users get capped relation
 profiles derived from their hidden interactions; cold items keep their
 native attribute profiles uncapped. Derived relations are recomputed from
 training interactions only, so the training graph leaks nothing.
+
+``load_dataset`` parses a triplet file once per content: it keeps the
+frozen graph of the last file it parsed, keyed by the sha256 of the schema
+and the file's bytes, so the stages of one process that read the same
+split share one graph.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import logging
 import math
@@ -18,7 +25,6 @@ import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -32,49 +38,102 @@ from .graph import (KGSchema, KnowledgeGraph, check_triplet_row,
 log = logging.getLogger(__name__)
 
 
+# The frozen graph of the last triplet file load_dataset parsed, keyed by
+# the sha256 of the schema and the file's bytes; one entry, so the stages of
+# one run that read the same split in one process parse it once.
+_last_parsed: tuple[str, KnowledgeGraph] | None = None
+
+
 def load_dataset(triplet_path: str, schema_path: str | KGSchema) -> KnowledgeGraph:
     """Build a frozen graph from a triplet file, deriving declared relations.
 
     Derived relations must not appear in the file; they are joined from the
-    interactions it contains. The file is parsed whole and its triplets are
-    added in one batch; a faulty file raises the error a line-by-line load
-    would raise at its first faulty line.
+    interactions it contains. The file's bytes are read once and parsed as
+    a text-mode ``open`` would read them. Loading the bytes that the last
+    parse read, under the same schema, returns that parse's graph itself;
+    so the duplicate-triplet warning is logged when a file is parsed, not
+    when its graph is returned again. A faulty file raises the error a
+    line-by-line load would raise at its first faulty line, and is never
+    kept.
     """
+    global _last_parsed
     schema = schema_path if isinstance(schema_path, KGSchema) else KGSchema.load(schema_path)
+    with open(triplet_path, "rb") as fh:
+        data = fh.read()
+    key = hashlib.sha256(json.dumps(schema.to_json(), sort_keys=True).encode()
+                         + b"\n" + data).hexdigest()
+    if _last_parsed is not None and _last_parsed[0] == key:
+        return _last_parsed[1]
+    graph = _parse_triplets(triplet_path, io.TextIOWrapper(io.BytesIO(data)).read(), schema)
+    _last_parsed = key, graph
+    return graph
+
+
+def _triplet_tokens(text: str) -> list[str] | None:
+    """The fields of the triplet lines of ``text`` in order, three per line,
+    or None when a line has another number of tab-separated fields. Lines
+    are those ``read_triplet_rows`` keeps."""
+    if text[:1] in "#\n" or "\n\n" in text or "\n#" in text:
+        text = "\n".join(line for line in text.split("\n") if line and line[0] != "#")
+    text = text.removesuffix("\n")
+    if not text:
+        return []
+    # in UTF-8 a tab or newline byte is always that character
+    codes = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    seps = codes[(codes == 9) | (codes == 10)]  # tabs and newlines, in order
+    n_lines = text.count("\n") + 1
+    if len(seps) != 3 * n_lines - 1 or not (seps[2::3] == 10).all():
+        return None
+    return text.replace("\n", "\t").split("\t")
+
+
+def _parse_triplets(path: str, text: str, schema: KGSchema) -> KnowledgeGraph:
+    """The frozen graph of a triplet file's text; ``path`` names the file in
+    errors. The text is split into tokens at once; only a text that fails
+    its checks is scanned row by row, to find the first faulty line."""
     derived = {r.name for r in schema.relations if r.derived_from is not None}
-    graph = KnowledgeGraph(schema)
-    rows = read_triplet_rows(triplet_path)
-    fields = list(map(itemgetter(1), rows))
-    n_rows = (len(rows) if set(map(len, fields)) <= {3}
-              else next(k for k, f in enumerate(fields) if len(f) != 3))
-    fields = fields[:n_rows]
-    tokens = dict.fromkeys(chain.from_iterable(map(itemgetter(0, 2), fields)))
     types = set(schema.entity_types)
-    keys = {tok: (etype, name) for tok in tokens for etype, sep, name in [tok.partition(":")]
-            if sep and etype and name and etype in types}
-    ids = dict(zip(keys, graph.add_entities([t for t, _ in keys.values()],
-                                            [n for _, n in keys.values()])))
+    graph = KnowledgeGraph(schema)
     rel_ids = {r.name: graph.relation_id(r.name) for r in schema.relations
                if r.name not in derived}
-    bad_rels = set(map(itemgetter(1), fields)) - rel_ids.keys()
-    if len(ids) < len(tokens) or bad_rels:
-        n_rows = next(k for k, f in enumerate(fields)
-                      if f[0] not in ids or f[2] not in ids or f[1] in bad_rels)
-    # schema violations before the first faulty line raise here, as they would
-    # have line by line
-    good = fields[:n_rows]
+
+    def entity_key(token: str) -> tuple[str, str] | None:
+        etype, sep, name = token.partition(":")
+        return (etype, name) if sep and etype and name and etype in types else None
+
+    def entity_keys(tokens: list[str]) -> dict[str, tuple[str, str] | None]:
+        # each distinct head and tail token in order of first appearance,
+        # head before tail
+        ends = tokens[:]
+        del ends[1::3]
+        return {tok: entity_key(tok) for tok in dict.fromkeys(ends)}
+
+    tokens = _triplet_tokens(text)
+    keys = entity_keys(tokens) if tokens is not None else {}
+    fault = None
+    if tokens is None or None in keys.values() or not rel_ids.keys() >= set(tokens[1::3]):
+        rows = read_triplet_rows(path, text)
+        k = next(k for k, (_, f) in enumerate(rows)
+                 if len(f) != 3 or f[1] not in rel_ids
+                 or entity_key(f[0]) is None or entity_key(f[2]) is None)
+        fault = rows[k]
+        tokens = list(chain.from_iterable(f for _, f in rows[:k]))
+        keys = entity_keys(tokens)
+    n = len(tokens) // 3
+    ids = dict(zip(keys, graph.add_entities([t for t, _ in keys.values()],
+                                            [name for _, name in keys.values()])))
 
     def column(i: int, index: dict) -> np.ndarray:
-        return np.fromiter(map(index.__getitem__, map(itemgetter(i), good)), np.intp, n_rows)
+        return np.fromiter(map(index.__getitem__, tokens[i::3]), np.intp, n)
 
+    # schema violations before the first faulty line raise here, as they
+    # would have line by line
     graph.add_triplets(column(0, ids), column(1, rel_ids), column(2, ids))
-    if n_rows < len(rows):
-        lineno, f = rows[n_rows]
-        ht, hn, rel, tt, tn = check_triplet_row(triplet_path, lineno, f)
+    if fault is not None:
+        lineno, f = fault
+        ht, hn, rel, tt, tn = check_triplet_row(path, lineno, f)
         if rel in derived:
-            raise ParseError(
-                f"{triplet_path}: derived relation {rel!r} may not appear in a triplet file"
-            )
+            raise ParseError(f"{path}: derived relation {rel!r} may not appear in a triplet file")
         graph.add_entity(ht, hn)  # raises for an unknown entity type
         graph.add_entity(tt, tn)
         raise SchemaViolation(f"unknown relation {rel!r}")

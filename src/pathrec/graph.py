@@ -22,9 +22,10 @@ one growth of the type array, and ``add_entity`` is its one-entity call.
 ``entity_index`` is a read-only view of the key -> id map, for callers
 that look up many keys.
 ``freeze()`` only marks the graph immutable, so a frozen graph can be
-shared across threads; ``clone()`` returns a mutable copy with the same
-ids by copying the registry and a few arrays, which is how cold entities
-are integrated without touching the original.
+shared across threads and computes its ``fingerprint()`` once;
+``clone()`` returns a mutable copy with the same ids by copying the
+registry and a few arrays, which is how cold entities are integrated
+without touching the original.
 
 Serialization uses a tab-separated triplet file (one triplet per line,
 ``head_type:head_name<TAB>relation<TAB>tail_type:tail_name``) plus a JSON
@@ -245,6 +246,7 @@ class KnowledgeGraph:
         self._dup_warned = False
         self._csr: CSRAdjacency | None = None
         self._tail_interactions: np.ndarray | None = None
+        self._fingerprint: str | None = None
 
     # -- registry ---------------------------------------------------------
 
@@ -368,6 +370,7 @@ class KnowledgeGraph:
     def _changed(self):
         self._csr = None
         self._tail_interactions = None
+        self._fingerprint = None
 
     def _check_triplet(self, head: int, relation: int, tail: int):
         """Raise the error ``add_triplet`` reports for an invalid triplet."""
@@ -579,9 +582,16 @@ class KnowledgeGraph:
             fh.writelines(line + "\n" for line in self._triplet_lines(include_derived))
 
     def fingerprint(self) -> str:
+        """sha256 of the schema and the sorted triplet lines; a frozen graph
+        computes it once."""
+        if self._fingerprint is not None:
+            return self._fingerprint
         lines = sorted(self._triplet_lines())
         blob = json.dumps(self.schema.to_json(), sort_keys=True) + "\n" + "\n".join(lines)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        digest = hashlib.sha256(blob.encode()).hexdigest()
+        if self._frozen:
+            self._fingerprint = digest
+        return digest
 
 
 def parse_entity_token(token: str) -> tuple[str, str]:
@@ -592,13 +602,16 @@ def parse_entity_token(token: str) -> tuple[str, str]:
     return etype, name
 
 
-def read_triplet_rows(path: str) -> list[tuple[int, list[str]]]:
-    """(line number, tab-separated fields) of every triplet line, unchecked.
+def read_triplet_rows(path: str, text: str | None = None) -> list[tuple[int, list[str]]]:
+    """(line number, tab-separated fields) of every triplet line, unchecked:
+    of ``text`` when given, else of the file at ``path``.
 
     Blank lines and lines starting with ``#`` are skipped.
     """
-    with open(path) as fh:
-        lines = fh.read().split("\n")
+    if text is None:
+        with open(path) as fh:
+            text = fh.read()
+    lines = text.split("\n")
     return [(lineno, line.split("\t")) for lineno, line in enumerate(lines, start=1)
             if line and not line.startswith("#")]
 

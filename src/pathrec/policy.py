@@ -86,6 +86,13 @@ class PolicyModel:
     """Two ReLU hidden layers; actor and baseline heads share the trunk."""
 
     def __init__(self, state_dim: int, config: AgentConfig):
+        self._allocate(state_dim, config)
+        rng = rng_for(config.seed, "policy-init")
+        for w in (self.W1, self.W2, self.W3, self.Wv):  # He initialization over fan-in rows
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / len(w)), size=w.shape)
+
+    def _allocate(self, state_dim: int, config: AgentConfig):
+        """Check the shapes and set every parameter to zeros."""
         config.validate()
         if state_dim < 1 or state_dim % (1 + 2 * config.hop_budget):
             raise InvalidSpec(f"state_dim {state_dim} is no whole number of blocks "
@@ -94,18 +101,14 @@ class PolicyModel:
         self.state_dim = state_dim
         self.slate_size = 1 + config.max_actions
         h1, h2 = config.hidden
-        rng = rng_for(config.seed, "policy-init")
-        def layer(fan_in, fan_out):
-            return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-        self.W1 = layer(state_dim, h1)
+        self.W1 = np.zeros((state_dim, h1))
         self.b1 = np.zeros(h1)
-        self.W2 = layer(h1, h2)
+        self.W2 = np.zeros((h1, h2))
         self.b2 = np.zeros(h2)
         self._W3 = np.zeros((h2, -(-self.slate_size // HEAD_ALIGN) * HEAD_ALIGN))
         self.W3 = self._W3[:, :self.slate_size]
-        self.W3[...] = layer(h2, self.slate_size)
         self.b3 = np.zeros(self.slate_size)
-        self.Wv = layer(h2, 1)[:, 0]
+        self.Wv = np.zeros(h2)
         self.bv = np.zeros(1)
 
     @property
@@ -201,7 +204,8 @@ class PolicyModel:
         with np.load(path, allow_pickle=False) as data:
             cfg = json.loads(str(data["config"]))
             cfg["hidden"] = tuple(cfg["hidden"])
-            model = cls(int(data["state_dim"]), AgentConfig(**cfg))
+            model = cls.__new__(cls)  # every parameter is read, so none is drawn
+            model._allocate(int(data["state_dim"]), AgentConfig(**cfg))
             for name, param in zip(PARAM_NAMES, model.params):
                 param[...] = data[name]
         return model

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
+from pathrec import datasets
 from pathrec.datasets import derive_relations, synthetic_schema
 from pathrec.embeddings import EmbedTrainConfig, init_table, rng_for
 from pathrec.graph import KnowledgeGraph
+
+
+@pytest.fixture(autouse=True)
+def no_kept_graph(monkeypatch):
+    """Each test starts with no triplet file parsed, so none depends on the
+    graph an earlier test left in ``load_dataset``'s one-entry cache."""
+    monkeypatch.setattr(datasets, "_last_parsed", None)
 
 
 @pytest.fixture(scope="session")

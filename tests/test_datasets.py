@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from pathrec import datasets
 from pathrec.coldstart import ColdDeclaration
 from pathrec.datasets import (DatasetSplit, RelationTargets, SplitConfig,
                               SyntheticSpec, cap_cold_relations,
@@ -15,7 +16,7 @@ from pathrec.datasets import (DatasetSplit, RelationTargets, SplitConfig,
                               split_dataset, synthetic_schema)
 from pathrec.embeddings import rng_for
 from pathrec.errors import EmptyUser, InvalidSpec, ParseError
-from pathrec.graph import FORWARD, KnowledgeGraph
+from pathrec.graph import FORWARD, KGSchema, KnowledgeGraph
 
 from conftest import build_shop_graph
 
@@ -64,6 +65,74 @@ class TestLoadDataset:
         assert len(want) > len(log)
         derive_relations(got)  # idempotent
         assert list(got.triplets()) == want
+
+
+class TestParsedOnce:
+    """``load_dataset`` keeps the graph of the last file it parsed, keyed by
+    the sha256 of the schema and the file's bytes."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The paths ``load_dataset`` parses."""
+        seen = []
+        parse = datasets._parse_triplets
+
+        def counting(path, text, schema):
+            seen.append(path)
+            return parse(path, text, schema)
+
+        monkeypatch.setattr(datasets, "_parse_triplets", counting)
+        return seen
+
+    def test_same_bytes_parsed_once(self, tmp_path, make_graph, parses, monkeypatch):
+        g = make_graph(seed=3)
+        a, b = str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")
+        g.write_triplets(a)
+        g.write_triplets(b)
+        want = g.fingerprint()
+        first = load_dataset(a, g.schema)
+        assert first.frozen
+        assert load_dataset(a, g.schema) is first
+        assert load_dataset(b, g.schema) is first  # the bytes are the key, not the path
+        assert parses == [a]
+        computed = []
+        lines = KnowledgeGraph._triplet_lines
+        monkeypatch.setattr(KnowledgeGraph, "_triplet_lines",
+                            lambda self, *args: computed.append(self) or lines(self, *args))
+        assert [load_dataset(a, g.schema).fingerprint() for _ in range(3)] == [want] * 3
+        assert computed == [first]
+        mutable = first.clone()
+        assert mutable.fingerprint() == mutable.fingerprint() == want
+        assert computed == [first, mutable, mutable]  # only a frozen graph keeps it
+
+    def test_other_schema_other_graph(self, tmp_path, make_graph, parses):
+        g = make_graph(seed=3)
+        path = str(tmp_path / "t.tsv")
+        g.write_triplets(path)
+        raw = g.schema.to_json()
+        raw["path_patterns"] = raw["path_patterns"][:1]
+        other = KGSchema.from_json(raw)
+        first, second = load_dataset(path, g.schema), load_dataset(path, other)
+        assert second is not first
+        assert (first.schema, second.schema) == (g.schema, other)
+        assert second.fingerprint() != first.fingerprint()
+        assert parses == [path, path]
+
+    def test_one_graph_kept(self, tmp_path, make_graph, schema, parses):
+        a, b, bad = (str(tmp_path / name) for name in ("a.tsv", "b.tsv", "bad.tsv"))
+        make_graph(seed=1).write_triplets(a)
+        make_graph(seed=2).write_triplets(b)
+        with open(bad, "w") as fh:
+            fh.write("user:u0\tlike\tbrand:b0\n")
+        first = load_dataset(a, schema)
+        assert load_dataset(b, schema) is not first
+        again = load_dataset(a, schema)  # b took the one place
+        assert again is not first
+        with pytest.raises(ParseError):
+            load_dataset(bad, schema)
+        assert load_dataset(a, schema) is again  # a failed parse keeps nothing
+        assert parses == [a, b, a, bad]
+        assert datasets._last_parsed[1] is again
 
 
 class TestPrefixShares:

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from pathrec import cli
+from pathrec import cli, datasets
 from pathrec.artifacts import atomic_open, write_json
 from pathrec.coldstart import integrate_cold_entities
 from pathrec.datasets import DatasetSplit, SplitConfig
@@ -225,6 +225,38 @@ def test_split_manifest_parsed_once(tiny_run, monkeypatch):
     want = DatasetSplit.read(paths.split_dir)
     assert split.manifest() == want.manifest()
     assert split.train_graph.fingerprint() == want.train_graph.fingerprint()
+
+
+def test_rewritten_train_file_is_parsed_again(tiny_run, tmp_path, monkeypatch):
+    """Stages in one process parse the split's train.tsv once; other bytes
+    of the same length written between two stages are parsed again, and
+    the next stage finds them unlike the manifest's train fingerprint."""
+    from pathrec.pipeline import _Stage
+
+    config, _, _ = tiny_run
+    copy, paths = copy_run(config, str(tmp_path / "run"))
+    train_file = os.path.join(paths.split_dir, "train.tsv")
+    parses = []
+    parse = datasets._parse_triplets
+    monkeypatch.setattr(datasets, "_parse_triplets",
+                        lambda path, *args: parses.append(path) or parse(path, *args))
+    with _Stage("train-embed", copy) as run:
+        first = run.split().train_graph
+    with _Stage("train-agent", copy) as run:
+        assert run.split().train_graph is first
+    assert parses == [train_file]
+
+    with open(train_file) as fh:
+        text = fh.read()
+    line = next(line for line in text.split("\n") if "\tproduced_by\t" in line)
+    other = line.replace("b00", "b01") if "b00" in line else line.replace("b01", "b00")
+    rewritten = text.replace(line + "\n", other + "\n", 1)
+    assert len(rewritten) == len(text) and rewritten != text
+    with open(train_file, "w") as fh:
+        fh.write(rewritten)
+    with pytest.raises(StageError, match=r"^\[train-agent\] .*train.tsv and manifest differ"):
+        stage_train_agent(copy)
+    assert parses == [train_file, train_file]
 
 
 class TestRecommendStage:

@@ -63,7 +63,8 @@ class ReferenceGraph:
             raise SchemaViolation(f"unknown relation id {r}")
         spec = self.schema.relations[r]
         if (self.types[h], self.types[t]) != (spec.head_type, spec.tail_type):
-            raise SchemaViolation("violates schema")
+            raise SchemaViolation(f"({self.key(h)}, {spec.name}, {self.key(t)}) "
+                                  f"violates schema ({spec.head_type} -> {spec.tail_type})")
         if (h, r, t) in self.set:
             return
         self.set.add((h, r, t))
@@ -321,8 +322,8 @@ def reference_load(path, schema) -> ReferenceGraph:
 def outcome(load, path, schema):
     try:
         load(path, schema)
-    except Exception as exc:  # the exception type is what is compared
-        return type(exc)
+    except Exception as exc:  # the exception type and message are what is compared
+        return type(exc), str(exc)
     return None
 
 
@@ -364,6 +365,9 @@ class TestBulkLoad:
         "unknown type": "vendor:v0\tpurchase\titem:i0\n",
         "unknown relation": "user:u0\treturns\titem:i0\n",
         "schema violation": "user:u0\tproduced_by\tbrand:b0\n",
+        # one tab, then three: the file's tab count is that of two good lines,
+        # and its fields in order would make two good triplets
+        "short then long": "user:u0\tpurchase\nitem:i0\tuser:u0\tpurchase\titem:i1\n",
     }
     GOOD = "item:i0\tproduced_by\tbrand:b0\nuser:u0\tpurchase\titem:i0\n"
 
@@ -373,15 +377,39 @@ class TestBulkLoad:
         path.write_text(self.GOOD + self.FAULTS[fault] + self.GOOD)
         want = outcome(reference_load, str(path), schema)
         assert want is not None
-        assert outcome(load_dataset, str(path), schema) is want
+        assert outcome(load_dataset, str(path), schema) == want
 
     @pytest.mark.parametrize("first", sorted(FAULTS))
     @pytest.mark.parametrize("second", sorted(FAULTS))
     def test_first_faulty_line_decides(self, schema, tmp_path, first, second):
         path = tmp_path / "t.tsv"
         path.write_text(self.GOOD + self.FAULTS[first] + self.GOOD + self.FAULTS[second])
-        assert outcome(load_dataset, str(path), schema) is outcome(
+        assert outcome(load_dataset, str(path), schema) == outcome(
             reference_load, str(path), schema)
+
+    @pytest.mark.parametrize("fault", [None, *sorted(FAULTS)])
+    def test_crlf_and_lone_cr_read_as_text_mode(self, schema, tmp_path, fault):
+        """Bytes are parsed as a text-mode ``open`` reads them: CRLF and a
+        lone CR end lines, so line numbers in errors agree too."""
+        text = "# crlf\n" + self.GOOD + "\n" + self.FAULTS.get(fault, "") + self.GOOD
+        path = tmp_path / "t.tsv"
+        path.write_bytes(text.replace("\n", "\r\n").replace(
+            "\r\nuser:u0\tpurchase\titem:i0\r\n", "\ruser:u0\tpurchase\titem:i0\r", 1).encode())
+        assert b"\r\n" in path.read_bytes() and b"\ru" in path.read_bytes()
+        want = outcome(reference_load, str(path), schema)
+        assert outcome(load_dataset, str(path), schema) == want
+        if fault is None:
+            assert want is None
+            assert_same_store(load_dataset(str(path), schema), reference_load(str(path), schema))
+
+    @pytest.mark.parametrize("fault", [None, *sorted(FAULTS)])
+    def test_last_line_without_newline(self, schema, tmp_path, fault):
+        path = tmp_path / "t.tsv"
+        path.write_text((self.GOOD + self.FAULTS.get(fault, "")).rstrip("\n"))
+        want = outcome(reference_load, str(path), schema)
+        assert outcome(load_dataset, str(path), schema) == want
+        if fault is None:
+            assert_same_store(load_dataset(str(path), schema), reference_load(str(path), schema))
 
     def test_derive_equals_reference_join(self, schema):
         g = build_shop_graph(schema, n_users=9, n_items=10, n_brands=3,
