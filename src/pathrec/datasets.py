@@ -16,11 +16,11 @@ split share one graph.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
 import logging
-import math
 import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -147,10 +147,12 @@ def _forward_join(graph: KnowledgeGraph, relation: int,
     (j, x), ordered by j, then by x within each j."""
     h, r, t = graph.triplet_arrays()
     sel = r == relation
-    by_head = np.lexsort((t[sel], h[sel]))
-    rel_heads, rel_tails = h[sel][by_head], t[sel][by_head]
-    lo = np.searchsorted(rel_heads, heads, side="left")
-    n = np.searchsorted(rel_heads, heads, side="right") - lo
+    rel_heads, rel_tails = h[sel], t[sel]
+    rel_tails = rel_tails[np.lexsort((rel_tails, rel_heads))]
+    # each entity's run in the head-sorted relation: its offset and length
+    count = np.bincount(rel_heads, minlength=graph.entity_count)
+    n = count[heads]
+    lo = (np.cumsum(count) - count)[heads]
     at = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
     return np.repeat(np.arange(len(heads)), n), rel_tails[at]
 
@@ -198,11 +200,20 @@ class SplitConfig:
             raise InvalidSpec("cap range must satisfy 1 <= low <= high")
 
 
+@functools.lru_cache(maxsize=32)
+def _ratio(value: float) -> tuple[int, int]:
+    """The fraction a config float is written as, as (numerator,
+    denominator): 0.1 is 1/10. Cached, as ``prefix_shares`` asks for the
+    same two values once per user."""
+    return Fraction(str(value)).as_integer_ratio()
+
+
 def prefix_shares(n: int, config: SplitConfig) -> tuple[int, int, int]:
     """Chronological share sizes: ceil for train, then ceil for val on what
     remains, remainder to test. Exact rational arithmetic, no float drift."""
-    tr = min(n, math.ceil(Fraction(str(config.train_frac)) * n))
-    va = min(n - tr, math.ceil(Fraction(str(config.val_frac)) * n))
+    (t_num, t_den), (v_num, v_den) = _ratio(config.train_frac), _ratio(config.val_frac)
+    tr = min(n, -(-t_num * n // t_den))
+    va = min(n - tr, -(-v_num * n // v_den))
     return tr, va, n - tr - va
 
 
@@ -521,6 +532,49 @@ class SyntheticSpec:
             raise InvalidSpec("p_pref must be in [0, 1]")
 
 
+# raw words a _RawDraws takes from its bit generator at a time
+_RAW_CHUNK = 1024
+
+
+class _RawDraws:
+    """``Generator.random()`` and ``Generator.integers(0, n)`` of a PCG64
+    generator, replayed from its raw 64-bit words taken in chunks.
+
+    ``random()`` is a word's top 53 bits times 2**-53. ``integers(n)`` is
+    numpy's bounded 32-bit draw (Lemire's method) for 1 <= n <= 2**32: a
+    32-bit value is the low half of a new word, or the high half the last
+    word left, as numpy keeps it in ``has_uint32``/``uinteger``; a value x
+    is rejected while (x*n) mod 2**32 < (2**32 - n) % n, and the draw is
+    (x*n) >> 32. ``n == 1`` reads nothing. The replay starts from the
+    generator's state when it is made; the generator is left past the
+    draws, at the end of the last chunk, so it must not be drawn from
+    after the replay's first draw.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        state = bitgen.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._words = chain.from_iterable(
+            iter(lambda: bitgen.random_raw(_RAW_CHUNK).tolist(), None))
+
+    def random(self) -> float:
+        return (next(self._words) >> 11) * 2.0 ** -53
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        while True:
+            if self._half is None:
+                word = next(self._words)
+                x, self._half = word & 0xFFFFFFFF, word >> 32
+            else:
+                x, self._half = self._half, None
+            m = x * n
+            if m & 0xFFFFFFFF >= (0x100000000 - n) % n:
+                return m >> 32
+
+
 def generate_synthetic(spec: SyntheticSpec, out_dir: str) -> tuple[str, str]:
     """Write triplets.tsv, schema.json and a prefs.json ground-truth sidecar.
 
@@ -529,6 +583,13 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str) -> tuple[str, str]:
     pair appears at most once and file order is the chronological order.
     User preferences are drawn over the non-empty (brand, category) cells
     realized by the item assignment.
+
+    The purchase loop's draws are ``Generator.random()`` and
+    ``Generator.integers(0, n)``, replayed by ``_RawDraws`` from raw PCG64
+    words taken in chunks: a scalar call costs about a microsecond of call
+    overhead, and the default catalog makes 64 draw pairs per user. The
+    values are those of the scalar calls; tests pin the replay against the
+    real calls and the files against the scalar loop.
     """
     spec.validate()
     rng = rng_for(spec.seed, "synth")
@@ -551,6 +612,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str) -> tuple[str, str]:
 
     triplet_path = os.path.join(out_dir, "triplets.tsv")
     schema_path = os.path.join(out_dir, "schema.json")
+    draws = _RawDraws(rng)
     with atomic_open(triplet_path) as fh:
         for i in range(spec.items):
             fh.write(f"item:{items[i]}\tproduced_by\tbrand:{brands[item_brand[i]]}\n")
@@ -562,10 +624,10 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str) -> tuple[str, str]:
             budget = 50 * spec.interactions_per_user
             while len(chosen) < spec.interactions_per_user and budget > 0:
                 budget -= 1
-                if rng.random() < spec.p_pref:
-                    i = cell[int(rng.integers(0, len(cell)))]
+                if draws.random() < spec.p_pref:
+                    i = cell[draws.integers(len(cell))]
                 else:
-                    i = int(rng.integers(0, spec.items))
+                    i = draws.integers(spec.items)
                 if i not in held:
                     held.add(i)
                     chosen.append(i)

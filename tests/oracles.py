@@ -19,18 +19,26 @@ baseline names every training user's items up front.
 profiles validated, checked and registered one at a time, each entity
 with its own ``add_entity`` call; ``reference_cold_rows`` sums each cold
 entity's embedding row on its own.
+
+``reference_forward_join`` finds each head's run in the head-sorted
+relation with two binary searches; ``reference_purchases`` is the
+synthetic generator with one scalar ``Generator`` call per draw.
 """
 
 from __future__ import annotations
 
+import os
+from dataclasses import asdict
 from typing import NamedTuple
 
 import numpy as np
 
 from pathrec import metrics
+from pathrec.artifacts import atomic_open, write_json
 from pathrec.coldstart import ColdStrategy
 from pathrec.coldstart import log as coldstart_log
-from pathrec.embeddings import EmbeddingTable, score_tails
+from pathrec.datasets import SyntheticSpec, synthetic_schema
+from pathrec.embeddings import EmbeddingTable, rng_for, score_tails
 from pathrec.errors import (DuplicateEntity, EmptyProfile, InvalidAction, MissingEmbedding,
                             PathRecError)
 from pathrec.graph import FORWARD, KnowledgeGraph
@@ -255,3 +263,68 @@ def reference_cold_rows(table, graph, entities, strategy):
             acc += (table.entity_vecs[n] if n < base else rows[n - base]) - table.relation_vecs[r]
         rows[i] = acc / len(forward)
     return rows
+
+
+def reference_forward_join(graph: KnowledgeGraph, relation: int,
+                           heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``datasets._forward_join``: each head's run found by searching the
+    head-sorted relation for its left and right ends."""
+    h, r, t = graph.triplet_arrays()
+    sel = r == relation
+    by_head = np.lexsort((t[sel], h[sel]))
+    rel_heads, rel_tails = h[sel][by_head], t[sel][by_head]
+    lo = np.searchsorted(rel_heads, heads, side="left")
+    n = np.searchsorted(rel_heads, heads, side="right") - lo
+    at = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    return np.repeat(np.arange(len(heads)), n), rel_tails[at]
+
+
+def reference_purchases(spec: SyntheticSpec, out_dir: str) -> list[list[int]]:
+    """``datasets.generate_synthetic`` with a scalar ``rng.random()`` and
+    ``rng.integers(0, n)`` call per draw: writes the same triplets.tsv,
+    schema.json and prefs.json to ``out_dir`` and returns each user's
+    purchased item indices in file order."""
+    spec.validate()
+    rng = rng_for(spec.seed, "synth")
+    u_w = max(4, len(str(spec.users)))
+    i_w = max(4, len(str(spec.items)))
+    users = [f"u{i:0{u_w}d}" for i in range(spec.users)]
+    items = [f"i{i:0{i_w}d}" for i in range(spec.items)]
+    brands = [f"b{i:02d}" for i in range(spec.brands)]
+    cats = [f"c{i:02d}" for i in range(spec.categories)]
+
+    item_brand = rng.integers(0, spec.brands, size=spec.items)
+    item_cat = rng.integers(0, spec.categories, size=spec.items)
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i in range(spec.items):
+        cells.setdefault((int(item_brand[i]), int(item_cat[i])), []).append(i)
+    cell_keys = sorted(cells)
+    pref_idx = rng.integers(0, len(cell_keys), size=spec.users)
+    prefs = {users[u]: [brands[cell_keys[pref_idx[u]][0]], cats[cell_keys[pref_idx[u]][1]]]
+             for u in range(spec.users)}
+
+    purchases = []
+    with atomic_open(os.path.join(out_dir, "triplets.tsv")) as fh:
+        for i in range(spec.items):
+            fh.write(f"item:{items[i]}\tproduced_by\tbrand:{brands[item_brand[i]]}\n")
+            fh.write(f"item:{items[i]}\tbelong_to\tcategory:{cats[item_cat[i]]}\n")
+        for u in range(spec.users):
+            cell = cells[cell_keys[pref_idx[u]]]
+            chosen: list[int] = []
+            held = set()
+            budget = 50 * spec.interactions_per_user
+            while len(chosen) < spec.interactions_per_user and budget > 0:
+                budget -= 1
+                if rng.random() < spec.p_pref:
+                    i = cell[int(rng.integers(0, len(cell)))]
+                else:
+                    i = int(rng.integers(0, spec.items))
+                if i not in held:
+                    held.add(i)
+                    chosen.append(i)
+            for i in chosen:
+                fh.write(f"user:{users[u]}\tpurchase\titem:{items[i]}\n")
+            purchases.append(chosen)
+    synthetic_schema().save(os.path.join(out_dir, "schema.json"))
+    write_json(os.path.join(out_dir, "prefs.json"), {"spec": asdict(spec), "prefs": prefs})
+    return purchases

@@ -19,6 +19,7 @@ from pathrec.errors import EmptyUser, InvalidSpec, ParseError
 from pathrec.graph import FORWARD, KGSchema, KnowledgeGraph
 
 from conftest import build_shop_graph
+from oracles import reference_forward_join, reference_purchases
 
 
 class TestLoadDataset:
@@ -140,11 +141,12 @@ class TestPrefixShares:
         SplitConfig(),
         SplitConfig(train_frac=0.6, val_frac=0.2, test_frac=0.2),
         SplitConfig(train_frac=0.5, val_frac=0.0, test_frac=0.5),
+        SplitConfig(train_frac=0.7, val_frac=0.15, test_frac=0.15),
     ])
     def test_fraction_oracle(self, config):
         tf = Fraction(str(config.train_frac))
         vf = Fraction(str(config.val_frac))
-        for n in range(0, 60):
+        for n in range(0, 2001):
             tr, va, te = prefix_shares(n, config)
             assert tr == min(n, math.ceil(tf * n))
             assert va == min(n - tr, math.ceil(vf * n))
@@ -426,3 +428,143 @@ class TestSynthetic:
             data = json.load(fh)
         assert data["spec"] == dataclasses.asdict(spec)
         assert len(data["prefs"]) == 25
+
+
+# PCG64's 128-bit LCG multiplier: a step takes state s to s*M + inc
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def replay_and_calls(rng_state: dict, calls: list[int | None]) -> tuple[list, list]:
+    """The values of ``calls`` (None for ``random()``, n for ``integers(0,
+    n)``) replayed from raw words and made by the real calls, both from
+    ``rng_state``."""
+    replay_rng, real = np.random.default_rng(), np.random.default_rng()
+    replay_rng.bit_generator.state = real.bit_generator.state = rng_state
+    draws = datasets._RawDraws(replay_rng)
+    replayed = [draws.random() if n is None else draws.integers(n) for n in calls]
+    made = [real.random() if n is None else int(real.integers(0, n)) for n in calls]
+    return replayed, made
+
+
+class TestRawDraws:
+    BOUNDS = [None, None, 1, 2, 3, 7, 38, 300, 1500, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("halves", [0, 1, 2, 5])
+    def test_replay_equals_calls(self, seed, halves):
+        """Mixed calls, started with and without a buffered 32-bit half (an
+        odd number of 32-bit array draws leaves one); the chunk boundary is
+        crossed, and 2**31 + 1 and 3 * 2**30 reject often."""
+        rng = rng_for(seed, "raw-draws")
+        rng.integers(0, 5, size=halves)
+        start = rng.bit_generator.state
+        assert start["has_uint32"] == halves % 2
+        calls = [self.BOUNDS[k] for k in rng.integers(0, len(self.BOUNDS), size=3000)]
+        replayed, made = replay_and_calls(start, calls)
+        assert replayed == made
+        assert all(type(v) is (float if n is None else int) for v, n in zip(replayed, calls))
+
+    def test_one_value_range_reads_no_word(self):
+        rng = rng_for(3, "raw-draws")
+        rng.integers(0, 5, size=1)
+        start = rng.bit_generator.state
+        draws = datasets._RawDraws(rng)
+        assert [draws.integers(1) for _ in range(50)] == [0] * 50
+        assert rng.bit_generator.state == start
+        assert draws.integers(2**32) == start["uinteger"]  # the buffered half
+
+    def test_lemire_rejection(self):
+        """A state whose next word has a zero low half: x = 0 gives
+        (0 * 3) mod 2**32 = 0 < (2**32 - 3) % 3 = 1, so integers(0, 3)
+        rejects it and draws again from the word's high half."""
+        real = np.random.default_rng(0)
+        inc = real.bit_generator.state["state"]["inc"]
+        hi = 0x0123456789ABCDEF  # top 6 bits zero: XSL-RR rotates by 0
+        nxt = (hi << 64) | (hi ^ (0xFFFFFFFF << 32))  # hi ^ lo = 0xFFFFFFFF << 32
+        prior = (nxt - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+        state = {"bit_generator": "PCG64", "state": {"state": prior, "inc": inc},
+                 "has_uint32": 0, "uinteger": 0}
+        probe = np.random.default_rng()
+        probe.bit_generator.state = state
+        assert int(probe.bit_generator.random_raw()) == 0xFFFFFFFF << 32
+        replayed, made = replay_and_calls(state, [3, 3, None, 5])
+        assert replayed == made
+        assert replayed[0] == 2  # (0xFFFFFFFF * 3) >> 32, after the rejected 0
+
+
+class TestSyntheticAgainstScalarCalls:
+    """generate_synthetic's files equal the scalar-call generator's."""
+
+    SPECS = {
+        "default-0": SyntheticSpec(seed=0),
+        "default-1": SyntheticSpec(seed=1),
+        "default-7": SyntheticSpec(seed=7),
+        "5x": SyntheticSpec(users=2500, items=1500, seed=1),
+        "uniform": SyntheticSpec(p_pref=0.0, seed=2),
+        "all-in-cell": SyntheticSpec(p_pref=1.0, seed=3),
+        "cell-starved": SyntheticSpec(users=30, items=40, interactions_per_user=8,
+                                      p_pref=1.0, seed=4),
+        "buffered-half": SyntheticSpec(users=25, items=30, brands=2, categories=2,
+                                       interactions_per_user=4, seed=9),
+        "buffered-half-2": SyntheticSpec(users=101, items=60, brands=3, categories=5,
+                                         interactions_per_user=12, p_pref=0.5, seed=11),
+    }
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_files_equal_scalar_generator(self, name, tmp_path, monkeypatch):
+        spec = self.SPECS[name]
+        made = []
+
+        class Spy(datasets._RawDraws):
+            def __init__(self, rng):
+                super().__init__(rng)
+                self.buffered = self._half is not None
+                self.ones = 0
+                made.append(self)
+
+            def integers(self, n):
+                self.ones += n == 1
+                return super().integers(n)
+
+        monkeypatch.setattr(datasets, "_RawDraws", Spy)
+        got, want = tmp_path / "got", tmp_path / "want"
+        got.mkdir()
+        want.mkdir()
+        generate_synthetic(spec, str(got))
+        purchases = reference_purchases(spec, str(want))
+        by_user: dict[str, list[int]] = {}
+        for line in (got / "triplets.tsv").read_text().splitlines():
+            head, rel, tail = line.split("\t")
+            if rel == "purchase":
+                by_user.setdefault(head, []).append(int(tail.removeprefix("item:i")))
+        assert [p for p in purchases if p] == list(by_user.values())
+        for fname in ("triplets.tsv", "prefs.json", "schema.json"):
+            assert (got / fname).read_bytes() == (want / fname).read_bytes(), fname
+        # each spec reaches the case it is named for
+        (draws,) = made
+        if name.startswith("default"):
+            assert draws.ones > 0  # one-item cells: the no-word path
+        if name.startswith("buffered-half"):
+            assert draws.buffered
+        if name == "cell-starved":
+            assert min(map(len, purchases)) < spec.interactions_per_user
+        if name == "default-0":
+            assert draws.ones == 5593
+
+
+class TestForwardJoin:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_binary_search_join(self, make_graph, seed):
+        """Heads drawn with repeats from every entity, so many have no
+        triplet of the relation, and some relations are empty."""
+        g = make_graph(n_users=3 + seed, n_items=5 + 2 * seed, n_brands=1 + seed % 3,
+                       n_categories=2, interactions=1 + seed % 4, seed=seed,
+                       derive=seed % 2 == 0)
+        rng = rng_for(seed, "forward-join")
+        for size in (0, 1, 7, 3 * g.entity_count):
+            heads = rng.integers(0, g.entity_count, size=size).astype(np.intp)
+            for rel in range(len(g.schema.relations)):
+                at, x = datasets._forward_join(g, rel, heads)
+                want_at, want_x = reference_forward_join(g, rel, heads)
+                np.testing.assert_array_equal(at, want_at)
+                np.testing.assert_array_equal(x, want_x)
