@@ -9,10 +9,21 @@ type-compatible tails in ``full_softmax`` mode).
 
 Everything is float64 numpy with a fixed summation order, so training is
 bit-reproducible given the seed, the config, and the graph.
+
+The training loop allocates no batch-sized array. ``train_embeddings``
+makes one ``BatchScratch`` per run, and every batch gathers its query and
+candidate rows into it, computes its gradients over them in place, and
+builds its scatter indices there (numpy's ``out=`` arguments). A
+multi-megabyte temporary per batch would be handed back to the kernel
+when freed and faulted in again by the next batch; with the scratch,
+pages are faulted once per run. Ids are range-checked before the
+gathers, so a malformed batch ends in ``InvalidSpec`` or
+``MissingEmbedding``.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -165,8 +176,8 @@ def _type_pools(graph: KnowledgeGraph) -> dict[str, np.ndarray]:
 def _zero_grads(table: EmbeddingTable,
                 grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Zeroed gradient buffers for the table: ``grads`` zeroed in place,
-    or fresh C-ordered buffers (``_scatter_rows`` writes through a flat
-    view) when none are given."""
+    or fresh buffers when none are given. The buffers are C-ordered, so
+    ``_scatter_rows`` adds into them through flat views, not copies."""
     if grads is None:
         return {
             "entity_vecs": np.zeros(table.entity_vecs.shape),
@@ -178,18 +189,64 @@ def _zero_grads(table: EmbeddingTable,
     return grads
 
 
-def _scatter_rows(grad: np.ndarray, idx: np.ndarray, rows: np.ndarray):
+class BatchScratch:
+    """Named work buffers that the batch kernels write into, batch after batch.
+
+    Each name owns one flat array that only grows: ``view`` returns a
+    C-ordered view of its first elements, so a batch no larger than one
+    already seen allocates nothing. Two views of one name share memory,
+    so a kernel is done with a buffer's contents before it asks for the
+    name again.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def view(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        n = math.prod(shape)
+        buf = self._flat.get(name)
+        if buf is None or buf.size < n:
+            buf = self._flat[name] = np.empty(n, dtype=dtype)
+        return buf[:n].reshape(shape)
+
+
+def _check_ids(ids: np.ndarray, count: int, what: str):
+    """Every id in ``ids`` has a row among ``count``; else MissingEmbedding."""
+    if ids.min() < 0 or ids.max() >= count:
+        bad = ids[(ids < 0) | (ids >= count)].flat[0]
+        raise MissingEmbedding(f"{what} id {bad} has no embedding row")
+
+
+def _check_batch(table: EmbeddingTable, triplets: np.ndarray):
+    """A batch is a non-empty (n, 3) array of ids the table has rows for."""
+    if triplets.ndim != 2 or triplets.shape[1] != 3 or len(triplets) == 0:
+        raise InvalidSpec(f"a batch is a non-empty (n, 3) triplet array, got shape "
+                          f"{triplets.shape}")
+    _check_ids(triplets[:, 0::2], table.entity_count, "entity")
+    _check_ids(triplets[:, 1], table.relation_vecs.shape[0], "relation")
+
+
+def _scatter_rows(grad: np.ndarray, idx: np.ndarray, rows: np.ndarray,
+                  scratch: BatchScratch | None = None):
     """``np.add.at(grad, idx, rows)`` as one call on the flattened table.
 
     Element (i, j) goes to flat index ``idx[i] * d + j``; the flat indices
     run row by row, so every element of ``grad`` receives its
     contributions in the order of ``idx``, as the 2-D call adds them.
+    The flat index is built in ``scratch``'s index buffer (a fresh
+    scratch when none is given); ``grad`` and ``rows`` are C-ordered, so
+    their flat forms are views.
     """
+    scratch = BatchScratch() if scratch is None else scratch
     d = grad.shape[1]
-    np.add.at(grad.reshape(-1), (idx[:, None] * d + np.arange(d)).ravel(), rows.ravel())
+    flat = scratch.view("index", (len(idx), d), np.intp)
+    np.multiply(idx[:, None], d, out=flat)
+    flat += np.arange(d)
+    np.add.at(grad.reshape(-1), flat.reshape(-1), rows.reshape(-1))
 
 
-def _accumulate_batch(table, grads, heads, rels, cand_ids, cand_mask, true_col, scale):
+def _accumulate_batch(table, grads, heads, rels, cand_ids, cand_mask, true_col, scale,
+                      scratch: BatchScratch):
     """Softmax cross-entropy gradient for one batch of candidate slates.
 
     cand_ids: (B, C) tail ids per row; cand_mask: True where the slot is a
@@ -197,38 +254,59 @@ def _accumulate_batch(table, grads, heads, rels, cand_ids, cand_mask, true_col, 
     Gradients are scattered in a fixed order: the query gradient into the
     head rows and the relation rows, then the candidate gradients into
     the candidate rows and biases, each in row-major (b, c) order.
+
+    The (B, d) and (B, C, d) arrays live in ``scratch``: the query, one
+    (B, d) buffer that holds the gathered relation rows and then the query
+    gradient, and one (B, C, d) buffer that holds the candidate rows and
+    then their gradients. Only (B, C) arrays are allocated per call. The
+    gathers clip rather than raise, because raising makes numpy gather
+    into a hidden copy; the caller has range-checked heads and relations,
+    and the candidates are checked here.
     """
-    query = table.entity_vecs[heads] + table.relation_vecs[rels]      # (B, d)
-    cand_vecs = table.entity_vecs[cand_ids]                            # (B, C, d)
-    scores = np.einsum("bcd,bd->bc", cand_vecs, query) + table.entity_bias[cand_ids]
+    B, C = cand_ids.shape
+    d = table.dim
+    _check_ids(cand_ids, table.entity_count, "candidate")
+    query = np.take(table.entity_vecs, heads, axis=0, out=scratch.view("query", (B, d)),
+                    mode="clip")
+    rel = np.take(table.relation_vecs, rels, axis=0, out=scratch.view("rel", (B, d)),
+                  mode="clip")
+    query += rel
+    cand = np.take(table.entity_vecs, cand_ids, axis=0, out=scratch.view("cand", (B, C, d)),
+                   mode="clip")
+    scores = np.einsum("bcd,bd->bc", cand, query) + table.entity_bias[cand_ids]
     scores = np.where(cand_mask, scores, -np.inf)
     scores -= scores.max(axis=1, keepdims=True)
     exp = np.exp(scores)
     probs = exp / exp.sum(axis=1, keepdims=True)
-    loss = -np.log(probs[np.arange(len(heads)), true_col]).sum() * scale
+    loss = -np.log(probs[np.arange(B), true_col]).sum() * scale
 
     dscores = probs * scale
-    dscores[np.arange(len(heads)), true_col] -= scale
-    dquery = np.einsum("bc,bcd->bd", dscores, cand_vecs)
-    _scatter_rows(grads["entity_vecs"], heads, dquery)
-    _scatter_rows(grads["relation_vecs"], rels, dquery)
-    dcand = dscores[:, :, None] * query[:, None, :]
-    _scatter_rows(grads["entity_vecs"], cand_ids.ravel(), dcand)
-    np.add.at(grads["entity_bias"], cand_ids.ravel(), dscores.ravel())
+    dscores[np.arange(B), true_col] -= scale
+    dquery = np.einsum("bc,bcd->bd", dscores, cand, out=rel)
+    _scatter_rows(grads["entity_vecs"], heads, dquery, scratch)
+    _scatter_rows(grads["relation_vecs"], rels, dquery, scratch)
+    dcand = np.multiply(dscores[:, :, None], query[:, None, :], out=cand)
+    _scatter_rows(grads["entity_vecs"], cand_ids.reshape(-1), dcand, scratch)
+    np.add.at(grads["entity_bias"], cand_ids.reshape(-1), dscores.reshape(-1))
     return loss
 
 
 def sampled_softmax_grads(table: EmbeddingTable, graph: KnowledgeGraph,
                           triplets: np.ndarray, pools: dict[str, np.ndarray],
                           negatives: int, rng: np.random.Generator,
-                          grads: dict[str, np.ndarray] | None = None):
+                          grads: dict[str, np.ndarray] | None = None,
+                          scratch: BatchScratch | None = None):
     """Mean negative log sampled-softmax probability and its gradients.
 
     Negatives are drawn uniformly from entities of the tail type; draws
     equal to the true tail are masked out of the slate. The gradients go
-    into ``grads``, zeroed first, or into fresh buffers.
+    into ``grads``, zeroed first, or into fresh buffers; the kernels work
+    in ``scratch``, or in a fresh one. An empty batch raises InvalidSpec
+    and an id without a table row MissingEmbedding.
     """
+    _check_batch(table, triplets)
     grads = _zero_grads(table, grads)
+    scratch = BatchScratch() if scratch is None else scratch
     B = len(triplets)
     heads, rels, tails = triplets[:, 0], triplets[:, 1], triplets[:, 2]
     neg = np.empty((B, negatives), dtype=np.intp)
@@ -240,29 +318,40 @@ def sampled_softmax_grads(table: EmbeddingTable, graph: KnowledgeGraph,
     mask = np.ones_like(cand_ids, dtype=bool)
     mask[:, 1:] = neg != tails[:, None]
     loss = _accumulate_batch(table, grads, heads, rels, cand_ids, mask,
-                             np.zeros(B, dtype=np.intp), 1.0 / B)
+                             np.zeros(B, dtype=np.intp), 1.0 / B, scratch)
     return loss, grads
 
 
 def full_softmax_grads(table: EmbeddingTable, graph: KnowledgeGraph,
                        triplets: np.ndarray, pools: dict[str, np.ndarray],
-                       grads: dict[str, np.ndarray] | None = None):
+                       grads: dict[str, np.ndarray] | None = None,
+                       scratch: BatchScratch | None = None):
     """Exact softmax over all type-compatible tails; mean loss and gradients
-    (into ``grads``, zeroed first, or into fresh buffers)."""
+    (into ``grads``, zeroed first, or into fresh buffers; the kernels work
+    in ``scratch``, or in a fresh one). An empty batch or a tail outside
+    its relation's tail type raises InvalidSpec, an id without a table
+    row MissingEmbedding."""
+    _check_batch(table, triplets)
     grads = _zero_grads(table, grads)
+    scratch = BatchScratch() if scratch is None else scratch
     B = len(triplets)
     loss = 0.0
     rels = triplets[:, 1]
     for r_id in np.unique(rels):
         rows = np.nonzero(rels == r_id)[0]
-        pool = pools[graph.schema.relations[r_id].tail_type]
+        relation = graph.schema.relations[r_id]
+        pool = pools[relation.tail_type]
         pos = {e: i for i, e in enumerate(pool.tolist())}
         sub = triplets[rows]
         cand_ids = np.broadcast_to(pool, (len(rows), len(pool))).copy()
-        true_col = np.asarray([pos[t] for t in sub[:, 2].tolist()], dtype=np.intp)
+        try:
+            true_col = np.asarray([pos[t] for t in sub[:, 2].tolist()], dtype=np.intp)
+        except KeyError as e:
+            raise InvalidSpec(f"tail id {e.args[0]} of relation {relation.name} is not of "
+                              f"type {relation.tail_type}") from None
         mask = np.ones_like(cand_ids, dtype=bool)
         loss += _accumulate_batch(table, grads, sub[:, 0], sub[:, 1],
-                                  cand_ids, mask, true_col, 1.0 / B)
+                                  cand_ids, mask, true_col, 1.0 / B, scratch)
     return loss, grads
 
 
@@ -284,15 +373,16 @@ def train_embeddings(graph: KnowledgeGraph, config: EmbedTrainConfig) -> Embeddi
     opt = Adam(params, lr=config.learning_rate)
     rng = rng_for(config.seed, "embed-train")
     grads = _zero_grads(table)
+    scratch = BatchScratch()
     for _ in range(config.epochs):
         order = rng.permutation(len(triplets))
         for start in range(0, len(order), config.batch_size):
             batch = triplets[order[start:start + config.batch_size]]
             if config.full_softmax:
-                full_softmax_grads(table, graph, batch, pools, grads=grads)
+                full_softmax_grads(table, graph, batch, pools, grads=grads, scratch=scratch)
             else:
                 sampled_softmax_grads(table, graph, batch, pools, config.negatives, rng,
-                                      grads=grads)
+                                      grads=grads, scratch=scratch)
             opt.step([grads["entity_vecs"], grads["relation_vecs"], grads["entity_bias"]])
     return table
 

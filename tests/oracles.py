@@ -23,6 +23,10 @@ entity's embedding row on its own.
 ``reference_forward_join`` finds each head's run in the head-sorted
 relation with two binary searches; ``reference_purchases`` is the
 synthetic generator with one scalar ``Generator`` call per draw.
+
+``reference_accumulate_batch`` is the embedding batch gradient with every
+batch-sized array allocated per call, as it was before the kernels wrote
+into a reused scratch.
 """
 
 from __future__ import annotations
@@ -328,3 +332,27 @@ def reference_purchases(spec: SyntheticSpec, out_dir: str) -> list[list[int]]:
     synthetic_schema().save(os.path.join(out_dir, "schema.json"))
     write_json(os.path.join(out_dir, "prefs.json"), {"spec": asdict(spec), "prefs": prefs})
     return purchases
+
+
+def reference_accumulate_batch(table, grads, heads, rels, cand_ids, cand_mask, true_col, scale):
+    """``embeddings._accumulate_batch`` as first written: every (B, d) and
+    (B, C, d) array allocated per call, rows scattered with 2-D
+    ``np.add.at``. Same arguments, without the scratch."""
+    query = table.entity_vecs[heads] + table.relation_vecs[rels]      # (B, d)
+    cand_vecs = table.entity_vecs[cand_ids]                            # (B, C, d)
+    scores = np.einsum("bcd,bd->bc", cand_vecs, query) + table.entity_bias[cand_ids]
+    scores = np.where(cand_mask, scores, -np.inf)
+    scores -= scores.max(axis=1, keepdims=True)
+    exp = np.exp(scores)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    loss = -np.log(probs[np.arange(len(heads)), true_col]).sum() * scale
+
+    dscores = probs * scale
+    dscores[np.arange(len(heads)), true_col] -= scale
+    dquery = np.einsum("bc,bcd->bd", dscores, cand_vecs)
+    np.add.at(grads["entity_vecs"], heads, dquery)
+    np.add.at(grads["relation_vecs"], rels, dquery)
+    dcand = dscores[:, :, None] * query[:, None, :]
+    np.add.at(grads["entity_vecs"], cand_ids.ravel(), dcand.reshape(-1, dcand.shape[2]))
+    np.add.at(grads["entity_bias"], cand_ids.ravel(), dscores.ravel())
+    return loss

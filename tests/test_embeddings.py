@@ -1,18 +1,24 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 
+from pathrec import embeddings
 from pathrec.coldstart import (ColdDeclaration, ColdProfile, ColdStrategy,
                                integrate_cold_entities)
-from pathrec.embeddings import (EmbedTrainConfig, EmbeddingTable,
+from pathrec.embeddings import (BatchScratch, EmbedTrainConfig, EmbeddingTable,
                                 conditional_prob, full_softmax_grads,
                                 init_table, load_table, rng_for,
                                 sampled_softmax_grads, save_table,
                                 score_tails, score_triplet, train_embeddings,
-                                _scatter_rows, _type_pools)
+                                _accumulate_batch, _scatter_rows, _type_pools,
+                                _zero_grads)
 from pathrec.errors import (EmptyCandidates, EmptyGraph, InvalidSpec,
                             MissingEmbedding)
 from pathrec.graph import KnowledgeGraph
+
+from oracles import reference_accumulate_batch
 
 
 class TestRngStreams:
@@ -192,6 +198,146 @@ class TestGradients:
             assert reused[0] == fresh[0]
             for name in fresh[1]:
                 np.testing.assert_array_equal(reused[1][name], fresh[1][name])
+
+
+def _reference_kernel(monkeypatch):
+    """Route the batch kernels through ``reference_accumulate_batch``."""
+    monkeypatch.setattr(embeddings, "_accumulate_batch",
+                        lambda *args: reference_accumulate_batch(*args[:8]))
+
+
+def _assert_same_grads(got, want):
+    for name in ("entity_vecs", "relation_vecs", "entity_bias"):
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+class TestScratchKernels:
+    """The scratch kernels against the allocating reference, bit for bit."""
+
+    # (rows, candidates per row) of successive batches: shrink, grow, shrink
+    SHAPES = ((40, 6), (3, 2), (64, 9), (1, 6), (17, 30), (64, 9), (5, 1))
+
+    def test_accumulate_equals_reference_over_shrinking_and_growing_batches(self):
+        rng = np.random.default_rng(11)
+        d = 7
+        table = EmbeddingTable(rng.normal(size=(23, d)), rng.normal(size=23),
+                               rng.normal(size=(4, d)), rng.normal(size=d))
+        got, want = _zero_grads(table), _zero_grads(table)
+        scratch = BatchScratch()
+        for B, C in self.SHAPES:
+            heads = rng.integers(0, 5, size=B)         # few heads: repeated rows
+            rels = rng.integers(0, 4, size=B)
+            cand_ids = rng.integers(0, 9, size=(B, C))  # repeated within and across rows
+            true_col = rng.integers(0, C, size=B)
+            mask = rng.random((B, C)) < 0.7
+            mask[np.arange(B), true_col] = True
+            loss = _accumulate_batch(table, got, heads, rels, cand_ids, mask, true_col,
+                                     1.0 / B, scratch)
+            ref = reference_accumulate_batch(table, want, heads, rels, cand_ids, mask,
+                                             true_col, 1.0 / B)
+            assert loss == ref
+            _assert_same_grads(got, want)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_modes_equal_reference_with_one_scratch(self, make_graph, monkeypatch, full):
+        graph = make_graph(n_users=9, n_items=14, n_brands=3, n_categories=2,
+                           interactions=4, seed=6).freeze()
+        table = init_table(graph, EmbedTrainConfig(dim=5, seed=8))
+        triplets = np.stack(graph.triplet_arrays(), axis=1)
+        pools = _type_pools(graph)
+        pick = np.random.default_rng(2)
+        batches = [triplets[pick.integers(0, len(triplets), size=n)]  # repeated triplets
+                   for n in (31, 4, 57, 1, 20)]
+
+        def run(scratch):
+            rng, grads, out = rng_for(4, "batches"), None, []
+            for batch in batches:
+                if full:
+                    loss, grads = full_softmax_grads(table, graph, batch, pools, grads,
+                                                     scratch)
+                else:
+                    loss, grads = sampled_softmax_grads(table, graph, batch, pools, 3, rng,
+                                                        grads, scratch)
+                out.append((loss, {k: v.copy() for k, v in grads.items()}))
+            return out
+
+        got = run(BatchScratch())
+        _reference_kernel(monkeypatch)
+        for (loss, grads), (ref_loss, ref_grads) in zip(got, run(None)):
+            assert loss == ref_loss
+            _assert_same_grads(grads, ref_grads)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_training_equals_reference_with_a_short_last_batch(self, make_graph,
+                                                               monkeypatch, full):
+        graph = make_graph(n_users=9, n_items=14, interactions=4, seed=6).freeze()
+        cfg = EmbedTrainConfig(dim=5, epochs=2, batch_size=7, negatives=3, seed=5,
+                               full_softmax=full)
+        assert graph.triplet_count % cfg.batch_size != 0
+        got = train_embeddings(graph, cfg)
+        _reference_kernel(monkeypatch)
+        want = train_embeddings(graph, cfg)
+        for name in ("entity_vecs", "relation_vecs", "entity_bias"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_warm_batch_allocates_no_batch_sized_array(self, tiny_graph):
+        B, negatives, d = 512, 5, 100
+        table = init_table(tiny_graph, EmbedTrainConfig(dim=d, seed=1))
+        triplets = np.stack(tiny_graph.triplet_arrays(), axis=1)
+        batch = triplets[np.random.default_rng(0).integers(0, len(triplets), size=B)]
+        pools = _type_pools(tiny_graph)
+        rng, grads, scratch = rng_for(1, "alloc"), _zero_grads(table), BatchScratch()
+        sampled_softmax_grads(table, tiny_graph, batch, pools, negatives, rng, grads, scratch)
+        tracemalloc.start()
+        try:
+            sampled_softmax_grads(table, tiny_graph, batch, pools, negatives, rng, grads,
+                                  scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_cand_array = B * (negatives + 1) * d * 8
+        assert peak < one_cand_array / 4, peak
+
+
+class TestMalformedBatches:
+    def _call(self, graph, batch, full, table=None):
+        table = init_table(graph, EmbedTrainConfig(dim=4, seed=1)) if table is None else table
+        pools = _type_pools(graph)
+        if full:
+            return full_softmax_grads(table, graph, batch, pools)
+        return sampled_softmax_grads(table, graph, batch, pools, 2, rng_for(1, "bad"))
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_empty_batch_rejected(self, tiny_graph, full):
+        with pytest.raises(InvalidSpec, match="non-empty"):
+            self._call(tiny_graph, np.empty((0, 3), dtype=np.intp), full)
+
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("column, value", [(0, 8), (0, -1), (1, 99), (1, -1),
+                                               (2, 8), (2, -3)])
+    def test_id_outside_table_rejected(self, tiny_graph, full, column, value):
+        batch = np.stack(tiny_graph.triplet_arrays(), axis=1)[:3].copy()
+        batch[1, column] = value
+        with pytest.raises(MissingEmbedding, match=f"id {value} "):
+            self._call(tiny_graph, batch, full)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_candidate_outside_table_rejected(self, tiny_graph, full):
+        full_table = init_table(tiny_graph, EmbedTrainConfig(dim=4, seed=1))
+        items = tiny_graph.items()
+        keep = max(items)  # the last item has no row
+        table = EmbeddingTable(full_table.entity_vecs[:keep], full_table.entity_bias[:keep],
+                               full_table.relation_vecs, full_table.self_loop_vec)
+        rel = tiny_graph.interaction_relation
+        batch = np.asarray([[tiny_graph.entity_id("user", "u0"), rel, min(items)]] * 40)
+        with pytest.raises(MissingEmbedding, match="candidate"):
+            self._call(tiny_graph, batch, full, table)
+
+    def test_wrong_type_tail_rejected_in_full_mode(self, tiny_graph):
+        u0 = tiny_graph.entity_id("user", "u0")
+        batch = np.asarray([[u0, tiny_graph.interaction_relation, u0]])
+        with pytest.raises(InvalidSpec, match="is not of type item"):
+            self._call(tiny_graph, batch, full=True)
 
 
 class TestTraining:
