@@ -11,12 +11,12 @@ per row, kept in the order a path-by-path search would produce: one
 policy forward per hop over all rows on the blocks that hop added, each
 row carrying its parent's state blocks and first-layer sum, one batched
 slate build, one lexsort for the per-row top-``width``. The search
-returns the final frontier as a ``Beam``; ranking sorts, filters and
-deduplicates its rows on the arrays, and ``PathState``/``ScoredPath``
-objects are built only for the at most k served paths (or for rows a
-caller reads from the ``Beam``). The user's scores over all entities,
-which truncate over-cap slates by selection, are computed once per
-search (``mdp.start_scores``).
+returns the final frontier as a ``Beam``, its two arrays and nothing
+else; ranking sorts, filters and deduplicates its rows on the arrays,
+and ``PathState``/``ScoredPath`` objects are built, in one
+``Frontier.states`` call, only for the at most k served paths. The
+user's scores over all entities, which truncate over-cap slates by
+selection, are computed once per search (``mdp.start_scores``).
 
 A served path has one format, the record ``path_record`` builds and
 ``recs/recommendations.jsonl`` stores; ``explain`` renders a record as
@@ -45,39 +45,15 @@ class ScoredPath:
 
 
 @dataclass(frozen=True, eq=False)
-class Beam(Sequence):
+class Beam:
     """The complete paths of one beam search: its final frontier and each
-    row's log probability. A read-only sequence of ``ScoredPath`` that
-    builds a path only when it is read."""
+    row's log probability."""
 
     frontier: Frontier
     logprob: np.ndarray
 
-    @classmethod
-    def of(cls, paths: Sequence[ScoredPath]) -> "Beam":
-        """``paths``, which share one hop count, stacked into a Beam; a Beam
-        is returned as it is."""
-        if isinstance(paths, Beam):
-            return paths
-        return cls(Frontier.of([p.state for p in paths]),
-                   np.asarray([p.logprob for p in paths], dtype=float))
-
     def __len__(self) -> int:
         return len(self.frontier)
-
-    def __getitem__(self, i):
-        rows = range(len(self))[i]
-        if isinstance(rows, range):
-            return self.take(list(rows))
-        return self.take([rows])[0]
-
-    def __iter__(self):
-        return iter(self.take(slice(None)))
-
-    def take(self, rows) -> list[ScoredPath]:
-        """The paths of the rows that ``rows`` selects, built in one pass."""
-        states = self.frontier.states(self.frontier.hops, rows)
-        return [ScoredPath(s, lp) for s, lp in zip(states, self.logprob[rows].tolist())]
 
 
 def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
@@ -144,19 +120,20 @@ class RecommendationList:
         return [e.item for e in self.entries]
 
 
-def rank_recommendations(paths: Sequence[ScoredPath], graph: KnowledgeGraph,
-                         table: EmbeddingTable, user: int, k: int) -> RecommendationList:
-    """Top-k items from complete paths, one best path per item.
+def rank_recommendations(beam: Beam, graph: KnowledgeGraph, table: EmbeddingTable,
+                         user: int, k: int) -> RecommendationList:
+    """Top-k items from a beam's complete paths, one best path per item.
 
     Paths not ending at an item, at the user itself (when users are the
     item type) or at an item the user already interacted with in training
     are dropped. An item's path is its first in the order
     (-log probability, entities, relations). Items are ordered by path log
-    probability, ties by f(u, i | interaction), then item id. The paths
-    are ranked as a ``Beam``'s arrays (``Beam.of``), and only the served
-    ones are built as ``ScoredPath`` objects.
+    probability, ties by f(u, i | interaction), then item id. The beam's
+    rows are ranked on its arrays, and only the served ones are built as
+    ``ScoredPath`` objects.
     """
-    beam = Beam.of(paths)
+    if k < 1:
+        raise InvalidSpec("k must be >= 1")
     walks = beam.frontier
     if (walks.entities[:, 0] != user).any():
         raise UnknownUser("all paths must start at the requested user")
@@ -174,11 +151,12 @@ def rank_recommendations(paths: Sequence[ScoredPath], graph: KnowledgeGraph,
         return RecommendationList(user=user, entries=())
     best = order[keep][first]  # each item's first path in that order
     fscores = score_tails(table, user, graph.interaction_relation, items)
-    ranked = np.lexsort((items, -fscores, -beam.logprob[best]))[:k]
-    served = beam.take(best[ranked])
+    served = best[np.lexsort((items, -fscores, -beam.logprob[best]))[:k]]
     return RecommendationList(user=user, entries=tuple(
-        Recommendation(item=item, rank=r + 1, logprob=path.logprob, path=path)
-        for r, (item, path) in enumerate(zip(items[ranked].tolist(), served))))
+        Recommendation(item=state.terminal, rank=r + 1, logprob=lp,
+                       path=ScoredPath(state, lp))
+        for r, (state, lp) in enumerate(zip(walks.states(walks.hops, served),
+                                            beam.logprob[served].tolist()))))
 
 
 def path_record(state: PathState, graph: KnowledgeGraph) -> dict:

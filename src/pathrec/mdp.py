@@ -18,9 +18,9 @@ scores every row in one call; beam search and rollouts use only these.
 A row with more moves than the action cap keeps its top moves by
 selection: one ``np.partition`` finds each such row's cut score, and ties
 at the cut go to the moves earliest in canonical order. ``PathState`` is
-one walked path as an immutable value, built only for the rows a caller
-reads out of a frontier (the served paths of a ranking, explanations,
-reports).
+one walked path as an immutable value, built by ``Frontier.states`` only
+for the rows a caller reads out of a frontier (the served paths of a
+ranking).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidSpec, MissingEmbedding, SchemaViolation
+from .errors import MissingEmbedding, SchemaViolation
 from .embeddings import EmbeddingTable, score_all_tails, score_tails
 from .graph import FORWARD, INVERSE, CSRAdjacency, KnowledgeGraph
 
@@ -123,17 +123,6 @@ class Frontier:
     def start(cls, starts: Sequence[int]) -> "Frontier":
         empty = np.zeros((len(starts), 0), dtype=np.intp)
         return cls(np.asarray(starts, dtype=np.intp).reshape(-1, 1), empty, empty)
-
-    @classmethod
-    def of(cls, states: Sequence[PathState]) -> "Frontier":
-        """The frontier whose rows are ``states``, which share one hop count."""
-        hops = {s.hops for s in states}
-        if len(hops) > 1:
-            raise InvalidSpec(f"paths of {sorted(hops)} hops do not stack into one frontier")
-        P, t = len(states), hops.pop() if hops else 0
-        steps = np.asarray([s.relations for s in states], dtype=np.intp).reshape(P, t, 2)
-        return cls(np.asarray([s.entities for s in states], dtype=np.intp).reshape(P, t + 1),
-                   steps[:, :, 0], steps[:, :, 1])
 
     def __len__(self) -> int:
         return self.entities.shape[0]
@@ -250,9 +239,9 @@ Signature = tuple  # (type, (rel, dir), type, ..., type) with names resolved to 
 
 @dataclass(frozen=True)
 class PathPattern:
-    """Compiled semantic path: entity type names and directed relation steps."""
+    """Compiled semantic path: its directed relation steps. The schema
+    types every relation, so the steps fix the entity types."""
 
-    types: tuple[str, ...]
     steps: tuple[tuple[int, int], ...]
 
     @property
@@ -264,28 +253,25 @@ def compile_pattern(tokens: Sequence[str], graph: KnowledgeGraph) -> PathPattern
     """Compile a schema pattern token list against a concrete graph."""
     if len(tokens) < 3 or len(tokens) % 2 == 0:
         raise SchemaViolation(f"pattern {tokens} must alternate type, relation, type")
-    types = tuple(tokens[0::2])
     steps = []
     for tok in tokens[1::2]:
         inverse = tok.startswith("~")
         rel = graph.relation_id(tok[1:] if inverse else tok)
         steps.append((rel, INVERSE if inverse else FORWARD))
-    return PathPattern(types=types, steps=tuple(steps))
+    return PathPattern(steps=tuple(steps))
 
 
 def compile_patterns(graph: KnowledgeGraph) -> tuple[PathPattern, ...]:
     return tuple(compile_pattern(p, graph) for p in graph.schema.path_patterns)
 
 
-def path_signature(state: PathState, graph: KnowledgeGraph,
-                   collapse_trailing_self_loops: bool = True) -> Signature:
+def path_signature(state: PathState, graph: KnowledgeGraph) -> Signature:
     """Type/relation signature of a path; trailing self-loops are dropped."""
     entities = list(state.entities)
     relations = list(state.relations)
-    if collapse_trailing_self_loops:
-        while relations and relations[-1][0] == SELF_LOOP:
-            relations.pop()
-            entities.pop()
+    while relations and relations[-1][0] == SELF_LOOP:
+        relations.pop()
+        entities.pop()
     sig: list = [graph.entity_type(entities[0])]
     for (rel, d), ent in zip(relations, entities[1:]):
         sig.append((rel, d))

@@ -220,7 +220,9 @@ def check_walk(policy: PolicyModel | None, graph: KnowledgeGraph, table: Embeddi
     """Raise unless ``table`` scores every entity of ``graph`` and, given a
     policy, ``hops``-hop walks over ``table`` encode the policy's states
     (so each state block meets the right rows of W1) and slates of
-    ``max_actions`` moves fit its slate."""
+    ``max_actions`` moves fit its slate; ``max_actions`` must be >= 1."""
+    if max_actions < 1:
+        raise InvalidSpec("max_actions must be >= 1")
     if policy is not None:
         cfg = policy.config
         if hops != cfg.hop_budget or state_dim_for(table, hops) != policy.state_dim:

@@ -8,8 +8,10 @@ the oracles the batched kernels are tested against. ``valid_actions`` is
 a row of ``Frontier.slates``, ``step`` a row of ``Frontier.advance`` and
 ``encode_state`` the whole zero-padded state whose last blocks (the last
 hop's relation and entity, or the user at hop 0) are a row of
-``Frontier.encode``; ``Frontier.of`` stacks scalar states into the
-frontier the array calls take.
+``Frontier.encode``. ``frontier_of`` stacks scalar states into the
+frontier the array calls take, ``beam_of`` stacks scored paths into the
+``Beam`` that ranking takes, and ``beam_paths`` reads every row of a
+beam back as a ``ScoredPath``.
 
 ``reference_evaluate_run`` is evaluation as it was first written, at the
 cost of the catalog: popularity is built per call and the popularity
@@ -43,10 +45,11 @@ from pathrec.coldstart import ColdStrategy
 from pathrec.coldstart import log as coldstart_log
 from pathrec.datasets import SyntheticSpec, synthetic_schema
 from pathrec.embeddings import EmbeddingTable, rng_for, score_tails
-from pathrec.errors import (DuplicateEntity, EmptyProfile, InvalidAction, MissingEmbedding,
-                            PathRecError)
+from pathrec.errors import (DuplicateEntity, EmptyProfile, InvalidAction, InvalidSpec,
+                            MissingEmbedding, PathRecError)
 from pathrec.graph import FORWARD, KnowledgeGraph
-from pathrec.mdp import MAX_ACTIONS_DEFAULT, SELF_LOOP, PathState
+from pathrec.inference import Beam, ScoredPath
+from pathrec.mdp import MAX_ACTIONS_DEFAULT, SELF_LOOP, Frontier, PathState
 from pathrec.pipeline import COHORTS
 
 
@@ -137,6 +140,29 @@ def encode_state(state: PathState, table: EmbeddingTable) -> np.ndarray:
         out[(1 + 2 * i) * d:(2 + 2 * i) * d] = rel_vec
         out[(2 + 2 * i) * d:(3 + 2 * i) * d] = table.entity_vec(ent)
     return out
+
+
+def frontier_of(states: list[PathState]) -> Frontier:
+    """The frontier whose rows are ``states``, which share one hop count."""
+    hops = {s.hops for s in states}
+    if len(hops) > 1:
+        raise InvalidSpec(f"paths of {sorted(hops)} hops do not stack into one frontier")
+    P, t = len(states), hops.pop() if hops else 0
+    steps = np.asarray([s.relations for s in states], dtype=np.intp).reshape(P, t, 2)
+    return Frontier(np.asarray([s.entities for s in states], dtype=np.intp).reshape(P, t + 1),
+                    steps[:, :, 0], steps[:, :, 1])
+
+
+def beam_of(paths: list[ScoredPath]) -> Beam:
+    """``paths``, which share one hop count, stacked into a Beam."""
+    return Beam(frontier_of([p.state for p in paths]),
+                np.asarray([p.logprob for p in paths], dtype=float))
+
+
+def beam_paths(beam: Beam) -> list[ScoredPath]:
+    """Every row of ``beam`` as a ``ScoredPath``, in row order."""
+    states = beam.frontier.states(beam.frontier.hops)
+    return [ScoredPath(s, lp) for s, lp in zip(states, beam.logprob.tolist())]
 
 
 def reference_evaluate_run(config, split, records):

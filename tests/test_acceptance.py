@@ -23,7 +23,7 @@ from pathrec.embeddings import (EmbedTrainConfig, conditional_prob,
                                 score_triplet)
 from pathrec.graph import INVERSE
 from pathrec.inference import beam_search, rank_recommendations
-from pathrec.mdp import SELF_LOOP, Frontier, PathState, RewardSpec
+from pathrec.mdp import SELF_LOOP, PathState, RewardSpec
 from pathrec.metrics import (cold_item_coverage, cold_item_proportion,
                              hit_at_k, ndcg_at_k, pop_baseline, popb_at_k,
                              train_popularity)
@@ -34,7 +34,7 @@ from pathrec.policy import (AgentConfig, PolicyModel, evaluate_mean_reward,
                             state_dim_for, training_users)
 
 from conftest import build_shop_graph
-from oracles import encode_state, is_complete, step, valid_actions
+from oracles import encode_state, frontier_of, is_complete, step, valid_actions
 from test_datasets import assert_split_invariants
 
 SEEDS = (1, 2, 3)
@@ -205,7 +205,7 @@ def test_criterion_2_rewards_match_direct_formula_on_every_path(schema):
             for action in valid_actions(state, g, max_actions=10_000):
                 stack.append(step(state, action, g))
         # one reward call per mode scores every complete path of the user
-        walked = Frontier.of(complete)
+        walked = frontier_of(complete)
         for state, got_binary, got in zip(complete, binary.terminal_reward(walked).tolist(),
                                           pattern.terminal_reward(walked).tolist()):
             n_paths += 1

@@ -1,0 +1,97 @@
+"""What the benchmark under ``benchmarks/`` reads of pathrec.
+
+The benchmark builds served records with ``checks.served_record`` (it
+reads ``rec.entries[i].path.state`` and calls ``mdp.path_signature``),
+counts beam paths with ``len(beam)`` and wraps functions by the names in
+``tracing.SPANNED``/``COUNTED``, reading some of their positional
+arguments. These tests import the benchmark's modules, never change them,
+and pin each of those reads, so a change in src that breaks one fails
+here rather than as a wrong or zero benchmark number.
+"""
+
+import importlib.util
+import inspect
+import json
+import os
+
+import pytest
+
+from pathrec import coldstart, embeddings, inference, policy
+from pathrec.datasets import DatasetSplit
+from pathrec.embeddings import load_table
+from pathrec.pipeline import COHORTS, RunPaths, _ordered_profiles, run_pipeline
+from pathrec.policy import PolicyModel
+
+from test_pipeline import tiny_config
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "benchmarks")
+
+
+def bench_module(name):
+    """``benchmarks/<name>.py`` imported under a name of its own."""
+    spec = importlib.util.spec_from_file_location(f"benchmarks_{name}",
+                                                  os.path.join(BENCH_DIR, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checks = bench_module("checks")
+tracing = bench_module("tracing")
+
+
+@pytest.fixture(scope="module")
+def served_run(tmp_path_factory):
+    """The TINY run's stored records, and what its recommend stage read."""
+    config = tiny_config(str(tmp_path_factory.mktemp("contract") / "run"))
+    run_pipeline(config)
+    paths = RunPaths(config.workdir)
+    split = DatasetSplit.read(paths.split_dir)
+    aug, _ = coldstart.augment_graph(split.train_graph, _ordered_profiles(split))
+    ext = load_table(paths.cold_table_file, aug)
+    agent = PolicyModel.load(paths.policy_file)
+    with open(paths.recs_file) as fh:
+        records = [rec for rec in map(json.loads, fh) if "meta" not in rec]
+    return config, aug, ext, agent, records
+
+
+def test_benchmark_records_equal_the_stored_ones(served_run):
+    config, aug, ext, agent, records = served_run
+    served = [rec for rec in records if rec["served"]]
+    assert {rec["cohort"] for rec in served} == set(COHORTS)
+    for rec in served:
+        uid = aug.entity_id(aug.schema.user_type, rec["user"])
+        recs = coldstart.recommend_cold(uid, agent, aug, ext, config.inference.topk,
+                                        config.inference.widths,
+                                        max_actions=config.agent.max_actions)
+        assert checks.served_record(rec["user"], rec["cohort"], recs, aug) == rec
+
+
+def test_beam_length_is_its_path_count(served_run):
+    config, aug, ext, agent, records = served_run
+    for rec in records[:5]:
+        uid = aug.entity_id(aug.schema.user_type, rec["user"])
+        beam = inference.beam_search(uid, agent, aug, ext, config.inference.widths,
+                                     max_actions=config.agent.max_actions)
+        assert len(beam) == len(beam.frontier) == len(beam.logprob) > 0
+
+
+def test_traced_targets_missing_from_src_are_the_known_five():
+    """The tracer reports a target it cannot find and reads 0 for its
+    metrics; these five are known. A rename in src that adds one fails
+    here."""
+    missing = {name for name, owner, attr in [*tracing.SPANNED, *tracing.COUNTED]
+               if owner.__dict__.get(attr) is None}
+    assert missing == {"mdp.valid_actions", "mdp.encode_state", "mdp.step",
+                       "coldstart.integrate_entity", "coldstart.cold_embedding"}
+
+
+@pytest.mark.parametrize("fn,index,name", [
+    (policy.PolicyModel.forward, 1, "X"),
+    (embeddings.sampled_softmax_grads, 2, "triplets"),
+    (policy.rollout_batch, 3, "users"),
+    (inference.rank_recommendations, 4, "k"),
+])
+def test_positional_arguments_the_tracer_reads(fn, index, name):
+    assert list(inspect.signature(fn).parameters)[index] == name

@@ -9,7 +9,7 @@ from pathrec.coldstart import (ColdDeclaration, ColdProfile, ColdStrategy,
                                read_profiles, recommend_cold, write_profiles)
 from pathrec.datasets import synthetic_schema
 from pathrec.embeddings import EmbedTrainConfig, init_table, rng_for
-from pathrec.errors import (DuplicateEntity, EmptyProfile, MissingEmbedding,
+from pathrec.errors import (DuplicateEntity, EmptyProfile, InvalidSpec, MissingEmbedding,
                             MissingNeighborEmbedding, ParseError, SchemaViolation,
                             UnknownUser)
 from pathrec.graph import FORWARD, INVERSE, KGSchema, KnowledgeGraph, RelationSpec
@@ -566,6 +566,15 @@ class TestColdRecommendation:
             want = rank_recommendations(beam_search(u, policy, g, table, [8, 4, 2]),
                                         g, table, u, 5)
             assert recommend_cold(u, policy, g, table, k=5, widths=[8, 4, 2]) == want
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, make_graph, k):
+        g = make_graph(n_users=6, n_items=10, interactions=4, seed=3)
+        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        policy = PolicyModel(state_dim_for(table, 3),
+                             AgentConfig(hop_budget=3, max_actions=40, hidden=(16, 8), seed=4))
+        with pytest.raises(InvalidSpec, match="k must be >= 1"):
+            recommend_cold(g.entity_id("user", "u0"), policy, g, table, k=k, widths=[8, 4, 2])
 
     def test_non_user_rejected(self, tiny_graph, small_table):
         policy = PolicyModel(state_dim_for(small_table, 2),

@@ -10,7 +10,8 @@ from pathrec.mdp import SELF_LOOP, PathState
 from pathrec.policy import AgentConfig, PolicyModel, state_dim_for
 
 from conftest import build_multi_edge_graph
-from oracles import Action, encode_state, is_complete, step, valid_actions
+from oracles import (Action, beam_of, beam_paths, encode_state, is_complete, step,
+                     valid_actions)
 
 
 def fresh_policy(table, hop_budget, max_actions=50, seed=7):
@@ -116,7 +117,7 @@ class TestBeamSearch:
         u0 = tiny_graph.entity_id("user", "u0")
         found = beam_search(u0, policy, tiny_graph, small_table, [50, 50])
         want = enumerate_paths(u0, policy, tiny_graph, small_table, 2, cap=50)
-        got = {(p.state.entities, p.state.relations): p.logprob for p in found}
+        got = {(p.state.entities, p.state.relations): p.logprob for p in beam_paths(found)}
         assert got.keys() == want.keys()
         for key, lp in want.items():
             assert got[key] == pytest.approx(lp, rel=1e-12)
@@ -129,7 +130,7 @@ class TestBeamSearch:
         user = g.entity_id("user", "u1")
         found = beam_search(user, policy, g, table, [60, 60, 60])
         want = enumerate_paths(user, policy, g, table, 3, cap=60)
-        got = {(p.state.entities, p.state.relations): p.logprob for p in found}
+        got = {(p.state.entities, p.state.relations): p.logprob for p in beam_paths(found)}
         assert got.keys() == want.keys()
         for key, lp in want.items():
             assert got[key] == pytest.approx(lp, rel=1e-12)
@@ -154,9 +155,10 @@ class TestBeamSearch:
                                       slate[i].relation, slate[i].direction))
             expect_lp += float(np.log(probs[0, best]))
             state = step(state, slate[best], tiny_graph)
-        assert found[0].state.entities == state.entities
-        assert found[0].state.relations == state.relations
-        assert found[0].logprob == pytest.approx(expect_lp, rel=1e-12)
+        path = beam_paths(found)[0]
+        assert path.state.entities == state.entities
+        assert path.state.relations == state.relations
+        assert path.logprob == pytest.approx(expect_lp, rel=1e-12)
 
     @pytest.mark.parametrize("seed,widths,cap", [
         (0, [25, 5, 1], 6), (1, [3, 3, 2], 60), (2, [4, 2], 3), (3, [1, 7, 3], 12)])
@@ -168,8 +170,8 @@ class TestBeamSearch:
         for user in g.users():
             got = beam_search(user, policy, g, table, widths, max_actions=cap)
             want = reference_beam(user, policy, g, table, widths, cap)
-            assert [p.state for p in got] == [s for s, _ in want]
-            assert [p.logprob for p in got] == [lp for _, lp in want]
+            assert [p.state for p in beam_paths(got)] == [s for s, _ in want]
+            assert [p.logprob for p in beam_paths(got)] == [lp for _, lp in want]
 
     def test_tied_probabilities_follow_reference_order(self, make_graph):
         g = make_graph(n_users=4, n_items=12, interactions=6, seed=4)
@@ -180,8 +182,8 @@ class TestBeamSearch:
         user = g.users()[1]
         got = beam_search(user, policy, g, table, [4, 3, 2])
         want = reference_beam(user, policy, g, table, [4, 3, 2], 30)
-        assert [p.state for p in got] == [s for s, _ in want]
-        assert [p.logprob for p in got] == [lp for _, lp in want]
+        assert [p.state for p in beam_paths(got)] == [s for s, _ in want]
+        assert [p.logprob for p in beam_paths(got)] == [lp for _, lp in want]
 
     def test_multi_edge_ties_follow_reference_order(self):
         g = build_multi_edge_graph(seed=1)
@@ -193,8 +195,8 @@ class TestBeamSearch:
             for cap in (3, 30):
                 got = beam_search(user, policy, g, table, [5, 3, 2], max_actions=cap)
                 want = reference_beam(user, policy, g, table, [5, 3, 2], cap)
-                assert [p.state for p in got] == [s for s, _ in want]
-                assert [p.logprob for p in got] == [lp for _, lp in want]
+                assert [p.state for p in beam_paths(got)] == [s for s, _ in want]
+                assert [p.logprob for p in beam_paths(got)] == [lp for _, lp in want]
 
     def test_cap_above_policy_slate_rejected(self, tiny_graph, small_table):
         policy = fresh_policy(small_table, 2, max_actions=5)
@@ -203,6 +205,13 @@ class TestBeamSearch:
             beam_search(u0, policy, tiny_graph, small_table, [2, 2], max_actions=6)
         assert len(beam_search(u0, policy, tiny_graph, small_table, [2, 2],
                                max_actions=5)) == 4
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, tiny_graph, small_table, cap):
+        policy = fresh_policy(small_table, 2)
+        u0 = tiny_graph.entity_id("user", "u0")
+        with pytest.raises(InvalidSpec, match="max_actions must be >= 1"):
+            beam_search(u0, policy, tiny_graph, small_table, [2, 2], max_actions=cap)
 
     def test_table_short_of_graph_rejected(self, tiny_graph, small_table):
         short = EmbeddingTable(small_table.entity_vecs[:-1], small_table.entity_bias[:-1],
@@ -277,13 +286,13 @@ class TestRanking:
         tie = sorted(["i1", "i2"],
                      key=lambda n: (-f[0 if n == "i1" else 1], ids[n]))
 
-        full = rank_recommendations(paths, g, table, u0, k=10)
+        full = rank_recommendations(beam_of(paths), g, table, u0, k=10)
         assert full.items() == [ids["i3"], ids[tie[0]], ids[tie[1]]]
         assert [e.rank for e in full.entries] == [1, 2, 3]
         by_item = {e.item: e for e in full.entries}
         assert by_item[ids["i1"]].logprob == -1.0  # dedup kept the better path
 
-        top2 = rank_recommendations(paths, g, table, u0, k=2)
+        top2 = rank_recommendations(beam_of(paths), g, table, u0, k=2)
         assert top2.items() == full.items()[:2]
 
     @pytest.mark.parametrize("zero_table", [False, True])
@@ -306,12 +315,12 @@ class TestRanking:
         served = 0
         for user in g.users():
             beam = beam_search(user, policy, g, table, [5, 3, 2])
-            paths = list(beam)
+            paths = beam_paths(beam)
             got = rank_recommendations(beam, g, table, user, k=4)
-            assert got == rank_recommendations(paths, g, table, user, k=4)
+            assert got == rank_recommendations(beam_of(paths), g, table, user, k=4)
             # shuffled, so that no tie is settled by the beam's own row order
             shuffled = [paths[i] for i in rng.permutation(len(paths))]
-            assert got == rank_recommendations(shuffled, g, table, user, k=4)
+            assert got == rank_recommendations(beam_of(shuffled), g, table, user, k=4)
             assert ([(e.item, e.rank, e.logprob, e.path) for e in got.entries]
                     == reference_rank(paths, g, table, user, 4))
             served += len(got.entries)
@@ -324,18 +333,28 @@ class TestRanking:
                                                   FORWARD), tiny_graph)
         paths = [ScoredPath(one, -1.0), ScoredPath(PathState.start(u0, 2), 0.0)]
         with pytest.raises(InvalidSpec, match="hops"):
-            rank_recommendations(paths, tiny_graph, small_table, u0, k=5)
+            rank_recommendations(beam_of(paths), tiny_graph, small_table, u0, k=5)
 
     def test_foreign_user_rejected(self, tiny_graph, small_table):
         u0 = tiny_graph.entity_id("user", "u0")
         u1 = tiny_graph.entity_id("user", "u1")
         stray = ScoredPath(PathState.start(u1, 1), 0.0)
         with pytest.raises(UnknownUser):
-            rank_recommendations([stray], tiny_graph, small_table, u0, k=5)
+            rank_recommendations(beam_of([stray]), tiny_graph, small_table, u0, k=5)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, brand_graph, k):
+        g = brand_graph
+        table = init_table(g, EmbedTrainConfig(dim=8, seed=2))
+        u0 = g.entity_id("user", "u0")
+        beam = beam_of([ScoredPath(self.path_to(g, name), -1.0) for name in ("i1", "i2", "i3")])
+        assert len(rank_recommendations(beam, g, table, u0, k=1).entries) == 1
+        with pytest.raises(InvalidSpec, match="k must be >= 1"):
+            rank_recommendations(beam, g, table, u0, k=k)
 
     def test_no_candidates_gives_empty_list(self, tiny_graph, small_table):
         u0 = tiny_graph.entity_id("user", "u0")
-        out = rank_recommendations([], tiny_graph, small_table, u0, k=5)
+        out = rank_recommendations(beam_of([]), tiny_graph, small_table, u0, k=5)
         assert out.entries == ()
         assert out.items() == []
 

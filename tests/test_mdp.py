@@ -13,7 +13,7 @@ from pathrec.mdp import (SELF_LOOP, Frontier, PathState, RewardSpec, compile_pat
                          compile_patterns, path_signature, signature_label)
 
 from conftest import build_multi_edge_graph, build_shop_graph
-from oracles import (Action, BudgetExhausted, encode_state, is_complete, step,
+from oracles import (Action, BudgetExhausted, encode_state, frontier_of, is_complete, step,
                      valid_actions)
 
 
@@ -165,7 +165,9 @@ class TestSignatures:
         s = walk(tiny_graph, u0_start, [Action(pu, i0, FORWARD), loop_i0, loop_i0])
         sig = path_signature(s, tiny_graph)
         assert sig == ("user", (pu, FORWARD), "item")
-        raw = path_signature(s, tiny_graph, collapse_trailing_self_loops=False)
+        raw = (tiny_graph.entity_type(s.entities[0]),
+               *(x for rel, ent in zip(s.relations, s.entities[1:])
+                 for x in (rel, tiny_graph.entity_type(ent))))
         assert len(raw) == 7
 
     def test_leading_self_loop_kept(self, tiny_graph, u0_start):
@@ -215,7 +217,7 @@ class TestPatterns:
         s2 = walk(tiny_graph, u0_start, [Action(pu, i0, FORWARD),
                                          Action(pb, b0, FORWARD),
                                          Action(pb, i1, INVERSE)])
-        rewards = flat_pattern_spec(tiny_graph).terminal_reward(Frontier.of([s, s2]))
+        rewards = flat_pattern_spec(tiny_graph).terminal_reward(frontier_of([s, s2]))
         assert rewards.tolist() == [1.0, 1.0]
 
     def test_compile_pattern_inverse_tokens(self, tiny_graph):
@@ -223,7 +225,6 @@ class TestPatterns:
                             tiny_graph)
         assert p.steps == ((tiny_graph.relation_id("interested_in"), FORWARD),
                            (tiny_graph.relation_id("belong_to"), INVERSE))
-        assert p.types[0] == "user"
 
 
 def direct_binary(graph, state):
@@ -275,7 +276,7 @@ class TestRewards:
         def reward(score, item_max):
             spec.table.entity_bias[i1] = score
             spec.item_max[s.user] = item_max
-            return spec.terminal_reward(Frontier.of([s]))[0]
+            return spec.terminal_reward(frontier_of([s]))[0]
 
         assert reward(0.5, 2.0) == 0.25
         assert reward(-0.5, 2.0) == 0.0
@@ -298,7 +299,7 @@ class TestRewards:
         binary = RewardSpec.binary(tiny_graph)
 
         def reward(actions):
-            return binary.terminal_reward(Frontier.of([walk(tiny_graph, u0_start,
+            return binary.terminal_reward(frontier_of([walk(tiny_graph, u0_start,
                                                             actions)]))[0]
 
         # a single effective hop (budget-1 self-loops) earns nothing
@@ -326,7 +327,7 @@ class TestRewards:
                                         Action(pb, i1, INVERSE),
                                         Action(SELF_LOOP, i1, FORWARD)])
         spec = RewardSpec.pattern(tiny_graph, small_table)
-        got = spec.terminal_reward(Frontier.of([s]))[0]
+        got = spec.terminal_reward(frontier_of([s]))[0]
         raw = score_triplet(small_table, u0_start.user, rel, i1)
         want = min(max(raw / item_max, 0.0), 1.0) if item_max > 0 else float(raw >= item_max)
         assert got == pytest.approx(want, rel=1e-12)
@@ -337,7 +338,7 @@ class TestRewards:
         b0 = tiny_graph.entity_id("brand", "b0")
         loop_b = Action(SELF_LOOP, b0, FORWARD)
         s = walk(tiny_graph, u0_start, [Action(like, b0, FORWARD), loop_b, loop_b])
-        assert spec.terminal_reward(Frontier.of([s]))[0] == 0.0
+        assert spec.terminal_reward(frontier_of([s]))[0] == 0.0
 
     def test_reward_spec_matches_direct(self, tiny_graph, small_table, u0_start):
         pu = tiny_graph.relation_id("purchase")
@@ -346,13 +347,13 @@ class TestRewards:
         s = walk(tiny_graph, u0_start, [loop_u, Action(pu, i0, FORWARD),
                                         Action(SELF_LOOP, i0, FORWARD)])
         binary = RewardSpec.binary(tiny_graph)
-        assert binary.terminal_reward(Frontier.of([s]))[0] == direct_binary(tiny_graph, s)
+        assert binary.terminal_reward(frontier_of([s]))[0] == direct_binary(tiny_graph, s)
         pattern = RewardSpec.pattern(tiny_graph, small_table)
         items = np.asarray(tiny_graph.items(), dtype=np.intp)
         item_max = float(score_tails(small_table, s.user, tiny_graph.interaction_relation,
                                      items).max())
         want = direct_pattern(tiny_graph, small_table, s, item_max)
-        assert pattern.terminal_reward(Frontier.of([s]))[0] == want
+        assert pattern.terminal_reward(frontier_of([s]))[0] == want
 
     @pytest.mark.parametrize("seed", range(3))
     def test_terminal_reward_bitwise_on_random_frontiers(self, schema, seed):
@@ -385,7 +386,7 @@ class TestRewards:
                              False)
         for hops in range(1, 5):
             states = random_states(g, rng, 150, hops, budget=hops, loop_share=0.3)
-            walked = Frontier.of(states)
+            walked = frontier_of(states)
             got_binary = binary.terminal_reward(walked)
             got_pattern = pattern.terminal_reward(walked)
             want_binary = np.asarray([direct_binary(g, s) for s in states])
@@ -474,7 +475,7 @@ class TestFrontier:
             states = random_states(g, rng, 12, hops, budget=3)
             score_rows = rng.integers(0, 3, size=len(states))
             for cap in (1, 3, 7, 250):
-                got = Frontier.of(states).slates(g, cap, scores, score_rows)
+                got = frontier_of(states).slates(g, cap, scores, score_rows)
                 want = [valid_actions(s, g, max_actions=cap, user_scores=scores[r])
                         for s, r in zip(states, score_rows)]
                 assert slate_rows(got) == want
@@ -488,7 +489,7 @@ class TestFrontier:
             states = random_states(g, rng, 10, hops, budget=3)
             rows = np.zeros(len(states), dtype=np.intp)
             for cap in (1, 2, 5, 250):
-                got = Frontier.of(states).slates(g, cap, scores, rows)
+                got = frontier_of(states).slates(g, cap, scores, rows)
                 want = [valid_actions(s, g, max_actions=cap, user_scores=scores[0])
                         for s in states]
                 assert slate_rows(got) == want
@@ -512,7 +513,7 @@ class TestFrontier:
         states = [walk(tiny_graph, u0_start, [loop, Action(pu, i0, FORWARD)]),
                   walk(tiny_graph, u0_start, [loop, loop])]
         scores = np.zeros((1, tiny_graph.entity_count))
-        got = Frontier.of(states).slates(tiny_graph, 250, scores,
+        got = frontier_of(states).slates(tiny_graph, 250, scores,
                                          np.zeros(2, dtype=np.intp))
         rows = slate_rows(got)
         assert rows == [valid_actions(s, tiny_graph) for s in states]
@@ -529,7 +530,7 @@ class TestFrontier:
         rng = np.random.default_rng(8)
         for hops in range(4):
             states = random_states(g, rng, 9, hops, budget=3, loop_share=0.5)
-            frontier = Frontier.of(states)
+            frontier = frontier_of(states)
             if hops:  # both kinds of last step are encoded
                 last = frontier.relations[:, -1]
                 assert (last == SELF_LOOP).any() and (last != SELF_LOOP).any()
@@ -550,7 +551,7 @@ class TestFrontier:
         rng = np.random.default_rng(3)
         scores = np.zeros((1, g.entity_count))
         states = random_states(g, rng, 7, 1, budget=3)
-        frontier = Frontier.of(states)
+        frontier = frontier_of(states)
         slates = frontier.slates(g, 250, scores, np.zeros(len(states), dtype=np.intp))
         parent = np.asarray([0, 0, 3, 6, 2], dtype=np.intp)
         slot = np.asarray([rng.integers(slates.sizes[p]) for p in parent], dtype=np.intp)
@@ -620,7 +621,7 @@ class TestSlateSelection:
         assert not scores.any()
         rows = np.asarray([users.index(s.user) for s in states], dtype=np.intp)
         for cap in (1, 2, 5, 9):
-            got = Frontier.of(states).slates(hub_graph, cap, scores, rows)
+            got = frontier_of(states).slates(hub_graph, cap, scores, rows)
             want = [valid_actions(s, hub_graph, table, max_actions=cap) for s in states]
             assert slate_rows(got) == want
             assert any(fresh_count(s, hub_graph) > cap for s in states)
@@ -633,7 +634,7 @@ class TestSlateSelection:
         states = hub_states(hub_graph)
         rows = np.zeros(len(states), dtype=np.intp)
         for cap in (0, 2, 4, 7):
-            got = Frontier.of(states).slates(hub_graph, cap, scores, rows)
+            got = frontier_of(states).slates(hub_graph, cap, scores, rows)
             want = [valid_actions(s, hub_graph, max_actions=cap, user_scores=scores[0])
                     for s in states]
             assert slate_rows(got) == want
@@ -654,7 +655,7 @@ class TestSlateSelection:
             scores[0, list(s.entities)] = 1e6
         rows = np.zeros(len(states), dtype=np.intp)
         cap = 3
-        got = slate_rows(Frontier.of(states).slates(hub_graph, cap, scores, rows))
+        got = slate_rows(frontier_of(states).slates(hub_graph, cap, scores, rows))
         for s, slate in zip(states, got):
             assert fresh_count(s, hub_graph) > cap
             assert slate == valid_actions(s, hub_graph, max_actions=cap,
@@ -667,14 +668,14 @@ class TestSlateSelection:
         scores = np.round(rng.random((1, hub_graph.entity_count)), 1)
         states = hub_states(hub_graph)
         rows = np.zeros(len(states), dtype=np.intp)
-        got = Frontier.of(states).slates(hub_graph, 1, scores, rows)
+        got = frontier_of(states).slates(hub_graph, 1, scores, rows)
         assert slate_rows(got) == [valid_actions(s, hub_graph, max_actions=1,
                                                  user_scores=scores[0]) for s in states]
         assert got.sizes.tolist() == [2] * len(states)
         for s in states:
             cap = fresh_count(s, hub_graph) - 1
             assert cap >= 1
-            got = Frontier.of([s]).slates(hub_graph, cap, scores, rows[:1])
+            got = frontier_of([s]).slates(hub_graph, cap, scores, rows[:1])
             assert slate_rows(got) == [valid_actions(s, hub_graph, max_actions=cap,
                                                      user_scores=scores[0])]
             assert got.sizes.tolist() == [cap + 1]
@@ -696,7 +697,7 @@ class TestSlateSelection:
         over = [s for s in states if fresh_count(s, hub_graph) > cap]
         assert len({s.current for s in over}) >= 3
         assert any(fresh_count(s, hub_graph) <= cap for s in states)
-        got = Frontier.of(states).slates(hub_graph, cap, scores, rows)
+        got = frontier_of(states).slates(hub_graph, cap, scores, rows)
         want = [valid_actions(s, hub_graph, max_actions=cap, user_scores=scores[r])
                 for s, r in zip(states, rows)]
         assert slate_rows(got) == want

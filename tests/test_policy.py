@@ -12,14 +12,14 @@ from pathrec import policy as policy_module
 from pathrec.embeddings import (EmbedTrainConfig, EmbeddingTable, init_table, rng_for,
                                 score_tails)
 from pathrec.errors import EmptyGraph, InvalidAction, InvalidSpec, MissingEmbedding
-from pathrec.mdp import Frontier, PathState, RewardSpec, start_scores
+from pathrec.mdp import PathState, RewardSpec, start_scores
 from pathrec.optim import Adam
 from pathrec.policy import (AgentConfig, PolicyModel, _sample_rows,
                             episode_gradients, evaluate_mean_reward,
                             rollout_batch, state_dim_for, train_agent,
                             training_users, write_history)
 
-from oracles import encode_state, is_complete, step, valid_actions
+from oracles import encode_state, frontier_of, is_complete, step, valid_actions
 
 
 class FixedReward:
@@ -316,7 +316,7 @@ class TestGradientOracle:
         spec = FixedReward(rewards)
         state = PathState.start(u0, 1)
         slate = valid_actions(state, tiny_graph, max_actions=cfg.max_actions)
-        R = spec.terminal_reward(Frontier.of([step(state, a, tiny_graph) for a in slate]))
+        R = spec.terminal_reward(frontier_of([step(state, a, tiny_graph) for a in slate]))
         X = encode_state(state, small_table)[None, :]
         return policy, cfg, u0, spec, slate, R, X
 
@@ -457,7 +457,7 @@ def reference_rollout(policy, graph, table, users, hop_budget, max_actions,
             chosen = np.minimum(_sample_rows(probs, rng), sizes - 1)
         hops.append((X, probs, values, chosen, sizes))
         states = [step(s, sl[c], graph) for s, sl, c in zip(states, slates, chosen)]
-    return hops, reward_spec.terminal_reward(Frontier.of(states)), states
+    return hops, reward_spec.terminal_reward(frontier_of(states)), states
 
 
 class TestBatchedRollout:
@@ -530,6 +530,15 @@ class TestBatchedRollout:
         with pytest.raises(InvalidSpec, match="exceeds"):
             rollout_users(policy, tiny_graph, small_table, [u0], 2, cfg.max_actions + 1,
                           RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, tiny_graph, small_table, cap):
+        policy, _ = small_policy(small_table, 2)
+        u0 = tiny_graph.entity_id("user", "u0")
+        for behavior in (policy, None):
+            with pytest.raises(InvalidSpec, match="max_actions must be >= 1"):
+                rollout_users(behavior, tiny_graph, small_table, [u0], 2, cap,
+                              RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
 
     def test_table_short_of_graph_rejected(self, tiny_graph, small_table):
         short = EmbeddingTable(small_table.entity_vecs[:-1], small_table.entity_bias[:-1],
