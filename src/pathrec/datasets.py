@@ -188,7 +188,6 @@ class SplitConfig:
     cold_frac: float = 0.2
     cap_low: int = 1
     cap_high: int = 10
-    seed: int = 0
 
     def validate(self):
         fr = [Fraction(str(f)) for f in (self.train_frac, self.val_frac, self.test_frac)]
@@ -281,13 +280,13 @@ class DatasetSplit:
             },
         }
 
-    def write(self, out_dir: str, config_hash: str = ""):
+    def write(self, out_dir: str, config_hash: str = "", seed: int = 0):
         self.schema.save(os.path.join(out_dir, "schema.json"))
         self.train_graph.write_triplets(os.path.join(out_dir, "train.tsv"))
         write_profiles(self.profiles, os.path.join(out_dir, "profiles.jsonl"))
         write_json(os.path.join(out_dir, "manifest.json"),
                    {**self.manifest(), "train_fingerprint": self.train_graph.fingerprint(),
-                    "config_hash": config_hash})
+                    "config_hash": config_hash, "seed": seed})
 
     @classmethod
     def read(cls, out_dir: str, manifest: dict | None = None) -> "DatasetSplit":
@@ -405,13 +404,13 @@ def _train_graph(graph: KnowledgeGraph, cold: list[int],
     return train_graph.freeze()
 
 
-def split_dataset(graph: KnowledgeGraph, config: SplitConfig) -> DatasetSplit:
+def split_dataset(graph: KnowledgeGraph, config: SplitConfig, seed: int = 0) -> DatasetSplit:
     """Carve cold cohorts and chronological shares out of a loaded graph.
 
     Interactions partition exactly into train / val / test: warm users
     follow the prefix rule with any train-positioned interaction on a cold
     item reassigned to that user's test list; cold users are hidden
-    entirely. Deterministic given the seed; a rerun is byte-identical.
+    entirely. Deterministic given ``seed``; a rerun is byte-identical.
     """
     config.validate()
     by_user = graph.interactions_by_user()
@@ -421,7 +420,7 @@ def split_dataset(graph: KnowledgeGraph, config: SplitConfig) -> DatasetSplit:
             raise EmptyUser(f"user {graph.entity_key(u)} has no interactions")
     items = graph.items()
 
-    rng = rng_for(config.seed, "split")
+    rng = rng_for(seed, "split")
     cold_frac = Fraction(str(config.cold_frac))
     cold_users = _cold_selection(users, cold_frac, rng)
     cold_items = _cold_selection(items, cold_frac, rng)
@@ -530,6 +529,8 @@ class SyntheticSpec:
             raise InvalidSpec("interactions_per_user must be in [1, items]")
         if not 0.0 <= self.p_pref <= 1.0:
             raise InvalidSpec("p_pref must be in [0, 1]")
+        if self.seed < 0:
+            raise InvalidSpec(f"the catalog seed must be >= 0, got {self.seed}")
 
 
 # raw words a _RawDraws takes from its bit generator at a time

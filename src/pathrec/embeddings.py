@@ -47,7 +47,6 @@ class EmbedTrainConfig:
     learning_rate: float = 0.001
     batch_size: int = 512
     negatives: int = 5
-    seed: int = 0
     full_softmax: bool = False
 
     def validate(self):
@@ -71,12 +70,11 @@ class EmbeddingTable:
     """
 
     def __init__(self, entity_vecs: np.ndarray, entity_bias: np.ndarray,
-                 relation_vecs: np.ndarray, self_loop_vec: np.ndarray, seed: int = 0):
+                 relation_vecs: np.ndarray, self_loop_vec: np.ndarray):
         self.entity_vecs = entity_vecs
         self.entity_bias = entity_bias
         self.relation_vecs = relation_vecs
         self.self_loop_vec = self_loop_vec
-        self.seed = seed
 
     @property
     def dim(self) -> int:
@@ -103,7 +101,7 @@ class EmbeddingTable:
 
     def copy(self) -> "EmbeddingTable":
         return EmbeddingTable(self.entity_vecs.copy(), self.entity_bias.copy(),
-                              self.relation_vecs.copy(), self.self_loop_vec.copy(), self.seed)
+                              self.relation_vecs.copy(), self.self_loop_vec.copy())
 
     def extended(self, vecs: np.ndarray) -> "EmbeddingTable":
         """A new table holding these rows, with zero biases, after this
@@ -116,20 +114,20 @@ class EmbeddingTable:
             raise InvalidSpec(f"expected {self.dim}-dim rows, got {vecs.shape}")
         return EmbeddingTable(np.concatenate([self.entity_vecs, vecs]),
                               np.concatenate([self.entity_bias, np.zeros(len(vecs))]),
-                              self.relation_vecs.copy(), self.self_loop_vec.copy(), self.seed)
+                              self.relation_vecs.copy(), self.self_loop_vec.copy())
 
 
-def init_table(graph: KnowledgeGraph, config: EmbedTrainConfig) -> EmbeddingTable:
+def init_table(graph: KnowledgeGraph, config: EmbedTrainConfig, seed: int = 0) -> EmbeddingTable:
     """Uniform(-0.5/d, 0.5/d) vectors, zero biases; draw order is fixed."""
     config.validate()
-    rng = rng_for(config.seed, "embed-init")
+    rng = rng_for(seed, "embed-init")
     d = config.dim
     half = 0.5 / d
     ent = rng.uniform(-half, half, size=(graph.entity_count, d))
     rel = rng.uniform(-half, half, size=(graph.relation_count, d))
     loop = rng.uniform(-half, half, size=d)
     bias = np.zeros(graph.entity_count)
-    return EmbeddingTable(ent, bias, rel, loop, seed=config.seed)
+    return EmbeddingTable(ent, bias, rel, loop)
 
 
 def score_triplet(table: EmbeddingTable, head: int, relation: int, tail: int) -> float:
@@ -355,8 +353,9 @@ def full_softmax_grads(table: EmbeddingTable, graph: KnowledgeGraph,
     return loss, grads
 
 
-def train_embeddings(graph: KnowledgeGraph, config: EmbedTrainConfig) -> EmbeddingTable:
-    """Train a table on all stored triplets of ``graph``.
+def train_embeddings(graph: KnowledgeGraph, config: EmbedTrainConfig,
+                     seed: int = 0) -> EmbeddingTable:
+    """Train a table, drawn from ``seed``, on all stored triplets of ``graph``.
 
     With ``epochs=0`` the initialization is returned unchanged. The graph
     is read-only during training and may be shared.
@@ -366,12 +365,12 @@ def train_embeddings(graph: KnowledgeGraph, config: EmbedTrainConfig) -> Embeddi
         raise EmptyGraph("cannot train embeddings on a graph with no triplets")
     if config.full_softmax and graph.entity_count > 1000:
         raise InvalidSpec("full_softmax mode is limited to graphs with <= 1000 entities")
-    table = init_table(graph, config)
+    table = init_table(graph, config, seed)
     triplets = np.stack(graph.triplet_arrays(), axis=1)
     pools = _type_pools(graph)
     params = [table.entity_vecs, table.relation_vecs, table.entity_bias]
     opt = Adam(params, lr=config.learning_rate)
-    rng = rng_for(config.seed, "embed-train")
+    rng = rng_for(seed, "embed-train")
     grads = _zero_grads(table)
     scratch = BatchScratch()
     for _ in range(config.epochs):
@@ -388,8 +387,8 @@ def train_embeddings(graph: KnowledgeGraph, config: EmbedTrainConfig) -> Embeddi
 
 
 def save_table(table: EmbeddingTable, graph: KnowledgeGraph, path: str,
-               config_hash: str = ""):
-    """Snapshot keyed by symbol names; round-trips bit-exactly."""
+               config_hash: str = "", seed: int = 0):
+    """Snapshot keyed by symbol names and stamped; round-trips bit-exactly."""
     write_npz(
         path,
         entity_keys=np.asarray([graph.entity_key(e) for e in range(graph.entity_count)]),
@@ -398,7 +397,7 @@ def save_table(table: EmbeddingTable, graph: KnowledgeGraph, path: str,
         entity_bias=table.entity_bias,
         relation_vecs=table.relation_vecs,
         self_loop_vec=table.self_loop_vec,
-        seed=np.asarray(table.seed),
+        seed=np.asarray(seed),
         config_hash=np.asarray(config_hash),
     )
 
@@ -412,8 +411,5 @@ def load_table(path: str, graph: KnowledgeGraph) -> EmbeddingTable:
             raise MissingEmbedding(f"snapshot {path} does not match the graph's entities")
         if data["relation_keys"].tolist() != [r.name for r in graph.schema.relations]:
             raise MissingEmbedding(f"snapshot {path} does not match the graph's relations")
-        return EmbeddingTable(
-            data["entity_vecs"].copy(), data["entity_bias"].copy(),
-            data["relation_vecs"].copy(), data["self_loop_vec"].copy(),
-            seed=int(data["seed"]),
-        )
+        return EmbeddingTable(data["entity_vecs"].copy(), data["entity_bias"].copy(),
+                              data["relation_vecs"].copy(), data["self_loop_vec"].copy())

@@ -66,13 +66,13 @@ def _check_keys(section, allowed: tuple[str, ...], where: str):
         raise InvalidSpec(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _sub_config(cls, section, where: str, **fixed):
+def _sub_config(cls, section, where: str):
     """A config dataclass from its JSON object; each value must have the
     type of the field's default (an int may stand for a float, a list for a
-    tuple of ints). ``fixed`` values override the object's."""
+    tuple of ints)."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     _check_keys(section, tuple(fields), where)
-    values = {**section, **fixed}
+    values = dict(section)
     for name, value in values.items():
         default = fields[name].default
         if isinstance(default, tuple) and isinstance(value, (list, tuple)):
@@ -94,6 +94,9 @@ def _sub_config(cls, section, where: str, **fixed):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """``seed`` is the run's only seed, passed to each stage that draws;
+    ``synthetic.seed`` is the catalog's own and enters the config hash."""
+
     seed: int = 0
     workdir: str = "run"
     synthetic: SyntheticSpec | None = field(default_factory=SyntheticSpec)
@@ -106,10 +109,12 @@ class RunConfig:
     inference: InferenceConfig = field(default_factory=InferenceConfig)
 
     def validate(self):
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if (self.triplets is None) != (self.schema is None):
             raise InvalidSpec("a file dataset needs both triplets and schema paths")
-        if self.triplets is None and self.synthetic is None:
-            raise InvalidSpec("config must name a dataset (synthetic or files)")
+        if (self.triplets is None) == (self.synthetic is None):
+            raise InvalidSpec("config must name one dataset: synthetic or files")
         if self.synthetic is not None:
             self.synthetic.validate()
         self.split.validate()
@@ -120,21 +125,16 @@ class RunConfig:
             raise InvalidSpec("len(inference.widths) must equal agent.hop_budget")
 
     def to_json(self) -> dict:
-        # sub-config seeds copy the top-level seed and are dropped, so the config
-        # hash stays constant across seeds of a run; the catalog's own seed is kept
-        def section(cfg):
-            return {k: v for k, v in dataclasses.asdict(cfg).items() if k != "seed"}
-
         return {
             "seed": self.seed,
             "workdir": self.workdir,
             "dataset": ({"synthetic": dataclasses.asdict(self.synthetic)} if self.triplets is None
                         else {"triplets": self.triplets, "schema": self.schema}),
-            "split": section(self.split),
-            "embed": section(self.embed),
-            "agent": section(self.agent),
+            "split": dataclasses.asdict(self.split),
+            "embed": dataclasses.asdict(self.embed),
+            "agent": dataclasses.asdict(self.agent),
             "cold": {"strategy": self.cold_strategy.value},
-            "inference": section(self.inference),
+            "inference": dataclasses.asdict(self.inference),
         }
 
     @classmethod
@@ -165,20 +165,13 @@ class RunConfig:
             raise InvalidSpec(f"unknown cold.strategy {strategy!r}; expected one of {names}")
         cfg = cls(seed=seed, workdir=workdir, synthetic=synthetic,
                   triplets=triplets, schema=schema,
-                  split=_sub_config(SplitConfig, data.get("split", {}), "split", seed=seed),
-                  embed=_sub_config(EmbedTrainConfig, data.get("embed", {}), "embed", seed=seed),
-                  agent=_sub_config(AgentConfig, data.get("agent", {}), "agent", seed=seed),
+                  split=_sub_config(SplitConfig, data.get("split", {}), "split"),
+                  embed=_sub_config(EmbedTrainConfig, data.get("embed", {}), "embed"),
+                  agent=_sub_config(AgentConfig, data.get("agent", {}), "agent"),
                   cold_strategy=ColdStrategy(strategy),
                   inference=_sub_config(InferenceConfig, data.get("inference", {}), "inference"))
         cfg.validate()
         return cfg
-
-    def with_seed(self, seed: int, workdir: str | None = None) -> "RunConfig":
-        return replace(self, seed=seed,
-                       workdir=self.workdir if workdir is None else workdir,
-                       split=replace(self.split, seed=seed),
-                       embed=replace(self.embed, seed=seed),
-                       agent=replace(self.agent, seed=seed))
 
     def config_hash(self) -> str:
         ident = {k: v for k, v in self.to_json().items() if k not in ("workdir", "seed")}
@@ -239,8 +232,7 @@ class _Stage:
 
     def stamp(self, path: str) -> tuple:
         """The (config hash, seed) an artifact embeds: npz members, the meta
-        line of a jsonl file, or a json file's keys (a split manifest keeps
-        its seed in its config)."""
+        line of a jsonl file, or a json file's keys."""
         if path.endswith(".npz"):
             with np.load(path, allow_pickle=False) as data:
                 return str(data["config_hash"]), int(data["seed"])
@@ -249,7 +241,7 @@ class _Stage:
                 data = json.loads(fh.readline())["meta"]
         else:
             data = self.json(path)
-        return data["config_hash"], data["seed"] if "seed" in data else data["config"]["seed"]
+        return data["config_hash"], data["seed"]
 
     def read(self, path: str, producer: str, load, stamped: bool = True):
         """``load(path)``, once a ``stamped`` artifact's (config hash, seed)
@@ -314,17 +306,17 @@ def stage_split(config: RunConfig) -> DatasetSplit:
             os.path.join(run.paths.data_dir, name) for name in ("triplets.tsv", "schema.json"))
         graph = run.read(triplets, "synth", lambda p: datasets.load_dataset(p, schema),
                          stamped=False)
-        split = datasets.split_dataset(graph, config.split)
-        split.write(run.paths.split_dir, config_hash=config.config_hash())
+        split = datasets.split_dataset(graph, config.split, config.seed)
+        split.write(run.paths.split_dir, config_hash=config.config_hash(), seed=config.seed)
     return split
 
 
 def stage_train_embed(config: RunConfig) -> EmbeddingTable:
     with _Stage("train-embed", config) as run:
         split = run.split()
-        table = train_embeddings(split.train_graph, config.embed)
+        table = train_embeddings(split.train_graph, config.embed, config.seed)
         save_table(table, split.train_graph, run.paths.embed_file,
-                   config_hash=config.config_hash())
+                   config_hash=config.config_hash(), seed=config.seed)
     return table
 
 
@@ -334,10 +326,10 @@ def stage_train_agent(config: RunConfig) -> PolicyModel:
         table = run.warm_table(split)
         reward = (RewardSpec.pattern(split.train_graph, table) if config.agent.reward == "pgpr"
                   else RewardSpec.binary(split.train_graph))
-        agent, history = train_agent(split.train_graph, table, reward, config.agent)
-        agent.save(run.paths.policy_file, config_hash=config.config_hash())
-        write_history(history, run.paths.curve_file, config_hash=config.config_hash(),
-                      seed=config.seed)
+        agent, history = train_agent(split.train_graph, table, reward, config.agent, config.seed)
+        ident = {"config_hash": config.config_hash(), "seed": config.seed}
+        agent.save(run.paths.policy_file, **ident)
+        write_history(history, run.paths.curve_file, **ident)
     return agent
 
 
@@ -367,12 +359,12 @@ def stage_cold_integrate(config: RunConfig):
         split = run.split()
         table = run.warm_table(split)
         aug, ext, ids, _ = build_augmented(split, table, config.cold_strategy)
-        save_table(ext, aug, run.paths.cold_table_file, config_hash=config.config_hash())
+        ident = {"config_hash": config.config_hash(), "seed": config.seed}
+        save_table(ext, aug, run.paths.cold_table_file, **ident)
         skipped = sorted(p.name for p in _ordered_profiles(split) if p.name not in ids)
         write_json(run.paths.cold_meta_file,
                    {"integrated": list(ids), "skipped": skipped,
-                    "strategy": config.cold_strategy.value,
-                    "config_hash": config.config_hash(), "seed": config.seed})
+                    "strategy": config.cold_strategy.value, **ident})
     return aug, ext, ids
 
 
@@ -535,10 +527,18 @@ def run_pipeline(config: RunConfig):
     return stage_eval(config)
 
 
+def _seed_runs(config: RunConfig, seeds: list[int]) -> list[RunConfig]:
+    """The run of each seed, under workdir/seed_<s>; an empty list, a
+    repeated seed or a negative one raises InvalidSpec."""
+    if not seeds or len(set(seeds)) < len(seeds) or min(seeds) < 0:
+        raise InvalidSpec(f"seeds must be distinct non-negative integers, got {seeds}")
+    return [replace(config, seed=s, workdir=os.path.join(config.workdir, f"seed_{s}"))
+            for s in seeds]
+
+
 def run_seeds(config: RunConfig, seeds: list[int]):
     """One full run per seed under workdir/seed_<s>, then an aggregate report."""
-    for seed in seeds:
-        sub = config.with_seed(seed, workdir=os.path.join(config.workdir, f"seed_{seed}"))
+    for sub in _seed_runs(config, seeds):
         run_pipeline(sub)
     return write_aggregate(config, seeds)
 
@@ -547,8 +547,7 @@ def write_aggregate(config: RunConfig, seeds: list[int]):
     """Mean/std across per-seed reports of this config, written to the workdir root."""
     rows_by_key: dict[tuple, list[float]] = {}
     n_rows = {}
-    for seed in seeds:
-        sub = config.with_seed(seed, workdir=os.path.join(config.workdir, f"seed_{seed}"))
+    for sub in _seed_runs(config, seeds):
         with _Stage("report", sub) as run:
             rows = run.read(run.paths.report_json, "eval", lambda p: run.json(p)["rows"])
         for r in rows:

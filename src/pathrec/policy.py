@@ -39,7 +39,6 @@ class AgentConfig:
     episodes_per_user: int = 1
     gamma: float = 0.99
     entropy_coef: float = 1e-3
-    seed: int = 0
     reward: str = "upgpr"
 
     def validate(self):
@@ -49,6 +48,10 @@ class AgentConfig:
             raise InvalidSpec("max_actions must be >= 1")
         if self.epochs < 0:
             raise InvalidSpec("epochs must be >= 0")
+        if self.batch_size < 1 or self.episodes_per_user < 1:
+            raise InvalidSpec("batch_size and episodes_per_user must be >= 1")
+        if self.learning_rate <= 0:
+            raise InvalidSpec("learning_rate must be positive")
         if not 0 < self.gamma <= 1:
             raise InvalidSpec("gamma must be in (0, 1]")
         if self.reward not in ("upgpr", "pgpr"):
@@ -85,9 +88,9 @@ class ForwardCache(NamedTuple):
 class PolicyModel:
     """Two ReLU hidden layers; actor and baseline heads share the trunk."""
 
-    def __init__(self, state_dim: int, config: AgentConfig):
+    def __init__(self, state_dim: int, config: AgentConfig, seed: int = 0):
         self._allocate(state_dim, config)
-        rng = rng_for(config.seed, "policy-init")
+        rng = rng_for(seed, "policy-init")
         for w in (self.W1, self.W2, self.W3, self.Wv):  # He initialization over fan-in rows
             w[...] = rng.normal(0.0, np.sqrt(2.0 / len(w)), size=w.shape)
 
@@ -190,13 +193,13 @@ class PolicyModel:
             g.fill(0.0)
         return grads
 
-    def save(self, path: str, config_hash: str = ""):
+    def save(self, path: str, config_hash: str = "", seed: int = 0):
         cfg = asdict(self.config)
         cfg["hidden"] = list(cfg["hidden"])
         write_npz(path, **dict(zip(PARAM_NAMES, self.params)),
                   state_dim=np.asarray(self.state_dim),
                   config=np.asarray(json.dumps(cfg, sort_keys=True)),
-                  seed=np.asarray(self.config.seed),
+                  seed=np.asarray(seed),
                   config_hash=np.asarray(config_hash))
 
     @classmethod
@@ -339,8 +342,9 @@ def training_users(graph: KnowledgeGraph) -> list[int]:
 
 
 def train_agent(graph: KnowledgeGraph, table: EmbeddingTable,
-                reward_spec: RewardSpec, config: AgentConfig):
-    """Train a policy on the graph's users; returns (policy, history).
+                reward_spec: RewardSpec, config: AgentConfig, seed: int = 0):
+    """Train a policy, drawn from ``seed``, on the graph's users; returns
+    (policy, history).
 
     History rows are (epoch, mean terminal reward, mean entropy), one per
     epoch. With ``epochs=0`` the freshly initialized policy is returned.
@@ -353,9 +357,9 @@ def train_agent(graph: KnowledgeGraph, table: EmbeddingTable,
     users = training_users(graph)
     if not users:
         raise EmptyGraph("no users with interactions to train on")
-    policy = PolicyModel(state_dim_for(table, config.hop_budget), config)
+    policy = PolicyModel(state_dim_for(table, config.hop_budget), config, seed)
     opt = Adam(policy.params, lr=config.learning_rate)
-    rng = rng_for(config.seed, "agent-train")
+    rng = rng_for(seed, "agent-train")
     grads = policy.zero_grads()
     keep = config.epochs and len(users) * table.entity_count * 8 <= SCORE_ROWS_BYTES
     scores = start_scores(graph, table, users) if keep else None

@@ -83,7 +83,7 @@ def tiny_graph(schema):
 
 @pytest.fixture
 def small_table(tiny_graph):
-    return init_table(tiny_graph, EmbedTrainConfig(dim=8, seed=3))
+    return init_table(tiny_graph, EmbedTrainConfig(dim=8), seed=3)
 
 
 @pytest.fixture

@@ -93,7 +93,7 @@ def test_criterion_1_scoring_primitives_match_brute_force(schema):
     schema_graph = build_shop_graph(schema, n_users=12, n_items=20,
                                     n_brands=4, n_categories=3,
                                     interactions=5, seed=42)
-    table = init_table(schema_graph, EmbedTrainConfig(dim=16, seed=7))
+    table = init_table(schema_graph, EmbedTrainConfig(dim=16), seed=7)
     rng = rng_for(1000, "criterion-1")
     n_ent = schema_graph.entity_count
     n_rel = len(schema_graph.schema.relations)
@@ -154,7 +154,7 @@ def test_criterion_2_rewards_match_direct_formula_on_every_path(schema):
     g = build_shop_graph(schema, n_users=5, n_items=12, n_brands=2,
                          n_categories=2, interactions=4, seed=0)
     assert g.entity_count <= 30
-    table = init_table(g, EmbedTrainConfig(dim=8, seed=1))
+    table = init_table(g, EmbedTrainConfig(dim=8), seed=1)
     binary = RewardSpec.binary(g)
     pattern = RewardSpec.pattern(g, table)
     raw_patterns = {tuple(p) for p in g.schema.path_patterns}
@@ -230,10 +230,10 @@ def test_criterion_3_wide_beam_equals_exhaustive_ranking(schema):
                              seed=300 + trial)
         assert g.entity_count <= 200
         width = 1 + max(len(list(g.neighbors(e))) for e in range(g.entity_count))
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=trial))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=trial)
         policy = PolicyModel(state_dim_for(table, 3),
                              AgentConfig(hop_budget=3, max_actions=width,
-                                         hidden=(16, 8), seed=trial))
+                                         hidden=(16, 8)), seed=trial)
         all_ids = np.arange(g.entity_count, dtype=np.intp)
         for user in g.users():
             scores = score_tails(table, user, g.interaction_relation, all_ids)
@@ -328,8 +328,8 @@ def test_criterion_5_split_partition_oracle_and_determinism(schema, tmp_path):
                              n_items=10 + trial % 12, n_brands=2 + trial % 3,
                              n_categories=2 + trial % 2,
                              interactions=3 + trial % 5, seed=5000 + trial)
-        config = SplitConfig(seed=trial)
-        split = split_dataset(g, config)
+        config = SplitConfig()
+        split = split_dataset(g, config, seed=trial)
         assert_split_invariants(g, split, config)
         for prof in split.user_profiles:
             per_rel: dict[str, int] = {}
@@ -339,7 +339,7 @@ def test_criterion_5_split_partition_oracle_and_determinism(schema, tmp_path):
 
     g = build_shop_graph(schema, n_users=15, n_items=20, seed=77)
     for sub in ("a", "b"):
-        split_dataset(g, SplitConfig(seed=9)).write(
+        split_dataset(g, SplitConfig(), seed=9).write(
             str(tmp_path / sub), config_hash="fixed")
     for fname in ("schema.json", "train.tsv", "profiles.jsonl", "manifest.json"):
         with open(tmp_path / "a" / fname, "rb") as fa, \

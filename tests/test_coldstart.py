@@ -173,7 +173,7 @@ class TestColdEmbedding:
         from conftest import build_multi_edge_graph
 
         base = build_multi_edge_graph()
-        table = init_table(base, EmbedTrainConfig(dim=8, seed=3))
+        table = init_table(base, EmbedTrainConfig(dim=8), seed=3)
         g = base.clone()
         a, b = g.add_entity("item", "a"), g.add_entity("item", "b")
         sim = g.relation_id("similar")
@@ -274,7 +274,7 @@ class TestBatchIntegration:
 
     def test_profile_of_existing_entity_skipped(self, make_graph, caplog):
         g = make_graph()
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=0)
         u0 = g.entity_id("user", "u0")
         like, b1 = g.relation_id("like"), g.entity_id("brand", "b1")
         had_edge = g.has_triplet(u0, like, b1)
@@ -299,7 +299,7 @@ class TestBatchIntegration:
         # ids is keyed by name: a cold user named like an earlier cold item
         # is skipped, so the item keeps the name and the batch integrates
         g = build_shop_graph(synthetic_schema()).freeze()
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=0)
         profs = [ColdProfile("x", "item", (ColdDeclaration("produced_by", "brand", "b0"),)),
                  ColdProfile("x", "user", (ColdDeclaration("like", "brand", "b0"),))]
         for bought in (None, {"x": ["i0"]}):
@@ -470,7 +470,7 @@ class TestBatchAgainstReference:
 
     def test_cold_rows_equal_one_at_a_time(self):
         g = batch_warm_graph()
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=1))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=1)
         for seed in range(40):
             profiles, interactions = random_batch(seed)
             aug, ext, ids = integrate_cold_entities(g, table, profiles,
@@ -515,13 +515,13 @@ class TestColdRecommendation:
     def test_cold_user_gets_items_through_profile(self, make_graph):
         g = make_graph(n_users=6, n_items=10, n_brands=2, n_categories=2,
                        interactions=4, seed=3)
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=0)
         cold = profile("newbie", "user", ("like", "brand", "b0"),
                        ("interested_in", "category", "c1"))
         aug, ext, ids = integrate_cold_entities(g, table, [cold],
                                                 ColdStrategy.AVERAGE_TRANSLATION)
-        cfg = AgentConfig(hop_budget=3, max_actions=40, hidden=(16, 8), seed=4)
-        policy = PolicyModel(state_dim_for(ext, 3), cfg)
+        cfg = AgentConfig(hop_budget=3, max_actions=40, hidden=(16, 8))
+        policy = PolicyModel(state_dim_for(ext, 3), cfg, seed=4)
         recs = recommend_cold(ids["newbie"], policy, aug, ext, k=10,
                               widths=[40, 40, 40])
         assert recs.entries, "wide beam must reach items through the profile"
@@ -543,14 +543,14 @@ class TestColdRecommendation:
         pu, lk = g.relation_id("purchase"), g.relation_id("like")
         g.add_triplets([w[0], w[1], w[0], w[1], w[2]], [pu, pu, lk, lk, lk],
                        [w[1], w[2], b[0], b[1], b[0]])
-        table = init_table(g.freeze(), EmbedTrainConfig(dim=4, seed=0))
+        table = init_table(g.freeze(), EmbedTrainConfig(dim=4), seed=0)
         aug, ext, ids = integrate_cold_entities(
             g, table, [profile("u", "user", ("like", "brand", "b0")),
                        profile("v", "user", ("like", "brand", "b1"))],
             ColdStrategy.AVERAGE_TRANSLATION, interactions={"v": ["u"]})
         assert aug.user_items(ids["u"]) == set()
         policy = PolicyModel(state_dim_for(ext, 3),
-                             AgentConfig(hop_budget=3, max_actions=16, hidden=(8, 8), seed=0))
+                             AgentConfig(hop_budget=3, max_actions=16, hidden=(8, 8)), seed=0)
         recs = recommend_cold(ids["u"], policy, aug, ext, k=5, widths=[16, 16, 16])
         assert (pu, INVERSE) in [e.path.state.relations[0] for e in recs.entries]
         # an all-self-loop path ends at u itself, which is never served to u
@@ -558,9 +558,9 @@ class TestColdRecommendation:
 
     def test_warm_user_served_by_beam_then_rank(self, make_graph):
         g = make_graph(n_users=6, n_items=10, interactions=4, seed=3)
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=0)
         policy = PolicyModel(state_dim_for(table, 3),
-                             AgentConfig(hop_budget=3, max_actions=40, hidden=(16, 8), seed=4))
+                             AgentConfig(hop_budget=3, max_actions=40, hidden=(16, 8)), seed=4)
         for name in ("u0", "u1"):
             u = g.entity_id("user", name)
             want = rank_recommendations(beam_search(u, policy, g, table, [8, 4, 2]),
@@ -570,9 +570,9 @@ class TestColdRecommendation:
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected(self, make_graph, k):
         g = make_graph(n_users=6, n_items=10, interactions=4, seed=3)
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=0)
         policy = PolicyModel(state_dim_for(table, 3),
-                             AgentConfig(hop_budget=3, max_actions=40, hidden=(16, 8), seed=4))
+                             AgentConfig(hop_budget=3, max_actions=40, hidden=(16, 8)), seed=4)
         with pytest.raises(InvalidSpec, match="k must be >= 1"):
             recommend_cold(g.entity_id("user", "u0"), policy, g, table, k=k, widths=[8, 4, 2])
 

@@ -285,15 +285,15 @@ class TestSplit:
             g = build_shop_graph(schema, n_users=8 + trial, n_items=12 + trial,
                                  n_brands=2 + trial % 3, n_categories=2,
                                  interactions=3 + trial % 4, seed=100 + trial)
-            config = SplitConfig(seed=trial)
-            split = split_dataset(g, config)
+            config = SplitConfig()
+            split = split_dataset(g, config, seed=trial)
             assert_split_invariants(g, split, config)
 
     def test_deterministic_and_seed_sensitive(self, schema):
         g = build_shop_graph(schema, n_users=14, n_items=18, seed=5)
-        a = split_dataset(g, SplitConfig(seed=3))
-        b = split_dataset(g, SplitConfig(seed=3))
-        c = split_dataset(g, SplitConfig(seed=4))
+        a = split_dataset(g, SplitConfig(), seed=3)
+        b = split_dataset(g, SplitConfig(), seed=3)
+        c = split_dataset(g, SplitConfig(), seed=4)
         assert a.manifest() == b.manifest()
         assert a.train_graph.fingerprint() == b.train_graph.fingerprint()
         assert a.manifest() != c.manifest()
@@ -309,9 +309,13 @@ class TestSplit:
 
     def test_write_read_round_trip(self, tmp_path, schema):
         g = build_shop_graph(schema, n_users=10, n_items=14, seed=9)
-        split = split_dataset(g, SplitConfig(seed=2))
+        split = split_dataset(g, SplitConfig(), seed=2)
         out = str(tmp_path / "split")
-        split.write(out, config_hash="abc123")
+        split.write(out, config_hash="abc123", seed=2)
+        with open(os.path.join(out, "manifest.json")) as fh:
+            stored = json.load(fh)
+        assert (stored["config_hash"], stored["seed"]) == ("abc123", 2)
+        assert "seed" not in stored["config"]
         again = DatasetSplit.read(out)
         assert again.manifest() == split.manifest()
         assert again.config == split.config
@@ -323,7 +327,7 @@ class TestSplit:
         g = build_shop_graph(schema, n_users=10, n_items=14, seed=9)
         outs = []
         for sub in ("a", "b"):
-            split = split_dataset(g, SplitConfig(seed=7))
+            split = split_dataset(g, SplitConfig(), seed=7)
             out = str(tmp_path / sub)
             split.write(out, config_hash="x")
             outs.append(out)
@@ -352,7 +356,7 @@ class TestSplit:
                 g.add_triplet(u, pu, it)
         from pathrec.datasets import derive_relations
         derive_relations(g)
-        split = split_dataset(g.freeze(), SplitConfig(cold_frac=0.5, seed=1))
+        split = split_dataset(g.freeze(), SplitConfig(cold_frac=0.5), seed=1)
         for uname, rts in split.cold_user_targets.items():
             by_rel = {rt.relation: rt for rt in rts}
             assert [(n, f) for n, _, f in by_rel["like"].targets] == \

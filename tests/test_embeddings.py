@@ -32,8 +32,8 @@ class TestRngStreams:
 
 class TestInit:
     def test_ranges_and_shapes(self, tiny_graph):
-        cfg = EmbedTrainConfig(dim=10, seed=5)
-        t = init_table(tiny_graph, cfg)
+        cfg = EmbedTrainConfig(dim=10)
+        t = init_table(tiny_graph, cfg, seed=5)
         half = 0.5 / 10
         for arr in (t.entity_vecs, t.relation_vecs, t.self_loop_vec):
             assert np.all(np.abs(arr) <= half)
@@ -42,8 +42,8 @@ class TestInit:
         assert np.all(t.entity_bias == 0.0)
 
     def test_deterministic(self, tiny_graph):
-        cfg = EmbedTrainConfig(dim=6, seed=2)
-        a, b = init_table(tiny_graph, cfg), init_table(tiny_graph, cfg)
+        cfg = EmbedTrainConfig(dim=6)
+        a, b = init_table(tiny_graph, cfg, seed=2), init_table(tiny_graph, cfg, seed=2)
         assert np.array_equal(a.entity_vecs, b.entity_vecs)
         assert np.array_equal(a.self_loop_vec, b.self_loop_vec)
 
@@ -125,7 +125,7 @@ class TestScoring:
 
 def finite_difference_check(tiny_graph, loss_and_grads, h=1e-6, rtol=1e-5):
     """Central-difference check of every parameter array the loss touches."""
-    table = init_table(tiny_graph, EmbedTrainConfig(dim=4, seed=9))
+    table = init_table(tiny_graph, EmbedTrainConfig(dim=4), seed=9)
     _, grads = loss_and_grads(table)
     for name in ("entity_vecs", "relation_vecs", "entity_bias"):
         arr = getattr(table, name)
@@ -180,7 +180,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("full", [False, True])
     def test_reused_buffers_equal_fresh_over_two_batches(self, tiny_graph, full):
-        table = init_table(tiny_graph, EmbedTrainConfig(dim=6, seed=2))
+        table = init_table(tiny_graph, EmbedTrainConfig(dim=6), seed=2)
         triplets = np.asarray(list(tiny_graph.triplets()), dtype=np.intp)
         pools = _type_pools(tiny_graph)
         fresh_rng, reused_rng = rng_for(3, "batches"), rng_for(3, "batches")
@@ -242,7 +242,7 @@ class TestScratchKernels:
     def test_modes_equal_reference_with_one_scratch(self, make_graph, monkeypatch, full):
         graph = make_graph(n_users=9, n_items=14, n_brands=3, n_categories=2,
                            interactions=4, seed=6).freeze()
-        table = init_table(graph, EmbedTrainConfig(dim=5, seed=8))
+        table = init_table(graph, EmbedTrainConfig(dim=5), seed=8)
         triplets = np.stack(graph.triplet_arrays(), axis=1)
         pools = _type_pools(graph)
         pick = np.random.default_rng(2)
@@ -271,18 +271,17 @@ class TestScratchKernels:
     def test_training_equals_reference_with_a_short_last_batch(self, make_graph,
                                                                monkeypatch, full):
         graph = make_graph(n_users=9, n_items=14, interactions=4, seed=6).freeze()
-        cfg = EmbedTrainConfig(dim=5, epochs=2, batch_size=7, negatives=3, seed=5,
-                               full_softmax=full)
+        cfg = EmbedTrainConfig(dim=5, epochs=2, batch_size=7, negatives=3, full_softmax=full)
         assert graph.triplet_count % cfg.batch_size != 0
-        got = train_embeddings(graph, cfg)
+        got = train_embeddings(graph, cfg, seed=5)
         _reference_kernel(monkeypatch)
-        want = train_embeddings(graph, cfg)
+        want = train_embeddings(graph, cfg, seed=5)
         for name in ("entity_vecs", "relation_vecs", "entity_bias"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_warm_batch_allocates_no_batch_sized_array(self, tiny_graph):
         B, negatives, d = 512, 5, 100
-        table = init_table(tiny_graph, EmbedTrainConfig(dim=d, seed=1))
+        table = init_table(tiny_graph, EmbedTrainConfig(dim=d), seed=1)
         triplets = np.stack(tiny_graph.triplet_arrays(), axis=1)
         batch = triplets[np.random.default_rng(0).integers(0, len(triplets), size=B)]
         pools = _type_pools(tiny_graph)
@@ -301,7 +300,7 @@ class TestScratchKernels:
 
 class TestMalformedBatches:
     def _call(self, graph, batch, full, table=None):
-        table = init_table(graph, EmbedTrainConfig(dim=4, seed=1)) if table is None else table
+        table = init_table(graph, EmbedTrainConfig(dim=4), seed=1) if table is None else table
         pools = _type_pools(graph)
         if full:
             return full_softmax_grads(table, graph, batch, pools)
@@ -323,7 +322,7 @@ class TestMalformedBatches:
 
     @pytest.mark.parametrize("full", [False, True])
     def test_candidate_outside_table_rejected(self, tiny_graph, full):
-        full_table = init_table(tiny_graph, EmbedTrainConfig(dim=4, seed=1))
+        full_table = init_table(tiny_graph, EmbedTrainConfig(dim=4), seed=1)
         items = tiny_graph.items()
         keep = max(items)  # the last item has no row
         table = EmbeddingTable(full_table.entity_vecs[:keep], full_table.entity_bias[:keep],
@@ -342,28 +341,26 @@ class TestMalformedBatches:
 
 class TestTraining:
     def test_zero_epochs_returns_init(self, tiny_graph):
-        cfg = EmbedTrainConfig(dim=6, epochs=0, seed=4)
-        trained = train_embeddings(tiny_graph, cfg)
-        init = init_table(tiny_graph, cfg)
+        cfg = EmbedTrainConfig(dim=6, epochs=0)
+        trained = train_embeddings(tiny_graph, cfg, seed=4)
+        init = init_table(tiny_graph, cfg, seed=4)
         assert np.array_equal(trained.entity_vecs, init.entity_vecs)
         assert np.array_equal(trained.entity_bias, init.entity_bias)
 
     def test_training_reduces_full_softmax_loss(self, tiny_graph):
-        cfg = EmbedTrainConfig(dim=8, epochs=60, learning_rate=0.05,
-                               full_softmax=True, seed=1)
+        cfg = EmbedTrainConfig(dim=8, epochs=60, learning_rate=0.05, full_softmax=True)
         triplets = np.asarray(list(tiny_graph.triplets()), dtype=np.intp)
         pools = _type_pools(tiny_graph)
-        before, _ = full_softmax_grads(init_table(tiny_graph, cfg), tiny_graph,
+        before, _ = full_softmax_grads(init_table(tiny_graph, cfg, seed=1), tiny_graph,
                                        triplets, pools)
-        after, _ = full_softmax_grads(train_embeddings(tiny_graph, cfg),
+        after, _ = full_softmax_grads(train_embeddings(tiny_graph, cfg, seed=1),
                                       tiny_graph, triplets, pools)
         assert after < before
 
     @pytest.mark.parametrize("seed", range(5))
     def test_purchases_outscore_non_purchases(self, tiny_graph, seed):
-        cfg = EmbedTrainConfig(dim=8, epochs=200, learning_rate=0.05,
-                               full_softmax=True, seed=seed)
-        table = train_embeddings(tiny_graph, cfg)
+        cfg = EmbedTrainConfig(dim=8, epochs=200, learning_rate=0.05, full_softmax=True)
+        table = train_embeddings(tiny_graph, cfg, seed=seed)
         rel = tiny_graph.interaction_relation
         for uname, bought, other in (("u0", ("i0", "i1"), "i2"),
                                      ("u1", ("i2",), "i0")):
@@ -374,9 +371,9 @@ class TestTraining:
             assert worst_hit > miss
 
     def test_retrain_is_bit_identical(self, tiny_graph):
-        cfg = EmbedTrainConfig(dim=6, epochs=5, seed=7)
-        a = train_embeddings(tiny_graph, cfg)
-        b = train_embeddings(tiny_graph, cfg)
+        cfg = EmbedTrainConfig(dim=6, epochs=5)
+        a = train_embeddings(tiny_graph, cfg, seed=7)
+        b = train_embeddings(tiny_graph, cfg, seed=7)
         assert np.array_equal(a.entity_vecs, b.entity_vecs)
         assert np.array_equal(a.relation_vecs, b.relation_vecs)
         assert np.array_equal(a.entity_bias, b.entity_bias)
@@ -401,15 +398,16 @@ class TestTraining:
 
 class TestSnapshots:
     def test_round_trip_bit_exact(self, tiny_graph, tmp_path):
-        table = train_embeddings(tiny_graph, EmbedTrainConfig(dim=6, epochs=2, seed=3))
+        table = train_embeddings(tiny_graph, EmbedTrainConfig(dim=6, epochs=2), seed=3)
         path = str(tmp_path / "emb.npz")
-        save_table(table, tiny_graph, path, config_hash="abc")
+        save_table(table, tiny_graph, path, config_hash="abc", seed=3)
         again = load_table(path, tiny_graph)
         assert np.array_equal(table.entity_vecs, again.entity_vecs)
         assert np.array_equal(table.entity_bias, again.entity_bias)
         assert np.array_equal(table.relation_vecs, again.relation_vecs)
         assert np.array_equal(table.self_loop_vec, again.self_loop_vec)
-        assert again.seed == 3
+        with np.load(path) as data:
+            assert (str(data["config_hash"]), int(data["seed"])) == ("abc", 3)
 
     def test_graph_mismatch_rejected(self, tiny_graph, make_graph, tmp_path):
         table = init_table(tiny_graph, EmbedTrainConfig(dim=4))

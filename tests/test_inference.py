@@ -15,9 +15,8 @@ from oracles import (Action, beam_of, beam_paths, encode_state, is_complete, ste
 
 
 def fresh_policy(table, hop_budget, max_actions=50, seed=7):
-    cfg = AgentConfig(hop_budget=hop_budget, max_actions=max_actions,
-                      hidden=(16, 8), seed=seed)
-    return PolicyModel(state_dim_for(table, hop_budget), cfg)
+    cfg = AgentConfig(hop_budget=hop_budget, max_actions=max_actions, hidden=(16, 8))
+    return PolicyModel(state_dim_for(table, hop_budget), cfg, seed=seed)
 
 
 def enumerate_paths(user, policy, graph, table, budget, cap):
@@ -99,7 +98,7 @@ class TestBeamSearch:
             beam_search(user, policy, tiny_graph, small_table, [2, 0])
 
     def test_table_of_another_dim_rejected(self, tiny_graph, small_table):
-        narrow = init_table(tiny_graph, EmbedTrainConfig(dim=4, seed=3))
+        narrow = init_table(tiny_graph, EmbedTrainConfig(dim=4), seed=3)
         policy = fresh_policy(small_table, 3)  # 56-wide states; narrow encodes 28
         user = tiny_graph.entity_id("user", "u0")
         with pytest.raises(InvalidSpec, match="28-wide states"):
@@ -125,7 +124,7 @@ class TestBeamSearch:
     def test_wide_beam_exhaustive_three_hops(self, make_graph):
         g = make_graph(n_users=5, n_items=8, n_brands=2, n_categories=2,
                        interactions=3, seed=6)
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=1))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=1)
         policy = fresh_policy(table, 3, max_actions=60, seed=2)
         user = g.entity_id("user", "u1")
         found = beam_search(user, policy, g, table, [60, 60, 60])
@@ -165,7 +164,7 @@ class TestBeamSearch:
     def test_equals_scalar_reference_beam(self, make_graph, seed, widths, cap):
         g = make_graph(n_users=6, n_items=25, n_brands=2, n_categories=2,
                        interactions=9, seed=seed)
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=seed))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=seed)
         policy = fresh_policy(table, len(widths), max_actions=60, seed=seed)
         for user in g.users():
             got = beam_search(user, policy, g, table, widths, max_actions=cap)
@@ -175,7 +174,7 @@ class TestBeamSearch:
 
     def test_tied_probabilities_follow_reference_order(self, make_graph):
         g = make_graph(n_users=4, n_items=12, interactions=6, seed=4)
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=0)
         policy = fresh_policy(table, 3, max_actions=30)
         for param in policy.params:  # uniform slates: every choice is a tie
             param[...] = 0.0
@@ -187,7 +186,7 @@ class TestBeamSearch:
 
     def test_multi_edge_ties_follow_reference_order(self):
         g = build_multi_edge_graph(seed=1)
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=0)
         policy = fresh_policy(table, 3, max_actions=30)
         for param in policy.params:
             param[...] = 0.0
@@ -257,7 +256,7 @@ class TestRanking:
 
     def test_order_dedup_and_filtering(self, brand_graph):
         g = brand_graph
-        table = init_table(g, EmbedTrainConfig(dim=8, seed=2))
+        table = init_table(g, EmbedTrainConfig(dim=8), seed=2)
         u0 = g.entity_id("user", "u0")
         b0 = g.entity_id("brand", "b0")
         to_brand = PathState.start(u0, 3)
@@ -305,7 +304,7 @@ class TestRanking:
         the item id."""
         g = (build_multi_edge_graph(seed=1) if kind == "multi-edge" else
              make_graph(n_users=4, n_items=12, interactions=6, seed=4))
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=0)
         if zero_table:
             table.entity_vecs[:] = 0.0
         policy = fresh_policy(table, 3, max_actions=30)
@@ -345,7 +344,7 @@ class TestRanking:
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected(self, brand_graph, k):
         g = brand_graph
-        table = init_table(g, EmbedTrainConfig(dim=8, seed=2))
+        table = init_table(g, EmbedTrainConfig(dim=8), seed=2)
         u0 = g.entity_id("user", "u0")
         beam = beam_of([ScoredPath(self.path_to(g, name), -1.0) for name in ("i1", "i2", "i3")])
         assert len(rank_recommendations(beam, g, table, u0, k=1).entries) == 1

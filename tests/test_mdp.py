@@ -96,7 +96,7 @@ class TestValidActions:
     def test_truncation_full_sort_oracle(self, make_graph):
         g = make_graph(n_users=6, n_items=20, n_brands=3, n_categories=2,
                        interactions=10, seed=3)
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=0)
         u = g.users()[0]
         state = PathState.start(u, 3)
         cap = 4
@@ -114,7 +114,7 @@ class TestValidActions:
     def test_truncation_via_user_scores(self, make_graph):
         g = make_graph(n_users=6, n_items=20, n_brands=3, n_categories=2,
                        interactions=10, seed=3)
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=0)
         u = g.users()[0]
         state = PathState.start(u, 3)
         rel = g.interaction_relation
@@ -194,7 +194,7 @@ class TestSignatures:
 def flat_pattern_spec(graph):
     """The pattern reward under a table that scores every item 1.0, so a
     row earns exactly 1.0 iff its walk matches a pattern at an item."""
-    table = init_table(graph, EmbedTrainConfig(dim=4, seed=0))
+    table = init_table(graph, EmbedTrainConfig(dim=4), seed=0)
     table.entity_vecs[:] = 0.0
     table.entity_bias[:] = 1.0
     return RewardSpec.pattern(graph, table)
@@ -368,7 +368,7 @@ class TestRewards:
         g = build_shop_graph(dataclasses.replace(
             schema, path_patterns=schema.path_patterns + (to_user,)),
             n_users=6, n_items=12, n_brands=2, n_categories=2, interactions=4, seed=seed)
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=seed))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=seed)
         rel = g.interaction_relation
         items = np.asarray(g.items(), dtype=np.intp)
         table.entity_bias[items] = -1.0
@@ -525,7 +525,7 @@ class TestFrontier:
         its first d columns at hop 0, the (relation, entity) pair ending at
         column (1 + 2t)·d at hop t; the scalar row is zero beyond them."""
         g = make_graph(n_users=6, n_items=12, seed=1)
-        table = init_table(g, EmbedTrainConfig(dim=5, seed=4))
+        table = init_table(g, EmbedTrainConfig(dim=5), seed=4)
         d = table.dim
         rng = np.random.default_rng(8)
         for hops in range(4):
@@ -599,7 +599,7 @@ class TestSlateSelection:
                           interactions=8, seed=5)
 
     def test_score_all_tails_bitwise_equals_score_tails(self, hub_graph):
-        table = init_table(hub_graph, EmbedTrainConfig(dim=7, seed=2))
+        table = init_table(hub_graph, EmbedTrainConfig(dim=7), seed=2)
         table.entity_bias[:] = np.random.default_rng(0).normal(size=table.entity_count)
         table = table.extended(np.ones((2, 7)))
         all_ids = np.arange(table.entity_count, dtype=np.intp)
@@ -612,7 +612,7 @@ class TestSlateSelection:
     def test_ties_straddle_cut_under_null_table(self, hub_graph):
         """A table of NULL-strategy rows (all zeros) scores every move 0.0,
         so every cut falls inside one run of ties."""
-        table = init_table(hub_graph, EmbedTrainConfig(dim=6, seed=1))
+        table = init_table(hub_graph, EmbedTrainConfig(dim=6), seed=1)
         table.entity_vecs[:] = 0.0
         states = hub_states(hub_graph)
         users = sorted({s.user for s in states})

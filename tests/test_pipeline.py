@@ -9,9 +9,9 @@ import pytest
 
 from pathrec import cli, datasets
 from pathrec.artifacts import atomic_open, write_json
-from pathrec.coldstart import integrate_cold_entities
-from pathrec.datasets import DatasetSplit, SplitConfig
-from pathrec.embeddings import load_table, save_table
+from pathrec.coldstart import ColdStrategy, integrate_cold_entities
+from pathrec.datasets import DatasetSplit, SplitConfig, SyntheticSpec
+from pathrec.embeddings import EmbedTrainConfig, load_table, save_table
 from pathrec.errors import InvalidAxisValue, InvalidSpec, StageError
 from pathrec.inference import explain
 from pathrec.pipeline import (STAGES, InferenceConfig, RunConfig, RunPaths,
@@ -73,11 +73,10 @@ class TestRunConfig:
 
     def test_hash_ignores_seed_and_workdir(self, tmp_path):
         config = tiny_config(str(tmp_path))
-        other = config.with_seed(99, workdir=str(tmp_path / "elsewhere"))
-        assert other.seed == 99
-        assert other.split.seed == 99
-        assert other.embed.seed == 99
-        assert other.agent.seed == 99
+        other = dataclasses.replace(config, seed=99, workdir=str(tmp_path / "elsewhere"))
+        stamped = other.to_json()
+        assert stamped["seed"] == 99
+        assert not any("seed" in stamped[s] for s in ("split", "embed", "agent", "inference"))
         assert other.config_hash() == config.config_hash()
         different = tiny_config(str(tmp_path), inference={"widths": [4, 3, 2],
                                                           "topk": 7})
@@ -110,8 +109,8 @@ class TestRunConfig:
         assert tiny_config(str(tmp_path)).config_hash() == "6a0bb7e6b3f032b4"
         files = RunConfig(seed=3, synthetic=None, triplets="data/kg.tsv",
                           schema="data/schema.json",
-                          split=SplitConfig(cold_frac=0.25, seed=3),
-                          agent=AgentConfig(hop_budget=2, seed=3),
+                          split=SplitConfig(cold_frac=0.25),
+                          agent=AgentConfig(hop_budget=2),
                           inference=InferenceConfig(widths=(10, 2), topk=5))
         files.validate()
         assert files.config_hash() == "c2db3927ef5cc1c0"
@@ -120,6 +119,77 @@ class TestRunConfig:
         with pytest.raises(InvalidSpec):
             RunConfig.from_json({"dataset": {"triplets": "x.tsv",
                                              "schema": None}})
+
+    def test_dataset_is_synthetic_or_files_not_both(self):
+        with pytest.raises(InvalidSpec, match="one dataset"):
+            RunConfig(triplets="data/kg.tsv", schema="data/schema.json").validate()
+
+    def test_every_field_round_trips(self):
+        """No config field is hidden from, or overridden by, the JSON."""
+        synthetic = RunConfig(
+            seed=4, workdir="elsewhere",
+            synthetic=SyntheticSpec(users=30, items=20, brands=3, categories=4,
+                                    interactions_per_user=6, p_pref=0.7, seed=9),
+            split=SplitConfig(train_frac=0.6, val_frac=0.25, test_frac=0.15, cold_frac=0.3,
+                              cap_low=2, cap_high=5),
+            embed=EmbedTrainConfig(dim=12, epochs=4, learning_rate=0.01, batch_size=64,
+                                   negatives=3, full_softmax=True),
+            agent=AgentConfig(hop_budget=2, max_actions=20, hidden=(32, 16), epochs=5,
+                              learning_rate=0.01, batch_size=16, episodes_per_user=2,
+                              gamma=0.9, entropy_coef=0.01, reward="pgpr"),
+            cold_strategy=ColdStrategy.NULL,
+            inference=InferenceConfig(widths=(6, 2), topk=7))
+        files = dataclasses.replace(synthetic, synthetic=None, triplets="kg.tsv",
+                                    schema="schema.json")
+        assert fields_at_default(synthetic) == ["triplets", "schema"]
+        assert fields_at_default(files) == []
+        for config in (synthetic, files):
+            config.validate()
+            assert RunConfig.from_json(config.to_json()) == config
+
+
+def fields_at_default(config, prefix=""):
+    """Dotted names of the fields of ``config`` and its sections that hold
+    their default value."""
+    names = []
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            names += fields_at_default(value, f"{prefix}{f.name}.")
+        elif value == (f.default_factory() if f.default is dataclasses.MISSING else f.default):
+            names.append(prefix + f.name)
+    return names
+
+
+class TestRunSeed:
+    """``RunConfig.seed`` is the run's only seed, so a config built in Python
+    or re-seeded with ``dataclasses.replace`` runs every stage."""
+
+    def test_direct_and_replaced_configs_equal_the_loaded_one(self, tmp_path):
+        want = tiny_config(str(tmp_path / "loaded"), seed=5)
+        direct = RunConfig(seed=5, workdir=str(tmp_path / "direct"),
+                           synthetic=SyntheticSpec(**TINY["dataset"]["synthetic"]),
+                           split=SplitConfig(**TINY["split"]),
+                           embed=EmbedTrainConfig(**TINY["embed"]),
+                           agent=AgentConfig(**{**TINY["agent"], "hidden": (16, 8)}),
+                           inference=InferenceConfig(widths=(4, 3, 2), topk=5))
+        replaced = dataclasses.replace(tiny_config(str(tmp_path / "replaced")), seed=5)
+        for config in (want, direct, replaced):
+            run_pipeline(config)
+        expected = tree_hashes(want.workdir, skip=("run.json",))
+        assert len(expected) > 10
+        for config in (direct, replaced):
+            assert config == dataclasses.replace(want, workdir=config.workdir)
+            assert tree_hashes(config.workdir, skip=("run.json",)) == expected
+            # run.json differs only where it names the workdir
+            metas = []
+            for run in (want, config):
+                with open(RunPaths(run.workdir).run_meta) as fh:
+                    meta = json.load(fh)
+                assert meta["config"].pop("workdir") == run.workdir
+                metas.append(meta)
+            assert metas[0] == metas[1]
+            assert metas[1]["seed"] == 5
 
 
 class TestPipelineArtifacts:
@@ -193,7 +263,7 @@ class TestPipelineArtifacts:
         config, _, _ = tiny_run
         from pathrec.pipeline import stage_synth
         with pytest.raises(StageError, match="different config"):
-            stage_synth(config.with_seed(2))
+            stage_synth(dataclasses.replace(config, seed=2))
 
 
 def copy_run(config, workdir):
@@ -291,7 +361,7 @@ class TestRecommendStage:
     def test_other_seeds_cold_table_rejected(self, tiny_run, tmp_path):
         config, _, _ = tiny_run
         copy, paths = copy_run(config, str(tmp_path / "run"))
-        other = config.with_seed(2, workdir=str(tmp_path / "seed2"))
+        other = dataclasses.replace(config, seed=2, workdir=str(tmp_path / "seed2"))
         run_pipeline(other)
         shutil.copyfile(RunPaths(other.workdir).cold_table_file, paths.cold_table_file)
         with pytest.raises(StageError, match=r"\[recommend\]"):
@@ -307,7 +377,8 @@ class TestRecommendStage:
             split.train_graph, table, _ordered_profiles(split) + [extra],
             config.cold_strategy)
         assert "one-more" in ids
-        save_table(ext, aug, paths.cold_table_file, config_hash=config.config_hash())
+        save_table(ext, aug, paths.cold_table_file, config_hash=config.config_hash(),
+                   seed=config.seed)
         with pytest.raises(StageError, match="does not match the augmented graph"):
             stage_recommend(copy)
 
@@ -364,6 +435,24 @@ def drop_items(path):
         fh.writelines(json.dumps(rec) + "\n" for rec in lines)
 
 
+def seed_in_config(path):
+    """Write the seed into the stored config, the layout of earlier versions:
+    a split manifest kept its seed only there, a policy also kept a copy
+    there. The (config hash, seed) stamp still matches the run."""
+    if path.endswith(".json"):
+        with open(path) as fh:
+            data = json.load(fh)
+        data["config"]["seed"] = data.pop("seed")
+        write_json(path, data)
+        return
+    with np.load(path) as data:
+        arrays = dict(data)
+    config = json.loads(str(arrays["config"]))
+    config["seed"] = int(arrays["seed"])
+    arrays["config"] = np.asarray(json.dumps(config, sort_keys=True))
+    np.savez(path, **arrays)
+
+
 FAULTS = [
     *(("truncate", artifact, stage) for artifact, stage in (
         ("data/triplets.tsv", "split"),
@@ -396,6 +485,9 @@ FAULTS = [
     ("drop-items", "recs/recommendations.jsonl", "eval"),
     ("bad-target", "split/profiles.jsonl", "train-embed"),
     ("bad-target", "split/profiles.jsonl", "cold-integrate"),
+    ("seed-in-config", "split/manifest.json", "train-embed"),
+    ("seed-in-config", "agent/policy.npz", "recommend"),
+    ("seed-in-config", "agent/policy.npz", "sweep"),
 ]
 
 
@@ -414,6 +506,8 @@ class TestDamagedArtifacts:
             drop_items(path)
         elif fault == "bad-target":
             bad_target(path)
+        elif fault == "seed-in-config":
+            seed_in_config(path)
         elif fault == "seed2":
             shutil.copyfile(os.path.join(seed2_run.workdir, artifact), path)
         else:
@@ -518,7 +612,7 @@ class TestSweep:
 
         before = sweep_csv()
         other = dataclasses.replace(config, agent=dataclasses.replace(config.agent, epochs=1))
-        for foreign in (other, config.with_seed(2)):
+        for foreign in (other, dataclasses.replace(config, seed=2)):
             with pytest.raises(StageError, match="different config"):
                 sweep(foreign, "relations", [1])
         assert sweep_csv() == before
@@ -629,6 +723,12 @@ class TestCli:
         ("agent.foo=1", "unknown key(s) in agent: foo"),
         ('inference.topk="x"', "inference.topk must be int"),
         ("cold.strategy=null", "unknown cold.strategy None"),
+        ("seed=-1", "seed must be >= 0, got -1"),
+        ("dataset.synthetic.seed=-1", "the catalog seed must be >= 0, got -1"),
+        ("agent.batch_size=0", "batch_size and episodes_per_user must be >= 1"),
+        ("agent.episodes_per_user=0", "batch_size and episodes_per_user must be >= 1"),
+        ("agent.learning_rate=-1", "learning_rate must be positive"),
+        ("agent.learning_rate=0", "learning_rate must be positive"),
     ])
     def test_bad_override_exits_2(self, cli_env, tmp_path, capsys, override, message):
         config_path, _ = cli_env
@@ -662,6 +762,13 @@ class TestCli:
         (["run", "--seeds", "1,x"], "--seeds expects comma separated ints, got '1,x'"),
         (["report"], "report needs --seeds"),
         (["synth", "--set", "seed.x=1"], "--set path 'seed.x' crosses a non-object value"),
+        (["run", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["run", "--seeds", "1,1"], "seeds must be distinct non-negative integers, got [1, 1]"),
+        (["run", "--seeds", ","], "seeds must be distinct non-negative integers, got []"),
+        (["run", "--seeds", "2,-1"], "seeds must be distinct non-negative integers, got [2, -1]"),
+        (["report", "--seeds", "1,2,1"],
+         "seeds must be distinct non-negative integers, got [1, 2, 1]"),
+        (["report", "--seeds", ","], "seeds must be distinct non-negative integers, got []"),
     ])
     def test_bad_arguments_exit_2_with_one_line(self, cli_env, tmp_path, capsys, argv,
                                                 message):

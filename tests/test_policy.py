@@ -35,8 +35,8 @@ class FixedReward:
 
 def small_policy(table, hop_budget, seed=5, **overrides):
     cfg = AgentConfig(hop_budget=hop_budget, max_actions=8, hidden=(16, 8),
-                      entropy_coef=1e-2, gamma=0.9, seed=seed, **overrides)
-    return PolicyModel(state_dim_for(table, hop_budget), cfg), cfg
+                      entropy_coef=1e-2, gamma=0.9, **overrides)
+    return PolicyModel(state_dim_for(table, hop_budget), cfg, seed=seed), cfg
 
 
 class TestForward:
@@ -79,8 +79,8 @@ ORDER_DIMS = [(100, (512, 256), 250), (150, (512, 256), 25), (200, (512, 256), 8
 
 
 def kernel_policy(d, hidden, max_actions=250):
-    cfg = AgentConfig(hop_budget=3, max_actions=max_actions, hidden=hidden, seed=d)
-    return PolicyModel(7 * d, cfg)
+    cfg = AgentConfig(hop_budget=3, max_actions=max_actions, hidden=hidden)
+    return PolicyModel(7 * d, cfg, seed=d)
 
 
 class TestPrefixKernels:
@@ -154,7 +154,7 @@ class TestPrefixKernels:
     def test_reused_buffers_equal_fresh_over_two_batches(self, make_graph):
         g = make_graph(n_users=8, n_items=20, n_brands=2, n_categories=2,
                        interactions=7, seed=1)
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=1))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=1)
         policy, cfg = small_policy(table, 3)
         spec = RewardSpec.binary(g)
         users = training_users(g)
@@ -486,7 +486,7 @@ class TestBatchedRollout:
     def setup_case(self, make_graph, seed):
         g = make_graph(n_users=8, n_items=20, n_brands=2, n_categories=2,
                        interactions=7, seed=seed)
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=seed))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=seed)
         policy, cfg = small_policy(table, 3, seed=seed)
         users = training_users(g)
         return g, table, policy, cfg, users + users[:3]  # repeated users share scores
@@ -562,7 +562,7 @@ class TestBatchedRollout:
                                      cfg.max_actions, spec, seed=0)
 
     def test_table_of_another_dim_rejected(self, tiny_graph, small_table):
-        narrow = init_table(tiny_graph, EmbedTrainConfig(dim=4, seed=3))
+        narrow = init_table(tiny_graph, EmbedTrainConfig(dim=4), seed=3)
         policy, cfg = small_policy(small_table, 3)  # 56-wide states; narrow encodes 28
         u0 = tiny_graph.entity_id("user", "u0")
         with pytest.raises(InvalidSpec, match="28-wide states"):
@@ -587,11 +587,10 @@ class TestBatchedRollout:
 
 class TestTraining:
     def test_zero_epochs_returns_fresh_init(self, tiny_graph, small_table):
-        cfg = AgentConfig(hop_budget=2, max_actions=8, hidden=(16, 8),
-                          epochs=0, seed=9)
+        cfg = AgentConfig(hop_budget=2, max_actions=8, hidden=(16, 8), epochs=0)
         spec = RewardSpec.binary(tiny_graph)
-        policy, history = train_agent(tiny_graph, small_table, spec, cfg)
-        fresh = PolicyModel(state_dim_for(small_table, 2), cfg)
+        policy, history = train_agent(tiny_graph, small_table, spec, cfg, seed=9)
+        fresh = PolicyModel(state_dim_for(small_table, 2), cfg, seed=9)
         assert history == []
         for a, b in zip(policy.params, fresh.params):
             np.testing.assert_array_equal(a, b)
@@ -600,7 +599,7 @@ class TestTraining:
         """Embeddings are frozen while the agent trains: one score row per
         training user serves every batch of every epoch."""
         g = make_graph(n_users=8, n_items=20, interactions=7, seed=1)
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=1))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=1)
         calls, score = [], mdp.score_all_tails
         monkeypatch.setattr(mdp, "score_all_tails",
                             lambda table, head, rel: calls.append(head) or score(table, head, rel))
@@ -647,11 +646,11 @@ class TestTraining:
     def test_training_beats_uniform(self, make_graph):
         g = make_graph(n_users=12, n_items=15, n_brands=3, n_categories=2,
                        interactions=5, seed=2)
-        table = init_table(g, EmbedTrainConfig(dim=8, seed=0))
+        table = init_table(g, EmbedTrainConfig(dim=8), seed=0)
         spec = RewardSpec.binary(g)
         cfg = AgentConfig(hop_budget=3, max_actions=25, hidden=(32, 16),
-                          epochs=60, learning_rate=0.01, batch_size=4, seed=1)
-        policy, history = train_agent(g, table, spec, cfg)
+                          epochs=60, learning_rate=0.01, batch_size=4)
+        policy, history = train_agent(g, table, spec, cfg, seed=1)
         assert len(history) == 60
         users = training_users(g)
         trained = evaluate_mean_reward(policy, g, table, users, 3, 25, spec,
@@ -662,12 +661,12 @@ class TestTraining:
 
     def test_history_and_eval_deterministic(self, make_graph):
         g = make_graph(n_users=6, n_items=8, seed=4)
-        table = init_table(g, EmbedTrainConfig(dim=6, seed=0))
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=0)
         spec = RewardSpec.binary(g)
         cfg = AgentConfig(hop_budget=2, max_actions=10, hidden=(16, 8),
-                          epochs=3, batch_size=4, seed=11)
-        _, h1 = train_agent(g, table, spec, cfg)
-        _, h2 = train_agent(g, table, spec, cfg)
+                          epochs=3, batch_size=4)
+        _, h1 = train_agent(g, table, spec, cfg, seed=11)
+        _, h2 = train_agent(g, table, spec, cfg, seed=11)
         assert h1 == h2
         users = training_users(g)
         a = evaluate_mean_reward(None, g, table, users, 2, 10, spec, seed=5)
@@ -679,7 +678,10 @@ class TestPersistence:
     def test_save_load_round_trip(self, tiny_graph, small_table, tmp_path):
         policy, cfg = small_policy(small_table, 2)
         path = str(tmp_path / "policy.npz")
-        policy.save(path, config_hash="deadbeef")
+        policy.save(path, config_hash="deadbeef", seed=5)
+        with np.load(path) as data:
+            assert (str(data["config_hash"]), int(data["seed"])) == ("deadbeef", 5)
+            assert "seed" not in json.loads(str(data["config"]))
         again = PolicyModel.load(path)
         assert again.config == cfg
         assert again.state_dim == policy.state_dim

@@ -426,7 +426,7 @@ class TestBulkLoad:
             SyntheticSpec(users=50, items=30, brands=4, categories=3,
                           interactions_per_user=5, seed=4), str(tmp_path))
         graph = load_dataset(triplets, schema_path)
-        split = split_dataset(graph, SplitConfig(seed=4))
+        split = split_dataset(graph, SplitConfig(), seed=4)
         # the train graph written out and loaded line by line is the same store
         path = tmp_path / "train.tsv"
         split.train_graph.write_triplets(str(path))
@@ -460,7 +460,7 @@ class TestBulkLoad:
             raise AssertionError("split_dataset walked graph.neighbors")
 
         monkeypatch.setattr(KnowledgeGraph, "neighbors", no_walk)
-        split = split_dataset(g, SplitConfig(cold_frac=0.3, seed=5))
+        split = split_dataset(g, SplitConfig(cold_frac=0.3), seed=5)
         monkeypatch.undo()
 
         by_user = g.interactions_by_user()
@@ -544,8 +544,8 @@ def small_split(tmp_path_factory):
     triplets, schema_path = generate_synthetic(
         SyntheticSpec(users=60, items=40, brands=5, categories=4,
                       interactions_per_user=5, seed=2), out)
-    split = split_dataset(load_dataset(triplets, schema_path), SplitConfig(seed=2))
-    table = init_table(split.train_graph, EmbedTrainConfig(dim=12, seed=2))
+    split = split_dataset(load_dataset(triplets, schema_path), SplitConfig(), seed=2)
+    table = init_table(split.train_graph, EmbedTrainConfig(dim=12), seed=2)
     return split, table
 
 
@@ -582,7 +582,7 @@ class TestBulkColdIntegration:
         item: three rows, each leaning on the one before; a profile that
         names a later entity drops that declaration."""
         g = build_multi_edge_graph(seed=5)
-        table = init_table(g, EmbedTrainConfig(dim=7, seed=5))
+        table = init_table(g, EmbedTrainConfig(dim=7), seed=5)
         profiles = [
             profile("uEarly", "user", ("view", "item", "iB"), ("view", "item", "i0")),
             profile("iA", "item", ("similar", "item", "i1"), ("similar", "item", "i2")),
