@@ -31,7 +31,7 @@ import numpy as np
 from .artifacts import atomic_open, write_json
 from .coldstart import ColdDeclaration, ColdProfile, read_profiles, write_profiles
 from .embeddings import rng_for
-from .errors import EmptyUser, InvalidSpec, ParseError, SchemaViolation
+from .errors import EmptyUser, InvalidSpec, ParseError, SchemaViolation, check_field_types
 from .graph import (KGSchema, KnowledgeGraph, check_triplet_row,
                     read_triplet_rows)
 
@@ -190,6 +190,7 @@ class SplitConfig:
     cap_high: int = 10
 
     def validate(self):
+        check_field_types(self)
         fr = [Fraction(str(f)) for f in (self.train_frac, self.val_frac, self.test_frac)]
         if any(f < 0 for f in fr) or sum(fr) != 1:
             raise InvalidSpec("train/val/test fractions must be >= 0 and sum to 1")
@@ -523,6 +524,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self):
+        check_field_types(self)
         if min(self.users, self.items, self.brands, self.categories) < 1:
             raise InvalidSpec("entity counts must be >= 1")
         if not 1 <= self.interactions_per_user <= self.items:

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_npz
-from .errors import EmptyCandidates, EmptyGraph, InvalidSpec, MissingEmbedding
+from .errors import (EmptyCandidates, EmptyGraph, InvalidSpec, MissingEmbedding,
+                     check_field_types)
 from .graph import KnowledgeGraph
 from .optim import Adam
 
@@ -50,6 +51,7 @@ class EmbedTrainConfig:
     full_softmax: bool = False
 
     def validate(self):
+        check_field_types(self)
         if self.dim < 1:
             raise InvalidSpec("embedding dim must be >= 1")
         if self.epochs < 0:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the value type check
+every config dataclass runs before its range checks."""
+
+import dataclasses
 
 
 class PathRecError(Exception):
@@ -75,3 +78,31 @@ class StageError(PathRecError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_field_types(config, where: str = ""):
+    """Raise InvalidSpec unless each field of the config dataclass holds a
+    value of its default's type: an int may stand for a float, a list for
+    a tuple of ints. ``where`` names the config in the message (its class
+    name by default). Configs read from JSON and built in Python share it."""
+    for f in dataclasses.fields(config):
+        value, default = getattr(config, f.name), f.default
+        if isinstance(default, tuple):
+            ok = isinstance(value, (list, tuple)) and all(is_int(v) for v in value)
+        elif isinstance(default, bool):
+            ok = isinstance(value, bool)
+        elif isinstance(default, int):
+            ok = is_int(value)
+        elif isinstance(default, float):
+            ok = is_int(value) or isinstance(value, float)
+        else:
+            ok = isinstance(value, type(default))
+        if not ok:
+            kind = "a list of ints" if isinstance(default, tuple) else type(default).__name__
+            raise InvalidSpec(f"{where or type(config).__name__}.{f.name} must be {kind}, "
+                              f"got {value!r}")

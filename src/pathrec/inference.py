@@ -9,8 +9,11 @@ deduplicated per terminal item, keeping the best path as the explanation.
 The beam is an array frontier (``mdp.Frontier``) plus one log-probability
 per row, kept in the order a path-by-path search would produce: one
 policy forward per hop over all rows on the blocks that hop added, each
-row carrying its parent's state blocks and first-layer sum, one batched
-slate build, one lexsort for the per-row top-``width``. The search
+row carrying only its parent's first-layer sum (the earlier blocks are
+read again only by training's backward), one batched slate build, one
+lexsort for the per-row top-``width``. The forward's actor head runs at
+a narrow width for the rows whose slates fit it, so a hop costs what
+its slates hold, not the policy's full slate. The search
 returns the final frontier as a ``Beam``, its two arrays and nothing
 else; ranking sorts, filters and deduplicates its rows on the arrays,
 and ``PathState``/``ScoredPath`` objects are built, in one
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingTable, score_tails
-from .errors import InvalidSpec, UnknownUser
+from .errors import InvalidSpec, UnknownUser, is_int
 from .graph import INVERSE, KnowledgeGraph
 from .mdp import (SELF_LOOP, Frontier, PathState, path_signature, signature_label,
                   start_scores)
@@ -64,12 +67,13 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
     Per-hop, each partial path keeps its widths[t] most probable actions
     (ties broken by target entity id, then relation, then direction).
     Deterministic for a fixed policy. ``max_actions`` may narrow the
-    policy's slate but not widen it.
+    policy's slate but not widen it. Widths and ``max_actions`` must be
+    ints (not bools) >= 1.
     """
     if not graph.is_user(user):
         raise UnknownUser(f"entity {user} is not of type {graph.schema.user_type}")
-    if any(w < 1 for w in widths):
-        raise InvalidSpec("beam widths must be >= 1")
+    if not all(is_int(w) and w >= 1 for w in widths):
+        raise InvalidSpec(f"beam widths must be ints >= 1, got {list(widths)}")
     cap = policy.config.max_actions if max_actions is None else max_actions
     check_walk(policy, graph, table, len(widths), cap)
     user_scores = start_scores(graph, table, [user])
@@ -98,7 +102,7 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
         order = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < width]
         rows, slots = rows[order], slots[order]
         logprob = logprob[rows] + np.log(p[rows, slots])
-        carry = tuple(b[rows] for b in cache.blocks), cache.sum1[rows]
+        carry = cache.sum1[rows], cache.end
         frontier = frontier.advance(rows, relation[order], target[order], direction[order])
     return Beam(frontier, logprob)
 
@@ -132,6 +136,8 @@ def rank_recommendations(beam: Beam, graph: KnowledgeGraph, table: EmbeddingTabl
     rows are ranked on its arrays, and only the served ones are built as
     ``ScoredPath`` objects.
     """
+    if not is_int(k):
+        raise InvalidSpec(f"k must be an int, got {k!r}")
     if k < 1:
         raise InvalidSpec("k must be >= 1")
     walks = beam.frontier

@@ -13,14 +13,14 @@ moves of all rows as one run of CSR edge ids and targets, plus a per-row
 offset and size; ``Slates.actions`` reads the (relation, target,
 direction) of any (row, slot) pairs, which ``Frontier.advance`` appends.
 ``Frontier.encode`` gathers the state blocks every row's last hop added
-(the policy carries the earlier ones), and ``RewardSpec.terminal_reward``
-scores every row in one call; beam search and rollouts use only these.
-A row with more moves than the action cap keeps its top moves by
-selection: one ``np.partition`` finds each such row's cut score, and ties
-at the cut go to the moves earliest in canonical order. ``PathState`` is
-one walked path as an immutable value, built by ``Frontier.states`` only
-for the rows a caller reads out of a frontier (the served paths of a
-ranking).
+(the policy carries only the earlier blocks' first-layer sum), and
+``RewardSpec.terminal_reward`` scores every row in one call; beam search
+and rollouts use only these. A row with more moves than the action cap
+keeps its top moves by selection: one ``np.partition`` of the row's own
+contiguous scores finds its cut score, and ties at the cut go to the
+moves earliest in canonical order. ``PathState`` is one walked path as an
+immutable value, built by ``Frontier.states`` only for the rows a caller
+reads out of a frontier (the served paths of a ranking).
 """
 
 from __future__ import annotations
@@ -141,13 +141,14 @@ class Frontier:
         over all entity ids for row b; it ranks moves when a row has more
         than ``max_actions`` of them. The top ``max_actions`` by
         (-score, relation, target, direction) are kept, then left in
-        canonical order. No sort is needed for
-        that: one ``np.partition`` over the over-cap rows' padded scores
-        gives each row's ``max_actions``-th best score, the cut; moves
-        scoring above it are kept, then the earliest moves scoring exactly
-        the cut until the row holds ``max_actions``. A row's moves are in
-        canonical CSR order, so earliest is the (relation, target,
-        direction) tie-break.
+        canonical order. No sort is needed for that: an over-cap row's
+        moves are one contiguous segment, and one ``np.partition`` of its
+        scores gives the row's ``max_actions``-th best score, the cut;
+        moves scoring above it are kept, then the earliest moves scoring
+        exactly the cut until the row holds ``max_actions``. A row's moves
+        are in canonical CSR order, so earliest is the (relation, target,
+        direction) tie-break. The work follows the over-cap rows' own
+        degrees, not the widest hub's.
         """
         adj = graph.csr()
         P = len(self)
@@ -164,24 +165,18 @@ class Frontier:
             fresh &= visited[row] != target
         row, edge, target = row[fresh], edge[fresh], target[fresh]
         counts = np.bincount(row, minlength=P)
-        is_over = counts > max_actions
-        if is_over.any():
-            # each over-cap row's moves laid out as one row of a grid, its
-            # cells the moves' scores, padded with -inf
-            over_rows = np.flatnonzero(is_over)
-            n = counts[over_rows]
-            cell = np.arange(n.max())
-            real = cell < n[:, None]
-            at = np.where(real, (np.cumsum(counts) - counts)[over_rows, None] + cell, 0)
-            grid = np.where(real, user_scores[score_rows[over_rows, None], target[at]], -np.inf)
-            kth = grid.shape[1] - max_actions
-            cut = np.partition(grid, kth, axis=1)[:, kth, None] if max_actions > 0 else np.inf
-            above, tie = grid > cut, grid == cut
-            # ties at the cut fill each row up to max_actions, earliest first
-            need = max_actions - above.sum(axis=1, keepdims=True)
-            kept = above | (tie & (np.cumsum(tie, axis=1) <= need))
+        over = np.flatnonzero(counts > max_actions)
+        if len(over):
+            first_move = np.cumsum(counts) - counts
             keep = np.ones(len(target), dtype=bool)
-            keep[at[real & ~kept]] = False
+            for b, lo, n in zip(over.tolist(), first_move[over].tolist(), counts[over].tolist()):
+                scores = user_scores[score_rows[b]].take(target[lo:lo + n])
+                cut = np.partition(scores, n - max_actions)[n - max_actions]
+                kept = keep[lo:lo + n]
+                np.greater_equal(scores, cut, out=kept)
+                extra = np.count_nonzero(kept) - max_actions
+                if extra:  # ties at the cut fill the row earliest first: drop the last
+                    kept[np.flatnonzero(scores == cut)[-extra:]] = False
             edge, target = edge[keep], target[keep]
             counts = np.minimum(counts, max_actions)
         return Slates(edge, target, np.cumsum(counts) - counts, counts + 1, current, adj)
@@ -192,8 +187,9 @@ class Frontier:
         A state is 1 + 2·budget blocks of d columns: the start user, then a
         relation and an entity block per hop. At hop 0 this is the user's
         block, shape (P, d), after it the last hop's pair, shape (P, 2d);
-        the policy carries the earlier blocks. Relation rows come from the
-        relation table and the self-loop vector, which SELF_LOOP indexes.
+        the policy carries the earlier blocks' first-layer sum. Relation
+        rows come from the relation table and the self-loop vector, which
+        SELF_LOOP indexes.
         """
         entity = self.entities[:, -1]
         if entity.size and entity.max() >= table.entity_count:

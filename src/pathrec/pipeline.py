@@ -26,7 +26,8 @@ from .artifacts import atomic_open, write_csv, write_json
 from .coldstart import ColdProfile, ColdStrategy
 from .datasets import DatasetSplit, SplitConfig, SyntheticSpec, cap_cold_relations
 from .embeddings import EmbedTrainConfig, EmbeddingTable, load_table, save_table, train_embeddings
-from .errors import InvalidAxisValue, InvalidSpec, PathRecError, StageError
+from .errors import (InvalidAxisValue, InvalidSpec, PathRecError, StageError,
+                     check_field_types, is_int)
 from .graph import KnowledgeGraph
 from .mdp import RewardSpec
 from .policy import AgentConfig, PolicyModel, train_agent, write_history
@@ -48,14 +49,11 @@ class InferenceConfig:
     topk: int = 10
 
     def validate(self):
+        check_field_types(self)
         if not self.widths or any(w < 1 for w in self.widths):
             raise InvalidSpec("beam widths must be a non-empty list of ints >= 1")
         if self.topk < 1:
             raise InvalidSpec("topk must be >= 1")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_keys(section, allowed: tuple[str, ...], where: str):
@@ -67,29 +65,18 @@ def _check_keys(section, allowed: tuple[str, ...], where: str):
 
 
 def _sub_config(cls, section, where: str):
-    """A config dataclass from its JSON object; each value must have the
-    type of the field's default (an int may stand for a float, a list for a
-    tuple of ints)."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    _check_keys(section, tuple(fields), where)
+    """A config dataclass from its JSON object, a list read as a tuple;
+    each value must have the type of the field's default
+    (``check_field_types``)."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    _check_keys(section, tuple(defaults), where)
     values = dict(section)
-    for name, value in values.items():
-        default = fields[name].default
-        if isinstance(default, tuple) and isinstance(value, (list, tuple)):
-            value = values[name] = tuple(value)
-            ok = all(_is_int(v) for v in value)
-        elif isinstance(default, bool):
-            ok = isinstance(value, bool)
-        elif isinstance(default, int):
-            ok = _is_int(value)
-        elif isinstance(default, float):
-            ok = _is_int(value) or isinstance(value, float)
-        else:
-            ok = isinstance(value, type(default))
-        if not ok:
-            kind = "a list of ints" if isinstance(default, tuple) else type(default).__name__
-            raise InvalidSpec(f"{where}.{name} must be {kind}, got {value!r}")
-    return cls(**values)
+    for name, value in section.items():
+        if isinstance(defaults[name], tuple) and isinstance(value, list):
+            values[name] = tuple(value)
+    config = cls(**values)
+    check_field_types(config, where)
+    return config
 
 
 @dataclass(frozen=True)
@@ -109,6 +96,9 @@ class RunConfig:
     inference: InferenceConfig = field(default_factory=InferenceConfig)
 
     def validate(self):
+        if not is_int(self.seed) or not isinstance(self.workdir, str):
+            raise InvalidSpec(f"seed must be an integer and workdir a string, got "
+                              f"{self.seed!r} and {self.workdir!r}")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if (self.triplets is None) != (self.schema is None):
@@ -145,8 +135,6 @@ class RunConfig:
                            "inference"), "config")
         seed = data.get("seed", 0)
         workdir = data.get("workdir", "run")
-        if not _is_int(seed) or not isinstance(workdir, str):
-            raise InvalidSpec("seed must be an integer and workdir a string")
         dataset = data.get("dataset", {"synthetic": {}})
         synthetic = triplets = schema = None
         if isinstance(dataset, dict) and "synthetic" in dataset:

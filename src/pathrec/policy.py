@@ -10,6 +10,13 @@ training is deterministic given the seed.
 A rollout batch walks one ``mdp.Frontier`` row per user and scores every
 row's terminal reward in one ``RewardSpec.terminal_reward`` call on the
 walked arrays; no per-path objects are built.
+
+A forward reads only what a hop adds: the state blocks of that hop and a
+carry of each parent row's first-layer sum, so a walk's cost per hop does
+not grow with its length. Each hop's cache keeps its own blocks, which
+only the backward reads again. The actor head and softmax run at a
+narrow width for the rows whose slates fit it, with the full head's bits
+(``PolicyModel.forward``).
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ import numpy as np
 
 from .artifacts import write_csv, write_npz
 from .embeddings import EmbeddingTable, rng_for
-from .errors import EmptyGraph, InvalidAction, InvalidSpec, MissingEmbedding
+from .errors import (EmptyGraph, InvalidAction, InvalidSpec, MissingEmbedding,
+                     check_field_types, is_int)
 from .graph import KnowledgeGraph
 from .mdp import MAX_ACTIONS_DEFAULT, Frontier, RewardSpec, start_scores
 from .optim import Adam
@@ -42,6 +50,7 @@ class AgentConfig:
     reward: str = "upgpr"
 
     def validate(self):
+        check_field_types(self)
         if self.hop_budget < 1:
             raise InvalidSpec("hop_budget must be >= 1")
         if self.max_actions < 1:
@@ -79,10 +88,24 @@ def _matmul(A: np.ndarray, W: np.ndarray, acc: np.ndarray | None = None) -> np.n
 
 
 class ForwardCache(NamedTuple):
-    blocks: tuple[np.ndarray, ...]  # each row's state blocks so far, as its hops added them
-    sum1: np.ndarray                # their first-layer sums before the bias
+    """One forward's results for the next hop and for the backward.
+    ``cache[:2]``, (sum1, end), is the carry the next hop reads, gathered
+    by parent row; only the backward reads ``X``, ``h1`` and ``h2``."""
+
+    sum1: np.ndarray  # each row's first-layer sum before the bias
+    end: int          # W1 rows [0, end) are summed into it: the next hop's X starts there
+    X: np.ndarray     # the state blocks this hop added
     h1: np.ndarray
     h2: np.ndarray
+
+
+def _first_sum_block(n: int) -> int:
+    """The leading elements numpy's pairwise sum adds on their own when it
+    sums a contiguous row of ``n``: it halves rows over 128 elements, the
+    first half rounded down to a multiple of 8."""
+    while n > 128:
+        n = n // 2 - n // 2 % 8
+    return n
 
 
 class PolicyModel:
@@ -103,6 +126,10 @@ class PolicyModel:
         self.config = config
         self.state_dim = state_dim
         self.slate_size = 1 + config.max_actions
+        # rows whose slates fit the first block of the head's row sum may
+        # take a narrower head; 0 when that block is the whole head
+        first = _first_sum_block(self.slate_size)
+        self._narrow_cap = first if first < self.slate_size else 0
         h1, h2 = config.hidden
         self.W1 = np.zeros((state_dim, h1))
         self.b1 = np.zeros(h1)
@@ -119,32 +146,42 @@ class PolicyModel:
         return [self.W1, self.b1, self.W2, self.b2, self.W3, self.b3, self.Wv, self.bv]
 
     def forward(self, X: np.ndarray, slate_sizes: np.ndarray,
-                carry: tuple[tuple[np.ndarray, ...], np.ndarray] | None = None):
+                carry: tuple[np.ndarray, int] | None = None):
         """Masked action probabilities, baseline values, and a backward cache.
 
         ``X`` holds the state blocks a hop adds to each row
         (``Frontier.encode``); ``carry`` is each row's parent state, the
-        parent's ``cache[:2]`` = (blocks, sum1) gathered by parent row. X's
-        blocks meet the W1 rows after the carry's, or from row 0 without a
-        carry. Every sum has one fixed order: a row's first-layer sum is the
-        carry's sum1 (zero when None) plus one product per d-wide block of
-        X, left to right, and then the bias. Every product sums K in blocks
-        of at most ``K_BLOCK`` columns, left to right (W2 in two halves), and
-        the actor head is computed over ``W3``'s buffer, zero-padded to a
-        multiple of ``HEAD_ALIGN`` columns. OpenBLAS splits a wider K, or an
-        output width off its 8-column grid (hence the ``HEAD_ALIGN`` grid of
-        ``hidden``), by the thread count; products of these shapes give the
-        same bits at any count, so the bytes do not depend on it.
+        parent's ``cache[:2]`` = (sum1 gathered by parent row, end). X's
+        blocks meet the W1 rows from the carry's ``end``, or from row 0
+        without a carry. Every sum has one fixed order: a row's first-layer
+        sum is the carry's sum1 (zero when None) plus one product per
+        d-wide block of X, left to right, and then the bias. Every product
+        sums K in blocks of at most ``K_BLOCK`` columns, left to right (W2
+        in two halves), and the actor head is computed over ``W3``'s
+        buffer, zero-padded to a multiple of ``HEAD_ALIGN`` columns.
+        OpenBLAS splits a wider K, or an output width off its 8-column grid
+        (hence the ``HEAD_ALIGN`` grid of ``hidden``), by the thread count;
+        products of these shapes give the same bits at any count, so the
+        bytes do not depend on it.
+
+        Rows whose slates fit the first block of numpy's pairwise row sum
+        over the full head (120 of 251 columns) take the head and softmax
+        at the 8-aligned width of the widest such slate, the other rows at
+        full width: a column beyond a slate adds an exact zero to that
+        block's sum, so the probabilities are the full head's bits. A
+        multi-row call never splits off one row, which OpenBLAS would
+        multiply with another kernel; every row then takes the full head.
+        The returned probabilities are always (P, slate_size).
         """
-        blocks, sum1 = carry or ((), None)
-        start = sum(b.shape[1] for b in blocks)
+        sum1, start = carry or (None, 0)
         k, end = X.shape[1], start + X.shape[1]
         d = self.state_dim // (1 + 2 * self.config.hop_budget)
-        if not k or k % d or end > self.state_dim or (end // d) % 2 == 0:
+        if not k or k % d or start % d or end > self.state_dim or (end // d) % 2 == 0:
             raise InvalidSpec(f"{k} columns after a {start}-column carry are no live prefix "
                               f"of the policy's {self.state_dim}-wide state of {d}-dim blocks")
-        if carry is not None and any(len(a) != len(X) for a in (*blocks, sum1)):
-            raise InvalidSpec(f"a carry of {len(sum1)} rows is no parent state of {len(X)} rows")
+        if carry is not None and sum1.shape != (len(X), len(self.b1)):
+            raise InvalidSpec(f"a carry of {sum1.shape} sums is no parent state of "
+                              f"{len(X)} rows and {len(self.b1)} units")
         for col in range(0, k, d):
             sum1 = _matmul(X[:, col:col + d], self.W1[start + col:start + col + d], sum1)
         h1 = sum1 + self.b1
@@ -152,22 +189,45 @@ class PolicyModel:
         h2 = _matmul(h1, self.W2)
         h2 += self.b2
         np.maximum(h2, 0.0, out=h2)
-        logits = _matmul(h2, self._W3)[:, :self.slate_size]
-        logits += self.b3
-        logits[np.arange(self.slate_size) >= slate_sizes[:, None]] = -np.inf
+        values = _matmul(h2, self.Wv) + self.bv[0]
+        return self._probs(h2, slate_sizes), values, ForwardCache(sum1, end, X, h1, h2)
+
+    def _probs(self, h2: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """The masked softmax of the actor head, each row at the narrow or
+        the full width (``forward``)."""
+        fits = np.flatnonzero(sizes <= self._narrow_cap)
+        n, P = len(fits), len(sizes)
+        if not n or (P > 1 and 1 in (n, P - n)):
+            return self._softmax(h2, sizes, self.slate_size)
+        width = -(-int(sizes[fits].max()) // HEAD_ALIGN) * HEAD_ALIGN
+        probs = np.zeros((P, self.slate_size))
+        if n == P:
+            probs[:, :width] = self._softmax(h2, sizes, width)
+        else:
+            wide = np.flatnonzero(sizes > self._narrow_cap)
+            probs[fits, :width] = self._softmax(h2[fits], sizes[fits], width)
+            probs[wide] = self._softmax(h2[wide], sizes[wide], self.slate_size)
+        return probs
+
+    def _softmax(self, h2: np.ndarray, sizes: np.ndarray, width: int) -> np.ndarray:
+        """Softmax over the head's first ``width`` columns, those at or
+        beyond each row's slate size masked out."""
+        logits = _matmul(h2, self._W3[:, :-(-width // HEAD_ALIGN) * HEAD_ALIGN])[:, :width]
+        logits += self.b3[:width]
+        logits[np.arange(width) >= sizes[:, None]] = -np.inf
         logits -= logits.max(axis=1, keepdims=True)
         probs = np.exp(logits, out=logits)
         probs /= probs.sum(axis=1, keepdims=True)
-        values = _matmul(h2, self.Wv) + self.bv[0]
-        return probs, values, ForwardCache((*blocks, X), sum1, h1, h2)
+        return probs
 
-    def backward(self, cache: ForwardCache, dlogits: np.ndarray, dvalues: np.ndarray,
-                 grads: list[np.ndarray]):
+    def backward(self, cache: ForwardCache, blocks, dlogits: np.ndarray,
+                 dvalues: np.ndarray, grads: list[np.ndarray]):
         """Accumulate parameter gradients for one cached forward pass, in
-        the forward's summation order. Each cached state block adds one
-        product into its own ``W1`` gradient rows; the rows after the
-        last block stay exact zeros."""
-        blocks, _, h1, h2 = cache
+        the forward's summation order. ``blocks`` are the state blocks of
+        each hop up to the cached one (each hop's ``cache.X``), in the
+        cached pass's row order; each adds one product into its own ``W1``
+        gradient rows, and the rows after the last block stay exact zeros."""
+        h1, h2 = cache.h1, cache.h2
         wide = np.zeros((len(dlogits), self._W3.shape[1]))
         wide[:, :self.slate_size] = dlogits
         grads[4] += _matmul(h2.T, wide)[:, :self.slate_size]
@@ -223,7 +283,10 @@ def check_walk(policy: PolicyModel | None, graph: KnowledgeGraph, table: Embeddi
     """Raise unless ``table`` scores every entity of ``graph`` and, given a
     policy, ``hops``-hop walks over ``table`` encode the policy's states
     (so each state block meets the right rows of W1) and slates of
-    ``max_actions`` moves fit its slate; ``max_actions`` must be >= 1."""
+    ``max_actions`` moves fit its slate; ``max_actions`` must be an int
+    (not a bool) >= 1."""
+    if not is_int(max_actions):
+        raise InvalidSpec(f"max_actions must be an int, got {max_actions!r}")
     if max_actions < 1:
         raise InvalidSpec("max_actions must be >= 1")
     if policy is not None:
@@ -314,6 +377,7 @@ def episode_gradients(policy: PolicyModel, graph: KnowledgeGraph,
                                         config.hop_budget, config.max_actions,
                                         reward_spec, rng, forced_actions)
     grads = policy.zero_grads(grads)
+    blocks = [rec.cache.X for rec in records]
     B = len(rewards)
     T = len(records)
     entropy_sum = 0.0
@@ -332,7 +396,7 @@ def episode_gradients(policy: PolicyModel, graph: KnowledgeGraph,
         dlogits /= B
         # baseline: d/dV (G - V)^2 = -2 (G - V)
         dvalues = -2.0 * adv / B
-        policy.backward(rec.cache, dlogits, dvalues, grads)
+        policy.backward(rec.cache, blocks[:t + 1], dlogits, dvalues, grads)
     return grads, rewards, entropy_sum / (B * T)
 
 

@@ -29,6 +29,11 @@ synthetic generator with one scalar ``Generator`` call per draw.
 ``reference_accumulate_batch`` is the embedding batch gradient with every
 batch-sized array allocated per call, as it was before the kernels wrote
 into a reused scratch.
+
+``reference_forward`` is the policy forward with the actor head and its
+softmax over every column for every row, and ``reference_slates`` cuts
+over-cap rows on one grid padded to the widest row's degree, as both were
+before rows took a head and a cut of their own width.
 """
 
 from __future__ import annotations
@@ -49,8 +54,9 @@ from pathrec.errors import (DuplicateEntity, EmptyProfile, InvalidAction, Invali
                             MissingEmbedding, PathRecError)
 from pathrec.graph import FORWARD, KnowledgeGraph
 from pathrec.inference import Beam, ScoredPath
-from pathrec.mdp import MAX_ACTIONS_DEFAULT, SELF_LOOP, Frontier, PathState
+from pathrec.mdp import MAX_ACTIONS_DEFAULT, SELF_LOOP, Frontier, PathState, Slates
 from pathrec.pipeline import COHORTS
+from pathrec.policy import ForwardCache, PolicyModel, _matmul
 
 
 class BudgetExhausted(PathRecError):
@@ -382,3 +388,64 @@ def reference_accumulate_batch(table, grads, heads, rels, cand_ids, cand_mask, t
     np.add.at(grads["entity_vecs"], cand_ids.ravel(), dcand.reshape(-1, dcand.shape[2]))
     np.add.at(grads["entity_bias"], cand_ids.ravel(), dscores.ravel())
     return loss
+
+
+def reference_forward(policy: PolicyModel, X, slate_sizes, carry=None):
+    """``PolicyModel.forward`` (same arguments and results) with the actor
+    head and softmax computed at the full padded width for every row."""
+    sum1, start = carry or (None, 0)
+    d = policy.state_dim // (1 + 2 * policy.config.hop_budget)
+    for col in range(0, X.shape[1], d):
+        sum1 = _matmul(X[:, col:col + d], policy.W1[start + col:start + col + d], sum1)
+    h1 = sum1 + policy.b1
+    np.maximum(h1, 0.0, out=h1)
+    h2 = _matmul(h1, policy.W2)
+    h2 += policy.b2
+    np.maximum(h2, 0.0, out=h2)
+    logits = _matmul(h2, policy._W3)[:, :policy.slate_size]
+    logits += policy.b3
+    logits[np.arange(policy.slate_size) >= slate_sizes[:, None]] = -np.inf
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits, out=logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    values = _matmul(h2, policy.Wv) + policy.bv[0]
+    return probs, values, ForwardCache(sum1, start + X.shape[1], X, h1, h2)
+
+
+def reference_slates(frontier: Frontier, graph: KnowledgeGraph, max_actions: int,
+                     user_scores, score_rows) -> Slates:
+    """``Frontier.slates`` with every over-cap row's scores laid out as one
+    row of a grid padded with -inf to the widest such row, and one
+    ``np.partition`` over the whole grid."""
+    adj = graph.csr()
+    P = len(frontier)
+    current = frontier.entities[:, -1]
+    first = adj.indptr[current]
+    degree = adj.indptr[current + 1] - first
+    row = np.repeat(np.arange(P), degree)
+    offset = np.cumsum(degree) - degree
+    edge = np.arange(len(row)) + np.repeat(first - offset, degree)
+    target = adj.nbr[edge]
+    fresh = np.ones(len(row), dtype=bool)
+    for visited in frontier.entities.T:
+        fresh &= visited[row] != target
+    row, edge, target = row[fresh], edge[fresh], target[fresh]
+    counts = np.bincount(row, minlength=P)
+    is_over = counts > max_actions
+    if is_over.any():
+        over_rows = np.flatnonzero(is_over)
+        n = counts[over_rows]
+        cell = np.arange(n.max())
+        real = cell < n[:, None]
+        at = np.where(real, (np.cumsum(counts) - counts)[over_rows, None] + cell, 0)
+        grid = np.where(real, user_scores[score_rows[over_rows, None], target[at]], -np.inf)
+        kth = grid.shape[1] - max_actions
+        cut = np.partition(grid, kth, axis=1)[:, kth, None]
+        above, tie = grid > cut, grid == cut
+        need = max_actions - above.sum(axis=1, keepdims=True)
+        kept = above | (tie & (np.cumsum(tie, axis=1) <= need))
+        keep = np.ones(len(target), dtype=bool)
+        keep[at[real & ~kept]] = False
+        edge, target = edge[keep], target[keep]
+        counts = np.minimum(counts, max_actions)
+    return Slates(edge, target, np.cumsum(counts) - counts, counts + 1, current, adj)

@@ -42,8 +42,8 @@ def enumerate_paths(user, policy, graph, table, budget, cap):
 
 def reference_beam(user, policy, graph, table, widths, cap):
     """Path-by-path beam search built from the scalar MDP functions; each
-    path carries its state blocks and first-layer sum to its children, and
-    each hop encodes the blocks it added: the scalar state's last ones."""
+    path carries its first-layer sum to its children, and each hop encodes
+    the blocks it added: the scalar state's last ones."""
     all_ids = np.arange(graph.entity_count, dtype=np.intp)
     scores = score_tails(table, user, graph.interaction_relation, all_ids)
     frontier = [(PathState.start(user, len(widths)), 0.0, None)]
@@ -55,15 +55,14 @@ def reference_beam(user, policy, graph, table, widths, cap):
         X = np.stack([encode_state(s, table)[start:end] for s, _, _ in frontier])
         carry = None
         if frontier[0][2] is not None:
-            blocks = zip(*(c[0] for _, _, c in frontier))
-            carry = tuple(map(np.stack, blocks)), np.stack([c[1] for _, _, c in frontier])
+            carry = np.stack([c for _, _, c in frontier]), start
         probs, _, cache = policy.forward(X, np.asarray([len(sl) for sl in slates]), carry)
         grown = []
         for row, ((state, lp, _), slate, p) in enumerate(zip(frontier, slates, probs)):
             order = sorted(range(len(slate)),
                            key=lambda i: (-p[i], slate[i].target, slate[i].relation,
                                           slate[i].direction))
-            own = tuple(b[row] for b in cache.blocks), cache.sum1[row]
+            own = cache.sum1[row]
             for i in order[:width]:
                 grown.append((step(state, slate[i], graph), lp + float(np.log(p[i])), own))
         frontier = grown
@@ -212,6 +211,16 @@ class TestBeamSearch:
         with pytest.raises(InvalidSpec, match="max_actions must be >= 1"):
             beam_search(u0, policy, tiny_graph, small_table, [2, 2], max_actions=cap)
 
+    @pytest.mark.parametrize("widths, cap", [([2.0, 2], None), ([True, 2], None),
+                                             ((2, np.float64(2)), None), ([2, 2], 5.0),
+                                             ([2, 2], True)])
+    def test_bool_or_non_integer_widths_and_cap_rejected(self, tiny_graph, small_table,
+                                                         widths, cap):
+        policy = fresh_policy(small_table, 2)
+        u0 = tiny_graph.entity_id("user", "u0")
+        with pytest.raises(InvalidSpec, match="widths must be ints|max_actions must be an int"):
+            beam_search(u0, policy, tiny_graph, small_table, widths, max_actions=cap)
+
     def test_table_short_of_graph_rejected(self, tiny_graph, small_table):
         short = EmbeddingTable(small_table.entity_vecs[:-1], small_table.entity_bias[:-1],
                                small_table.relation_vecs, small_table.self_loop_vec)
@@ -349,6 +358,15 @@ class TestRanking:
         beam = beam_of([ScoredPath(self.path_to(g, name), -1.0) for name in ("i1", "i2", "i3")])
         assert len(rank_recommendations(beam, g, table, u0, k=1).entries) == 1
         with pytest.raises(InvalidSpec, match="k must be >= 1"):
+            rank_recommendations(beam, g, table, u0, k=k)
+
+    @pytest.mark.parametrize("k", [10.0, True, "3"])
+    def test_bool_or_non_integer_k_rejected(self, brand_graph, k):
+        g = brand_graph
+        table = init_table(g, EmbedTrainConfig(dim=8), seed=2)
+        u0 = g.entity_id("user", "u0")
+        beam = beam_of([ScoredPath(self.path_to(g, name), -1.0) for name in ("i1", "i2", "i3")])
+        with pytest.raises(InvalidSpec, match="k must be an int"):
             rank_recommendations(beam, g, table, u0, k=k)
 
     def test_no_candidates_gives_empty_list(self, tiny_graph, small_table):

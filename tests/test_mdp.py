@@ -13,8 +13,8 @@ from pathrec.mdp import (SELF_LOOP, Frontier, PathState, RewardSpec, compile_pat
                          compile_patterns, path_signature, signature_label)
 
 from conftest import build_multi_edge_graph, build_shop_graph
-from oracles import (Action, BudgetExhausted, encode_state, frontier_of, is_complete, step,
-                     valid_actions)
+from oracles import (Action, BudgetExhausted, encode_state, frontier_of, is_complete,
+                     reference_slates, step, valid_actions)
 
 
 def walk(graph, state, actions):
@@ -633,7 +633,7 @@ class TestSlateSelection:
         scores = rng.integers(0, 3, size=(1, hub_graph.entity_count)).astype(float)
         states = hub_states(hub_graph)
         rows = np.zeros(len(states), dtype=np.intp)
-        for cap in (0, 2, 4, 7):
+        for cap in (1, 2, 4, 7):
             got = frontier_of(states).slates(hub_graph, cap, scores, rows)
             want = [valid_actions(s, hub_graph, max_actions=cap, user_scores=scores[0])
                     for s in states]
@@ -701,3 +701,41 @@ class TestSlateSelection:
         want = [valid_actions(s, hub_graph, max_actions=cap, user_scores=scores[r])
                 for s, r in zip(states, rows)]
         assert slate_rows(got) == want
+
+
+def straddling_rows(frontier, graph, cap, scores, rows):
+    """Rows over ``cap`` whose cap-th best score ties a move that misses the cut."""
+    uncut = frontier.slates(graph, 10**9, scores, rows)
+    out = 0
+    for b, (lo, n) in enumerate(zip(uncut.offset.tolist(), (uncut.sizes - 1).tolist())):
+        row = np.sort(scores[rows[b], uncut.target[lo:lo + n]])[::-1]
+        if n > cap and row[cap - 1] == row[cap]:
+            out += 1
+    return out
+
+
+class TestPerRowCut:
+    """``Frontier.slates`` cuts each over-cap row on its own segment; the
+    grid of ``reference_slates`` pads every such row to the widest one."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_slates_bitwise_equal_the_grid_cut(self, seed):
+        from pathrec.datasets import synthetic_schema
+
+        g = build_shop_graph(synthetic_schema(), n_users=12, n_items=60, n_brands=2,
+                             n_categories=3, interactions=12, seed=seed)
+        rng = np.random.default_rng(seed)
+        # few score levels, so runs of ties straddle the cuts
+        scores = rng.integers(0, 4, size=(3, g.entity_count)).astype(float)
+        straddled = 0
+        for hops in range(3):
+            frontier = frontier_of(random_states(g, rng, 40, hops, budget=3, loop_share=0.1))
+            rows = rng.integers(0, 3, size=len(frontier))
+            for cap in (1, 2, 3, 7, 15):
+                got = frontier.slates(g, cap, scores, rows)
+                want = reference_slates(frontier, g, cap, scores, rows)
+                for a, b in zip(got[:5], want[:5]):
+                    assert a.dtype == b.dtype
+                    np.testing.assert_array_equal(a, b)
+                straddled += straddling_rows(frontier, g, cap, scores, rows)
+        assert straddled > 10

@@ -192,6 +192,36 @@ class TestRunSeed:
             assert metas[1]["seed"] == 5
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"agent": AgentConfig(max_actions=250.0)}, "AgentConfig.max_actions must be int, got 250.0"),
+    ({"agent": AgentConfig(hidden=(512.0, 256))},
+     "AgentConfig.hidden must be a list of ints, got (512.0, 256)"),
+    ({"inference": InferenceConfig(topk=10.0)}, "InferenceConfig.topk must be int, got 10.0"),
+    ({"inference": InferenceConfig(topk=True)}, "InferenceConfig.topk must be int, got True"),
+    ({"inference": InferenceConfig(widths=(True, 5, 1))},
+     "InferenceConfig.widths must be a list of ints, got (True, 5, 1)"),
+    ({"embed": EmbedTrainConfig(dim=8.0)}, "EmbedTrainConfig.dim must be int, got 8.0"),
+    ({"embed": EmbedTrainConfig(full_softmax=1)},
+     "EmbedTrainConfig.full_softmax must be bool, got 1"),
+    ({"split": SplitConfig(cap_high=True)}, "SplitConfig.cap_high must be int, got True"),
+    ({"synthetic": SyntheticSpec(users=20.0)}, "SyntheticSpec.users must be int, got 20.0"),
+    ({"seed": 1.0}, "seed must be an integer and workdir a string, got 1.0 and"),
+    ({"seed": True}, "seed must be an integer and workdir a string, got True and"),
+])
+def test_python_built_config_of_a_wrong_type_exits_2(tmp_path, monkeypatch, capsys, fields,
+                                                      message):
+    """A config built in Python meets the type check a JSON config meets,
+    before any stage runs."""
+    config = RunConfig(workdir=str(tmp_path / "run"), **fields)
+    with pytest.raises(InvalidSpec) as raised:
+        config.validate()
+    assert str(raised.value).startswith(message)
+    monkeypatch.setattr(cli, "load_config", lambda args: config)
+    assert cli.main(["run"]) == 2
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+    assert not (tmp_path / "run").exists()
+
+
 class TestPipelineArtifacts:
     def test_all_artifacts_written(self, tiny_run):
         config, rows, patterns = tiny_run

@@ -19,7 +19,8 @@ from pathrec.policy import (AgentConfig, PolicyModel, _sample_rows,
                             rollout_batch, state_dim_for, train_agent,
                             training_users, write_history)
 
-from oracles import encode_state, frontier_of, is_complete, step, valid_actions
+from oracles import (encode_state, frontier_of, is_complete, reference_forward, step,
+                     valid_actions)
 
 
 class FixedReward:
@@ -62,6 +63,12 @@ class TestForward:
             AgentConfig(hidden=(4, 4, 4)).validate()
 
 
+def forward_arrays(result):
+    """A forward's probabilities, values, first-layer sums and hidden layers."""
+    probs, values, cache = result
+    return probs, values, cache.sum1, cache.h1, cache.h2
+
+
 def pad(X, width):
     full = np.zeros((len(X), width))
     full[:, :X.shape[1]] = X
@@ -99,7 +106,7 @@ class TestPrefixKernels:
                 sizes = rng.integers(1, policy.slate_size + 1, size=P)
                 got = policy.forward(X, sizes)
                 want = policy.forward(pad(X, policy.state_dim), sizes)
-                for a, b in zip(got[:2] + got[2][1:], want[:2] + want[2][1:]):
+                for a, b in zip(forward_arrays(got), forward_arrays(want)):
                     np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("d,hidden", KERNEL_DIMS[:3])
@@ -124,19 +131,20 @@ class TestPrefixKernels:
         rng = np.random.default_rng(d + 1)
         for t in range(4):
             for P in (1, 2, 25, 64, 125):
-                carry = None
+                blocks, carry = [], None
                 for hop in range(t + 1):
                     X = rng.normal(size=(P, d if hop == 0 else 2 * d))
                     sizes = rng.integers(1, policy.slate_size + 1, size=P)
                     _, _, cache = policy.forward(X, sizes, carry)
+                    blocks.append(cache.X)
                     carry = cache[:2]
-                assert len(cache.blocks) == t + 1
+                assert cache.end == sum(b.shape[1] for b in blocks) == (1 + 2 * t) * d
                 dlogits = rng.normal(size=(P, policy.slate_size))
                 dvalues = rng.normal(size=P)
                 got, want = policy.zero_grads(), policy.zero_grads()
-                policy.backward(cache, dlogits, dvalues, got)
-                whole = pad(np.hstack(cache.blocks), policy.state_dim)
-                policy.backward(cache._replace(blocks=(whole,)), dlogits, dvalues, want)
+                policy.backward(cache, blocks, dlogits, dvalues, got)
+                whole = pad(np.hstack(blocks), policy.state_dim)
+                policy.backward(cache, (whole,), dlogits, dvalues, want)
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a, b)
 
@@ -181,12 +189,12 @@ class TestFixedOrder:
         to gemv, whose sum the later hops' gemm does not repeat bit for bit."""
         policy = kernel_policy(d, hidden, cap)
         rng = np.random.default_rng(d + P)
-        X, carry = rng.normal(size=(P, d)), None
+        X, carry, blocks = rng.normal(size=(P, d)), None, ()
         for t in range(4):
             sizes = rng.integers(1, policy.slate_size + 1, size=len(X))
             probs, values, cache = policy.forward(X, sizes, carry)
-            prefix = np.hstack(cache.blocks)
-            assert prefix.shape == (len(X), (1 + 2 * t) * d)
+            prefix = np.hstack([*blocks, X])
+            assert prefix.shape == (len(X), (1 + 2 * t) * d) and cache.end == prefix.shape[1]
             want_probs, want_values, want = policy.forward(prefix, sizes)
             for a, b in ((probs, want_probs), (values, want_values),
                          (cache.sum1, want.sum1), (cache.h2, want.h2)):
@@ -195,7 +203,8 @@ class TestFixedOrder:
                 else:
                     np.testing.assert_array_equal(a, b)
             parent = np.sort(rng.integers(len(X), size=2 * len(X)))
-            carry = tuple(b[parent] for b in cache.blocks), cache.sum1[parent]
+            blocks = tuple(b[parent] for b in (*blocks, X))
+            carry = cache.sum1[parent], cache.end
             X = rng.normal(size=(len(parent), 2 * d))
 
     def test_carry_without_a_parent_rejected(self):
@@ -205,9 +214,11 @@ class TestFixedOrder:
         with pytest.raises(InvalidSpec, match="carry"):
             policy.forward(X[:, :4], np.asarray([1, 1]), cache[:2])
         with pytest.raises(InvalidSpec, match="carry"):
-            policy.forward(X, np.asarray([1, 1]), (cache.blocks, cache.sum1[:1]))
+            policy.forward(X, np.asarray([1, 1]), (cache.sum1[:1], cache.end))
         with pytest.raises(InvalidSpec, match="carry"):
-            policy.forward(X, np.asarray([1, 1]), ((cache.blocks[0][:1],), cache.sum1))
+            policy.forward(X, np.asarray([1, 1]), (cache.sum1[:, 1:], cache.end))
+        with pytest.raises(InvalidSpec, match="carry"):
+            policy.forward(X, np.asarray([1, 1]), (cache.sum1, cache.end - 1))
 
     @pytest.mark.parametrize("hops", [1, 2, 3])
     def test_full_width_state_with_a_carry_rejected(self, hops):
@@ -216,9 +227,11 @@ class TestFixedOrder:
         policy = kernel_policy(4, (16, 8))
         rng = np.random.default_rng(hops)
         _, _, cache = policy.forward(rng.normal(size=(3, 4)), np.full(3, 2))
+        blocks = [cache.X]
         for _ in range(hops - 1):
             _, _, cache = policy.forward(rng.normal(size=(3, 8)), np.full(3, 2), cache[:2])
-        full = pad(np.hstack([*cache.blocks, rng.normal(size=(3, 8))]), policy.state_dim)
+            blocks.append(cache.X)
+        full = pad(np.hstack([*blocks, rng.normal(size=(3, 8))]), policy.state_dim)
         with pytest.raises(InvalidSpec, match="no live prefix"):
             policy.forward(full, np.full(3, 2), cache[:2])
 
@@ -234,7 +247,7 @@ class TestFixedOrder:
         for t in range(3):
             k = (1 + 2 * t) * d
             _, _, cache = policy.forward(rng.normal(size=(8, k)), np.full(8, policy.slate_size))
-            policy.backward(cache, rng.normal(size=(8, policy.slate_size)),
+            policy.backward(cache, [cache.X], rng.normal(size=(8, policy.slate_size)),
                             rng.normal(size=8), policy.zero_grads(grads))
             assert not grads[0][k:].any()
             opt.step(grads)
@@ -244,18 +257,108 @@ class TestFixedOrder:
         assert policy.W3.shape == (hidden[1], policy.slate_size)
 
 
+# (narrow rows, wide rows) per batch: one row, all narrow, all wide, exactly
+# one row of either group, an even mix
+HEAD_BATCHES = [(1, 0), (0, 1), (2, 0), (25, 0), (0, 2), (0, 25), (1, 4), (4, 1),
+                (1, 1), (2, 2), (30, 34), (60, 65)]
+
+
+class TestSlateWidthHead:
+    """The forward, whose rows take an actor head of their slates' width,
+    against the full-width head for every row (``reference_forward``)."""
+
+    @pytest.mark.parametrize("d,hidden", [(100, (512, 256)), (6, (16, 8))])
+    @pytest.mark.parametrize("cap", [25, 250, 1000])
+    def test_forward_and_gradients_bitwise_equal_full_width(self, d, hidden, cap,
+                                                            monkeypatch):
+        policy = kernel_policy(d, hidden, cap)
+        policy.b3[:] = np.random.default_rng(cap).normal(size=policy.slate_size)
+        W = policy.slate_size
+        assert policy._narrow_cap == (0 if cap == 25 else 120)
+        widths, softmax = [], policy._softmax
+        monkeypatch.setattr(policy, "_softmax", lambda h2, sizes, width:
+                            widths.append((len(h2), width)) or softmax(h2, sizes, width))
+        rng = np.random.default_rng(d + cap)
+        limit = policy._narrow_cap or W
+        for narrow, wide in HEAD_BATCHES:
+            if wide and limit == W:
+                continue
+            P = narrow + wide
+            sizes = rng.permutation(np.concatenate([rng.integers(1, limit + 1, size=narrow),
+                                                    rng.integers(limit + 1, W + 1, size=wide)]))
+            X, carry, blocks = rng.normal(size=(P, d)), None, []
+            for hop in range(2):
+                widths.clear()
+                got = policy.forward(X, sizes, carry)
+                want = reference_forward(policy, X, sizes, carry)
+                assert got[0].shape == (P, W) and got[2].end == want[2].end
+                for a, b in zip(forward_arrays(got), forward_arrays(want)):
+                    np.testing.assert_array_equal(a, b)
+                blocks.append(X)
+                dlogits, dvalues = rng.normal(size=(P, W)), rng.normal(size=P)
+                grads = [policy.zero_grads(), policy.zero_grads()]
+                for cache, g in zip((got[2], want[2]), grads):
+                    policy.backward(cache, blocks, dlogits, dvalues, g)
+                for a, b in zip(*grads):
+                    np.testing.assert_array_equal(a, b)
+                # the groups the rule picks: a one-row group of a multi-row
+                # batch, or a head with no narrow block, keeps every row wide
+                one_row = P > 1 and 1 in (narrow, wide)
+                if policy._narrow_cap == 0 or not narrow or one_row:
+                    assert widths == [(P, W)]
+                else:
+                    narrow_width = -(-int(sizes[sizes <= limit].max()) // 8) * 8
+                    assert widths == [(narrow, narrow_width)] + ([(wide, W)] if wide else [])
+                    assert narrow_width <= policy._narrow_cap < W
+                carry = got[2].sum1, got[2].end
+                X = rng.normal(size=(P, 2 * d))
+
+    def test_first_sum_block(self):
+        """The leading elements numpy's pairwise sum adds on their own: a
+        row zero beyond them sums to the bits of those elements alone."""
+        assert [policy_module._first_sum_block(n) for n in (26, 128, 129, 251, 1001)] == \
+            [26, 128, 64, 120, 120]
+        rng = np.random.default_rng(0)
+        for n in (129, 251, 1001):
+            first = policy_module._first_sum_block(n)
+            row = np.zeros(n)
+            for _ in range(200):
+                row[:first] = rng.random(first) * 10.0 ** rng.integers(-3, 4, size=first)
+                assert row.sum() == row[:first].sum()
+
+
 THREAD_PROBE = """
 import hashlib, json, sys
 import numpy as np
 from pathrec.datasets import SyntheticSpec, generate_synthetic, load_dataset
 from pathrec.embeddings import EmbedTrainConfig, init_table, rng_for
 from pathrec.inference import beam_search, rank_recommendations
-from pathrec.mdp import RewardSpec, start_scores
+from pathrec.mdp import Frontier, RewardSpec, start_scores
 from pathrec.optim import Adam
 from pathrec.policy import (AgentConfig, PolicyModel, episode_gradients, state_dim_for,
                             training_users)
 
-graph = load_dataset(*generate_synthetic(SyntheticSpec(), sys.argv[1]))
+# what each phase reached: rows cut to the cap, rows of each head width
+reached = {}
+slates, softmax = Frontier.slates, PolicyModel._softmax
+
+def counting_slates(frontier, graph, max_actions, *args):
+    got = slates(frontier, graph, max_actions, *args)
+    uncut = slates(frontier, graph, 10 ** 9, *args).sizes
+    reached["over_cap_rows"] = reached.get("over_cap_rows", 0) + int(
+        (uncut > got.sizes).sum())
+    return got
+
+def counting_softmax(policy, h2, sizes, width):
+    key = "wide_rows" if width == policy.slate_size else "narrow_rows"
+    reached[key] = reached.get(key, 0) + len(h2)
+    return softmax(policy, h2, sizes, width)
+
+Frontier.slates, PolicyModel._softmax = counting_slates, counting_softmax
+
+# two brands and three categories: hubs of more moves than the 250 cap
+graph = load_dataset(*generate_synthetic(SyntheticSpec(users=300, items=400, brands=2,
+                                                       categories=3), sys.argv[1]))
 table = init_table(graph, EmbedTrainConfig())
 config = AgentConfig()
 policy = PolicyModel(state_dim_for(table, config.hop_budget), config)
@@ -264,6 +367,7 @@ batch = users[:config.batch_size]
 grads, _, _ = episode_gradients(policy, graph, table, batch, start_scores(graph, table, batch),
                                 config, RewardSpec.binary(graph), rng_for(1, "threads"))
 Adam(policy.params, lr=config.learning_rate).step(grads)
+train_reached, reached = reached, {}
 logprobs = []
 for user in users[:3]:
     beam = beam_search(user, policy, graph, table, (25, 5, 1))
@@ -277,13 +381,14 @@ def digest(arrays):
     return h.hexdigest()
 
 print(json.dumps({"params": digest(policy.params), "grads": digest(grads),
-                  "logprobs": digest(logprobs)}))
+                  "logprobs": digest(logprobs), "train": train_reached, "beam": reached}))
 """
 
 
 def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     """A default-shaped train step and beam search, in one process with
-    one BLAS thread and one with two."""
+    one BLAS thread and one with two; each goes through over-cap rows and
+    both actor head widths."""
     src = os.path.dirname(os.path.dirname(pathrec.__file__))
     digests = []
     for threads in ("1", "2"):
@@ -294,6 +399,10 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert out.returncode == 0, out.stderr
         digests.append(json.loads(out.stdout))
     assert digests[0] == digests[1]
+    for phase in ("train", "beam"):
+        reached = digests[0][phase]
+        assert min(reached.get(key, 0) for key in ("over_cap_rows", "narrow_rows",
+                                                   "wide_rows")) > 0, (phase, reached)
 
 
 class TestGradientOracle:
@@ -411,7 +520,8 @@ class TestMultiStep:
             dlogits[np.arange(B), rec.chosen] -= adv
             dlogits += cfg.entropy_coef * p * (logp + H[:, None])
             dvalues = -2.0 * adv / B
-            policy.backward(rec.cache, dlogits / B, dvalues, manual)
+            blocks = [r.cache.X for r in records[:t + 1]]
+            policy.backward(rec.cache, blocks, dlogits / B, dvalues, manual)
         for got, want in zip(grads, manual):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
@@ -473,10 +583,12 @@ class TestBatchedRollout:
             if X is None:
                 assert rec.cache is None
             else:
-                # the cache holds the live prefix's blocks; the scalar row is
-                # zero beyond them
+                # the hops' caches hold the live prefix's blocks; the scalar
+                # row is zero beyond them
                 live = (1 + 2 * t) * X.shape[1] // (1 + 2 * len(hops))
-                np.testing.assert_array_equal(np.hstack(rec.cache.blocks), X[:, :live])
+                prefix = np.hstack([r.cache.X for r in records[:t + 1]])
+                assert rec.cache.end == live
+                np.testing.assert_array_equal(prefix, X[:, :live])
                 assert np.all(X[:, live:] == 0.0)
             np.testing.assert_array_equal(rec.probs, probs)
             np.testing.assert_array_equal(rec.values, values)
