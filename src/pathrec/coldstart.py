@@ -1,11 +1,10 @@
 """Cold-entity integration without retraining.
 
 A cold entity arrives as a profile of declared (relation, existing-entity)
-edges. ``augment_graph`` integrates a batch of profiles into a mutable
-clone of the training graph in one pass: each kind of declaration is
-validated once, each target is one lookup, and the accepted entities and
-all their triplets are written with one ``add_entities`` and one
-``add_triplets`` call.
+edges. ``augment_graph`` integrates a batch of profiles in one pass: each
+kind of declaration is validated once, each target is one lookup, and the
+accepted entities and all their triplets go into one ``extended`` call,
+which returns a new graph and leaves the training graph as it is.
 ``integrate_cold_entities`` also synthesizes each entity's embedding from
 its neighbors: the AverageTranslation strategy averages (e_tail -
 e_relation) over the triplets headed at the entity; the Null strategy is
@@ -199,7 +198,7 @@ def _cold_rows(table: EmbeddingTable, graph: KnowledgeGraph, entities: Sequence[
 
 def augment_graph(train_graph: KnowledgeGraph, profiles: Iterable[ColdProfile],
                   interactions: Mapping[str, Sequence[str]] | None = None):
-    """Clone the training graph and integrate every profile into the clone.
+    """The training graph extended by every profile it accepts.
 
     The declarations of all profiles are read as flat arrays first: each
     distinct (entity type, relation, target type) is validated once
@@ -207,12 +206,11 @@ def augment_graph(train_graph: KnowledgeGraph, profiles: Iterable[ColdProfile],
     One pass over the profiles, in order, then accepts or skips each one;
     an accepted profile's entity takes the next id, and a target missing
     from the training keys is looked up among the profiles accepted before
-    it. The accepted entities are registered in one write, and their
-    declarations, then the ``interactions`` (cold user name -> item names,
-    each pair added when both ends are in the graph), go into the clone in
-    one batch.
+    it. The accepted entities, their declarations, then the
+    ``interactions`` (cold user name -> item names, each pair added when
+    both ends are in the graph), go into one ``extended`` call.
 
-    Returns (augmented graph frozen, name -> id map). A profile with no
+    Returns (augmented graph, name -> id map). A profile with no
     known target, naming an entity already in the graph, or repeating the
     name of an earlier profile's entity is skipped and omitted from the
     map; declarations whose target is not in the graph are dropped. Both
@@ -220,15 +218,14 @@ def augment_graph(train_graph: KnowledgeGraph, profiles: Iterable[ColdProfile],
     SchemaViolation of ``ColdProfile.validate``. The training graph is
     left untouched.
     """
-    aug = train_graph.clone()
-    schema, warm, base = aug.schema, aug.entity_index(), aug.entity_count
+    schema, warm, base = train_graph.schema, train_graph.entity_index(), train_graph.entity_count
     profiles = list(profiles)
     counts = [len(p.declarations) for p in profiles]
     first = list(accumulate(counts, initial=0))  # each profile's first declaration
     bad_kinds = {kind for kind in {(p.entity_type, d.relation, d.target_type)
                                    for p in profiles for d in p.declarations}
                  if not _declarable(schema, *kind)}
-    rel_index = {spec.name: aug.relation_id(spec.name) for spec in schema.relations}
+    rel_index = {spec.name: i for i, spec in enumerate(schema.relations)}
     relations = np.fromiter((rel_index.get(d.relation, -1)
                              for p in profiles for d in p.declarations), np.intp, first[-1])
     targets = np.fromiter((warm.get((d.target_type, d.target_name), -1)
@@ -286,12 +283,10 @@ def augment_graph(train_graph: KnowledgeGraph, profiles: Iterable[ColdProfile],
                 if i >= 0:
                     moved.append((e, i))
     pairs = np.asarray(moved, dtype=np.intp).reshape(-1, 2)
-    aug.add_entities(types, list(ids))
-    aug.add_triplets(np.concatenate([heads[keep], pairs[:, 0]]),
-                     np.concatenate([relations[keep],
-                                     np.full(len(pairs), aug.interaction_relation)]),
-                     np.concatenate([targets[keep], pairs[:, 1]]))
-    aug.freeze()
+    aug = train_graph.extended(
+        types, list(ids), np.concatenate([heads[keep], pairs[:, 0]]),
+        np.concatenate([relations[keep], np.full(len(pairs), train_graph.interaction_relation)]),
+        np.concatenate([targets[keep], pairs[:, 1]]))
     return aug, ids
 
 

@@ -8,10 +8,13 @@ profiles derived from their hidden interactions; cold items keep their
 native attribute profiles uncapped. Derived relations are recomputed from
 training interactions only, so the training graph leaks nothing.
 
-``load_dataset`` parses a triplet file once per content: it keeps the
-frozen graph of the last file it parsed, keyed by the sha256 of the schema
-and the file's bytes, so the stages of one process that read the same
-split share one graph.
+Graphs are built once from arrays: ``load_dataset`` parses a whole
+triplet file into one ``KnowledgeGraph.build`` call, the split builds the
+training graph the same way, and ``derive_relations`` returns the graph
+extended by its derived edges. ``load_dataset`` parses a triplet file once
+per content: it keeps the graph of the last file it parsed, keyed by the
+sha256 of the schema and the file's bytes, so the stages of one process
+that read the same split share one graph.
 """
 
 from __future__ import annotations
@@ -38,14 +41,14 @@ from .graph import (KGSchema, KnowledgeGraph, check_triplet_row,
 log = logging.getLogger(__name__)
 
 
-# The frozen graph of the last triplet file load_dataset parsed, keyed by
+# The graph of the last triplet file load_dataset parsed, keyed by
 # the sha256 of the schema and the file's bytes; one entry, so the stages of
 # one run that read the same split in one process parse it once.
 _last_parsed: tuple[str, KnowledgeGraph] | None = None
 
 
 def load_dataset(triplet_path: str, schema_path: str | KGSchema) -> KnowledgeGraph:
-    """Build a frozen graph from a triplet file, deriving declared relations.
+    """Build the graph of a triplet file, deriving declared relations.
 
     Derived relations must not appear in the file; they are joined from the
     interactions it contains. The file's bytes are read once and parsed as
@@ -88,14 +91,12 @@ def _triplet_tokens(text: str) -> list[str] | None:
 
 
 def _parse_triplets(path: str, text: str, schema: KGSchema) -> KnowledgeGraph:
-    """The frozen graph of a triplet file's text; ``path`` names the file in
+    """The graph of a triplet file's text; ``path`` names the file in
     errors. The text is split into tokens at once; only a text that fails
     its checks is scanned row by row, to find the first faulty line."""
     derived = {r.name for r in schema.relations if r.derived_from is not None}
     types = set(schema.entity_types)
-    graph = KnowledgeGraph(schema)
-    rel_ids = {r.name: graph.relation_id(r.name) for r in schema.relations
-               if r.name not in derived}
+    rel_ids = {r.name: i for i, r in enumerate(schema.relations) if r.name not in derived}
 
     def entity_key(token: str) -> tuple[str, str] | None:
         etype, sep, name = token.partition(":")
@@ -120,25 +121,26 @@ def _parse_triplets(path: str, text: str, schema: KGSchema) -> KnowledgeGraph:
         tokens = list(chain.from_iterable(f for _, f in rows[:k]))
         keys = entity_keys(tokens)
     n = len(tokens) // 3
-    ids = dict(zip(keys, graph.add_entities([t for t, _ in keys.values()],
-                                            [name for _, name in keys.values()])))
+    ids = dict(zip(keys, range(len(keys))))  # distinct tokens are distinct keys
 
     def column(i: int, index: dict) -> np.ndarray:
         return np.fromiter(map(index.__getitem__, tokens[i::3]), np.intp, n)
 
     # schema violations before the first faulty line raise here, as they
     # would have line by line
-    graph.add_triplets(column(0, ids), column(1, rel_ids), column(2, ids))
+    graph = KnowledgeGraph.build(schema, [t for t, _ in keys.values()],
+                                 [name for _, name in keys.values()],
+                                 column(0, ids), column(1, rel_ids), column(2, ids))
     if fault is not None:
         lineno, f = fault
         ht, hn, rel, tt, tn = check_triplet_row(path, lineno, f)
         if rel in derived:
             raise ParseError(f"{path}: derived relation {rel!r} may not appear in a triplet file")
-        graph.add_entity(ht, hn)  # raises for an unknown entity type
-        graph.add_entity(tt, tn)
+        for etype in (ht, tt):
+            if etype not in types:
+                raise SchemaViolation(f"unknown entity type {etype!r}")
         raise SchemaViolation(f"unknown relation {rel!r}")
-    derive_relations(graph)
-    return graph.freeze()
+    return derive_relations(graph)
 
 
 def _forward_join(graph: KnowledgeGraph, relation: int,
@@ -157,18 +159,21 @@ def _forward_join(graph: KnowledgeGraph, relation: int,
     return np.repeat(np.arange(len(heads)), n), rel_tails[at]
 
 
-def derive_relations(graph: KnowledgeGraph):
-    """Materialize derived relations by joining interactions with their via
-    relation. Idempotent; the same pair may be joined through many items.
+def derive_relations(graph: KnowledgeGraph) -> KnowledgeGraph:
+    """The graph extended by its derived relations, each joined from the
+    interactions and the relation's via relation. Idempotent; the same pair
+    may be joined through many items.
 
-    Derived triplets are added in the order of a user-by-user walk: users
-    by id, each user's items in interaction order, each item's via targets
-    by id, keeping the first occurrence of every new pair.
+    Derived triplets follow the graph's, relation by relation in schema
+    order, each in the order of a user-by-user walk: users by id, each
+    user's items in interaction order, each item's via targets by id,
+    keeping the first occurrence of every new pair.
     """
     heads, rels, tails = graph.triplet_arrays()
     inter = rels == graph.interaction_relation
     order = np.argsort(heads[inter], kind="stable")
     users, items = heads[inter][order], tails[inter][order]
+    derived = [np.zeros((3, 0), dtype=np.intp)]
     for rel_id, spec in enumerate(graph.schema.relations):
         if spec.derived_from is None:
             continue
@@ -177,7 +182,8 @@ def derive_relations(graph: KnowledgeGraph):
         _, first = np.unique(u * graph.entity_count + x, return_index=True)
         first.sort()
         new = first[~graph.has_triplets(u[first], np.full(len(first), rel_id), x[first])]
-        graph.add_triplets(u[new], np.full(len(new), rel_id), x[new])
+        derived.append(np.stack([u[new], np.full(len(new), rel_id), x[new]]))
+    return graph.extended((), (), *np.concatenate(derived, axis=1))
 
 
 @dataclass(frozen=True)
@@ -247,6 +253,11 @@ def cap_cold_relations(name: str, entity_type: str,
     return ColdProfile(name=name, entity_type=entity_type, declarations=tuple(decls))
 
 
+def _names(value) -> bool:
+    """Whether a manifest value is a JSON list of names."""
+    return isinstance(value, list) and all(isinstance(name, str) for name in value)
+
+
 @dataclass
 class DatasetSplit:
     schema: KGSchema
@@ -292,13 +303,22 @@ class DatasetSplit:
     @classmethod
     def read(cls, out_dir: str, manifest: dict | None = None) -> "DatasetSplit":
         """The split written to ``out_dir``; ``manifest`` is the content of
-        its manifest.json when the caller has parsed it already."""
+        its manifest.json when the caller has parsed it already. A manifest
+        field of the wrong JSON type raises ParseError."""
         schema = KGSchema.load(os.path.join(out_dir, "schema.json"))
         train_graph = load_dataset(os.path.join(out_dir, "train.tsv"), schema)
         m = manifest
         if m is None:
             with open(os.path.join(out_dir, "manifest.json")) as fh:
                 m = json.load(fh)
+        where = os.path.join(out_dir, "manifest.json")
+        for key in ("warm_val", "warm_test", "cold_val", "cold_test"):
+            if not (isinstance(m[key], dict) and all(map(_names, m[key].values()))):
+                raise ParseError(f"{where}: {key} is not an object of name -> list of names")
+        if not _names(m["cold_items"]):
+            raise ParseError(f"{where}: cold_items is not a list of names")
+        if not isinstance(m["cold_user_targets"], dict):
+            raise ParseError(f"{where}: cold_user_targets is not an object")
         profiles = read_profiles(os.path.join(out_dir, "profiles.jsonl"))
         user_type = schema.user_type
         targets = {
@@ -396,13 +416,11 @@ def _train_graph(graph: KnowledgeGraph, cold: list[int],
     ends = np.stack([heads, tails], axis=1).reshape(-1)
     seen, first = np.unique(ends, return_index=True)
     new_id = np.full(n, -1, dtype=np.intp)
-    train_graph = KnowledgeGraph(graph.schema)
     kept = seen[np.argsort(first)].tolist()
-    new_id[kept] = train_graph.add_entities([graph.entity_type(e) for e in kept],
-                                            [graph.entity_name(e) for e in kept])
-    train_graph.add_triplets(new_id[heads], rels, new_id[tails])
-    derive_relations(train_graph)
-    return train_graph.freeze()
+    new_id[kept] = range(len(kept))
+    return derive_relations(KnowledgeGraph.build(
+        graph.schema, [graph.entity_type(e) for e in kept], [graph.entity_name(e) for e in kept],
+        new_id[heads], rels, new_id[tails]))
 
 
 def split_dataset(graph: KnowledgeGraph, config: SplitConfig, seed: int = 0) -> DatasetSplit:

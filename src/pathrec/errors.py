@@ -53,7 +53,8 @@ class EmptyProfile(PathRecError):
 
 
 class DuplicateEntity(PathRecError):
-    """A cold-entity profile names an entity the graph already holds."""
+    """An entity is named twice: a cold-entity profile names an entity the
+    graph already holds, or a graph is extended by a key it has."""
 
 
 class MissingNeighborEmbedding(PathRecError):

@@ -8,24 +8,21 @@ triplet is navigable in both directions: the tail side sees the same
 relation id with an inverse direction flag, so no separate inverse
 relation is materialized.
 
+A graph is an immutable value. ``KnowledgeGraph.build`` checks a whole
+batch of entities and triplets with array operations and makes a graph
+of them; ``extended`` does the same on top of an existing graph and
+returns a new one whose new ids follow the old graph's, which is how
+derived relations and cold entities are added. Nothing is ever written
+into a graph, so one graph can be shared by every stage and thread that
+reads it. ``entity_index`` is a read-only view of the key -> id map, for
+callers that look up many keys.
+
 The adjacency is the CSR form that ``csr()`` returns: entity ``e``'s
 edges are positions ``indptr[e]:indptr[e + 1]`` of the parallel ``rel``,
 ``nbr`` and ``dir`` arrays, in canonical (relation, neighbor, direction)
-order. ``neighbors``, ``degree`` and ``user_items`` read it. It is built
-by one lexsort at first use after a change and kept until the next one.
-
-``add_triplets`` is the one ingest path: it checks and stores a whole
-batch with array operations and merges its keys into the sorted array in
-one ``np.insert``; ``add_triplet`` is its one-edge call and costs O(m).
-Entities are registered likewise: ``add_entities`` interns a batch with
-one growth of the type array, and ``add_entity`` is its one-entity call.
-``entity_index`` is a read-only view of the key -> id map, for callers
-that look up many keys.
-``freeze()`` only marks the graph immutable, so a frozen graph can be
-shared across threads and computes its ``fingerprint()`` once;
-``clone()`` returns a mutable copy with the same ids by copying the
-registry and a few arrays, which is how cold entities are integrated
-without touching the original.
+order. ``neighbors``, ``degree`` and ``user_items`` read it. Like the
+interaction counts and ``fingerprint()``, it is computed at first use and
+kept.
 
 Serialization uses a tab-separated triplet file (one triplet per line,
 ``head_type:head_name<TAB>relation<TAB>tail_type:tail_name``) plus a JSON
@@ -39,14 +36,14 @@ import json
 import logging
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import filterfalse
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .artifacts import atomic_open, write_json
-from .errors import InvalidSpec, NotAnItem, ParseError, SchemaViolation, UnknownEntity
+from .errors import (DuplicateEntity, InvalidSpec, NotAnItem, ParseError, SchemaViolation,
+                     UnknownEntity)
 
 log = logging.getLogger(__name__)
 
@@ -220,11 +217,13 @@ class CSRAdjacency(NamedTuple):
 
 
 class KnowledgeGraph:
-    """Array-backed triplet store over a fixed schema.
+    """Immutable array-backed triplet store over a fixed schema.
 
-    Neighbor lists are canonically ordered (relation id, neighbor id,
-    direction) so traversal order never depends on insertion order.
-    Duplicate triplets are dropped with a warn-once log.
+    ``KnowledgeGraph(schema)`` is the empty graph; ``build`` makes one from
+    entity and triplet arrays and ``extended`` returns a new graph with
+    more of both. Neighbor lists are canonically ordered (relation id,
+    neighbor id, direction) so traversal order never depends on insertion
+    order.
     """
 
     def __init__(self, schema: KGSchema):
@@ -238,21 +237,84 @@ class KnowledgeGraph:
                                     dtype=np.intp)
         self._names: list[str] = []
         self._by_key: dict[tuple[str, str], int] = {}
-        self._types = np.zeros(16, dtype=np.intp)  # entity -> type index; grows by doubling
-        self._spo = np.zeros((3, 16), dtype=np.intp)  # head/relation/tail rows, insertion order
-        self._m = 0
+        self._types = np.zeros(0, dtype=np.intp)  # entity -> type index
+        self._spo = np.zeros((3, 0), dtype=np.intp)  # head/relation/tail rows, insertion order
+        self._spo.flags.writeable = False
         self._keys = np.zeros(0, dtype=np.int64)  # sorted _encode keys of the stored triplets
-        self._frozen = False
         self._dup_warned = False
         self._csr: CSRAdjacency | None = None
         self._tail_interactions: np.ndarray | None = None
         self._fingerprint: str | None = None
 
-    # -- registry ---------------------------------------------------------
+    @classmethod
+    def build(cls, schema: KGSchema, types: Sequence[str], names: Sequence[str],
+              heads, relations, tails) -> "KnowledgeGraph":
+        """The graph of the entities (types[k], names[k]), with id k, and
+        the triplets (heads, relations, tails) over them; checked as
+        ``extended`` checks."""
+        return cls(schema).extended(types, names, heads, relations, tails)
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
+    def extended(self, types: Sequence[str], names: Sequence[str],
+                 heads, relations, tails) -> "KnowledgeGraph":
+        """A new graph: this graph's entities and triplets, then the
+        entities (types[k], names[k]) with ids from ``entity_count`` on, in
+        order, then the triplets (heads, relations, tails) over all of
+        them, in order. This graph is left as it is.
+
+        Everything is checked before the new graph is made: an unknown
+        entity type, or a key already registered or repeated in the batch,
+        raises; so do unregistered ids, unknown relation ids and schema
+        violations, with the error of the first offending triplet. A
+        triplet already stored, or repeated earlier in the batch, is
+        dropped; a graph logs one duplicate warning at most, counting the
+        warnings of the graphs it extends.
+        """
+        if len(types) != len(names):
+            raise InvalidSpec("types and names must have equal lengths")
+        h, r, t = (np.asarray(a, dtype=np.intp).reshape(-1) for a in (heads, relations, tails))
+        if not len(h) == len(r) == len(t):
+            raise InvalidSpec("heads, relations and tails must have equal lengths")
+        type_index = self._type_index
+        if not type_index.keys() >= set(types):
+            unknown = next(etype for etype in types if etype not in type_index)
+            raise SchemaViolation(f"unknown entity type {unknown!r}")
+        n, m = len(self._names), len(self._names) + len(names)
+        keys = list(zip(types, names))
+        new = dict(zip(keys, range(n, m)))
+        if len(new) < len(keys) or not self._by_key.keys().isdisjoint(new):
+            etype, name = next(key for e, key in enumerate(keys, start=n)
+                               if new[key] != e or key in self._by_key)
+            raise DuplicateEntity(f"{etype}:{name} is registered twice")
+        g = KnowledgeGraph(self.schema)
+        g._names = self._names + list(names)
+        g._by_key = {**self._by_key, **new}
+        g._types = np.concatenate([self._types, np.fromiter(map(type_index.__getitem__, types),
+                                                             np.intp, len(types))])
+        bad = (h < 0) | (h >= m) | (t < 0) | (t >= m) | (r < 0) | (r >= len(self.schema.relations))
+        ok = ~bad
+        bad[ok] = ((g._types[h[ok]] != self._rel_head[r[ok]])
+                   | (g._types[t[ok]] != self._rel_tail[r[ok]]))
+        if bad.any():
+            i = int(np.argmax(bad))
+            g._check_triplet(int(h[i]), int(r[i]), int(t[i]))
+        codes = self._encode(h, r, t)
+        uniq, first = np.unique(codes, return_index=True)
+        fresh = ~self.has_triplets(h[first], r[first], t[first])
+        kept = np.sort(first[fresh])
+        g._dup_warned = self._dup_warned
+        if len(kept) < len(codes) and not g._dup_warned:
+            dup = np.ones(len(codes), dtype=bool)
+            dup[kept] = False
+            i = int(np.argmax(dup))
+            log.warning("duplicate triplet %s dropped (warning once per graph)",
+                        (int(h[i]), int(r[i]), int(t[i])))
+            g._dup_warned = True
+        g._spo = np.concatenate([self._spo, np.stack([h[kept], r[kept], t[kept]])], axis=1)
+        g._spo.flags.writeable = False
+        g._keys = np.insert(self._keys, np.searchsorted(self._keys, uniq[fresh]), uniq[fresh])
+        return g
+
+    # -- registry ---------------------------------------------------------
 
     @property
     def entity_count(self) -> int:
@@ -264,7 +326,7 @@ class KnowledgeGraph:
 
     @property
     def triplet_count(self) -> int:
-        return self._m
+        return self._spo.shape[1]
 
     @property
     def interaction_relation(self) -> int:
@@ -279,37 +341,6 @@ class KnowledgeGraph:
     def relation_name(self, relation: int) -> str:
         return self.schema.relations[relation].name
 
-    def add_entity(self, etype: str, name: str) -> int:
-        """Intern (type, name); returns the existing id on repeat calls."""
-        return self.add_entities((etype,), (name,))[0]
-
-    def add_entities(self, types: Sequence[str], names: Sequence[str]) -> list[int]:
-        """Intern each (type, name) in order, as ``add_entity`` would one by
-        one, and return their ids; a key already registered, or repeated in
-        the batch, keeps its first id. An unknown type raises before any
-        entity is registered."""
-        if len(types) != len(names):
-            raise InvalidSpec("types and names must have equal lengths")
-        by_key = self._by_key
-        keys = list(zip(types, names))
-        new = list(dict.fromkeys(filterfalse(by_key.__contains__, keys)))
-        if new:
-            self._check_mutable()
-            new_types, new_names = zip(*new)
-            if not self._type_index.keys() >= set(new_types):
-                unknown = next(t for t in new_types if t not in self._type_index)
-                raise SchemaViolation(f"unknown entity type {unknown!r}")
-            n, m = len(self._names), len(self._names) + len(new)
-            if m > len(self._types):
-                grown = np.zeros(max(2 * len(self._types), m), dtype=np.intp)
-                grown[:n] = self._types[:n]
-                self._types = grown
-            self._types[n:m] = list(map(self._type_index.__getitem__, new_types))
-            self._names.extend(new_names)
-            by_key.update(zip(new, range(n, m)))
-            self._changed()
-        return list(map(by_key.__getitem__, keys))
-
     def entity_id(self, etype: str, name: str) -> int:
         try:
             return self._by_key[(etype, name)]
@@ -320,8 +351,8 @@ class KnowledgeGraph:
         return (etype, name) in self._by_key
 
     def entity_index(self) -> Mapping[tuple[str, str], int]:
-        """Read-only (type, name) -> id map of the registered entities; a
-        live view, so later registrations show in it."""
+        """Read-only (type, name) -> id map of the registered entities, for
+        callers that look up many keys."""
         return MappingProxyType(self._by_key)
 
     def _check_entity(self, e: int):
@@ -342,8 +373,7 @@ class KnowledgeGraph:
     def entities_of_type(self, etype: str) -> list[int]:
         if etype not in self._type_index:
             raise SchemaViolation(f"unknown entity type {etype!r}")
-        types = self._types[:len(self._names)]
-        return np.flatnonzero(types == self._type_index[etype]).tolist()
+        return np.flatnonzero(self._types == self._type_index[etype]).tolist()
 
     def users(self) -> list[int]:
         return self.entities_of_type(self.schema.user_type)
@@ -358,22 +388,17 @@ class KnowledgeGraph:
         return self.entity_type(e) == self.schema.user_type
 
     def has_type(self, entities: np.ndarray, etype: str) -> np.ndarray:
-        """Whether each registered entity id in an array is of type ``etype``."""
+        """Whether each entity id in an array is of type ``etype``; an
+        unregistered id raises UnknownEntity."""
+        bad = (entities < 0) | (entities >= len(self._names))
+        if bad.any():
+            self._check_entity(int(entities[bad][0]))
         return self._types[entities] == self._type_index[etype]
 
     # -- triplets ---------------------------------------------------------
 
-    def _check_mutable(self):
-        if self._frozen:
-            raise SchemaViolation("graph is frozen")
-
-    def _changed(self):
-        self._csr = None
-        self._tail_interactions = None
-        self._fingerprint = None
-
     def _check_triplet(self, head: int, relation: int, tail: int):
-        """Raise the error ``add_triplet`` reports for an invalid triplet."""
+        """Raise the error ``extended`` reports for an invalid triplet."""
         self._check_entity(head)
         self._check_entity(tail)
         if not 0 <= relation < len(self.schema.relations):
@@ -389,70 +414,10 @@ class KnowledgeGraph:
         # registered ids and relation ids only; unique while tails < 2**32
         return ((heads * len(self.schema.relations) + relations) << 32) | tails
 
-    def add_triplet(self, head: int, relation: int, tail: int):
-        """Insert one triplet; both endpoints must already be registered.
-
-        O(m) in the stored triplets, since each write copies the sorted key
-        array; write many triplets with one ``add_triplets`` call.
-        """
-        self.add_triplets([head], [relation], [tail])
-
-    def add_triplets(self, heads, relations, tails):
-        """Insert triplets in order, as ``add_triplet`` would one by one.
-
-        Every triplet is checked before any is stored: unregistered ids,
-        unknown relation ids and schema violations raise the error of the
-        first offending triplet and leave the graph unchanged. A triplet
-        already stored, or repeated earlier in the batch, is dropped with
-        the graph's one duplicate warning.
-        """
-        self._check_mutable()
-        h, r, t = (np.asarray(a, dtype=np.intp).reshape(-1) for a in (heads, relations, tails))
-        if not len(h) == len(r) == len(t):
-            raise InvalidSpec("heads, relations and tails must have equal lengths")
-        n = len(self._names)
-        bad = (h < 0) | (h >= n) | (t < 0) | (t >= n) | (r < 0) | (r >= len(self.schema.relations))
-        ok = ~bad
-        types = self._types
-        bad[ok] = ((types[h[ok]] != self._rel_head[r[ok]])
-                   | (types[t[ok]] != self._rel_tail[r[ok]]))
-        if bad.any():
-            i = int(np.argmax(bad))
-            self._check_triplet(int(h[i]), int(r[i]), int(t[i]))
-        keys = self._encode(h, r, t)
-        uniq, first = np.unique(keys, return_index=True)
-        fresh = ~self.has_triplets(h[first], r[first], t[first])
-        new = np.sort(first[fresh])
-        if len(new) < len(keys) and not self._dup_warned:
-            dup = np.ones(len(keys), dtype=bool)
-            dup[new] = False
-            i = int(np.argmax(dup))
-            log.warning("duplicate triplet %s dropped (warning once per graph)",
-                        (int(h[i]), int(r[i]), int(t[i])))
-            self._dup_warned = True
-        if not len(new):
-            return
-        m, k = self._m, len(new)
-        if m + k > self._spo.shape[1]:
-            grown = np.zeros((3, max(2 * self._spo.shape[1], m + k)), dtype=np.intp)
-            grown[:, :m] = self._spo[:, :m]
-            self._spo = grown
-        self._spo[0, m:m + k] = h[new]
-        self._spo[1, m:m + k] = r[new]
-        self._spo[2, m:m + k] = t[new]
-        self._m = m + k
-        self._keys = np.insert(self._keys, np.searchsorted(self._keys, uniq[fresh]), uniq[fresh])
-        self._changed()
-
     def triplet_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (heads, relations, tails) of the stored triplets, in
         insertion order."""
-        out = []
-        for row in self._spo[:, :self._m]:
-            view = row.view()
-            view.flags.writeable = False
-            out.append(view)
-        return tuple(out)
+        return tuple(self._spo)
 
     def has_triplets(self, heads, relations, tails) -> np.ndarray:
         """Membership of each (head, relation, tail) as a bool array."""
@@ -471,7 +436,7 @@ class KnowledgeGraph:
 
     def triplets(self) -> Iterator[tuple[int, int, int]]:
         """Stored triplets in insertion order."""
-        return zip(*(row.tolist() for row in self._spo[:, :self._m]))
+        return zip(*(row.tolist() for row in self._spo))
 
     def neighbors(self, e: int, relation: int | None = None) -> list[tuple[int, int, int]]:
         """Edges at ``e`` as (relation, neighbor, direction), canonically sorted."""
@@ -485,23 +450,19 @@ class KnowledgeGraph:
                         adj.dir[lo:hi].tolist()))
 
     def csr(self) -> CSRAdjacency:
-        """The adjacency as CSR arrays, built at first use after a change.
-
-        A frozen graph returns one cached object; a mutable graph returns
-        a fresh tuple each call and rebuilds the arrays after every write.
-        """
+        """The adjacency as CSR arrays, built at first use and kept."""
         if self._csr is None:
-            n = len(self._names)
-            h, r, t = self._spo[:, :self._m]
+            n, m = len(self._names), self.triplet_count
+            h, r, t = self._spo
             owner = np.concatenate([h, t])
             rel = np.concatenate([r, r])
             nbr = np.concatenate([t, h])
-            direction = np.repeat(np.asarray([FORWARD, INVERSE], dtype=np.intp), self._m)
+            direction = np.repeat(np.asarray([FORWARD, INVERSE], dtype=np.intp), m)
             order = np.lexsort((direction, nbr, rel, owner))
             indptr = np.zeros(n + 1, dtype=np.intp)
             np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
             self._csr = CSRAdjacency(indptr, rel[order], nbr[order], direction[order])
-        return self._csr if self._frozen else CSRAdjacency(*self._csr)
+        return self._csr
 
     def degree(self, e: int) -> int:
         self._check_entity(e)
@@ -510,10 +471,10 @@ class KnowledgeGraph:
 
     def interaction_counts(self) -> np.ndarray:
         """Read-only number of interaction triplets with each entity as tail,
-        indexed by entity id (0 for every non-item); built at first use
-        after a change and kept until the next one."""
+        indexed by entity id (0 for every non-item); built at first use and
+        kept."""
         if self._tail_interactions is None:
-            _, r, t = self._spo[:, :self._m]
+            _, r, t = self._spo
             counts = np.bincount(t[r == self.interaction_relation], minlength=len(self._names))
             counts.flags.writeable = False
             self._tail_interactions = counts
@@ -529,7 +490,7 @@ class KnowledgeGraph:
     def interactions_by_user(self) -> dict[int, list[int]]:
         """Per-user interacted items in insertion (chronological) order;
         users in order of their first interaction."""
-        h, r, t = self._spo[:, :self._m]
+        h, r, t = self._spo
         sel = r == self.interaction_relation
         users, items = h[sel], t[sel]
         order = np.argsort(users, kind="stable")
@@ -547,30 +508,12 @@ class KnowledgeGraph:
         sel = (adj.rel[lo:hi] == self._interaction) & (adj.dir[lo:hi] == FORWARD)
         return frozenset(adj.nbr[lo:hi][sel].tolist())
 
-    # -- lifecycle --------------------------------------------------------
-
-    def freeze(self) -> "KnowledgeGraph":
-        """Make the graph immutable; its CSR is then built once and kept."""
-        self._frozen = True
-        return self
-
-    def clone(self) -> "KnowledgeGraph":
-        """Mutable copy sharing no state; entity and relation ids are preserved."""
-        g = KnowledgeGraph(self.schema)
-        g._names = list(self._names)
-        g._by_key = dict(self._by_key)
-        g._types = self._types.copy()
-        g._spo = self._spo[:, :self._m].copy()
-        g._m = self._m
-        g._keys = self._keys.copy()
-        return g
-
     # -- serialization ----------------------------------------------------
 
     def _triplet_lines(self, include_derived: bool = True) -> list[str]:
         """Stored triplets as triplet-file lines, in insertion order."""
         keys = [f"{self.schema.entity_types[t]}:{name}"
-                for t, name in zip(self._types[:len(self._names)].tolist(), self._names)]
+                for t, name in zip(self._types.tolist(), self._names)]
         names = [r.name for r in self.schema.relations]
         derived = [r.derived_from is not None for r in self.schema.relations]
         return [f"{keys[h]}\t{names[r]}\t{keys[t]}" for h, r, t in self.triplets()
@@ -582,16 +525,13 @@ class KnowledgeGraph:
             fh.writelines(line + "\n" for line in self._triplet_lines(include_derived))
 
     def fingerprint(self) -> str:
-        """sha256 of the schema and the sorted triplet lines; a frozen graph
-        computes it once."""
-        if self._fingerprint is not None:
-            return self._fingerprint
-        lines = sorted(self._triplet_lines())
-        blob = json.dumps(self.schema.to_json(), sort_keys=True) + "\n" + "\n".join(lines)
-        digest = hashlib.sha256(blob.encode()).hexdigest()
-        if self._frozen:
-            self._fingerprint = digest
-        return digest
+        """sha256 of the schema and the sorted triplet lines, computed at
+        first use and kept."""
+        if self._fingerprint is None:
+            lines = sorted(self._triplet_lines())
+            blob = json.dumps(self.schema.to_json(), sort_keys=True) + "\n" + "\n".join(lines)
+            self._fingerprint = hashlib.sha256(blob.encode()).hexdigest()
+        return self._fingerprint
 
 
 def parse_entity_token(token: str) -> tuple[str, str]:

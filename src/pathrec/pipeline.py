@@ -5,8 +5,8 @@ there, so stages can be re-run individually. Each stage runs in one
 ``_Stage`` frame that checks every artifact it reads and reports any
 failure as a StageError naming the stage; writes are atomic. A second run
 with the same config and seed is byte-identical. The training stages run
-once; cold integration, sweeps and evaluation only ever extend clones,
-never retrain.
+once; cold integration, sweeps and evaluation only ever extend the
+trained graph and table into new ones, never retrain.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .artifacts import atomic_open, write_csv, write_json
 from .coldstart import ColdProfile, ColdStrategy
 from .datasets import DatasetSplit, SplitConfig, SyntheticSpec, cap_cold_relations
 from .embeddings import EmbedTrainConfig, EmbeddingTable, load_table, save_table, train_embeddings
-from .errors import (InvalidAxisValue, InvalidSpec, PathRecError, StageError,
+from .errors import (InvalidAxisValue, InvalidSpec, ParseError, PathRecError, StageError,
                      check_field_types, is_int)
 from .graph import KnowledgeGraph
 from .mdp import RewardSpec
@@ -531,13 +531,29 @@ def run_seeds(config: RunConfig, seeds: list[int]):
     return write_aggregate(config, seeds)
 
 
+def _report_rows(path: str, report: dict) -> list[dict]:
+    """A seed report's rows, each checked to be an object of string
+    ``model``, ``cohort`` and ``metric``, a numeric ``value`` and an int
+    ``n_users``."""
+    rows = report["rows"]
+    if not isinstance(rows, list):
+        raise ParseError(f"{path}: rows is not a list")
+    for r in rows:
+        if not (isinstance(r, dict) and all(isinstance(r.get(k), str)
+                                            for k in ("model", "cohort", "metric"))
+                and (is_int(r.get("value")) or isinstance(r.get("value"), float))
+                and is_int(r.get("n_users"))):
+            raise ParseError(f"{path}: malformed report row {r!r}")
+    return rows
+
+
 def write_aggregate(config: RunConfig, seeds: list[int]):
     """Mean/std across per-seed reports of this config, written to the workdir root."""
     rows_by_key: dict[tuple, list[float]] = {}
     n_rows = {}
     for sub in _seed_runs(config, seeds):
         with _Stage("report", sub) as run:
-            rows = run.read(run.paths.report_json, "eval", lambda p: run.json(p)["rows"])
+            rows = run.read(run.paths.report_json, "eval", lambda p: _report_rows(p, run.json(p)))
         for r in rows:
             key = (r["model"], r["cohort"], r["metric"])
             rows_by_key.setdefault(key, []).append(r["value"])

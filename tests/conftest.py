@@ -4,7 +4,8 @@ import pytest
 from pathrec import datasets
 from pathrec.datasets import derive_relations, synthetic_schema
 from pathrec.embeddings import EmbedTrainConfig, init_table, rng_for
-from pathrec.graph import KnowledgeGraph
+
+from oracles import GraphWriter
 
 
 @pytest.fixture(autouse=True)
@@ -22,7 +23,7 @@ def schema():
 def build_shop_graph(schema, n_users=4, n_items=6, n_brands=2, n_categories=2,
                      interactions=3, seed=0, derive=True):
     """Random purchase graph; every item gets one brand and one category."""
-    g = KnowledgeGraph(schema)
+    g = GraphWriter(schema)
     rng = rng_for(seed, "test-graph")
     users = [g.add_entity("user", f"u{i}") for i in range(n_users)]
     items = [g.add_entity("item", f"i{i}") for i in range(n_items)]
@@ -38,9 +39,7 @@ def build_shop_graph(schema, n_users=4, n_items=6, n_brands=2, n_categories=2,
         k = min(n_items, interactions)
         for it in rng.choice(n_items, size=k, replace=False):
             g.add_triplet(u, pu, items[int(it)])
-    if derive:
-        derive_relations(g)
-    return g.freeze()
+    return derive_relations(g.graph) if derive else g.graph
 
 
 @pytest.fixture
@@ -58,7 +57,7 @@ def tiny_graph(schema):
     sits in category c0. Derived: u0 like b0, u1 like b1, both
     interested_in c0.
     """
-    g = KnowledgeGraph(schema)
+    g = GraphWriter(schema)
     u0 = g.add_entity("user", "u0")
     u1 = g.add_entity("user", "u1")
     i0 = g.add_entity("item", "i0")
@@ -77,8 +76,7 @@ def tiny_graph(schema):
     g.add_triplet(u0, pu, i0)
     g.add_triplet(u0, pu, i1)
     g.add_triplet(u1, pu, i2)
-    derive_relations(g)
-    return g.freeze()
+    return derive_relations(g.graph)
 
 
 @pytest.fixture
@@ -106,7 +104,7 @@ def build_multi_edge_graph(n_users=4, n_items=10, seed=0):
         RelationSpec("view", "user", "item"),
         RelationSpec("similar", "item", "item"),
     ))
-    g = KnowledgeGraph(schema)
+    g = GraphWriter(schema)
     rng = rng_for(seed, "multi-edge-graph")
     users = [g.add_entity("user", f"u{i}") for i in range(n_users)]
     items = [g.add_entity("item", f"i{i}") for i in range(n_items)]
@@ -120,4 +118,4 @@ def build_multi_edge_graph(n_users=4, n_items=10, seed=0):
             if int(b) != a:
                 g.add_triplet(items[a], sim, items[int(b)])
                 g.add_triplet(items[int(b)], sim, items[a])
-    return g.freeze()
+    return g.graph

@@ -17,6 +17,10 @@ beam back as a ``ScoredPath``.
 cost of the catalog: popularity is built per call and the popularity
 baseline names every training user's items up front.
 
+``GraphWriter`` grows a graph one call at a time, as tests and the
+references below write graphs: each scalar ``add_*`` call extends the
+graph it holds.
+
 ``reference_augment_graph`` is cold integration as it was first written:
 profiles validated, checked and registered one at a time, each entity
 with its own ``add_entity`` call; ``reference_cold_rows`` sums each cold
@@ -52,11 +56,42 @@ from pathrec.datasets import SyntheticSpec, synthetic_schema
 from pathrec.embeddings import EmbeddingTable, rng_for, score_tails
 from pathrec.errors import (DuplicateEntity, EmptyProfile, InvalidAction, InvalidSpec,
                             MissingEmbedding, PathRecError)
-from pathrec.graph import FORWARD, KnowledgeGraph
+from pathrec.graph import FORWARD, KGSchema, KnowledgeGraph
 from pathrec.inference import Beam, ScoredPath
 from pathrec.mdp import MAX_ACTIONS_DEFAULT, SELF_LOOP, Frontier, PathState, Slates
 from pathrec.pipeline import COHORTS
 from pathrec.policy import ForwardCache, PolicyModel, _matmul
+
+
+class GraphWriter:
+    """A graph grown by scalar calls: each ``add_*`` call replaces
+    ``graph`` by its ``extended`` graph, so an error raises at the call
+    that causes it and leaves ``graph`` as it was. Other attributes read
+    the current graph."""
+
+    def __init__(self, start: KGSchema | KnowledgeGraph):
+        self.graph = start if isinstance(start, KnowledgeGraph) else KnowledgeGraph(start)
+
+    def __getattr__(self, name):
+        return getattr(self.graph, name)
+
+    def add_entities(self, types, names) -> list[int]:
+        """The ids of the keys (types[k], names[k]); a key already
+        registered, or repeated in the call, keeps its first id."""
+        keys = list(zip(types, names))
+        new = [key for key in dict.fromkeys(keys) if not self.graph.has_entity(*key)]
+        if new:
+            self.graph = self.graph.extended([t for t, _ in new], [n for _, n in new], (), (), ())
+        return [self.graph.entity_id(*key) for key in keys]
+
+    def add_entity(self, etype: str, name: str) -> int:
+        return self.add_entities([etype], [name])[0]
+
+    def add_triplets(self, heads, relations, tails):
+        self.graph = self.graph.extended((), (), heads, relations, tails)
+
+    def add_triplet(self, head: int, relation: int, tail: int):
+        self.add_triplets([head], [relation], [tail])
 
 
 class BudgetExhausted(PathRecError):
@@ -231,7 +266,7 @@ def reference_evaluate_run(config, split, records):
     return rows, patterns, per_user
 
 
-def _resolve(graph: KnowledgeGraph, profile, taken) -> tuple[int, list[int], list[int]]:
+def _resolve(graph: GraphWriter, profile, taken) -> tuple[int, list[int], list[int]]:
     """Register one cold entity; returns it with its declared (relation,
     target) ids. Raises DuplicateEntity or EmptyProfile to skip it."""
     profile.validate(graph.schema)
@@ -257,7 +292,7 @@ def reference_augment_graph(train_graph: KnowledgeGraph, profiles, interactions=
     """``coldstart.augment_graph``'s (graph, ids) and log lines, one profile
     at a time: each is validated, checked against the entities registered
     so far and registered on its own."""
-    aug = train_graph.clone()
+    aug = GraphWriter(train_graph)
     ids: dict[str, int] = {}
     heads: list[int] = []
     relations: list[int] = []
@@ -281,8 +316,7 @@ def reference_augment_graph(train_graph: KnowledgeGraph, profiles, interactions=
                     relations.append(interaction)
                     tails.append(aug.entity_id(item_type, item))
     aug.add_triplets(heads, relations, tails)
-    aug.freeze()
-    return aug, ids
+    return aug.graph, ids
 
 
 def reference_cold_rows(table, graph, entities, strategy):

@@ -19,7 +19,7 @@ from pathrec.errors import EmptyUser, InvalidSpec, ParseError
 from pathrec.graph import FORWARD, KGSchema, KnowledgeGraph
 
 from conftest import build_shop_graph
-from oracles import reference_forward_join, reference_purchases
+from oracles import GraphWriter, reference_forward_join, reference_purchases
 
 
 class TestLoadDataset:
@@ -41,7 +41,7 @@ class TestLoadDataset:
         derived triplets and their order equal a join written from the log."""
         base = build_shop_graph(schema, n_users=30, n_items=8, n_brands=3,
                                 n_categories=2, interactions=5, seed=4, derive=False)
-        base = base.clone()
+        base = GraphWriter(base)
         pb = base.relation_id("produced_by")
         for item in base.items()[:4]:
             for brand in base.entities_of_type("brand"):
@@ -60,11 +60,10 @@ class TestLoadDataset:
                         if (u, rel, x) not in seen:
                             seen.add((u, rel, x))
                             want.append((u, rel, x))
-        got = base.clone()
-        derive_relations(got)
+        got = derive_relations(base.graph)
         assert list(got.triplets()) == want
         assert len(want) > len(log)
-        derive_relations(got)  # idempotent
+        got = derive_relations(got)  # idempotent
         assert list(got.triplets()) == want
 
 
@@ -92,7 +91,6 @@ class TestParsedOnce:
         g.write_triplets(b)
         want = g.fingerprint()
         first = load_dataset(a, g.schema)
-        assert first.frozen
         assert load_dataset(a, g.schema) is first
         assert load_dataset(b, g.schema) is first  # the bytes are the key, not the path
         assert parses == [a]
@@ -102,9 +100,9 @@ class TestParsedOnce:
                             lambda self, *args: computed.append(self) or lines(self, *args))
         assert [load_dataset(a, g.schema).fingerprint() for _ in range(3)] == [want] * 3
         assert computed == [first]
-        mutable = first.clone()
-        assert mutable.fingerprint() == mutable.fingerprint() == want
-        assert computed == [first, mutable, mutable]  # only a frozen graph keeps it
+        other = first.extended((), (), (), (), ())
+        assert other.fingerprint() == other.fingerprint() == want
+        assert computed == [first, other]  # each graph computes it once
 
     def test_other_schema_other_graph(self, tmp_path, make_graph, parses):
         g = make_graph(seed=3)
@@ -299,13 +297,13 @@ class TestSplit:
         assert a.manifest() != c.manifest()
 
     def test_user_without_interactions_rejected(self, schema):
-        g = KnowledgeGraph(schema)
+        g = GraphWriter(schema)
         u0 = g.add_entity("user", "u0")
         i0 = g.add_entity("item", "i0")
         g.add_triplet(u0, g.relation_id("purchase"), i0)
         g.add_entity("user", "lurker")
         with pytest.raises(EmptyUser):
-            split_dataset(g.freeze(), SplitConfig())
+            split_dataset(g.graph, SplitConfig())
 
     def test_write_read_round_trip(self, tmp_path, schema):
         g = build_shop_graph(schema, n_users=10, n_items=14, seed=9)
@@ -339,7 +337,7 @@ class TestSplit:
     def test_target_ranking_by_frequency(self, schema):
         """All users share one history, so any cold user's ranked targets
         are known: b0 appears twice, b1 once."""
-        g = KnowledgeGraph(schema)
+        g = GraphWriter(schema)
         items = []
         brands = [g.add_entity("brand", "b0"), g.add_entity("brand", "b1")]
         c0 = g.add_entity("category", "c0")
@@ -354,9 +352,7 @@ class TestSplit:
             u = g.add_entity("user", f"u{n}")
             for it in items:
                 g.add_triplet(u, pu, it)
-        from pathrec.datasets import derive_relations
-        derive_relations(g)
-        split = split_dataset(g.freeze(), SplitConfig(cold_frac=0.5), seed=1)
+        split = split_dataset(derive_relations(g.graph), SplitConfig(cold_frac=0.5), seed=1)
         for uname, rts in split.cold_user_targets.items():
             by_rel = {rt.relation: rt for rt in rts}
             assert [(n, f) for n, _, f in by_rel["like"].targets] == \

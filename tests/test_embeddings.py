@@ -16,9 +16,8 @@ from pathrec.embeddings import (BatchScratch, EmbedTrainConfig, EmbeddingTable,
                                 _zero_grads)
 from pathrec.errors import (EmptyCandidates, EmptyGraph, InvalidSpec,
                             MissingEmbedding)
-from pathrec.graph import KnowledgeGraph
 
-from oracles import reference_accumulate_batch
+from oracles import GraphWriter, reference_accumulate_batch
 
 
 class TestRngStreams:
@@ -241,7 +240,7 @@ class TestScratchKernels:
     @pytest.mark.parametrize("full", [False, True])
     def test_modes_equal_reference_with_one_scratch(self, make_graph, monkeypatch, full):
         graph = make_graph(n_users=9, n_items=14, n_brands=3, n_categories=2,
-                           interactions=4, seed=6).freeze()
+                           interactions=4, seed=6)
         table = init_table(graph, EmbedTrainConfig(dim=5), seed=8)
         triplets = np.stack(graph.triplet_arrays(), axis=1)
         pools = _type_pools(graph)
@@ -270,7 +269,7 @@ class TestScratchKernels:
     @pytest.mark.parametrize("full", [False, True])
     def test_training_equals_reference_with_a_short_last_batch(self, make_graph,
                                                                monkeypatch, full):
-        graph = make_graph(n_users=9, n_items=14, interactions=4, seed=6).freeze()
+        graph = make_graph(n_users=9, n_items=14, interactions=4, seed=6)
         cfg = EmbedTrainConfig(dim=5, epochs=2, batch_size=7, negatives=3, full_softmax=full)
         assert graph.triplet_count % cfg.batch_size != 0
         got = train_embeddings(graph, cfg, seed=5)
@@ -379,13 +378,13 @@ class TestTraining:
         assert np.array_equal(a.entity_bias, b.entity_bias)
 
     def test_empty_graph_rejected(self, schema):
-        g = KnowledgeGraph(schema)
+        g = GraphWriter(schema)
         g.add_entity("user", "u0")
         with pytest.raises(EmptyGraph):
-            train_embeddings(g.freeze(), EmbedTrainConfig(dim=4))
+            train_embeddings(g.graph, EmbedTrainConfig(dim=4))
 
     def test_full_softmax_size_guard(self, schema):
-        g = KnowledgeGraph(schema)
+        g = GraphWriter(schema)
         u = g.add_entity("user", "u0")
         i = g.add_entity("item", "i0")
         g.add_triplet(u, g.relation_id("purchase"), i)
@@ -393,7 +392,7 @@ class TestTraining:
             g.add_entity("user", f"filler{k}")
         cfg = EmbedTrainConfig(dim=4, full_softmax=True)
         with pytest.raises(InvalidSpec, match="full_softmax"):
-            train_embeddings(g.freeze(), cfg)
+            train_embeddings(g.graph, cfg)
 
 
 class TestSnapshots:
@@ -419,12 +418,12 @@ class TestSnapshots:
 
     def test_extended_table_loads_against_base_graph(self, tiny_graph, tmp_path):
         # a cold-extended snapshot still serves the warm graph's ids
-        g2 = tiny_graph.clone()
+        g2 = GraphWriter(tiny_graph)
         extra = g2.add_entity("item", "i_new")
         table = init_table(tiny_graph, EmbedTrainConfig(dim=4))
         table = table.extended(np.zeros((1, 4)))
         assert extra == tiny_graph.entity_count
         path = str(tmp_path / "emb.npz")
-        save_table(table, g2.freeze(), path)
+        save_table(table, g2.graph, path)
         again = load_table(path, tiny_graph)
         assert again.entity_count == tiny_graph.entity_count + 1

@@ -20,7 +20,7 @@ from pathrec.metrics import pop_baseline, train_popularity
 from pathrec.pipeline import RunConfig, RunPaths, evaluate_run, read_recommendations, run_pipeline
 
 from conftest import build_multi_edge_graph, build_shop_graph
-from oracles import reference_evaluate_run
+from oracles import GraphWriter, reference_evaluate_run
 from test_pipeline import tiny_config
 
 
@@ -64,12 +64,12 @@ class TestEvaluateRunOracle:
     def test_user_who_bought_the_most_popular_items(self, tiny_eval):
         config, split, records = tiny_eval
         k = config.inference.topk
-        g = split.train_graph.clone()
-        top = pop_baseline(g, k).ordered_items[:k]
+        g = GraphWriter(split.train_graph)
+        top = pop_baseline(g.graph, k).ordered_items[:k]
         fan = g.add_entity(g.schema.user_type, "fan")
         g.add_triplets([fan] * k, [g.interaction_relation] * k,
                        [g.entity_id(g.schema.item_type, i) for i in top])
-        g.freeze()
+        g = g.graph
         rest = [name for name in pop_baseline(g, 2 * k).ordered_items if name not in top]
         scored = dataclasses.replace(split, train_graph=g,
                                      warm_test={**split.warm_test, "fan": rest[:2]})
@@ -109,7 +109,7 @@ def _counted_reads(monkeypatch, names):
 
 def _catalog_with_users(n_unscored: int) -> KnowledgeGraph:
     """Two scored users and ``n_unscored`` others over one 30-item catalog."""
-    g = KnowledgeGraph(synthetic_schema())
+    g = GraphWriter(synthetic_schema())
     items = [g.add_entity("item", f"i{j}") for j in range(30)]
     rng = rng_for(4, "eval-cost")
     heads, tails = [], []
@@ -119,7 +119,7 @@ def _catalog_with_users(n_unscored: int) -> KnowledgeGraph:
         heads += [user] * len(bought)
         tails += [items[int(j)] for j in bought]
     g.add_triplets(heads, [g.interaction_relation] * len(heads), tails)
-    return g.freeze()
+    return g.graph
 
 
 def test_graph_reads_follow_the_scored_users(monkeypatch):
@@ -183,13 +183,13 @@ def _random_graphs():
         for base in (build_shop_graph(synthetic_schema(), n_users=3 + seed, n_items=5 + 2 * seed,
                                       interactions=2 + seed % 3, seed=70 + seed),
                      build_multi_edge_graph(n_users=2 + seed, n_items=6 + seed, seed=seed)):
-            g = base.clone()
+            g = GraphWriter(base)
             g.add_entity(g.schema.user_type, "lonely")
             idle = g.add_entity(g.schema.item_type, "idle")
             rel = next(r for r, spec in enumerate(g.schema.relations)
                        if spec.head_type == g.schema.item_type)
             g.add_triplet(idle, rel, g.entities_of_type(g.schema.relations[rel].tail_type)[0])
-            yield g.freeze()
+            yield g.graph
 
 
 class TestGraphReadsPinned:
@@ -223,7 +223,7 @@ class TestGraphReadsPinned:
             assert train_items.get("no-such-user") is None
 
     def test_counts_follow_writes_on_a_mutable_graph(self, tiny_graph):
-        g = tiny_graph.clone()
+        g = GraphWriter(tiny_graph)
         i2 = g.entity_id("item", "i2")
         assert g.interaction_counts()[i2] == 1
         g.add_triplet(g.entity_id("user", "u0"), g.interaction_relation, i2)

@@ -1,15 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathrec.errors import InvalidSpec, NotAnItem, ParseError, SchemaViolation, UnknownEntity
+from pathrec.errors import (DuplicateEntity, InvalidSpec, NotAnItem, ParseError, SchemaViolation,
+                            UnknownEntity)
 from pathrec.graph import (FORWARD, INVERSE, DerivationRule, KGSchema,
                            KnowledgeGraph, RelationSpec, check_triplet_row,
                            parse_entity_token, read_triplet_rows)
 
 from conftest import build_multi_edge_graph, build_shop_graph
+from oracles import GraphWriter
 
 
 def minimal_schema(**overrides):
@@ -95,7 +98,7 @@ class TestSchema:
 
 class TestGraphRegistry:
     def test_interning_is_idempotent(self, schema):
-        g = KnowledgeGraph(schema)
+        g = GraphWriter(schema)
         a = g.add_entity("user", "u0")
         assert g.add_entity("user", "u0") == a
         assert g.entity_id("user", "u0") == a
@@ -103,14 +106,14 @@ class TestGraphRegistry:
         assert g.entity_count == 1
 
     def test_same_name_different_type(self, schema):
-        g = KnowledgeGraph(schema)
+        g = GraphWriter(schema)
         a = g.add_entity("user", "x")
         b = g.add_entity("item", "x")
         assert a != b
         assert g.entity_type(a) == "user" and g.entity_type(b) == "item"
 
     def test_unknown_lookups(self, schema):
-        g = KnowledgeGraph(schema)
+        g = GraphWriter(schema)
         with pytest.raises(UnknownEntity):
             g.entity_id("user", "nope")
         with pytest.raises(UnknownEntity):
@@ -123,9 +126,9 @@ class TestGraphRegistry:
     def test_batch_interning_equals_one_by_one(self, schema):
         keys = [("user", "u0"), ("item", "x"), ("user", "x"), ("item", "x"),
                 ("brand", "b0"), ("user", "u0"), ("item", "i1")]
-        one = KnowledgeGraph(schema)
+        one = GraphWriter(schema)
         one.add_entity("item", "i1")
-        batch = one.clone()
+        batch = GraphWriter(one.graph)
         want = [one.add_entity(*key) for key in keys]
         got = batch.add_entities([t for t, _ in keys], [n for _, n in keys])
         assert got == want == [1, 2, 3, 2, 4, 1, 0]
@@ -134,30 +137,25 @@ class TestGraphRegistry:
         assert batch.items() == one.items() and batch.users() == one.users()
         assert batch.add_entities([], []) == []
 
-    def test_batch_interning_is_all_or_nothing(self, schema, tiny_graph):
-        g = KnowledgeGraph(schema)
+    def test_batch_interning_is_all_or_nothing(self, schema):
+        g = GraphWriter(schema)
         with pytest.raises(SchemaViolation, match="vendor"):
             g.add_entities(["user", "vendor"], ["u0", "v0"])
         assert g.entity_count == 0 and not g.has_entity("user", "u0")
         with pytest.raises(InvalidSpec):
-            g.add_entities(["user"], ["u0", "u1"])
-        # a frozen graph still answers for keys it holds
-        assert tiny_graph.add_entities(["item", "user"], ["i0", "u0"]) == [
-            tiny_graph.entity_id("item", "i0"), tiny_graph.entity_id("user", "u0")]
-        with pytest.raises(SchemaViolation, match="frozen"):
-            tiny_graph.add_entities(["item", "user"], ["i0", "u9"])
+            g.extended(["user"], ["u0", "u1"], [], [], [])
 
     def test_growth_past_capacity(self, schema):
-        g = KnowledgeGraph(schema)
+        g = GraphWriter(schema)
         g.add_entities(["user"] * 10, [f"u{i}" for i in range(10)])
         ids = g.add_entities(["item"] * 40, [f"i{i}" for i in range(40)])
         assert ids == list(range(10, 50))
         assert g.users() == list(range(10)) and g.items() == ids
 
     def test_entity_index_is_a_read_only_view(self, schema):
-        g = KnowledgeGraph(schema)
-        index = g.entity_index()
+        g = GraphWriter(schema)
         g.add_entity("user", "u0")
+        index = g.entity_index()
         assert dict(index) == {("user", "u0"): 0}
         with pytest.raises(TypeError):
             index[("user", "u1")] = 1
@@ -165,14 +163,14 @@ class TestGraphRegistry:
 
 class TestTriplets:
     def test_schema_enforced(self, schema):
-        g = KnowledgeGraph(schema)
+        g = GraphWriter(schema)
         u = g.add_entity("user", "u0")
         b = g.add_entity("brand", "b0")
         with pytest.raises(SchemaViolation, match="violates schema"):
             g.add_triplet(u, g.relation_id("purchase"), b)
 
     def test_duplicates_dropped(self, schema):
-        g = KnowledgeGraph(schema)
+        g = GraphWriter(schema)
         u = g.add_entity("user", "u0")
         i = g.add_entity("item", "i0")
         pu = g.relation_id("purchase")
@@ -200,7 +198,7 @@ class TestTriplets:
         assert all(r == pu and d == FORWARD for r, _, d in got)
 
     def test_interactions_chronological(self, schema):
-        g = KnowledgeGraph(schema)
+        g = GraphWriter(schema)
         u = g.add_entity("user", "u0")
         items = [g.add_entity("item", f"i{k}") for k in (3, 1, 2)]
         pu = g.relation_id("purchase")
@@ -223,26 +221,40 @@ class TestTriplets:
         assert not g.has_triplet(u0, like, g.entity_id("brand", "b1"))
 
 
+class TestBuild:
+    def test_extended_leaves_the_base_as_it_was(self, tiny_graph):
+        csr, counts = tiny_graph.csr(), tiny_graph.interaction_counts()
+        fingerprint, n = tiny_graph.fingerprint(), tiny_graph.entity_count
+        pu, i2 = tiny_graph.relation_id("purchase"), tiny_graph.entity_id("item", "i2")
+        g = tiny_graph.extended(["user"], ["u9"], [n, 0], [pu, pu], [i2, i2])
+        assert g.entity_id("user", "u9") == n and g.entity_count == n + 1
+        assert g.triplet_count == tiny_graph.triplet_count + 2
+        assert g.neighbors(n) == [(pu, i2, FORWARD)]
+        assert g.interaction_count(i2) == 3 and g.fingerprint() != fingerprint
+        assert tiny_graph.csr() is csr and tiny_graph.interaction_counts() is counts
+        assert tiny_graph.fingerprint() == fingerprint and tiny_graph.entity_count == n
+        assert not tiny_graph.has_entity("user", "u9") and tiny_graph.interaction_count(i2) == 1
+
+    def test_extended_rejects_a_key_twice(self, tiny_graph):
+        with pytest.raises(DuplicateEntity, match="user:u0"):
+            tiny_graph.extended(["item", "user"], ["i9", "u0"], [], [], [])
+        with pytest.raises(DuplicateEntity, match="item:i9"):
+            tiny_graph.extended(["item", "user", "item"], ["i9", "i9", "i9"], [], [], [])
+        with pytest.raises(InvalidSpec):
+            tiny_graph.extended([], [], [0], [0], [])
+
+    def test_has_type_rejects_unregistered_ids(self, schema):
+        g = KnowledgeGraph.build(schema, ["item", "user"], ["i0", "u0"], [], [], [])
+        assert g.has_type(np.array([1, 0]), "user").tolist() == [True, False]
+        for bad in (5, -1, 2):
+            with pytest.raises(UnknownEntity, match=f"entity id {bad} "):
+                g.has_type(np.array([1, bad]), "user")
+
+
 class TestLifecycle:
-    def test_freeze_blocks_mutation(self, tiny_graph):
-        with pytest.raises(SchemaViolation, match="frozen"):
-            tiny_graph.add_entity("user", "u9")
-        with pytest.raises(SchemaViolation, match="frozen"):
-            tiny_graph.add_triplet(0, 0, 2)
-
-    def test_clone_is_independent(self, tiny_graph):
-        g2 = tiny_graph.clone()
-        assert not g2.frozen
-        u9 = g2.add_entity("user", "u9")
-        g2.add_triplet(u9, g2.relation_id("purchase"), g2.entity_id("item", "i0"))
-        assert g2.entity_count == tiny_graph.entity_count + 1
-        assert tiny_graph.triplet_count == g2.triplet_count - 1
-        # ids preserved for existing entities
-        assert g2.entity_id("item", "i2") == tiny_graph.entity_id("item", "i2")
-
     def test_fingerprint_insensitive_to_insertion_order(self, schema):
         def build(order):
-            g = KnowledgeGraph(schema)
+            g = GraphWriter(schema)
             u = g.add_entity("user", "u0")
             items = {n: g.add_entity("item", n) for n in ("i0", "i1")}
             pu = g.relation_id("purchase")
@@ -323,13 +335,8 @@ class TestCSR:
                                 adj.dir[lo:hi].tolist()))
                 assert rows == g.neighbors(e)
 
-    def test_cached_only_when_frozen(self, tiny_graph):
-        assert tiny_graph.csr() is tiny_graph.csr()
-        g = tiny_graph.clone()
-        assert g.csr() is not g.csr()
-
     def test_mutable_graph_reflects_later_triplets(self, tiny_graph):
-        g = tiny_graph.clone()
+        g = GraphWriter(tiny_graph)
         u0 = g.entity_id("user", "u0")
         i2 = g.entity_id("item", "i2")
         pu = g.relation_id("purchase")
@@ -343,9 +350,9 @@ class TestCSR:
                                         after.dir[lo:hi].tolist())
 
     def test_entities_without_edges_have_empty_rows(self, schema):
-        g = KnowledgeGraph(schema)
+        g = GraphWriter(schema)
         g.add_entity("user", "u0")
         g.add_entity("item", "i0")
-        adj = g.freeze().csr()
+        adj = g.graph.csr()
         assert adj.indptr.tolist() == [0, 0, 0]
         assert len(adj.rel) == len(adj.nbr) == len(adj.dir) == 0

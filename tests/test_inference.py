@@ -3,15 +3,15 @@ import pytest
 
 from pathrec.embeddings import (EmbedTrainConfig, EmbeddingTable, init_table, score_tails)
 from pathrec.errors import InvalidSpec, MissingEmbedding, UnknownUser
-from pathrec.graph import FORWARD, INVERSE, KnowledgeGraph, parse_entity_token
+from pathrec.graph import FORWARD, INVERSE, parse_entity_token
 from pathrec.inference import (ScoredPath, beam_search, explain, path_record,
                                rank_recommendations)
 from pathrec.mdp import SELF_LOOP, PathState
 from pathrec.policy import AgentConfig, PolicyModel, state_dim_for
 
 from conftest import build_multi_edge_graph
-from oracles import (Action, beam_of, beam_paths, encode_state, is_complete, step,
-                     valid_actions)
+from oracles import (Action, GraphWriter, beam_of, beam_paths, encode_state, is_complete,
+                     step, valid_actions)
 
 
 def fresh_policy(table, hop_budget, max_actions=50, seed=7):
@@ -242,7 +242,7 @@ class TestRanking:
     def brand_graph(self, schema):
         """u0 bought i0; i0..i3 share brand b0, so i1..i3 are reachable and
         recommendable through the brand in three hops."""
-        g = KnowledgeGraph(schema)
+        g = GraphWriter(schema)
         u0 = g.add_entity("user", "u0")
         items = [g.add_entity("item", f"i{n}") for n in range(4)]
         b0 = g.add_entity("brand", "b0")
@@ -250,7 +250,7 @@ class TestRanking:
         for it in items:
             g.add_triplet(it, pb, b0)
         g.add_triplet(u0, g.relation_id("purchase"), items[0])
-        return g.freeze()
+        return g.graph
 
     def path_to(self, g, item_name, budget=3):
         u0 = g.entity_id("user", "u0")

@@ -13,8 +13,8 @@ from pathrec.mdp import (SELF_LOOP, Frontier, PathState, RewardSpec, compile_pat
                          compile_patterns, path_signature, signature_label)
 
 from conftest import build_multi_edge_graph, build_shop_graph
-from oracles import (Action, BudgetExhausted, encode_state, frontier_of, is_complete,
-                     reference_slates, step, valid_actions)
+from oracles import (Action, BudgetExhausted, GraphWriter, encode_state, frontier_of,
+                     is_complete, reference_slates, step, valid_actions)
 
 
 def walk(graph, state, actions):
@@ -561,16 +561,16 @@ class TestFrontier:
         assert frontier.states(3) == states
 
     def test_unfrozen_graph_slates_see_new_triplets(self, tiny_graph):
-        g = tiny_graph.clone()
+        g = GraphWriter(tiny_graph)
         u0 = g.entity_id("user", "u0")
         i2 = g.entity_id("item", "i2")
         start = Frontier.start([u0])
         scores = np.zeros((1, g.entity_count))
         rows = np.zeros(1, dtype=np.intp)
-        before = slate_rows(start.slates(g, 250, scores, rows))[0]
+        before = slate_rows(start.slates(g.graph, 250, scores, rows))[0]
         g.add_triplet(u0, g.relation_id("purchase"), i2)
-        after = slate_rows(start.slates(g, 250, scores, rows))[0]
-        assert after == valid_actions(PathState.start(u0, 3), g)
+        after = slate_rows(start.slates(g.graph, 250, scores, rows))[0]
+        assert after == valid_actions(PathState.start(u0, 3), g.graph)
         assert set(after) - set(before) == {Action(g.relation_id("purchase"), i2, FORWARD)}
 
 

@@ -465,6 +465,15 @@ def drop_items(path):
         fh.writelines(json.dumps(rec) + "\n" for rec in lines)
 
 
+def list_cohort(path):
+    """Store the manifest's warm_test cohort as a JSON list of its user
+    names; the file still decodes and its stamp still matches the run."""
+    with open(path) as fh:
+        data = json.load(fh)
+    data["warm_test"] = list(data["warm_test"])
+    write_json(path, data)
+
+
 def seed_in_config(path):
     """Write the seed into the stored config, the layout of earlier versions:
     a split manifest kept its seed only there, a policy also kept a copy
@@ -516,6 +525,7 @@ FAULTS = [
     ("bad-target", "split/profiles.jsonl", "train-embed"),
     ("bad-target", "split/profiles.jsonl", "cold-integrate"),
     ("seed-in-config", "split/manifest.json", "train-embed"),
+    ("list-cohort", "split/manifest.json", "eval"),
     ("seed-in-config", "agent/policy.npz", "recommend"),
     ("seed-in-config", "agent/policy.npz", "sweep"),
 ]
@@ -538,6 +548,8 @@ class TestDamagedArtifacts:
             bad_target(path)
         elif fault == "seed-in-config":
             seed_in_config(path)
+        elif fault == "list-cohort":
+            list_cohort(path)
         elif fault == "seed2":
             shutil.copyfile(os.path.join(seed2_run.workdir, artifact), path)
         else:
@@ -648,6 +660,13 @@ class TestSweep:
         assert sweep_csv() == before
 
 
+@pytest.fixture(scope="module")
+def multi_seed_run(tmp_path_factory):
+    config = tiny_config(str(tmp_path_factory.mktemp("multi-seed") / "runs"))
+    run_seeds(config, [1, 2])
+    return config
+
+
 class TestMultiSeed:
     def test_run_seeds_aggregate_oracle(self, tmp_path_factory):
         workdir = str(tmp_path_factory.mktemp("multi") / "runs")
@@ -690,6 +709,26 @@ class TestMultiSeed:
         config = tiny_config(str(tmp_path))
         with pytest.raises(StageError):
             write_aggregate(config, [1, 2])
+
+    @pytest.mark.parametrize("rows", [[1], "no value"])
+    def test_aggregate_rejects_malformed_rows(self, multi_seed_run, tmp_path, capsys, rows):
+        config = multi_seed_run
+        copy = dataclasses.replace(config, workdir=str(tmp_path / "runs"))
+        shutil.copytree(config.workdir, copy.workdir)
+        report = os.path.join(copy.workdir, "seed_2", "report", "metrics.json")
+        with open(report) as fh:
+            data = json.load(fh)
+        if rows == "no value":
+            del data["rows"][0]["value"]
+        else:
+            data["rows"] = rows
+        write_json(report, data)
+        with pytest.raises(StageError, match=r"^\[report\] .*seed_2"):
+            write_aggregate(copy, [1, 2])
+        config_path = str(tmp_path / "config.json")
+        write_json(config_path, copy.to_json())
+        assert cli.main(["report", "-c", config_path, "--seeds", "1,2"]) == 2
+        assert capsys.readouterr().err.startswith("[report] ")
 
 
 @pytest.fixture(scope="module")

@@ -19,8 +19,8 @@ from pathrec.policy import (AgentConfig, PolicyModel, _sample_rows,
                             rollout_batch, state_dim_for, train_agent,
                             training_users, write_history)
 
-from oracles import (encode_state, frontier_of, is_complete, reference_forward, step,
-                     valid_actions)
+from oracles import (GraphWriter, encode_state, frontier_of, is_complete, reference_forward,
+                     step, valid_actions)
 
 
 class FixedReward:
@@ -735,22 +735,19 @@ class TestTraining:
             AgentConfig(hidden=hidden).validate()
 
     def test_training_users_skips_interactionless(self, schema):
-        from pathrec.graph import KnowledgeGraph
-
-        g = KnowledgeGraph(schema)
+        g = GraphWriter(schema)
         u0 = g.add_entity("user", "u0")
         u1 = g.add_entity("user", "u1")
         i0 = g.add_entity("item", "i0")
         g.add_triplet(u0, g.relation_id("purchase"), i0)
-        assert training_users(g.freeze()) == [u0]
+        g = g.graph
+        assert training_users(g) == [u0]
         assert u1 not in training_users(g)
 
     def test_no_trainable_users_rejected(self, schema, small_table):
-        from pathrec.graph import KnowledgeGraph
-
-        g = KnowledgeGraph(schema)
+        g = GraphWriter(schema)
         g.add_entity("user", "u0")
-        g.freeze()
+        g = g.graph
         with pytest.raises(EmptyGraph):
             train_agent(g, small_table, RewardSpec.binary(g),
                         AgentConfig(hop_budget=2, epochs=1))

@@ -25,7 +25,7 @@ from pathrec.graph import (FORWARD, INVERSE, KGSchema, KnowledgeGraph,
 from pathrec.pipeline import build_augmented
 
 from conftest import build_multi_edge_graph, build_shop_graph
-from oracles import reference_cold_rows
+from oracles import GraphWriter, reference_cold_rows
 
 
 class ReferenceGraph:
@@ -154,7 +154,7 @@ def random_triplets(schema, n_entities, n, seed):
 
 
 def registered(schema, n_entities):
-    g = KnowledgeGraph(schema)
+    g = GraphWriter(schema)
     for etype in schema.entity_types:
         for k in range(n_entities):
             g.add_entity(etype, f"{etype[0]}{k}")
@@ -178,25 +178,25 @@ class TestBulkStore:
         assert len(ref.log) < len(triplets)  # repeats inside and across batches
         assert_same_store(edge_by_edge, ref)
         assert_same_store(bulk, ref)
-        assert_same_store(bulk.freeze(), ref)
+        assert_same_store(bulk.graph, ref)
 
     def test_shop_and_multi_edge_graphs(self, schema):
         for g in (build_shop_graph(schema, n_users=7, n_items=12, interactions=5, seed=4),
                   build_multi_edge_graph(seed=3)):
             ref = reference_of(g)
             assert_same_store(g, ref)
-            bulk = KnowledgeGraph(g.schema)
+            bulk = GraphWriter(g.schema)
             for e in range(g.entity_count):
                 bulk.add_entity(g.entity_type(e), g.entity_name(e))
             spo = np.asarray(list(g.triplets()))
             bulk.add_triplets(*np.concatenate([spo, spo[::3]]).T)
-            assert_same_store(bulk.freeze(), ref)
+            assert_same_store(bulk.graph, ref)
 
     def test_clone_gains_edges_original_unchanged(self, schema):
         g = build_shop_graph(schema, n_users=5, n_items=8, interactions=3, seed=2)
         before = reference_of(g)
-        g.csr()  # a cached CSR must not leak into the clone's view
-        c = g.clone()
+        g.csr()  # a cached CSR must not leak into the extended graphs
+        c = GraphWriter(g)
         cref = reference_of(g)
         u = c.add_entity("user", "new")
         e = cref.add_entity("user", "new")
@@ -213,7 +213,7 @@ class TestBulkStore:
         g = registered(schema, 5)
         for batch in np.split(np.asarray(random_triplets(schema, 5, 40, 6)), [30]):
             g.add_triplets(*batch.T)  # the second batch leaves spare capacity
-        c = g.clone()
+        c = GraphWriter(g.graph)
         ref, cref = reference_of(g), reference_of(c)
         batches = np.array_split(np.asarray(random_triplets(schema, 5, 60, 7)), 20)
         for k, batch in enumerate(batches):  # small interleaved batches
@@ -236,7 +236,7 @@ class TestBulkStore:
         ref = reference_of(registered(schema, 8))
         for tr in triplets:
             ref.add_triplet(*tr)
-        assert_same_store(g.freeze(), ref)
+        assert_same_store(g.graph, ref)
 
     def test_one_duplicate_warning(self, schema, caplog):
         g = registered(schema, 3)
@@ -261,9 +261,6 @@ class TestBulkStore:
             with pytest.raises(exc, match=text):
                 g.add_triplets(heads, rels, tails)
             assert g.triplet_count == 0
-        g.freeze()
-        with pytest.raises(SchemaViolation, match="frozen"):
-            g.add_triplets([], [], [])
 
     def test_key_index_edge_cases(self, schema):
         g = registered(schema, 3)  # users 0-2, items 3-5, no triplets yet
@@ -415,9 +412,8 @@ class TestBulkLoad:
         g = build_shop_graph(schema, n_users=9, n_items=10, n_brands=3,
                              n_categories=2, interactions=6, seed=8, derive=False)
         ref = reference_of(g)
-        c = g.clone()
-        derive_relations(c)
-        derive_relations(c)  # idempotent
+        c = derive_relations(g)
+        c = derive_relations(c)  # idempotent
         reference_derive(ref)
         assert_same_store(c, ref)
 
@@ -443,7 +439,8 @@ class TestBulkLoad:
                                   "cold_integration": True})
         schema = KGSchema.from_json(spec)
         g = build_shop_graph(schema, n_users=30, n_items=24, n_brands=4,
-                             n_categories=3, interactions=6, seed=11).clone()
+                             n_categories=3, interactions=6, seed=11)
+        g = GraphWriter(g)
         rng = np.random.default_rng(2)
         users, brands = g.entities_of_type("user"), g.entities_of_type("brand")
         follows = rng.choice(len(users) * len(brands), size=40, replace=False)
@@ -454,7 +451,7 @@ class TestBulkLoad:
         cats = np.asarray(g.entities_of_type("category"))
         g.add_triplets(items, np.full(len(items), g.relation_id("belong_to")),
                        cats[np.arange(len(items)) % len(cats)])
-        g = g.freeze()
+        g = g.graph
 
         def no_walk(*args, **kwargs):
             raise AssertionError("split_dataset walked graph.neighbors")
@@ -501,7 +498,7 @@ class TestBulkLoad:
 def reference_integrate(train_graph, table, profiles, strategy, interactions=None):
     """One profile at a time, each entity and triplet registered on its own,
     then each moved interaction on its own."""
-    aug = train_graph.clone()
+    aug = GraphWriter(train_graph)
     ids = {}
     for p in profiles:
         known = [d for d in p.declarations if aug.has_entity(d.target_type, d.target_name)]
@@ -517,7 +514,7 @@ def reference_integrate(train_graph, table, profiles, strategy, interactions=Non
                     and aug.has_entity(aug.schema.item_type, item)):
                 aug.add_triplet(ids[user], aug.interaction_relation,
                                 aug.entity_id(aug.schema.item_type, item))
-    aug.freeze()
+    aug = aug.graph
     rows = reference_cold_rows(table, aug, list(ids.values()), strategy)
     return (aug, np.concatenate([table.entity_vecs, rows]),
             np.concatenate([table.entity_bias, np.zeros(len(rows))]), ids)
@@ -527,7 +524,6 @@ def assert_same_integration(got, want):
     aug, ext, ids = got
     ref_aug, ref_vecs, ref_bias, ref_ids = want
     assert ids == ref_ids
-    assert aug.frozen
     assert_same_store(aug, reference_of(ref_aug))
     assert ext.entity_vecs.tobytes() == ref_vecs.tobytes()
     assert ext.entity_bias.tobytes() == ref_bias.tobytes()
