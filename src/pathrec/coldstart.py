@@ -17,6 +17,7 @@ warm or cold.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import atomic_open
+from .artifacts import atomic_open, read_bytes
 from .embeddings import EmbeddingTable
 from .errors import (DuplicateEntity, EmptyProfile, MissingEmbedding,
                      MissingNeighborEmbedding, ParseError, SchemaViolation)
@@ -108,15 +109,20 @@ def write_profiles(profiles: Sequence[ColdProfile], path: str):
 def read_profiles(path: str) -> list[ColdProfile]:
     """The profiles of a jsonl file; a malformed target raises ParseError
     naming the file and line."""
+    return parse_profiles(path, read_bytes(path))
+
+
+def parse_profiles(path: str, data: bytes) -> list[ColdProfile]:
+    """The profiles of a jsonl file's bytes, read as a text-mode ``open``
+    reads them; ``path`` names the file in errors."""
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                try:
-                    out.append(ColdProfile.from_json(json.loads(line)))
-                except ParseError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(data)), start=1):
+        line = line.strip()
+        if line:
+            try:
+                out.append(ColdProfile.from_json(json.loads(line)))
+            except ParseError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 

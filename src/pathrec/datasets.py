@@ -11,18 +11,16 @@ training interactions only, so the training graph leaks nothing.
 Graphs are built once from arrays: ``load_dataset`` parses a whole
 triplet file into one ``KnowledgeGraph.build`` call, the split builds the
 training graph the same way, and ``derive_relations`` returns the graph
-extended by its derived edges. ``load_dataset`` parses a triplet file once
-per content: it keeps the graph of the last file it parsed, keyed by the
-sha256 of the schema and the file's bytes, so the stages of one process
-that read the same split share one graph.
+extended by its derived edges. ``load_dataset`` and ``DatasetSplit.read``
+parse once per content (``artifacts.parse_once``): each keeps the value of
+the last bytes it parsed, so the stages of one process that read the same
+split share one split and one graph.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import io
-import json
 import logging
 import os
 from dataclasses import asdict, dataclass
@@ -31,20 +29,16 @@ from itertools import chain
 
 import numpy as np
 
-from .artifacts import atomic_open, write_json
-from .coldstart import ColdDeclaration, ColdProfile, read_profiles, write_profiles
+from .artifacts import (atomic_open, canonical_json, parse_json, parse_once, read_bytes,
+                        write_json)
+from .coldstart import ColdDeclaration, ColdProfile, parse_profiles, write_profiles
 from .embeddings import rng_for
-from .errors import EmptyUser, InvalidSpec, ParseError, SchemaViolation, check_field_types
+from .errors import (EmptyUser, InvalidSpec, ParseError, SchemaViolation, check_field_types,
+                     is_int)
 from .graph import (KGSchema, KnowledgeGraph, check_triplet_row,
                     read_triplet_rows)
 
 log = logging.getLogger(__name__)
-
-
-# The graph of the last triplet file load_dataset parsed, keyed by
-# the sha256 of the schema and the file's bytes; one entry, so the stages of
-# one run that read the same split in one process parse it once.
-_last_parsed: tuple[str, KnowledgeGraph] | None = None
 
 
 def load_dataset(triplet_path: str, schema_path: str | KGSchema) -> KnowledgeGraph:
@@ -52,24 +46,23 @@ def load_dataset(triplet_path: str, schema_path: str | KGSchema) -> KnowledgeGra
 
     Derived relations must not appear in the file; they are joined from the
     interactions it contains. The file's bytes are read once and parsed as
-    a text-mode ``open`` would read them. Loading the bytes that the last
-    parse read, under the same schema, returns that parse's graph itself;
-    so the duplicate-triplet warning is logged when a file is parsed, not
-    when its graph is returned again. A faulty file raises the error a
-    line-by-line load would raise at its first faulty line, and is never
-    kept.
+    a text-mode ``open`` would read them. A triplet file is parsed once per
+    content in a process: loading the bytes that the last parse read,
+    under the same schema and from any path, returns that parse's graph
+    itself; so the duplicate-triplet warning is logged when a file is
+    parsed, not when its graph is returned again. A faulty file raises the
+    error a line-by-line load would raise at its first faulty line, and is
+    never kept.
     """
-    global _last_parsed
     schema = schema_path if isinstance(schema_path, KGSchema) else KGSchema.load(schema_path)
-    with open(triplet_path, "rb") as fh:
-        data = fh.read()
-    key = hashlib.sha256(json.dumps(schema.to_json(), sort_keys=True).encode()
-                         + b"\n" + data).hexdigest()
-    if _last_parsed is not None and _last_parsed[0] == key:
-        return _last_parsed[1]
-    graph = _parse_triplets(triplet_path, io.TextIOWrapper(io.BytesIO(data)).read(), schema)
-    _last_parsed = key, graph
-    return graph
+    return _triplet_graph(triplet_path, read_bytes(triplet_path), schema)
+
+
+def _triplet_graph(path: str, data: bytes, schema: KGSchema) -> KnowledgeGraph:
+    """``load_dataset`` of a triplet file's bytes."""
+    return parse_once("triplets", (canonical_json(schema.to_json()).encode(), data),
+                      lambda: _parse_triplets(path, io.TextIOWrapper(io.BytesIO(data)).read(),
+                                              schema))
 
 
 def _triplet_tokens(text: str) -> list[str] | None:
@@ -258,8 +251,27 @@ def _names(value) -> bool:
     return isinstance(value, list) and all(isinstance(name, str) for name in value)
 
 
-@dataclass
+def _ranked_targets(value) -> bool:
+    """Whether a manifest value is a JSON list of a cold user's ranked
+    targets: objects of a string ``relation`` and ``target_type`` whose
+    ``targets`` are [name, source id, frequency] lists."""
+    return isinstance(value, list) and all(
+        isinstance(rt, dict) and isinstance(rt.get("relation"), str)
+        and isinstance(rt.get("target_type"), str) and isinstance(rt.get("targets"), list)
+        and all(isinstance(t, list) and len(t) == 3 and isinstance(t[0], str)
+                and is_int(t[1]) and is_int(t[2]) for t in rt["targets"])
+        for rt in value)
+
+
+# the files a split is written to and read from
+SPLIT_FILES = ("schema.json", "train.tsv", "profiles.jsonl", "manifest.json")
+
+
+@dataclass(frozen=True)
 class DatasetSplit:
+    """A split is never changed once made: the stages of one process that
+    read the same split files share one ``DatasetSplit``."""
+
     schema: KGSchema
     config: SplitConfig
     train_graph: KnowledgeGraph
@@ -301,41 +313,56 @@ class DatasetSplit:
                     "config_hash": config_hash, "seed": seed})
 
     @classmethod
-    def read(cls, out_dir: str, manifest: dict | None = None) -> "DatasetSplit":
-        """The split written to ``out_dir``; ``manifest`` is the content of
-        its manifest.json when the caller has parsed it already. A manifest
-        field of the wrong JSON type raises ParseError."""
-        schema = KGSchema.load(os.path.join(out_dir, "schema.json"))
-        train_graph = load_dataset(os.path.join(out_dir, "train.tsv"), schema)
-        m = manifest
-        if m is None:
-            with open(os.path.join(out_dir, "manifest.json")) as fh:
-                m = json.load(fh)
-        where = os.path.join(out_dir, "manifest.json")
-        for key in ("warm_val", "warm_test", "cold_val", "cold_test"):
-            if not (isinstance(m[key], dict) and all(map(_names, m[key].values()))):
-                raise ParseError(f"{where}: {key} is not an object of name -> list of names")
-        if not _names(m["cold_items"]):
-            raise ParseError(f"{where}: cold_items is not a list of names")
-        if not isinstance(m["cold_user_targets"], dict):
-            raise ParseError(f"{where}: cold_user_targets is not an object")
-        profiles = read_profiles(os.path.join(out_dir, "profiles.jsonl"))
-        user_type = schema.user_type
-        targets = {
-            u: [RelationTargets(rt["relation"], rt["target_type"],
-                                tuple((n, i, f) for n, i, f in rt["targets"]))
-                for rt in rts]
-            for u, rts in m["cold_user_targets"].items()
-        }
-        return cls(
-            schema=schema, config=SplitConfig(**m["config"]), train_graph=train_graph,
-            warm_val=m["warm_val"], warm_test=m["warm_test"],
-            cold_val=m["cold_val"], cold_test=m["cold_test"],
-            cold_items=m["cold_items"],
-            user_profiles=[p for p in profiles if p.entity_type == user_type],
-            item_profiles=[p for p in profiles if p.entity_type != user_type],
-            cold_user_targets=targets,
-        )
+    def read(cls, out_dir: str, manifest: bytes | None = None) -> "DatasetSplit":
+        """The split written to ``out_dir``; ``manifest`` is the bytes of its
+        manifest.json when the caller has read them already.
+
+        A split is parsed once per content in a process: reading the bytes
+        of its ``SPLIT_FILES`` that the last parse read, from any
+        directory, returns that parse's split itself, and its train graph
+        is ``load_dataset``'s. A manifest field of the wrong JSON type
+        raises ParseError; a faulty split is never kept. Checks against a
+        run (stamps, train fingerprint) are the caller's, on every read.
+        """
+        data = {name: manifest if name == "manifest.json" and manifest is not None
+                else read_bytes(os.path.join(out_dir, name)) for name in SPLIT_FILES}
+        return parse_once("split", tuple(data.values()), lambda: _parse_split(out_dir, data))
+
+
+def _parse_split(out_dir: str, data: dict[str, bytes]) -> DatasetSplit:
+    """The split of the bytes of its files, keyed by file name; ``out_dir``
+    names the files in errors."""
+    path = functools.partial(os.path.join, out_dir)
+    schema = KGSchema.parse(path("schema.json"), data["schema.json"])
+    train_graph = _triplet_graph(path("train.tsv"), data["train.tsv"], schema)
+    where = path("manifest.json")
+    m = parse_json(where, data["manifest.json"])
+    for key in ("warm_val", "warm_test", "cold_val", "cold_test"):
+        if not (isinstance(m[key], dict) and all(map(_names, m[key].values()))):
+            raise ParseError(f"{where}: {key} is not an object of name -> list of names")
+    if not _names(m["cold_items"]):
+        raise ParseError(f"{where}: cold_items is not a list of names")
+    if not (isinstance(m["cold_user_targets"], dict)
+            and all(map(_ranked_targets, m["cold_user_targets"].values()))):
+        raise ParseError(f"{where}: cold_user_targets is not an object of name -> list of "
+                         "{relation, target_type, targets: [[name, source id, frequency]]}")
+    profiles = parse_profiles(path("profiles.jsonl"), data["profiles.jsonl"])
+    user_type = schema.user_type
+    targets = {
+        u: [RelationTargets(rt["relation"], rt["target_type"],
+                            tuple((n, i, f) for n, i, f in rt["targets"]))
+            for rt in rts]
+        for u, rts in m["cold_user_targets"].items()
+    }
+    return DatasetSplit(
+        schema=schema, config=SplitConfig(**m["config"]), train_graph=train_graph,
+        warm_val=m["warm_val"], warm_test=m["warm_test"],
+        cold_val=m["cold_val"], cold_test=m["cold_test"],
+        cold_items=m["cold_items"],
+        user_profiles=[p for p in profiles if p.entity_type == user_type],
+        item_profiles=[p for p in profiles if p.entity_type != user_type],
+        cold_user_targets=targets,
+    )
 
 
 def _cold_selection(ids: list[int], frac: Fraction, rng: np.random.Generator) -> list[int]:

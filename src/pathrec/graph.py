@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .artifacts import atomic_open, write_json
+from .artifacts import atomic_open, read_bytes, write_json
 from .errors import (DuplicateEntity, InvalidSpec, NotAnItem, ParseError, SchemaViolation,
                      UnknownEntity)
 
@@ -198,12 +198,17 @@ class KGSchema:
 
     @classmethod
     def load(cls, path: str) -> "KGSchema":
+        return cls.parse(path, read_bytes(path))
+
+    @classmethod
+    def parse(cls, path: str, data: bytes) -> "KGSchema":
+        """The schema of a schema file's bytes; ``path`` names the file in
+        errors."""
         try:
-            with open(path) as fh:
-                data = json.load(fh)
+            raw = json.loads(data)
         except json.JSONDecodeError as exc:
             raise ParseError(f"schema {path} is not valid JSON: {exc}") from exc
-        return cls.from_json(data)
+        return cls.from_json(raw)
 
 
 class CSRAdjacency(NamedTuple):

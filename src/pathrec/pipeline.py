@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import coldstart, datasets, inference, metrics
-from .artifacts import atomic_open, write_csv, write_json
+from .artifacts import (atomic_open, canonical_json, parse_json, read_bytes, write_csv,
+                        write_json)
 from .coldstart import ColdProfile, ColdStrategy
 from .datasets import DatasetSplit, SplitConfig, SyntheticSpec, cap_cold_relations
 from .embeddings import EmbedTrainConfig, EmbeddingTable, load_table, save_table, train_embeddings
@@ -37,10 +38,6 @@ log = logging.getLogger(__name__)
 STAGES = ("synth", "split", "train-embed", "train-agent", "cold-integrate",
           "recommend", "eval")
 COHORTS = ("warm_test", "cold_val", "cold_test")
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -201,7 +198,7 @@ class _Stage:
         self.name, self.config = name, config
         self.paths = RunPaths(config.workdir)
         self._meta_checked = False
-        self._parsed: dict[str, object] = {}
+        self._raw: dict[str, bytes] = {}
 
     def __enter__(self) -> "_Stage":
         return self
@@ -211,12 +208,16 @@ class _Stage:
             raise StageError(self.name, str(exc)) from exc
         return False
 
+    def raw(self, path: str) -> bytes:
+        """An artifact's bytes, read at their first use in the stage."""
+        if path not in self._raw:
+            self._raw[path] = read_bytes(path)
+        return self._raw[path]
+
     def json(self, path: str):
-        """A json artifact's content, parsed at its first read in the stage."""
-        if path not in self._parsed:
-            with open(path) as fh:
-                self._parsed[path] = json.load(fh)
-        return self._parsed[path]
+        """A json artifact's content, parsed once per content in the
+        process (``parse_json``)."""
+        return parse_json(path, self.raw(path))
 
     def stamp(self, path: str) -> tuple:
         """The (config hash, seed) an artifact embeds: npz members, the meta
@@ -251,7 +252,8 @@ class _Stage:
 
     def split(self) -> DatasetSplit:
         split, fingerprint = self.read(self.paths.manifest, "split", lambda p: (
-            DatasetSplit.read(os.path.dirname(p), self.json(p)), self.json(p)["train_fingerprint"]))
+            DatasetSplit.read(os.path.dirname(p), self.raw(p)),
+            self.json(p)["train_fingerprint"]))
         # the split writes one profile per cold user and cold item
         if (sorted(p.name for p in split.profiles)
                 != sorted([*split.cold_val, *split.cold_test, *split.cold_items])):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pathrec import datasets
+from pathrec import artifacts
 from pathrec.datasets import derive_relations, synthetic_schema
 from pathrec.embeddings import EmbedTrainConfig, init_table, rng_for
 
@@ -9,10 +9,10 @@ from oracles import GraphWriter
 
 
 @pytest.fixture(autouse=True)
-def no_kept_graph(monkeypatch):
-    """Each test starts with no triplet file parsed, so none depends on the
-    graph an earlier test left in ``load_dataset``'s one-entry cache."""
-    monkeypatch.setattr(datasets, "_last_parsed", None)
+def nothing_parsed(monkeypatch):
+    """Each test starts with no artifact parsed, so none depends on the
+    values an earlier test left in ``artifacts.parse_once``'s memo."""
+    monkeypatch.setattr(artifacts, "_parsed", {})
 
 
 @pytest.fixture(scope="session")

@@ -2,13 +2,14 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from pathrec import datasets
+from pathrec import artifacts, datasets
 from pathrec.coldstart import ColdDeclaration
 from pathrec.datasets import (DatasetSplit, RelationTargets, SplitConfig,
                               SyntheticSpec, cap_cold_relations,
@@ -69,7 +70,7 @@ class TestLoadDataset:
 
 class TestParsedOnce:
     """``load_dataset`` keeps the graph of the last file it parsed, keyed by
-    the sha256 of the schema and the file's bytes."""
+    the sha256 of the schema and the file's bytes (``artifacts.parse_once``)."""
 
     @pytest.fixture
     def parses(self, monkeypatch):
@@ -131,7 +132,85 @@ class TestParsedOnce:
             load_dataset(bad, schema)
         assert load_dataset(a, schema) is again  # a failed parse keeps nothing
         assert parses == [a, b, a, bad]
-        assert datasets._last_parsed[1] is again
+        assert artifacts._parsed["triplets"][1] is again
+
+
+class TestSplitParsedOnce:
+    """``DatasetSplit.read`` keeps the split of the last bytes it parsed,
+    keyed by the sha256 of its four files."""
+
+    @pytest.fixture
+    def written(self, tmp_path, schema):
+        out = str(tmp_path / "split")
+        split_dataset(build_shop_graph(schema, n_users=10, n_items=14, seed=9),
+                      SplitConfig(), seed=2).write(out, config_hash="abc123", seed=2)
+        return out
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The parsers ``DatasetSplit.read`` ran, by name."""
+        seen = []
+
+        def counting(name, fn):
+            return lambda *args: seen.append(name) or fn(*args)
+
+        for name in ("_parse_split", "_parse_triplets", "parse_profiles"):
+            monkeypatch.setattr(datasets, name, counting(name, getattr(datasets, name)))
+        monkeypatch.setattr(artifacts.json, "loads", counting("json", json.loads))
+        parse = KGSchema.parse.__func__
+        monkeypatch.setattr(KGSchema, "parse", classmethod(
+            lambda cls, *args: seen.append("schema") or parse(cls, *args)))
+        return seen
+
+    def test_same_bytes_parsed_once(self, tmp_path, written, parses):
+        first = DatasetSplit.read(written)
+        assert set(parses) == {"_parse_split", "_parse_triplets", "json", "parse_profiles",
+                               "schema"}
+        parses.clear()
+        copy = str(tmp_path / "copy")
+        shutil.copytree(written, copy)
+        assert DatasetSplit.read(written) is first
+        assert DatasetSplit.read(copy) is first  # the bytes are the key, not the path
+        assert parses == []
+
+    @pytest.mark.parametrize("name", datasets.SPLIT_FILES)
+    def test_rewritten_file_parsed_again(self, written, parses, name):
+        first = DatasetSplit.read(written)
+        with open(os.path.join(written, name), "ab") as fh:
+            fh.write(b"\n")  # other bytes, the same split
+        parses.clear()
+        again = DatasetSplit.read(written)
+        assert again is not first
+        assert again.manifest() == first.manifest()
+        assert again.profiles == first.profiles
+        assert parses.count("_parse_split") == 1
+        # the triplet graph is keyed by the schema's value, not its bytes
+        assert ("_parse_triplets" in parses) == (name == "train.tsv")
+
+    def test_split_is_frozen(self, written):
+        split = DatasetSplit.read(written)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            split.cold_items = []
+
+    @pytest.mark.parametrize("targets", [
+        [{"relation": "like", "target_type": "brand", "targets": [[5, "x", None]]}],
+        [{"relation": 1, "target_type": "brand", "targets": []}],
+        [{"relation": "like", "target_type": None, "targets": []}],
+        [{"relation": "like", "target_type": "brand", "targets": [["b0", 1]]}],
+        [{"relation": "like", "target_type": "brand", "targets": [["b0", True, 2]]}],
+        [{"relation": "like", "target_type": "brand", "targets": {"b0": 1}}],
+        [["like", "brand", []]],
+        {"relation": "like"},
+    ])
+    def test_malformed_cold_user_targets_rejected(self, written, targets):
+        path = os.path.join(written, "manifest.json")
+        with open(path) as fh:
+            manifest = json.load(fh)
+        manifest["cold_user_targets"][next(iter(manifest["cold_user_targets"]))] = targets
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ParseError, match="cold_user_targets"):
+            DatasetSplit.read(written)
 
 
 class TestPrefixShares:

@@ -359,6 +359,44 @@ def test_rewritten_train_file_is_parsed_again(tiny_run, tmp_path, monkeypatch):
     assert parses == [train_file, train_file]
 
 
+def test_two_runs_in_one_process_write_identical_trees(tmp_path, capsys):
+    """The second run finds every split parse of the first in the memo and
+    still writes the first run's bytes; run.json differs only by its
+    workdir."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(TINY))
+    roots = [str(tmp_path / name) for name in ("a", "b")]
+    for root in roots:
+        assert cli.main(["run", "-c", str(config_path), "--workdir", root]) == 0
+    first, second = (tree_hashes(root, skip=("run.json",)) for root in roots)
+    assert first == second
+    metas = []
+    for root in roots:
+        with open(os.path.join(root, "run.json")) as fh:
+            meta = json.load(fh)
+        assert meta["config"].pop("workdir") == root
+        metas.append(meta)
+    assert metas[0] == metas[1]
+
+
+def test_json_artifacts_are_one_line(tiny_run):
+    """Every json artifact is its value's key-sorted compact JSON on one
+    line, ending in one newline."""
+    config, _, _ = tiny_run
+    found = []
+    for dirpath, _, files in os.walk(config.workdir):
+        for name in files:
+            if name.endswith(".json"):
+                with open(os.path.join(dirpath, name)) as fh:
+                    text = fh.read()
+                value = json.loads(text)
+                assert text == json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
+                found.append(os.path.relpath(os.path.join(dirpath, name), config.workdir))
+    assert sorted(found) == ["cold/integration.json", "data/prefs.json", "data/schema.json",
+                             "report/metrics.json", "run.json", "split/manifest.json",
+                             "split/schema.json"]
+
+
 class TestRecommendStage:
     def test_reads_only_the_cold_table(self, tiny_run, tmp_path):
         config, _, _ = tiny_run
@@ -474,6 +512,17 @@ def list_cohort(path):
     write_json(path, data)
 
 
+def bad_targets(path):
+    """Store every cold user's ranked targets as one [5, "x", null] entry;
+    the manifest still decodes and its stamp still matches the run."""
+    with open(path) as fh:
+        data = json.load(fh)
+    for rts in data["cold_user_targets"].values():
+        for rt in rts:
+            rt["targets"] = [[5, "x", None]]
+    write_json(path, data)
+
+
 def seed_in_config(path):
     """Write the seed into the stored config, the layout of earlier versions:
     a split manifest kept its seed only there, a policy also kept a copy
@@ -526,9 +575,25 @@ FAULTS = [
     ("bad-target", "split/profiles.jsonl", "cold-integrate"),
     ("seed-in-config", "split/manifest.json", "train-embed"),
     ("list-cohort", "split/manifest.json", "eval"),
+    ("bad-targets", "split/manifest.json", "sweep"),
     ("seed-in-config", "agent/policy.npz", "recommend"),
     ("seed-in-config", "agent/policy.npz", "sweep"),
 ]
+
+
+FAULT_WRITERS = {"truncate": truncate, "cut-lines": cut_lines, "drop-items": drop_items,
+                 "bad-target": bad_target, "bad-targets": bad_targets,
+                 "seed-in-config": seed_in_config, "list-cohort": list_cohort,
+                 "delete": os.remove}
+
+
+def damage(copy, seed2_run, fault, artifact):
+    """Apply one of FAULTS to the copied run ``copy``."""
+    path = os.path.join(copy.workdir, artifact)
+    if fault == "seed2":
+        shutil.copyfile(os.path.join(seed2_run.workdir, artifact), path)
+    else:
+        FAULT_WRITERS[fault](path)
 
 
 class TestDamagedArtifacts:
@@ -537,23 +602,7 @@ class TestDamagedArtifacts:
                                        fault, artifact, stage):
         config, _, _ = tiny_run
         copy, _ = copy_run(config, str(tmp_path / "run"))
-        path = os.path.join(copy.workdir, artifact)
-        if fault == "truncate":
-            truncate(path)
-        elif fault == "cut-lines":
-            cut_lines(path)
-        elif fault == "drop-items":
-            drop_items(path)
-        elif fault == "bad-target":
-            bad_target(path)
-        elif fault == "seed-in-config":
-            seed_in_config(path)
-        elif fault == "list-cohort":
-            list_cohort(path)
-        elif fault == "seed2":
-            shutil.copyfile(os.path.join(seed2_run.workdir, artifact), path)
-        else:
-            os.remove(path)
+        damage(copy, seed2_run, fault, artifact)
         with pytest.raises(StageError, match=rf"^\[{stage}\] ") as err:
             STAGE_CALLS[stage](copy)
         assert err.value.stage == stage
@@ -562,6 +611,27 @@ class TestDamagedArtifacts:
         extra = ["--axis", "interactions", "--values", "0"] if stage == "sweep" else []
         assert cli.main([stage, "-c", config_path, *extra]) == 2
         assert capsys.readouterr().err.startswith(f"[{stage}] ")
+
+    @pytest.mark.parametrize("fault, artifact, stage", FAULTS)
+    def test_fault_after_clean_read_ends_in_stage_error(self, tiny_run, seed2_run, tmp_path,
+                                                       fault, artifact, stage):
+        """A stage that has read the undamaged run in this process keeps
+        no parse that hides the fault from its next read."""
+        config, _, _ = tiny_run
+        copy, _ = copy_run(config, str(tmp_path / "run"))
+        STAGE_CALLS[stage](copy)
+        damage(copy, seed2_run, fault, artifact)
+        with pytest.raises(StageError, match=rf"^\[{stage}\] "):
+            STAGE_CALLS[stage](copy)
+
+    def test_write_json_is_compact(self, tmp_path):
+        path = str(tmp_path / "a.json")
+        value = {"b": [1, 2.5, "x\u00e9"], "a": {"z": None, "y": True}}
+        write_json(path, value)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert data == b'{"a":{"y":true,"z":null},"b":[1,2.5,"x\\u00e9"]}\n'
+        assert json.loads(data) == value
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = str(tmp_path / "out" / "a.json")
