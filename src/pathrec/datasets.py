@@ -34,7 +34,7 @@ from .artifacts import (atomic_open, canonical_json, parse_json, parse_once, rea
 from .coldstart import ColdDeclaration, ColdProfile, parse_profiles, write_profiles
 from .embeddings import rng_for
 from .errors import (EmptyUser, InvalidSpec, ParseError, SchemaViolation, check_field_types,
-                     is_int)
+                     config_from_json, is_int)
 from .graph import (KGSchema, KnowledgeGraph, check_triplet_row,
                     read_triplet_rows)
 
@@ -188,8 +188,8 @@ class SplitConfig:
     cap_low: int = 1
     cap_high: int = 10
 
-    def validate(self):
-        check_field_types(self)
+    def __post_init__(self):
+        check_field_types(type(self), vars(self))
         fr = [Fraction(str(f)) for f in (self.train_frac, self.val_frac, self.test_frac)]
         if any(f < 0 for f in fr) or sum(fr) != 1:
             raise InvalidSpec("train/val/test fractions must be >= 0 and sum to 1")
@@ -355,7 +355,8 @@ def _parse_split(out_dir: str, data: dict[str, bytes]) -> DatasetSplit:
         for u, rts in m["cold_user_targets"].items()
     }
     return DatasetSplit(
-        schema=schema, config=SplitConfig(**m["config"]), train_graph=train_graph,
+        schema=schema, config=config_from_json(SplitConfig, m["config"], f"{where}: config"),
+        train_graph=train_graph,
         warm_val=m["warm_val"], warm_test=m["warm_test"],
         cold_val=m["cold_val"], cold_test=m["cold_test"],
         cold_items=m["cold_items"],
@@ -458,7 +459,6 @@ def split_dataset(graph: KnowledgeGraph, config: SplitConfig, seed: int = 0) -> 
     item reassigned to that user's test list; cold users are hidden
     entirely. Deterministic given ``seed``; a rerun is byte-identical.
     """
-    config.validate()
     by_user = graph.interactions_by_user()
     users = graph.users()
     for u in users:
@@ -568,8 +568,8 @@ class SyntheticSpec:
     p_pref: float = 0.9
     seed: int = 0
 
-    def validate(self):
-        check_field_types(self)
+    def __post_init__(self):
+        check_field_types(type(self), vars(self))
         if min(self.users, self.items, self.brands, self.categories) < 1:
             raise InvalidSpec("entity counts must be >= 1")
         if not 1 <= self.interactions_per_user <= self.items:
@@ -639,7 +639,6 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str) -> tuple[str, str]:
     values are those of the scalar calls; tests pin the replay against the
     real calls and the files against the scalar loop.
     """
-    spec.validate()
     rng = rng_for(spec.seed, "synth")
     u_w = max(4, len(str(spec.users)))
     i_w = max(4, len(str(spec.items)))

@@ -50,8 +50,8 @@ class EmbedTrainConfig:
     negatives: int = 5
     full_softmax: bool = False
 
-    def validate(self):
-        check_field_types(self)
+    def __post_init__(self):
+        check_field_types(type(self), vars(self))
         if self.dim < 1:
             raise InvalidSpec("embedding dim must be >= 1")
         if self.epochs < 0:
@@ -121,7 +121,6 @@ class EmbeddingTable:
 
 def init_table(graph: KnowledgeGraph, config: EmbedTrainConfig, seed: int = 0) -> EmbeddingTable:
     """Uniform(-0.5/d, 0.5/d) vectors, zero biases; draw order is fixed."""
-    config.validate()
     rng = rng_for(seed, "embed-init")
     d = config.dim
     half = 0.5 / d
@@ -362,7 +361,6 @@ def train_embeddings(graph: KnowledgeGraph, config: EmbedTrainConfig,
     With ``epochs=0`` the initialization is returned unchanged. The graph
     is read-only during training and may be shared.
     """
-    config.validate()
     if graph.triplet_count == 0:
         raise EmptyGraph("cannot train embeddings on a graph with no triplets")
     if config.full_softmax and graph.entity_count > 1000:
@@ -393,7 +391,7 @@ def save_table(table: EmbeddingTable, graph: KnowledgeGraph, path: str,
     """Snapshot keyed by symbol names and stamped; round-trips bit-exactly."""
     write_npz(
         path,
-        entity_keys=np.asarray([graph.entity_key(e) for e in range(graph.entity_count)]),
+        entity_keys=np.asarray(graph.entity_keys()),
         relation_keys=np.asarray([r.name for r in graph.schema.relations]),
         entity_vecs=table.entity_vecs,
         entity_bias=table.entity_bias,
@@ -407,9 +405,8 @@ def save_table(table: EmbeddingTable, graph: KnowledgeGraph, path: str,
 def load_table(path: str, graph: KnowledgeGraph) -> EmbeddingTable:
     """Load a snapshot whose entity and relation keys match ``graph``'s."""
     with np.load(path, allow_pickle=False) as data:
-        keys = data["entity_keys"].tolist()
-        want = [graph.entity_key(e) for e in range(graph.entity_count)]
-        if keys[:len(want)] != want or len(keys) < len(want):
+        keys, want = data["entity_keys"].tolist(), graph.entity_keys()
+        if len(keys) < len(want) or tuple(keys[:len(want)]) != want:
             raise MissingEmbedding(f"snapshot {path} does not match the graph's entities")
         if data["relation_keys"].tolist() != [r.name for r in graph.schema.relations]:
             raise MissingEmbedding(f"snapshot {path} does not match the graph's relations")

@@ -1,5 +1,12 @@
-"""Exception types shared across the package, and the value type check
-every config dataclass runs before its range checks."""
+"""Exception types shared across the package, and the one loader of a
+config from JSON.
+
+A config dataclass checks its values in ``__post_init__``, first their
+types (``check_field_types``), then their ranges, so no config exists
+unchecked. ``config_from_json`` builds a run config's sections and the
+configs stored in artifacts; it checks keys and types, named by their
+JSON path, before it builds the config.
+"""
 
 import dataclasses
 
@@ -86,13 +93,15 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_field_types(config, where: str = ""):
-    """Raise InvalidSpec unless each field of the config dataclass holds a
-    value of its default's type: an int may stand for a float, a list for
-    a tuple of ints. ``where`` names the config in the message (its class
-    name by default). Configs read from JSON and built in Python share it."""
-    for f in dataclasses.fields(config):
-        value, default = getattr(config, f.name), f.default
+def check_field_types(cls, values, where: str = ""):
+    """Raise InvalidSpec unless each value of ``values``, keyed by a field
+    name of the config dataclass ``cls``, has the type of the field's
+    default: an int may stand for a float, a list for a tuple of ints.
+    ``where`` names the config in the message (the class name by default)."""
+    for f in dataclasses.fields(cls):
+        if f.name not in values:
+            continue
+        value, default = values[f.name], f.default
         if isinstance(default, tuple):
             ok = isinstance(value, (list, tuple)) and all(is_int(v) for v in value)
         elif isinstance(default, bool):
@@ -105,5 +114,26 @@ def check_field_types(config, where: str = ""):
             ok = isinstance(value, type(default))
         if not ok:
             kind = "a list of ints" if isinstance(default, tuple) else type(default).__name__
-            raise InvalidSpec(f"{where or type(config).__name__}.{f.name} must be {kind}, "
+            raise InvalidSpec(f"{where or cls.__name__}.{f.name} must be {kind}, "
                               f"got {value!r}")
+
+
+def check_keys(section, allowed: tuple[str, ...], where: str):
+    """Raise InvalidSpec unless ``section`` is a JSON object whose keys are
+    all ``allowed``."""
+    if not isinstance(section, dict):
+        raise InvalidSpec(f"{where} must be a JSON object")
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise InvalidSpec(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
+def config_from_json(cls, section, where: str):
+    """The config dataclass ``cls`` of its JSON object ``section``, a list
+    read as a tuple. Unknown keys and values of the wrong type raise
+    InvalidSpec naming ``where``, the section's JSON path; the config then
+    checks its ranges as it is built."""
+    check_keys(section, tuple(f.name for f in dataclasses.fields(cls)), where)
+    check_field_types(cls, section, where)
+    return cls(**{name: tuple(value) if isinstance(value, list) else value
+                  for name, value in section.items()})

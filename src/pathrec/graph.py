@@ -21,8 +21,8 @@ The adjacency is the CSR form that ``csr()`` returns: entity ``e``'s
 edges are positions ``indptr[e]:indptr[e + 1]`` of the parallel ``rel``,
 ``nbr`` and ``dir`` arrays, in canonical (relation, neighbor, direction)
 order. ``neighbors``, ``degree`` and ``user_items`` read it. Like the
-interaction counts and ``fingerprint()``, it is computed at first use and
-kept.
+interaction counts, ``entity_keys()`` and ``fingerprint()``, it is
+computed at first use and kept.
 
 Serialization uses a tab-separated triplet file (one triplet per line,
 ``head_type:head_name<TAB>relation<TAB>tail_type:tail_name``) plus a JSON
@@ -250,6 +250,7 @@ class KnowledgeGraph:
         self._csr: CSRAdjacency | None = None
         self._tail_interactions: np.ndarray | None = None
         self._fingerprint: str | None = None
+        self._entity_keys: tuple[str, ...] | None = None
 
     @classmethod
     def build(cls, schema: KGSchema, types: Sequence[str], names: Sequence[str],
@@ -374,6 +375,15 @@ class KnowledgeGraph:
 
     def entity_key(self, e: int) -> str:
         return f"{self.entity_type(e)}:{self.entity_name(e)}"
+
+    def entity_keys(self) -> tuple[str, ...]:
+        """The ``type:name`` key of every entity, by id; computed at first
+        use and kept."""
+        if self._entity_keys is None:
+            types = self.schema.entity_types
+            self._entity_keys = tuple(f"{types[t]}:{name}"
+                                      for t, name in zip(self._types.tolist(), self._names))
+        return self._entity_keys
 
     def entities_of_type(self, etype: str) -> list[int]:
         if etype not in self._type_index:
@@ -517,8 +527,7 @@ class KnowledgeGraph:
 
     def _triplet_lines(self, include_derived: bool = True) -> list[str]:
         """Stored triplets as triplet-file lines, in insertion order."""
-        keys = [f"{self.schema.entity_types[t]}:{name}"
-                for t, name in zip(self._types.tolist(), self._names)]
+        keys = self.entity_keys()
         names = [r.name for r in self.schema.relations]
         derived = [r.derived_from is not None for r in self.schema.relations]
         return [f"{keys[h]}\t{names[r]}\t{keys[t]}" for h, r, t in self.triplets()

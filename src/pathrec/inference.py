@@ -169,8 +169,9 @@ def path_record(state: PathState, graph: KnowledgeGraph) -> dict:
     """A path as ``recs/recommendations.jsonl`` stores it: its entity keys,
     its steps as ``{"name", "direction"}`` (a self-loop named
     ``self_loop``) and its pattern label."""
+    keys = graph.entity_keys()
     return {
-        "entities": [graph.entity_key(e) for e in state.entities],
+        "entities": [keys[e] for e in state.entities],
         "relations": [{"name": "self_loop" if rel == SELF_LOOP else graph.relation_name(rel),
                        "direction": "inverse" if d == INVERSE else "forward"}
                       for rel, d in state.relations],

@@ -28,7 +28,7 @@ from .coldstart import ColdProfile, ColdStrategy
 from .datasets import DatasetSplit, SplitConfig, SyntheticSpec, cap_cold_relations
 from .embeddings import EmbedTrainConfig, EmbeddingTable, load_table, save_table, train_embeddings
 from .errors import (InvalidAxisValue, InvalidSpec, ParseError, PathRecError, StageError,
-                     check_field_types, is_int)
+                     check_field_types, check_keys, config_from_json, is_int)
 from .graph import KnowledgeGraph
 from .mdp import RewardSpec
 from .policy import AgentConfig, PolicyModel, train_agent, write_history
@@ -45,35 +45,12 @@ class InferenceConfig:
     widths: tuple[int, ...] = (25, 5, 1)
     topk: int = 10
 
-    def validate(self):
-        check_field_types(self)
+    def __post_init__(self):
+        check_field_types(type(self), vars(self))
         if not self.widths or any(w < 1 for w in self.widths):
             raise InvalidSpec("beam widths must be a non-empty list of ints >= 1")
         if self.topk < 1:
             raise InvalidSpec("topk must be >= 1")
-
-
-def _check_keys(section, allowed: tuple[str, ...], where: str):
-    if not isinstance(section, dict):
-        raise InvalidSpec(f"{where} must be a JSON object")
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise InvalidSpec(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-def _sub_config(cls, section, where: str):
-    """A config dataclass from its JSON object, a list read as a tuple;
-    each value must have the type of the field's default
-    (``check_field_types``)."""
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    _check_keys(section, tuple(defaults), where)
-    values = dict(section)
-    for name, value in section.items():
-        if isinstance(defaults[name], tuple) and isinstance(value, list):
-            values[name] = tuple(value)
-    config = cls(**values)
-    check_field_types(config, where)
-    return config
 
 
 @dataclass(frozen=True)
@@ -92,7 +69,7 @@ class RunConfig:
     cold_strategy: ColdStrategy = ColdStrategy.AVERAGE_TRANSLATION
     inference: InferenceConfig = field(default_factory=InferenceConfig)
 
-    def validate(self):
+    def __post_init__(self):
         if not is_int(self.seed) or not isinstance(self.workdir, str):
             raise InvalidSpec(f"seed must be an integer and workdir a string, got "
                               f"{self.seed!r} and {self.workdir!r}")
@@ -102,12 +79,6 @@ class RunConfig:
             raise InvalidSpec("a file dataset needs both triplets and schema paths")
         if (self.triplets is None) == (self.synthetic is None):
             raise InvalidSpec("config must name one dataset: synthetic or files")
-        if self.synthetic is not None:
-            self.synthetic.validate()
-        self.split.validate()
-        self.embed.validate()
-        self.agent.validate()
-        self.inference.validate()
         if self.agent.hop_budget != len(self.inference.widths):
             raise InvalidSpec("len(inference.widths) must equal agent.hop_budget")
 
@@ -128,35 +99,31 @@ class RunConfig:
     def from_json(cls, data: dict) -> "RunConfig":
         """Parse a run config; unknown keys, values of the wrong type and
         unknown cold strategies raise InvalidSpec."""
-        _check_keys(data, ("seed", "workdir", "dataset", "split", "embed", "agent", "cold",
-                           "inference"), "config")
+        check_keys(data, ("seed", "workdir", "dataset", "split", "embed", "agent", "cold",
+                          "inference"), "config")
         seed = data.get("seed", 0)
         workdir = data.get("workdir", "run")
         dataset = data.get("dataset", {"synthetic": {}})
         synthetic = triplets = schema = None
         if isinstance(dataset, dict) and "synthetic" in dataset:
-            _check_keys(dataset, ("synthetic",), "dataset")
-            synthetic = _sub_config(SyntheticSpec, dataset["synthetic"], "dataset.synthetic")
+            check_keys(dataset, ("synthetic",), "dataset")
+            synthetic = config_from_json(SyntheticSpec, dataset["synthetic"], "dataset.synthetic")
         else:
-            _check_keys(dataset, ("triplets", "schema"), "dataset")
+            check_keys(dataset, ("triplets", "schema"), "dataset")
             triplets, schema = dataset.get("triplets"), dataset.get("schema")
             if not all(p is None or isinstance(p, str) for p in (triplets, schema)):
                 raise InvalidSpec("dataset.triplets and dataset.schema must be paths")
         cold = data.get("cold", {})
-        _check_keys(cold, ("strategy",), "cold")
+        check_keys(cold, ("strategy",), "cold")
         strategy = cold.get("strategy", ColdStrategy.AVERAGE_TRANSLATION.value)
         names = [s.value for s in ColdStrategy]
         if strategy not in names:
             raise InvalidSpec(f"unknown cold.strategy {strategy!r}; expected one of {names}")
-        cfg = cls(seed=seed, workdir=workdir, synthetic=synthetic,
-                  triplets=triplets, schema=schema,
-                  split=_sub_config(SplitConfig, data.get("split", {}), "split"),
-                  embed=_sub_config(EmbedTrainConfig, data.get("embed", {}), "embed"),
-                  agent=_sub_config(AgentConfig, data.get("agent", {}), "agent"),
-                  cold_strategy=ColdStrategy(strategy),
-                  inference=_sub_config(InferenceConfig, data.get("inference", {}), "inference"))
-        cfg.validate()
-        return cfg
+        sections = {name: config_from_json(section, data.get(name, {}), name)
+                    for name, section in (("split", SplitConfig), ("embed", EmbedTrainConfig),
+                                          ("agent", AgentConfig), ("inference", InferenceConfig))}
+        return cls(seed=seed, workdir=workdir, synthetic=synthetic, triplets=triplets,
+                   schema=schema, cold_strategy=ColdStrategy(strategy), **sections)
 
     def config_hash(self) -> str:
         ident = {k: v for k, v in self.to_json().items() if k not in ("workdir", "seed")}
@@ -507,7 +474,6 @@ def stage_eval(config: RunConfig):
 
 def run_pipeline(config: RunConfig):
     """All stages in order; returns the metric rows of the final report."""
-    config.validate()
     stage_synth(config)
     stage_split(config)
     stage_train_embed(config)
@@ -590,7 +556,7 @@ def sweep(config: RunConfig, axis: str, values: list[int]):
     """
     if axis not in SWEEP_AXES:
         raise InvalidAxisValue(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    if not values or any((not isinstance(v, int)) or v < 0 for v in values):
+    if not values or any(not is_int(v) or v < 0 for v in values):
         raise InvalidAxisValue("sweep values must be non-negative integers")
     repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
     if repeated is not None:

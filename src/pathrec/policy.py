@@ -30,7 +30,7 @@ import numpy as np
 from .artifacts import write_csv, write_npz
 from .embeddings import EmbeddingTable, rng_for
 from .errors import (EmptyGraph, InvalidAction, InvalidSpec, MissingEmbedding,
-                     check_field_types, is_int)
+                     check_field_types, config_from_json, is_int)
 from .graph import KnowledgeGraph
 from .mdp import MAX_ACTIONS_DEFAULT, Frontier, RewardSpec, start_scores
 from .optim import Adam
@@ -49,8 +49,8 @@ class AgentConfig:
     entropy_coef: float = 1e-3
     reward: str = "upgpr"
 
-    def validate(self):
-        check_field_types(self)
+    def __post_init__(self):
+        check_field_types(type(self), vars(self))
         if self.hop_budget < 1:
             raise InvalidSpec("hop_budget must be >= 1")
         if self.max_actions < 1:
@@ -119,7 +119,6 @@ class PolicyModel:
 
     def _allocate(self, state_dim: int, config: AgentConfig):
         """Check the shapes and set every parameter to zeros."""
-        config.validate()
         if state_dim < 1 or state_dim % (1 + 2 * config.hop_budget):
             raise InvalidSpec(f"state_dim {state_dim} is no whole number of blocks "
                               f"for {config.hop_budget} hops")
@@ -254,21 +253,19 @@ class PolicyModel:
         return grads
 
     def save(self, path: str, config_hash: str = "", seed: int = 0):
-        cfg = asdict(self.config)
-        cfg["hidden"] = list(cfg["hidden"])
         write_npz(path, **dict(zip(PARAM_NAMES, self.params)),
                   state_dim=np.asarray(self.state_dim),
-                  config=np.asarray(json.dumps(cfg, sort_keys=True)),
+                  config=np.asarray(json.dumps(asdict(self.config), sort_keys=True)),
                   seed=np.asarray(seed),
                   config_hash=np.asarray(config_hash))
 
     @classmethod
     def load(cls, path: str) -> "PolicyModel":
         with np.load(path, allow_pickle=False) as data:
-            cfg = json.loads(str(data["config"]))
-            cfg["hidden"] = tuple(cfg["hidden"])
+            config = config_from_json(AgentConfig, json.loads(str(data["config"])),
+                                      f"{path}: config")
             model = cls.__new__(cls)  # every parameter is read, so none is drawn
-            model._allocate(int(data["state_dim"]), AgentConfig(**cfg))
+            model._allocate(int(data["state_dim"]), config)
             for name, param in zip(PARAM_NAMES, model.params):
                 param[...] = data[name]
         return model
@@ -417,7 +414,6 @@ def train_agent(graph: KnowledgeGraph, table: EmbeddingTable,
     ``SCORE_ROWS_BYTES``; past that each batch scores its own users. Either
     way a row is the same ``score_all_tails`` call, so the bytes agree.
     """
-    config.validate()
     users = training_users(graph)
     if not users:
         raise EmptyGraph("no users with interactions to train on")

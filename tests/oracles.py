@@ -354,7 +354,6 @@ def reference_purchases(spec: SyntheticSpec, out_dir: str) -> list[list[int]]:
     ``rng.integers(0, n)`` call per draw: writes the same triplets.tsv,
     schema.json and prefs.json to ``out_dir`` and returns each user's
     purchased item indices in file order."""
-    spec.validate()
     rng = rng_for(spec.seed, "synth")
     u_w = max(4, len(str(spec.users)))
     i_w = max(4, len(str(spec.items)))

@@ -232,15 +232,15 @@ class TestPrefixShares:
 
     def test_config_validation(self):
         with pytest.raises(InvalidSpec):
-            SplitConfig(train_frac=0.8, val_frac=0.3, test_frac=0.1).validate()
+            SplitConfig(train_frac=0.8, val_frac=0.3, test_frac=0.1)
         with pytest.raises(InvalidSpec):
-            SplitConfig(cold_frac=0.0).validate()
+            SplitConfig(cold_frac=0.0)
         with pytest.raises(InvalidSpec):
-            SplitConfig(cold_frac=1.0).validate()
+            SplitConfig(cold_frac=1.0)
         with pytest.raises(InvalidSpec):
-            SplitConfig(cap_low=0).validate()
+            SplitConfig(cap_low=0)
         with pytest.raises(InvalidSpec):
-            SplitConfig(cap_low=5, cap_high=4).validate()
+            SplitConfig(cap_low=5, cap_high=4)
 
 
 class TestCapping:
@@ -443,11 +443,11 @@ class TestSplit:
 class TestSynthetic:
     def test_validation(self):
         with pytest.raises(InvalidSpec):
-            SyntheticSpec(users=0).validate()
+            SyntheticSpec(users=0)
         with pytest.raises(InvalidSpec):
-            SyntheticSpec(items=5, interactions_per_user=6).validate()
+            SyntheticSpec(items=5, interactions_per_user=6)
         with pytest.raises(InvalidSpec):
-            SyntheticSpec(p_pref=1.5).validate()
+            SyntheticSpec(p_pref=1.5)
 
     def test_deterministic_output(self, tmp_path):
         spec = SyntheticSpec(users=30, items=40, brands=3, categories=2,

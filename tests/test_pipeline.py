@@ -12,14 +12,14 @@ from pathrec.artifacts import atomic_open, write_json
 from pathrec.coldstart import ColdStrategy, integrate_cold_entities
 from pathrec.datasets import DatasetSplit, SplitConfig, SyntheticSpec
 from pathrec.embeddings import EmbedTrainConfig, load_table, save_table
-from pathrec.errors import InvalidAxisValue, InvalidSpec, StageError
+from pathrec.errors import InvalidAxisValue, InvalidSpec, PathRecError, StageError
 from pathrec.inference import explain
 from pathrec.pipeline import (STAGES, InferenceConfig, RunConfig, RunPaths,
                               _ordered_profiles, read_recommendations, run_pipeline,
                               run_seeds, stage_cold_integrate, stage_eval, stage_recommend,
                               stage_split, stage_train_agent, stage_train_embed, sweep,
                               write_aggregate)
-from pathrec.policy import AgentConfig
+from pathrec.policy import AgentConfig, PolicyModel
 
 TINY = {
     "seed": 1,
@@ -112,7 +112,6 @@ class TestRunConfig:
                           split=SplitConfig(cold_frac=0.25),
                           agent=AgentConfig(hop_budget=2),
                           inference=InferenceConfig(widths=(10, 2), topk=5))
-        files.validate()
         assert files.config_hash() == "c2db3927ef5cc1c0"
 
     def test_dataset_needs_both_file_paths(self):
@@ -122,7 +121,7 @@ class TestRunConfig:
 
     def test_dataset_is_synthetic_or_files_not_both(self):
         with pytest.raises(InvalidSpec, match="one dataset"):
-            RunConfig(triplets="data/kg.tsv", schema="data/schema.json").validate()
+            RunConfig(triplets="data/kg.tsv", schema="data/schema.json")
 
     def test_every_field_round_trips(self):
         """No config field is hidden from, or overridden by, the JSON."""
@@ -144,7 +143,6 @@ class TestRunConfig:
         assert fields_at_default(synthetic) == ["triplets", "schema"]
         assert fields_at_default(files) == []
         for config in (synthetic, files):
-            config.validate()
             assert RunConfig.from_json(config.to_json()) == config
 
 
@@ -192,34 +190,27 @@ class TestRunSeed:
             assert metas[1]["seed"] == 5
 
 
-@pytest.mark.parametrize("fields, message", [
-    ({"agent": AgentConfig(max_actions=250.0)}, "AgentConfig.max_actions must be int, got 250.0"),
-    ({"agent": AgentConfig(hidden=(512.0, 256))},
+@pytest.mark.parametrize("cls, fields, message", [
+    (AgentConfig, {"max_actions": 250.0}, "AgentConfig.max_actions must be int, got 250.0"),
+    (AgentConfig, {"hidden": (512.0, 256)},
      "AgentConfig.hidden must be a list of ints, got (512.0, 256)"),
-    ({"inference": InferenceConfig(topk=10.0)}, "InferenceConfig.topk must be int, got 10.0"),
-    ({"inference": InferenceConfig(topk=True)}, "InferenceConfig.topk must be int, got True"),
-    ({"inference": InferenceConfig(widths=(True, 5, 1))},
+    (InferenceConfig, {"topk": 10.0}, "InferenceConfig.topk must be int, got 10.0"),
+    (InferenceConfig, {"topk": True}, "InferenceConfig.topk must be int, got True"),
+    (InferenceConfig, {"widths": (True, 5, 1)},
      "InferenceConfig.widths must be a list of ints, got (True, 5, 1)"),
-    ({"embed": EmbedTrainConfig(dim=8.0)}, "EmbedTrainConfig.dim must be int, got 8.0"),
-    ({"embed": EmbedTrainConfig(full_softmax=1)},
-     "EmbedTrainConfig.full_softmax must be bool, got 1"),
-    ({"split": SplitConfig(cap_high=True)}, "SplitConfig.cap_high must be int, got True"),
-    ({"synthetic": SyntheticSpec(users=20.0)}, "SyntheticSpec.users must be int, got 20.0"),
-    ({"seed": 1.0}, "seed must be an integer and workdir a string, got 1.0 and"),
-    ({"seed": True}, "seed must be an integer and workdir a string, got True and"),
+    (EmbedTrainConfig, {"dim": 8.0}, "EmbedTrainConfig.dim must be int, got 8.0"),
+    (EmbedTrainConfig, {"full_softmax": 1}, "EmbedTrainConfig.full_softmax must be bool, got 1"),
+    (SplitConfig, {"cap_high": True}, "SplitConfig.cap_high must be int, got True"),
+    (SyntheticSpec, {"users": 20.0}, "SyntheticSpec.users must be int, got 20.0"),
+    (RunConfig, {"seed": 1.0}, "seed must be an integer and workdir a string, got 1.0 and"),
+    (RunConfig, {"seed": True}, "seed must be an integer and workdir a string, got True and"),
 ])
-def test_python_built_config_of_a_wrong_type_exits_2(tmp_path, monkeypatch, capsys, fields,
-                                                      message):
+def test_python_built_config_of_a_wrong_type_is_refused(cls, fields, message):
     """A config built in Python meets the type check a JSON config meets,
-    before any stage runs."""
-    config = RunConfig(workdir=str(tmp_path / "run"), **fields)
+    as it is built."""
     with pytest.raises(InvalidSpec) as raised:
-        config.validate()
+        cls(**fields)
     assert str(raised.value).startswith(message)
-    monkeypatch.setattr(cli, "load_config", lambda args: config)
-    assert cli.main(["run"]) == 2
-    assert capsys.readouterr().err == f"error: {raised.value}\n"
-    assert not (tmp_path / "run").exists()
 
 
 class TestPipelineArtifacts:
@@ -523,22 +514,43 @@ def bad_targets(path):
     write_json(path, data)
 
 
-def seed_in_config(path):
-    """Write the seed into the stored config, the layout of earlier versions:
-    a split manifest kept its seed only there, a policy also kept a copy
-    there. The (config hash, seed) stamp still matches the run."""
+def rewrite_config(path, edit):
+    """Rewrite the config stored in a split manifest (json) or a policy
+    (npz) as ``edit(config, artifact)`` leaves it, where ``artifact`` is
+    the manifest's object or the policy's arrays."""
     if path.endswith(".json"):
         with open(path) as fh:
             data = json.load(fh)
-        data["config"]["seed"] = data.pop("seed")
+        edit(data["config"], data)
         write_json(path, data)
         return
     with np.load(path) as data:
         arrays = dict(data)
     config = json.loads(str(arrays["config"]))
-    config["seed"] = int(arrays["seed"])
+    edit(config, arrays)
     arrays["config"] = np.asarray(json.dumps(config, sort_keys=True))
     np.savez(path, **arrays)
+
+
+def seed_in_config(path):
+    """Write the seed into the stored config, the layout of earlier versions:
+    a split manifest kept its seed only there, a policy also kept a copy
+    there. The (config hash, seed) stamp still matches the run."""
+    def move_seed(config, artifact):
+        config["seed"] = int(artifact.pop("seed") if path.endswith(".json") else artifact["seed"])
+    rewrite_config(path, move_seed)
+
+
+def config_type(path):
+    """Store the split config's train_frac as a string; the stamp still
+    matches the run."""
+    rewrite_config(path, lambda config, _: config.update(train_frac="bogus"))
+
+
+def config_key(path):
+    """Add an unknown key to the stored config; the stamp still matches
+    the run."""
+    rewrite_config(path, lambda config, _: config.update(bogus=1))
 
 
 FAULTS = [
@@ -578,13 +590,16 @@ FAULTS = [
     ("bad-targets", "split/manifest.json", "sweep"),
     ("seed-in-config", "agent/policy.npz", "recommend"),
     ("seed-in-config", "agent/policy.npz", "sweep"),
+    ("config-type", "split/manifest.json", "train-embed"),
+    ("config-key", "split/manifest.json", "train-embed"),
+    ("config-key", "agent/policy.npz", "recommend"),
 ]
 
 
 FAULT_WRITERS = {"truncate": truncate, "cut-lines": cut_lines, "drop-items": drop_items,
                  "bad-target": bad_target, "bad-targets": bad_targets,
                  "seed-in-config": seed_in_config, "list-cohort": list_cohort,
-                 "delete": os.remove}
+                 "config-type": config_type, "config-key": config_key, "delete": os.remove}
 
 
 def damage(copy, seed2_run, fault, artifact):
@@ -624,6 +639,22 @@ class TestDamagedArtifacts:
         with pytest.raises(StageError, match=rf"^\[{stage}\] "):
             STAGE_CALLS[stage](copy)
 
+    @pytest.mark.parametrize("fault, artifact", [
+        ("config-type", "split/manifest.json"),
+        ("config-key", "split/manifest.json"),
+        ("config-key", "agent/policy.npz"),
+    ])
+    def test_stored_config_read_directly_fails_as_path_rec_error(self, tiny_run, tmp_path,
+                                                                 fault, artifact):
+        config, _, _ = tiny_run
+        copy, paths = copy_run(config, str(tmp_path / "run"))
+        FAULT_WRITERS[fault](os.path.join(copy.workdir, artifact))
+        with pytest.raises(PathRecError, match=r"manifest\.json: config|policy\.npz: config"):
+            if artifact.startswith("split/"):
+                DatasetSplit.read(paths.split_dir)
+            else:
+                PolicyModel.load(paths.policy_file)
+
     def test_write_json_is_compact(self, tmp_path):
         path = str(tmp_path / "a.json")
         value = {"b": [1, 2.5, "x\u00e9"], "a": {"z": None, "y": True}}
@@ -660,6 +691,8 @@ class TestSweep:
             sweep(config, "interactions", [0, -1])
         with pytest.raises(InvalidAxisValue):
             sweep(config, "interactions", [0.5])
+        with pytest.raises(InvalidAxisValue):
+            sweep(config, "interactions", [True])
         with pytest.raises(InvalidAxisValue, match="^sweep relations value 1 is repeated$"):
             sweep(config, "relations", [1, 1])
 

@@ -54,13 +54,13 @@ class TestForward:
 
     def test_config_validation(self):
         with pytest.raises(InvalidSpec):
-            AgentConfig(hop_budget=0).validate()
+            AgentConfig(hop_budget=0)
         with pytest.raises(InvalidSpec):
-            AgentConfig(gamma=0.0).validate()
+            AgentConfig(gamma=0.0)
         with pytest.raises(InvalidSpec):
-            AgentConfig(reward="bandit").validate()
+            AgentConfig(reward="bandit")
         with pytest.raises(InvalidSpec):
-            AgentConfig(hidden=(4, 4, 4)).validate()
+            AgentConfig(hidden=(4, 4, 4))
 
 
 def forward_arrays(result):
@@ -730,9 +730,9 @@ class TestTraining:
     def test_hidden_widths_off_the_grid_rejected(self):
         for hidden in ((300, 100), (16, 12), (0, 8)):
             with pytest.raises(InvalidSpec, match="multiples of 8"):
-                AgentConfig(hidden=hidden).validate()
+                AgentConfig(hidden=hidden)
         for hidden in ((512, 256), (16, 8)):
-            AgentConfig(hidden=hidden).validate()
+            AgentConfig(hidden=hidden)
 
     def test_training_users_skips_interactionless(self, schema):
         g = GraphWriter(schema)
