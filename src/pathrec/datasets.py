@@ -320,8 +320,9 @@ class DatasetSplit:
         A split is parsed once per content in a process: reading the bytes
         of its ``SPLIT_FILES`` that the last parse read, from any
         directory, returns that parse's split itself, and its train graph
-        is ``load_dataset``'s. A manifest field of the wrong JSON type
-        raises ParseError; a faulty split is never kept. Checks against a
+        is ``load_dataset``'s. A manifest that is no JSON object, or that
+        lacks a field or holds one of the wrong JSON type, raises
+        ParseError; a faulty split is never kept. Checks against a
         run (stamps, train fingerprint) are the caller's, on every read.
         """
         data = {name: manifest if name == "manifest.json" and manifest is not None
@@ -337,6 +338,12 @@ def _parse_split(out_dir: str, data: dict[str, bytes]) -> DatasetSplit:
     train_graph = _triplet_graph(path("train.tsv"), data["train.tsv"], schema)
     where = path("manifest.json")
     m = parse_json(where, data["manifest.json"])
+    if not isinstance(m, dict):
+        raise ParseError(f"{where} is not a JSON object")
+    for key in ("config", "warm_val", "warm_test", "cold_val", "cold_test", "cold_items",
+                "cold_user_targets"):
+        if key not in m:
+            raise ParseError(f"{where}: no {key}")
     for key in ("warm_val", "warm_test", "cold_val", "cold_test"):
         if not (isinstance(m[key], dict) and all(map(_names, m[key].values()))):
             raise ParseError(f"{where}: {key} is not an object of name -> list of names")

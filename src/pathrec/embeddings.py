@@ -403,12 +403,25 @@ def save_table(table: EmbeddingTable, graph: KnowledgeGraph, path: str,
 
 
 def load_table(path: str, graph: KnowledgeGraph) -> EmbeddingTable:
-    """Load a snapshot whose entity and relation keys match ``graph``'s."""
+    """Load a snapshot whose entity and relation keys match ``graph``'s and
+    whose arrays have one row per key: ``entity_vecs`` (entities, d),
+    ``entity_bias`` (entities,), ``relation_vecs`` (relations, d) and
+    ``self_loop_vec`` (d,), else MissingEmbedding."""
     with np.load(path, allow_pickle=False) as data:
         keys, want = data["entity_keys"].tolist(), graph.entity_keys()
         if len(keys) < len(want) or tuple(keys[:len(want)]) != want:
             raise MissingEmbedding(f"snapshot {path} does not match the graph's entities")
-        if data["relation_keys"].tolist() != [r.name for r in graph.schema.relations]:
+        relations = data["relation_keys"].tolist()
+        if relations != [r.name for r in graph.schema.relations]:
             raise MissingEmbedding(f"snapshot {path} does not match the graph's relations")
-        return EmbeddingTable(data["entity_vecs"].copy(), data["entity_bias"].copy(),
-                              data["relation_vecs"].copy(), data["self_loop_vec"].copy())
+        arrays = {name: data[name] for name in
+                  ("entity_vecs", "entity_bias", "relation_vecs", "self_loop_vec")}
+    vecs = arrays["entity_vecs"]
+    d = vecs.shape[1] if vecs.ndim == 2 else 0
+    shapes = {"entity_vecs": (len(keys), d), "entity_bias": (len(keys),),
+              "relation_vecs": (len(relations), d), "self_loop_vec": (d,)}
+    for name, shape in shapes.items():
+        if not d or arrays[name].shape != shape:
+            raise MissingEmbedding(f"snapshot {path}: {name} is of shape {arrays[name].shape}, "
+                                   f"not {shape if d else '(entities, d)'}")
+    return EmbeddingTable(*arrays.values())

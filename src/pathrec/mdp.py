@@ -181,7 +181,7 @@ class Frontier:
             counts = np.minimum(counts, max_actions)
         return Slates(edge, target, np.cumsum(counts) - counts, counts + 1, current, adj)
 
-    def encode(self, table: EmbeddingTable) -> np.ndarray:
+    def encode(self, table: EmbeddingTable, relations: bool = True) -> np.ndarray:
         """The state blocks the last hop added to every row, in one pass.
 
         A state is 1 + 2·budget blocks of d columns: the start user, then a
@@ -189,12 +189,14 @@ class Frontier:
         block, shape (P, d), after it the last hop's pair, shape (P, 2d);
         the policy carries the earlier blocks' first-layer sum. Relation
         rows come from the relation table and the self-loop vector, which
-        SELF_LOOP indexes.
+        SELF_LOOP indexes. With ``relations=False`` only the last entity
+        block is returned, (P, d), for a caller that reads the relation
+        block's product from ``PolicyModel.relation_terms``.
         """
         entity = self.entities[:, -1]
         if entity.size and entity.max() >= table.entity_count:
             raise MissingEmbedding("a frontier entity has no embedding row")
-        if not self.hops:
+        if not self.hops or not relations:
             return table.entity_vecs[entity]
         rel_rows = np.vstack([table.relation_vecs, table.self_loop_vec])
         return np.hstack([rel_rows[self.relations[:, -1]], table.entity_vecs[entity]])

@@ -17,6 +17,12 @@ not grow with its length. Each hop's cache keeps its own blocks, which
 only the backward reads again. The actor head and softmax run at a
 narrow width for the rows whose slates fit it, with the full head's bits
 (``PolicyModel.forward``).
+
+A served policy is read-only: ``train_agent`` and ``PolicyModel.load``
+return it frozen (``PolicyModel.freeze``). A hop's relation block holds
+one of at most R + 1 rows, so serving reads its first-layer product from
+``PolicyModel.relation_terms``, computed once per frozen policy and kept
+while the table's relation rows are the ones it was computed from.
 """
 
 from __future__ import annotations
@@ -139,10 +145,49 @@ class PolicyModel:
         self.b3 = np.zeros(self.slate_size)
         self.Wv = np.zeros(h2)
         self.bv = np.zeros(1)
+        self._terms = None  # (W1, relation rows, terms) of a frozen policy
 
     @property
     def params(self) -> list[np.ndarray]:
         return [self.W1, self.b1, self.W2, self.b2, self.W3, self.b3, self.Wv, self.bv]
+
+    def freeze(self) -> "PolicyModel":
+        """Make every parameter read-only, so that the policy keeps its
+        ``relation_terms``; returns the policy."""
+        for param in (*self.params, self._W3):
+            param.flags.writeable = False
+        return self
+
+    def relation_terms(self, table: EmbeddingTable) -> tuple[np.ndarray, ...]:
+        """What each relation row adds to a first-layer sum at each hop
+        t >= 1 of a walk over ``table``: ``terms[t - 1][:, r]``, r a
+        relation id or SELF_LOOP (the last row), holds the products
+        ``forward`` sums for that row's relation block of hop t, one per
+        ``K_BLOCK`` columns of the block, so adding them in turn to a
+        parent's sum gives ``forward``'s bits for any row count but one
+        (a one-row product takes another OpenBLAS kernel). Shape
+        (ceil(d / K_BLOCK), R + 1, h1) per hop.
+
+        A read-only policy (``freeze``) keeps the terms it computed and
+        returns them again while its W1 is the same read-only array and
+        the table's relation rows equal, in content, the rows they were
+        computed from; a writable policy computes them on every call.
+        """
+        B = self.config.hop_budget
+        if state_dim_for(table, B) != self.state_dim:
+            raise InvalidSpec(f"{B}-hop walks over {table.dim}-dim embeddings encode no "
+                              f"{self.state_dim}-wide state")
+        rows = np.vstack([table.relation_vecs, table.self_loop_vec])
+        kept = self._terms
+        if (kept is not None and kept[0] is self.W1 and not self.W1.flags.writeable
+                and kept[1].shape == rows.shape and kept[1].tobytes() == rows.tobytes()):
+            return kept[2]
+        d = table.dim
+        terms = tuple(np.stack([rows[:, k:k + K_BLOCK] @ self.W1[start:start + d][k:k + K_BLOCK]
+                                for k in range(0, d, K_BLOCK)])
+                      for start in range(d, (2 * B - 1) * d, 2 * d))
+        self._terms = None if self.W1.flags.writeable else (self.W1, rows, terms)
+        return terms
 
     def forward(self, X: np.ndarray, slate_sizes: np.ndarray,
                 carry: tuple[np.ndarray, int] | None = None):
@@ -261,14 +306,25 @@ class PolicyModel:
 
     @classmethod
     def load(cls, path: str) -> "PolicyModel":
+        """The policy ``save`` wrote to ``path``, frozen (``freeze``). Each
+        stored parameter must be float64 and of exactly the shape its
+        config gives it, else InvalidSpec names the file and the parameter."""
         with np.load(path, allow_pickle=False) as data:
+            missing = [name for name in ("config", "state_dim", *PARAM_NAMES)
+                       if name not in data.files]
+            if missing:
+                raise InvalidSpec(f"{path}: no {', '.join(missing)} stored")
             config = config_from_json(AgentConfig, json.loads(str(data["config"])),
                                       f"{path}: config")
             model = cls.__new__(cls)  # every parameter is read, so none is drawn
             model._allocate(int(data["state_dim"]), config)
             for name, param in zip(PARAM_NAMES, model.params):
-                param[...] = data[name]
-        return model
+                stored = data[name]
+                if stored.dtype != np.float64 or stored.shape != param.shape:
+                    raise InvalidSpec(f"{path}: parameter {name} is {stored.dtype} of shape "
+                                      f"{stored.shape}, not float64 of shape {param.shape}")
+                param[...] = stored
+        return model.freeze()
 
 
 def state_dim_for(table: EmbeddingTable, hop_budget: int) -> int:
@@ -409,6 +465,7 @@ def train_agent(graph: KnowledgeGraph, table: EmbeddingTable,
 
     History rows are (epoch, mean terminal reward, mean entropy), one per
     epoch. With ``epochs=0`` the freshly initialized policy is returned.
+    The policy is returned frozen (``PolicyModel.freeze``).
     Embeddings are frozen here, so one ``start_scores`` row per user serves
     every epoch while the rows (users x entities floats) fit
     ``SCORE_ROWS_BYTES``; past that each batch scores its own users. Either
@@ -441,7 +498,7 @@ def train_agent(graph: KnowledgeGraph, table: EmbeddingTable,
                 n_episodes += len(batch)
                 n_batches += 1
         history.append((epoch, reward_sum / n_episodes, entropy_sum / n_batches))
-    return policy, history
+    return policy.freeze(), history
 
 
 def evaluate_mean_reward(policy: PolicyModel | None, graph: KnowledgeGraph,

@@ -38,6 +38,10 @@ into a reused scratch.
 softmax over every column for every row, and ``reference_slates`` cuts
 over-cap rows on one grid padded to the widest row's degree, as both were
 before rows took a head and a cut of their own width.
+``reference_beam_search`` is beam search as it was before a hop's
+relation block was read from the policy's relation terms: each hop's
+forward (``reference_forward``) multiplies the full blocks the hop added,
+and each row picks its continuations with a sort of its own.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ from pathrec.errors import (DuplicateEntity, EmptyProfile, InvalidAction, Invali
                             MissingEmbedding, PathRecError)
 from pathrec.graph import FORWARD, KGSchema, KnowledgeGraph
 from pathrec.inference import Beam, ScoredPath
-from pathrec.mdp import MAX_ACTIONS_DEFAULT, SELF_LOOP, Frontier, PathState, Slates
+from pathrec.mdp import (MAX_ACTIONS_DEFAULT, SELF_LOOP, Frontier, PathState, Slates,
+                         start_scores)
 from pathrec.pipeline import COHORTS
 from pathrec.policy import ForwardCache, PolicyModel, _matmul
 
@@ -482,3 +487,27 @@ def reference_slates(frontier: Frontier, graph: KnowledgeGraph, max_actions: int
         edge, target = edge[keep], target[keep]
         counts = np.minimum(counts, max_actions)
     return Slates(edge, target, np.cumsum(counts) - counts, counts + 1, current, adj)
+
+
+def reference_beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
+                          table: EmbeddingTable, widths, cap: int) -> Beam:
+    """``inference.beam_search(user, policy, graph, table, widths, cap)``
+    on full (P, 2d) blocks: no relation terms, one forward per hop."""
+    user_scores = start_scores(graph, table, [user])
+    frontier, logprob, carry = Frontier.start([user]), np.zeros(1), None
+    for width in widths:
+        slates = frontier.slates(graph, cap, user_scores, np.zeros(len(frontier), dtype=np.intp))
+        probs, _, cache = reference_forward(policy, frontier.encode(table), slates.sizes, carry)
+        rows, slots = [], []
+        for row, size in enumerate(slates.sizes.tolist()):
+            slot = np.arange(size)
+            relation, target, direction = slates.actions(np.full(size, row), slot)
+            keep = np.lexsort((direction, relation, target, -probs[row, :size]))[:width]
+            rows += [row] * len(keep)
+            slots += slot[keep].tolist()
+        rows, slots = np.asarray(rows, dtype=np.intp), np.asarray(slots, dtype=np.intp)
+        logprob = logprob[rows] + np.log(probs[rows, slots])
+        carry = cache.sum1[rows], cache.end
+        frontier = frontier.advance(rows, *slates.actions(rows, slots))
+    return Beam(frontier, logprob)
+

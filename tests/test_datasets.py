@@ -187,6 +187,21 @@ class TestSplitParsedOnce:
         # the triplet graph is keyed by the schema's value, not its bytes
         assert ("_parse_triplets" in parses) == (name == "train.tsv")
 
+    @pytest.mark.parametrize("edit, match", [
+        *((lambda m, key=key: {k: v for k, v in m.items() if k != key},
+           rf"manifest\.json: no {key}$") for key in ("config", "warm_val", "cold_user_targets")),
+        (list, r"manifest\.json is not a JSON object$"),
+        (lambda m: "manifest", r"manifest\.json is not a JSON object$"),
+    ], ids=["no-config", "no-warm_val", "no-cold_user_targets", "list", "string"])
+    def test_manifest_without_a_field_rejected(self, written, edit, match):
+        path = os.path.join(written, "manifest.json")
+        with open(path) as fh:
+            manifest = json.load(fh)
+        with open(path, "w") as fh:
+            json.dump(edit(manifest), fh)
+        with pytest.raises(ParseError, match=match):
+            DatasetSplit.read(written)
+
     def test_split_is_frozen(self, written):
         split = DatasetSplit.read(written)
         with pytest.raises(dataclasses.FrozenInstanceError):

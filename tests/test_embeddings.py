@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import mpmath
@@ -407,6 +408,25 @@ class TestSnapshots:
         assert np.array_equal(table.self_loop_vec, again.self_loop_vec)
         with np.load(path) as data:
             assert (str(data["config_hash"]), int(data["seed"])) == ("abc", 3)
+
+    @pytest.mark.parametrize("name, cut", [
+        ("self_loop_vec", lambda a: a[:3]),
+        ("relation_vecs", lambda a: a[:, :3]),
+        ("relation_vecs", lambda a: a[1:]),
+        ("entity_bias", lambda a: a[1:]),
+        ("entity_vecs", lambda a: a[:, :3]),
+        ("entity_vecs", lambda a: a[:, 0]),
+    ], ids=["self-loop-short", "relation-dim", "relation-rows", "bias-rows", "entity-dim",
+            "entity-flat"])
+    def test_array_of_the_wrong_shape_rejected(self, tiny_graph, tmp_path, name, cut):
+        path = str(tmp_path / "emb.npz")
+        save_table(init_table(tiny_graph, EmbedTrainConfig(dim=8)), tiny_graph, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[name] = cut(arrays[name])
+        np.savez(path, **arrays)
+        with pytest.raises(MissingEmbedding, match=rf"^snapshot {re.escape(path)}: "):
+            load_table(path, tiny_graph)
 
     def test_graph_mismatch_rejected(self, tiny_graph, make_graph, tmp_path):
         table = init_table(tiny_graph, EmbedTrainConfig(dim=4))

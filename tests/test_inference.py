@@ -1,17 +1,25 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
-from pathrec.embeddings import (EmbedTrainConfig, EmbeddingTable, init_table, score_tails)
+from pathrec import coldstart
+from pathrec.datasets import DatasetSplit
+from pathrec.embeddings import (EmbedTrainConfig, EmbeddingTable, init_table, load_table,
+                                score_tails)
 from pathrec.errors import InvalidSpec, MissingEmbedding, UnknownUser
 from pathrec.graph import FORWARD, INVERSE, parse_entity_token
 from pathrec.inference import (ScoredPath, beam_search, explain, path_record,
                                rank_recommendations)
 from pathrec.mdp import SELF_LOOP, PathState
+from pathrec.pipeline import RunConfig, RunPaths, _ordered_profiles, run_pipeline
 from pathrec.policy import AgentConfig, PolicyModel, state_dim_for
 
 from conftest import build_multi_edge_graph
 from oracles import (Action, GraphWriter, beam_of, beam_paths, encode_state, is_complete,
-                     step, valid_actions)
+                     reference_beam_search, step, valid_actions)
+from test_pipeline import tiny_config
 
 
 def fresh_policy(table, hop_budget, max_actions=50, seed=7):
@@ -235,6 +243,138 @@ class TestBeamSearch:
         u0 = tiny_graph.entity_id("user", "u0")
         found = beam_search(u0, policy, tiny_graph, small_table, [2, 2])
         assert len(found) == 4
+
+
+@pytest.fixture
+def forwards(monkeypatch):
+    """(rows, columns, carried) of every ``PolicyModel.forward`` call."""
+    seen, forward = [], PolicyModel.forward
+
+    def counting(policy, X, sizes, carry=None):
+        seen.append((len(X), X.shape[1], carry is not None))
+        return forward(policy, X, sizes, carry)
+
+    monkeypatch.setattr(PolicyModel, "forward", counting)
+    return seen
+
+
+def assert_same_beam(got, want):
+    for a, b in ((got.frontier.entities, want.frontier.entities),
+                 (got.frontier.relations, want.frontier.relations),
+                 (got.frontier.directions, want.frontier.directions),
+                 (got.logprob, want.logprob)):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.fixture(scope="module")
+def served_runs(tmp_path_factory):
+    """The TINY run and the default run at seed 1, as the recommend stage
+    read them: (config, graph, cold table, policy, served users)."""
+    base = tmp_path_factory.mktemp("served")
+    runs = []
+    for config in (tiny_config(str(base / "tiny")),
+                   RunConfig.from_json({"seed": 1, "workdir": str(base / "default")})):
+        run_pipeline(config)
+        paths = RunPaths(config.workdir)
+        split = DatasetSplit.read(paths.split_dir)
+        aug, _ = coldstart.augment_graph(split.train_graph, _ordered_profiles(split))
+        with open(paths.recs_file) as fh:
+            users = [aug.entity_id(aug.schema.user_type, rec["user"])
+                     for rec in map(json.loads, fh) if rec.get("served")]
+        runs.append((config, aug, load_table(paths.cold_table_file, aug),
+                     PolicyModel.load(paths.policy_file), users))
+    return runs
+
+
+class TestRelationTerms:
+    """Beam search reads each hop's relation block product from the
+    policy's relation terms; its beams are the full-block beam's bits."""
+
+    def test_served_beams_equal_the_full_block_beam(self, served_runs, forwards):
+        for config, graph, table, policy, users in served_runs:
+            assert users
+            widths, cap = config.inference.widths, config.agent.max_actions
+            forwards.clear()
+            for user in users:
+                assert_same_beam(beam_search(user, policy, graph, table, widths, max_actions=cap),
+                                 reference_beam_search(user, policy, graph, table, widths, cap))
+            # every multi-row hop after the first reads the entity block alone
+            carried = [(rows, cols) for rows, cols, carry in forwards if carry]
+            assert all(cols == (table.dim if rows > 1 else 2 * table.dim)
+                       for rows, cols in carried)
+            assert any(rows > 1 for rows, _ in carried)
+
+    def test_one_row_hops_keep_the_full_blocks(self, make_graph, forwards):
+        g = make_graph(n_users=5, n_items=20, n_brands=2, n_categories=2,
+                       interactions=6, seed=3)
+        writer = GraphWriter(g)
+        lonely = writer.add_entity("user", "lonely")  # its only move is the self-loop
+        g = writer.graph
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=3)
+        policy = fresh_policy(table, 3, max_actions=30).freeze()
+        for user, widths in ((g.users()[0], (1, 4, 3)), (g.users()[1], (1, 1, 5)),
+                             (lonely, (25, 5, 1))):
+            forwards.clear()
+            got = beam_search(user, policy, g, table, widths)
+            assert_same_beam(got, reference_beam_search(user, policy, g, table, widths, 30))
+            assert forwards[1] == (1, 2 * table.dim, True)
+        assert got.frontier.relations.tolist() == [[SELF_LOOP] * 3]
+
+    def test_blocks_wider_than_one_product_fold_by_parts(self, make_graph, forwards):
+        """With d over ``K_BLOCK`` a block's product sums in parts, and
+        each part's term is added in turn, as ``forward`` adds them."""
+        g = make_graph(n_users=3, n_items=10, interactions=4, seed=5)
+        rng = np.random.default_rng(5)  # unit rows: a rounding step reaches the logprobs
+        table = EmbeddingTable(rng.normal(size=(g.entity_count, 300)),
+                               np.zeros(g.entity_count),
+                               rng.normal(size=(len(g.schema.relations), 300)),
+                               rng.normal(size=300))
+        policy = fresh_policy(table, 3, max_actions=30).freeze()
+        R = len(g.schema.relations)
+        assert [t.shape for t in policy.relation_terms(table)] == [(2, R + 1, 16)] * 2
+        for user in g.users():
+            assert_same_beam(beam_search(user, policy, g, table, (4, 3, 2)),
+                             reference_beam_search(user, policy, g, table, (4, 3, 2), 30))
+        assert any(rows > 1 and cols == 300 and carried for rows, cols, carried in forwards)
+
+    def test_writable_policy_follows_an_edit_of_w1(self, make_graph):
+        g = make_graph(n_users=4, n_items=15, interactions=5, seed=2)
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=2)
+        policy = fresh_policy(table, 3, max_actions=30)
+        user = g.users()[0]
+        first = beam_search(user, policy, g, table, (4, 3, 2))
+        assert policy.relation_terms(table) is not policy.relation_terms(table)
+        d = table.dim
+        policy.W1[d:2 * d] *= 3.0    # hop 1's relation block
+        policy.W1[3 * d:4 * d] = 0.0  # hop 2's
+        again = beam_search(user, policy, g, table, (4, 3, 2))
+        assert_same_beam(again, reference_beam_search(user, policy, g, table, (4, 3, 2), 30))
+        assert not np.array_equal(again.logprob, first.logprob)
+
+    def test_changed_relation_rows_get_fresh_terms(self, make_graph):
+        g = make_graph(n_users=4, n_items=15, interactions=5, seed=2)
+        table = init_table(g, EmbedTrainConfig(dim=6), seed=2)
+        policy = fresh_policy(table, 3, max_actions=30).freeze()
+        terms = policy.relation_terms(table)
+        assert policy.relation_terms(table.copy()) is terms  # same rows, kept
+        for name in ("relation_vecs", "self_loop_vec"):
+            other = table.copy()
+            getattr(other, name)[0] += 0.5
+            assert policy.relation_terms(other) is not terms
+            for user in g.users():
+                for t in (other, table):
+                    assert_same_beam(beam_search(user, policy, g, t, (4, 3, 2)),
+                                     reference_beam_search(user, policy, g, t, (4, 3, 2), 30))
+
+    def test_a_loaded_policy_computes_its_terms_once(self, served_runs, monkeypatch):
+        config, graph, table, _, users = served_runs[0]
+        policy = PolicyModel.load(RunPaths(config.workdir).policy_file)
+        got, relation_terms = [], PolicyModel.relation_terms
+        monkeypatch.setattr(PolicyModel, "relation_terms",
+                            lambda self, t: got.append(relation_terms(self, t)) or got[-1])
+        for t in (table, table.copy()):
+            beam_search(users[0], policy, graph, t, config.inference.widths)
+        assert len(got) == 2 and got[0] is got[1]
 
 
 class TestRanking:

@@ -514,6 +514,35 @@ def bad_targets(path):
     write_json(path, data)
 
 
+def rewrite_npz(path, edit):
+    """Rewrite an npz artifact's arrays as ``edit(arrays)`` leaves them."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    edit(arrays)
+    np.savez(path, **arrays)
+
+
+def param_shape(path):
+    """Store the policy's b1 as one value, which a broadcast would spread
+    over every unit; the stamp still matches the run."""
+    rewrite_npz(path, lambda arrays: arrays.update(b1=arrays["b1"][:1]))
+
+
+def short_self_loop(path):
+    """Cut the table's self-loop vector to 3 values; the stamp still
+    matches the run."""
+    rewrite_npz(path, lambda arrays: arrays.update(self_loop_vec=arrays["self_loop_vec"][:3]))
+
+
+def drop_cohort(path):
+    """Remove the warm_val cohort from the manifest; the file still
+    decodes and its stamp still matches the run."""
+    with open(path) as fh:
+        data = json.load(fh)
+    del data["warm_val"]
+    write_json(path, data)
+
+
 def rewrite_config(path, edit):
     """Rewrite the config stored in a split manifest (json) or a policy
     (npz) as ``edit(config, artifact)`` leaves it, where ``artifact`` is
@@ -524,12 +553,11 @@ def rewrite_config(path, edit):
         edit(data["config"], data)
         write_json(path, data)
         return
-    with np.load(path) as data:
-        arrays = dict(data)
-    config = json.loads(str(arrays["config"]))
-    edit(config, arrays)
-    arrays["config"] = np.asarray(json.dumps(config, sort_keys=True))
-    np.savez(path, **arrays)
+    def edit_stored(arrays):
+        config = json.loads(str(arrays["config"]))
+        edit(config, arrays)
+        arrays["config"] = np.asarray(json.dumps(config, sort_keys=True))
+    rewrite_npz(path, edit_stored)
 
 
 def seed_in_config(path):
@@ -593,13 +621,20 @@ FAULTS = [
     ("config-type", "split/manifest.json", "train-embed"),
     ("config-key", "split/manifest.json", "train-embed"),
     ("config-key", "agent/policy.npz", "recommend"),
+    ("param-shape", "agent/policy.npz", "recommend"),
+    ("param-shape", "agent/policy.npz", "sweep"),
+    ("short-self-loop", "embed/embeddings.npz", "cold-integrate"),
+    ("short-self-loop", "cold/embeddings.npz", "recommend"),
+    ("drop-cohort", "split/manifest.json", "train-embed"),
 ]
 
 
 FAULT_WRITERS = {"truncate": truncate, "cut-lines": cut_lines, "drop-items": drop_items,
                  "bad-target": bad_target, "bad-targets": bad_targets,
                  "seed-in-config": seed_in_config, "list-cohort": list_cohort,
-                 "config-type": config_type, "config-key": config_key, "delete": os.remove}
+                 "config-type": config_type, "config-key": config_key,
+                 "param-shape": param_shape, "short-self-loop": short_self_loop,
+                 "drop-cohort": drop_cohort, "delete": os.remove}
 
 
 def damage(copy, seed2_run, fault, artifact):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -338,9 +339,10 @@ from pathrec.optim import Adam
 from pathrec.policy import (AgentConfig, PolicyModel, episode_gradients, state_dim_for,
                             training_users)
 
-# what each phase reached: rows cut to the cap, rows of each head width
+# what each phase reached: rows cut to the cap, rows of each head width,
+# rows whose relation block came from the relation terms, one-row hops
 reached = {}
-slates, softmax = Frontier.slates, PolicyModel._softmax
+slates, softmax, forward = Frontier.slates, PolicyModel._softmax, PolicyModel.forward
 
 def counting_slates(frontier, graph, max_actions, *args):
     got = slates(frontier, graph, max_actions, *args)
@@ -354,7 +356,15 @@ def counting_softmax(policy, h2, sizes, width):
     reached[key] = reached.get(key, 0) + len(h2)
     return softmax(policy, h2, sizes, width)
 
+def counting_forward(policy, X, sizes, carry=None):
+    if carry is not None and len(X) == 1:
+        reached["one_row_hops"] = reached.get("one_row_hops", 0) + 1
+    elif carry is not None and X.shape[1] == table.dim:
+        reached["relation_terms_rows"] = reached.get("relation_terms_rows", 0) + len(X)
+    return forward(policy, X, sizes, carry)
+
 Frontier.slates, PolicyModel._softmax = counting_slates, counting_softmax
+PolicyModel.forward = counting_forward
 
 # two brands and three categories: hubs of more moves than the 250 cap
 graph = load_dataset(*generate_synthetic(SyntheticSpec(users=300, items=400, brands=2,
@@ -368,9 +378,10 @@ grads, _, _ = episode_gradients(policy, graph, table, batch, start_scores(graph,
                                 config, RewardSpec.binary(graph), rng_for(1, "threads"))
 Adam(policy.params, lr=config.learning_rate).step(grads)
 train_reached, reached = reached, {}
+policy.freeze()  # as served: the relation terms are kept
 logprobs = []
-for user in users[:3]:
-    beam = beam_search(user, policy, graph, table, (25, 5, 1))
+for user, widths in zip(users[:4], [(25, 5, 1)] * 3 + [(1, 5, 1)]):
+    beam = beam_search(user, policy, graph, table, widths)
     ranked = rank_recommendations(beam, graph, table, user, 10)
     logprobs += [beam.logprob, np.asarray([e.logprob for e in ranked.entries])]
 
@@ -388,7 +399,8 @@ print(json.dumps({"params": digest(policy.params), "grads": digest(grads),
 def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     """A default-shaped train step and beam search, in one process with
     one BLAS thread and one with two; each goes through over-cap rows and
-    both actor head widths."""
+    both actor head widths, and the beam through the relation terms and
+    a one-row hop."""
     src = os.path.dirname(os.path.dirname(pathrec.__file__))
     digests = []
     for threads in ("1", "2"):
@@ -399,10 +411,10 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert out.returncode == 0, out.stderr
         digests.append(json.loads(out.stdout))
     assert digests[0] == digests[1]
-    for phase in ("train", "beam"):
+    for phase, keys in (("train", ()), ("beam", ("relation_terms_rows", "one_row_hops"))):
         reached = digests[0][phase]
         assert min(reached.get(key, 0) for key in ("over_cap_rows", "narrow_rows",
-                                                   "wide_rows")) > 0, (phase, reached)
+                                                   "wide_rows", *keys)) > 0, (phase, reached)
 
 
 class TestGradientOracle:
@@ -796,6 +808,40 @@ class TestPersistence:
         assert again.state_dim == policy.state_dim
         for a, b in zip(policy.params, again.params):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("name, stored", [
+        ("b1", np.ones(1)),           # one value would fill every unit
+        ("W1", np.ones(8)),           # a flat W1 would fill every row
+        ("Wv", None),                 # missing
+        ("W2", np.ones((16, 8), dtype=np.float32)),
+        ("W3", np.ones((8, 8))),      # the slate is 9 actions wide
+    ])
+    def test_damaged_parameter_rejected(self, small_table, tmp_path, name, stored):
+        policy, _ = small_policy(small_table, 2)
+        path = str(tmp_path / "policy.npz")
+        policy.save(path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        if stored is None:
+            del arrays[name]
+        else:
+            arrays[name] = stored
+        np.savez(path, **arrays)
+        with pytest.raises(InvalidSpec, match=rf"^{re.escape(path)}: .*\b{name}\b"):
+            PolicyModel.load(path)
+
+    def test_loaded_and_trained_parameters_refuse_writes(self, tiny_graph, small_table,
+                                                         tmp_path):
+        policy, cfg = small_policy(small_table, 2, epochs=1)
+        path = str(tmp_path / "policy.npz")
+        policy.save(path)
+        trained, _ = train_agent(tiny_graph, small_table, RewardSpec.binary(tiny_graph), cfg)
+        for served in (PolicyModel.load(path), trained):
+            for param in (*served.params, served._W3):
+                with pytest.raises(ValueError, match="read-only"):
+                    param[...] = 0.0
+        for param in policy.params:  # a policy built in Python stays writable
+            param[...] += 0.0
 
     def test_write_history_format(self, tmp_path):
         path = tmp_path / "curve.csv"
