@@ -15,11 +15,14 @@ compares it with the run still runs on each read.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from contextlib import contextmanager
 
 import numpy as np
+
+from .errors import ParseError
 
 
 @contextmanager
@@ -72,6 +75,17 @@ def read_bytes(path: str) -> bytes:
         return fh.read()
 
 
+def decode_text(path: str, data: bytes) -> str:
+    """A text file's bytes as a text-mode ``open`` reads them. Bytes that do
+    not decode raise ParseError naming ``path`` and the first bad byte's
+    offset, without echoing the file's content."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(data)).read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} does not decode as {exc.encoding}: "
+                         f"{exc.reason}") from None
+
+
 # reader name -> (sha256 of the bytes it last parsed, their value)
 _parsed: dict[str, tuple[bytes, object]] = {}
 
@@ -94,6 +108,7 @@ def parse_once(reader: str, blobs: tuple[bytes, ...], parse):
 
 
 def parse_json(path: str, data: bytes):
-    """The value of a JSON file's bytes, parsed once per content by the
-    reader of the file's name (``parse_once``)."""
-    return parse_once(f"json:{os.path.basename(path)}", (data,), lambda: json.loads(data))
+    """The value of a JSON file's bytes (``decode_text``), parsed once per
+    content by the reader of the file's name (``parse_once``)."""
+    return parse_once(f"json:{os.path.basename(path)}", (data,),
+                      lambda: json.loads(decode_text(path, data)))

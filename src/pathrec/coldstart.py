@@ -17,7 +17,6 @@ warm or cold.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import atomic_open, read_bytes
+from .artifacts import atomic_open, decode_text, read_bytes
 from .embeddings import EmbeddingTable
 from .errors import (DuplicateEntity, EmptyProfile, MissingEmbedding,
                      MissingNeighborEmbedding, ParseError, SchemaViolation)
@@ -94,9 +93,21 @@ class ColdProfile:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "ColdProfile":
+    def from_json(cls, data) -> "ColdProfile":
+        """The profile ``to_json`` wrote; a value of another shape raises
+        ParseError."""
+        if not isinstance(data, dict):
+            raise ParseError("not a JSON object")
+        for key in ("name", "type"):
+            if not isinstance(data.get(key), str):
+                raise ParseError(f"no string {key}")
+        rels = data.get("relations")
+        if not (isinstance(rels, list) and all(
+                isinstance(r, dict) and isinstance(r.get("relation"), str)
+                and isinstance(r.get("target"), str) for r in rels)):
+            raise ParseError("relations is not a list of {relation, target} string objects")
         decls = tuple(ColdDeclaration(r["relation"], *parse_entity_token(r["target"]))
-                      for r in data["relations"])
+                      for r in rels)
         return cls(name=data["name"], entity_type=data["type"], declarations=decls)
 
 
@@ -114,13 +125,16 @@ def read_profiles(path: str) -> list[ColdProfile]:
 
 def parse_profiles(path: str, data: bytes) -> list[ColdProfile]:
     """The profiles of a jsonl file's bytes, read as a text-mode ``open``
-    reads them; ``path`` names the file in errors."""
+    reads them (``decode_text``). A line that is no profile object raises
+    ParseError naming the file and line."""
     out = []
-    for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(data)), start=1):
+    for lineno, line in enumerate(decode_text(path, data).split("\n"), start=1):
         line = line.strip()
         if line:
             try:
                 out.append(ColdProfile.from_json(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: not JSON: {exc}") from exc
             except ParseError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return out

@@ -20,7 +20,6 @@ split share one split and one graph.
 from __future__ import annotations
 
 import functools
-import io
 import logging
 import os
 from dataclasses import asdict, dataclass
@@ -29,8 +28,8 @@ from itertools import chain
 
 import numpy as np
 
-from .artifacts import (atomic_open, canonical_json, parse_json, parse_once, read_bytes,
-                        write_json)
+from .artifacts import (atomic_open, canonical_json, decode_text, parse_json, parse_once,
+                        read_bytes, write_json)
 from .coldstart import ColdDeclaration, ColdProfile, parse_profiles, write_profiles
 from .embeddings import rng_for
 from .errors import (EmptyUser, InvalidSpec, ParseError, SchemaViolation, check_field_types,
@@ -61,8 +60,7 @@ def load_dataset(triplet_path: str, schema_path: str | KGSchema) -> KnowledgeGra
 def _triplet_graph(path: str, data: bytes, schema: KGSchema) -> KnowledgeGraph:
     """``load_dataset`` of a triplet file's bytes."""
     return parse_once("triplets", (canonical_json(schema.to_json()).encode(), data),
-                      lambda: _parse_triplets(path, io.TextIOWrapper(io.BytesIO(data)).read(),
-                                              schema))
+                      lambda: _parse_triplets(path, decode_text(path, data), schema))
 
 
 def _triplet_tokens(text: str) -> list[str] | None:

@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .artifacts import atomic_open, read_bytes, write_json
+from .artifacts import atomic_open, decode_text, read_bytes, write_json
 from .errors import (DuplicateEntity, InvalidSpec, NotAnItem, ParseError, SchemaViolation,
                      UnknownEntity)
 
@@ -205,7 +205,7 @@ class KGSchema:
         """The schema of a schema file's bytes; ``path`` names the file in
         errors."""
         try:
-            raw = json.loads(data)
+            raw = json.loads(decode_text(path, data))
         except json.JSONDecodeError as exc:
             raise ParseError(f"schema {path} is not valid JSON: {exc}") from exc
         return cls.from_json(raw)
@@ -574,6 +574,9 @@ def check_triplet_row(path: str, lineno: int, fields: list[str]) -> tuple[str, s
     """(head_type, head_name, relation, tail_type, tail_name) of one row."""
     if len(fields) != 3:
         raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
-    ht, hn = parse_entity_token(fields[0])
-    tt, tn = parse_entity_token(fields[2])
+    try:
+        ht, hn = parse_entity_token(fields[0])
+        tt, tn = parse_entity_token(fields[2])
+    except ParseError as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return ht, hn, fields[1], tt, tn

@@ -15,15 +15,13 @@ lexsort for the per-row top-``width``. A hop's relation block holds one
 of at most R + 1 rows, so from hop 1 on its first-layer product is read
 from the policy's table (``PolicyModel.relation_terms``) and added to
 the carried sums, and the forward multiplies the entity block alone; a
-served policy is read-only, so it computes that table once. A hop of one
-row keeps the two-block forward, because OpenBLAS multiplies one row
-with another kernel; either way the bits are the forward's. The
-forward's actor head runs at a narrow width for the rows whose slates
-fit it, so a hop costs what its slates hold, not the policy's full
-slate. The search
-returns the final frontier as a ``Beam``, its two arrays and nothing
-else; ranking sorts, filters and deduplicates its rows on the arrays,
-and ``PathState``/``ScoredPath`` objects are built, in one
+served policy is read-only, so it computes that table once. The bits
+are the two-block forward's. The forward's actor head runs at a narrow
+width for the rows whose slates fit it, so a hop costs what its slates
+hold, not the policy's full slate. The search returns the final
+frontier as a ``Beam``, its two arrays and nothing else; ranking
+sorts, filters and deduplicates its rows on the arrays, and
+``PathState``/``ScoredPath`` objects are built, in one
 ``Frontier.states`` call, only for the at most k served paths. The
 user's scores over all entities, which truncate over-cap slates by
 selection, are computed once per search (``mdp.start_scores``).
@@ -86,20 +84,18 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
     user_scores = start_scores(graph, table, [user])
     frontier = Frontier.start([user])
     logprob = np.zeros(1)
-    carry, terms = None, None
+    carry, terms = None, policy.relation_terms(table)
     for t, width in enumerate(widths):
         slates = frontier.slates(graph, cap, user_scores, np.zeros(len(frontier), dtype=np.intp))
-        fold = t > 0 and len(frontier) > 1
-        if fold:
+        if t:
             # the relation block's product is read from the policy's terms
             # and added to the gathered parent sums as forward adds it;
             # forward then reads the entity block alone
-            terms = terms or policy.relation_terms(table)
             sum1, end = carry
             for part in terms[t - 1]:
                 sum1 += part[frontier.relations[:, -1]]
             carry = sum1, end + table.dim
-        probs, _, cache = policy.forward(frontier.encode(table, relations=not fold),
+        probs, _, cache = policy.forward(frontier.encode(table, relations=False),
                                          slates.sizes, carry)
         S = int(slates.sizes.max())
         valid = np.arange(S) < slates.sizes[:, None]

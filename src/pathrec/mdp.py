@@ -45,21 +45,29 @@ class PathState:
 
     ``relations[i]`` is the (relation, direction) pair that led from
     ``entities[i]`` to ``entities[i+1]``; self-loop steps use
-    (SELF_LOOP, FORWARD). ``visited`` blocks revisits; self-loops do not
-    add to it.
+    (SELF_LOOP, FORWARD). ``visited`` blocks revisits; a self-loop repeats
+    an entity, so it adds nothing to it.
     """
 
-    user: int
     entities: tuple[int, ...]
     relations: tuple[tuple[int, int], ...]
-    visited: frozenset[int]
-    self_loops: int
     budget: int
 
     @classmethod
     def start(cls, user: int, budget: int) -> "PathState":
-        return cls(user=user, entities=(user,), relations=(),
-                   visited=frozenset((user,)), self_loops=0, budget=budget)
+        return cls(entities=(user,), relations=(), budget=budget)
+
+    @property
+    def user(self) -> int:
+        return self.entities[0]
+
+    @property
+    def visited(self) -> frozenset[int]:
+        return frozenset(self.entities)
+
+    @property
+    def self_loops(self) -> int:
+        return sum(rel == SELF_LOOP for rel, _ in self.relations)
 
     @property
     def current(self) -> int:
@@ -215,12 +223,10 @@ class Frontier:
     def states(self, budget: int, rows=slice(None)) -> list[PathState]:
         """One ``PathState`` per row (of those ``rows`` selects), walked under
         a budget of ``budget`` hops."""
-        out = []
-        for ents, rels, dirs in zip(self.entities[rows].tolist(), self.relations[rows].tolist(),
-                                    self.directions[rows].tolist()):
-            out.append(PathState(ents[0], tuple(ents), tuple(zip(rels, dirs)),
-                                 frozenset(ents), rels.count(SELF_LOOP), budget))
-        return out
+        return [PathState(tuple(ents), tuple(zip(rels, dirs)), budget)
+                for ents, rels, dirs in zip(self.entities[rows].tolist(),
+                                            self.relations[rows].tolist(),
+                                            self.directions[rows].tolist())]
 
 
 def start_scores(graph: KnowledgeGraph, table: EmbeddingTable, starts: Sequence[int]) -> np.ndarray:

@@ -224,7 +224,8 @@ class _Stage:
         # the split writes one profile per cold user and cold item
         if (sorted(p.name for p in split.profiles)
                 != sorted([*split.cold_val, *split.cold_test, *split.cold_items])):
-            raise StageError(self.name, f"{self.paths.split_dir}: profiles and manifest differ")
+            raise StageError(self.name,
+                             f"{self.paths.split_dir}: profiles.jsonl and manifest differ")
         if split.train_graph.fingerprint() != fingerprint:
             raise StageError(self.name, f"{self.paths.split_dir}: train.tsv and manifest differ")
         return split

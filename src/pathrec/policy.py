@@ -86,7 +86,18 @@ SCORE_ROWS_BYTES = 32 << 20  # train_agent keeps every user's start scores up to
 
 def _matmul(A: np.ndarray, W: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
     """``acc + A @ W`` (``A @ W`` without ``acc``), K summed left to right in
-    blocks of at most ``K_BLOCK`` columns; ``acc`` itself is left as it is."""
+    blocks of at most ``K_BLOCK`` columns; ``acc`` itself is left as it is.
+
+    For a matrix ``W`` a row's bits do not depend on how many rows ``A``
+    has. A one-row product would take the matrix-vector kernel (gemv),
+    which sums in another order than the matrix kernel of two or more rows,
+    so a one-row ``A`` is multiplied as two rows and the first is
+    returned; no other code knows of a row count. A vector ``W`` takes the
+    matrix-vector kernel at any row count, which sums a row by its place
+    among ``A``'s rows."""
+    if len(A) == 1:
+        twice = None if acc is None else np.concatenate([acc, acc])
+        return _matmul(np.concatenate([A, A]), W, twice)[:1]
     for start in range(0, A.shape[1], K_BLOCK):
         part = A[:, start:start + K_BLOCK] @ W[start:start + K_BLOCK]
         acc = part if acc is None else np.add(acc, part, out=part)
@@ -164,8 +175,7 @@ class PolicyModel:
         relation id or SELF_LOOP (the last row), holds the products
         ``forward`` sums for that row's relation block of hop t, one per
         ``K_BLOCK`` columns of the block, so adding them in turn to a
-        parent's sum gives ``forward``'s bits for any row count but one
-        (a one-row product takes another OpenBLAS kernel). Shape
+        parent's sum gives ``forward``'s bits (``_matmul``). Shape
         (ceil(d / K_BLOCK), R + 1, h1) per hop.
 
         A read-only policy (``freeze``) keeps the terms it computed and
@@ -212,10 +222,8 @@ class PolicyModel:
         over the full head (120 of 251 columns) take the head and softmax
         at the 8-aligned width of the widest such slate, the other rows at
         full width: a column beyond a slate adds an exact zero to that
-        block's sum, so the probabilities are the full head's bits. A
-        multi-row call never splits off one row, which OpenBLAS would
-        multiply with another kernel; every row then takes the full head.
-        The returned probabilities are always (P, slate_size).
+        block's sum, so the probabilities are the full head's bits. The
+        returned probabilities are always (P, slate_size).
         """
         sum1, start = carry or (None, 0)
         k, end = X.shape[1], start + X.shape[1]
@@ -241,7 +249,7 @@ class PolicyModel:
         the full width (``forward``)."""
         fits = np.flatnonzero(sizes <= self._narrow_cap)
         n, P = len(fits), len(sizes)
-        if not n or (P > 1 and 1 in (n, P - n)):
+        if not n:
             return self._softmax(h2, sizes, self.slate_size)
         width = -(-int(sizes[fits].max()) // HEAD_ALIGN) * HEAD_ALIGN
         probs = np.zeros((P, self.slate_size))

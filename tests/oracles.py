@@ -124,9 +124,8 @@ def step(state: PathState, action: Action, graph: KnowledgeGraph) -> PathState:
     if action.is_self_loop:
         if action.target != state.current:
             raise InvalidAction("self-loop must stay at the current entity")
-        return PathState(state.user, state.entities + (state.current,),
-                         state.relations + ((SELF_LOOP, FORWARD),),
-                         state.visited, state.self_loops + 1, state.budget)
+        return PathState(state.entities + (state.current,),
+                         state.relations + ((SELF_LOOP, FORWARD),), state.budget)
     if action.target in state.visited:
         raise InvalidAction(f"entity {action.target} was already visited")
     if action.direction == FORWARD:
@@ -137,9 +136,8 @@ def step(state: PathState, action: Action, graph: KnowledgeGraph) -> PathState:
         raise InvalidAction(
             f"no edge ({state.current}, {action.relation}, {action.target}, dir={action.direction})"
         )
-    return PathState(state.user, state.entities + (action.target,),
-                     state.relations + ((action.relation, action.direction),),
-                     state.visited | {action.target}, state.self_loops, state.budget)
+    return PathState(state.entities + (action.target,),
+                     state.relations + ((action.relation, action.direction),), state.budget)
 
 
 def valid_actions(state: PathState, graph: KnowledgeGraph, table: EmbeddingTable | None = None,

@@ -1,11 +1,16 @@
-"""Every top-level import of the package's modules is used, no module
-holds an ``assert`` statement, and every config checks itself as it is
-built.
+"""Every top-level import of the package's modules is used, every private
+helper is read, no module holds an ``assert`` statement, and every config
+checks itself as it is built.
 
 A name counts as used where the module reads it (an ``ast.Name`` anywhere
 in its tree) or lists it in ``__all__``; ``from __future__`` imports are
 directives, not names. An ``assert`` vanishes under ``python -O`` and
 fails as a bare AssertionError, so src raises a PathRecError instead.
+
+A private helper is a module-level function, class or assignment, or a
+method, whose name starts with one underscore. It must be read (an
+``ast.Name`` or ``ast.Attribute`` load) somewhere in the package outside
+its own body, so a helper that a simplification orphaned does not stay.
 
 A config is a ``*Config`` or ``*Spec`` dataclass. It checks its values in
 ``__post_init__`` and defines no ``validate``, so no caller needs to check
@@ -14,6 +19,7 @@ it again and no config exists unchecked.
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -36,6 +42,54 @@ def unused_imports(source: str) -> list[str]:
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used.update(ast.literal_eval(node.value))
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def private_definitions(tree: ast.Module):
+    """Each private module-level function, class and assigned name, and each
+    private method, of a module: (name, the defining node)."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and private(node.name):
+            yield node.name, node
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and private(target.id):
+                yield target.id, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and private(method.name):
+                    yield method.name, method
+
+
+def reads(node: ast.AST) -> list[str]:
+    """The names and attributes ``node`` loads."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+
+
+def unread_privates(sources: dict[str, str]) -> list[str]:
+    """``module: name`` of each private helper of ``sources`` (module name
+    -> source) that no module reads outside the helper's own body."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = Counter(name for tree in trees.values() for name in reads(tree))
+    return [f"{module}: {name}" for module, tree in trees.items()
+            for name, node in private_definitions(tree)
+            if everywhere[name] == reads(node).count(name)]
+
+
+def test_private_scanner_flags_unread_helpers():
+    sources = {"a.py": "_USED = 1\n_UNUSED: int = 2\ndef _rec(n):\n    return _rec(n - 1)\n"
+                       "class _Box:\n    def _kept(self): return self._gone\n"
+                       "    def _gone(self): return _USED\n    def __len__(self): return 0\n",
+               "b.py": "from a import _Box\nprint(_Box()._kept())\n"}
+    assert unread_privates(sources) == ["a.py: _UNUSED", "a.py: _rec"]
+
+
+def test_every_private_helper_is_read():
+    assert unread_privates({p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
 
 
 def assert_lines(source: str) -> list[int]:

@@ -298,13 +298,14 @@ class TestRelationTerms:
             for user in users:
                 assert_same_beam(beam_search(user, policy, graph, table, widths, max_actions=cap),
                                  reference_beam_search(user, policy, graph, table, widths, cap))
-            # every multi-row hop after the first reads the entity block alone
+            # every hop after the first reads the entity block alone
             carried = [(rows, cols) for rows, cols, carry in forwards if carry]
-            assert all(cols == (table.dim if rows > 1 else 2 * table.dim)
-                       for rows, cols in carried)
+            assert all(cols == table.dim for _, cols in carried)
             assert any(rows > 1 for rows, _ in carried)
 
-    def test_one_row_hops_keep_the_full_blocks(self, make_graph, forwards):
+    def test_one_row_hops_fold(self, make_graph, forwards):
+        """A hop of one row reads its relation block's product from the
+        terms too, as a hop of many rows does."""
         g = make_graph(n_users=5, n_items=20, n_brands=2, n_categories=2,
                        interactions=6, seed=3)
         writer = GraphWriter(g)
@@ -317,7 +318,7 @@ class TestRelationTerms:
             forwards.clear()
             got = beam_search(user, policy, g, table, widths)
             assert_same_beam(got, reference_beam_search(user, policy, g, table, widths, 30))
-            assert forwards[1] == (1, 2 * table.dim, True)
+            assert forwards[1] == (1, table.dim, True)
         assert got.frontier.relations.tolist() == [[SELF_LOOP] * 3]
 
     def test_blocks_wider_than_one_product_fold_by_parts(self, make_graph, forwards):

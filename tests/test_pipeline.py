@@ -12,7 +12,7 @@ from pathrec.artifacts import atomic_open, write_json
 from pathrec.coldstart import ColdStrategy, integrate_cold_entities
 from pathrec.datasets import DatasetSplit, SplitConfig, SyntheticSpec
 from pathrec.embeddings import EmbedTrainConfig, load_table, save_table
-from pathrec.errors import InvalidAxisValue, InvalidSpec, PathRecError, StageError
+from pathrec.errors import InvalidAxisValue, InvalidSpec, ParseError, PathRecError, StageError
 from pathrec.inference import explain
 from pathrec.pipeline import (STAGES, InferenceConfig, RunConfig, RunPaths,
                               _ordered_profiles, read_recommendations, run_pipeline,
@@ -494,6 +494,26 @@ def drop_items(path):
         fh.writelines(json.dumps(rec) + "\n" for rec in lines)
 
 
+def first_line(line):
+    """A fault writer that replaces the file's first line by ``line(record)``,
+    ``record`` being that line's JSON value."""
+    def write(path):
+        with open(path, "rb") as fh:
+            lines = fh.readlines()
+        lines[0] = line(json.loads(lines[0])) + b"\n"
+        with open(path, "wb") as fh:
+            fh.writelines(lines)
+    return write
+
+
+def bad_byte(path):
+    """Put a byte that decodes as no UTF-8 text into the middle of the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+
+
 def list_cohort(path):
     """Store the manifest's warm_test cohort as a JSON list of its user
     names; the file still decodes and its stamp still matches the run."""
@@ -626,6 +646,12 @@ FAULTS = [
     ("short-self-loop", "embed/embeddings.npz", "cold-integrate"),
     ("short-self-loop", "cold/embeddings.npz", "recommend"),
     ("drop-cohort", "split/manifest.json", "train-embed"),
+    ("int-name", "split/profiles.jsonl", "train-embed"),
+    ("no-relations", "split/profiles.jsonl", "train-embed"),
+    ("list-line", "split/profiles.jsonl", "train-embed"),
+    ("not-json", "split/profiles.jsonl", "train-embed"),
+    *(("bad-byte", f"split/{name}", "train-embed")
+      for name in ("profiles.jsonl", "train.tsv", "schema.json", "manifest.json")),
 ]
 
 
@@ -634,7 +660,13 @@ FAULT_WRITERS = {"truncate": truncate, "cut-lines": cut_lines, "drop-items": dro
                  "seed-in-config": seed_in_config, "list-cohort": list_cohort,
                  "config-type": config_type, "config-key": config_key,
                  "param-shape": param_shape, "short-self-loop": short_self_loop,
-                 "drop-cohort": drop_cohort, "delete": os.remove}
+                 "drop-cohort": drop_cohort, "delete": os.remove,
+                 "int-name": first_line(lambda rec: json.dumps({**rec, "name": 7}).encode()),
+                 "no-relations": first_line(lambda rec: json.dumps(
+                     {k: v for k, v in rec.items() if k != "relations"}).encode()),
+                 "list-line": first_line(lambda rec: b"[1, 2]"),
+                 "not-json": first_line(lambda rec: b"{not json"),
+                 "bad-byte": bad_byte}
 
 
 def damage(copy, seed2_run, fault, artifact):
@@ -656,6 +688,8 @@ class TestDamagedArtifacts:
         with pytest.raises(StageError, match=rf"^\[{stage}\] ") as err:
             STAGE_CALLS[stage](copy)
         assert err.value.stage == stage
+        # the damaged file is named, and its content is not echoed
+        assert os.path.basename(artifact) in str(err.value) and len(str(err.value)) < 500
         config_path = str(tmp_path / "config.json")
         write_json(config_path, copy.to_json())
         extra = ["--axis", "interactions", "--values", "0"] if stage == "sweep" else []
@@ -689,6 +723,28 @@ class TestDamagedArtifacts:
                 DatasetSplit.read(paths.split_dir)
             else:
                 PolicyModel.load(paths.policy_file)
+
+    @pytest.mark.parametrize("fault, name, where", [
+        ("int-name", "profiles.jsonl", ":1: no string name"),
+        ("no-relations", "profiles.jsonl", ":1: relations is not a list"),
+        ("list-line", "profiles.jsonl", ":1: not a JSON object"),
+        ("not-json", "profiles.jsonl", ":1: not JSON"),
+        *(("bad-byte", name, ": byte ") for name in ("profiles.jsonl", "train.tsv",
+                                                    "schema.json", "manifest.json")),
+    ])
+    def test_damaged_split_file_read_directly_is_named(self, tiny_run, tmp_path,
+                                                       fault, name, where):
+        """``DatasetSplit.read`` names the damaged file (and line) in a
+        ParseError; a byte that does not decode is reported by its offset,
+        and the file's content is not echoed."""
+        config, _, _ = tiny_run
+        copy, paths = copy_run(config, str(tmp_path / "run"))
+        path = os.path.join(paths.split_dir, name)
+        FAULT_WRITERS[fault](path)
+        with pytest.raises(ParseError) as err:
+            DatasetSplit.read(paths.split_dir)
+        message = str(err.value)
+        assert message.startswith(path + where) and len(message) < 200, message
 
     def test_write_json_is_compact(self, tmp_path):
         path = str(tmp_path / "a.json")

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathrec
 from pathrec import mdp
@@ -186,8 +188,7 @@ class TestFixedOrder:
     def test_carried_chain_equals_one_call(self, d, hidden, cap, P):
         """Hop by hop on each hop's new blocks, with carries gathered by
         parent row as the beam does, against one carry-less call on each
-        hop's whole live prefix. Bitwise from P = 2 hop-0 rows; one row goes
-        to gemv, whose sum the later hops' gemm does not repeat bit for bit."""
+        hop's whole live prefix, bitwise from one hop-0 row on."""
         policy = kernel_policy(d, hidden, cap)
         rng = np.random.default_rng(d + P)
         X, carry, blocks = rng.normal(size=(P, d)), None, ()
@@ -199,10 +200,7 @@ class TestFixedOrder:
             want_probs, want_values, want = policy.forward(prefix, sizes)
             for a, b in ((probs, want_probs), (values, want_values),
                          (cache.sum1, want.sum1), (cache.h2, want.h2)):
-                if P == 1:
-                    np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
-                else:
-                    np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(a, b)
             parent = np.sort(rng.integers(len(X), size=2 * len(X)))
             blocks = tuple(b[parent] for b in (*blocks, X))
             carry = cache.sum1[parent], cache.end
@@ -258,6 +256,47 @@ class TestFixedOrder:
         assert policy.W3.shape == (hidden[1], policy.slate_size)
 
 
+class TestRowBitsIndependentOfBatch:
+    """A row's probabilities and layer sums have the same bits alone as
+    among other rows: every product treats a one-row block as two rows
+    (``_matmul``), and a head group of one row is such a block. The value
+    is a matrix-vector product, whose kernel sums a row by its place among
+    the call's rows; only training reads values, on batches its seed fixes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.sampled_from(ORDER_DIMS), P=st.sampled_from([2, 7, 64]),
+           carried=st.booleans(), narrow=st.booleans(),
+           mates=st.sampled_from(["same group", "other group", "any group"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_row_alone_equals_row_in_a_batch(self, dims, P, carried, narrow, mates, seed):
+        d, hidden, cap = dims
+        policy = kernel_policy(d, hidden, cap)
+        W, limit = policy.slate_size, policy._narrow_cap
+        rng = np.random.default_rng(seed)
+
+        def sizes_of(fits, n):
+            """n slate sizes in the narrow group (``fits``) or the wide one."""
+            if not limit:
+                return rng.integers(1, W + 1, size=n)
+            low, high = (1, limit) if fits else (limit + 1, W)
+            return rng.integers(low, high + 1, size=n)
+
+        sizes = {"same group": sizes_of(narrow, P), "other group": sizes_of(not narrow, P),
+                 "any group": rng.integers(1, W + 1, size=P)}[mates]
+        at = int(rng.integers(P))
+        sizes[at] = sizes_of(narrow, 1)[0]
+        X = rng.normal(size=(P, 2 * d if carried else d))
+        carry = (rng.normal(size=(P, hidden[0])), d) if carried else None
+        alone = policy.forward(X[at:at + 1], sizes[at:at + 1],
+                               carry and (carry[0][at:at + 1], carry[1]))
+        batch = policy.forward(X, sizes, carry)
+        for a, b in zip(forward_arrays(alone), forward_arrays(batch)):
+            if a.ndim == 1:  # the values
+                np.testing.assert_allclose(a[0], b[at], rtol=1e-12, atol=1e-12)
+            else:
+                np.testing.assert_array_equal(a[0], b[at])
+
+
 # (narrow rows, wide rows) per batch: one row, all narrow, all wide, exactly
 # one row of either group, an even mix
 HEAD_BATCHES = [(1, 0), (0, 1), (2, 0), (25, 0), (0, 2), (0, 25), (1, 4), (4, 1),
@@ -302,10 +341,9 @@ class TestSlateWidthHead:
                     policy.backward(cache, blocks, dlogits, dvalues, g)
                 for a, b in zip(*grads):
                     np.testing.assert_array_equal(a, b)
-                # the groups the rule picks: a one-row group of a multi-row
-                # batch, or a head with no narrow block, keeps every row wide
-                one_row = P > 1 and 1 in (narrow, wide)
-                if policy._narrow_cap == 0 or not narrow or one_row:
+                # the groups the rule picks: with no narrow block, or no row
+                # that fits it, every row takes the full head
+                if policy._narrow_cap == 0 or not narrow:
                     assert widths == [(P, W)]
                 else:
                     narrow_width = -(-int(sizes[sizes <= limit].max()) // 8) * 8
@@ -340,8 +378,9 @@ from pathrec.policy import (AgentConfig, PolicyModel, episode_gradients, state_d
                             training_users)
 
 # what each phase reached: rows cut to the cap, rows of each head width,
-# rows whose relation block came from the relation terms, one-row hops
-reached = {}
+# head groups of one row in a call of many, rows whose relation block came
+# from the relation terms, one-row hops
+reached, call_rows = {}, [0]
 slates, softmax, forward = Frontier.slates, PolicyModel._softmax, PolicyModel.forward
 
 def counting_slates(frontier, graph, max_actions, *args):
@@ -354,9 +393,12 @@ def counting_slates(frontier, graph, max_actions, *args):
 def counting_softmax(policy, h2, sizes, width):
     key = "wide_rows" if width == policy.slate_size else "narrow_rows"
     reached[key] = reached.get(key, 0) + len(h2)
+    if len(h2) == 1 < call_rows[0]:
+        reached["one_row_groups"] = reached.get("one_row_groups", 0) + 1
     return softmax(policy, h2, sizes, width)
 
 def counting_forward(policy, X, sizes, carry=None):
+    call_rows[0] = len(X)
     if carry is not None and len(X) == 1:
         reached["one_row_hops"] = reached.get("one_row_hops", 0) + 1
     elif carry is not None and X.shape[1] == table.dim:
@@ -380,7 +422,7 @@ Adam(policy.params, lr=config.learning_rate).step(grads)
 train_reached, reached = reached, {}
 policy.freeze()  # as served: the relation terms are kept
 logprobs = []
-for user, widths in zip(users[:4], [(25, 5, 1)] * 3 + [(1, 5, 1)]):
+for user, widths in zip(users[:5], [(25, 5, 1)] * 3 + [(1, 5, 1), (3, 3, 1)]):
     beam = beam_search(user, policy, graph, table, widths)
     ranked = rank_recommendations(beam, graph, table, user, 10)
     logprobs += [beam.logprob, np.asarray([e.logprob for e in ranked.entries])]
@@ -399,8 +441,8 @@ print(json.dumps({"params": digest(policy.params), "grads": digest(grads),
 def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     """A default-shaped train step and beam search, in one process with
     one BLAS thread and one with two; each goes through over-cap rows and
-    both actor head widths, and the beam through the relation terms and
-    a one-row hop."""
+    both actor head widths, and the beam through the relation terms, a
+    one-row hop and a head group of one row in a call of many."""
     src = os.path.dirname(os.path.dirname(pathrec.__file__))
     digests = []
     for threads in ("1", "2"):
@@ -411,7 +453,8 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert out.returncode == 0, out.stderr
         digests.append(json.loads(out.stdout))
     assert digests[0] == digests[1]
-    for phase, keys in (("train", ()), ("beam", ("relation_terms_rows", "one_row_hops"))):
+    for phase, keys in (("train", ()),
+                        ("beam", ("relation_terms_rows", "one_row_hops", "one_row_groups"))):
         reached = digests[0][phase]
         assert min(reached.get(key, 0) for key in ("over_cap_rows", "narrow_rows",
                                                    "wide_rows", *keys)) > 0, (phase, reached)
