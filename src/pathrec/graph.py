@@ -20,9 +20,9 @@ callers that look up many keys.
 The adjacency is the CSR form that ``csr()`` returns: entity ``e``'s
 edges are positions ``indptr[e]:indptr[e + 1]`` of the parallel ``rel``,
 ``nbr`` and ``dir`` arrays, in canonical (relation, neighbor, direction)
-order. ``neighbors``, ``degree`` and ``user_items`` read it. Like the
-interaction counts, ``entity_keys()`` and ``fingerprint()``, it is
-computed at first use and kept.
+order. ``neighbors``, ``degree``, ``user_items`` and ``users_items`` read
+it. Like the interaction counts, ``entity_keys()`` and ``fingerprint()``,
+it is computed at first use and kept.
 
 Serialization uses a tab-separated triplet file (one triplet per line,
 ``head_type:head_name<TAB>relation<TAB>tail_type:tail_name``) plus a JSON
@@ -369,6 +369,13 @@ class KnowledgeGraph:
         self._check_entity(e)
         return self._names[e]
 
+    def entity_names(self, entities: Sequence[int]) -> list[str]:
+        """``entity_name`` of each of ``entities``, read at once."""
+        if entities and not 0 <= min(entities) <= max(entities) < len(self._names):
+            raise UnknownEntity(f"entity ids {min(entities)}..{max(entities)} are not all "
+                                "registered")
+        return list(map(self._names.__getitem__, entities))
+
     def entity_type(self, e: int) -> str:
         self._check_entity(e)
         return self.schema.entity_types[self._types.item(e)]
@@ -522,6 +529,20 @@ class KnowledgeGraph:
         lo, hi = adj.indptr.item(user), adj.indptr.item(user + 1)
         sel = (adj.rel[lo:hi] == self._interaction) & (adj.dir[lo:hi] == FORWARD)
         return frozenset(adj.nbr[lo:hi][sel].tolist())
+
+    def users_items(self, users: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """``user_items`` of many users at once, as (row, item) arrays that
+        pair each item with the row of its user in ``users``."""
+        users = np.asarray(users, dtype=np.intp)
+        if len(users) and not 0 <= users.min() <= users.max() < len(self._names):
+            raise UnknownEntity(f"entity ids {users.min()}..{users.max()} are not all registered")
+        adj = self.csr()
+        lo = adj.indptr[users]
+        sizes = adj.indptr[users + 1] - lo
+        rows = np.repeat(np.arange(len(users)), sizes)
+        at = np.arange(int(sizes.sum())) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+        sel = (adj.rel[at] == self._interaction) & (adj.dir[at] == FORWARD)
+        return rows[sel], adj.nbr[at[sel]]
 
     # -- serialization ----------------------------------------------------
 

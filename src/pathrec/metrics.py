@@ -1,17 +1,28 @@
 """Ranking and cold-start metrics.
 
-All functions work on hashable item keys (the pipeline passes names), with
-binary relevance. POPB normalizes each user's recommended popularity mass
-by the best achievable mass for that user, i.e. the K most popular items
-the user has not already interacted with in training; a pure popularity
-recommender therefore scores exactly 1.0.
+The scalar functions work on hashable item keys (the pipeline passes
+names), with binary relevance. POPB normalizes each user's recommended
+popularity mass by the best achievable mass for that user, i.e. the K most
+popular items the user has not already interacted with in training; a pure
+popularity recommender therefore scores exactly 1.0.
+
+The array kernels below them score many users at once: a model's lists
+are a (users x k) matrix of integer item columns, -1 past a list's end,
+and each column has one popularity. Every kernel returns the bits of its
+scalar counterpart: per-user sums run in rank order and totals in user
+order through ``np.cumsum``, which adds left to right, where ``np.sum``
+would add runs of 8 or more terms pairwise.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
+from itertools import chain
+
+import numpy as np
 
 from .errors import EmptyColdSet, InvalidSpec
 from .graph import KnowledgeGraph
@@ -42,7 +53,7 @@ def train_popularity(train_graph: KnowledgeGraph) -> dict[str, int]:
     """Item name -> number of training interactions, in item id order."""
     items = train_graph.items()
     counts = train_graph.interaction_counts()[items].tolist()
-    return {train_graph.entity_name(i): n for i, n in zip(items, counts)}
+    return dict(zip(train_graph.entity_names(items), counts))
 
 
 def _best_mass(ordered: Sequence[Hashable], popularity: Mapping[Hashable, int],
@@ -110,39 +121,13 @@ def cold_item_proportion(recs_per_user: Mapping[Hashable, Sequence[Hashable]],
     return total / len(recs_per_user)
 
 
-class _TrainItems(Mapping):
-    """User name -> names of the user's training items, read from the graph
-    at a user's first lookup and kept; the keys are the graph's users."""
-
-    def __init__(self, graph: KnowledgeGraph):
-        self._graph = graph
-        self._read: dict[Hashable, frozenset] = {}
-
-    def __getitem__(self, user: Hashable) -> frozenset:
-        items = self._read.get(user)
-        if items is None:
-            g = self._graph
-            if not g.has_entity(g.schema.user_type, user):
-                raise KeyError(user)
-            ids = g.user_items(g.entity_id(g.schema.user_type, user))
-            items = self._read[user] = frozenset(g.entity_name(i) for i in ids)
-        return items
-
-    def __iter__(self) -> Iterator[str]:
-        return (self._graph.entity_name(u) for u in self._graph.users())
-
-    def __len__(self) -> int:
-        return len(self._graph.users())
-
-
 @dataclass(frozen=True)
 class PopBaseline:
     """Pure popularity recommender with per-user filtering of training items.
 
     ``popularity`` holds the training counts most popular first, the order
-    of ``ordered_items``; ``train_items`` reads a user's items from the
-    graph only when that user is asked for, so building and querying the
-    baseline costs O(items + users asked for), not O(training users).
+    of ``ordered_items``; ``train_items`` maps each training user to the
+    items they interacted with.
     """
 
     ordered_items: tuple[Hashable, ...]
@@ -162,10 +147,118 @@ class PopBaseline:
 
 
 def pop_baseline(train_graph: KnowledgeGraph, k: int) -> PopBaseline:
-    counts = train_popularity(train_graph)
+    g = train_graph
+    counts = train_popularity(g)
     ordered = tuple(sorted(counts, key=lambda it: (-counts[it], it)))
+    by_user = g.interactions_by_user()
+    train_items = {g.entity_name(u): frozenset(g.entity_name(i) for i in by_user.get(u, ()))
+                   for u in g.users()}
     return PopBaseline(ordered_items=ordered, popularity={it: counts[it] for it in ordered},
-                       train_items=_TrainItems(train_graph), k=k)
+                       train_items=train_items, k=k)
+
+
+# -- array kernels ----------------------------------------------------------------
+
+
+def popularity_order(names: Sequence[str], counts: np.ndarray) -> np.ndarray:
+    """The columns of ``names`` (with training ``counts``) most popular
+    first, ties by name: ``pop_baseline``'s order."""
+    by_name = np.asarray(sorted(range(len(names)), key=names.__getitem__), dtype=np.intp)
+    return by_name[np.argsort(-np.asarray(counts)[by_name], kind="stable")]
+
+
+def column_matrix(lists: Sequence[Sequence[int]], k: int) -> np.ndarray:
+    """The (len(lists) x k) matrix of ``lists``, each at most k columns
+    long, one per row, -1 after its end."""
+    sizes = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    out = np.full((len(lists), k), -1, dtype=np.intp)
+    out[np.arange(k) < sizes[:, None]] = np.fromiter(chain.from_iterable(lists), dtype=np.intp,
+                                                      count=int(sizes.sum()))
+    return out
+
+
+class ColumnSets:
+    """One set of columns per row, from the (row, column) pairs ``rows``
+    and ``cols`` (repeats allowed) over ``n_rows`` rows, kept as the
+    sorted keys row * width + column; every column is below ``width``."""
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, n_rows: int, width: int):
+        self.width = width
+        self.keys = np.unique(np.asarray(rows, dtype=np.int64) * width + cols)
+        self.sizes = np.bincount(self.keys // width, minlength=n_rows)
+
+    def contains(self, matrix: np.ndarray) -> np.ndarray:
+        """Whether each entry of ``matrix`` (one row per set; -1 for none)
+        is in its row's set."""
+        if not len(self.keys):
+            return np.zeros(matrix.shape, dtype=bool)
+        query = np.arange(len(matrix), dtype=np.int64)[:, None] * self.width + matrix
+        at = np.searchsorted(self.keys, query).clip(max=len(self.keys) - 1)
+        return (matrix >= 0) & (self.keys[at] == query)
+
+
+def first_outside(order: np.ndarray, k: int, exclude: ColumnSets) -> np.ndarray:
+    """Each row's first k columns of ``order`` outside its ``exclude`` set,
+    as a column matrix: ``PopBaseline.recommend`` per row. A row leaves out
+    at most its set's size of the columns it passes, so the first k + size
+    columns of ``order`` hold its list."""
+    n_rows = len(exclude.sizes)
+    head = order[:k + int(exclude.sizes.max(initial=0))]
+    keep = ~exclude.contains(np.broadcast_to(head, (n_rows, len(head))))
+    rank = np.cumsum(keep, axis=1)
+    rows, at = np.nonzero(keep & (rank <= k))
+    out = np.full((n_rows, k), -1, dtype=np.intp)
+    out[rows, rank[rows, at] - 1] = head[at]
+    return out
+
+
+def hit_rows(hits: np.ndarray) -> np.ndarray:
+    """``hit_at_k`` per row of a (users x k) relevance matrix."""
+    return hits.any(axis=1).astype(float)
+
+
+def ndcg_rows(hits: np.ndarray, n_relevant: np.ndarray) -> np.ndarray:
+    """``ndcg_at_k`` per row of a (users x k) relevance matrix, given each
+    user's number of distinct relevant items."""
+    k = hits.shape[1]
+    discount = np.asarray([1.0 / math.log2(rank + 1) for rank in range(1, k + 1)])
+    dcg = np.cumsum(np.where(hits, discount, 0.0), axis=1)[:, -1]
+    ideal = np.cumsum(discount)[np.clip(n_relevant, 1, k) - 1]
+    return np.where(n_relevant > 0, dcg / ideal, 0.0)
+
+
+def mass_rows(matrix: np.ndarray, popularity: np.ndarray) -> np.ndarray:
+    """Each row's summed popularity over its columns."""
+    return np.where(matrix >= 0, popularity[matrix], 0).sum(axis=1)
+
+
+def popb_mean(mass: np.ndarray, best: np.ndarray) -> float:
+    """``popb_at_k`` of users with recommended popularity ``mass`` and
+    best achievable mass ``best`` (a user with ``best`` 0 counts 0)."""
+    if not len(mass):
+        return 0.0
+    ratio = np.divide(mass, best, out=np.zeros(len(mass)), where=best > 0)
+    return float(np.cumsum(ratio)[-1] / len(ratio))
+
+
+def _cold_entries(matrix: np.ndarray, is_cold: np.ndarray) -> np.ndarray:
+    return (matrix >= 0) & is_cold[matrix]
+
+
+def cold_coverage(matrix: np.ndarray, is_cold: np.ndarray, n_cold: int) -> float:
+    """``cold_item_coverage`` of a column matrix; ``is_cold`` marks the
+    columns of the ``n_cold`` cold items."""
+    if not n_cold:
+        raise EmptyColdSet("coverage is undefined for an empty cold-item set")
+    return len(np.unique(matrix[_cold_entries(matrix, is_cold)])) / n_cold
+
+
+def cold_proportion(matrix: np.ndarray, is_cold: np.ndarray) -> float:
+    """``cold_item_proportion`` of a (users x k) column matrix."""
+    if not len(matrix):
+        return 0.0
+    share = _cold_entries(matrix, is_cold).sum(axis=1) / matrix.shape[1]
+    return float(np.cumsum(share)[-1] / len(matrix))
 
 
 def pattern_report(signature_labels: Iterable[str]) -> list[tuple[str, float]]:
@@ -173,11 +266,8 @@ def pattern_report(signature_labels: Iterable[str]) -> list[tuple[str, float]]:
 
     Percentages sum to 100 (within float error) whenever any path exists.
     """
-    counts: dict[str, int] = {}
-    total = 0
-    for label in signature_labels:
-        counts[label] = counts.get(label, 0) + 1
-        total += 1
+    counts = Counter(signature_labels)
+    total = counts.total()
     if total == 0:
         return []
     return sorted(((label, 100.0 * c / total) for label, c in counts.items()),

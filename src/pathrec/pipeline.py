@@ -13,17 +13,21 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import os
 import zipfile
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 from . import coldstart, datasets, inference, metrics
-from .artifacts import (atomic_open, canonical_json, parse_json, read_bytes, write_csv,
-                        write_json)
+from .artifacts import (atomic_open, canonical_json, decode_text, parse_json, read_bytes,
+                        write_csv, write_json)
 from .coldstart import ColdProfile, ColdStrategy
 from .datasets import DatasetSplit, SplitConfig, SyntheticSpec, cap_cold_relations
 from .embeddings import EmbedTrainConfig, EmbeddingTable, load_table, save_table, train_embeddings
@@ -193,8 +197,8 @@ class _Stage:
             with np.load(path, allow_pickle=False) as data:
                 return str(data["config_hash"]), int(data["seed"])
         if path.endswith(".jsonl"):
-            with open(path) as fh:
-                data = json.loads(fh.readline())["meta"]
+            first = self.raw(path).split(b"\n", 1)[0]
+            data = json.loads(decode_text(path, first))["meta"]
         else:
             data = self.json(path)
         return data["config_hash"], data["seed"]
@@ -369,10 +373,11 @@ def stage_recommend(config: RunConfig):
     return records
 
 
-def read_recommendations(path: str):
-    """(meta, records) of a recommendations file."""
-    with open(path) as fh:
-        lines = [json.loads(line) for line in fh]
+def read_recommendations(path: str, data: bytes | None = None):
+    """(meta, records) of a recommendations file, or of its bytes ``data``;
+    a byte that does not decode raises ParseError (``decode_text``)."""
+    text = decode_text(path, read_bytes(path) if data is None else data)
+    lines = [json.loads(line) for line in io.StringIO(text)]
     return (next((d["meta"] for d in lines if "meta" in d), None),
             [d for d in lines if "meta" not in d])
 
@@ -385,61 +390,117 @@ def _is_served_list(items) -> bool:
         and "pattern" in it["path"] for it in items)
 
 
+_ITEM, _PATH, _PATTERN = itemgetter("item"), itemgetter("path"), itemgetter("pattern")
+
+
+class _Columns(dict):
+    """Item name -> integer column; a name not seen yet takes the next one."""
+
+    def __missing__(self, name) -> int:
+        self[name] = column = len(self)
+        return column
+
+    def of(self, names: Iterable) -> list[int]:
+        return list(map(self.__getitem__, names))
+
+
 def evaluate_run(config: RunConfig, split: DatasetSplit, records: list[dict]):
     """Metric rows for the recommender and the popularity baseline.
 
-    Costs O(items + scored users): popularity is built and sorted once,
-    and training items, exclusions and pop lists are read only for the
-    users scored.
+    Each name scored maps to one column: training items first, then cold
+    items, then any other name, with popularity 0. Each cohort's lists
+    are then scored per model as one (users x k) column matrix by the
+    array kernels of ``metrics``. Costs O(items + scored users): the
+    training items are read only for the users scored.
     """
     k = config.inference.topk
-    pop = metrics.pop_baseline(split.train_graph, k)
-    recs_by_cohort: dict[str, dict[str, list[str]]] = {}
+    g = split.train_graph
+    items = np.asarray(g.items(), dtype=np.intp)
+    names = g.entity_names(items.tolist())
+    columns = _Columns(zip(names, range(len(names))))
+    counts = g.interaction_counts()[items]
+    order = metrics.popularity_order(names, counts)
+    cold_columns = columns.of(split.cold_items)
+    recs_by_cohort: dict[str, dict[str, list]] = {}
     patterns_by_cohort: dict[str, list[str]] = {}
     for rec in records:
-        cohort = rec["cohort"]
-        recs_by_cohort.setdefault(cohort, {})[rec["user"]] = [
-            it["item"] for it in rec["items"]]
-        patterns_by_cohort.setdefault(cohort, []).extend(
-            it["path"]["pattern"] for it in rec["items"])
+        cohort, entries = rec["cohort"], rec["items"]
+        recs_by_cohort.setdefault(cohort, {})[rec["user"]] = list(map(_ITEM, entries))
+        patterns_by_cohort.setdefault(cohort, []).extend(map(_PATTERN, map(_PATH, entries)))
+
+    scored = []  # (cohort, users, grecs lists, relevant lists, training (row, column) pairs)
+    known = g.entity_index()
+    user_type = g.schema.user_type
+    for cohort in COHORTS:
+        relevant = getattr(split, cohort)
+        if not relevant:
+            continue
+        served = recs_by_cohort.get(cohort, {})
+        users = list(relevant)
+        ids = np.asarray([known.get((user_type, u), -1) for u in users], dtype=np.intp)
+        in_graph = np.flatnonzero(ids >= 0)
+        pair_rows, train_ids = g.users_items(ids[in_graph])
+        scored.append((cohort, users, [columns.of(served.get(u, ())[:k]) for u in users],
+                       [columns.of(relevant[u]) for u in users],
+                       (in_graph[pair_rows], np.searchsorted(items, train_ids))))
+    width = len(columns)
+    popularity = np.zeros(width, dtype=np.int64)
+    popularity[:len(items)] = counts
+    is_cold = np.zeros(width, dtype=bool)
+    is_cold[cold_columns] = True
 
     rows: list[dict] = []
     per_user: dict[str, dict] = {}
-    test_recs: dict[str, dict] = {"grecs": {}, "pop": {}}  # warm_test and cold_test lists
-    for cohort in COHORTS:
-        relevant = {u: set(items) for u, items in getattr(split, cohort).items()}
-        if not relevant:
-            continue
-        grecs = {u: recs_by_cohort.get(cohort, {}).get(u, []) for u in relevant}
-        pop_recs = {u: pop.recommend(u) for u in relevant}
-        exclude = {u: pop.train_items.get(u, set()) for u in relevant}
-        for model, recs in (("grecs", grecs), ("pop", pop_recs)):
-            ndcg = [metrics.ndcg_at_k(recs[u], relevant[u], k) for u in relevant]
-            hit = [metrics.hit_at_k(recs[u], relevant[u], k) for u in relevant]
+    test_blocks: dict[str, list[np.ndarray]] = {"grecs": [], "pop": []}
+    test_rows: dict[str, int] = {}  # warm_test and cold_test user -> row of the blocks
+    n_blocked = 0
+    for cohort, users, grecs, relevant, train in scored:
+        n = len(users)
+        rel = metrics.ColumnSets(*_pairs(relevant), n, width)
+        exclude = metrics.ColumnSets(*train, n, width)
+        pop = metrics.first_outside(order, k, exclude)
+        best = metrics.mass_rows(pop, popularity)
+        for model, recs in (("grecs", metrics.column_matrix(grecs, k)), ("pop", pop)):
+            hits = rel.contains(recs)
+            ndcg, hit = metrics.ndcg_rows(hits, rel.sizes), metrics.hit_rows(hits)
             for metric, value in (("ndcg", np.mean(ndcg)), ("hr", np.mean(hit)),
-                                  ("popb", metrics.popb_at_k(recs, pop.popularity, k, exclude,
-                                                             pop.ordered_items))):
+                                  ("popb", metrics.popb_mean(metrics.mass_rows(recs, popularity),
+                                                             best))):
                 rows.append({"model": model, "cohort": cohort, "metric": f"{metric}@{k}",
-                             "value": float(value), "n_users": len(relevant)})
+                             "value": float(value), "n_users": n})
             if model == "grecs":
-                per_user[cohort] = {u: {"hit": h, "ndcg": n}
-                                    for u, h, n in sorted(zip(relevant, hit, ndcg))}
+                per_user[cohort] = {u: {"hit": h, "ndcg": v} for u, h, v in
+                                    sorted(zip(users, hit.tolist(), ndcg.tolist()))}
+            if cohort != "cold_val":
+                test_blocks[model].append(recs)
         if cohort != "cold_val":
-            test_recs["grecs"].update(grecs)
-            test_recs["pop"].update(pop_recs)
+            # a user scored in both test cohorts keeps the first place and the last list
+            test_rows.update(zip(users, range(n_blocked, n_blocked + n)))
+            n_blocked += n
 
     cold_items = set(split.cold_items)
     if cold_items:
-        test_users = set(split.warm_test) | set(split.cold_test)
-        for model, recs in test_recs.items():
-            for metric, share in (("coverage", metrics.cold_item_coverage),
-                                  ("proportion", metrics.cold_item_proportion)):
-                rows.append({"model": model, "cohort": "test", "metric": f"{metric}@{k}",
-                             "value": share(recs, cold_items, k), "n_users": len(test_users)})
+        n_test = len(set(split.warm_test) | set(split.cold_test))
+        picked = np.fromiter(test_rows.values(), dtype=np.intp, count=len(test_rows))
+        for model, blocks in test_blocks.items():
+            recs = (np.concatenate(blocks)[picked] if blocks
+                    else np.full((0, k), -1, dtype=np.intp))
+            rows += [{"model": model, "cohort": "test", "metric": f"coverage@{k}",
+                      "value": metrics.cold_coverage(recs, is_cold, len(cold_items)),
+                      "n_users": n_test},
+                     {"model": model, "cohort": "test", "metric": f"proportion@{k}",
+                      "value": metrics.cold_proportion(recs, is_cold), "n_users": n_test}]
 
     patterns = {cohort: metrics.pattern_report(labels)
                 for cohort, labels in sorted(patterns_by_cohort.items())}
     return rows, patterns, per_user
+
+
+def _pairs(lists: list) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, value) pairs of ``lists``, row by row."""
+    sizes = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    values = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=int(sizes.sum()))
+    return np.repeat(np.arange(len(lists)), sizes), values
 
 
 def stage_eval(config: RunConfig):
@@ -449,13 +510,16 @@ def stage_eval(config: RunConfig):
         users = sorted((c, u) for c in COHORTS for u in getattr(split, c))
 
         def load(path):
-            records = read_recommendations(path)[1]
+            records = read_recommendations(path, run.raw(path))[1]
             if sorted((r["cohort"], r["user"]) for r in records) != users:
                 raise StageError("eval", f"{path}: users differ from the split's")
             for r in records:
+                whose = f"{path}: the record of {r['cohort']} user {r['user']!r}"
                 if not _is_served_list(r.get("items")):
-                    raise StageError("eval", f"{path}: the record of {r['cohort']} user "
-                                     f"{r['user']!r} holds no list of items with paths")
+                    raise StageError("eval", f"{whose} holds no list of items with paths")
+                names = [it["item"] for it in r["items"]]
+                if len(set(names)) < len(names):
+                    raise StageError("eval", f"{whose} lists an item twice")
             return records
 
         records = run.read(run.paths.recs_file, "recommend", load)

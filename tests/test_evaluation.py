@@ -2,7 +2,7 @@
 
 ``evaluate_run`` is checked against the catalog-wide reference it
 replaced, its graph reads are counted against the number of training
-users, and the graph reads it relies on (``user_items``,
+users, and the graph reads it relies on (``users_items``, ``user_items``,
 ``interaction_counts``, ``train_popularity``) are pinned against their
 per-element definitions.
 """
@@ -17,7 +17,8 @@ from pathrec.embeddings import rng_for
 from pathrec.errors import UnknownEntity
 from pathrec.graph import KnowledgeGraph
 from pathrec.metrics import pop_baseline, train_popularity
-from pathrec.pipeline import RunConfig, RunPaths, evaluate_run, read_recommendations, run_pipeline
+from pathrec.pipeline import (COHORTS, RunConfig, RunPaths, evaluate_run, read_recommendations,
+                              run_pipeline)
 
 from conftest import build_multi_edge_graph, build_shop_graph
 from oracles import GraphWriter, reference_evaluate_run
@@ -85,6 +86,50 @@ class TestEvaluateRunOracle:
         assert all("ghost" in dict(p) for p in patterns.values())
         assert any(r["metric"].startswith("popb") for r in rows)
 
+    @pytest.mark.parametrize("k", [1, 4, 10, 40])
+    def test_seeded_random_records(self, tiny_eval, k):
+        """Random lists over training items, cold items and names outside
+        the catalog, one of which is also relevant; empty, missing and
+        short lists; and a user who bought the k most popular items. At k
+        40 every list, the pop lists included, is shorter than k."""
+        config, split, _ = tiny_eval
+        config = dataclasses.replace(
+            config, inference=dataclasses.replace(config.inference, topk=k))
+        g = GraphWriter(split.train_graph)
+        top = pop_baseline(g.graph, k).ordered_items[:k]
+        fan = g.add_entity(g.schema.user_type, "fan")
+        g.add_triplets([fan] * len(top), [g.interaction_relation] * len(top),
+                       [g.entity_id(g.schema.item_type, i) for i in top])
+        ghost = "ghost-0"
+        catalog = [*train_popularity(g.graph), *split.cold_items, ghost, "ghost-1", "ghost-2"]
+        rng = rng_for(28, f"eval-records-{k}")
+        cohorts = {c: dict(getattr(split, c)) for c in COHORTS}
+        first = next(iter(cohorts["warm_test"]))
+        cohorts["warm_test"][first] = [*cohorts["warm_test"][first], ghost]
+        cohorts["warm_test"]["fan"] = [str(x) for x in rng.choice(catalog, 3, replace=False)]
+        # every name is relevant to "keen", whose list of 10 all hit: a DCG of 8 or
+        # more terms, whose bits depend on the order of the sum
+        cohorts["warm_test"]["keen"] = catalog
+        records = []
+        for cohort, users in cohorts.items():
+            for j, user in enumerate(users):
+                if j == 1:
+                    continue  # no record: scored as an empty list
+                n = int(rng.integers(0, min(k + 3, 12) + 1))
+                names = [str(x) for x in rng.choice(catalog, size=n, replace=False)]
+                if user == first:
+                    names = [ghost, *(x for x in names if x != ghost)]
+                elif user == "keen":
+                    names = catalog[:10]
+                records.append({"user": user, "cohort": cohort, "served": True,
+                                "items": [{"item": x, "path": {"pattern": "p"}} for x in names]})
+        scored = dataclasses.replace(split, train_graph=g.graph, **cohorts)
+        rows, _, per_user = assert_matches_reference(config, scored, records)
+        assert per_user["warm_test"][first]["hit"] == 1.0
+        lengths = {len(r["items"]) for r in records}
+        assert 0 in lengths and (k == 1 or any(0 < n < k for n in lengths))
+        assert any(r["metric"] == f"coverage@{k}" and r["value"] > 0 for r in rows)
+
     def test_sweep_shape(self, tiny_eval):
         config, split, records = tiny_eval
         cold = [r for r in records if r["cohort"] != "warm_test"]
@@ -140,19 +185,39 @@ def test_graph_reads_follow_the_scored_users(monkeypatch):
     assert seen[0]["interactions_by_user"] == 0
 
 
+def test_training_items_read_for_the_scored_users_only(monkeypatch):
+    """``evaluate_run`` reads training items through ``users_items``, for
+    the scored users in the graph and no one else."""
+    config = RunConfig()
+    asked = []
+    read = KnowledgeGraph.users_items
+
+    def recording(self, users):
+        asked.append([self.entity_name(u) for u in users])
+        return read(self, users)
+
+    monkeypatch.setattr(KnowledgeGraph, "users_items", recording)
+    split = SimpleNamespace(train_graph=_catalog_with_users(300),
+                            warm_test={"s1": ["i1"], "s0": ["i2"], "cold": ["i3"]},
+                            cold_val={}, cold_test={}, cold_items=[])
+    evaluate_run(config, split, [])
+    assert asked == [["s1", "s0"]]
+
+
 def test_popularity_sorted_once_per_run(monkeypatch, tiny_eval):
-    """``pop_baseline`` sorts the popularity table; each ``popb_at_k`` call
-    reads that order instead of sorting the table again."""
+    """``evaluate_run`` orders the popularity table once, with
+    ``metrics.popularity_order``; every cohort's pop lists and popb
+    normalizers read that order instead of sorting the table again."""
     from pathrec import metrics
 
     tables = []
+    order = metrics.popularity_order
 
-    def counting_sorted(iterable, *args, **kwargs):
-        if isinstance(iterable, dict):  # the popularity table, not a pattern count
-            tables.append(len(iterable))
-        return sorted(iterable, *args, **kwargs)
+    def counting_order(names, counts):
+        tables.append(len(names))
+        return order(names, counts)
 
-    monkeypatch.setattr(metrics, "sorted", counting_sorted, raising=False)
+    monkeypatch.setattr(metrics, "popularity_order", counting_order)
     config, split, records = tiny_eval
     rows, _, _ = evaluate_run(config, split, records)
     assert sum(r["metric"].startswith("popb") for r in rows) >= 4
@@ -202,6 +267,17 @@ class TestGraphReadsPinned:
                 assert isinstance(got, frozenset) and got == want
             with pytest.raises(UnknownEntity):
                 g.user_items(g.entity_count)
+
+    def test_users_items_is_user_items_of_each_user(self):
+        for g in _random_graphs():
+            users = [*range(g.entity_count - 1, -1, -1), 0]  # any order, one repeated
+            rows, items = g.users_items(users)
+            for row, e in enumerate(users):
+                assert set(items[rows == row].tolist()) == g.user_items(e)
+            assert len(items) == sum(len(g.user_items(e)) for e in users)
+            assert [len(a) for a in g.users_items([])] == [0, 0]
+            with pytest.raises(UnknownEntity):
+                g.users_items([g.entity_count])
 
     def test_interaction_counts_and_train_popularity(self):
         for g in _random_graphs():

@@ -494,6 +494,17 @@ def drop_items(path):
         fh.writelines(json.dumps(rec) + "\n" for rec in lines)
 
 
+def repeat_item(path):
+    """List the first served user's first item a second time, at the end
+    of the list; every line still decodes and the stamp still matches."""
+    with open(path) as fh:
+        lines = [json.loads(line) for line in fh]
+    rec = next(r for r in lines if r.get("items"))
+    rec["items"].append({**rec["items"][0], "rank": len(rec["items"]) + 1})
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(r, sort_keys=True) + "\n" for r in lines)
+
+
 def first_line(line):
     """A fault writer that replaces the file's first line by ``line(record)``,
     ``record`` being that line's JSON value."""
@@ -631,6 +642,8 @@ FAULTS = [
     *(("delete", "run.json", stage) for stage in STAGES[1:] + ("sweep",)),
     ("cut-lines", "recs/recommendations.jsonl", "eval"),  # every kept record decodes
     ("drop-items", "recs/recommendations.jsonl", "eval"),
+    ("repeat-item", "recs/recommendations.jsonl", "eval"),
+    ("bad-byte", "recs/recommendations.jsonl", "eval"),
     ("bad-target", "split/profiles.jsonl", "train-embed"),
     ("bad-target", "split/profiles.jsonl", "cold-integrate"),
     ("seed-in-config", "split/manifest.json", "train-embed"),
@@ -656,6 +669,7 @@ FAULTS = [
 
 
 FAULT_WRITERS = {"truncate": truncate, "cut-lines": cut_lines, "drop-items": drop_items,
+                 "repeat-item": repeat_item,
                  "bad-target": bad_target, "bad-targets": bad_targets,
                  "seed-in-config": seed_in_config, "list-cohort": list_cohort,
                  "config-type": config_type, "config-key": config_key,
