@@ -245,8 +245,7 @@ def augment_graph(train_graph: KnowledgeGraph, profiles: Iterable[ColdProfile],
     bad_kinds = {kind for kind in {(p.entity_type, d.relation, d.target_type)
                                    for p in profiles for d in p.declarations}
                  if not _declarable(schema, *kind)}
-    rel_index = {spec.name: i for i, spec in enumerate(schema.relations)}
-    relations = np.fromiter((rel_index.get(d.relation, -1)
+    relations = np.fromiter((schema.relation_ids.get(d.relation, -1)
                              for p in profiles for d in p.declarations), np.intp, first[-1])
     targets = np.fromiter((warm.get((d.target_type, d.target_name), -1)
                            for p in profiles for d in p.declarations), np.intp, first[-1])

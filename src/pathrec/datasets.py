@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import logging
 import os
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import chain
@@ -33,7 +34,7 @@ from .artifacts import (atomic_open, canonical_json, decode_text, parse_json, pa
 from .coldstart import ColdDeclaration, ColdProfile, parse_profiles, write_profiles
 from .embeddings import rng_for
 from .errors import (EmptyUser, InvalidSpec, ParseError, SchemaViolation, check_field_types,
-                     config_from_json, is_int)
+                     config_from_json, is_int, is_names)
 from .graph import (KGSchema, KnowledgeGraph, check_triplet_row,
                     read_triplet_rows)
 
@@ -85,9 +86,10 @@ def _parse_triplets(path: str, text: str, schema: KGSchema) -> KnowledgeGraph:
     """The graph of a triplet file's text; ``path`` names the file in
     errors. The text is split into tokens at once; only a text that fails
     its checks is scanned row by row, to find the first faulty line."""
-    derived = {r.name for r in schema.relations if r.derived_from is not None}
-    types = set(schema.entity_types)
-    rel_ids = {r.name: i for i, r in enumerate(schema.relations) if r.name not in derived}
+    types, rel_ids, derived = schema.type_ids, schema.relation_ids, schema.derived_mask
+
+    def stored(relation: str) -> bool:  # a triplet file holds no derived relation
+        return relation in rel_ids and not derived[rel_ids[relation]]
 
     def entity_key(token: str) -> tuple[str, str] | None:
         etype, sep, name = token.partition(":")
@@ -103,10 +105,10 @@ def _parse_triplets(path: str, text: str, schema: KGSchema) -> KnowledgeGraph:
     tokens = _triplet_tokens(text)
     keys = entity_keys(tokens) if tokens is not None else {}
     fault = None
-    if tokens is None or None in keys.values() or not rel_ids.keys() >= set(tokens[1::3]):
+    if tokens is None or None in keys.values() or not all(map(stored, set(tokens[1::3]))):
         rows = read_triplet_rows(path, text)
         k = next(k for k, (_, f) in enumerate(rows)
-                 if len(f) != 3 or f[1] not in rel_ids
+                 if len(f) != 3 or not stored(f[1])
                  or entity_key(f[0]) is None or entity_key(f[2]) is None)
         fault = rows[k]
         tokens = list(chain.from_iterable(f for _, f in rows[:k]))
@@ -114,7 +116,7 @@ def _parse_triplets(path: str, text: str, schema: KGSchema) -> KnowledgeGraph:
     n = len(tokens) // 3
     ids = dict(zip(keys, range(len(keys))))  # distinct tokens are distinct keys
 
-    def column(i: int, index: dict) -> np.ndarray:
+    def column(i: int, index: Mapping[str, int]) -> np.ndarray:
         return np.fromiter(map(index.__getitem__, tokens[i::3]), np.intp, n)
 
     # schema violations before the first faulty line raise here, as they
@@ -125,7 +127,7 @@ def _parse_triplets(path: str, text: str, schema: KGSchema) -> KnowledgeGraph:
     if fault is not None:
         lineno, f = fault
         ht, hn, rel, tt, tn = check_triplet_row(path, lineno, f)
-        if rel in derived:
+        if rel in rel_ids and derived[rel_ids[rel]]:
             raise ParseError(f"{path}: derived relation {rel!r} may not appear in a triplet file")
         for etype in (ht, tt):
             if etype not in types:
@@ -165,10 +167,9 @@ def derive_relations(graph: KnowledgeGraph) -> KnowledgeGraph:
     order = np.argsort(heads[inter], kind="stable")
     users, items = heads[inter][order], tails[inter][order]
     derived = [np.zeros((3, 0), dtype=np.intp)]
-    for rel_id, spec in enumerate(graph.schema.relations):
-        if spec.derived_from is None:
-            continue
-        at, x = _forward_join(graph, graph.relation_id(spec.derived_from.via), items)
+    for rel_id in np.flatnonzero(graph.schema.derived_mask).tolist():
+        via = graph.relation_id(graph.schema.relations[rel_id].derived_from.via)
+        at, x = _forward_join(graph, via, items)
         u = users[at]
         _, first = np.unique(u * graph.entity_count + x, return_index=True)
         first.sort()
@@ -242,11 +243,6 @@ def cap_cold_relations(name: str, entity_type: str,
         for tname, _, _ in rt.targets[:k]:
             decls.append(ColdDeclaration(rt.relation, rt.target_type, tname))
     return ColdProfile(name=name, entity_type=entity_type, declarations=tuple(decls))
-
-
-def _names(value) -> bool:
-    """Whether a manifest value is a JSON list of names."""
-    return isinstance(value, list) and all(isinstance(name, str) for name in value)
 
 
 def _ranked_targets(value) -> bool:
@@ -343,9 +339,9 @@ def _parse_split(out_dir: str, data: dict[str, bytes]) -> DatasetSplit:
         if key not in m:
             raise ParseError(f"{where}: no {key}")
     for key in ("warm_val", "warm_test", "cold_val", "cold_test"):
-        if not (isinstance(m[key], dict) and all(map(_names, m[key].values()))):
+        if not (isinstance(m[key], dict) and all(map(is_names, m[key].values()))):
             raise ParseError(f"{where}: {key} is not an object of name -> list of names")
-    if not _names(m["cold_items"]):
+    if not is_names(m["cold_items"]):
         raise ParseError(f"{where}: cold_items is not a list of names")
     if not (isinstance(m["cold_user_targets"], dict)
             and all(map(_ranked_targets, m["cold_user_targets"].values()))):
@@ -391,14 +387,14 @@ def _user_relation_targets(graph: KnowledgeGraph, users: list[int],
     items = np.asarray([i for h in hidden for i in h], dtype=np.intp)
     out: list[list[RelationTargets]] = [[] for _ in users]
     n = graph.entity_count
-    for spec in graph.schema.relations:
+    for rel_id, spec in enumerate(graph.schema.relations):
         if not spec.cold_integration or spec.head_type != graph.schema.user_type:
             continue
         if spec.derived_from is not None:
             at, x = _forward_join(graph, graph.relation_id(spec.derived_from.via), items)
             at = owner[at]
         else:
-            at, x = _forward_join(graph, graph.relation_id(spec.name), heads)
+            at, x = _forward_join(graph, rel_id, heads)
         pairs, freq = np.unique(at * n + x, return_counts=True)
         at, x = pairs // n, pairs % n
         ranked = np.lexsort((x, -freq, at))
@@ -417,10 +413,10 @@ def _item_profiles(graph: KnowledgeGraph, items: list[int]) -> list[ColdProfile]
     by relation in schema order, targets by id."""
     heads = np.asarray(items, dtype=np.intp)
     decls: list[list[ColdDeclaration]] = [[] for _ in items]
-    for spec in graph.schema.relations:
+    for rel_id, spec in enumerate(graph.schema.relations):
         if not spec.cold_integration or spec.head_type != graph.schema.item_type:
             continue
-        at, x = _forward_join(graph, graph.relation_id(spec.name), heads)
+        at, x = _forward_join(graph, rel_id, heads)
         for j, target in zip(at.tolist(), x.tolist()):
             decls[j].append(ColdDeclaration(spec.name, spec.tail_type,
                                             graph.entity_name(target)))
@@ -438,7 +434,7 @@ def _train_graph(graph: KnowledgeGraph, cold: list[int],
     """
     n = graph.entity_count
     heads, rels, tails = graph.triplet_arrays()
-    derived = np.asarray([r.derived_from is not None for r in graph.schema.relations])
+    derived = graph.schema.derived_mask
     is_cold = np.zeros(n, dtype=bool)
     is_cold[cold] = True
     pairs = np.asarray(sorted(u * n + i for u, i in train_pairs), dtype=np.intp)

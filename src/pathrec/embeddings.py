@@ -169,7 +169,7 @@ def conditional_prob(table: EmbeddingTable, head: int, relation: int, tail: int,
 
 def _type_pools(graph: KnowledgeGraph) -> dict[str, np.ndarray]:
     return {t: np.asarray(graph.entities_of_type(t), dtype=np.intp)
-            for t in graph.schema.entity_types}
+            for t in graph.schema.type_ids}
 
 
 def _zero_grads(table: EmbeddingTable,
@@ -392,7 +392,7 @@ def save_table(table: EmbeddingTable, graph: KnowledgeGraph, path: str,
     write_npz(
         path,
         entity_keys=np.asarray(graph.entity_keys()),
-        relation_keys=np.asarray([r.name for r in graph.schema.relations]),
+        relation_keys=np.asarray(list(graph.schema.relation_ids)),
         entity_vecs=table.entity_vecs,
         entity_bias=table.entity_bias,
         relation_vecs=table.relation_vecs,
@@ -412,7 +412,7 @@ def load_table(path: str, graph: KnowledgeGraph) -> EmbeddingTable:
         if len(keys) < len(want) or tuple(keys[:len(want)]) != want:
             raise MissingEmbedding(f"snapshot {path} does not match the graph's entities")
         relations = data["relation_keys"].tolist()
-        if relations != [r.name for r in graph.schema.relations]:
+        if relations != list(graph.schema.relation_ids):
             raise MissingEmbedding(f"snapshot {path} does not match the graph's relations")
         arrays = {name: data[name] for name in
                   ("entity_vecs", "entity_bias", "relation_vecs", "self_loop_vec")}

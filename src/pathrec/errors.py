@@ -93,6 +93,11 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_names(value) -> bool:
+    """A JSON list of strings."""
+    return isinstance(value, list) and all(isinstance(name, str) for name in value)
+
+
 def check_field_types(cls, values, where: str = ""):
     """Raise InvalidSpec unless each value of ``values``, keyed by a field
     name of the config dataclass ``cls``, has the type of the field's

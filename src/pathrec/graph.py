@@ -35,7 +35,7 @@ import hashlib
 import json
 import logging
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from .artifacts import atomic_open, decode_text, read_bytes, write_json
 from .errors import (DuplicateEntity, InvalidSpec, NotAnItem, ParseError, SchemaViolation,
-                     UnknownEntity)
+                     UnknownEntity, is_names)
 
 log = logging.getLogger(__name__)
 
@@ -75,31 +75,43 @@ class KGSchema:
 
     ``path_patterns`` are raw token sequences alternating entity types and
     relation names; a ``~`` prefix on a relation marks inverse traversal.
-    They are compiled against a concrete graph by the MDP layer.
+
+    The schema is compiled as it is checked, once; every module reads its
+    tables: ``type_ids`` and ``relation_ids`` (name -> id, in id order),
+    each relation's head and tail type ids and flags as read-only arrays,
+    ``interaction_id``, and each pattern's (relation id, direction) steps.
     """
 
     entity_types: tuple[str, ...]
     relations: tuple[RelationSpec, ...]
     path_patterns: tuple[tuple[str, ...], ...] = ()
+    type_ids: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    relation_ids: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    relation_head: np.ndarray = field(init=False, repr=False, compare=False)
+    relation_tail: np.ndarray = field(init=False, repr=False, compare=False)
+    derived_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    cold_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    interaction_id: int = field(init=False, repr=False, compare=False)
+    pattern_steps: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False,
+                                                                   compare=False)
 
     def __post_init__(self):
-        if len(set(self.entity_types)) != len(self.entity_types):
+        type_ids = {t: i for i, t in enumerate(self.entity_types)}
+        if len(type_ids) != len(self.entity_types):
             raise SchemaViolation("duplicate entity type names")
-        names = [r.name for r in self.relations]
-        if len(set(names)) != len(names):
+        relation_ids = {r.name: i for i, r in enumerate(self.relations)}
+        if len(relation_ids) != len(self.relations):
             raise SchemaViolation("duplicate relation names")
-        if "self_loop" in names:  # a stored path record names its self-loop steps so
+        if "self_loop" in relation_ids:  # a stored path record names its self-loop steps so
             raise SchemaViolation("relation name 'self_loop' is reserved")
-        interactions = [r for r in self.relations if r.interaction]
+        interactions = [i for i, r in enumerate(self.relations) if r.interaction]
         if len(interactions) != 1:
             raise SchemaViolation(
                 f"schema must declare exactly one interaction relation, got {len(interactions)}"
             )
-        types = set(self.entity_types)
-        by_name = {r.name: r for r in self.relations}
-        inter = interactions[0]
+        inter = self.relations[interactions[0]]
         for r in self.relations:
-            if r.head_type not in types or r.tail_type not in types:
+            if r.head_type not in type_ids or r.tail_type not in type_ids:
                 raise SchemaViolation(f"relation {r.name} references unknown entity type")
             if r.derived_from is not None:
                 rule = r.derived_from
@@ -107,34 +119,55 @@ class KGSchema:
                     raise SchemaViolation(
                         f"derivation of {r.name} must join the interaction relation"
                     )
-                via = by_name.get(rule.via)
-                if via is None:
+                if rule.via not in relation_ids:
                     raise SchemaViolation(f"derivation of {r.name} references unknown relation {rule.via}")
+                via = self.relations[relation_ids[rule.via]]
                 if r.head_type != inter.head_type or via.head_type != inter.tail_type or r.tail_type != via.tail_type:
                     raise SchemaViolation(f"derivation of {r.name} is not type-consistent")
-        for pat in self.path_patterns:
-            self._check_pattern(pat, by_name, types)
 
-    def _check_pattern(self, tokens: tuple[str, ...], by_name, types):
+        tables = dict(
+            type_ids=MappingProxyType(type_ids), relation_ids=MappingProxyType(relation_ids),
+            relation_head=np.asarray([type_ids[r.head_type] for r in self.relations], np.intp),
+            relation_tail=np.asarray([type_ids[r.tail_type] for r in self.relations], np.intp),
+            derived_mask=np.asarray([r.derived_from is not None for r in self.relations], bool),
+            cold_mask=np.asarray([r.cold_integration for r in self.relations], bool),
+            interaction_id=interactions[0])
+        for name, value in tables.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "pattern_steps",
+                           tuple(map(self._check_pattern, self.path_patterns)))
+
+    def __reduce__(self):  # the tables are rebuilt, not pickled
+        return type(self), (self.entity_types, self.relations, self.path_patterns)
+
+    def _check_pattern(self, tokens: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
+        """The (relation id, direction) steps of a pattern; one that does
+        not walk the schema from the user type raises SchemaViolation."""
         if len(tokens) < 3 or len(tokens) % 2 == 0:
             raise SchemaViolation(f"pattern {tokens} must alternate type, relation, type")
         if tokens[0] != self.user_type:
             raise SchemaViolation(f"pattern {tokens} must start at the user type")
+        steps = []
         for i in range(0, len(tokens) - 2, 2):
             src, rel_tok, dst = tokens[i], tokens[i + 1], tokens[i + 2]
-            if src not in types or dst not in types:
+            if src not in self.type_ids or dst not in self.type_ids:
                 raise SchemaViolation(f"pattern {tokens} uses unknown entity type")
             inverse = rel_tok.startswith("~")
-            rel = by_name.get(rel_tok[1:] if inverse else rel_tok)
-            if rel is None:
+            rel_id = self.relation_ids.get(rel_tok[1:] if inverse else rel_tok)
+            if rel_id is None:
                 raise SchemaViolation(f"pattern {tokens} uses unknown relation {rel_tok}")
+            rel = self.relations[rel_id]
             want = (rel.tail_type, rel.head_type) if inverse else (rel.head_type, rel.tail_type)
             if (src, dst) != want:
                 raise SchemaViolation(f"pattern {tokens} traverses {rel.name} against its schema")
+            steps.append((rel_id, INVERSE if inverse else FORWARD))
+        return tuple(steps)
 
     @property
     def interaction_relation(self) -> RelationSpec:
-        return next(r for r in self.relations if r.interaction)
+        return self.relations[self.interaction_id]
 
     @property
     def user_type(self) -> str:
@@ -145,10 +178,9 @@ class KGSchema:
         return self.interaction_relation.tail_type
 
     def relation(self, name: str) -> RelationSpec:
-        for r in self.relations:
-            if r.name == name:
-                return r
-        raise SchemaViolation(f"unknown relation {name!r}")
+        if name not in self.relation_ids:
+            raise SchemaViolation(f"unknown relation {name!r}")
+        return self.relations[self.relation_ids[name]]
 
     def to_json(self) -> dict:
         rels = []
@@ -168,30 +200,38 @@ class KGSchema:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "KGSchema":
-        try:
-            rels = tuple(
-                RelationSpec(
-                    name=r["name"],
-                    head_type=r["head"],
-                    tail_type=r["tail"],
-                    interaction=bool(r.get("interaction", False)),
-                    cold_integration=bool(r.get("cold_integration", False)),
-                    derived_from=(
-                        DerivationRule(r["derived_from"]["interaction"], r["derived_from"]["via"])
-                        if r.get("derived_from")
-                        else None
-                    ),
-                )
-                for r in data["relations"]
-            )
-            return cls(
-                entity_types=tuple(data["entity_types"]),
-                relations=rels,
-                path_patterns=tuple(tuple(p) for p in data.get("path_patterns", [])),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed schema: {exc}") from exc
+    def from_json(cls, data, where: str = "schema") -> "KGSchema":
+        """The schema of its JSON form, named ``where`` in errors: a name,
+        type or pattern token that is not a string, or a flag that is not a
+        JSON boolean, raises ParseError naming the field."""
+        def need(ok: bool, what: str, kind: str):
+            if not ok:
+                raise ParseError(f"{where}: {what} must be {kind}")
+
+        need(isinstance(data, dict), "the top level", "a JSON object")
+        need(is_names(data.get("entity_types")), "entity_types", "a list of strings")
+        need(isinstance(data.get("relations"), list), "relations", "a list")
+        patterns = data.get("path_patterns", [])
+        need(isinstance(patterns, list), "path_patterns", "a list")
+        for k, pattern in enumerate(patterns):
+            need(is_names(pattern), f"path_patterns[{k}]", "a list of strings")
+        rels = []
+        for k, r in enumerate(data["relations"]):
+            need(isinstance(r, dict) and isinstance(r.get("name"), str), f"relations[{k}]",
+                 "an object with a string name")
+            at, rule = f"relation {r['name']!r}:", r.get("derived_from")
+            for key, kind, text in (("head", str, "a string"), ("tail", str, "a string"),
+                                    ("interaction", bool, "a JSON boolean"),
+                                    ("cold_integration", bool, "a JSON boolean")):
+                need(isinstance(r.get(key, False), kind), f"{at} {key}", text)
+            need(rule is None or isinstance(rule, dict), f"{at} derived_from", "an object")
+            for key in ("interaction", "via") if rule is not None else ():
+                need(isinstance(rule.get(key), str), f"{at} derived_from.{key}", "a string")
+            rels.append(RelationSpec(r["name"], r["head"], r["tail"], r.get("interaction", False),
+                                     r.get("cold_integration", False),
+                                     rule and DerivationRule(rule["interaction"], rule["via"])))
+        return cls(entity_types=tuple(data["entity_types"]), relations=tuple(rels),
+                   path_patterns=tuple(map(tuple, patterns)))
 
     def save(self, path: str):
         write_json(path, self.to_json())
@@ -208,7 +248,7 @@ class KGSchema:
             raw = json.loads(decode_text(path, data))
         except json.JSONDecodeError as exc:
             raise ParseError(f"schema {path} is not valid JSON: {exc}") from exc
-        return cls.from_json(raw)
+        return cls.from_json(raw, path)
 
 
 class CSRAdjacency(NamedTuple):
@@ -233,13 +273,6 @@ class KnowledgeGraph:
 
     def __init__(self, schema: KGSchema):
         self.schema = schema
-        self._type_index = {t: i for i, t in enumerate(schema.entity_types)}
-        self._rel_index = {r.name: i for i, r in enumerate(schema.relations)}
-        self._interaction = self._rel_index[schema.interaction_relation.name]
-        self._rel_head = np.asarray([self._type_index[r.head_type] for r in schema.relations],
-                                    dtype=np.intp)
-        self._rel_tail = np.asarray([self._type_index[r.tail_type] for r in schema.relations],
-                                    dtype=np.intp)
         self._names: list[str] = []
         self._by_key: dict[tuple[str, str], int] = {}
         self._types = np.zeros(0, dtype=np.intp)  # entity -> type index
@@ -280,7 +313,7 @@ class KnowledgeGraph:
         h, r, t = (np.asarray(a, dtype=np.intp).reshape(-1) for a in (heads, relations, tails))
         if not len(h) == len(r) == len(t):
             raise InvalidSpec("heads, relations and tails must have equal lengths")
-        type_index = self._type_index
+        type_index = self.schema.type_ids
         if not type_index.keys() >= set(types):
             unknown = next(etype for etype in types if etype not in type_index)
             raise SchemaViolation(f"unknown entity type {unknown!r}")
@@ -298,8 +331,8 @@ class KnowledgeGraph:
                                                              np.intp, len(types))])
         bad = (h < 0) | (h >= m) | (t < 0) | (t >= m) | (r < 0) | (r >= len(self.schema.relations))
         ok = ~bad
-        bad[ok] = ((g._types[h[ok]] != self._rel_head[r[ok]])
-                   | (g._types[t[ok]] != self._rel_tail[r[ok]]))
+        bad[ok] = ((g._types[h[ok]] != self.schema.relation_head[r[ok]])
+                   | (g._types[t[ok]] != self.schema.relation_tail[r[ok]]))
         if bad.any():
             i = int(np.argmax(bad))
             g._check_triplet(int(h[i]), int(r[i]), int(t[i]))
@@ -336,13 +369,11 @@ class KnowledgeGraph:
 
     @property
     def interaction_relation(self) -> int:
-        return self._interaction
+        return self.schema.interaction_id
 
     def relation_id(self, name: str) -> int:
-        try:
-            return self._rel_index[name]
-        except KeyError:
-            raise SchemaViolation(f"unknown relation {name!r}") from None
+        self.schema.relation(name)  # an unknown name raises SchemaViolation
+        return self.schema.relation_ids[name]
 
     def relation_name(self, relation: int) -> str:
         return self.schema.relations[relation].name
@@ -393,9 +424,9 @@ class KnowledgeGraph:
         return self._entity_keys
 
     def entities_of_type(self, etype: str) -> list[int]:
-        if etype not in self._type_index:
+        if etype not in self.schema.type_ids:
             raise SchemaViolation(f"unknown entity type {etype!r}")
-        return np.flatnonzero(self._types == self._type_index[etype]).tolist()
+        return np.flatnonzero(self._types == self.schema.type_ids[etype]).tolist()
 
     def users(self) -> list[int]:
         return self.entities_of_type(self.schema.user_type)
@@ -415,7 +446,7 @@ class KnowledgeGraph:
         bad = (entities < 0) | (entities >= len(self._names))
         if bad.any():
             self._check_entity(int(entities[bad][0]))
-        return self._types[entities] == self._type_index[etype]
+        return self._types[entities] == self.schema.type_ids[etype]
 
     # -- triplets ---------------------------------------------------------
 
@@ -527,7 +558,7 @@ class KnowledgeGraph:
         self._check_entity(user)
         adj = self.csr()
         lo, hi = adj.indptr.item(user), adj.indptr.item(user + 1)
-        sel = (adj.rel[lo:hi] == self._interaction) & (adj.dir[lo:hi] == FORWARD)
+        sel = (adj.rel[lo:hi] == self.interaction_relation) & (adj.dir[lo:hi] == FORWARD)
         return frozenset(adj.nbr[lo:hi][sel].tolist())
 
     def users_items(self, users: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -541,16 +572,15 @@ class KnowledgeGraph:
         sizes = adj.indptr[users + 1] - lo
         rows = np.repeat(np.arange(len(users)), sizes)
         at = np.arange(int(sizes.sum())) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
-        sel = (adj.rel[at] == self._interaction) & (adj.dir[at] == FORWARD)
+        sel = (adj.rel[at] == self.interaction_relation) & (adj.dir[at] == FORWARD)
         return rows[sel], adj.nbr[at[sel]]
 
     # -- serialization ----------------------------------------------------
 
     def _triplet_lines(self, include_derived: bool = True) -> list[str]:
         """Stored triplets as triplet-file lines, in insertion order."""
-        keys = self.entity_keys()
-        names = [r.name for r in self.schema.relations]
-        derived = [r.derived_from is not None for r in self.schema.relations]
+        keys, names = self.entity_keys(), list(self.schema.relation_ids)
+        derived = self.schema.derived_mask.tolist()
         return [f"{keys[h]}\t{names[r]}\t{keys[t]}" for h, r, t in self.triplets()
                 if include_derived or not derived[r]]
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import MissingEmbedding, SchemaViolation
 from .embeddings import EmbeddingTable, score_all_tails, score_tails
-from .graph import FORWARD, INVERSE, CSRAdjacency, KnowledgeGraph
+from .graph import FORWARD, CSRAdjacency, KnowledgeGraph
 
 SELF_LOOP = -1  # sentinel relation id for the stay-in-place action
 
@@ -236,37 +236,9 @@ def start_scores(graph: KnowledgeGraph, table: EmbeddingTable, starts: Sequence[
     return np.array(rows).reshape(len(starts), table.entity_count)
 
 
-# -- patterns -----------------------------------------------------------------
+# -- signatures ---------------------------------------------------------------
 
 Signature = tuple  # (type, (rel, dir), type, ..., type) with names resolved to ids
-
-
-@dataclass(frozen=True)
-class PathPattern:
-    """Compiled semantic path: its directed relation steps. The schema
-    types every relation, so the steps fix the entity types."""
-
-    steps: tuple[tuple[int, int], ...]
-
-    @property
-    def hops(self) -> int:
-        return len(self.steps)
-
-
-def compile_pattern(tokens: Sequence[str], graph: KnowledgeGraph) -> PathPattern:
-    """Compile a schema pattern token list against a concrete graph."""
-    if len(tokens) < 3 or len(tokens) % 2 == 0:
-        raise SchemaViolation(f"pattern {tokens} must alternate type, relation, type")
-    steps = []
-    for tok in tokens[1::2]:
-        inverse = tok.startswith("~")
-        rel = graph.relation_id(tok[1:] if inverse else tok)
-        steps.append((rel, INVERSE if inverse else FORWARD))
-    return PathPattern(steps=tuple(steps))
-
-
-def compile_patterns(graph: KnowledgeGraph) -> tuple[PathPattern, ...]:
-    return tuple(compile_pattern(p, graph) for p in graph.schema.path_patterns)
 
 
 def path_signature(state: PathState, graph: KnowledgeGraph) -> Signature:
@@ -305,17 +277,16 @@ class RewardSpec:
     ``upgpr`` is the binary hit test: 1 where the terminal is a training
     interaction of the start user and fewer than hops - 1 steps were
     self-loops. ``pgpr`` gates on path patterns: a row whose terminal is
-    an item and whose walk, trailing self-loops dropped, equals a pattern
-    earns f(u, e_T | interaction) over the user's best item score, clipped
-    to [0, 1] (at or above a best score <= 0 it earns 1). ``item_max``
-    holds that best score per user id, computed once, since embeddings are
-    frozen during agent training.
+    an item and whose walk, trailing self-loops dropped, equals one of the
+    schema's ``pattern_steps`` earns f(u, e_T | interaction) over the
+    user's best item score, clipped to [0, 1] (at or above a best score
+    <= 0 it earns 1). ``item_max`` holds that best score per user id,
+    computed once, since embeddings are frozen during agent training.
     """
 
     mode: str
     graph: KnowledgeGraph
     table: EmbeddingTable | None = None
-    patterns: tuple[PathPattern, ...] = ()
     item_max: np.ndarray | None = None
 
     @classmethod
@@ -324,15 +295,13 @@ class RewardSpec:
 
     @classmethod
     def pattern(cls, graph: KnowledgeGraph, table: EmbeddingTable) -> "RewardSpec":
-        patterns = compile_patterns(graph)
-        if not patterns:
+        if not graph.schema.pattern_steps:
             raise SchemaViolation("pattern reward requires path_patterns in the schema")
         items = np.asarray(graph.items(), dtype=np.intp)
         item_max = np.full(graph.entity_count, np.nan)
         for u in graph.users():
             item_max[u] = score_tails(table, u, graph.interaction_relation, items).max()
-        return cls(mode="pgpr", graph=graph, table=table, patterns=patterns,
-                   item_max=item_max)
+        return cls(mode="pgpr", graph=graph, table=table, item_max=item_max)
 
     def terminal_reward(self, frontier: Frontier) -> np.ndarray:
         g, ents, rels = self.graph, frontier.entities, frontier.relations
@@ -346,11 +315,9 @@ class RewardSpec:
         # relation, so the steps fix the entity types along the path)
         live = np.max(np.where(loop, 0, np.arange(1, frontier.hops + 1)), axis=1, initial=0)
         ok = np.zeros(len(frontier), dtype=bool)
-        for p in self.patterns:
-            if p.hops > frontier.hops:
-                continue
-            match = live == p.hops
-            for i, (rel, d) in enumerate(p.steps):
+        for steps in (p for p in g.schema.pattern_steps if len(p) <= frontier.hops):
+            match = live == len(steps)
+            for i, (rel, d) in enumerate(steps):
                 match &= (rels[:, i] == rel) & (frontier.directions[:, i] == d)
             ok |= match
         rows = np.flatnonzero(ok & g.has_type(terminal, g.schema.item_type))

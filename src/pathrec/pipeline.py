@@ -303,9 +303,10 @@ def _ordered_profiles(split: DatasetSplit) -> list[ColdProfile]:
 def build_augmented(split: DatasetSplit, table: EmbeddingTable,
                     strategy: ColdStrategy,
                     interactions_per_cold_user: int = 0):
-    """Clone + integrate cold entities; optionally move the first n hidden
-    interactions of each cold user into the graph. Returns (graph, table,
-    ids, moved-items-by-user)."""
+    """The training graph extended by the cold entities, and the table by
+    their rows; with ``interactions_per_cold_user`` n > 0, the first n
+    hidden interactions of each cold user enter the graph too. Neither
+    input is changed. Returns (graph, table, ids, moved-items-by-user)."""
     take: dict[str, list[str]] = {}
     if interactions_per_cold_user > 0:
         hidden = {**split.cold_val, **split.cold_test}

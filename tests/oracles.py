@@ -13,6 +13,12 @@ frontier the array calls take, ``beam_of`` stacks scored paths into the
 ``Beam`` that ranking takes, and ``beam_paths`` reads every row of a
 beam back as a ``ScoredPath``.
 
+``reference_compile_pattern`` compiles a schema pattern against a
+graph's relation ids, as the MDP layer did before the schema compiled its
+own patterns; ``reference_schema_tables`` works out every name -> id
+table of a schema by linear scans of its type and relation lists, as
+each reader once did for itself.
+
 ``reference_evaluate_run`` is evaluation as it was first written, at the
 cost of the catalog: popularity is built per call and the popularity
 baseline names every training user's items up front.
@@ -59,8 +65,8 @@ from pathrec.coldstart import log as coldstart_log
 from pathrec.datasets import SyntheticSpec, synthetic_schema
 from pathrec.embeddings import EmbeddingTable, rng_for, score_tails
 from pathrec.errors import (DuplicateEntity, EmptyProfile, InvalidAction, InvalidSpec,
-                            MissingEmbedding, PathRecError)
-from pathrec.graph import FORWARD, KGSchema, KnowledgeGraph
+                            MissingEmbedding, PathRecError, SchemaViolation)
+from pathrec.graph import FORWARD, INVERSE, KGSchema, KnowledgeGraph
 from pathrec.inference import Beam, ScoredPath
 from pathrec.mdp import (MAX_ACTIONS_DEFAULT, SELF_LOOP, Frontier, PathState, Slates,
                          start_scores)
@@ -207,6 +213,39 @@ def beam_paths(beam: Beam) -> list[ScoredPath]:
     """Every row of ``beam`` as a ``ScoredPath``, in row order."""
     states = beam.frontier.states(beam.frontier.hops)
     return [ScoredPath(s, lp) for s, lp in zip(states, beam.logprob.tolist())]
+
+
+def reference_compile_pattern(tokens, graph: KnowledgeGraph) -> tuple[tuple[int, int], ...]:
+    """The (relation id, direction) steps of a schema pattern token list,
+    compiled against a concrete graph."""
+    if len(tokens) < 3 or len(tokens) % 2 == 0:
+        raise SchemaViolation(f"pattern {tokens} must alternate type, relation, type")
+    steps = []
+    for tok in tokens[1::2]:
+        inverse = tok.startswith("~")
+        rel = graph.relation_id(tok[1:] if inverse else tok)
+        steps.append((rel, INVERSE if inverse else FORWARD))
+    return tuple(steps)
+
+
+def reference_schema_tables(schema: KGSchema) -> dict:
+    """The name -> id tables, per-relation type ids and flags, and the
+    interaction id of a schema, each found by a linear scan."""
+    def type_id(etype):
+        return next(i for i, t in enumerate(schema.entity_types) if t == etype)
+
+    def relation_id(name):
+        return next(i for i, r in enumerate(schema.relations) if r.name == name)
+
+    return {
+        "type_ids": {t: type_id(t) for t in schema.entity_types},
+        "relation_ids": {r.name: relation_id(r.name) for r in schema.relations},
+        "relation_head": [type_id(r.head_type) for r in schema.relations],
+        "relation_tail": [type_id(r.tail_type) for r in schema.relations],
+        "derived_mask": [r.derived_from is not None for r in schema.relations],
+        "cold_mask": [r.cold_integration for r in schema.relations],
+        "interaction_id": next(i for i, r in enumerate(schema.relations) if r.interaction),
+    }
 
 
 def reference_evaluate_run(config, split, records):

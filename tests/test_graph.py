@@ -1,4 +1,7 @@
 import json
+import pickle
+import re
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from pathrec.graph import (FORWARD, INVERSE, DerivationRule, KGSchema,
                            parse_entity_token, read_triplet_rows)
 
 from conftest import build_multi_edge_graph, build_shop_graph
-from oracles import GraphWriter
+from oracles import GraphWriter, reference_compile_pattern, reference_schema_tables
 
 
 def minimal_schema(**overrides):
@@ -94,6 +97,154 @@ class TestSchema:
         assert schema.user_type == "user"
         assert schema.item_type == "item"
         assert schema.interaction_relation.name == "purchase"
+
+    def test_relation_lookup(self, schema):
+        assert schema.relation("belong_to") is schema.relations[2]
+        with pytest.raises(SchemaViolation, match="unknown relation 'owns'"):
+            schema.relation("owns")
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d["relations"][0].update(cold_integration="false"),
+         "relation 'purchase': cold_integration must be a JSON boolean"),
+        (lambda d: d["relations"][0].update(interaction=1),
+         "relation 'purchase': interaction must be a JSON boolean"),
+        (lambda d: d["relations"][1].update(name=5), "relations[1] must be an object"),
+        (lambda d: d["relations"].append(["like", "user", "brand"]),
+         "relations[2] must be an object"),
+        (lambda d: d["relations"][1].update(head=None), "relation 'produced_by': head"),
+        (lambda d: d["relations"][1].pop("tail"), "relation 'produced_by': tail"),
+        (lambda d: d.update(entity_types=["user", "item", 3]), "entity_types"),
+        (lambda d: d.update(entity_types="user"), "entity_types"),
+        (lambda d: d.update(relations={"purchase": {}}), "relations must be a list"),
+        (lambda d: d["relations"].append({"name": "like", "head": "user", "tail": "brand",
+                                          "derived_from": "purchase"}),
+         "relation 'like': derived_from must be an object"),
+        (lambda d: d["relations"].append({"name": "like", "head": "user", "tail": "brand",
+                                          "derived_from": {"interaction": "purchase", "via": 2}}),
+         "relation 'like': derived_from.via must be a string"),
+        (lambda d: d.update(path_patterns=[["user", "purchase", "item"],
+                                           ["user", 5, "brand", "~produced_by", "item"]]),
+         "path_patterns[1] must be a list of strings"),
+        (lambda d: d.update(path_patterns=["user purchase item"]),
+         "path_patterns[0] must be a list of strings"),
+        (lambda d: d.update(path_patterns={"user": "purchase"}), "path_patterns must be a list"),
+    ])
+    def test_malformed_field_is_named(self, edit, field):
+        """A schema whose names, types or pattern tokens are not strings,
+        or whose flags are not JSON booleans, raises ParseError naming the
+        field; none is read as something else."""
+        data = minimal_schema()
+        edit(data)
+        with pytest.raises(ParseError, match="^" + re.escape(f"schema.json: {field}")):
+            KGSchema.from_json(data, "schema.json")
+
+    def test_json_booleans_and_null_derivation_load(self):
+        data = minimal_schema()
+        data["relations"][1].update(cold_integration=False, derived_from=None)
+        schema = KGSchema.from_json(data)
+        assert schema.relations[1] == RelationSpec("produced_by", "item", "brand")
+        assert schema.cold_mask.tolist() == [False, False]
+
+
+# types out of their order of use, the interaction relation not first, a
+# user-user relation walked both ways and a derived one walked back
+HAND_SCHEMA = {
+    "entity_types": ["tag", "item", "user"],
+    "relations": [
+        {"name": "tagged", "head": "item", "tail": "tag", "cold_integration": True},
+        {"name": "follows", "head": "user", "tail": "user", "cold_integration": True},
+        {"name": "buy", "head": "user", "tail": "item", "interaction": True},
+        {"name": "likes_tag", "head": "user", "tail": "tag", "cold_integration": True,
+         "derived_from": {"interaction": "buy", "via": "tagged"}},
+    ],
+    "path_patterns": [
+        ["user", "follows", "user", "buy", "item"],
+        ["user", "~follows", "user", "buy", "item"],
+        ["user", "likes_tag", "tag", "~tagged", "item"],
+        ["user", "buy", "item", "~buy", "user", "buy", "item"],
+    ],
+}
+
+
+class TestCompiledSchema:
+    @pytest.fixture(params=["synthetic", "hand"])
+    def compiled(self, request, schema):
+        """A schema and a graph with two entities of each type and one
+        triplet of each relation, between entities of its head and tail
+        types."""
+        if request.param == "hand":
+            schema = KGSchema.from_json(HAND_SCHEMA)
+        types = [t for t in schema.entity_types for _ in range(2)]
+        names = [f"{t}{k}" for t in schema.entity_types for k in range(2)]
+        heads = [types.index(r.head_type) for r in schema.relations]
+        tails = [types.index(r.tail_type) + 1 for r in schema.relations]
+        graph = KnowledgeGraph.build(schema, types, names, heads,
+                                     range(len(schema.relations)), tails)
+        return schema, graph
+
+    def test_tables_equal_the_linear_scans(self, compiled):
+        schema, graph = compiled
+        want = reference_schema_tables(schema)
+        assert dict(schema.type_ids) == want["type_ids"]
+        assert dict(schema.relation_ids) == want["relation_ids"]
+        assert list(schema.relation_ids) == [r.name for r in schema.relations]
+        assert schema.relation_head.tolist() == want["relation_head"]
+        assert schema.relation_tail.tolist() == want["relation_tail"]
+        assert schema.derived_mask.tolist() == want["derived_mask"]
+        assert schema.cold_mask.tolist() == want["cold_mask"]
+        assert schema.interaction_id == want["interaction_id"] == graph.interaction_relation
+
+    def test_tables_agree_with_the_graph(self, compiled):
+        schema, graph = compiled
+        assert [graph.relation_id(r.name) for r in schema.relations] == list(
+            range(len(schema.relations)))
+        for (h, r, t) in graph.triplets():
+            assert graph.entity_type(h) == schema.entity_types[schema.relation_head[r]]
+            assert graph.entity_type(t) == schema.entity_types[schema.relation_tail[r]]
+        for etype, type_id in schema.type_ids.items():
+            assert [graph.entity_type(e) for e in graph.entities_of_type(etype)] == [etype] * 2
+            assert schema.entity_types[type_id] == etype
+
+    def test_pattern_steps_equal_the_reference_compiler(self, compiled):
+        schema, graph = compiled
+        assert len(schema.pattern_steps) == len(schema.path_patterns) > 0
+        assert schema.pattern_steps == tuple(reference_compile_pattern(p, graph)
+                                             for p in schema.path_patterns)
+        assert any(d == INVERSE for steps in schema.pattern_steps for _, d in steps)
+
+    def test_tables_are_read_only(self, compiled):
+        schema, _ = compiled
+        for array in (schema.relation_head, schema.relation_tail, schema.derived_mask,
+                      schema.cold_mask):
+            assert not array.flags.writeable
+        with pytest.raises(TypeError):
+            schema.relation_ids["extra"] = 0
+        with pytest.raises(TypeError):
+            schema.type_ids["extra"] = 0
+
+    def test_hand_schema_steps(self):
+        """Ids follow the schema's lists, not the order of use."""
+        schema = KGSchema.from_json(HAND_SCHEMA)
+        tagged, follows, buy, likes_tag = range(4)
+        assert dict(schema.type_ids) == {"tag": 0, "item": 1, "user": 2}
+        assert schema.relation_head.tolist() == [1, 2, 2, 2]
+        assert schema.relation_tail.tolist() == [0, 2, 1, 0]
+        assert schema.derived_mask.tolist() == [False, False, False, True]
+        assert schema.pattern_steps == (
+            ((follows, FORWARD), (buy, FORWARD)),
+            ((follows, INVERSE), (buy, FORWARD)),
+            ((likes_tag, FORWARD), (tagged, INVERSE)),
+            ((buy, FORWARD), (buy, INVERSE), (buy, FORWARD)),
+        )
+
+    def test_compiled_schema_compares_hashes_and_pickles_by_its_declaration(self, compiled):
+        schema, _ = compiled
+        again = KGSchema.from_json(schema.to_json())
+        assert again == schema and hash(again) == hash(schema)
+        assert again.relation_head is not schema.relation_head
+        for copy in (pickle.loads(pickle.dumps(schema)), deepcopy(schema)):
+            assert copy == schema and copy.pattern_steps == schema.pattern_steps
+            assert dict(copy.relation_ids) == dict(schema.relation_ids)
 
 
 class TestGraphRegistry:

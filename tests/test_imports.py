@@ -15,6 +15,12 @@ its own body, so a helper that a simplification orphaned does not stay.
 A config is a ``*Config`` or ``*Spec`` dataclass. It checks its values in
 ``__post_init__`` and defines no ``validate``, so no caller needs to check
 it again and no config exists unchecked.
+
+A schema is compiled once: ``KGSchema`` in ``graph.py`` builds every table
+that turns its names into ids. No other module builds a collection from a
+schema's ``relations`` or ``entity_types`` (a comprehension over them, or a
+``dict``, ``set``, ``list`` or ``tuple`` call of them); it reads the
+schema's tables instead.
 """
 
 import ast
@@ -164,3 +170,61 @@ def test_every_config_checks_itself_when_built():
         assert unchecked_configs(source) == [], path.name
         found.update(config_classes(source))
     assert set(found) == CONFIGS
+
+
+SCHEMA_LISTS = {"relations", "entity_types"}
+COLLECTIONS = {"dict", "set", "frozenset", "list", "tuple"}
+
+
+def reads_schema_list(node: ast.AST) -> bool:
+    """Whether ``node`` reads ``<...>schema.relations`` or
+    ``<...>schema.entity_types``."""
+    def is_schema(value):
+        return ((isinstance(value, ast.Name) and value.id == "schema")
+                or (isinstance(value, ast.Attribute) and value.attr == "schema"))
+
+    return any(isinstance(n, ast.Attribute) and n.attr in SCHEMA_LISTS and is_schema(n.value)
+               for n in ast.walk(node))
+
+
+def schema_tables(source: str) -> list[int]:
+    """Lines that build a collection from a schema's relation or type list:
+    a comprehension iterating over one, or a collection call of one."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            if any(reads_schema_list(gen.iter) for gen in node.generators):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in COLLECTIONS and any(map(reads_schema_list, node.args))):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_schema_table_scanner_flags_rebuilt_tables():
+    source = ("rel_index = {r.name: i for i, r in enumerate(schema.relations)}\n"
+              "names = [r.name for r in graph.schema.relations]\n"
+              "types = dict(zip(self.schema.entity_types, range(9)))\n"
+              "derived = set(r for r in split.schema.relations if r.derived_from)\n"
+              "kinds = list(schema.entity_types)\n"
+              "for r in schema.relations:\n    print(r)\n"
+              "n = len(graph.schema.relations)\n"
+              "spec = schema.relations[3]\n"
+              "steps = [r for r in state.relations]\n"
+              "pools = {t: t for t in graph.schema.type_ids}\n")
+    assert schema_tables(source) == [1, 2, 3, 4, 5]
+
+
+def test_schema_table_scanner_flags_a_copy_with_one_table():
+    """A module that rebuilt one name -> id table fails the lint."""
+    source = (PACKAGE / "coldstart.py").read_text()
+    assert schema_tables(source) == []
+    copy = source + "\n\ndef relation_index(schema):\n" \
+                    "    return {spec.name: i for i, spec in enumerate(schema.relations)}\n"
+    assert schema_tables(copy) == [len(source.splitlines()) + 4]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                          if p.name != "graph.py"))
+def test_schema_tables_are_built_by_the_schema_only(module):
+    assert schema_tables((PACKAGE / module).read_text()) == []

@@ -9,8 +9,8 @@ from pathrec.embeddings import (EmbedTrainConfig, init_table, score_all_tails, s
                                 score_triplet)
 from pathrec.errors import InvalidAction, MissingEmbedding
 from pathrec.graph import FORWARD, INVERSE
-from pathrec.mdp import (SELF_LOOP, Frontier, PathState, RewardSpec, compile_pattern,
-                         compile_patterns, path_signature, signature_label)
+from pathrec.mdp import (SELF_LOOP, Frontier, PathState, RewardSpec, path_signature,
+                         signature_label)
 
 from conftest import build_multi_edge_graph, build_shop_graph
 from oracles import (Action, BudgetExhausted, GraphWriter, encode_state, frontier_of,
@@ -202,7 +202,7 @@ def flat_pattern_spec(graph):
 
 class TestPatterns:
     def test_schema_patterns_compile_and_match(self, tiny_graph, u0_start):
-        patterns = compile_patterns(tiny_graph)
+        patterns = tiny_graph.schema.pattern_steps
         assert len(patterns) == len(tiny_graph.schema.path_patterns)
         like = tiny_graph.relation_id("like")
         pb = tiny_graph.relation_id("produced_by")
@@ -220,11 +220,11 @@ class TestPatterns:
         rewards = flat_pattern_spec(tiny_graph).terminal_reward(frontier_of([s, s2]))
         assert rewards.tolist() == [1.0, 1.0]
 
-    def test_compile_pattern_inverse_tokens(self, tiny_graph):
-        p = compile_pattern(("user", "interested_in", "category", "~belong_to", "item"),
-                            tiny_graph)
-        assert p.steps == ((tiny_graph.relation_id("interested_in"), FORWARD),
-                           (tiny_graph.relation_id("belong_to"), INVERSE))
+    def test_pattern_steps_inverse_tokens(self, tiny_graph):
+        schema = dataclasses.replace(tiny_graph.schema, path_patterns=(
+            ("user", "interested_in", "category", "~belong_to", "item"),))
+        assert schema.pattern_steps == (((tiny_graph.relation_id("interested_in"), FORWARD),
+                                         (tiny_graph.relation_id("belong_to"), INVERSE)),)
 
 
 def direct_binary(graph, state):

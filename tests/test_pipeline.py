@@ -545,6 +545,25 @@ def bad_targets(path):
     write_json(path, data)
 
 
+def rewrite_schema(path, edit):
+    """Rewrite a schema file as ``edit(schema)`` leaves its JSON value."""
+    with open(path) as fh:
+        data = json.load(fh)
+    edit(data)
+    write_json(path, data)
+
+
+def bad_pattern(path):
+    """Put an int where the first path pattern names its first relation."""
+    rewrite_schema(path, lambda schema: schema["path_patterns"][0].__setitem__(1, 5))
+
+
+def string_flag(path):
+    """Flag the interaction relation as cold-integration with the string
+    "false", which a truth test reads as true."""
+    rewrite_schema(path, lambda schema: schema["relations"][0].update(cold_integration="false"))
+
+
 def rewrite_npz(path, edit):
     """Rewrite an npz artifact's arrays as ``edit(arrays)`` leaves them."""
     with np.load(path) as data:
@@ -665,6 +684,9 @@ FAULTS = [
     ("not-json", "split/profiles.jsonl", "train-embed"),
     *(("bad-byte", f"split/{name}", "train-embed")
       for name in ("profiles.jsonl", "train.tsv", "schema.json", "manifest.json")),
+    # data/schema.json is read as a file dataset's schema is
+    *((fault, artifact, stage) for fault in ("bad-pattern", "string-flag")
+      for artifact, stage in (("data/schema.json", "split"), ("split/schema.json", "train-embed"))),
 ]
 
 
@@ -680,7 +702,7 @@ FAULT_WRITERS = {"truncate": truncate, "cut-lines": cut_lines, "drop-items": dro
                      {k: v for k, v in rec.items() if k != "relations"}).encode()),
                  "list-line": first_line(lambda rec: b"[1, 2]"),
                  "not-json": first_line(lambda rec: b"{not json"),
-                 "bad-byte": bad_byte}
+                 "bad-byte": bad_byte, "bad-pattern": bad_pattern, "string-flag": string_flag}
 
 
 def damage(copy, seed2_run, fault, artifact):
@@ -722,6 +744,26 @@ class TestDamagedArtifacts:
         with pytest.raises(StageError, match=rf"^\[{stage}\] "):
             STAGE_CALLS[stage](copy)
 
+    @pytest.mark.parametrize("fault, field", [
+        ("bad-pattern", "path_patterns[0] must be a list of strings"),
+        ("string-flag", "relation 'purchase': cold_integration must be a JSON boolean"),
+    ])
+    def test_file_dataset_schema_fault_exits_2(self, tiny_run, tmp_path, capsys, fault, field):
+        """``pathrec run`` on a file dataset whose schema is malformed ends
+        in exit 2 naming the file and the field, not in a traceback or a
+        run that reads the field as something else."""
+        config, _, _ = tiny_run
+        for name in ("triplets.tsv", "schema.json"):
+            shutil.copyfile(os.path.join(config.workdir, "data", name), tmp_path / name)
+        schema = str(tmp_path / "schema.json")
+        FAULT_WRITERS[fault](schema)
+        raw = config.to_json()
+        raw.update(workdir=str(tmp_path / "run"),
+                   dataset={"triplets": str(tmp_path / "triplets.tsv"), "schema": schema})
+        write_json(str(tmp_path / "config.json"), raw)
+        assert cli.main(["run", "-c", str(tmp_path / "config.json")]) == 2
+        assert capsys.readouterr().err == f"[split] {schema}: {field}\n"
+
     @pytest.mark.parametrize("fault, artifact", [
         ("config-type", "split/manifest.json"),
         ("config-key", "split/manifest.json"),
@@ -745,6 +787,9 @@ class TestDamagedArtifacts:
         ("not-json", "profiles.jsonl", ":1: not JSON"),
         *(("bad-byte", name, ": byte ") for name in ("profiles.jsonl", "train.tsv",
                                                     "schema.json", "manifest.json")),
+        ("bad-pattern", "schema.json", ": path_patterns[0] must be a list of strings"),
+        ("string-flag", "schema.json",
+         ": relation 'purchase': cold_integration must be a JSON boolean"),
     ])
     def test_damaged_split_file_read_directly_is_named(self, tiny_run, tmp_path,
                                                        fault, name, where):
