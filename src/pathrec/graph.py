@@ -202,13 +202,19 @@ class KGSchema:
     @classmethod
     def from_json(cls, data, where: str = "schema") -> "KGSchema":
         """The schema of its JSON form, named ``where`` in errors: a name,
-        type or pattern token that is not a string, or a flag that is not a
-        JSON boolean, raises ParseError naming the field."""
+        type or pattern token that is not a string, a flag that is not a
+        JSON boolean, or a key the form does not have, raises ParseError
+        naming the field or the key."""
         def need(ok: bool, what: str, kind: str):
             if not ok:
                 raise ParseError(f"{where}: {what} must be {kind}")
 
+        def known(obj: dict, keys: tuple[str, ...], at: str = ""):
+            for key in (k for k in obj if k not in keys):
+                raise ParseError(f"{where}: {at}unknown key {key!r}")
+
         need(isinstance(data, dict), "the top level", "a JSON object")
+        known(data, ("entity_types", "relations", "path_patterns"))
         need(is_names(data.get("entity_types")), "entity_types", "a list of strings")
         need(isinstance(data.get("relations"), list), "relations", "a list")
         patterns = data.get("path_patterns", [])
@@ -220,11 +226,14 @@ class KGSchema:
             need(isinstance(r, dict) and isinstance(r.get("name"), str), f"relations[{k}]",
                  "an object with a string name")
             at, rule = f"relation {r['name']!r}:", r.get("derived_from")
+            known(r, ("name", "head", "tail", "interaction", "cold_integration", "derived_from"),
+                  f"{at} ")
             for key, kind, text in (("head", str, "a string"), ("tail", str, "a string"),
                                     ("interaction", bool, "a JSON boolean"),
                                     ("cold_integration", bool, "a JSON boolean")):
                 need(isinstance(r.get(key, False), kind), f"{at} {key}", text)
             need(rule is None or isinstance(rule, dict), f"{at} derived_from", "an object")
+            known(rule or {}, ("interaction", "via"), f"{at} derived_from: ")
             for key in ("interaction", "via") if rule is not None else ():
                 need(isinstance(rule.get(key), str), f"{at} derived_from.{key}", "a string")
             rels.append(RelationSpec(r["name"], r["head"], r["tail"], r.get("interaction", False),
@@ -243,12 +252,13 @@ class KGSchema:
     @classmethod
     def parse(cls, path: str, data: bytes) -> "KGSchema":
         """The schema of a schema file's bytes; ``path`` names the file in
-        errors."""
+        errors, a failed schema check's too."""
         try:
-            raw = json.loads(decode_text(path, data))
+            return cls.from_json(json.loads(decode_text(path, data)), path)
         except json.JSONDecodeError as exc:
             raise ParseError(f"schema {path} is not valid JSON: {exc}") from exc
-        return cls.from_json(raw, path)
+        except SchemaViolation as exc:
+            raise SchemaViolation(f"{path}: {exc}") from exc
 
 
 class CSRAdjacency(NamedTuple):

@@ -8,15 +8,12 @@ deduplicated per terminal item, keeping the best path as the explanation.
 
 The beam is an array frontier (``mdp.Frontier``) plus one log-probability
 per row, kept in the order a path-by-path search would produce: one
-policy forward per hop over all rows on the blocks that hop added, each
-row carrying only its parent's first-layer sum (the earlier blocks are
-read again only by training's backward), one batched slate build, one
-lexsort for the per-row top-``width``. A hop's relation block holds one
-of at most R + 1 rows, so from hop 1 on its first-layer product is read
-from the policy's table (``PolicyModel.relation_terms``) and added to
-the carried sums, and the forward multiplies the entity block alone; a
-served policy is read-only, so it computes that table once. The bits
-are the two-block forward's. The forward's actor head runs at a narrow
+policy forward per hop over all rows, one batched slate build, one
+lexsort for the per-row top-``width``. Each row carries only its
+parent's first-layer sum, and a hop meets the policy by the input rule
+training's rollouts follow: its relation block is folded into the
+carried sums (``PolicyModel.fold``), and its entity block is multiplied
+(``Frontier.encode``). The forward's actor head runs at a narrow
 width for the rows whose slates fit it, so a hop costs what its slates
 hold, not the policy's full slate. The search returns the final
 frontier as a ``Beam``, its two arrays and nothing else; ranking
@@ -82,21 +79,12 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
     cap = policy.config.max_actions if max_actions is None else max_actions
     check_walk(policy, graph, table, len(widths), cap)
     user_scores = start_scores(graph, table, [user])
-    frontier = Frontier.start([user])
-    logprob = np.zeros(1)
-    carry, terms = None, policy.relation_terms(table)
+    frontier, logprob, carry = Frontier.start([user]), np.zeros(1), None
     for t, width in enumerate(widths):
         slates = frontier.slates(graph, cap, user_scores, np.zeros(len(frontier), dtype=np.intp))
         if t:
-            # the relation block's product is read from the policy's terms
-            # and added to the gathered parent sums as forward adds it;
-            # forward then reads the entity block alone
-            sum1, end = carry
-            for part in terms[t - 1]:
-                sum1 += part[frontier.relations[:, -1]]
-            carry = sum1, end + table.dim
-        probs, _, cache = policy.forward(frontier.encode(table, relations=False),
-                                         slates.sizes, carry)
+            carry = policy.fold(carry, frontier.relations[:, -1], table)
+        probs, _, cache = policy.forward(frontier.encode(table), slates.sizes, carry)
         S = int(slates.sizes.max())
         valid = np.arange(S) < slates.sizes[:, None]
         p = probs[:, :S]

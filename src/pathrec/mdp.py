@@ -12,10 +12,10 @@ slate in one pass over the graph's CSR arrays, kept compact: the kept
 moves of all rows as one run of CSR edge ids and targets, plus a per-row
 offset and size; ``Slates.actions`` reads the (relation, target,
 direction) of any (row, slot) pairs, which ``Frontier.advance`` appends.
-``Frontier.encode`` gathers the state blocks every row's last hop added
-(the policy carries only the earlier blocks' first-layer sum), and
-``RewardSpec.terminal_reward`` scores every row in one call; beam search
-and rollouts use only these. A row with more moves than the action cap
+``Frontier.encode`` gathers the entity block every row's last hop
+reached: a hop's entity block is multiplied, and its relation block is
+folded by the policy (``PolicyModel.fold``). ``RewardSpec.terminal_reward``
+scores every row in one call. A row with more moves than the action cap
 keeps its top moves by selection: one ``np.partition`` of the row's own
 contiguous scores finds its cut score, and ties at the cut go to the
 moves earliest in canonical order. ``PathState`` is one walked path as an
@@ -189,25 +189,13 @@ class Frontier:
             counts = np.minimum(counts, max_actions)
         return Slates(edge, target, np.cumsum(counts) - counts, counts + 1, current, adj)
 
-    def encode(self, table: EmbeddingTable, relations: bool = True) -> np.ndarray:
-        """The state blocks the last hop added to every row, in one pass.
-
-        A state is 1 + 2·budget blocks of d columns: the start user, then a
-        relation and an entity block per hop. At hop 0 this is the user's
-        block, shape (P, d), after it the last hop's pair, shape (P, 2d);
-        the policy carries the earlier blocks' first-layer sum. Relation
-        rows come from the relation table and the self-loop vector, which
-        SELF_LOOP indexes. With ``relations=False`` only the last entity
-        block is returned, (P, d), for a caller that reads the relation
-        block's product from ``PolicyModel.relation_terms``.
-        """
+    def encode(self, table: EmbeddingTable) -> np.ndarray:
+        """The entity block the last hop reached in every row, (P, d), the
+        start user's at hop 0: the block the policy multiplies."""
         entity = self.entities[:, -1]
         if entity.size and entity.max() >= table.entity_count:
             raise MissingEmbedding("a frontier entity has no embedding row")
-        if not self.hops or not relations:
-            return table.entity_vecs[entity]
-        rel_rows = np.vstack([table.relation_vecs, table.self_loop_vec])
-        return np.hstack([rel_rows[self.relations[:, -1]], table.entity_vecs[entity]])
+        return table.entity_vecs[entity]
 
     def advance(self, parent: np.ndarray, relation: np.ndarray, target: np.ndarray,
                 direction: np.ndarray) -> "Frontier":

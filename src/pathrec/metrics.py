@@ -72,20 +72,16 @@ def _best_mass(ordered: Sequence[Hashable], popularity: Mapping[Hashable, int],
 
 def popb_at_k(recs_per_user: Mapping[Hashable, Sequence[Hashable]],
               popularity: Mapping[Hashable, int], k: int,
-              exclude_per_user: Mapping[Hashable, set] | None = None,
-              ordered: Sequence[Hashable] | None = None) -> float:
+              exclude_per_user: Mapping[Hashable, set] | None = None) -> float:
     """Mean per-user popularity mass of the top-k, normalized per user by
     the mass of the k most popular items outside that user's training set.
 
     Users whose normalizer is zero contribute 0 (their numerator is then
-    zero too). Items unseen in training count zero popularity. ``ordered``
-    is ``popularity``'s items most popular first, ties by item (a
-    ``PopBaseline``'s ``ordered_items``); it is sorted here when not given.
+    zero too). Items unseen in training count zero popularity.
     """
     if not recs_per_user:
         return 0.0
-    if ordered is None:
-        ordered = sorted(popularity, key=lambda it: (-popularity[it], it))
+    ordered = sorted(popularity, key=lambda it: (-popularity[it], it))
     total = 0.0
     for user, recs in recs_per_user.items():
         exclude = exclude_per_user.get(user, set()) if exclude_per_user is not None else set()

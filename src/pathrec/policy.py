@@ -11,18 +11,15 @@ A rollout batch walks one ``mdp.Frontier`` row per user and scores every
 row's terminal reward in one ``RewardSpec.terminal_reward`` call on the
 walked arrays; no per-path objects are built.
 
-A forward reads only what a hop adds: the state blocks of that hop and a
-carry of each parent row's first-layer sum, so a walk's cost per hop does
-not grow with its length. Each hop's cache keeps its own blocks, which
-only the backward reads again. The actor head and softmax run at a
-narrow width for the rows whose slates fit it, with the full head's bits
-(``PolicyModel.forward``).
-
-A served policy is read-only: ``train_agent`` and ``PolicyModel.load``
-return it frozen (``PolicyModel.freeze``). A hop's relation block holds
-one of at most R + 1 rows, so serving reads its first-layer product from
-``PolicyModel.relation_terms``, computed once per frozen policy and kept
-while the table's relation rows are the ones it was computed from.
+A walk meets W1 by one input rule, in rollouts as in beam search: a hop's
+entity block is multiplied (``forward``), and its relation block, one of
+R + 1 rows, is folded into each row's carried first-layer sum (``fold``),
+so a hop's cost does not grow with the walk. The backward reads each
+hop's relation rows, gathered from the walked frontier, beside its cached
+entity block. The actor head and softmax run at a narrow width for the
+rows whose slates fit it, with the full head's bits (``forward``). A
+served policy is frozen (``PolicyModel.freeze``) and keeps its relation
+terms.
 """
 
 from __future__ import annotations
@@ -106,12 +103,12 @@ def _matmul(A: np.ndarray, W: np.ndarray, acc: np.ndarray | None = None) -> np.n
 
 class ForwardCache(NamedTuple):
     """One forward's results for the next hop and for the backward.
-    ``cache[:2]``, (sum1, end), is the carry the next hop reads, gathered
+    ``cache[:2]``, (sum1, end), is the carry the next hop folds, gathered
     by parent row; only the backward reads ``X``, ``h1`` and ``h2``."""
 
     sum1: np.ndarray  # each row's first-layer sum before the bias
-    end: int          # W1 rows [0, end) are summed into it: the next hop's X starts there
-    X: np.ndarray     # the state blocks this hop added
+    end: int          # W1 rows [0, end) are summed into it: the next hop's block starts there
+    X: np.ndarray     # the state block this hop multiplied
     h1: np.ndarray
     h2: np.ndarray
 
@@ -172,11 +169,11 @@ class PolicyModel:
     def relation_terms(self, table: EmbeddingTable) -> tuple[np.ndarray, ...]:
         """What each relation row adds to a first-layer sum at each hop
         t >= 1 of a walk over ``table``: ``terms[t - 1][:, r]``, r a
-        relation id or SELF_LOOP (the last row), holds the products
-        ``forward`` sums for that row's relation block of hop t, one per
-        ``K_BLOCK`` columns of the block, so adding them in turn to a
-        parent's sum gives ``forward``'s bits (``_matmul``). Shape
-        (ceil(d / K_BLOCK), R + 1, h1) per hop.
+        relation id or SELF_LOOP (the last row), holds that row's products
+        with the W1 rows of hop t's relation block, one per ``K_BLOCK``
+        columns of the block, which ``fold`` adds in turn to a parent's
+        sum as a multiplied block's products are added (``_matmul``).
+        Shape (ceil(d / K_BLOCK), R + 1, h1) per hop.
 
         A read-only policy (``freeze``) keeps the terms it computed and
         returns them again while its W1 is the same read-only array and
@@ -199,14 +196,29 @@ class PolicyModel:
         self._terms = None if self.W1.flags.writeable else (self.W1, rows, terms)
         return terms
 
+    def fold(self, carry: tuple[np.ndarray, int], relations: np.ndarray,
+             table: EmbeddingTable) -> tuple[np.ndarray, int]:
+        """The parent ``carry`` (gathered by parent row) of a walk's hop t,
+        0 < t < hop_budget, with its relation block summed and ``end`` past
+        it: row i gains the ``relation_terms`` of ``relations[i]``, part by
+        part as ``forward`` adds products. The parent's sums are not written."""
+        (sum1, end), d = carry, table.dim
+        if end % (2 * d) != d or end + 4 * d > self.state_dim or len(relations) != len(sum1):
+            raise InvalidSpec(f"a carry of {len(sum1)} sums ending at column {end} takes no "
+                              f"relation block of {len(relations)} rows")
+        for part in self.relation_terms(table)[end // (2 * d)]:
+            gathered = part[relations]
+            sum1 = np.add(sum1, gathered, out=gathered)
+        return sum1, end + d
+
     def forward(self, X: np.ndarray, slate_sizes: np.ndarray,
                 carry: tuple[np.ndarray, int] | None = None):
         """Masked action probabilities, baseline values, and a backward cache.
 
-        ``X`` holds the state blocks a hop adds to each row
-        (``Frontier.encode``); ``carry`` is each row's parent state, the
-        parent's ``cache[:2]`` = (sum1 gathered by parent row, end). X's
-        blocks meet the W1 rows from the carry's ``end``, or from row 0
+        ``X`` holds the state blocks to multiply (a walk's entity block,
+        ``Frontier.encode``); ``carry`` is each row's (sum1, end) before
+        them (a walk's parent ``cache[:2]``, gathered and ``fold``-ed).
+        X's blocks meet the W1 rows from the carry's ``end``, or from row 0
         without a carry. Every sum has one fixed order: a row's first-layer
         sum is the carry's sum1 (zero when None) plus one product per
         d-wide block of X, left to right, and then the bias. Every product
@@ -275,10 +287,11 @@ class PolicyModel:
     def backward(self, cache: ForwardCache, blocks, dlogits: np.ndarray,
                  dvalues: np.ndarray, grads: list[np.ndarray]):
         """Accumulate parameter gradients for one cached forward pass, in
-        the forward's summation order. ``blocks`` are the state blocks of
-        each hop up to the cached one (each hop's ``cache.X``), in the
-        cached pass's row order; each adds one product into its own ``W1``
-        gradient rows, and the rows after the last block stay exact zeros."""
+        the forward's summation order. ``blocks`` are the state's blocks
+        up to the cached pass's (for a walk: each hop's relation rows and
+        its ``cache.X``), in the cached pass's row order; each adds one
+        product into its own ``W1`` gradient rows, and the rows after the
+        last block stay exact zeros."""
         h1, h2 = cache.h1, cache.h2
         wide = np.zeros((len(dlogits), self._W3.shape[1]))
         wide[:, :self.slate_size] = dlogits
@@ -396,16 +409,16 @@ def rollout_batch(policy: PolicyModel | None, graph: KnowledgeGraph,
     if not len(users):
         raise InvalidSpec("rollouts need at least one user")
     check_walk(policy, graph, table, hop_budget, max_actions)
-    frontier = Frontier.start(users)
-    rows = np.arange(len(users))
+    frontier, rows, carry = Frontier.start(users), np.arange(len(users)), None
     records: list[StepRecord] = []
-    carry = None
     for t in range(hop_budget):
         slates = frontier.slates(graph, max_actions, user_scores, rows)
         sizes = slates.sizes
         if policy is not None:
+            if t:  # rows keep their order: each carries its own state
+                carry = policy.fold(carry, frontier.relations[:, -1], table)
             probs, values, cache = policy.forward(frontier.encode(table), sizes, carry)
-            carry = cache[:2]  # rows keep their order: each carries its own state
+            carry = cache[:2]
         else:
             mask = np.arange(max(sizes.max(), 1)) < sizes[:, None]
             probs = mask / sizes[:, None]
@@ -434,11 +447,14 @@ def episode_gradients(policy: PolicyModel, graph: KnowledgeGraph,
     mean_b sum_t [ -log pi(a_t) * (G_t - V_t) + (G_t - V_t)^2 - beta * H_t ],
     into ``grads`` (zeroed first) or fresh buffers. Returns (grads, rewards,
     the mean per-step entropy for the curve)."""
-    records, rewards, _ = rollout_batch(policy, graph, table, users, user_scores,
-                                        config.hop_budget, config.max_actions,
-                                        reward_spec, rng, forced_actions)
+    records, rewards, walked = rollout_batch(policy, graph, table, users, user_scores,
+                                             config.hop_budget, config.max_actions,
+                                             reward_spec, rng, forced_actions)
     grads = policy.zero_grads(grads)
-    blocks = [rec.cache.X for rec in records]
+    rel_rows = np.vstack([table.relation_vecs, table.self_loop_vec])  # SELF_LOOP's last
+    blocks = [records[0].cache.X]  # the state's blocks: each hop's relation, then entity
+    for t, rec in enumerate(records[1:]):
+        blocks += [rel_rows[walked.relations[:, t]], rec.cache.X]
     B = len(rewards)
     T = len(records)
     entropy_sum = 0.0
@@ -457,7 +473,7 @@ def episode_gradients(policy: PolicyModel, graph: KnowledgeGraph,
         dlogits /= B
         # baseline: d/dV (G - V)^2 = -2 (G - V)
         dvalues = -2.0 * adv / B
-        policy.backward(rec.cache, blocks[:t + 1], dlogits, dvalues, grads)
+        policy.backward(rec.cache, blocks[:2 * t + 1], dlogits, dvalues, grads)
     return grads, rewards, entropy_sum / (B * T)
 
 

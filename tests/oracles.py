@@ -8,10 +8,13 @@ the oracles the batched kernels are tested against. ``valid_actions`` is
 a row of ``Frontier.slates``, ``step`` a row of ``Frontier.advance`` and
 ``encode_state`` the whole zero-padded state whose last blocks (the last
 hop's relation and entity, or the user at hop 0) are a row of
-``Frontier.encode``. ``frontier_of`` stacks scalar states into the
-frontier the array calls take, ``beam_of`` stacks scored paths into the
-``Beam`` that ranking takes, and ``beam_paths`` reads every row of a
-beam back as a ``ScoredPath``.
+``encode_pair``, and whose last block is a row of ``Frontier.encode``.
+``encode_pair`` is the encoder of the two-block forward, which multiplied
+a hop's (relation, entity) pair; ``pair_blocks`` reads a walked
+frontier's state as those blocks, hop by hop. ``frontier_of`` stacks
+scalar states into the frontier the array calls take, ``beam_of`` stacks
+scored paths into the ``Beam`` that ranking takes, and ``beam_paths``
+reads every row of a beam back as a ``ScoredPath``.
 
 ``reference_compile_pattern`` compiles a schema pattern against a
 graph's relation ids, as the MDP layer did before the schema compiled its
@@ -45,9 +48,11 @@ softmax over every column for every row, and ``reference_slates`` cuts
 over-cap rows on one grid padded to the widest row's degree, as both were
 before rows took a head and a cut of their own width.
 ``reference_beam_search`` is beam search as it was before a hop's
-relation block was read from the policy's relation terms: each hop's
-forward (``reference_forward``) multiplies the full blocks the hop added,
-and each row picks its continuations with a sort of its own.
+relation block was folded (``PolicyModel.fold``): each hop's forward
+(``reference_forward``) multiplies the full blocks the hop added
+(``encode_pair``), and each row picks its continuations with a sort of
+its own. ``reference_episode_gradients`` is ``policy.episode_gradients``
+on the same two-block forward, with each hop's pair as its backward block.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ from pathrec.inference import Beam, ScoredPath
 from pathrec.mdp import (MAX_ACTIONS_DEFAULT, SELF_LOOP, Frontier, PathState, Slates,
                          start_scores)
 from pathrec.pipeline import COHORTS
-from pathrec.policy import ForwardCache, PolicyModel, _matmul
+from pathrec.policy import ForwardCache, PolicyModel, _matmul, _sample_rows
 
 
 class GraphWriter:
@@ -190,6 +195,26 @@ def encode_state(state: PathState, table: EmbeddingTable) -> np.ndarray:
         out[(1 + 2 * i) * d:(2 + 2 * i) * d] = rel_vec
         out[(2 + 2 * i) * d:(3 + 2 * i) * d] = table.entity_vec(ent)
     return out
+
+
+def encode_pair(frontier: Frontier, table: EmbeddingTable) -> np.ndarray:
+    """The state blocks the last hop added to every row: the start user's
+    block at hop 0, (P, d), after it the last hop's (relation, entity)
+    pair, (P, 2d). Relation rows come from the relation table and the
+    self-loop vector, which SELF_LOOP indexes."""
+    entity = table.entity_vecs[frontier.entities[:, -1]]
+    if not frontier.hops:
+        return entity
+    rel_rows = np.vstack([table.relation_vecs, table.self_loop_vec])
+    return np.hstack([rel_rows[frontier.relations[:, -1]], entity])
+
+
+def pair_blocks(frontier: Frontier, table: EmbeddingTable) -> list[np.ndarray]:
+    """``encode_pair`` of each hop of a walked frontier, hop 0 first: the
+    blocks that together are every row's live state."""
+    return [encode_pair(Frontier(frontier.entities[:, :t + 1], frontier.relations[:, :t],
+                                 frontier.directions[:, :t]), table)
+            for t in range(frontier.hops + 1)]
 
 
 def frontier_of(states: list[PathState]) -> Frontier:
@@ -534,7 +559,8 @@ def reference_beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
     frontier, logprob, carry = Frontier.start([user]), np.zeros(1), None
     for width in widths:
         slates = frontier.slates(graph, cap, user_scores, np.zeros(len(frontier), dtype=np.intp))
-        probs, _, cache = reference_forward(policy, frontier.encode(table), slates.sizes, carry)
+        probs, _, cache = reference_forward(policy, encode_pair(frontier, table), slates.sizes,
+                                            carry)
         rows, slots = [], []
         for row, size in enumerate(slates.sizes.tolist()):
             slot = np.arange(size)
@@ -548,3 +574,39 @@ def reference_beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
         frontier = frontier.advance(rows, *slates.actions(rows, slots))
     return Beam(frontier, logprob)
 
+
+def reference_episode_gradients(policy: PolicyModel, graph: KnowledgeGraph,
+                                table: EmbeddingTable, users, user_scores, config,
+                                reward_spec, rng, forced_actions=None, grads=None):
+    """``policy.episode_gradients`` (same arguments and results) on the
+    two-block forward: each hop multiplies its (relation, entity) pair
+    (``encode_pair``, ``reference_forward``) after its parent's carry,
+    and the backward reads each hop's pair as its block."""
+    frontier, rows, carry, hops = Frontier.start(users), np.arange(len(users)), None, []
+    for t in range(config.hop_budget):
+        slates = frontier.slates(graph, config.max_actions, user_scores, rows)
+        probs, values, cache = reference_forward(policy, encode_pair(frontier, table),
+                                                 slates.sizes, carry)
+        carry = cache[:2]
+        if forced_actions is not None:
+            chosen = np.asarray(forced_actions[t], dtype=np.intp)
+        else:
+            chosen = np.minimum(_sample_rows(probs, rng), slates.sizes - 1)
+        hops.append((cache, probs, values, chosen))
+        frontier = frontier.advance(rows, *slates.actions(rows, chosen))
+    rewards = reward_spec.terminal_reward(frontier)
+    grads = policy.zero_grads(grads)
+    B, T = len(rewards), len(hops)
+    entropy_sum = 0.0
+    for t, (cache, p, values, chosen) in enumerate(hops):
+        adv = rewards * config.gamma ** (T - 1 - t) - values
+        with np.errstate(divide="ignore"):
+            logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
+        H = -(p * logp).sum(axis=1)
+        entropy_sum += H.sum()
+        dlogits = p * adv[:, None]
+        dlogits[np.arange(B), chosen] -= adv
+        dlogits += config.entropy_coef * p * (logp + H[:, None])
+        dlogits /= B
+        policy.backward(cache, [c.X for c, *_ in hops[:t + 1]], dlogits, -2.0 * adv / B, grads)
+    return grads, rewards, entropy_sum / (B * T)

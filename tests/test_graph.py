@@ -138,6 +138,33 @@ class TestSchema:
         with pytest.raises(ParseError, match="^" + re.escape(f"schema.json: {field}")):
             KGSchema.from_json(data, "schema.json")
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d.update(path_pattern=[["user", "purchase", "item"]]),
+         "unknown key 'path_pattern'"),
+        (lambda d: d["relations"][1].update(cold_integraton=True),
+         "relation 'produced_by': unknown key 'cold_integraton'"),
+        (lambda d: d["relations"].append({"name": "like", "head": "user", "tail": "brand",
+                                          "derived_from": {"interaction": "purchase",
+                                                           "via": "produced_by", "hops": 2}}),
+         "relation 'like': derived_from: unknown key 'hops'"),
+    ])
+    def test_unknown_key_is_named(self, edit, field):
+        """A misspelt key raises ParseError naming it, rather than loading
+        the schema as if the key were absent."""
+        data = minimal_schema()
+        edit(data)
+        with pytest.raises(ParseError, match="^" + re.escape(f"schema.json: {field}") + "$"):
+            KGSchema.from_json(data, "schema.json")
+
+    def test_schema_file_violation_names_the_file(self):
+        data = minimal_schema(path_patterns=[["user", "bogus", "item"]])
+        with pytest.raises(SchemaViolation, match="uses unknown relation bogus"):
+            KGSchema.from_json(data)
+        with pytest.raises(SchemaViolation, match="^" + re.escape(
+                "run/split/schema.json: pattern ('user', 'bogus', 'item') "
+                "uses unknown relation bogus") + "$"):
+            KGSchema.parse("run/split/schema.json", json.dumps(data).encode())
+
     def test_json_booleans_and_null_derivation_load(self):
         data = minimal_schema()
         data["relations"][1].update(cold_integration=False, derived_from=None)

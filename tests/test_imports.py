@@ -21,6 +21,13 @@ that turns its names into ids. No other module builds a collection from a
 schema's ``relations`` or ``entity_types`` (a comprehension over them, or a
 ``dict``, ``set``, ``list`` or ``tuple`` call of them); it reads the
 schema's tables instead.
+
+A walk meets the policy's first layer by one input rule, kept in
+``policy.py``: a hop's entity block is multiplied, and its relation block
+is folded (``PolicyModel.fold``). No other module calls
+``relation_terms`` or stacks ``relation_vecs`` with ``self_loop_vec``
+(the rows a relation block is read from), so no other module knows the
+layer's block layout.
 """
 
 import ast
@@ -228,3 +235,53 @@ def test_schema_table_scanner_flags_a_copy_with_one_table():
                                           if p.name != "graph.py"))
 def test_schema_tables_are_built_by_the_schema_only(module):
     assert schema_tables((PACKAGE / module).read_text()) == []
+
+
+STACKERS = {"stack", "vstack", "hstack", "row_stack", "concatenate", "append"}
+
+
+def relation_block_reads(source: str) -> list[int]:
+    """Lines that call ``relation_terms``, or stack ``relation_vecs`` with
+    ``self_loop_vec`` (a numpy stacking call reading both)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        args = {read for arg in node.args for read in reads(arg)}
+        if name == "relation_terms" or (name in STACKERS
+                                        and {"relation_vecs", "self_loop_vec"} <= args):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_relation_block_scanner_flags_terms_and_stacks():
+    source = ("terms = policy.relation_terms(table)\n"
+              "rows = np.vstack([table.relation_vecs, table.self_loop_vec])\n"
+              "rows = np.concatenate((t.relation_vecs, t.self_loop_vec[None]))\n"
+              "copy = EmbeddingTable(vecs, bias, table.relation_vecs, table.self_loop_vec)\n"
+              "rows = np.vstack([table.relation_vecs, table.entity_vecs])\n"
+              "n = len(table.relation_vecs) + len(table.self_loop_vec)\n")
+    assert relation_block_reads(source) == [1, 2, 3]
+
+
+def test_relation_block_scanner_flags_the_inline_fold_of_beam_search():
+    """``inference.py`` with the line that read the beam's relation terms
+    back, as it read before the policy folded every hop, fails the lint;
+    so does ``mdp.py`` with the pair encoder's relation rows back."""
+    for module, anchor, old in (
+            ("inference.py",
+             "    frontier, logprob, carry = Frontier.start([user]), np.zeros(1), None\n",
+             "    carry, terms = None, policy.relation_terms(table)\n"),
+            ("mdp.py", "        entity = self.entities[:, -1]\n",
+             "        rel_rows = np.vstack([table.relation_vecs, table.self_loop_vec])\n")):
+        source = (PACKAGE / module).read_text()
+        assert relation_block_reads(source) == [] and source.count(anchor) == 1
+        at = source[:source.index(anchor)].count("\n") + 2
+        assert relation_block_reads(source.replace(anchor, anchor + old)) == [at], module
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                          if p.name != "policy.py"))
+def test_relation_blocks_are_read_by_the_policy_only(module):
+    assert relation_block_reads((PACKAGE / module).read_text()) == []

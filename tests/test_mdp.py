@@ -13,8 +13,8 @@ from pathrec.mdp import (SELF_LOOP, Frontier, PathState, RewardSpec, path_signat
                          signature_label)
 
 from conftest import build_multi_edge_graph, build_shop_graph
-from oracles import (Action, BudgetExhausted, GraphWriter, encode_state, frontier_of,
-                     is_complete, reference_slates, step, valid_actions)
+from oracles import (Action, BudgetExhausted, GraphWriter, encode_pair, encode_state,
+                     frontier_of, is_complete, reference_slates, step, valid_actions)
 
 
 def walk(graph, state, actions):
@@ -521,9 +521,11 @@ class TestFrontier:
         assert rows[0][0] == Action(SELF_LOOP, i0, FORWARD)
 
     def test_encode_equals_scalar_stack(self, make_graph):
-        """encode returns the blocks the last hop added to the scalar state:
-        its first d columns at hop 0, the (relation, entity) pair ending at
-        column (1 + 2t)·d at hop t; the scalar row is zero beyond them."""
+        """The pair encoder returns the blocks the last hop added to the
+        scalar state: its first d columns at hop 0, the (relation, entity)
+        pair ending at column (1 + 2t)·d at hop t; the scalar row is zero
+        beyond them. encode returns the last d of those columns, the entity
+        block the policy multiplies."""
         g = make_graph(n_users=6, n_items=12, seed=1)
         table = init_table(g, EmbedTrainConfig(dim=5), seed=4)
         d = table.dim
@@ -536,10 +538,13 @@ class TestFrontier:
                 assert (last == SELF_LOOP).any() and (last != SELF_LOOP).any()
             want = np.stack([encode_state(s, table) for s in states])
             end = (1 + 2 * hops) * d
-            got = frontier.encode(table)
+            got = encode_pair(frontier, table)
             assert got.shape == (9, 2 * d if hops else d)
             np.testing.assert_array_equal(got, want[:, end - got.shape[1]:end])
             assert np.all(want[:, end:] == 0.0)
+            entity = frontier.encode(table)
+            assert entity.shape == (9, d)
+            np.testing.assert_array_equal(entity, want[:, end - d:end])
 
     def test_encode_rejects_rowless_entity(self, tiny_graph, small_table):
         f = Frontier.start([small_table.entity_count])

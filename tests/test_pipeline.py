@@ -564,6 +564,24 @@ def string_flag(path):
     rewrite_schema(path, lambda schema: schema["relations"][0].update(cold_integration="false"))
 
 
+def unknown_key(path):
+    """Misspell the top-level ``path_patterns`` key, which a reader that
+    ignores unknown keys reads as no patterns."""
+    rewrite_schema(path, lambda schema: schema.update(path_pattern=schema.pop("path_patterns")))
+
+
+def misspelt_flag(path):
+    """Misspell ``cold_integration`` on ``produced_by``, which a reader
+    that ignores unknown keys reads as not cold-integrated."""
+    rewrite_schema(path, lambda schema: schema["relations"][1].update(
+        cold_integraton=schema["relations"][1].pop("cold_integration")))
+
+
+def bogus_relation(path):
+    """Name an unknown relation in the first path pattern."""
+    rewrite_schema(path, lambda schema: schema["path_patterns"][0].__setitem__(1, "bogus"))
+
+
 def rewrite_npz(path, edit):
     """Rewrite an npz artifact's arrays as ``edit(arrays)`` leaves them."""
     with np.load(path) as data:
@@ -685,7 +703,8 @@ FAULTS = [
     *(("bad-byte", f"split/{name}", "train-embed")
       for name in ("profiles.jsonl", "train.tsv", "schema.json", "manifest.json")),
     # data/schema.json is read as a file dataset's schema is
-    *((fault, artifact, stage) for fault in ("bad-pattern", "string-flag")
+    *((fault, artifact, stage)
+      for fault in ("bad-pattern", "string-flag", "unknown-key", "misspelt-flag", "bogus-relation")
       for artifact, stage in (("data/schema.json", "split"), ("split/schema.json", "train-embed"))),
 ]
 
@@ -702,7 +721,9 @@ FAULT_WRITERS = {"truncate": truncate, "cut-lines": cut_lines, "drop-items": dro
                      {k: v for k, v in rec.items() if k != "relations"}).encode()),
                  "list-line": first_line(lambda rec: b"[1, 2]"),
                  "not-json": first_line(lambda rec: b"{not json"),
-                 "bad-byte": bad_byte, "bad-pattern": bad_pattern, "string-flag": string_flag}
+                 "bad-byte": bad_byte, "bad-pattern": bad_pattern, "string-flag": string_flag,
+                 "unknown-key": unknown_key, "misspelt-flag": misspelt_flag,
+                 "bogus-relation": bogus_relation}
 
 
 def damage(copy, seed2_run, fault, artifact):
@@ -747,6 +768,10 @@ class TestDamagedArtifacts:
     @pytest.mark.parametrize("fault, field", [
         ("bad-pattern", "path_patterns[0] must be a list of strings"),
         ("string-flag", "relation 'purchase': cold_integration must be a JSON boolean"),
+        ("unknown-key", "unknown key 'path_pattern'"),
+        ("misspelt-flag", "relation 'produced_by': unknown key 'cold_integraton'"),
+        ("bogus-relation", "pattern ('user', 'bogus', 'category', '~belong_to', 'item') "
+                           "uses unknown relation bogus"),
     ])
     def test_file_dataset_schema_fault_exits_2(self, tiny_run, tmp_path, capsys, fault, field):
         """``pathrec run`` on a file dataset whose schema is malformed ends

@@ -15,15 +15,15 @@ from pathrec import policy as policy_module
 from pathrec.embeddings import (EmbedTrainConfig, EmbeddingTable, init_table, rng_for,
                                 score_tails)
 from pathrec.errors import EmptyGraph, InvalidAction, InvalidSpec, MissingEmbedding
-from pathrec.mdp import PathState, RewardSpec, start_scores
+from pathrec.mdp import SELF_LOOP, PathState, RewardSpec, start_scores
 from pathrec.optim import Adam
 from pathrec.policy import (AgentConfig, PolicyModel, _sample_rows,
                             episode_gradients, evaluate_mean_reward,
                             rollout_batch, state_dim_for, train_agent,
                             training_users, write_history)
 
-from oracles import (GraphWriter, encode_state, frontier_of, is_complete, reference_forward,
-                     step, valid_actions)
+from oracles import (GraphWriter, encode_state, frontier_of, is_complete, pair_blocks,
+                     reference_episode_gradients, reference_forward, step, valid_actions)
 
 
 class FixedReward:
@@ -555,10 +555,10 @@ class TestMultiStep:
                  tiny_graph.entity_id("user", "u1")]
         spec = RewardSpec.binary(tiny_graph)
         forced = [[1, 0], [2, 1]]
-        records, rewards, _ = rollout_users(policy, tiny_graph, small_table,
-                                            users, cfg.hop_budget, cfg.max_actions,
-                                            spec, rng_for(0, "unused"),
-                                            forced_actions=forced)
+        records, rewards, walked = rollout_users(policy, tiny_graph, small_table,
+                                                 users, cfg.hop_budget, cfg.max_actions,
+                                                 spec, rng_for(0, "unused"),
+                                                 forced_actions=forced)
         grads, _, _ = episode_gradients(policy, tiny_graph, small_table, users,
                                         start_scores(tiny_graph, small_table, users),
                                         cfg, spec, rng_for(0, "unused"),
@@ -575,7 +575,7 @@ class TestMultiStep:
             dlogits[np.arange(B), rec.chosen] -= adv
             dlogits += cfg.entropy_coef * p * (logp + H[:, None])
             dvalues = -2.0 * adv / B
-            blocks = [r.cache.X for r in records[:t + 1]]
+            blocks = pair_blocks(walked, small_table)[:t + 1]
             policy.backward(rec.cache, blocks, dlogits / B, dvalues, manual)
         for got, want in zip(grads, manual):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
@@ -588,6 +588,96 @@ class TestMultiStep:
                                        2, cfg.max_actions, spec,
                                        rng_for(3, "roll"))
         assert all(is_complete(s) for s in frontier.states(2))
+
+
+# (embedding dim, hidden sizes, hop budget, action cap): the default config,
+# a d over K_BLOCK (two parts per block), a one-hop budget that folds nothing
+FOLD_DIMS = [(100, (512, 256), 3, 250), (300, (16, 8), 3, 25), (6, (16, 8), 1, 25)]
+
+
+class TestTrainingFold:
+    """Training folds each hop's relation block into the carried sums
+    (``PolicyModel.fold``) and multiplies its entity block; its gradients
+    and Adam steps are the two-block forward's bits
+    (``reference_episode_gradients``)."""
+
+    def setup_case(self, make_graph, d, hidden, hops, cap):
+        g = make_graph(n_users=9, n_items=20, n_brands=3, n_categories=2,
+                       interactions=5, seed=d)
+        table = init_table(g, EmbedTrainConfig(dim=d), seed=d)
+        cfg = AgentConfig(hop_budget=hops, max_actions=cap, hidden=hidden, epochs=1,
+                          entropy_coef=1e-2, gamma=0.9, reward="pgpr")
+        return g, table, cfg, RewardSpec.pattern(g, table)
+
+    @pytest.mark.parametrize("d,hidden,hops,cap", FOLD_DIMS)
+    def test_episode_gradients_equal_two_block_oracle(self, make_graph, monkeypatch,
+                                                      d, hidden, hops, cap):
+        g, table, cfg, spec = self.setup_case(make_graph, d, hidden, hops, cap)
+        policy = PolicyModel(state_dim_for(table, hops), cfg, seed=d)
+        folds, fold = [], PolicyModel.fold
+        monkeypatch.setattr(PolicyModel, "fold", lambda self, carry, relations, tab:
+                            folds.append(len(relations)) or fold(self, carry, relations, tab))
+        users = training_users(g)
+        for batch in (users + users[:3], users[:1]):  # a batch of many rows, then of one
+            scores = start_scores(g, table, batch)
+            folds.clear()
+            got = episode_gradients(policy, g, table, batch, scores, cfg, spec,
+                                    rng_for(d, "fold"))
+            want = reference_episode_gradients(policy, g, table, batch, scores, cfg, spec,
+                                               rng_for(d, "fold"))
+            assert folds == [len(batch)] * (hops - 1)
+            for a, b in zip(got[0], want[0]):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[2] == want[2]
+            assert np.any(got[0][0]) and (hops == 1 or len(batch) == 1 or got[1].any())
+
+    @pytest.mark.parametrize("d,hidden,hops,cap", FOLD_DIMS)
+    def test_two_adam_steps_equal_two_block_oracle(self, make_graph, monkeypatch,
+                                                   d, hidden, hops, cap):
+        """One epoch of two batches, the last of one row: the trained
+        policy and its curve are the two-block forward's bits."""
+        g, table, cfg, spec = self.setup_case(make_graph, d, hidden, hops, cap)
+        cfg = AgentConfig(**{**vars(cfg), "batch_size": len(training_users(g)) - 1})
+        batches = []
+        monkeypatch.setattr(Adam, "step", lambda opt, grads, step=Adam.step:
+                            batches.append(grads[1].copy()) or step(opt, grads))
+        got, got_history = train_agent(g, table, spec, cfg, seed=d)
+        monkeypatch.setattr(policy_module, "episode_gradients", reference_episode_gradients)
+        want, want_history = train_agent(g, table, spec, cfg, seed=d)
+        assert len(batches) == 4
+        for a, b in zip(batches[:2], batches[2:]):
+            np.testing.assert_array_equal(a, b)
+        assert got_history == want_history
+        for a, b in zip(got.params, want.params):
+            np.testing.assert_array_equal(a, b)
+
+    def test_fold_leaves_the_parent_sums(self, small_table):
+        """Rollouts pass a hop's sums to the fold ungathered: the fold
+        returns new sums and leaves the cache's as they were."""
+        policy, _ = small_policy(small_table, 3)
+        d = small_table.dim
+        rng = np.random.default_rng(2)
+        _, _, cache = policy.forward(rng.normal(size=(4, d)), np.full(4, 3))
+        before = cache.sum1.copy()
+        relations = np.asarray([0, 1, SELF_LOOP, 0])
+        sum1, end = policy.fold(cache[:2], relations, small_table)
+        np.testing.assert_array_equal(cache.sum1, before)
+        assert end == 2 * d and not np.shares_memory(sum1, cache.sum1)
+        rel_rows = np.vstack([small_table.relation_vecs, small_table.self_loop_vec])
+        want = reference_forward(policy, rel_rows[relations], np.full(4, 3), cache[:2])[2]
+        np.testing.assert_array_equal(sum1, want.sum1)
+
+    def test_fold_off_a_walked_hop_rejected(self, small_table):
+        """A 2-hop walk folds one relation block, hop 1's, ending at d."""
+        policy, _ = small_policy(small_table, 2)
+        d = small_table.dim
+        sums = np.zeros((2, 16))
+        for end in (0, 2 * d, d + 1, 3 * d, 5 * d):
+            with pytest.raises(InvalidSpec, match="relation block"):
+                policy.fold((sums, end), np.asarray([0, 1]), small_table)
+        with pytest.raises(InvalidSpec, match="relation block"):
+            policy.fold((sums, d), np.asarray([0]), small_table)
 
 
 def rollout_users(policy, graph, table, users, *args, **kwargs):
@@ -628,7 +718,7 @@ def reference_rollout(policy, graph, table, users, hop_budget, max_actions,
 class TestBatchedRollout:
     """rollout_batch against a state-by-state walk with the scalar functions."""
 
-    def assert_same(self, got, want):
+    def assert_same(self, got, want, table):
         records, rewards, frontier = got
         hops, want_rewards, want_states = want
         assert frontier.states(len(hops)) == want_states
@@ -638,10 +728,15 @@ class TestBatchedRollout:
             if X is None:
                 assert rec.cache is None
             else:
-                # the hops' caches hold the live prefix's blocks; the scalar
-                # row is zero beyond them
+                # each hop's cache holds the entity block it multiplied; with
+                # the walk's relation blocks (the pair encoder) the hops'
+                # blocks are the live prefix, and the scalar row is zero
+                # beyond it
                 live = (1 + 2 * t) * X.shape[1] // (1 + 2 * len(hops))
-                prefix = np.hstack([r.cache.X for r in records[:t + 1]])
+                pairs = pair_blocks(frontier, table)[:t + 1]
+                for r, pair in zip(records, pairs):
+                    np.testing.assert_array_equal(r.cache.X, pair[:, -table.dim:])
+                prefix = np.hstack(pairs)
                 assert rec.cache.end == live
                 np.testing.assert_array_equal(prefix, X[:, :live])
                 assert np.all(X[:, live:] == 0.0)
@@ -669,7 +764,7 @@ class TestBatchedRollout:
                                 rng_for(seed, "roll"))
             want = reference_rollout(pol, g, table, users, 3, cfg.max_actions, spec,
                                      rng_for(seed, "roll"))
-            self.assert_same(got, want)
+            self.assert_same(got, want, table)
 
     def test_forced_rollouts_equal_scalar_walk(self, make_graph):
         g, table, policy, cfg, users = self.setup_case(make_graph, 5)
@@ -681,7 +776,7 @@ class TestBatchedRollout:
                             rng_for(0, "unused"), forced_actions=forced)
         want = reference_rollout(policy, g, table, users, 3, cfg.max_actions, spec,
                                  rng_for(0, "unused"), forced_actions=forced)
-        self.assert_same(got, want)
+        self.assert_same(got, want, table)
 
     def test_forced_slot_outside_slate_rejected(self, tiny_graph, small_table):
         policy, cfg = small_policy(small_table, 1)
