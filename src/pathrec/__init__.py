@@ -19,11 +19,9 @@ from .graph import (FORWARD, INVERSE, DerivationRule, KGSchema, KnowledgeGraph,
 from .inference import (Recommendation, RecommendationList, beam_search, explain,
                         path_record, rank_recommendations)
 from .mdp import PathState, RewardSpec, path_signature, signature_label
-from .metrics import (cold_item_coverage, cold_item_proportion, hit_at_k,
-                      ndcg_at_k, pattern_report, pop_baseline, popb_at_k,
-                      train_popularity)
+from .metrics import cold_item_coverage, hit_at_k, ndcg_at_k, pattern_report
 from .pipeline import RunConfig, run_pipeline, run_seeds, sweep
-from .policy import AgentConfig, PolicyModel, evaluate_mean_reward, train_agent
+from .policy import AgentConfig, PolicyModel, train_agent
 
 __version__ = "0.1.0"
 
@@ -33,13 +31,11 @@ __all__ = [
     "FORWARD", "INVERSE", "KGSchema", "KnowledgeGraph",
     "PathState", "PolicyModel", "Recommendation", "RecommendationList",
     "RelationSpec", "RewardSpec", "RunConfig", "SplitConfig", "SyntheticSpec",
-    "augment_graph", "beam_search", "cold_item_coverage",
-    "cold_item_proportion", "conditional_prob", "evaluate_mean_reward",
+    "augment_graph", "beam_search", "cold_item_coverage", "conditional_prob",
     "explain", "generate_synthetic", "hit_at_k", "integrate_cold_entities",
     "load_dataset", "load_table", "ndcg_at_k", "path_record", "path_signature",
-    "pattern_report", "pop_baseline", "popb_at_k", "rank_recommendations",
-    "recommend_cold", "rng_for",
+    "pattern_report", "rank_recommendations", "recommend_cold", "rng_for",
     "run_pipeline", "run_seeds", "save_table", "score_triplet",
     "signature_label", "split_dataset", "sweep", "synthetic_schema",
-    "train_agent", "train_embeddings", "train_popularity",
+    "train_agent", "train_embeddings",
 ]

@@ -31,10 +31,6 @@ class UnknownUser(PathRecError):
     """A recommendation was requested for an entity that is not a user."""
 
 
-class NotAnItem(PathRecError):
-    """An item-only operation was applied to a non-item entity."""
-
-
 class EmptyGraph(PathRecError):
     """An operation requires at least one triplet."""
 

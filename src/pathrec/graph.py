@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .artifacts import atomic_open, decode_text, read_bytes, write_json
-from .errors import (DuplicateEntity, InvalidSpec, NotAnItem, ParseError, SchemaViolation,
+from .errors import (DuplicateEntity, InvalidSpec, ParseError, SchemaViolation,
                      UnknownEntity, is_names)
 
 log = logging.getLogger(__name__)
@@ -444,9 +444,6 @@ class KnowledgeGraph:
     def items(self) -> list[int]:
         return self.entities_of_type(self.schema.item_type)
 
-    def is_item(self, e: int) -> bool:
-        return self.entity_type(e) == self.schema.item_type
-
     def is_user(self, e: int) -> bool:
         return self.entity_type(e) == self.schema.user_type
 
@@ -527,11 +524,6 @@ class KnowledgeGraph:
             self._csr = CSRAdjacency(indptr, rel[order], nbr[order], direction[order])
         return self._csr
 
-    def degree(self, e: int) -> int:
-        self._check_entity(e)
-        indptr = self.csr().indptr
-        return int(indptr[e + 1] - indptr[e])
-
     def interaction_counts(self) -> np.ndarray:
         """Read-only number of interaction triplets with each entity as tail,
         indexed by entity id (0 for every non-item); built at first use and
@@ -542,13 +534,6 @@ class KnowledgeGraph:
             counts.flags.writeable = False
             self._tail_interactions = counts
         return self._tail_interactions
-
-    def interaction_count(self, item: int) -> int:
-        """Number of interaction triplets with ``item`` as tail."""
-        self._check_entity(item)
-        if not self.is_item(item):
-            raise NotAnItem(f"{self.entity_key(item)} is not of type {self.schema.item_type}")
-        return int(self.interaction_counts()[item])
 
     def interactions_by_user(self) -> dict[int, list[int]]:
         """Per-user interacted items in insertion (chronological) order;

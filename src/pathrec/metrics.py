@@ -1,31 +1,34 @@
 """Ranking and cold-start metrics.
 
-The scalar functions work on hashable item keys (the pipeline passes
-names), with binary relevance. POPB normalizes each user's recommended
-popularity mass by the best achievable mass for that user, i.e. the K most
-popular items the user has not already interacted with in training; a pure
-popularity recommender therefore scores exactly 1.0.
+``evaluate_run`` scores lists with the array kernels: a model's lists are
+a (users x k) matrix of integer item columns, -1 past a list's end, and
+each column has one popularity, with binary relevance. POPB normalizes
+each user's recommended popularity mass by the best achievable mass for
+that user, the mass of the k most popular items outside the user's
+training items (``first_outside``); the popularity baseline's own lists
+therefore score exactly 1.0.
 
-The array kernels below them score many users at once: a model's lists
-are a (users x k) matrix of integer item columns, -1 past a list's end,
-and each column has one popularity. Every kernel returns the bits of its
-scalar counterpart: per-user sums run in rank order and totals in user
-order through ``np.cumsum``, which adds left to right, where ``np.sum``
-would add runs of 8 or more terms pairwise.
+Every sum runs left to right in a fixed order: per-user sums in rank
+order and totals in user order through ``np.cumsum``, where ``np.sum``
+would add runs of 8 or more terms pairwise. The scalar functions, which
+score one list of hashable item keys (the benchmark's quality numbers),
+add left to right too (``functools.reduce``), not with the built-in
+``sum``, which Python 3.12 made compensated. So a kernel's row holds the
+bits of its scalar counterpart on every Python version.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass
 from collections.abc import Hashable, Iterable, Mapping, Sequence
+from functools import reduce
 from itertools import chain
 
 import numpy as np
 
 from .errors import EmptyColdSet, InvalidSpec
-from .graph import KnowledgeGraph
 
 
 def ndcg_at_k(recommended: Sequence[Hashable], relevant: set, k: int) -> float:
@@ -34,11 +37,11 @@ def ndcg_at_k(recommended: Sequence[Hashable], relevant: set, k: int) -> float:
         raise InvalidSpec("k must be >= 1")
     if not relevant:
         return 0.0
-    dcg = sum(1.0 / math.log2(rank + 1)
-              for rank, item in enumerate(recommended[:k], start=1)
-              if item in relevant)
-    ideal = sum(1.0 / math.log2(rank + 1)
-                for rank in range(1, min(k, len(relevant)) + 1))
+    dcg = reduce(operator.add, (1.0 / math.log2(rank + 1)
+                                for rank, item in enumerate(recommended[:k], start=1)
+                                if item in relevant), 0.0)
+    ideal = reduce(operator.add, (1.0 / math.log2(rank + 1)
+                                  for rank in range(1, min(k, len(relevant)) + 1)), 0.0)
     return dcg / ideal
 
 
@@ -47,48 +50,6 @@ def hit_at_k(recommended: Sequence[Hashable], relevant: set, k: int) -> float:
     if k < 1:
         raise InvalidSpec("k must be >= 1")
     return 1.0 if any(item in relevant for item in recommended[:k]) else 0.0
-
-
-def train_popularity(train_graph: KnowledgeGraph) -> dict[str, int]:
-    """Item name -> number of training interactions, in item id order."""
-    items = train_graph.items()
-    counts = train_graph.interaction_counts()[items].tolist()
-    return dict(zip(train_graph.entity_names(items), counts))
-
-
-def _best_mass(ordered: Sequence[Hashable], popularity: Mapping[Hashable, int],
-               k: int, exclude: set) -> float:
-    """Mass of the first k items of ``ordered`` (most popular first) that
-    are not excluded."""
-    mass, taken = 0, 0
-    for item in ordered:
-        if taken == k:
-            break
-        if item not in exclude:
-            mass += popularity[item]
-            taken += 1
-    return float(mass)
-
-
-def popb_at_k(recs_per_user: Mapping[Hashable, Sequence[Hashable]],
-              popularity: Mapping[Hashable, int], k: int,
-              exclude_per_user: Mapping[Hashable, set] | None = None) -> float:
-    """Mean per-user popularity mass of the top-k, normalized per user by
-    the mass of the k most popular items outside that user's training set.
-
-    Users whose normalizer is zero contribute 0 (their numerator is then
-    zero too). Items unseen in training count zero popularity.
-    """
-    if not recs_per_user:
-        return 0.0
-    ordered = sorted(popularity, key=lambda it: (-popularity[it], it))
-    total = 0.0
-    for user, recs in recs_per_user.items():
-        exclude = exclude_per_user.get(user, set()) if exclude_per_user is not None else set()
-        denom = _best_mass(ordered, popularity, k, exclude)
-        num = float(sum(popularity.get(item, 0) for item in recs[:k]))
-        total += num / denom if denom > 0 else 0.0
-    return total / len(recs_per_user)
 
 
 def cold_item_coverage(recs_per_user: Mapping[Hashable, Sequence[Hashable]],
@@ -102,63 +63,12 @@ def cold_item_coverage(recs_per_user: Mapping[Hashable, Sequence[Hashable]],
     return len(seen) / len(cold_items)
 
 
-def cold_item_proportion(recs_per_user: Mapping[Hashable, Sequence[Hashable]],
-                         cold_items: set, k: int) -> float:
-    """Mean per-user fraction of the top-k occupied by cold items.
-
-    The divisor is k even when a list is shorter, so sparse lists are not
-    rewarded."""
-    if not cold_items:
-        raise EmptyColdSet("proportion is undefined for an empty cold-item set")
-    if not recs_per_user:
-        return 0.0
-    total = sum(sum(1 for item in recs[:k] if item in cold_items) / k
-                for recs in recs_per_user.values())
-    return total / len(recs_per_user)
-
-
-@dataclass(frozen=True)
-class PopBaseline:
-    """Pure popularity recommender with per-user filtering of training items.
-
-    ``popularity`` holds the training counts most popular first, the order
-    of ``ordered_items``; ``train_items`` maps each training user to the
-    items they interacted with.
-    """
-
-    ordered_items: tuple[Hashable, ...]
-    popularity: Mapping[Hashable, int]
-    train_items: Mapping[Hashable, frozenset]
-    k: int
-
-    def recommend(self, user: Hashable) -> list[Hashable]:
-        seen = self.train_items.get(user, set())
-        out = []
-        for item in self.ordered_items:
-            if item not in seen:
-                out.append(item)
-                if len(out) == self.k:
-                    break
-        return out
-
-
-def pop_baseline(train_graph: KnowledgeGraph, k: int) -> PopBaseline:
-    g = train_graph
-    counts = train_popularity(g)
-    ordered = tuple(sorted(counts, key=lambda it: (-counts[it], it)))
-    by_user = g.interactions_by_user()
-    train_items = {g.entity_name(u): frozenset(g.entity_name(i) for i in by_user.get(u, ()))
-                   for u in g.users()}
-    return PopBaseline(ordered_items=ordered, popularity={it: counts[it] for it in ordered},
-                       train_items=train_items, k=k)
-
-
 # -- array kernels ----------------------------------------------------------------
 
 
 def popularity_order(names: Sequence[str], counts: np.ndarray) -> np.ndarray:
     """The columns of ``names`` (with training ``counts``) most popular
-    first, ties by name: ``pop_baseline``'s order."""
+    first, ties by name: the popularity baseline's order."""
     by_name = np.asarray(sorted(range(len(names)), key=names.__getitem__), dtype=np.intp)
     return by_name[np.argsort(-np.asarray(counts)[by_name], kind="stable")]
 
@@ -195,7 +105,8 @@ class ColumnSets:
 
 def first_outside(order: np.ndarray, k: int, exclude: ColumnSets) -> np.ndarray:
     """Each row's first k columns of ``order`` outside its ``exclude`` set,
-    as a column matrix: ``PopBaseline.recommend`` per row. A row leaves out
+    as a column matrix: the popularity baseline's list, or the k most
+    popular items a POPB normalizer sums, per row. A row leaves out
     at most its set's size of the columns it passes, so the first k + size
     columns of ``order`` hold its list."""
     n_rows = len(exclude.sizes)
@@ -229,8 +140,9 @@ def mass_rows(matrix: np.ndarray, popularity: np.ndarray) -> np.ndarray:
 
 
 def popb_mean(mass: np.ndarray, best: np.ndarray) -> float:
-    """``popb_at_k`` of users with recommended popularity ``mass`` and
-    best achievable mass ``best`` (a user with ``best`` 0 counts 0)."""
+    """Mean POPB of users with recommended popularity ``mass`` and best
+    achievable mass ``best``, in user order (a user with ``best`` 0
+    counts 0)."""
     if not len(mass):
         return 0.0
     ratio = np.divide(mass, best, out=np.zeros(len(mass)), where=best > 0)
@@ -250,7 +162,9 @@ def cold_coverage(matrix: np.ndarray, is_cold: np.ndarray, n_cold: int) -> float
 
 
 def cold_proportion(matrix: np.ndarray, is_cold: np.ndarray) -> float:
-    """``cold_item_proportion`` of a (users x k) column matrix."""
+    """Mean per-user share of the k columns of a (users x k) column
+    matrix that are cold, in user order. The divisor is k even when a
+    list is shorter, so sparse lists are not rewarded."""
     if not len(matrix):
         return 0.0
     share = _cold_entries(matrix, is_cold).sum(axis=1) / matrix.shape[1]

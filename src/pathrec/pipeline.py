@@ -103,6 +103,9 @@ class RunConfig:
     def from_json(cls, data: dict) -> "RunConfig":
         """Parse a run config; unknown keys, values of the wrong type and
         unknown cold strategies raise InvalidSpec."""
+        if isinstance(data, dict) and "cold_strategy" in data:
+            raise InvalidSpec("unknown key(s) in config: cold_strategy; the cold strategy "
+                              "is the key cold.strategy, e.g. --set 'cold.strategy=\"null\"'")
         check_keys(data, ("seed", "workdir", "dataset", "split", "embed", "agent", "cold",
                           "inference"), "config")
         seed = data.get("seed", 0)
@@ -121,6 +124,10 @@ class RunConfig:
         check_keys(cold, ("strategy",), "cold")
         strategy = cold.get("strategy", ColdStrategy.AVERAGE_TRANSLATION.value)
         names = [s.value for s in ColdStrategy]
+        if not isinstance(strategy, str):
+            got = "null" if strategy is None else f"{_json_type(strategy)} {json.dumps(strategy)}"
+            raise InvalidSpec(f"cold.strategy must be a JSON string, got JSON {got}; a string "
+                              f"needs JSON quotes, e.g. --set 'cold.strategy=\"null\"'")
         if strategy not in names:
             raise InvalidSpec(f"unknown cold.strategy {strategy!r}; expected one of {names}")
         sections = {name: config_from_json(section, data.get(name, {}), name)
@@ -151,6 +158,15 @@ class RunPaths:
         self.report_json = os.path.join(root, "report", "metrics.json")
         self.patterns_csv = os.path.join(root, "report", "patterns.csv")
         self.sweep_csv = os.path.join(root, "report", "sweep.csv")
+
+
+def _json_type(value) -> str:
+    """The JSON type name of a parsed JSON value other than null."""
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return "array" if isinstance(value, list) else "object"
 
 
 _DAMAGED = (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile)

@@ -153,7 +153,7 @@ class PolicyModel:
         self.b3 = np.zeros(self.slate_size)
         self.Wv = np.zeros(h2)
         self.bv = np.zeros(1)
-        self._terms = None  # (W1, relation rows, terms) of a frozen policy
+        self._terms = None  # (W1, relation rows, {hop: terms}) of a frozen policy
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -166,47 +166,54 @@ class PolicyModel:
             param.flags.writeable = False
         return self
 
-    def relation_terms(self, table: EmbeddingTable) -> tuple[np.ndarray, ...]:
-        """What each relation row adds to a first-layer sum at each hop
-        t >= 1 of a walk over ``table``: ``terms[t - 1][:, r]``, r a
-        relation id or SELF_LOOP (the last row), holds that row's products
-        with the W1 rows of hop t's relation block, one per ``K_BLOCK``
-        columns of the block, which ``fold`` adds in turn to a parent's
-        sum as a multiplied block's products are added (``_matmul``).
-        Shape (ceil(d / K_BLOCK), R + 1, h1) per hop.
+    def relation_terms(self, table: EmbeddingTable, hop: int) -> np.ndarray:
+        """What each relation row adds to a first-layer sum at hop ``hop``,
+        1 <= hop < hop_budget, of a walk over ``table``: ``terms[:, r]``, r
+        a relation id or SELF_LOOP (the last row), holds that row's
+        products with the W1 rows of the hop's relation block, one per
+        ``K_BLOCK`` columns of the block, which ``fold`` adds in turn to a
+        parent's sum as a multiplied block's products are added
+        (``_matmul``). Shape (ceil(d / K_BLOCK), R + 1, h1).
 
-        A read-only policy (``freeze``) keeps the terms it computed and
-        returns them again while its W1 is the same read-only array and
-        the table's relation rows equal, in content, the rows they were
-        computed from; a writable policy computes them on every call.
+        A read-only policy (``freeze``) keeps each hop's terms once
+        computed and returns them again while its W1 is the same read-only
+        array and the table's relation rows equal, in content, the rows
+        they were computed from; a writable policy computes the hop's terms
+        on every call.
         """
-        B = self.config.hop_budget
+        B, d = self.config.hop_budget, table.dim
         if state_dim_for(table, B) != self.state_dim:
-            raise InvalidSpec(f"{B}-hop walks over {table.dim}-dim embeddings encode no "
+            raise InvalidSpec(f"{B}-hop walks over {d}-dim embeddings encode no "
                               f"{self.state_dim}-wide state")
+        if not 1 <= hop < B:
+            raise InvalidSpec(f"a {B}-hop walk folds no relation block at hop {hop}")
         rows = np.vstack([table.relation_vecs, table.self_loop_vec])
         kept = self._terms
-        if (kept is not None and kept[0] is self.W1 and not self.W1.flags.writeable
-                and kept[1].shape == rows.shape and kept[1].tobytes() == rows.tobytes()):
-            return kept[2]
-        d = table.dim
-        terms = tuple(np.stack([rows[:, k:k + K_BLOCK] @ self.W1[start:start + d][k:k + K_BLOCK]
-                                for k in range(0, d, K_BLOCK)])
-                      for start in range(d, (2 * B - 1) * d, 2 * d))
-        self._terms = None if self.W1.flags.writeable else (self.W1, rows, terms)
+        if (kept is None or kept[0] is not self.W1 or self.W1.flags.writeable
+                or kept[1].shape != rows.shape or kept[1].tobytes() != rows.tobytes()):
+            kept = (self.W1, rows, {})
+        if hop in kept[2]:
+            return kept[2][hop]
+        block = self.W1[(2 * hop - 1) * d:2 * hop * d]
+        terms = np.stack([rows[:, k:k + K_BLOCK] @ block[k:k + K_BLOCK]
+                          for k in range(0, d, K_BLOCK)])
+        if not self.W1.flags.writeable:
+            kept[2][hop] = terms
+            self._terms = kept
         return terms
 
     def fold(self, carry: tuple[np.ndarray, int], relations: np.ndarray,
              table: EmbeddingTable) -> tuple[np.ndarray, int]:
         """The parent ``carry`` (gathered by parent row) of a walk's hop t,
         0 < t < hop_budget, with its relation block summed and ``end`` past
-        it: row i gains the ``relation_terms`` of ``relations[i]``, part by
-        part as ``forward`` adds products. The parent's sums are not written."""
+        it: row i gains hop t's ``relation_terms`` of ``relations[i]``, part
+        by part as ``forward`` adds products. The parent's sums are not
+        written."""
         (sum1, end), d = carry, table.dim
         if end % (2 * d) != d or end + 4 * d > self.state_dim or len(relations) != len(sum1):
             raise InvalidSpec(f"a carry of {len(sum1)} sums ending at column {end} takes no "
                               f"relation block of {len(relations)} rows")
-        for part in self.relation_terms(table)[end // (2 * d)]:
+        for part in self.relation_terms(table, end // (2 * d) + 1):
             gathered = part[relations]
             sum1 = np.add(sum1, gathered, out=gathered)
         return sum1, end + d
@@ -523,26 +530,6 @@ def train_agent(graph: KnowledgeGraph, table: EmbeddingTable,
                 n_batches += 1
         history.append((epoch, reward_sum / n_episodes, entropy_sum / n_batches))
     return policy.freeze(), history
-
-
-def evaluate_mean_reward(policy: PolicyModel | None, graph: KnowledgeGraph,
-                         table: EmbeddingTable, users: list[int],
-                         hop_budget: int, max_actions: int,
-                         reward_spec: RewardSpec, seed: int,
-                         episodes: int = 1) -> float:
-    """Mean terminal reward of stochastic rollouts; ``policy=None`` is the
-    uniform-random baseline. The rollout seed stream depends only on
-    ``seed``, so two policies can be measured on the same episode draws."""
-    if episodes < 1:
-        raise InvalidSpec(f"episodes must be >= 1, got {episodes}")
-    rng = rng_for(seed, "reward-eval")
-    scores = start_scores(graph, table, users)
-    total = 0.0
-    for _ in range(episodes):
-        _, rewards, _ = rollout_batch(policy, graph, table, users, scores, hop_budget,
-                                      max_actions, reward_spec, rng)
-        total += rewards.mean()
-    return total / episodes
 
 
 def write_history(history: list[tuple[int, float, float]], path: str,

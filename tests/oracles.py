@@ -22,9 +22,21 @@ own patterns; ``reference_schema_tables`` works out every name -> id
 table of a schema by linear scans of its type and relation lists, as
 each reader once did for itself.
 
-``reference_evaluate_run`` is evaluation as it was first written, at the
-cost of the catalog: popularity is built per call and the popularity
-baseline names every training user's items up front.
+The scalar evaluation path: ``train_popularity``, ``popb_at_k``,
+``cold_item_proportion`` and the popularity baseline (``pop_baseline``,
+``PopBaseline``) score one user's list of item names at a time, as
+``metrics`` did before its array kernels. Each float sum runs left to
+right (a loop or ``reduce``, never the built-in ``sum``, which Python
+3.12 made compensated), so a kernel's value equals its oracle's with
+``==``.
+``reference_evaluate_run`` is evaluation as it was first written, on
+those functions and at the cost of the catalog: popularity is built per
+call and the popularity baseline names every training user's items up
+front.
+
+``evaluate_mean_reward`` is the mean terminal reward of stochastic
+rollouts (``policy.rollout_batch``) of a policy or of the uniform walk,
+the measure of the agent's lift over uniform.
 
 ``GraphWriter`` grows a graph one call at a time, as tests and the
 references below write graphs: each scalar ``add_*`` call extends the
@@ -47,6 +59,8 @@ into a reused scratch.
 softmax over every column for every row, and ``reference_slates`` cuts
 over-cap rows on one grid padded to the widest row's degree, as both were
 before rows took a head and a cut of their own width.
+``reference_relation_terms`` is ``PolicyModel.relation_terms`` as it
+was first written: every hop's terms at once, in one tuple, hop 1 first.
 ``reference_beam_search`` is beam search as it was before a hop's
 relation block was folded (``PolicyModel.fold``): each hop's forward
 (``reference_forward``) multiplies the full blocks the hop added
@@ -57,8 +71,11 @@ on the same two-block forward, with each hop's pair as its backward block.
 
 from __future__ import annotations
 
+import operator
 import os
-from dataclasses import asdict
+from collections.abc import Hashable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -69,14 +86,15 @@ from pathrec.coldstart import ColdStrategy
 from pathrec.coldstart import log as coldstart_log
 from pathrec.datasets import SyntheticSpec, synthetic_schema
 from pathrec.embeddings import EmbeddingTable, rng_for, score_tails
-from pathrec.errors import (DuplicateEntity, EmptyProfile, InvalidAction, InvalidSpec,
-                            MissingEmbedding, PathRecError, SchemaViolation)
+from pathrec.errors import (DuplicateEntity, EmptyColdSet, EmptyProfile, InvalidAction,
+                            InvalidSpec, MissingEmbedding, PathRecError, SchemaViolation)
 from pathrec.graph import FORWARD, INVERSE, KGSchema, KnowledgeGraph
 from pathrec.inference import Beam, ScoredPath
-from pathrec.mdp import (MAX_ACTIONS_DEFAULT, SELF_LOOP, Frontier, PathState, Slates,
-                         start_scores)
+from pathrec.mdp import (MAX_ACTIONS_DEFAULT, SELF_LOOP, Frontier, PathState, RewardSpec,
+                         Slates, start_scores)
 from pathrec.pipeline import COHORTS
-from pathrec.policy import ForwardCache, PolicyModel, _matmul, _sample_rows
+from pathrec.policy import (K_BLOCK, ForwardCache, PolicyModel, _matmul, _sample_rows,
+                            rollout_batch)
 
 
 class GraphWriter:
@@ -273,12 +291,106 @@ def reference_schema_tables(schema: KGSchema) -> dict:
     }
 
 
+def train_popularity(train_graph: KnowledgeGraph) -> dict[str, int]:
+    """Item name -> number of training interactions, in item id order."""
+    items = train_graph.items()
+    counts = train_graph.interaction_counts()[items].tolist()
+    return dict(zip(train_graph.entity_names(items), counts))
+
+
+def _best_mass(ordered: Sequence[Hashable], popularity: Mapping[Hashable, int],
+               k: int, exclude: set) -> float:
+    """Mass of the first k items of ``ordered`` (most popular first) that
+    are not excluded."""
+    mass, taken = 0, 0
+    for item in ordered:
+        if taken == k:
+            break
+        if item not in exclude:
+            mass += popularity[item]
+            taken += 1
+    return float(mass)
+
+
+def popb_at_k(recs_per_user: Mapping[Hashable, Sequence[Hashable]],
+              popularity: Mapping[Hashable, int], k: int,
+              exclude_per_user: Mapping[Hashable, set] | None = None) -> float:
+    """Mean per-user popularity mass of the top-k, normalized per user by
+    the mass of the k most popular items outside that user's training set.
+
+    Users whose normalizer is zero contribute 0 (their numerator is then
+    zero too). Items unseen in training count zero popularity.
+    """
+    if not recs_per_user:
+        return 0.0
+    ordered = sorted(popularity, key=lambda it: (-popularity[it], it))
+    total = 0.0
+    for user, recs in recs_per_user.items():
+        exclude = exclude_per_user.get(user, set()) if exclude_per_user is not None else set()
+        denom = _best_mass(ordered, popularity, k, exclude)
+        num = float(sum(popularity.get(item, 0) for item in recs[:k]))  # ints: exact
+        total += num / denom if denom > 0 else 0.0
+    return total / len(recs_per_user)
+
+
+def cold_item_proportion(recs_per_user: Mapping[Hashable, Sequence[Hashable]],
+                         cold_items: set, k: int) -> float:
+    """Mean per-user fraction of the top-k occupied by cold items.
+
+    The divisor is k even when a list is shorter, so sparse lists are not
+    rewarded."""
+    if not cold_items:
+        raise EmptyColdSet("proportion is undefined for an empty cold-item set")
+    if not recs_per_user:
+        return 0.0
+    total = reduce(operator.add, (sum(1 for item in recs[:k] if item in cold_items) / k
+                                  for recs in recs_per_user.values()), 0.0)
+    return total / len(recs_per_user)
+
+
+@dataclass(frozen=True)
+class PopBaseline:
+    """Pure popularity recommender with per-user filtering of training items.
+
+    ``popularity`` holds the training counts most popular first, the order
+    of ``ordered_items``; ``train_items`` maps each training user to the
+    items they interacted with.
+    """
+
+    ordered_items: tuple[Hashable, ...]
+    popularity: Mapping[Hashable, int]
+    train_items: Mapping[Hashable, frozenset]
+    k: int
+
+    def recommend(self, user: Hashable) -> list[Hashable]:
+        seen = self.train_items.get(user, set())
+        out = []
+        for item in self.ordered_items:
+            if item not in seen:
+                out.append(item)
+                if len(out) == self.k:
+                    break
+        return out
+
+
+def pop_baseline(train_graph: KnowledgeGraph, k: int) -> PopBaseline:
+    g = train_graph
+    counts = train_popularity(g)
+    ordered = tuple(sorted(counts, key=lambda it: (-counts[it], it)))
+    by_user = g.interactions_by_user()
+    train_items = {g.entity_name(u): frozenset(g.entity_name(i) for i in by_user.get(u, ()))
+                   for u in g.users()}
+    return PopBaseline(ordered_items=ordered, popularity={it: counts[it] for it in ordered},
+                       train_items=train_items, k=k)
+
+
 def reference_evaluate_run(config, split, records):
     """``pipeline.evaluate_run``'s (rows, patterns, per_user), computed over
     every item and every training user as the first implementation did."""
     k = config.inference.topk
     g = split.train_graph
-    popularity = {g.entity_name(i): g.interaction_count(i) for i in g.items()}
+    counts = g.interaction_counts()
+    popularity = {g.entity_name(i): int(counts[i]) for i in g.items()}
     ordered = sorted(popularity, key=lambda it: (-popularity[it], it))
     by_user = g.interactions_by_user()
     train_items_by_user = {g.entity_name(u): {g.entity_name(i) for i in by_user.get(u, ())}
@@ -309,7 +421,7 @@ def reference_evaluate_run(config, split, records):
             ndcg = [metrics.ndcg_at_k(recs[u], relevant[u], k) for u in relevant]
             hit = [metrics.hit_at_k(recs[u], relevant[u], k) for u in relevant]
             for metric, value in (("ndcg", np.mean(ndcg)), ("hr", np.mean(hit)),
-                                  ("popb", metrics.popb_at_k(recs, popularity, k, exclude))):
+                                  ("popb", popb_at_k(recs, popularity, k, exclude))):
                 rows.append({"model": model, "cohort": cohort, "metric": f"{metric}@{k}",
                              "value": float(value), "n_users": len(relevant)})
             if model == "grecs":
@@ -324,7 +436,7 @@ def reference_evaluate_run(config, split, records):
         test_users = set(split.warm_test) | set(split.cold_test)
         for model, recs in test_recs.items():
             for metric, share in (("coverage", metrics.cold_item_coverage),
-                                  ("proportion", metrics.cold_item_proportion)):
+                                  ("proportion", cold_item_proportion)):
                 rows.append({"model": model, "cohort": "test", "metric": f"{metric}@{k}",
                              "value": share(recs, cold_items, k), "n_users": len(test_users)})
 
@@ -551,6 +663,16 @@ def reference_slates(frontier: Frontier, graph: KnowledgeGraph, max_actions: int
     return Slates(edge, target, np.cumsum(counts) - counts, counts + 1, current, adj)
 
 
+def reference_relation_terms(policy: PolicyModel, table: EmbeddingTable) -> tuple:
+    """Every hop's ``policy.relation_terms(table, hop)``, hop 1 first,
+    computed in one pass over the W1 rows of the hops' relation blocks."""
+    d, B = table.dim, policy.config.hop_budget
+    rows = np.vstack([table.relation_vecs, table.self_loop_vec])
+    return tuple(np.stack([rows[:, k:k + K_BLOCK] @ policy.W1[start:start + d][k:k + K_BLOCK]
+                           for k in range(0, d, K_BLOCK)])
+                 for start in range(d, (2 * B - 1) * d, 2 * d))
+
+
 def reference_beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
                           table: EmbeddingTable, widths, cap: int) -> Beam:
     """``inference.beam_search(user, policy, graph, table, widths, cap)``
@@ -610,3 +732,23 @@ def reference_episode_gradients(policy: PolicyModel, graph: KnowledgeGraph,
         dlogits /= B
         policy.backward(cache, [c.X for c, *_ in hops[:t + 1]], dlogits, -2.0 * adv / B, grads)
     return grads, rewards, entropy_sum / (B * T)
+
+
+def evaluate_mean_reward(policy: PolicyModel | None, graph: KnowledgeGraph,
+                         table: EmbeddingTable, users: list[int],
+                         hop_budget: int, max_actions: int,
+                         reward_spec: RewardSpec, seed: int,
+                         episodes: int = 1) -> float:
+    """Mean terminal reward of stochastic rollouts; ``policy=None`` is the
+    uniform-random baseline. The rollout seed stream depends only on
+    ``seed``, so two policies can be measured on the same episode draws."""
+    if episodes < 1:
+        raise InvalidSpec(f"episodes must be >= 1, got {episodes}")
+    rng = rng_for(seed, "reward-eval")
+    scores = start_scores(graph, table, users)
+    total = 0.0
+    for _ in range(episodes):
+        _, rewards, _ = rollout_batch(policy, graph, table, users, scores, hop_budget,
+                                      max_actions, reward_spec, rng)
+        total += rewards.mean()
+    return total / episodes

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from pathrec import metrics
 from pathrec.coldstart import (ColdDeclaration, ColdProfile, ColdStrategy,
                                integrate_cold_entities)
 from pathrec.datasets import DatasetSplit, SplitConfig, split_dataset
@@ -24,17 +25,16 @@ from pathrec.embeddings import (EmbedTrainConfig, conditional_prob,
 from pathrec.graph import INVERSE
 from pathrec.inference import beam_search, rank_recommendations
 from pathrec.mdp import SELF_LOOP, PathState, RewardSpec
-from pathrec.metrics import (cold_item_coverage, cold_item_proportion,
-                             hit_at_k, ndcg_at_k, pop_baseline, popb_at_k,
-                             train_popularity)
+from pathrec.metrics import cold_item_coverage, hit_at_k, ndcg_at_k
 from pathrec.pipeline import (RunConfig, RunPaths, build_augmented,
                               read_recommendations, run_pipeline, sweep,
                               _recommend_users)
-from pathrec.policy import (AgentConfig, PolicyModel, evaluate_mean_reward,
-                            state_dim_for, training_users)
+from pathrec.policy import AgentConfig, PolicyModel, state_dim_for, training_users
 
 from conftest import build_shop_graph
-from oracles import encode_state, frontier_of, is_complete, step, valid_actions
+from oracles import (cold_item_proportion, encode_state, evaluate_mean_reward, frontier_of,
+                     is_complete, pop_baseline, popb_at_k, step, train_popularity,
+                     valid_actions)
 from test_datasets import assert_split_invariants
 
 SEEDS = (1, 2, 3)
@@ -167,7 +167,7 @@ def test_criterion_2_rewards_match_direct_formula_on_every_path(schema):
                        and state.self_loops < state.budget - 1) else 0.0
 
     def direct_pattern(state, item_max):
-        if not g.is_item(state.terminal):
+        if g.entity_type(state.terminal) != g.schema.item_type:
             return 0.0
         ents, rels = list(state.entities), list(state.relations)
         while rels and rels[-1][0] == SELF_LOOP:
@@ -242,7 +242,7 @@ def test_criterion_3_wide_beam_equals_exhaustive_ranking(schema):
             def dfs(state, logprob):
                 if is_complete(state):
                     t = state.terminal
-                    if g.is_item(t) and t not in g.user_items(state.user):
+                    if g.entity_type(t) == g.schema.item_type and t not in g.user_items(state.user):
                         if t not in best or logprob > best[t]:
                             best[t] = logprob
                     return
@@ -272,7 +272,16 @@ def test_criterion_3_wide_beam_equals_exhaustive_ranking(schema):
           f"for {checked_users} users across 20 graphs in {elapsed:.1f}s")
 
 
+def row_set(columns, width: int) -> metrics.ColumnSets:
+    """The ColumnSets of one row holding ``columns``, each below ``width``."""
+    columns = np.asarray(list(columns), dtype=np.intp)
+    return metrics.ColumnSets(np.zeros(len(columns), dtype=np.intp), columns, 1, width)
+
+
 def test_criterion_4_metric_oracles_and_pop_normalization(schema):
+    """Brute-force values of every report metric, asserted against the
+    array kernels ``evaluate_run`` scores with and against the scalar
+    oracles; the popularity baseline scores POPB exactly 1.0."""
     rng = rng_for(4, "criterion-4")
     for _ in range(500):
         n_items = int(rng.integers(2, 30))
@@ -281,14 +290,20 @@ def test_criterion_4_metric_oracles_and_pop_normalization(schema):
         recs = list(rng.choice(items, size=int(rng.integers(0, n_items)),
                                replace=False))
         relevant = {i for i in items if rng.random() < 0.3}
+        column = {it: j for j, it in enumerate(items)}
+        matrix = metrics.column_matrix([[column[i] for i in recs[:k]]], k)
+        rel = row_set(map(column.get, relevant), n_items)
+        hits = rel.contains(matrix)
         dcg = sum(1.0 / math.log2(r + 2) for r, it in enumerate(recs[:k])
                   if it in relevant)
         ideal = sum(1.0 / math.log2(r + 2)
                     for r in range(min(k, len(relevant))))
         want_ndcg = dcg / ideal if relevant else 0.0
-        assert ndcg_at_k(recs, relevant, k) == pytest.approx(want_ndcg, abs=1e-12)
+        ndcg = metrics.ndcg_rows(hits, rel.sizes)[0]
+        assert ndcg == pytest.approx(want_ndcg, abs=1e-12)
+        assert ndcg == ndcg_at_k(recs, relevant, k)
         want_hit = 1.0 if set(recs[:k]) & relevant else 0.0
-        assert hit_at_k(recs, relevant, k) == want_hit
+        assert metrics.hit_rows(hits)[0] == hit_at_k(recs, relevant, k) == want_hit
 
         popularity = {i: int(rng.integers(0, 7)) for i in items}
         exclude = {i for i in items if rng.random() < 0.2}
@@ -297,29 +312,46 @@ def test_criterion_4_metric_oracles_and_pop_normalization(schema):
         denom = sum(popularity[i] for i in pool)
         num = sum(popularity[i] for i in recs[:k])
         want_popb = (num / denom) if denom else 0.0
-        got = popb_at_k({"u": recs}, popularity, k,
-                        exclude_per_user={"u": exclude})
+        counts = np.asarray([popularity[i] for i in items])
+        order = metrics.popularity_order(items, counts)
+        excluded = row_set(map(column.get, exclude), n_items)
+        best = metrics.mass_rows(metrics.first_outside(order, k, excluded), counts)
+        got = metrics.popb_mean(metrics.mass_rows(matrix, counts), best)
         assert got == pytest.approx(want_popb, abs=1e-12)
+        assert got == popb_at_k({"u": recs}, popularity, k, exclude_per_user={"u": exclude})
 
         cold = {i for i in items if rng.random() < 0.25} or {items[0]}
+        is_cold = np.asarray([i in cold for i in items])
         want_cov = len({i for i in recs[:k] if i in cold}) / len(cold)
         want_prop = sum(1 for i in recs[:k] if i in cold) / k
-        assert cold_item_coverage({"u": recs}, cold, k) == pytest.approx(
-            want_cov, abs=1e-12)
-        assert cold_item_proportion({"u": recs}, cold, k) == pytest.approx(
-            want_prop, abs=1e-12)
+        coverage = metrics.cold_coverage(matrix, is_cold, len(cold))
+        assert coverage == pytest.approx(want_cov, abs=1e-12)
+        assert coverage == cold_item_coverage({"u": recs}, cold, k)
+        proportion = metrics.cold_proportion(matrix, is_cold)
+        assert proportion == pytest.approx(want_prop, abs=1e-12)
+        assert proportion == cold_item_proportion({"u": recs}, cold, k)
 
     for seed in range(5):
         g = build_shop_graph(schema, n_users=9 + seed, n_items=13 + seed,
                              interactions=4, seed=600 + seed)
+        items, users = np.asarray(g.items(), dtype=np.intp), g.users()
+        names = g.entity_names(items.tolist())
+        counts = g.interaction_counts()[items]
+        pair_rows, bought = g.users_items(users)
+        exclude = metrics.ColumnSets(pair_rows, np.searchsorted(items, bought), len(users),
+                                     len(items))
+        pop = metrics.first_outside(metrics.popularity_order(names, counts), 5, exclude)
         baseline = pop_baseline(g, 5)
-        popularity = train_popularity(g)
-        users = [g.entity_name(u) for u in g.users()]
-        score = popb_at_k({u: baseline.recommend(u) for u in users},
-                          popularity, 5, exclude_per_user=baseline.train_items)
-        assert score == 1.0
+        user_names = g.entity_names(users)
+        assert [[names[c] for c in row if c >= 0] for row in pop.tolist()] == [
+            baseline.recommend(u) for u in user_names]
+        mass = metrics.mass_rows(pop, counts)
+        score = popb_at_k({u: baseline.recommend(u) for u in user_names},
+                          train_popularity(g), 5, exclude_per_user=baseline.train_items)
+        assert metrics.popb_mean(mass, mass) == score == 1.0
     print("criterion 4 PASS: 500 random metric instances within 1e-12 of "
-          "oracles; popularity recommender scores POPB exactly 1.0")
+          "brute force, kernels equal to the scalar oracles; popularity "
+          "recommender scores POPB exactly 1.0")
 
 
 def test_criterion_5_split_partition_oracle_and_determinism(schema, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathrec.errors import (DuplicateEntity, InvalidSpec, NotAnItem, ParseError, SchemaViolation,
+from pathrec.errors import (DuplicateEntity, InvalidSpec, ParseError, SchemaViolation,
                             UnknownEntity)
 from pathrec.graph import (FORWARD, INVERSE, DerivationRule, KGSchema,
                            KnowledgeGraph, RelationSpec, check_triplet_row,
@@ -387,9 +387,8 @@ class TestTriplets:
 
     def test_interaction_count(self, tiny_graph):
         g = tiny_graph
-        assert g.interaction_count(g.entity_id("item", "i0")) == 1
-        with pytest.raises(NotAnItem):
-            g.interaction_count(g.entity_id("brand", "b0"))
+        assert g.interaction_counts()[g.entity_id("item", "i0")] == 1
+        assert g.interaction_counts()[g.entity_id("brand", "b0")] == 0  # not an item
 
     def test_derived_edges_present(self, tiny_graph):
         g = tiny_graph
@@ -408,10 +407,10 @@ class TestBuild:
         assert g.entity_id("user", "u9") == n and g.entity_count == n + 1
         assert g.triplet_count == tiny_graph.triplet_count + 2
         assert g.neighbors(n) == [(pu, i2, FORWARD)]
-        assert g.interaction_count(i2) == 3 and g.fingerprint() != fingerprint
+        assert g.interaction_counts()[i2] == 3 and g.fingerprint() != fingerprint
         assert tiny_graph.csr() is csr and tiny_graph.interaction_counts() is counts
         assert tiny_graph.fingerprint() == fingerprint and tiny_graph.entity_count == n
-        assert not tiny_graph.has_entity("user", "u9") and tiny_graph.interaction_count(i2) == 1
+        assert not tiny_graph.has_entity("user", "u9") and tiny_graph.interaction_counts()[i2] == 1
 
     def test_extended_rejects_a_key_twice(self, tiny_graph):
         with pytest.raises(DuplicateEntity, match="user:u0"):
@@ -497,7 +496,7 @@ class TestProperties:
 
         g = build_shop_graph(synthetic_schema(), n_users=5, n_items=8,
                              n_brands=3, n_categories=2, interactions=4, seed=seed)
-        assert sum(g.degree(e) for e in range(g.entity_count)) == 2 * g.triplet_count
+        assert sum(len(g.neighbors(e)) for e in range(g.entity_count)) == 2 * g.triplet_count
 
 
 class TestCSR:

@@ -12,6 +12,13 @@ method, whose name starts with one underscore. It must be read (an
 ``ast.Name`` or ``ast.Attribute`` load) somewhere in the package outside
 its own body, so a helper that a simplification orphaned does not stay.
 
+A public module-level function or class must be read by src or by the
+benchmark under ``benchmarks/``, by the same name rule, outside its own
+body; an attribute name the benchmark's tracer wraps
+(``tracing.SPANNED``/``COUNTED``) counts as read. Code that only tests
+run belongs in ``tests/oracles.py``. ``UNREAD_PUBLIC`` names the few
+public names kept for callers outside the package, each with its reason.
+
 A config is a ``*Config`` or ``*Spec`` dataclass. It checks its values in
 ``__post_init__`` and defines no ``validate``, so no caller needs to check
 it again and no config exists unchecked.
@@ -31,12 +38,14 @@ layer's block layout.
 """
 
 import ast
+import importlib.util
 import pathlib
 from collections import Counter
 
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "pathrec"
+BENCHMARKS = PACKAGE.parents[1] / "benchmarks"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -103,6 +112,53 @@ def test_private_scanner_flags_unread_helpers():
 
 def test_every_private_helper_is_read():
     assert unread_privates({p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+def unread_publics(sources: dict[str, str], readers: dict[str, str],
+                   read_attributes=()) -> list[str]:
+    """``module: name`` of each public module-level function and class of
+    ``sources`` (module name -> source) that no module of ``sources`` or
+    ``readers`` reads outside its own body; each name in
+    ``read_attributes`` counts as read."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = Counter(name for tree in [*trees.values(), *map(ast.parse, readers.values())]
+                         for name in reads(tree))
+    everywhere.update(read_attributes)
+    return [f"{module}: {node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+            and everywhere[node.name] == reads(node).count(node.name)]
+
+
+def test_public_scanner_flags_unread_definitions():
+    sources = {"a.py": "def used():\n    return 1\ndef unused():\n    return used()\n"
+                       "def rec(n):\n    return rec(n - 1)\ndef traced():\n    pass\n"
+                       "class Box:\n    def get(self): return Box\ndef _helper():\n    pass\n"}
+    readers = {"bench.py": "import a\nprint(a.unused())\n"}
+    assert unread_publics(sources, readers, ["traced"]) == ["a.py: rec", "a.py: Box"]
+    assert unread_publics(sources, {}) == ["a.py: unused", "a.py: rec", "a.py: traced", "a.py: Box"]
+
+
+# public names no src or benchmark code reads, each kept for a caller outside the package
+UNREAD_PUBLIC = {
+    "embeddings.py: score_triplet": "acceptance criterion 1 pins it as the paper's f(h, r, t)",
+    "embeddings.py: conditional_prob": "acceptance criterion 1 pins it as the paper's P(t | h, r)",
+    "inference.py: explain": "renders a stored path for the planned `pathrec explain` command",
+    "coldstart.py: read_profiles": "reads the profiles `recommend --profiles` is planned to serve",
+}
+
+
+def traced_attributes() -> list[str]:
+    """The attribute names the benchmark's tracer wraps."""
+    spec = importlib.util.spec_from_file_location("benchmarks_tracing", BENCHMARKS / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return [attr for _, _, attr in [*tracing.SPANNED, *tracing.COUNTED]]
+
+
+def test_every_public_definition_is_read_by_src_or_the_benchmark():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = {p.name: p.read_text() for p in sorted(BENCHMARKS.glob("*.py"))}
+    assert sorted(unread_publics(sources, readers, traced_attributes())) == sorted(UNREAD_PUBLIC)
 
 
 def assert_lines(source: str) -> list[int]:

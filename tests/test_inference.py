@@ -85,7 +85,7 @@ def reference_rank(paths, graph, table, user, k):
     best = {}
     for p in sorted(paths, key=lambda p: (-p.logprob, p.state.entities, p.state.relations)):
         t = p.state.terminal
-        if graph.is_item(t) and t not in seen and t not in best:
+        if graph.entity_type(t) == graph.schema.item_type and t not in seen and t not in best:
             best[t] = p
     items = np.asarray(sorted(best), dtype=np.intp)
     f = dict(zip(items.tolist(),
@@ -332,7 +332,7 @@ class TestRelationTerms:
                                rng.normal(size=300))
         policy = fresh_policy(table, 3, max_actions=30).freeze()
         R = len(g.schema.relations)
-        assert [t.shape for t in policy.relation_terms(table)] == [(2, R + 1, 16)] * 2
+        assert [policy.relation_terms(table, hop).shape for hop in (1, 2)] == [(2, R + 1, 16)] * 2
         for user in g.users():
             assert_same_beam(beam_search(user, policy, g, table, (4, 3, 2)),
                              reference_beam_search(user, policy, g, table, (4, 3, 2), 30))
@@ -344,7 +344,8 @@ class TestRelationTerms:
         policy = fresh_policy(table, 3, max_actions=30)
         user = g.users()[0]
         first = beam_search(user, policy, g, table, (4, 3, 2))
-        assert policy.relation_terms(table) is not policy.relation_terms(table)
+        for hop in (1, 2):
+            assert policy.relation_terms(table, hop) is not policy.relation_terms(table, hop)
         d = table.dim
         policy.W1[d:2 * d] *= 3.0    # hop 1's relation block
         policy.W1[3 * d:4 * d] = 0.0  # hop 2's
@@ -356,12 +357,14 @@ class TestRelationTerms:
         g = make_graph(n_users=4, n_items=15, interactions=5, seed=2)
         table = init_table(g, EmbedTrainConfig(dim=6), seed=2)
         policy = fresh_policy(table, 3, max_actions=30).freeze()
-        terms = policy.relation_terms(table)
-        assert policy.relation_terms(table.copy()) is terms  # same rows, kept
+        terms = [policy.relation_terms(table, hop) for hop in (1, 2)]
+        for hop in (1, 2):  # same rows, kept, each hop's own
+            assert policy.relation_terms(table.copy(), hop) is terms[hop - 1]
         for name in ("relation_vecs", "self_loop_vec"):
             other = table.copy()
             getattr(other, name)[0] += 0.5
-            assert policy.relation_terms(other) is not terms
+            for hop in (1, 2):
+                assert policy.relation_terms(other, hop) is not terms[hop - 1]
             for user in g.users():
                 for t in (other, table):
                     assert_same_beam(beam_search(user, policy, g, t, (4, 3, 2)),
@@ -371,13 +374,16 @@ class TestRelationTerms:
         config, graph, table, _, users = served_runs[0]
         policy = PolicyModel.load(RunPaths(config.workdir).policy_file)
         got, relation_terms = [], PolicyModel.relation_terms
-        monkeypatch.setattr(PolicyModel, "relation_terms",
-                            lambda self, t: got.append(relation_terms(self, t)) or got[-1])
+        monkeypatch.setattr(PolicyModel, "relation_terms", lambda self, t, hop: got.append(
+            (hop, relation_terms(self, t, hop))) or got[-1][1])
         for t in (table, table.copy()):
             beam_search(users[0], policy, graph, t, config.inference.widths)
-        # one fold per hop after the first, each on the terms computed once
-        assert len(got) == 2 * (len(config.inference.widths) - 1)
-        assert all(terms is got[0] for terms in got)
+        # one fold per hop after the first, each on its hop's terms computed once
+        hops = list(range(1, len(config.inference.widths)))
+        assert [hop for hop, _ in got] == hops * 2
+        first = dict(got[:len(hops)])
+        assert all(terms is first[hop] for hop, terms in got)
+        assert first[1] is not first[2]
 
 
 class TestRanking:

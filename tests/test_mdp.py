@@ -245,7 +245,8 @@ def direct_gate(graph, state):
     for (rel, d), e in zip(rels, ents[1:]):
         name = "<self-loop>" if rel == SELF_LOOP else graph.relation_name(rel)
         tokens += [f"~{name}" if d == INVERSE else name, graph.entity_type(e)]
-    return graph.is_item(state.terminal) and tokens in map(list, graph.schema.path_patterns)
+    return (graph.entity_type(state.terminal) == graph.schema.item_type
+            and tokens in map(list, graph.schema.path_patterns))
 
 
 def direct_pattern(graph, table, state, item_max):
@@ -400,7 +401,7 @@ class TestRewards:
                 loops = [rel_ == SELF_LOOP for rel_, _ in s.relations]
                 seen["internal loop"] |= any(loops[:-1]) and not all(loops)
                 seen["trailing loop"] |= loops[-1] and not all(loops)
-                seen["non-item terminal"] |= not g.is_item(s.terminal)
+                seen["non-item terminal"] |= g.entity_type(s.terminal) != g.schema.item_type
                 seen["pattern to a user"] |= path_signature(s, g) == to_user_sig
                 seen["gated nonzero"] |= r != 0.0
                 seen["gated at best <= 0"] |= direct_gate(g, s) and item_max[s.user] <= 0.0
@@ -585,7 +586,7 @@ def hub_states(graph, budget=3):
     out = []
     for u in graph.users():
         for rel, x, d in graph.neighbors(u):
-            if d == FORWARD and not graph.is_item(x):
+            if d == FORWARD and graph.entity_type(x) != graph.schema.item_type:
                 out.append(step(PathState.start(u, budget), Action(rel, x, d), graph))
     return out
 

@@ -1,4 +1,6 @@
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from hypothesis import strategies as st
 
 from pathrec.embeddings import rng_for
 from pathrec.errors import EmptyColdSet, InvalidSpec
-from pathrec.metrics import (cold_item_coverage, cold_item_proportion,
-                             hit_at_k, ndcg_at_k, pattern_report,
-                             pop_baseline, popb_at_k, train_popularity)
+from pathrec.metrics import cold_item_coverage, hit_at_k, ndcg_at_k, ndcg_rows, pattern_report
+
+from oracles import cold_item_proportion, pop_baseline, popb_at_k, train_popularity
 
 
 def brute_ndcg(recommended, relevant, k):
@@ -45,6 +47,24 @@ class TestRankingMetrics:
         assert ndcg_at_k([], set(), 5) == 0.0
         assert hit_at_k(["x", "a"], {"a"}, 1) == 0.0
         assert hit_at_k(["x", "a"], {"a"}, 2) == 1.0
+
+    def test_ndcg_where_the_naive_sum_is_not_fsum(self):
+        """Hits at ranks 1, 2, 3 and 6 of a list of 6, with 6 relevant
+        items: the left-to-right sums of the discounts, for the DCG and
+        the ideal DCG, both differ from the exact ``math.fsum``, which a
+        compensated sum (Python 3.12's built-in ``sum``) can reach.
+        ``ndcg_at_k`` adds left to right on every Python version, so it
+        still equals ``ndcg_rows`` bit for bit."""
+        discounts = [1.0 / math.log2(rank + 1) for rank in range(1, 7)]
+        dcg_terms = [discounts[rank - 1] for rank in (1, 2, 3, 6)]
+        for terms in (dcg_terms, discounts):
+            assert reduce(operator.add, terms, 0.0) != math.fsum(terms)
+        recommended = ["a", "b", "c", "x", "y", "d"]
+        relevant = {"a", "b", "c", "d", "e", "f"}
+        got = ndcg_at_k(recommended, relevant, 6)
+        hits = np.asarray([[item in relevant for item in recommended]])
+        assert got == ndcg_rows(hits, np.asarray([len(relevant)]))[0]
+        assert got == reduce(operator.add, dcg_terms, 0.0) / reduce(operator.add, discounts, 0.0)
 
     def test_k_validation(self):
         with pytest.raises(InvalidSpec):

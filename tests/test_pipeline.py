@@ -1069,7 +1069,8 @@ class TestCli:
     @pytest.mark.parametrize("override, message", [
         ("agent.foo=1", "unknown key(s) in agent: foo"),
         ('inference.topk="x"', "inference.topk must be int"),
-        ("cold.strategy=null", "unknown cold.strategy None"),
+        ('cold.strategy="nul"', "unknown cold.strategy 'nul'; expected one of "
+                                "['average_translation', 'null']"),
         ("seed=-1", "seed must be >= 0, got -1"),
         ("dataset.synthetic.seed=-1", "the catalog seed must be >= 0, got -1"),
         ("agent.batch_size=0", "batch_size and episodes_per_user must be >= 1"),
@@ -1085,6 +1086,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "bad").exists()
+
+    QUOTED = " e.g. --set 'cold.strategy=\"null\"'"
+
+    @pytest.mark.parametrize("override, message", [
+        ("cold.strategy=null", "cold.strategy must be a JSON string, got JSON null; "
+                               "a string needs JSON quotes," + QUOTED),
+        ("cold.strategy=3", "cold.strategy must be a JSON string, got JSON number 3; "
+                            "a string needs JSON quotes," + QUOTED),
+        ("cold.strategy=[1]", "cold.strategy must be a JSON string, got JSON array [1]; "
+                              "a string needs JSON quotes," + QUOTED),
+        ("cold_strategy=null", "unknown key(s) in config: cold_strategy; the cold strategy "
+                               "is the key cold.strategy," + QUOTED),
+        ('cold_strategy="null"', "unknown key(s) in config: cold_strategy; the cold strategy "
+                                 "is the key cold.strategy," + QUOTED),
+    ])
+    def test_cold_strategy_override_names_the_fix(self, cli_env, tmp_path, capsys, override,
+                                                  message):
+        """``--set cold.strategy=null`` parses JSON null, and the dataclass
+        field's name is no config key: each message names what was read
+        and shows the override that works, which does."""
+        config_path, _ = cli_env
+        code = cli.main(["synth", "-c", config_path, "--workdir", str(tmp_path / "bad"),
+                         "--set", override])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        workdir = tmp_path / "good"
+        assert cli.main(["synth", "-c", config_path, "--workdir", str(workdir),
+                         "--set", 'cold.strategy="null"']) == 0
+        with open(workdir / "run.json") as fh:
+            assert json.load(fh)["config"]["cold"] == {"strategy": "null"}
 
     @pytest.mark.parametrize("text", [None, '{"seed": 1,', "[1]"])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, text):

@@ -18,12 +18,12 @@ from pathrec.errors import EmptyGraph, InvalidAction, InvalidSpec, MissingEmbedd
 from pathrec.mdp import SELF_LOOP, PathState, RewardSpec, start_scores
 from pathrec.optim import Adam
 from pathrec.policy import (AgentConfig, PolicyModel, _sample_rows,
-                            episode_gradients, evaluate_mean_reward,
-                            rollout_batch, state_dim_for, train_agent,
+                            episode_gradients, rollout_batch, state_dim_for, train_agent,
                             training_users, write_history)
 
-from oracles import (GraphWriter, encode_state, frontier_of, is_complete, pair_blocks,
-                     reference_episode_gradients, reference_forward, step, valid_actions)
+from oracles import (GraphWriter, encode_state, evaluate_mean_reward, frontier_of, is_complete,
+                     pair_blocks, reference_episode_gradients, reference_forward,
+                     reference_relation_terms, step, valid_actions)
 
 
 class FixedReward:
@@ -667,6 +667,35 @@ class TestTrainingFold:
         rel_rows = np.vstack([small_table.relation_vecs, small_table.self_loop_vec])
         want = reference_forward(policy, rel_rows[relations], np.full(4, 3), cache[:2])[2]
         np.testing.assert_array_equal(sum1, want.sum1)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_fold_adds_its_hop_of_the_all_hops_terms(self, frozen):
+        """A fold at hop 1 or 2 adds, part by part and bit for bit, that
+        hop's share of every hop's terms computed at once
+        (``reference_relation_terms``): on a writable policy, which
+        computes the hop it folds, and on a frozen one, which keeps it."""
+        rng = np.random.default_rng(7)
+        relations = np.asarray([0, 1, 2, 3, SELF_LOOP, 0, SELF_LOOP])
+        for d in (6, 300):  # one part per block, and two
+            table = EmbeddingTable(rng.normal(size=(10, d)), np.zeros(10),
+                                   rng.normal(size=(4, d)), rng.normal(size=d))
+            cfg = AgentConfig(hop_budget=3, max_actions=8, hidden=(16, 8))
+            policy = PolicyModel(state_dim_for(table, 3), cfg, seed=d)
+            if frozen:
+                policy.freeze()
+            all_hops = reference_relation_terms(policy, table)
+            for hop in (1, 2):
+                sum1 = rng.normal(size=(len(relations), 16))
+                want = sum1
+                for part in all_hops[hop - 1]:
+                    want = want + part[relations]
+                got, end = policy.fold((sum1, (2 * hop - 1) * d), relations, table)
+                np.testing.assert_array_equal(got, want)
+                assert end == 2 * hop * d
+                np.testing.assert_array_equal(policy.relation_terms(table, hop),
+                                              all_hops[hop - 1])
+            with pytest.raises(InvalidSpec, match="no relation block at hop"):
+                policy.relation_terms(table, 3)
 
     def test_fold_off_a_walked_hop_rejected(self, small_table):
         """A 2-hop walk folds one relation block, hop 1's, ending at d."""
