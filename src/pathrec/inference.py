@@ -13,9 +13,10 @@ lexsort for the per-row top-``width``. Each row carries only its
 parent's first-layer sum, and a hop meets the policy by the input rule
 training's rollouts follow: its relation block is folded into the
 carried sums (``PolicyModel.fold``), and its entity block is multiplied
-(``Frontier.encode``). The forward's actor head runs at a narrow
-width for the rows whose slates fit it, so a hop costs what its slates
-hold, not the policy's full slate. The search returns the final
+(``Frontier.encode``). The forward's actor head runs in at most two
+groups of rows, each at the width of its widest slate, and every row is
+normalised over its zero-padded full slate, so a hop costs about what its
+slates hold, not the policy's full slate. The search returns the final
 frontier as a ``Beam``, its two arrays and nothing else; ranking
 sorts, filters and deduplicates its rows on the arrays, and
 ``PathState``/``ScoredPath`` objects are built, in one

@@ -16,10 +16,11 @@ entity block is multiplied (``forward``), and its relation block, one of
 R + 1 rows, is folded into each row's carried first-layer sum (``fold``),
 so a hop's cost does not grow with the walk. The backward reads each
 hop's relation rows, gathered from the walked frontier, beside its cached
-entity block. The actor head and softmax run at a narrow width for the
-rows whose slates fit it, with the full head's bits (``forward``). A
-served policy is frozen (``PolicyModel.freeze``) and keeps its relation
-terms.
+entity block. The actor head runs in at most two groups of rows, each at
+the width of its widest slate, and every row is normalised over its
+zero-padded full slate, so its probabilities are the full head's bits
+whatever its batch mates (``forward``). A served policy is frozen
+(``PolicyModel.freeze``) and keeps its relation terms.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ class AgentConfig:
 
 K_BLOCK = 256    # the widest K one product sums
 HEAD_ALIGN = 8   # hidden widths and the padded actor head are multiples of this
+HEAD_SPLIT = 120  # slates up to this size share a narrower head group: a cost choice, no bits
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "Wv", "bv")  # of ``params``, in order
 SCORE_ROWS_BYTES = 32 << 20  # train_agent keeps every user's start scores up to this size
 
@@ -113,15 +115,6 @@ class ForwardCache(NamedTuple):
     h2: np.ndarray
 
 
-def _first_sum_block(n: int) -> int:
-    """The leading elements numpy's pairwise sum adds on their own when it
-    sums a contiguous row of ``n``: it halves rows over 128 elements, the
-    first half rounded down to a multiple of 8."""
-    while n > 128:
-        n = n // 2 - n // 2 % 8
-    return n
-
-
 class PolicyModel:
     """Two ReLU hidden layers; actor and baseline heads share the trunk."""
 
@@ -139,10 +132,6 @@ class PolicyModel:
         self.config = config
         self.state_dim = state_dim
         self.slate_size = 1 + config.max_actions
-        # rows whose slates fit the first block of the head's row sum may
-        # take a narrower head; 0 when that block is the whole head
-        first = _first_sum_block(self.slate_size)
-        self._narrow_cap = first if first < self.slate_size else 0
         h1, h2 = config.hidden
         self.W1 = np.zeros((state_dim, h1))
         self.b1 = np.zeros(h1)
@@ -187,14 +176,14 @@ class PolicyModel:
                               f"{self.state_dim}-wide state")
         if not 1 <= hop < B:
             raise InvalidSpec(f"a {B}-hop walk folds no relation block at hop {hop}")
-        rows = np.vstack([table.relation_vecs, table.self_loop_vec])
-        kept = self._terms
+        rel, loop, kept = table.relation_vecs, table.self_loop_vec, self._terms
         if (kept is None or kept[0] is not self.W1 or self.W1.flags.writeable
-                or kept[1].shape != rows.shape or kept[1].tobytes() != rows.tobytes()):
-            kept = (self.W1, rows, {})
+                or kept[1][:-1].shape != rel.shape or kept[1][:-1].tobytes() != rel.tobytes()
+                or kept[1][-1].tobytes() != loop.tobytes()):
+            kept = (self.W1, np.vstack([rel, loop]), {})
         if hop in kept[2]:
             return kept[2][hop]
-        block = self.W1[(2 * hop - 1) * d:2 * hop * d]
+        rows, block = kept[1], self.W1[(2 * hop - 1) * d:2 * hop * d]
         terms = np.stack([rows[:, k:k + K_BLOCK] @ block[k:k + K_BLOCK]
                           for k in range(0, d, K_BLOCK)])
         if not self.W1.flags.writeable:
@@ -237,12 +226,14 @@ class PolicyModel:
         products of these shapes give the same bits at any count, so the
         bytes do not depend on it.
 
-        Rows whose slates fit the first block of numpy's pairwise row sum
-        over the full head (120 of 251 columns) take the head and softmax
-        at the 8-aligned width of the widest such slate, the other rows at
-        full width: a column beyond a slate adds an exact zero to that
-        block's sum, so the probabilities are the full head's bits. The
-        returned probabilities are always (P, slate_size).
+        The actor head runs in at most two groups of rows, those with
+        slates of up to ``HEAD_SPLIT`` actions and the rest, each at the
+        8-aligned width of its widest slate. Each row's exponentials are
+        written into a zero-padded row of ``slate_size`` columns and
+        divided by the sum of that whole row: a column beyond a slate adds
+        an exact zero, so the probabilities are the full head's bits and
+        the groups set only the cost. The returned probabilities are
+        always (P, slate_size).
         """
         sum1, start = carry or (None, 0)
         k, end = X.shape[1], start + X.shape[1]
@@ -264,32 +255,29 @@ class PolicyModel:
         return self._probs(h2, slate_sizes), values, ForwardCache(sum1, end, X, h1, h2)
 
     def _probs(self, h2: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """The masked softmax of the actor head, each row at the narrow or
-        the full width (``forward``)."""
-        fits = np.flatnonzero(sizes <= self._narrow_cap)
-        n, P = len(fits), len(sizes)
-        if not n:
-            return self._softmax(h2, sizes, self.slate_size)
-        width = -(-int(sizes[fits].max()) // HEAD_ALIGN) * HEAD_ALIGN
-        probs = np.zeros((P, self.slate_size))
-        if n == P:
-            probs[:, :width] = self._softmax(h2, sizes, width)
-        else:
-            wide = np.flatnonzero(sizes > self._narrow_cap)
-            probs[fits, :width] = self._softmax(h2[fits], sizes[fits], width)
-            probs[wide] = self._softmax(h2[wide], sizes[wide], self.slate_size)
+        """The masked softmax of the actor head, by head group (``forward``)."""
+        probs = np.zeros((len(sizes), self.slate_size))
+        narrow = sizes <= HEAD_SPLIT
+        split = 0 < np.count_nonzero(narrow) < len(sizes)
+        for rows in (narrow, ~narrow) if split else (slice(None),):
+            exp = self._head_exp(h2[rows], sizes[rows])
+            probs[rows, :exp.shape[1]] = exp
+        # the sum runs over the whole padded row; the last group is the
+        # widest, and the zeros beyond it need no division
+        probs[:, :exp.shape[1]] /= probs.sum(axis=1, keepdims=True)
         return probs
 
-    def _softmax(self, h2: np.ndarray, sizes: np.ndarray, width: int) -> np.ndarray:
-        """Softmax over the head's first ``width`` columns, those at or
-        beyond each row's slate size masked out."""
-        logits = _matmul(h2, self._W3[:, :-(-width // HEAD_ALIGN) * HEAD_ALIGN])[:, :width]
+    def _head_exp(self, h2: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """One head group's exp(logit - row max) at the 8-aligned width of
+        its widest slate, at most ``slate_size`` columns; zero at and
+        beyond each row's slate size."""
+        logits = _matmul(h2, self._W3[:, :-(-int(sizes.max()) // HEAD_ALIGN) * HEAD_ALIGN])
+        logits = logits[:, :self.slate_size]
+        width = logits.shape[1]
         logits += self.b3[:width]
         logits[np.arange(width) >= sizes[:, None]] = -np.inf
         logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits, out=logits)
-        probs /= probs.sum(axis=1, keepdims=True)
-        return probs
+        return np.exp(logits, out=logits)
 
     def backward(self, cache: ForwardCache, blocks, dlogits: np.ndarray,
                  dvalues: np.ndarray, grads: list[np.ndarray]):

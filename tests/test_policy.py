@@ -265,26 +265,13 @@ class TestRowBitsIndependentOfBatch:
 
     @settings(max_examples=60, deadline=None)
     @given(dims=st.sampled_from(ORDER_DIMS), P=st.sampled_from([2, 7, 64]),
-           carried=st.booleans(), narrow=st.booleans(),
-           mates=st.sampled_from(["same group", "other group", "any group"]),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_row_alone_equals_row_in_a_batch(self, dims, P, carried, narrow, mates, seed):
+           carried=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_row_alone_equals_row_in_a_batch(self, dims, P, carried, seed):
         d, hidden, cap = dims
         policy = kernel_policy(d, hidden, cap)
-        W, limit = policy.slate_size, policy._narrow_cap
         rng = np.random.default_rng(seed)
-
-        def sizes_of(fits, n):
-            """n slate sizes in the narrow group (``fits``) or the wide one."""
-            if not limit:
-                return rng.integers(1, W + 1, size=n)
-            low, high = (1, limit) if fits else (limit + 1, W)
-            return rng.integers(low, high + 1, size=n)
-
-        sizes = {"same group": sizes_of(narrow, P), "other group": sizes_of(not narrow, P),
-                 "any group": rng.integers(1, W + 1, size=P)}[mates]
+        sizes = rng.integers(1, policy.slate_size + 1, size=P)
         at = int(rng.integers(P))
-        sizes[at] = sizes_of(narrow, 1)[0]
         X = rng.normal(size=(P, 2 * d if carried else d))
         carry = (rng.normal(size=(P, hidden[0])), d) if carried else None
         alone = policy.forward(X[at:at + 1], sizes[at:at + 1],
@@ -297,35 +284,42 @@ class TestRowBitsIndependentOfBatch:
                 np.testing.assert_array_equal(a[0], b[at])
 
 
-# (narrow rows, wide rows) per batch: one row, all narrow, all wide, exactly
-# one row of either group, an even mix
+# (narrow rows, wide rows) per batch, split at HEAD_SPLIT: one row, all
+# narrow, all wide, exactly one row of either group, an even mix
 HEAD_BATCHES = [(1, 0), (0, 1), (2, 0), (25, 0), (0, 2), (0, 25), (1, 4), (4, 1),
                 (1, 1), (2, 2), (30, 34), (60, 65)]
 
 
 class TestSlateWidthHead:
-    """The forward, whose rows take an actor head of their slates' width,
-    against the full-width head for every row (``reference_forward``)."""
+    """The forward, whose head groups take an actor head of their widest
+    slate's width, against the full-width head for every row
+    (``reference_forward``)."""
 
     @pytest.mark.parametrize("d,hidden", [(100, (512, 256)), (6, (16, 8))])
-    @pytest.mark.parametrize("cap", [25, 250, 1000])
+    @pytest.mark.parametrize("cap", [25, 127, 128, 129, 250, 1000])
     def test_forward_and_gradients_bitwise_equal_full_width(self, d, hidden, cap,
                                                             monkeypatch):
+        """Caps 127 to 129 put slates of 128 to 130 on both sides of the
+        first block of numpy's pairwise row sum (128 elements)."""
         policy = kernel_policy(d, hidden, cap)
         policy.b3[:] = np.random.default_rng(cap).normal(size=policy.slate_size)
-        W = policy.slate_size
-        assert policy._narrow_cap == (0 if cap == 25 else 120)
-        widths, softmax = [], policy._softmax
-        monkeypatch.setattr(policy, "_softmax", lambda h2, sizes, width:
-                            widths.append((len(h2), width)) or softmax(h2, sizes, width))
+        W, split = policy.slate_size, policy_module.HEAD_SPLIT
+        widths, head_exp = [], policy._head_exp
+
+        def recording(h2, sizes):
+            exp = head_exp(h2, sizes)
+            widths.append((len(h2), exp.shape[1]))
+            return exp
+
+        monkeypatch.setattr(policy, "_head_exp", recording)
         rng = np.random.default_rng(d + cap)
-        limit = policy._narrow_cap or W
         for narrow, wide in HEAD_BATCHES:
-            if wide and limit == W:
+            if wide and W <= split:
                 continue
             P = narrow + wide
-            sizes = rng.permutation(np.concatenate([rng.integers(1, limit + 1, size=narrow),
-                                                    rng.integers(limit + 1, W + 1, size=wide)]))
+            sizes = rng.permutation(np.concatenate([
+                rng.integers(1, min(split, W) + 1, size=narrow),
+                rng.integers(split + 1, W + 1, size=wide)]))
             X, carry, blocks = rng.normal(size=(P, d)), None, []
             for hop in range(2):
                 widths.clear()
@@ -341,29 +335,13 @@ class TestSlateWidthHead:
                     policy.backward(cache, blocks, dlogits, dvalues, g)
                 for a, b in zip(*grads):
                     np.testing.assert_array_equal(a, b)
-                # the groups the rule picks: with no narrow block, or no row
-                # that fits it, every row takes the full head
-                if policy._narrow_cap == 0 or not narrow:
-                    assert widths == [(P, W)]
-                else:
-                    narrow_width = -(-int(sizes[sizes <= limit].max()) // 8) * 8
-                    assert widths == [(narrow, narrow_width)] + ([(wide, W)] if wide else [])
-                    assert narrow_width <= policy._narrow_cap < W
+                # the groups the rule picks, narrow first: each at the
+                # 8-aligned width of its widest slate, at most the slate
+                groups = [group for group in (sizes[sizes <= split], sizes[sizes > split])
+                          if len(group)]
+                assert widths == [(len(g), min(-(-int(g.max()) // 8) * 8, W)) for g in groups]
                 carry = got[2].sum1, got[2].end
                 X = rng.normal(size=(P, 2 * d))
-
-    def test_first_sum_block(self):
-        """The leading elements numpy's pairwise sum adds on their own: a
-        row zero beyond them sums to the bits of those elements alone."""
-        assert [policy_module._first_sum_block(n) for n in (26, 128, 129, 251, 1001)] == \
-            [26, 128, 64, 120, 120]
-        rng = np.random.default_rng(0)
-        for n in (129, 251, 1001):
-            first = policy_module._first_sum_block(n)
-            row = np.zeros(n)
-            for _ in range(200):
-                row[:first] = rng.random(first) * 10.0 ** rng.integers(-3, 4, size=first)
-                assert row.sum() == row[:first].sum()
 
 
 THREAD_PROBE = """
@@ -374,14 +352,14 @@ from pathrec.embeddings import EmbedTrainConfig, init_table, rng_for
 from pathrec.inference import beam_search, rank_recommendations
 from pathrec.mdp import Frontier, RewardSpec, start_scores
 from pathrec.optim import Adam
-from pathrec.policy import (AgentConfig, PolicyModel, episode_gradients, state_dim_for,
-                            training_users)
+from pathrec.policy import (HEAD_SPLIT, AgentConfig, PolicyModel, episode_gradients,
+                            state_dim_for, training_users)
 
-# what each phase reached: rows cut to the cap, rows of each head width,
+# what each phase reached: rows cut to the cap, rows of each head group,
 # head groups of one row in a call of many, rows whose relation block came
 # from the relation terms, one-row hops
 reached, call_rows = {}, [0]
-slates, softmax, forward = Frontier.slates, PolicyModel._softmax, PolicyModel.forward
+slates, head_exp, forward = Frontier.slates, PolicyModel._head_exp, PolicyModel.forward
 
 def counting_slates(frontier, graph, max_actions, *args):
     got = slates(frontier, graph, max_actions, *args)
@@ -390,12 +368,12 @@ def counting_slates(frontier, graph, max_actions, *args):
         (uncut > got.sizes).sum())
     return got
 
-def counting_softmax(policy, h2, sizes, width):
-    key = "wide_rows" if width == policy.slate_size else "narrow_rows"
+def counting_head_exp(policy, h2, sizes):
+    key = "narrow_rows" if sizes.max() <= HEAD_SPLIT else "wide_rows"
     reached[key] = reached.get(key, 0) + len(h2)
     if len(h2) == 1 < call_rows[0]:
         reached["one_row_groups"] = reached.get("one_row_groups", 0) + 1
-    return softmax(policy, h2, sizes, width)
+    return head_exp(policy, h2, sizes)
 
 def counting_forward(policy, X, sizes, carry=None):
     call_rows[0] = len(X)
@@ -405,7 +383,7 @@ def counting_forward(policy, X, sizes, carry=None):
         reached["relation_terms_rows"] = reached.get("relation_terms_rows", 0) + len(X)
     return forward(policy, X, sizes, carry)
 
-Frontier.slates, PolicyModel._softmax = counting_slates, counting_softmax
+Frontier.slates, PolicyModel._head_exp = counting_slates, counting_head_exp
 PolicyModel.forward = counting_forward
 
 # two brands and three categories: hubs of more moves than the 250 cap
@@ -441,7 +419,7 @@ print(json.dumps({"params": digest(policy.params), "grads": digest(grads),
 def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     """A default-shaped train step and beam search, in one process with
     one BLAS thread and one with two; each goes through over-cap rows and
-    both actor head widths, and the beam through the relation terms, a
+    both actor head groups, and the beam through the relation terms, a
     one-row hop and a head group of one row in a call of many."""
     src = os.path.dirname(os.path.dirname(pathrec.__file__))
     digests = []
@@ -696,6 +674,32 @@ class TestTrainingFold:
                                               all_hops[hop - 1])
             with pytest.raises(InvalidSpec, match="no relation block at hop"):
                 policy.relation_terms(table, 3)
+
+    def test_frozen_fold_keeps_its_terms_without_a_stack(self, small_table, monkeypatch):
+        """A frozen policy's repeated fold at one hop, on its table or a
+        copy, stacks no relation rows and adds the terms it kept, with the
+        same bits; changed rows are stacked once for fresh terms."""
+        policy, _ = small_policy(small_table, 3)
+        policy.freeze()
+        d, rng = small_table.dim, np.random.default_rng(3)
+        relations, sum1 = np.asarray([0, 1, SELF_LOOP, 0]), rng.normal(size=(4, 16))
+        want, _ = policy.fold((sum1, d), relations, small_table)
+        kept = policy.relation_terms(small_table, 1)
+        stacks, got_terms, relation_terms = [], [], PolicyModel.relation_terms
+        for name in ("stack", "vstack", "hstack", "concatenate"):
+            monkeypatch.setattr(np, name, lambda *a, f=getattr(np, name), name=name, **k:
+                                stacks.append(name) or f(*a, **k))
+        monkeypatch.setattr(PolicyModel, "relation_terms", lambda self, table, hop:
+                            got_terms.append(relation_terms(self, table, hop)) or got_terms[-1])
+        for table in (small_table, small_table, small_table.copy()):
+            got, end = policy.fold((sum1, d), relations, table)
+            np.testing.assert_array_equal(got, want)
+            assert end == 2 * d
+        assert stacks == [] and len(got_terms) == 3 and all(t is kept for t in got_terms)
+        other = small_table.copy()
+        other.self_loop_vec[0] += 0.5
+        policy.fold((sum1, d), relations, other)
+        assert "vstack" in stacks and got_terms[-1] is not kept
 
     def test_fold_off_a_walked_hop_rejected(self, small_table):
         """A 2-hop walk folds one relation block, hop 1's, ending at d."""
