@@ -184,6 +184,7 @@ class _Stage:
     def __init__(self, name: str, config: RunConfig):
         self.name, self.config = name, config
         self.paths = RunPaths(config.workdir)
+        self.ident = {"config_hash": config.config_hash(), "seed": config.seed}
         self._meta_checked = False
         self._raw: dict[str, bytes] = {}
 
@@ -227,7 +228,7 @@ class _Stage:
         if not self._meta_checked:
             self._meta_checked = True
             self.read(self.paths.run_meta, "synth", self.stamp)
-        want = (self.config.config_hash(), self.config.seed)
+        want = (self.ident["config_hash"], self.ident["seed"])
         try:
             found = self.stamp(path) if stamped else want
             if found != want:
@@ -265,8 +266,7 @@ def stage_synth(config: RunConfig) -> RunPaths:
     with _Stage("synth", config) as run:
         if os.path.exists(run.paths.run_meta):
             run.read(run.paths.run_meta, "synth", run.stamp)
-        ident = {"config_hash": config.config_hash(), "seed": config.seed}
-        write_json(run.paths.run_meta, {"config": config.to_json(), **ident})
+        write_json(run.paths.run_meta, {"config": config.to_json(), **run.ident})
         if config.synthetic is not None:
             datasets.generate_synthetic(config.synthetic, run.paths.data_dir)
         else:
@@ -274,7 +274,7 @@ def stage_synth(config: RunConfig) -> RunPaths:
                 if not os.path.exists(p):
                     raise StageError("synth", f"dataset file {p} does not exist")
             write_json(os.path.join(run.paths.data_dir, "source.json"),
-                       {"triplets": config.triplets, "schema": config.schema, **ident})
+                       {"triplets": config.triplets, "schema": config.schema, **run.ident})
     return run.paths
 
 
@@ -285,7 +285,7 @@ def stage_split(config: RunConfig) -> DatasetSplit:
         graph = run.read(triplets, "synth", lambda p: datasets.load_dataset(p, schema),
                          stamped=False)
         split = datasets.split_dataset(graph, config.split, config.seed)
-        split.write(run.paths.split_dir, config_hash=config.config_hash(), seed=config.seed)
+        split.write(run.paths.split_dir, **run.ident)
     return split
 
 
@@ -293,8 +293,7 @@ def stage_train_embed(config: RunConfig) -> EmbeddingTable:
     with _Stage("train-embed", config) as run:
         split = run.split()
         table = train_embeddings(split.train_graph, config.embed, config.seed)
-        save_table(table, split.train_graph, run.paths.embed_file,
-                   config_hash=config.config_hash(), seed=config.seed)
+        save_table(table, split.train_graph, run.paths.embed_file, **run.ident)
     return table
 
 
@@ -305,9 +304,8 @@ def stage_train_agent(config: RunConfig) -> PolicyModel:
         reward = (RewardSpec.pattern(split.train_graph, table) if config.agent.reward == "pgpr"
                   else RewardSpec.binary(split.train_graph))
         agent, history = train_agent(split.train_graph, table, reward, config.agent, config.seed)
-        ident = {"config_hash": config.config_hash(), "seed": config.seed}
-        agent.save(run.paths.policy_file, **ident)
-        write_history(history, run.paths.curve_file, **ident)
+        agent.save(run.paths.policy_file, **run.ident)
+        write_history(history, run.paths.curve_file, **run.ident)
     return agent
 
 
@@ -338,12 +336,11 @@ def stage_cold_integrate(config: RunConfig):
         split = run.split()
         table = run.warm_table(split)
         aug, ext, ids, _ = build_augmented(split, table, config.cold_strategy)
-        ident = {"config_hash": config.config_hash(), "seed": config.seed}
-        save_table(ext, aug, run.paths.cold_table_file, **ident)
+        save_table(ext, aug, run.paths.cold_table_file, **run.ident)
         skipped = sorted(p.name for p in _ordered_profiles(split) if p.name not in ids)
         write_json(run.paths.cold_meta_file,
                    {"integrated": list(ids), "skipped": skipped,
-                    "strategy": config.cold_strategy.value, **ident})
+                    "strategy": config.cold_strategy.value, **run.ident})
     return aug, ext, ids
 
 
@@ -383,8 +380,7 @@ def stage_recommend(config: RunConfig):
         records = _recommend_users(aug, stored, agent, config,
                                    {c: sorted(getattr(split, c)) for c in COHORTS})
         with atomic_open(run.paths.recs_file) as fh:
-            meta = {"config_hash": config.config_hash(), "seed": config.seed,
-                    "topk": config.inference.topk}
+            meta = {**run.ident, "topk": config.inference.topk}
             for rec in [{"meta": meta}, *records]:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
     return records
@@ -541,15 +537,14 @@ def stage_eval(config: RunConfig):
 
         records = run.read(run.paths.recs_file, "recommend", load)
         rows, patterns, per_user = evaluate_run(config, split, records)
-        ident = f"config={config.config_hash()} seed={config.seed}"
+        ident = "config={config_hash} seed={seed}".format(**run.ident)
         write_csv(run.paths.report_csv, ident, ("model", "cohort", "metric", "value", "n_users"),
                   rows)
         write_csv(run.paths.patterns_csv, ident, ("cohort", "pattern", "percent"),
                   ((cohort, f'"{label}"', pct) for cohort, report in patterns.items()
                    for label, pct in report))
         write_json(run.paths.report_json,
-                   {"config_hash": config.config_hash(), "seed": config.seed,
-                    "k": config.inference.topk, "rows": rows,
+                   {**run.ident, "k": config.inference.topk, "rows": rows,
                     "patterns": patterns, "per_user": per_user})
     return rows, patterns
 

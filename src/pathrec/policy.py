@@ -20,7 +20,9 @@ entity block. The actor head runs in at most two groups of rows, each at
 the width of its widest slate, and every row is normalised over its
 zero-padded full slate, so its probabilities are the full head's bits
 whatever its batch mates (``forward``). A served policy is frozen
-(``PolicyModel.freeze``) and keeps its relation terms.
+(``PolicyModel.freeze``) and keeps its relation terms. W1 holds only the
+(2·hop_budget − 1)·d rows that decisions read: no decision follows the
+last hop's pair.
 """
 
 from __future__ import annotations
@@ -118,22 +120,23 @@ class ForwardCache(NamedTuple):
 class PolicyModel:
     """Two ReLU hidden layers; actor and baseline heads share the trunk."""
 
-    def __init__(self, state_dim: int, config: AgentConfig, seed: int = 0):
-        self._allocate(state_dim, config)
+    def __init__(self, dim: int, config: AgentConfig, seed: int = 0):
+        self._allocate(dim, config)
         rng = rng_for(seed, "policy-init")
-        for w in (self.W1, self.W2, self.W3, self.Wv):  # He initialization over fan-in rows
+        # W1 is drawn as wide as a finished walk's state, so every later draw keeps its bits
+        full = (1 + 2 * config.hop_budget) * dim
+        self.W1[...] = rng.normal(0.0, np.sqrt(2.0 / full), (full, len(self.b1)))[:len(self.W1)]
+        for w in (self.W2, self.W3, self.Wv):  # He initialization over fan-in rows
             w[...] = rng.normal(0.0, np.sqrt(2.0 / len(w)), size=w.shape)
 
-    def _allocate(self, state_dim: int, config: AgentConfig):
-        """Check the shapes and set every parameter to zeros."""
-        if state_dim < 1 or state_dim % (1 + 2 * config.hop_budget):
-            raise InvalidSpec(f"state_dim {state_dim} is no whole number of blocks "
-                              f"for {config.hop_budget} hops")
+    def _allocate(self, dim: int, config: AgentConfig):
+        """Set every parameter to zeros: W1 holds a row per column of the
+        (2·hop_budget − 1)·dim-wide states that decisions read."""
         self.config = config
-        self.state_dim = state_dim
+        self.dim = dim
         self.slate_size = 1 + config.max_actions
         h1, h2 = config.hidden
-        self.W1 = np.zeros((state_dim, h1))
+        self.W1 = np.zeros(((2 * config.hop_budget - 1) * dim, h1))
         self.b1 = np.zeros(h1)
         self.W2 = np.zeros((h1, h2))
         self.b2 = np.zeros(h2)
@@ -170,10 +173,9 @@ class PolicyModel:
         they were computed from; a writable policy computes the hop's terms
         on every call.
         """
-        B, d = self.config.hop_budget, table.dim
-        if state_dim_for(table, B) != self.state_dim:
-            raise InvalidSpec(f"{B}-hop walks over {d}-dim embeddings encode no "
-                              f"{self.state_dim}-wide state")
+        B, d = self.config.hop_budget, self.dim
+        if table.dim != d:
+            raise InvalidSpec(f"a policy of {d}-dim blocks folds no {table.dim}-dim relation rows")
         if not 1 <= hop < B:
             raise InvalidSpec(f"a {B}-hop walk folds no relation block at hop {hop}")
         rel, loop, kept = table.relation_vecs, table.self_loop_vec, self._terms
@@ -198,8 +200,8 @@ class PolicyModel:
         it: row i gains hop t's ``relation_terms`` of ``relations[i]``, part
         by part as ``forward`` adds products. The parent's sums are not
         written."""
-        (sum1, end), d = carry, table.dim
-        if end % (2 * d) != d or end + 4 * d > self.state_dim or len(relations) != len(sum1):
+        (sum1, end), d = carry, self.dim
+        if end % (2 * d) != d or end + 2 * d > len(self.W1) or len(relations) != len(sum1):
             raise InvalidSpec(f"a carry of {len(sum1)} sums ending at column {end} takes no "
                               f"relation block of {len(relations)} rows")
         for part in self.relation_terms(table, end // (2 * d) + 1):
@@ -215,12 +217,15 @@ class PolicyModel:
         ``Frontier.encode``); ``carry`` is each row's (sum1, end) before
         them (a walk's parent ``cache[:2]``, gathered and ``fold``-ed).
         X's blocks meet the W1 rows from the carry's ``end``, or from row 0
-        without a carry. Every sum has one fixed order: a row's first-layer
-        sum is the carry's sum1 (zero when None) plus one product per
-        d-wide block of X, left to right, and then the bias. Every product
-        sums K in blocks of at most ``K_BLOCK`` columns, left to right (W2
-        in two halves), and the actor head is computed over ``W3``'s
-        buffer, zero-padded to a multiple of ``HEAD_ALIGN`` columns.
+        without a carry, and end within W1's (2·hop_budget − 1)·d rows: a
+        decision's state is at most the user's block and hop_budget − 1
+        (relation, entity) pairs. Every sum has one fixed order: a row's
+        first-layer sum is the carry's sum1 (zero when None) plus one
+        product per d-wide block of X, left to right, and then the bias.
+        Every product sums K in blocks of at most ``K_BLOCK`` columns, left
+        to right (W2 in two halves), and the actor head is computed over
+        ``W3``'s buffer, zero-padded to a multiple of ``HEAD_ALIGN``
+        columns.
         OpenBLAS splits a wider K, or an output width off its 8-column grid
         (hence the ``HEAD_ALIGN`` grid of ``hidden``), by the thread count;
         products of these shapes give the same bits at any count, so the
@@ -236,11 +241,10 @@ class PolicyModel:
         always (P, slate_size).
         """
         sum1, start = carry or (None, 0)
-        k, end = X.shape[1], start + X.shape[1]
-        d = self.state_dim // (1 + 2 * self.config.hop_budget)
-        if not k or k % d or start % d or end > self.state_dim or (end // d) % 2 == 0:
+        k, end, d = X.shape[1], start + X.shape[1], self.dim
+        if not k or k % d or start % d or end > len(self.W1) or (end // d) % 2 == 0:
             raise InvalidSpec(f"{k} columns after a {start}-column carry are no live prefix "
-                              f"of the policy's {self.state_dim}-wide state of {d}-dim blocks")
+                              f"of the policy's {len(self.W1)}-wide state of {d}-dim blocks")
         if carry is not None and sum1.shape != (len(X), len(self.b1)):
             raise InvalidSpec(f"a carry of {sum1.shape} sums is no parent state of "
                               f"{len(X)} rows and {len(self.b1)} units")
@@ -315,25 +319,29 @@ class PolicyModel:
 
     def save(self, path: str, config_hash: str = "", seed: int = 0):
         write_npz(path, **dict(zip(PARAM_NAMES, self.params)),
-                  state_dim=np.asarray(self.state_dim),
+                  dim=np.asarray(self.dim),
                   config=np.asarray(json.dumps(asdict(self.config), sort_keys=True)),
                   seed=np.asarray(seed),
                   config_hash=np.asarray(config_hash))
 
     @classmethod
     def load(cls, path: str) -> "PolicyModel":
-        """The policy ``save`` wrote to ``path``, frozen (``freeze``). Each
-        stored parameter must be float64 and of exactly the shape its
-        config gives it, else InvalidSpec names the file and the parameter."""
+        """The policy ``save`` wrote to ``path``, frozen (``freeze``). The
+        stored ``dim`` must be an int >= 1, and each stored parameter
+        float64 and of exactly the shape ``dim`` and the config give it,
+        else InvalidSpec names the file and the member."""
         with np.load(path, allow_pickle=False) as data:
-            missing = [name for name in ("config", "state_dim", *PARAM_NAMES)
+            missing = [name for name in ("config", "dim", *PARAM_NAMES)
                        if name not in data.files]
             if missing:
                 raise InvalidSpec(f"{path}: no {', '.join(missing)} stored")
             config = config_from_json(AgentConfig, json.loads(str(data["config"])),
                                       f"{path}: config")
+            dim = data["dim"]
+            if dim.shape or dim.dtype.kind not in "iu" or dim < 1:
+                raise InvalidSpec(f"{path}: dim {dim.tolist()!r} is no int >= 1")
             model = cls.__new__(cls)  # every parameter is read, so none is drawn
-            model._allocate(int(data["state_dim"]), config)
+            model._allocate(int(dim), config)
             for name, param in zip(PARAM_NAMES, model.params):
                 stored = data[name]
                 if stored.dtype != np.float64 or stored.shape != param.shape:
@@ -341,10 +349,6 @@ class PolicyModel:
                                       f"{stored.shape}, not float64 of shape {param.shape}")
                 param[...] = stored
         return model.freeze()
-
-
-def state_dim_for(table: EmbeddingTable, hop_budget: int) -> int:
-    return (1 + 2 * hop_budget) * table.dim
 
 
 def check_walk(policy: PolicyModel | None, graph: KnowledgeGraph, table: EmbeddingTable,
@@ -360,11 +364,9 @@ def check_walk(policy: PolicyModel | None, graph: KnowledgeGraph, table: Embeddi
         raise InvalidSpec("max_actions must be >= 1")
     if policy is not None:
         cfg = policy.config
-        if hops != cfg.hop_budget or state_dim_for(table, hops) != policy.state_dim:
-            raise InvalidSpec(
-                f"{hops}-hop walks over {table.dim}-dim embeddings encode "
-                f"{state_dim_for(table, hops)}-wide states; the policy takes "
-                f"{cfg.hop_budget} hops and {policy.state_dim}-wide states")
+        if hops != cfg.hop_budget or table.dim != policy.dim:
+            raise InvalidSpec(f"{hops}-hop walks over {table.dim}-dim embeddings meet a policy "
+                              f"of {cfg.hop_budget} hops over {policy.dim}-dim embeddings")
         if max_actions > cfg.max_actions:
             raise InvalidSpec(f"max_actions {max_actions} exceeds the policy's slate of "
                               f"{cfg.max_actions} actions")
@@ -493,7 +495,7 @@ def train_agent(graph: KnowledgeGraph, table: EmbeddingTable,
     users = training_users(graph)
     if not users:
         raise EmptyGraph("no users with interactions to train on")
-    policy = PolicyModel(state_dim_for(table, config.hop_budget), config, seed)
+    policy = PolicyModel(table.dim, config, seed)
     opt = Adam(policy.params, lr=config.learning_rate)
     rng = rng_for(seed, "agent-train")
     grads = policy.zero_grads()

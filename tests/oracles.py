@@ -6,8 +6,8 @@ The scalar path-walking MDP: one state, one action at a time.
 per-state functions define the same semantics one state at a time and are
 the oracles the batched kernels are tested against. ``valid_actions`` is
 a row of ``Frontier.slates``, ``step`` a row of ``Frontier.advance`` and
-``encode_state`` the whole zero-padded state whose last blocks (the last
-hop's relation and entity, or the user at hop 0) are a row of
+``encode_state`` the whole zero-padded decision state whose last blocks
+(the last hop's relation and entity, or the user at hop 0) are a row of
 ``encode_pair``, and whose last block is a row of ``Frontier.encode``.
 ``encode_pair`` is the encoder of the two-block forward, which multiplied
 a hop's (relation, entity) pair; ``pair_blocks`` reads a walked
@@ -55,6 +55,8 @@ synthetic generator with one scalar ``Generator`` call per draw.
 batch-sized array allocated per call, as it was before the kernels wrote
 into a reused scratch.
 
+``reference_init`` draws a fresh policy's four matrices as they were
+drawn when W1 also held the rows of a finished walk's last pair.
 ``reference_forward`` is the policy forward with the actor head and its
 softmax over every column for every row, and ``reference_slates`` cuts
 over-cap rows on one grid padded to the widest row's degree, as both were
@@ -199,14 +201,19 @@ def valid_actions(state: PathState, graph: KnowledgeGraph, table: EmbeddingTable
 
 
 def encode_state(state: PathState, table: EmbeddingTable) -> np.ndarray:
-    """Fixed-width state vector: user slot plus (relation, entity) per hop.
+    """Fixed-width decision state: user slot plus (relation, entity) per hop.
 
-    1 + 2*budget slots of dim d, zero-padded beyond the hops taken.
-    Self-loop steps use the table's null-relation vector. Passed to
-    ``PolicyModel.forward`` without a carry, it reads from W1's row 0.
+    2*budget - 1 slots of dim d, zero-padded beyond the hops taken: the
+    state of a walk with a hop left, one row per column of the policy's
+    W1. A finished walk, whose last pair no decision reads, raises
+    ValueError. Self-loop steps use the table's null-relation vector.
+    Passed to ``PolicyModel.forward`` without a carry, it reads from W1's
+    row 0.
     """
+    if state.hops >= state.budget:
+        raise ValueError(f"a walk of {state.hops} hops has no decision left")
     d = table.dim
-    out = np.zeros((1 + 2 * state.budget) * d)
+    out = np.zeros((2 * state.budget - 1) * d)
     out[:d] = table.entity_vec(state.user)
     for i, ((rel, _), ent) in enumerate(zip(state.relations, state.entities[1:])):
         rel_vec = table.self_loop_vec if rel == SELF_LOOP else table.relation_vec(rel)
@@ -602,11 +609,22 @@ def reference_accumulate_batch(table, grads, heads, rels, cand_ids, cand_mask, t
     return loss
 
 
+def reference_init(dim: int, config, seed: int = 0) -> list[np.ndarray]:
+    """W1, W2, W3 and Wv of a fresh policy as drawn when W1 held a row
+    per column of a finished walk's state, (2*hop_budget + 1)*dim rows:
+    He initialization over each matrix's fan-in rows, in that order."""
+    h1, h2 = config.hidden
+    rng = rng_for(seed, "policy-init")
+    return [rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
+            for shape in (((1 + 2 * config.hop_budget) * dim, h1), (h1, h2),
+                          (h2, 1 + config.max_actions), (h2,))]
+
+
 def reference_forward(policy: PolicyModel, X, slate_sizes, carry=None):
     """``PolicyModel.forward`` (same arguments and results) with the actor
     head and softmax computed at the full padded width for every row."""
     sum1, start = carry or (None, 0)
-    d = policy.state_dim // (1 + 2 * policy.config.hop_budget)
+    d = policy.dim
     for col in range(0, X.shape[1], d):
         sum1 = _matmul(X[:, col:col + d], policy.W1[start + col:start + col + d], sum1)
     h1 = sum1 + policy.b1

@@ -29,7 +29,7 @@ from pathrec.metrics import cold_item_coverage, hit_at_k, ndcg_at_k
 from pathrec.pipeline import (RunConfig, RunPaths, build_augmented,
                               read_recommendations, run_pipeline, sweep,
                               _recommend_users)
-from pathrec.policy import AgentConfig, PolicyModel, state_dim_for, training_users
+from pathrec.policy import AgentConfig, PolicyModel, training_users
 
 from conftest import build_shop_graph
 from oracles import (cold_item_proportion, encode_state, evaluate_mean_reward, frontier_of,
@@ -231,7 +231,7 @@ def test_criterion_3_wide_beam_equals_exhaustive_ranking(schema):
         assert g.entity_count <= 200
         width = 1 + max(len(list(g.neighbors(e))) for e in range(g.entity_count))
         table = init_table(g, EmbedTrainConfig(dim=6), seed=trial)
-        policy = PolicyModel(state_dim_for(table, 3),
+        policy = PolicyModel(table.dim,
                              AgentConfig(hop_budget=3, max_actions=width,
                                          hidden=(16, 8)), seed=trial)
         all_ids = np.arange(g.entity_count, dtype=np.intp)

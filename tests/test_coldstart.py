@@ -14,7 +14,7 @@ from pathrec.errors import (DuplicateEntity, EmptyProfile, InvalidSpec, MissingE
                             UnknownUser)
 from pathrec.graph import FORWARD, INVERSE, KGSchema, KnowledgeGraph, RelationSpec
 from pathrec.inference import beam_search, rank_recommendations
-from pathrec.policy import AgentConfig, PolicyModel, state_dim_for
+from pathrec.policy import AgentConfig, PolicyModel
 
 from conftest import build_shop_graph
 from oracles import GraphWriter, reference_augment_graph, reference_cold_rows
@@ -518,7 +518,7 @@ class TestColdRecommendation:
         aug, ext, ids = integrate_cold_entities(g, table, [cold],
                                                 ColdStrategy.AVERAGE_TRANSLATION)
         cfg = AgentConfig(hop_budget=3, max_actions=40, hidden=(16, 8))
-        policy = PolicyModel(state_dim_for(ext, 3), cfg, seed=4)
+        policy = PolicyModel(ext.dim, cfg, seed=4)
         recs = recommend_cold(ids["newbie"], policy, aug, ext, k=10,
                               widths=[40, 40, 40])
         assert recs.entries, "wide beam must reach items through the profile"
@@ -547,7 +547,7 @@ class TestColdRecommendation:
                        profile("v", "user", ("like", "brand", "b1"))],
             ColdStrategy.AVERAGE_TRANSLATION, interactions={"v": ["u"]})
         assert aug.user_items(ids["u"]) == set()
-        policy = PolicyModel(state_dim_for(ext, 3),
+        policy = PolicyModel(ext.dim,
                              AgentConfig(hop_budget=3, max_actions=16, hidden=(8, 8)), seed=0)
         recs = recommend_cold(ids["u"], policy, aug, ext, k=5, widths=[16, 16, 16])
         assert (pu, INVERSE) in [e.path.state.relations[0] for e in recs.entries]
@@ -557,7 +557,7 @@ class TestColdRecommendation:
     def test_warm_user_served_by_beam_then_rank(self, make_graph):
         g = make_graph(n_users=6, n_items=10, interactions=4, seed=3)
         table = init_table(g, EmbedTrainConfig(dim=6), seed=0)
-        policy = PolicyModel(state_dim_for(table, 3),
+        policy = PolicyModel(table.dim,
                              AgentConfig(hop_budget=3, max_actions=40, hidden=(16, 8)), seed=4)
         for name in ("u0", "u1"):
             u = g.entity_id("user", name)
@@ -569,13 +569,13 @@ class TestColdRecommendation:
     def test_k_below_one_rejected(self, make_graph, k):
         g = make_graph(n_users=6, n_items=10, interactions=4, seed=3)
         table = init_table(g, EmbedTrainConfig(dim=6), seed=0)
-        policy = PolicyModel(state_dim_for(table, 3),
+        policy = PolicyModel(table.dim,
                              AgentConfig(hop_budget=3, max_actions=40, hidden=(16, 8)), seed=4)
         with pytest.raises(InvalidSpec, match="k must be >= 1"):
             recommend_cold(g.entity_id("user", "u0"), policy, g, table, k=k, widths=[8, 4, 2])
 
     def test_non_user_rejected(self, tiny_graph, small_table):
-        policy = PolicyModel(state_dim_for(small_table, 2),
+        policy = PolicyModel(small_table.dim,
                              AgentConfig(hop_budget=2, max_actions=10,
                                          hidden=(16, 8)))
         with pytest.raises(UnknownUser):

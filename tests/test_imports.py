@@ -35,6 +35,11 @@ is folded (``PolicyModel.fold``). No other module calls
 ``relation_terms`` or stacks ``relation_vecs`` with ``self_loop_vec``
 (the rows a relation block is read from), so no other module knows the
 layer's block layout.
+
+The state's block layout is worked out in ``policy.py`` only: no other
+module multiplies a hop count (a name or attribute ``hop_budget`` or
+``hops``), as ``(1 + 2 * hop_budget) * dim`` did in every caller that
+sized a policy by its state width. A policy is sized by the embedding dim.
 """
 
 import ast
@@ -341,3 +346,43 @@ def test_relation_block_scanner_flags_the_inline_fold_of_beam_search():
                                           if p.name != "policy.py"))
 def test_relation_blocks_are_read_by_the_policy_only(module):
     assert relation_block_reads((PACKAGE / module).read_text()) == []
+
+
+HOP_COUNTS = {"hop_budget", "hops"}
+
+
+def state_layout_lines(source: str) -> list[int]:
+    """Lines that multiply a hop count: a product with an operand that
+    reads a name or attribute in ``HOP_COUNTS``."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                   and HOP_COUNTS & {*reads(node.left), *reads(node.right)}})
+
+
+def test_state_layout_scanner_flags_products_of_hop_counts():
+    source = ("width = (1 + 2 * config.hop_budget) * table.dim\n"
+              "rows = (2 * hops - 1) * d\n"
+              "n = cfg.hop_budget * dim\n"
+              "last = frontier.hops - 1\n"
+              "steps = np.arange(1, frontier.hops + 1)\n"
+              "cols = 2 * len(widths)\n"
+              "ok = hop_budget != len(widths)\n")
+    assert state_layout_lines(source) == [1, 2, 3]
+
+
+def test_state_layout_scanner_flags_a_copy_of_the_state_width():
+    """A module that sized a policy by its state width, as callers did
+    before the policy took the embedding dim, fails the lint; the policy's
+    own layout is what the scanner reads."""
+    assert state_layout_lines((PACKAGE / "policy.py").read_text())
+    source = (PACKAGE / "pipeline.py").read_text()
+    assert state_layout_lines(source) == []
+    copy = source + "\n\ndef state_dim_for(table, hop_budget):\n" \
+                    "    return (1 + 2 * hop_budget) * table.dim\n"
+    assert state_layout_lines(copy) == [len(source.splitlines()) + 4]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                          if p.name != "policy.py"))
+def test_state_layout_is_worked_out_by_the_policy_only(module):
+    assert state_layout_lines((PACKAGE / module).read_text()) == []

@@ -14,7 +14,7 @@ from pathrec.inference import (ScoredPath, beam_search, explain, path_record,
                                rank_recommendations)
 from pathrec.mdp import SELF_LOOP, PathState
 from pathrec.pipeline import RunConfig, RunPaths, _ordered_profiles, run_pipeline
-from pathrec.policy import AgentConfig, PolicyModel, state_dim_for
+from pathrec.policy import AgentConfig, PolicyModel
 
 from conftest import build_multi_edge_graph
 from oracles import (Action, GraphWriter, beam_of, beam_paths, encode_state, is_complete,
@@ -24,7 +24,7 @@ from test_pipeline import tiny_config
 
 def fresh_policy(table, hop_budget, max_actions=50, seed=7):
     cfg = AgentConfig(hop_budget=hop_budget, max_actions=max_actions, hidden=(16, 8))
-    return PolicyModel(state_dim_for(table, hop_budget), cfg, seed=seed)
+    return PolicyModel(table.dim, cfg, seed=seed)
 
 
 def enumerate_paths(user, policy, graph, table, budget, cap):
@@ -106,9 +106,10 @@ class TestBeamSearch:
 
     def test_table_of_another_dim_rejected(self, tiny_graph, small_table):
         narrow = init_table(tiny_graph, EmbedTrainConfig(dim=4), seed=3)
-        policy = fresh_policy(small_table, 3)  # 56-wide states; narrow encodes 28
+        policy = fresh_policy(small_table, 3)  # 8-dim blocks; narrow's are 4-dim
         user = tiny_graph.entity_id("user", "u0")
-        with pytest.raises(InvalidSpec, match="28-wide states"):
+        with pytest.raises(InvalidSpec, match="over 4-dim embeddings meet a policy of 3 hops "
+                                              "over 8-dim"):
             beam_search(user, policy, tiny_graph, narrow, [2, 2, 2])
 
     def test_widths_other_than_the_hop_budget_rejected(self, tiny_graph, small_table):

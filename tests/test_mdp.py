@@ -143,7 +143,7 @@ class TestEncodeState:
         i0 = tiny_graph.entity_id("item", "i0")
         s = step(u0_start, Action(pu, i0, FORWARD), tiny_graph)
         x = encode_state(s, small_table)
-        assert x.shape == (7 * d,)
+        assert x.shape == (5 * d,)
         np.testing.assert_array_equal(x[:d], small_table.entity_vec(s.user))
         np.testing.assert_array_equal(x[d:2 * d], small_table.relation_vec(pu))
         np.testing.assert_array_equal(x[2 * d:3 * d], small_table.entity_vec(i0))
@@ -532,7 +532,7 @@ class TestFrontier:
         d = table.dim
         rng = np.random.default_rng(8)
         for hops in range(4):
-            states = random_states(g, rng, 9, hops, budget=3, loop_share=0.5)
+            states = random_states(g, rng, 9, hops, budget=4, loop_share=0.5)
             frontier = frontier_of(states)
             if hops:  # both kinds of last step are encoded
                 last = frontier.relations[:, -1]

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -596,6 +597,18 @@ def param_shape(path):
     rewrite_npz(path, lambda arrays: arrays.update(b1=arrays["b1"][:1]))
 
 
+def state_dim_format(path):
+    """Store the policy in the format written before W1 lost the rows of
+    a finished walk's last pair: a ``state_dim`` member in place of
+    ``dim`` and W1 two blocks taller. The stamp still matches the run."""
+    def widen(arrays):
+        d = int(arrays.pop("dim"))
+        W1 = arrays["W1"]
+        arrays["W1"] = np.vstack([W1, np.zeros((2 * d, W1.shape[1]))])
+        arrays["state_dim"] = np.asarray(len(arrays["W1"]))
+    rewrite_npz(path, widen)
+
+
 def short_self_loop(path):
     """Cut the table's self-loop vector to 3 values; the stamp still
     matches the run."""
@@ -693,6 +706,8 @@ FAULTS = [
     ("config-key", "agent/policy.npz", "recommend"),
     ("param-shape", "agent/policy.npz", "recommend"),
     ("param-shape", "agent/policy.npz", "sweep"),
+    ("state-dim-format", "agent/policy.npz", "recommend"),
+    ("state-dim-format", "agent/policy.npz", "sweep"),
     ("short-self-loop", "embed/embeddings.npz", "cold-integrate"),
     ("short-self-loop", "cold/embeddings.npz", "recommend"),
     ("drop-cohort", "split/manifest.json", "train-embed"),
@@ -714,7 +729,8 @@ FAULT_WRITERS = {"truncate": truncate, "cut-lines": cut_lines, "drop-items": dro
                  "bad-target": bad_target, "bad-targets": bad_targets,
                  "seed-in-config": seed_in_config, "list-cohort": list_cohort,
                  "config-type": config_type, "config-key": config_key,
-                 "param-shape": param_shape, "short-self-loop": short_self_loop,
+                 "param-shape": param_shape, "state-dim-format": state_dim_format,
+                 "short-self-loop": short_self_loop,
                  "drop-cohort": drop_cohort, "delete": os.remove,
                  "int-name": first_line(lambda rec: json.dumps({**rec, "name": 7}).encode()),
                  "no-relations": first_line(lambda rec: json.dumps(
@@ -763,6 +779,18 @@ class TestDamagedArtifacts:
         STAGE_CALLS[stage](copy)
         damage(copy, seed2_run, fault, artifact)
         with pytest.raises(StageError, match=rf"^\[{stage}\] "):
+            STAGE_CALLS[stage](copy)
+
+    @pytest.mark.parametrize("stage", ["recommend", "sweep"])
+    def test_policy_of_the_state_dim_format_names_the_missing_dim(self, tiny_run, tmp_path,
+                                                                  stage):
+        config, _, _ = tiny_run
+        copy, paths = copy_run(config, str(tmp_path / "run"))
+        state_dim_format(paths.policy_file)
+        with np.load(paths.policy_file) as data:
+            assert "dim" not in data.files and data["W1"].shape == (56, 16)
+        with pytest.raises(StageError, match=rf"^\[{stage}\] {re.escape(paths.policy_file)}: "
+                                             r"no dim stored$"):
             STAGE_CALLS[stage](copy)
 
     @pytest.mark.parametrize("fault, field", [

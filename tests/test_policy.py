@@ -18,12 +18,13 @@ from pathrec.errors import EmptyGraph, InvalidAction, InvalidSpec, MissingEmbedd
 from pathrec.mdp import SELF_LOOP, PathState, RewardSpec, start_scores
 from pathrec.optim import Adam
 from pathrec.policy import (AgentConfig, PolicyModel, _sample_rows,
-                            episode_gradients, rollout_batch, state_dim_for, train_agent,
-                            training_users, write_history)
+                            episode_gradients, rollout_batch, train_agent, training_users,
+                            write_history)
 
 from oracles import (GraphWriter, encode_state, evaluate_mean_reward, frontier_of, is_complete,
                      pair_blocks, reference_episode_gradients, reference_forward,
-                     reference_relation_terms, step, valid_actions)
+                     reference_init, reference_relation_terms, step, valid_actions)
+from test_pipeline import TINY
 
 
 class FixedReward:
@@ -40,13 +41,13 @@ class FixedReward:
 def small_policy(table, hop_budget, seed=5, **overrides):
     cfg = AgentConfig(hop_budget=hop_budget, max_actions=8, hidden=(16, 8),
                       entropy_coef=1e-2, gamma=0.9, **overrides)
-    return PolicyModel(state_dim_for(table, hop_budget), cfg, seed=seed), cfg
+    return PolicyModel(table.dim, cfg, seed=seed), cfg
 
 
 class TestForward:
     def test_masked_probs(self, tiny_graph, small_table):
         policy, cfg = small_policy(small_table, 3)
-        X = rng_for(0, "x").normal(size=(4, policy.state_dim))
+        X = rng_for(0, "x").normal(size=(4, len(policy.W1)))
         sizes = np.asarray([1, 3, 8, 9])
         probs, values, _ = policy.forward(X, sizes)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-12)
@@ -64,6 +65,25 @@ class TestForward:
             AgentConfig(reward="bandit")
         with pytest.raises(InvalidSpec):
             AgentConfig(hidden=(4, 4, 4))
+
+
+class TestInit:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("dim, cfg, rows, count", [
+        (100, AgentConfig(), 500, 452_604),  # the default config
+        (TINY["embed"]["dim"], AgentConfig(**{**TINY["agent"], "hidden": (16, 8)}), 40, 918)])
+    def test_keeps_the_read_rows_of_the_full_width_draw(self, dim, cfg, rows, count, seed):
+        """W1 is the first (2·hop_budget − 1)·dim rows of a W1 drawn over
+        (2·hop_budget + 1)·dim, and W2, W3 and Wv are the draws after it,
+        bit for bit (``reference_init``); the biases start at zero."""
+        policy = PolicyModel(dim, cfg, seed)
+        W1, W2, W3, Wv = reference_init(dim, cfg, seed)
+        assert policy.W1.shape == (rows, cfg.hidden[0]) and len(W1) == rows + 2 * dim
+        for got, want in ((policy.W1, W1[:rows]), (policy.W2, W2), (policy.W3, W3),
+                          (policy.Wv, Wv)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert sum(p.size for p in policy.params) == count
+        assert not any(b.any() for b in (policy.b1, policy.b2, policy.b3, policy.bv))
 
 
 def forward_arrays(result):
@@ -90,7 +110,7 @@ ORDER_DIMS = [(100, (512, 256), 250), (150, (512, 256), 25), (200, (512, 256), 8
 
 def kernel_policy(d, hidden, max_actions=250):
     cfg = AgentConfig(hop_budget=3, max_actions=max_actions, hidden=hidden)
-    return PolicyModel(7 * d, cfg, seed=d)
+    return PolicyModel(d, cfg, seed=d)
 
 
 class TestPrefixKernels:
@@ -102,13 +122,13 @@ class TestPrefixKernels:
     def test_prefix_forward_bitwise_equals_full_width(self, d, hidden):
         policy = kernel_policy(d, hidden)
         rng = np.random.default_rng(d)
-        for t in range(4):
+        for t in range(3):  # hop 0's state to the last decision's, all of W1
             k = (1 + 2 * t) * d
             for P in (1, 2, 25, 64, 125):
                 X = rng.normal(size=(P, k))
                 sizes = rng.integers(1, policy.slate_size + 1, size=P)
                 got = policy.forward(X, sizes)
-                want = policy.forward(pad(X, policy.state_dim), sizes)
+                want = policy.forward(pad(X, len(policy.W1)), sizes)
                 for a, b in zip(forward_arrays(got), forward_arrays(want)):
                     np.testing.assert_array_equal(a, b)
 
@@ -132,7 +152,7 @@ class TestPrefixKernels:
         the whole state, zero-padded to full width."""
         policy = kernel_policy(d, hidden)
         rng = np.random.default_rng(d + 1)
-        for t in range(4):
+        for t in range(3):
             for P in (1, 2, 25, 64, 125):
                 blocks, carry = [], None
                 for hop in range(t + 1):
@@ -146,7 +166,7 @@ class TestPrefixKernels:
                 dvalues = rng.normal(size=P)
                 got, want = policy.zero_grads(), policy.zero_grads()
                 policy.backward(cache, blocks, dlogits, dvalues, got)
-                whole = pad(np.hstack(blocks), policy.state_dim)
+                whole = pad(np.hstack(blocks), len(policy.W1))
                 policy.backward(cache, (whole,), dlogits, dvalues, want)
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a, b)
@@ -157,10 +177,6 @@ class TestPrefixKernels:
         for width in (2 * d, 3 * d + 1, 9 * d):
             with pytest.raises(InvalidSpec, match="live prefix"):
                 policy.forward(np.zeros((2, width)), np.asarray([1, 1]))
-
-    def test_state_dim_off_the_block_grid_rejected(self):
-        with pytest.raises(InvalidSpec, match="blocks"):
-            PolicyModel(20, AgentConfig(hop_budget=3, hidden=(16, 8)))
 
     def test_reused_buffers_equal_fresh_over_two_batches(self, make_graph):
         g = make_graph(n_users=8, n_items=20, n_brands=2, n_categories=2,
@@ -192,7 +208,7 @@ class TestFixedOrder:
         policy = kernel_policy(d, hidden, cap)
         rng = np.random.default_rng(d + P)
         X, carry, blocks = rng.normal(size=(P, d)), None, ()
-        for t in range(4):
+        for t in range(3):
             sizes = rng.integers(1, policy.slate_size + 1, size=len(X))
             probs, values, cache = policy.forward(X, sizes, carry)
             prefix = np.hstack([*blocks, X])
@@ -219,10 +235,11 @@ class TestFixedOrder:
         with pytest.raises(InvalidSpec, match="carry"):
             policy.forward(X, np.asarray([1, 1]), (cache.sum1, cache.end - 1))
 
-    @pytest.mark.parametrize("hops", [1, 2, 3])
+    @pytest.mark.parametrize("hops", [1, 2])
     def test_full_width_state_with_a_carry_rejected(self, hops):
-        """A carry places X after its blocks, so a whole zero-padded state
-        passed with one overruns W1 rather than reading as the new blocks."""
+        """A carry places X after its blocks, so a whole zero-padded
+        decision state passed with one overruns W1 rather than reading as
+        the new blocks."""
         policy = kernel_policy(4, (16, 8))
         rng = np.random.default_rng(hops)
         _, _, cache = policy.forward(rng.normal(size=(3, 4)), np.full(3, 2))
@@ -230,7 +247,7 @@ class TestFixedOrder:
         for _ in range(hops - 1):
             _, _, cache = policy.forward(rng.normal(size=(3, 8)), np.full(3, 2), cache[:2])
             blocks.append(cache.X)
-        full = pad(np.hstack([*blocks, rng.normal(size=(3, 8))]), policy.state_dim)
+        full = pad(np.hstack([*blocks, rng.normal(size=(3, 8))]), len(policy.W1))
         with pytest.raises(InvalidSpec, match="no live prefix"):
             policy.forward(full, np.full(3, 2), cache[:2])
 
@@ -353,7 +370,7 @@ from pathrec.inference import beam_search, rank_recommendations
 from pathrec.mdp import Frontier, RewardSpec, start_scores
 from pathrec.optim import Adam
 from pathrec.policy import (HEAD_SPLIT, AgentConfig, PolicyModel, episode_gradients,
-                            state_dim_for, training_users)
+                            training_users)
 
 # what each phase reached: rows cut to the cap, rows of each head group,
 # head groups of one row in a call of many, rows whose relation block came
@@ -391,7 +408,7 @@ graph = load_dataset(*generate_synthetic(SyntheticSpec(users=300, items=400, bra
                                                        categories=3), sys.argv[1]))
 table = init_table(graph, EmbedTrainConfig())
 config = AgentConfig()
-policy = PolicyModel(state_dim_for(table, config.hop_budget), config)
+policy = PolicyModel(table.dim, config)
 users = training_users(graph)
 batch = users[:config.batch_size]
 grads, _, _ = episode_gradients(policy, graph, table, batch, start_scores(graph, table, batch),
@@ -591,7 +608,7 @@ class TestTrainingFold:
     def test_episode_gradients_equal_two_block_oracle(self, make_graph, monkeypatch,
                                                       d, hidden, hops, cap):
         g, table, cfg, spec = self.setup_case(make_graph, d, hidden, hops, cap)
-        policy = PolicyModel(state_dim_for(table, hops), cfg, seed=d)
+        policy = PolicyModel(table.dim, cfg, seed=d)
         folds, fold = [], PolicyModel.fold
         monkeypatch.setattr(PolicyModel, "fold", lambda self, carry, relations, tab:
                             folds.append(len(relations)) or fold(self, carry, relations, tab))
@@ -658,7 +675,7 @@ class TestTrainingFold:
             table = EmbeddingTable(rng.normal(size=(10, d)), np.zeros(10),
                                    rng.normal(size=(4, d)), rng.normal(size=d))
             cfg = AgentConfig(hop_budget=3, max_actions=8, hidden=(16, 8))
-            policy = PolicyModel(state_dim_for(table, 3), cfg, seed=d)
+            policy = PolicyModel(table.dim, cfg, seed=d)
             if frozen:
                 policy.freeze()
             all_hops = reference_relation_terms(policy, table)
@@ -765,7 +782,7 @@ class TestBatchedRollout:
                 # the walk's relation blocks (the pair encoder) the hops'
                 # blocks are the live prefix, and the scalar row is zero
                 # beyond it
-                live = (1 + 2 * t) * X.shape[1] // (1 + 2 * len(hops))
+                live = (1 + 2 * t) * table.dim
                 pairs = pair_blocks(frontier, table)[:t + 1]
                 for r, pair in zip(records, pairs):
                     np.testing.assert_array_equal(r.cache.X, pair[:, -table.dim:])
@@ -858,9 +875,10 @@ class TestBatchedRollout:
 
     def test_table_of_another_dim_rejected(self, tiny_graph, small_table):
         narrow = init_table(tiny_graph, EmbedTrainConfig(dim=4), seed=3)
-        policy, cfg = small_policy(small_table, 3)  # 56-wide states; narrow encodes 28
+        policy, cfg = small_policy(small_table, 3)  # 8-dim blocks; narrow's are 4-dim
         u0 = tiny_graph.entity_id("user", "u0")
-        with pytest.raises(InvalidSpec, match="28-wide states"):
+        with pytest.raises(InvalidSpec, match="over 4-dim embeddings meet a policy of 3 hops "
+                                              "over 8-dim"):
             rollout_users(policy, tiny_graph, narrow, [u0], 3, cfg.max_actions,
                           RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
 
@@ -885,7 +903,7 @@ class TestTraining:
         cfg = AgentConfig(hop_budget=2, max_actions=8, hidden=(16, 8), epochs=0)
         spec = RewardSpec.binary(tiny_graph)
         policy, history = train_agent(tiny_graph, small_table, spec, cfg, seed=9)
-        fresh = PolicyModel(state_dim_for(small_table, 2), cfg, seed=9)
+        fresh = PolicyModel(small_table.dim, cfg, seed=9)
         assert history == []
         for a, b in zip(policy.params, fresh.params):
             np.testing.assert_array_equal(a, b)
@@ -976,7 +994,7 @@ class TestPersistence:
             assert "seed" not in json.loads(str(data["config"]))
         again = PolicyModel.load(path)
         assert again.config == cfg
-        assert again.state_dim == policy.state_dim
+        assert again.dim == policy.dim
         for a, b in zip(policy.params, again.params):
             np.testing.assert_array_equal(a, b)
 
@@ -999,6 +1017,18 @@ class TestPersistence:
             arrays[name] = stored
         np.savez(path, **arrays)
         with pytest.raises(InvalidSpec, match=rf"^{re.escape(path)}: .*\b{name}\b"):
+            PolicyModel.load(path)
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, True])
+    def test_stored_dim_other_than_a_positive_int_rejected(self, small_table, tmp_path, dim):
+        policy, _ = small_policy(small_table, 2)
+        path = str(tmp_path / "policy.npz")
+        policy.save(path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["dim"] = np.asarray(dim)
+        np.savez(path, **arrays)
+        with pytest.raises(InvalidSpec, match=rf"^{re.escape(path)}: dim .* no int >= 1"):
             PolicyModel.load(path)
 
     def test_loaded_and_trained_parameters_refuse_writes(self, tiny_graph, small_table,
