@@ -259,6 +259,8 @@ def _ranked_targets(value) -> bool:
 
 # the files a split is written to and read from
 SPLIT_FILES = ("schema.json", "train.tsv", "profiles.jsonl", "manifest.json")
+# the cohorts a run scores; a user is in at most one of them
+COHORTS = ("warm_test", "cold_val", "cold_test")
 
 
 @dataclass(frozen=True)
@@ -315,9 +317,10 @@ class DatasetSplit:
         of its ``SPLIT_FILES`` that the last parse read, from any
         directory, returns that parse's split itself, and its train graph
         is ``load_dataset``'s. A manifest that is no JSON object, or that
-        lacks a field or holds one of the wrong JSON type, raises
-        ParseError; a faulty split is never kept. Checks against a
-        run (stamps, train fingerprint) are the caller's, on every read.
+        lacks a field or holds one of the wrong JSON type, or that names
+        a user in two of the ``COHORTS``, raises ParseError; a faulty split
+        is never kept. Checks against a run (stamps, train fingerprint)
+        are the caller's, on every read.
         """
         data = {name: manifest if name == "manifest.json" and manifest is not None
                 else read_bytes(os.path.join(out_dir, name)) for name in SPLIT_FILES}
@@ -341,6 +344,12 @@ def _parse_split(out_dir: str, data: dict[str, bytes]) -> DatasetSplit:
     for key in ("warm_val", "warm_test", "cold_val", "cold_test"):
         if not (isinstance(m[key], dict) and all(map(is_names, m[key].values()))):
             raise ParseError(f"{where}: {key} is not an object of name -> list of names")
+    scored: dict[str, str] = {}
+    for cohort in COHORTS:
+        for user in m[cohort]:
+            if scored.setdefault(user, cohort) != cohort:
+                raise ParseError(f"{where}: user {user!r} is scored in both "
+                                 f"{scored[user]} and {cohort}")
     if not is_names(m["cold_items"]):
         raise ParseError(f"{where}: cold_items is not a list of names")
     if not (isinstance(m["cold_user_targets"], dict)

@@ -47,10 +47,6 @@ class EmptyCandidates(PathRecError):
     """A candidate set that must be non-empty is empty."""
 
 
-class InvalidAction(PathRecError):
-    """An action is not valid in the current path state."""
-
-
 class EmptyProfile(PathRecError):
     """A cold-entity profile has no usable declarations."""
 

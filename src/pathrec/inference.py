@@ -7,21 +7,16 @@ exhaustive. Complete paths are ranked by cumulative log probability and
 deduplicated per terminal item, keeping the best path as the explanation.
 
 The beam is an array frontier (``mdp.Frontier``) plus one log-probability
-per row, kept in the order a path-by-path search would produce: one
-policy forward per hop over all rows, one batched slate build, one
-lexsort for the per-row top-``width``. Each row carries only its
-parent's first-layer sum, and a hop meets the policy by the input rule
-training's rollouts follow: its relation block is folded into the
-carried sums (``PolicyModel.fold``), and its entity block is multiplied
-(``Frontier.encode``). The forward's actor head runs in at most two
-groups of rows, each at the width of its widest slate, and every row is
-normalised over its zero-padded full slate, so a hop costs about what its
-slates hold, not the policy's full slate. The search returns the final
-frontier as a ``Beam``, its two arrays and nothing else; ranking
-sorts, filters and deduplicates its rows on the arrays, and
-``PathState``/``ScoredPath`` objects are built, in one
-``Frontier.states`` call, only for the at most k served paths. The
-user's scores over all entities, which truncate over-cap slates by
+per row, kept in the order a path-by-path search would produce. It is
+walked by ``policy.walk``, the loop rollouts take too: one batched slate
+build and one policy forward per hop over all rows, each row carrying
+its parent's first-layer sum. The search is only its chooser: one
+lexsort per hop for the per-row top-``width``, and the log-probability
+sums. The search returns the final frontier as a ``Beam``, its two
+arrays and nothing else; ranking sorts, filters and deduplicates its
+rows on the arrays, and ``PathState``/``ScoredPath`` objects are built,
+in one ``Frontier.states`` call, only for the at most k served paths.
+The user's scores over all entities, which truncate over-cap slates by
 selection, are computed once per search (``mdp.start_scores``).
 
 A served path has one format, the record ``path_record`` builds and
@@ -39,9 +34,8 @@ import numpy as np
 from .embeddings import EmbeddingTable, score_tails
 from .errors import InvalidSpec, UnknownUser, is_int
 from .graph import INVERSE, KnowledgeGraph
-from .mdp import (SELF_LOOP, Frontier, PathState, path_signature, signature_label,
-                  start_scores)
-from .policy import PolicyModel, check_walk
+from .mdp import SELF_LOOP, Frontier, PathState, path_signature, signature_label
+from .policy import PolicyModel, walk
 
 
 @dataclass(frozen=True)
@@ -78,15 +72,11 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
     if not all(is_int(w) and w >= 1 for w in widths):
         raise InvalidSpec(f"beam widths must be ints >= 1, got {list(widths)}")
     cap = policy.config.max_actions if max_actions is None else max_actions
-    check_walk(policy, graph, table, len(widths), cap)
-    user_scores = start_scores(graph, table, [user])
-    frontier, logprob, carry = Frontier.start([user]), np.zeros(1), None
-    for t, width in enumerate(widths):
-        slates = frontier.slates(graph, cap, user_scores, np.zeros(len(frontier), dtype=np.intp))
-        if t:
-            carry = policy.fold(carry, frontier.relations[:, -1], table)
-        probs, _, cache = policy.forward(frontier.encode(table), slates.sizes, carry)
-        S = int(slates.sizes.max())
+    hop_widths, logprob = iter(widths), np.zeros(1)
+
+    def keep_most_probable(slates, probs, values, cache):
+        nonlocal logprob
+        width, S = next(hop_widths), int(slates.sizes.max())
         valid = np.arange(S) < slates.sizes[:, None]
         p = probs[:, :S]
         # Candidates: valid slots at least as probable as the row's
@@ -105,8 +95,9 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
         order = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < width]
         rows, slots = rows[order], slots[order]
         logprob = logprob[rows] + np.log(p[rows, slots])
-        carry = cache.sum1[rows], cache.end
-        frontier = frontier.advance(rows, relation[order], target[order], direction[order])
+        return rows, slots
+
+    frontier = walk(policy, graph, table, [user], len(widths), cap, keep_most_probable)
     return Beam(frontier, logprob)
 
 

@@ -7,11 +7,12 @@ pattern-gated score normalized by the user's best item score, and a binary
 hit test on the user's training interactions.
 
 Walks run on a ``Frontier``: many paths held as (P, t+1) entity and
-(P, t) relation/direction arrays. ``Frontier.slates`` builds every row's
-slate in one pass over the graph's CSR arrays, kept compact: the kept
-moves of all rows as one run of CSR edge ids and targets, plus a per-row
-offset and size; ``Slates.actions`` reads the (relation, target,
-direction) of any (row, slot) pairs, which ``Frontier.advance`` appends.
+(P, t) relation/direction arrays, walked hop by hop by one loop,
+``policy.walk``. ``Frontier.slates`` builds every row's slate in one
+pass over the graph's CSR arrays, kept compact: the kept moves of all
+rows as one run of CSR edge ids and targets, plus a per-row offset and
+size; ``Slates.actions`` reads the (relation, target, direction) of any
+(row, slot) pairs, which ``Frontier.advance`` appends.
 ``Frontier.encode`` gathers the entity block every row's last hop
 reached: a hop's entity block is multiplied, and its relation block is
 folded by the policy (``PolicyModel.fold``). ``RewardSpec.terminal_reward``

@@ -29,7 +29,7 @@ from . import coldstart, datasets, inference, metrics
 from .artifacts import (atomic_open, canonical_json, decode_text, parse_json, read_bytes,
                         write_csv, write_json)
 from .coldstart import ColdProfile, ColdStrategy
-from .datasets import DatasetSplit, SplitConfig, SyntheticSpec, cap_cold_relations
+from .datasets import COHORTS, DatasetSplit, SplitConfig, SyntheticSpec, cap_cold_relations
 from .embeddings import EmbedTrainConfig, EmbeddingTable, load_table, save_table, train_embeddings
 from .errors import (InvalidAxisValue, InvalidSpec, ParseError, PathRecError, StageError,
                      check_field_types, check_keys, config_from_json, is_int)
@@ -41,7 +41,6 @@ log = logging.getLogger(__name__)
 
 STAGES = ("synth", "split", "train-embed", "train-agent", "cold-integrate",
           "recommend", "eval")
-COHORTS = ("warm_test", "cold_val", "cold_test")
 
 
 @dataclass(frozen=True)
@@ -465,8 +464,6 @@ def evaluate_run(config: RunConfig, split: DatasetSplit, records: list[dict]):
     rows: list[dict] = []
     per_user: dict[str, dict] = {}
     test_blocks: dict[str, list[np.ndarray]] = {"grecs": [], "pop": []}
-    test_rows: dict[str, int] = {}  # warm_test and cold_test user -> row of the blocks
-    n_blocked = 0
     for cohort, users, grecs, relevant, train in scored:
         n = len(users)
         rel = metrics.ColumnSets(*_pairs(relevant), n, width)
@@ -486,23 +483,17 @@ def evaluate_run(config: RunConfig, split: DatasetSplit, records: list[dict]):
                                     sorted(zip(users, hit.tolist(), ndcg.tolist()))}
             if cohort != "cold_val":
                 test_blocks[model].append(recs)
-        if cohort != "cold_val":
-            # a user scored in both test cohorts keeps the first place and the last list
-            test_rows.update(zip(users, range(n_blocked, n_blocked + n)))
-            n_blocked += n
 
     cold_items = set(split.cold_items)
     if cold_items:
-        n_test = len(set(split.warm_test) | set(split.cold_test))
-        picked = np.fromiter(test_rows.values(), dtype=np.intp, count=len(test_rows))
+        # a split's scored cohorts share no user, so the test blocks stack
         for model, blocks in test_blocks.items():
-            recs = (np.concatenate(blocks)[picked] if blocks
-                    else np.full((0, k), -1, dtype=np.intp))
+            recs = np.concatenate(blocks) if blocks else np.full((0, k), -1, dtype=np.intp)
             rows += [{"model": model, "cohort": "test", "metric": f"coverage@{k}",
                       "value": metrics.cold_coverage(recs, is_cold, len(cold_items)),
-                      "n_users": n_test},
+                      "n_users": len(recs)},
                      {"model": model, "cohort": "test", "metric": f"proportion@{k}",
-                      "value": metrics.cold_proportion(recs, is_cold), "n_users": n_test}]
+                      "value": metrics.cold_proportion(recs, is_cold), "n_users": len(recs)}]
 
     patterns = {cohort: metrics.pattern_report(labels)
                 for cohort, labels in sorted(patterns_by_cohort.items())}

@@ -7,14 +7,16 @@ discounted backward; the learned baseline is fit by squared error and an
 entropy bonus keeps exploration alive. All math is float64 numpy, so
 training is deterministic given the seed.
 
-A rollout batch walks one ``mdp.Frontier`` row per user and scores every
-row's terminal reward in one ``RewardSpec.terminal_reward`` call on the
-walked arrays; no per-path objects are built.
+Rollouts and beam search take every hop of an ``mdp.Frontier`` through
+one loop, ``walk``, and differ only in the chooser that picks the rows it
+advances. A rollout batch samples one slot per user from the trained
+policy and scores every row's terminal reward in one
+``RewardSpec.terminal_reward`` call; no per-path objects are built.
 
-A walk meets W1 by one input rule, in rollouts as in beam search: a hop's
-entity block is multiplied (``forward``), and its relation block, one of
-R + 1 rows, is folded into each row's carried first-layer sum (``fold``),
-so a hop's cost does not grow with the walk. The backward reads each
+A walk meets W1 by one input rule: a hop's entity block is multiplied
+(``forward``), and its relation block, one of R + 1 rows, is folded into
+each row's carried first-layer sum (``fold``), gathered by parent row, so
+a hop's cost does not grow with the walk. The backward reads each
 hop's relation rows, gathered from the walked frontier, beside its cached
 entity block. The actor head runs in at most two groups of rows, each at
 the width of its widest slate, and every row is normalised over its
@@ -29,14 +31,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .artifacts import write_csv, write_npz
 from .embeddings import EmbeddingTable, rng_for
-from .errors import (EmptyGraph, InvalidAction, InvalidSpec, MissingEmbedding,
-                     check_field_types, config_from_json, is_int)
+from .errors import (EmptyGraph, InvalidSpec, MissingEmbedding, check_field_types,
+                     config_from_json, is_int)
 from .graph import KnowledgeGraph
 from .mdp import MAX_ACTIONS_DEFAULT, Frontier, RewardSpec, start_scores
 from .optim import Adam
@@ -351,28 +353,55 @@ class PolicyModel:
         return model.freeze()
 
 
-def check_walk(policy: PolicyModel | None, graph: KnowledgeGraph, table: EmbeddingTable,
+def check_walk(policy: PolicyModel, graph: KnowledgeGraph, table: EmbeddingTable,
                hops: int, max_actions: int):
-    """Raise unless ``table`` scores every entity of ``graph`` and, given a
-    policy, ``hops``-hop walks over ``table`` encode the policy's states
-    (so each state block meets the right rows of W1) and slates of
-    ``max_actions`` moves fit its slate; ``max_actions`` must be an int
-    (not a bool) >= 1."""
+    """Raise unless ``table`` scores every entity of ``graph``, ``hops``-hop
+    walks over ``table`` encode the policy's states (so each state block
+    meets the right rows of W1) and slates of ``max_actions`` moves fit its
+    slate; ``max_actions`` must be an int (not a bool) >= 1."""
     if not is_int(max_actions):
         raise InvalidSpec(f"max_actions must be an int, got {max_actions!r}")
     if max_actions < 1:
         raise InvalidSpec("max_actions must be >= 1")
-    if policy is not None:
-        cfg = policy.config
-        if hops != cfg.hop_budget or table.dim != policy.dim:
-            raise InvalidSpec(f"{hops}-hop walks over {table.dim}-dim embeddings meet a policy "
-                              f"of {cfg.hop_budget} hops over {policy.dim}-dim embeddings")
-        if max_actions > cfg.max_actions:
-            raise InvalidSpec(f"max_actions {max_actions} exceeds the policy's slate of "
-                              f"{cfg.max_actions} actions")
+    cfg = policy.config
+    if hops != cfg.hop_budget or table.dim != policy.dim:
+        raise InvalidSpec(f"{hops}-hop walks over {table.dim}-dim embeddings meet a policy "
+                          f"of {cfg.hop_budget} hops over {policy.dim}-dim embeddings")
+    if max_actions > cfg.max_actions:
+        raise InvalidSpec(f"max_actions {max_actions} exceeds the policy's slate of "
+                          f"{cfg.max_actions} actions")
     if table.entity_count < graph.entity_count:
         raise MissingEmbedding(f"table has {table.entity_count} entity rows, "
                                f"the graph {graph.entity_count} entities")
+
+
+def walk(policy: PolicyModel, graph: KnowledgeGraph, table: EmbeddingTable,
+         starts: Sequence[int], hops: int, max_actions: int, choose: Callable,
+         user_scores: np.ndarray | None = None) -> Frontier:
+    """The frontier ``policy`` walks in ``hops`` hops from ``starts``, one
+    row per start at hop 0: the one hop loop of rollouts and beam search.
+
+    ``choose(slates, probs, values, cache)`` returns the (rows, slots) a
+    hop takes: row i of the next frontier extends row ``rows[i]`` by slot
+    ``slots[i]`` and carries that row's first-layer sums, with the
+    relation block just walked folded in (``fold``), and its start's row
+    of ``user_scores`` (``mdp.start_scores`` of ``starts`` when none are
+    given), which ranks its over-cap moves. Each hop builds every row's
+    slate and multiplies the entity block it reached (``forward``).
+    """
+    check_walk(policy, graph, table, hops, max_actions)
+    if user_scores is None:
+        user_scores = start_scores(graph, table, starts)
+    frontier, score_rows, carry = Frontier.start(starts), np.arange(len(starts)), None
+    for t in range(hops):
+        if t:  # gathered here, so the last hop's rows gather nothing
+            score_rows = score_rows[rows]
+            carry = policy.fold((cache.sum1[rows], cache.end), frontier.relations[:, -1], table)
+        slates = frontier.slates(graph, max_actions, user_scores, score_rows)
+        probs, values, cache = policy.forward(frontier.encode(table), slates.sizes, carry)
+        rows, slots = choose(slates, probs, values, cache)
+        frontier = frontier.advance(rows, *slates.actions(rows, slots))
+    return frontier
 
 
 def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -383,62 +412,41 @@ def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class StepRecord:
-    cache: ForwardCache | None
+    cache: ForwardCache
     probs: np.ndarray
     values: np.ndarray
     chosen: np.ndarray
     slate_sizes: np.ndarray
 
 
-def rollout_batch(policy: PolicyModel | None, graph: KnowledgeGraph,
+def rollout_batch(policy: PolicyModel, graph: KnowledgeGraph,
                   table: EmbeddingTable, users: list[int], user_scores: np.ndarray,
                   hop_budget: int, max_actions: int, reward_spec: RewardSpec,
-                  rng: np.random.Generator,
-                  forced_actions: list[list[int]] | None = None):
-    """Walk one episode per user; returns (step records, rewards, walked
-    frontier): row b of the ``hop_budget``-hop frontier is user b's path.
+                  rng: np.random.Generator):
+    """Walk one episode per user, each hop's slot drawn from the policy's
+    probabilities; returns (step records, rewards, walked frontier): row b
+    of the ``hop_budget``-hop frontier is user b's path.
 
     ``user_scores[b]`` ranks user b's over-cap moves (``mdp.start_scores``).
-    With ``policy=None`` the behavior policy is uniform over each slate
-    (records then carry no caches). ``forced_actions[t][b]`` overrides
-    sampling with a fixed slot index, used for exact expectation tests.
     """
     if not len(users):
         raise InvalidSpec("rollouts need at least one user")
-    check_walk(policy, graph, table, hop_budget, max_actions)
-    frontier, rows, carry = Frontier.start(users), np.arange(len(users)), None
-    records: list[StepRecord] = []
-    for t in range(hop_budget):
-        slates = frontier.slates(graph, max_actions, user_scores, rows)
-        sizes = slates.sizes
-        if policy is not None:
-            if t:  # rows keep their order: each carries its own state
-                carry = policy.fold(carry, frontier.relations[:, -1], table)
-            probs, values, cache = policy.forward(frontier.encode(table), sizes, carry)
-            carry = cache[:2]
-        else:
-            mask = np.arange(max(sizes.max(), 1)) < sizes[:, None]
-            probs = mask / sizes[:, None]
-            values = np.zeros(len(users))
-            cache = None
-        if forced_actions is not None:
-            chosen = np.asarray(forced_actions[t], dtype=np.intp)
-            if np.any((chosen < 0) | (chosen >= sizes)):
-                raise InvalidAction(f"forced slot outside the slate at hop {t}")
-        else:
-            # cumsum can undershoot 1.0 by an ulp; clip into the slate
-            chosen = np.minimum(_sample_rows(probs, rng), sizes - 1)
-        records.append(StepRecord(cache, probs, values, chosen, sizes))
-        frontier = frontier.advance(rows, *slates.actions(rows, chosen))
-    return records, reward_spec.terminal_reward(frontier), frontier
+    rows, records = np.arange(len(users)), []
+
+    def sample(slates, probs, values, cache):
+        # cumsum can undershoot 1.0 by an ulp; clip into the slate
+        chosen = np.minimum(_sample_rows(probs, rng), slates.sizes - 1)
+        records.append(StepRecord(cache, probs, values, chosen, slates.sizes))
+        return rows, chosen
+
+    walked = walk(policy, graph, table, users, hop_budget, max_actions, sample, user_scores)
+    return records, reward_spec.terminal_reward(walked), walked
 
 
 def episode_gradients(policy: PolicyModel, graph: KnowledgeGraph,
                       table: EmbeddingTable, users: list[int], user_scores: np.ndarray,
                       config: AgentConfig, reward_spec: RewardSpec,
-                      rng: np.random.Generator,
-                      forced_actions: list[list[int]] | None = None,
-                      grads: list[np.ndarray] | None = None):
+                      rng: np.random.Generator, grads: list[np.ndarray] | None = None):
     """One rollout batch (``user_scores`` as in ``rollout_batch``) and the
     gradient of its loss
     mean_b sum_t [ -log pi(a_t) * (G_t - V_t) + (G_t - V_t)^2 - beta * H_t ],
@@ -446,7 +454,7 @@ def episode_gradients(policy: PolicyModel, graph: KnowledgeGraph,
     the mean per-step entropy for the curve)."""
     records, rewards, walked = rollout_batch(policy, graph, table, users, user_scores,
                                              config.hop_budget, config.max_actions,
-                                             reward_spec, rng, forced_actions)
+                                             reward_spec, rng)
     grads = policy.zero_grads(grads)
     rel_rows = np.vstack([table.relation_vecs, table.self_loop_vec])  # SELF_LOOP's last
     blocks = [records[0].cache.X]  # the state's blocks: each hop's relation, then entity

@@ -4,7 +4,8 @@ The scalar path-walking MDP: one state, one action at a time.
 
 ``pathrec.mdp.Frontier`` walks many paths at once on arrays; these
 per-state functions define the same semantics one state at a time and are
-the oracles the batched kernels are tested against. ``valid_actions`` is
+the oracles the batched kernels are tested against; ``step`` raises
+``InvalidAction`` for a move the state does not offer. ``valid_actions`` is
 a row of ``Frontier.slates``, ``step`` a row of ``Frontier.advance`` and
 ``encode_state`` the whole zero-padded decision state whose last blocks
 (the last hop's relation and entity, or the user at hop 0) are a row of
@@ -36,7 +37,8 @@ front.
 
 ``evaluate_mean_reward`` is the mean terminal reward of stochastic
 rollouts (``policy.rollout_batch``) of a policy or of the uniform walk,
-the measure of the agent's lift over uniform.
+the measure of the agent's lift over uniform; ``UniformPolicy`` is the
+uniform walk as a policy that ``policy.walk`` drives.
 
 ``GraphWriter`` grows a graph one call at a time, as tests and the
 references below write graphs: each scalar ``add_*`` call extends the
@@ -78,6 +80,7 @@ import os
 from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from functools import reduce
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -88,8 +91,8 @@ from pathrec.coldstart import ColdStrategy
 from pathrec.coldstart import log as coldstart_log
 from pathrec.datasets import SyntheticSpec, synthetic_schema
 from pathrec.embeddings import EmbeddingTable, rng_for, score_tails
-from pathrec.errors import (DuplicateEntity, EmptyColdSet, EmptyProfile, InvalidAction,
-                            InvalidSpec, MissingEmbedding, PathRecError, SchemaViolation)
+from pathrec.errors import (DuplicateEntity, EmptyColdSet, EmptyProfile, InvalidSpec,
+                            MissingEmbedding, PathRecError, SchemaViolation)
 from pathrec.graph import FORWARD, INVERSE, KGSchema, KnowledgeGraph
 from pathrec.inference import Beam, ScoredPath
 from pathrec.mdp import (MAX_ACTIONS_DEFAULT, SELF_LOOP, Frontier, PathState, RewardSpec,
@@ -132,6 +135,10 @@ class GraphWriter:
 
 class BudgetExhausted(PathRecError):
     """The hop budget of a path state is already spent."""
+
+
+class InvalidAction(PathRecError):
+    """An action is not valid in the current path state."""
 
 
 def is_complete(state: PathState) -> bool:
@@ -717,21 +724,18 @@ def reference_beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
 
 def reference_episode_gradients(policy: PolicyModel, graph: KnowledgeGraph,
                                 table: EmbeddingTable, users, user_scores, config,
-                                reward_spec, rng, forced_actions=None, grads=None):
+                                reward_spec, rng, grads=None):
     """``policy.episode_gradients`` (same arguments and results) on the
     two-block forward: each hop multiplies its (relation, entity) pair
     (``encode_pair``, ``reference_forward``) after its parent's carry,
     and the backward reads each hop's pair as its block."""
     frontier, rows, carry, hops = Frontier.start(users), np.arange(len(users)), None, []
-    for t in range(config.hop_budget):
+    for _ in range(config.hop_budget):
         slates = frontier.slates(graph, config.max_actions, user_scores, rows)
         probs, values, cache = reference_forward(policy, encode_pair(frontier, table),
                                                  slates.sizes, carry)
         carry = cache[:2]
-        if forced_actions is not None:
-            chosen = np.asarray(forced_actions[t], dtype=np.intp)
-        else:
-            chosen = np.minimum(_sample_rows(probs, rng), slates.sizes - 1)
+        chosen = np.minimum(_sample_rows(probs, rng), slates.sizes - 1)
         hops.append((cache, probs, values, chosen))
         frontier = frontier.advance(rows, *slates.actions(rows, chosen))
     rewards = reward_spec.terminal_reward(frontier)
@@ -752,16 +756,39 @@ def reference_episode_gradients(policy: PolicyModel, graph: KnowledgeGraph,
     return grads, rewards, entropy_sum / (B * T)
 
 
+class UniformPolicy:
+    """The uniform walk as a policy ``policy.walk`` drives: every slot of a
+    slate equally probable, values zero and no sums carried. It has the
+    ``config`` (hop budget, action cap) and ``dim`` a walk checks, so
+    ``rollout_batch`` with it walks the uniform baseline: one
+    ``rng.random`` row per hop over the probabilities ``mask / sizes``,
+    as wide as the widest slate."""
+
+    def __init__(self, dim: int, hop_budget: int, max_actions: int):
+        self.dim = dim
+        self.config = SimpleNamespace(hop_budget=hop_budget, max_actions=max_actions)
+
+    def fold(self, carry, relations, table):
+        return carry
+
+    def forward(self, X, slate_sizes, carry=None):
+        probs = (np.arange(max(slate_sizes.max(), 1)) < slate_sizes[:, None]) / slate_sizes[:, None]
+        return probs, np.zeros(len(X)), ForwardCache(np.zeros((len(X), 0)), 0, None, None, None)
+
+
 def evaluate_mean_reward(policy: PolicyModel | None, graph: KnowledgeGraph,
                          table: EmbeddingTable, users: list[int],
                          hop_budget: int, max_actions: int,
                          reward_spec: RewardSpec, seed: int,
                          episodes: int = 1) -> float:
     """Mean terminal reward of stochastic rollouts; ``policy=None`` is the
-    uniform-random baseline. The rollout seed stream depends only on
-    ``seed``, so two policies can be measured on the same episode draws."""
+    uniform-random baseline (``UniformPolicy``). The rollout seed stream
+    depends only on ``seed``, so two policies can be measured on the same
+    episode draws."""
     if episodes < 1:
         raise InvalidSpec(f"episodes must be >= 1, got {episodes}")
+    if policy is None:
+        policy = UniformPolicy(table.dim, hop_budget, max_actions)
     rng = rng_for(seed, "reward-eval")
     scores = start_scores(graph, table, users)
     total = 0.0

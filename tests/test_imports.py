@@ -36,6 +36,11 @@ is folded (``PolicyModel.fold``). No other module calls
 (the rows a relation block is read from), so no other module knows the
 layer's block layout.
 
+A walk has one hop loop, ``policy.walk``: rollouts and beam search are
+its choosers. No other code in src calls ``fold``, ``forward`` or
+``advance``, the three calls of a hop, so a change to the hop is made
+once.
+
 The state's block layout is worked out in ``policy.py`` only: no other
 module multiplies a hop count (a name or attribute ``hop_budget`` or
 ``hops``), as ``(1 + 2 * hop_budget) * dim`` did in every caller that
@@ -332,7 +337,7 @@ def test_relation_block_scanner_flags_the_inline_fold_of_beam_search():
     so does ``mdp.py`` with the pair encoder's relation rows back."""
     for module, anchor, old in (
             ("inference.py",
-             "    frontier, logprob, carry = Frontier.start([user]), np.zeros(1), None\n",
+             "    hop_widths, logprob = iter(widths), np.zeros(1)\n",
              "    carry, terms = None, policy.relation_terms(table)\n"),
             ("mdp.py", "        entity = self.entities[:, -1]\n",
              "        rel_rows = np.vstack([table.relation_vecs, table.self_loop_vec])\n")):
@@ -346,6 +351,99 @@ def test_relation_block_scanner_flags_the_inline_fold_of_beam_search():
                                           if p.name != "policy.py"))
 def test_relation_blocks_are_read_by_the_policy_only(module):
     assert relation_block_reads((PACKAGE / module).read_text()) == []
+
+
+HOP_CALLS = {"fold", "forward", "advance"}
+
+
+def hop_calls(source: str, loop: str | None = None) -> list[int]:
+    """Lines that call a method named in ``HOP_CALLS`` outside the body of
+    the module-level function ``loop``."""
+    tree = ast.parse(source)
+    inside = {id(n) for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == loop for n in ast.walk(node)}
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in HOP_CALLS and id(node) not in inside})
+
+
+def test_hop_call_scanner_flags_calls_outside_the_loop():
+    source = ("def walk(policy, frontier):\n"
+              "    carry = policy.fold(carry, rel, table)\n"
+              "    return frontier.advance(rows, *actions)\n"
+              "def search(policy, frontier):\n"
+              "    def step():\n"
+              "        return policy.forward(X, sizes, carry)\n"
+              "    return frontier.advance(rows, r, t, d), step\n"
+              "class Model:\n"
+              "    def forward(self, X):\n"
+              "        return self._probs(X), fold, advance\n"
+              "cache = model.forward(X)\n")
+    assert hop_calls(source, "walk") == [6, 7, 11]
+    assert hop_calls(source) == [2, 3, 6, 7, 11]
+
+
+# beam search's own hop loop, as it read before it became a chooser of
+# ``policy.walk``
+PARENT_BEAM_LOOP = """
+
+def beam_search_loop(user, policy, graph, table, widths, cap):
+    user_scores = start_scores(graph, table, [user])
+    frontier, logprob, carry = Frontier.start([user]), np.zeros(1), None
+    for t, width in enumerate(widths):
+        slates = frontier.slates(graph, cap, user_scores, np.zeros(len(frontier), dtype=np.intp))
+        if t:
+            carry = policy.fold(carry, frontier.relations[:, -1], table)
+        probs, _, cache = policy.forward(frontier.encode(table), slates.sizes, carry)
+        S = int(slates.sizes.max())
+        valid = np.arange(S) < slates.sizes[:, None]
+        p = probs[:, :S]
+        # Candidates: valid slots at least as probable as the row's
+        # width-th best, so ties at the cut stay in; one lexsort then
+        # orders them by (row, -p, target, relation, direction). p is 0
+        # beyond a slate and >= 0 inside it, so a row with fewer than
+        # width valid slots gets a cut of 0 and all of them.
+        if width < S:
+            cut = p.max(axis=1) if width == 1 else np.partition(p, S - width, axis=1)[:, S - width]
+            rows, slots = np.nonzero(valid & (p >= cut[:, None]))
+        else:
+            rows, slots = np.nonzero(valid)
+        relation, target, direction = slates.actions(rows, slots)
+        order = np.lexsort((direction, relation, target, -p[rows, slots], rows))
+        ranked = rows[order]
+        order = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < width]
+        rows, slots = rows[order], slots[order]
+        logprob = logprob[rows] + np.log(p[rows, slots])
+        carry = cache.sum1[rows], cache.end
+        frontier = frontier.advance(rows, relation[order], target[order], direction[order])
+    return Beam(frontier, logprob)
+"""
+
+
+def test_hop_call_scanner_flags_the_beam_loop_pasted_back():
+    """``inference.py`` with beam search's own hop loop back, as it read
+    before it became a chooser of ``policy.walk``, fails the lint at its
+    fold, its forward and its advance."""
+    source = (PACKAGE / "inference.py").read_text()
+    assert hop_calls(source) == []
+    pasted = source + PARENT_BEAM_LOOP
+    lines = pasted.splitlines()
+    want = [i + 1 for i, line in enumerate(lines) if i >= len(source.splitlines())
+            and any(f".{call}(" in line for call in HOP_CALLS)]
+    assert len(want) == 3 and hop_calls(pasted) == want
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_hops_are_taken_by_policy_walk_only(module):
+    loop = "walk" if module == "policy.py" else None
+    assert hop_calls((PACKAGE / module).read_text(), loop) == []
+
+
+def test_policy_walk_takes_every_hop_call():
+    """``walk`` itself calls each of ``HOP_CALLS``: the scanner reads the
+    loop that holds them."""
+    source = (PACKAGE / "policy.py").read_text()
+    assert len(hop_calls(source)) == len(HOP_CALLS) and hop_calls(source, "walk") == []
 
 
 HOP_COUNTS = {"hop_budget", "hops"}

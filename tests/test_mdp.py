@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from pathrec.embeddings import (EmbedTrainConfig, init_table, score_all_tails, score_tails,
                                 score_triplet)
-from pathrec.errors import InvalidAction, MissingEmbedding
+from pathrec.errors import MissingEmbedding
 from pathrec.graph import FORWARD, INVERSE
 from pathrec.mdp import (SELF_LOOP, Frontier, PathState, RewardSpec, path_signature,
                          signature_label)
 
 from conftest import build_multi_edge_graph, build_shop_graph
-from oracles import (Action, BudgetExhausted, GraphWriter, encode_pair, encode_state,
-                     frontier_of, is_complete, reference_slates, step, valid_actions)
+from oracles import (Action, BudgetExhausted, GraphWriter, InvalidAction, encode_pair,
+                     encode_state, frontier_of, is_complete, reference_slates, step, valid_actions)
 
 
 def walk(graph, state, actions):

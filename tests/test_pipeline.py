@@ -535,6 +535,18 @@ def list_cohort(path):
     write_json(path, data)
 
 
+def shared_user(path):
+    """Copy the first cold_test user, with its items, into warm_test, so two
+    scored cohorts share it; the file still decodes and its stamp still
+    matches the run. Returns the user's name."""
+    with open(path) as fh:
+        data = json.load(fh)
+    user = min(data["cold_test"])
+    data["warm_test"][user] = data["cold_test"][user]
+    write_json(path, data)
+    return user
+
+
 def bad_targets(path):
     """Store every cold user's ranked targets as one [5, "x", null] entry;
     the manifest still decodes and its stamp still matches the run."""
@@ -698,6 +710,7 @@ FAULTS = [
     ("bad-target", "split/profiles.jsonl", "cold-integrate"),
     ("seed-in-config", "split/manifest.json", "train-embed"),
     ("list-cohort", "split/manifest.json", "eval"),
+    ("shared-user", "split/manifest.json", "eval"),
     ("bad-targets", "split/manifest.json", "sweep"),
     ("seed-in-config", "agent/policy.npz", "recommend"),
     ("seed-in-config", "agent/policy.npz", "sweep"),
@@ -728,6 +741,7 @@ FAULT_WRITERS = {"truncate": truncate, "cut-lines": cut_lines, "drop-items": dro
                  "repeat-item": repeat_item,
                  "bad-target": bad_target, "bad-targets": bad_targets,
                  "seed-in-config": seed_in_config, "list-cohort": list_cohort,
+                 "shared-user": shared_user,
                  "config-type": config_type, "config-key": config_key,
                  "param-shape": param_shape, "state-dim-format": state_dim_format,
                  "short-self-loop": short_self_loop,
@@ -780,6 +794,19 @@ class TestDamagedArtifacts:
         damage(copy, seed2_run, fault, artifact)
         with pytest.raises(StageError, match=rf"^\[{stage}\] "):
             STAGE_CALLS[stage](copy)
+
+    def test_user_in_two_scored_cohorts_is_named_with_both(self, tiny_run, tmp_path):
+        """A split whose warm_test and cold_test share a user is refused by
+        the stages that score it, not served and scored as warm."""
+        config, _, _ = tiny_run
+        copy, _ = copy_run(config, str(tmp_path / "run"))
+        manifest = os.path.join(copy.workdir, "split", "manifest.json")
+        user = shared_user(manifest)
+        for stage in ("recommend", "eval"):
+            with pytest.raises(StageError, match=rf"^\[{stage}\] {re.escape(manifest)}: user "
+                                                 rf"'{user}' is scored in both warm_test "
+                                                 r"and cold_test$"):
+                STAGE_CALLS[stage](copy)
 
     @pytest.mark.parametrize("stage", ["recommend", "sweep"])
     def test_policy_of_the_state_dim_format_names_the_missing_dim(self, tiny_run, tmp_path,

@@ -14,15 +14,15 @@ from pathrec import mdp
 from pathrec import policy as policy_module
 from pathrec.embeddings import (EmbedTrainConfig, EmbeddingTable, init_table, rng_for,
                                 score_tails)
-from pathrec.errors import EmptyGraph, InvalidAction, InvalidSpec, MissingEmbedding
+from pathrec.errors import EmptyGraph, InvalidSpec, MissingEmbedding
 from pathrec.mdp import SELF_LOOP, PathState, RewardSpec, start_scores
 from pathrec.optim import Adam
 from pathrec.policy import (AgentConfig, PolicyModel, _sample_rows,
                             episode_gradients, rollout_batch, train_agent, training_users,
                             write_history)
 
-from oracles import (GraphWriter, encode_state, evaluate_mean_reward, frontier_of, is_complete,
-                     pair_blocks, reference_episode_gradients, reference_forward,
+from oracles import (GraphWriter, UniformPolicy, encode_state, evaluate_mean_reward, frontier_of,
+                     is_complete, pair_blocks, reference_episode_gradients, reference_forward,
                      reference_init, reference_relation_terms, step, valid_actions)
 from test_pipeline import TINY
 
@@ -36,6 +36,14 @@ class FixedReward:
     def terminal_reward(self, frontier):
         return np.asarray([float(self.by_terminal.get(t, 0.0))
                            for t in frontier.entities[:, -1].tolist()])
+
+
+def forcing(monkeypatch, forced):
+    """Make rollouts take slot ``forced[t][b]`` for row b at their t-th
+    draw, in place of sampling (``policy._sample_rows``)."""
+    draws = iter(forced)
+    monkeypatch.setattr(policy_module, "_sample_rows",
+                        lambda probs, rng: np.asarray(next(draws), dtype=np.intp))
 
 
 def small_policy(table, hop_budget, seed=5, **overrides):
@@ -455,6 +463,81 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
                                                    "wide_rows", *keys)) > 0, (phase, reached)
 
 
+WALK_PROBE = """
+import json, sys
+import numpy as np
+from pathrec.datasets import SyntheticSpec, generate_synthetic, load_dataset
+from pathrec.embeddings import EmbedTrainConfig, init_table
+from pathrec.mdp import Frontier
+from pathrec.policy import AgentConfig, PolicyModel, training_users, walk
+
+CAP = 25  # below the degree of every brand and category hub
+over_cap, slates = [0], Frontier.slates
+
+def counting_slates(frontier, graph, max_actions, *args):
+    got = slates(frontier, graph, max_actions, *args)
+    over_cap[0] += int((slates(frontier, graph, 10 ** 9, *args).sizes > got.sizes).sum())
+    return got
+
+Frontier.slates = counting_slates
+graph = load_dataset(*generate_synthetic(SyntheticSpec(users=40, items=120, brands=2,
+                                                       categories=3), sys.argv[1]))
+table = init_table(graph, EmbedTrainConfig())
+policy = PolicyModel(table.dim, AgentConfig()).freeze()
+
+def top_two(starts):
+    \"\"\"Walk ``starts`` keeping each row's two most probable slots (ties by
+    slot); returns the frontier, each row's start index and, per hop, the
+    probabilities and each row's start index.\"\"\"
+    hops, origin = [], [np.arange(len(starts))]
+
+    def choose(slates, probs, values, cache):
+        rows, slots = np.nonzero(np.arange(probs.shape[1]) < slates.sizes[:, None])
+        order = np.lexsort((slots, -probs[rows, slots], rows))
+        rows, slots = rows[order], slots[order]
+        keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < 2
+        hops.append((probs, origin[0]))
+        origin[0] = origin[0][rows[keep]]
+        return rows[keep], slots[keep]
+
+    frontier = walk(policy, graph, table, starts, 3, CAP, choose)
+    return frontier, origin[0], hops
+
+users = training_users(graph)
+starts = users[:6] + users[1:4] + users[:1]  # users repeated, one of them twice
+frontier, origin, hops = top_two(starts)
+over_cap_rows, mismatches = over_cap[0], []
+for i, start in enumerate(starts):
+    alone, _, alone_hops = top_two([start])
+    rows = origin == i
+    for name in ("entities", "relations", "directions"):
+        if getattr(frontier, name)[rows].tobytes() != getattr(alone, name).tobytes():
+            mismatches.append([i, name])
+    for t, ((probs, at), (want, _)) in enumerate(zip(hops, alone_hops)):
+        if probs[at == i].tobytes() != want.tobytes():
+            mismatches.append([i, f"probs at hop {t}"])
+print(json.dumps({"mismatches": mismatches, "over_cap_rows": over_cap_rows}))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_walked_rows_do_not_depend_on_their_batch(tmp_path, threads):
+    """``walk`` with a deterministic chooser, the top two slots of each row
+    by probability, over a batch of starts with repeated users and hubs
+    cut to the cap: each start's frontier rows and each hop's
+    probabilities equal, bit for bit, the same start walked alone. The
+    values are left out: the baseline is a matrix-vector product, which
+    sums a row by its place among the call's rows."""
+    src = os.path.dirname(os.path.dirname(pathrec.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", WALK_PROBE, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert got["mismatches"] == [] and got["over_cap_rows"] > 0, got
+
+
 class TestGradientOracle:
     """Single-step policy gradient against finite differences.
 
@@ -479,20 +562,22 @@ class TestGradientOracle:
         X = encode_state(state, small_table)[None, :]
         return policy, cfg, u0, spec, slate, R, X
 
-    def enumerated_grads(self, policy, cfg, tiny_graph, small_table, u0, spec, slate):
+    def enumerated_grads(self, policy, cfg, tiny_graph, small_table, u0, spec, slate,
+                         monkeypatch):
         X = encode_state(PathState.start(u0, 1), small_table)[None, :]
         probs, _, _ = policy.forward(X, np.asarray([len(slate)]))
         total = [np.zeros_like(p) for p in policy.params]
         for a_idx in range(len(slate)):
-            grads, _, _ = episode_gradients(policy, tiny_graph, small_table, [u0],
-                                            start_scores(tiny_graph, small_table, [u0]),
-                                            cfg, spec, rng_for(0, "unused"),
-                                            forced_actions=[[a_idx]])
+            with monkeypatch.context() as patch:
+                forcing(patch, [[a_idx]])
+                grads, _, _ = episode_gradients(policy, tiny_graph, small_table, [u0],
+                                                start_scores(tiny_graph, small_table, [u0]),
+                                                cfg, spec, rng_for(0, "unused"))
             for t, g in zip(total, grads):
                 t += probs[0, a_idx] * g
         return total
 
-    def test_expected_gradient_matches_fd(self, tiny_graph, small_table):
+    def test_expected_gradient_matches_fd(self, tiny_graph, small_table, monkeypatch):
         policy, cfg, u0, spec, slate, R, X = self.setup_case(tiny_graph, small_table)
         sizes = np.asarray([len(slate)])
         p0, V0, _ = policy.forward(X, sizes)
@@ -508,7 +593,7 @@ class TestGradientOracle:
             return actor - cfg.entropy_coef * H + value
 
         expected = self.enumerated_grads(policy, cfg, tiny_graph, small_table,
-                                         u0, spec, slate)
+                                         u0, spec, slate, monkeypatch)
         h = 1e-6
         for arr, grad in zip(policy.params, expected):
             gflat = grad.ravel()
@@ -523,10 +608,11 @@ class TestGradientOracle:
                 arr[at] = orig
                 assert (up - down) / (2 * h) == pytest.approx(gflat[j], rel=1e-4, abs=1e-9)
 
-    def test_sampled_gradient_converges_to_expectation(self, tiny_graph, small_table):
+    def test_sampled_gradient_converges_to_expectation(self, tiny_graph, small_table,
+                                                        monkeypatch):
         policy, cfg, u0, spec, slate, R, X = self.setup_case(tiny_graph, small_table)
         expected = self.enumerated_grads(policy, cfg, tiny_graph, small_table,
-                                         u0, spec, slate)
+                                         u0, spec, slate, monkeypatch)
         rng = rng_for(77, "sample-check")
         acc = [np.zeros_like(p) for p in policy.params]
         batches, B = 12, 2000
@@ -543,21 +629,21 @@ class TestGradientOracle:
 
 
 class TestMultiStep:
-    def test_trajectory_gradients_match_manual_formula(self, tiny_graph, small_table):
+    def test_trajectory_gradients_match_manual_formula(self, tiny_graph, small_table,
+                                                       monkeypatch):
         """Replays forced trajectories and rebuilds the update by hand."""
         policy, cfg = small_policy(small_table, 2)
         users = [tiny_graph.entity_id("user", "u0"),
                  tiny_graph.entity_id("user", "u1")]
         spec = RewardSpec.binary(tiny_graph)
         forced = [[1, 0], [2, 1]]
+        forcing(monkeypatch, forced + forced)  # the rollout, then the gradients' rollout
         records, rewards, walked = rollout_users(policy, tiny_graph, small_table,
                                                  users, cfg.hop_budget, cfg.max_actions,
-                                                 spec, rng_for(0, "unused"),
-                                                 forced_actions=forced)
+                                                 spec, rng_for(0, "unused"))
         grads, _, _ = episode_gradients(policy, tiny_graph, small_table, users,
                                         start_scores(tiny_graph, small_table, users),
-                                        cfg, spec, rng_for(0, "unused"),
-                                        forced_actions=forced)
+                                        cfg, spec, rng_for(0, "unused"))
         manual = policy.zero_grads()
         B, T = len(users), len(records)
         for t, rec in enumerate(records):
@@ -775,8 +861,8 @@ class TestBatchedRollout:
         np.testing.assert_array_equal(rewards, want_rewards)
         assert len(records) == len(hops)
         for t, (rec, (X, probs, values, chosen, sizes)) in enumerate(zip(records, hops)):
-            if X is None:
-                assert rec.cache is None
+            if X is None:  # the uniform walk multiplies no block
+                assert rec.cache.X is None
             else:
                 # each hop's cache holds the entity block it multiplied; with
                 # the walk's relation blocks (the pair encoder) the hops'
@@ -809,32 +895,25 @@ class TestBatchedRollout:
     def test_sampled_rollouts_equal_scalar_walk(self, make_graph, seed, mode):
         g, table, policy, cfg, users = self.setup_case(make_graph, seed)
         spec = RewardSpec.binary(g) if mode == "upgpr" else RewardSpec.pattern(g, table)
-        for pol in (policy, None):
+        for pol, ref in ((policy, policy), (UniformPolicy(table.dim, 3, cfg.max_actions), None)):
             got = rollout_users(pol, g, table, users, 3, cfg.max_actions, spec,
                                 rng_for(seed, "roll"))
-            want = reference_rollout(pol, g, table, users, 3, cfg.max_actions, spec,
+            want = reference_rollout(ref, g, table, users, 3, cfg.max_actions, spec,
                                      rng_for(seed, "roll"))
             self.assert_same(got, want, table)
 
-    def test_forced_rollouts_equal_scalar_walk(self, make_graph):
+    def test_forced_rollouts_equal_scalar_walk(self, make_graph, monkeypatch):
         g, table, policy, cfg, users = self.setup_case(make_graph, 5)
         spec = RewardSpec.binary(g)
         rng = np.random.default_rng(0)
         # the first hop's slates are the widest; forced slots stay inside them
         forced = [rng.integers(0, 2, size=len(users)).tolist() for _ in range(3)]
+        forcing(monkeypatch, forced)
         got = rollout_users(policy, g, table, users, 3, cfg.max_actions, spec,
-                            rng_for(0, "unused"), forced_actions=forced)
+                            rng_for(0, "unused"))
         want = reference_rollout(policy, g, table, users, 3, cfg.max_actions, spec,
                                  rng_for(0, "unused"), forced_actions=forced)
         self.assert_same(got, want, table)
-
-    def test_forced_slot_outside_slate_rejected(self, tiny_graph, small_table):
-        policy, cfg = small_policy(small_table, 1)
-        u0 = tiny_graph.entity_id("user", "u0")
-        with pytest.raises(InvalidAction):
-            rollout_users(policy, tiny_graph, small_table, [u0], 1, cfg.max_actions,
-                          RewardSpec.binary(tiny_graph), rng_for(0, "unused"),
-                          forced_actions=[[cfg.max_actions + 1]])
 
     def test_cap_above_policy_slate_rejected(self, tiny_graph, small_table):
         policy, cfg = small_policy(small_table, 2)
@@ -847,7 +926,7 @@ class TestBatchedRollout:
     def test_cap_below_one_rejected(self, tiny_graph, small_table, cap):
         policy, _ = small_policy(small_table, 2)
         u0 = tiny_graph.entity_id("user", "u0")
-        for behavior in (policy, None):
+        for behavior in (policy, UniformPolicy(small_table.dim, 2, cap)):
             with pytest.raises(InvalidSpec, match="max_actions must be >= 1"):
                 rollout_users(behavior, tiny_graph, small_table, [u0], 2, cap,
                               RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
@@ -857,7 +936,7 @@ class TestBatchedRollout:
                                small_table.relation_vecs, small_table.self_loop_vec)
         policy, cfg = small_policy(short, 2)
         u0 = tiny_graph.entity_id("user", "u0")
-        for behavior in (policy, None):
+        for behavior in (policy, UniformPolicy(short.dim, 2, cfg.max_actions)):
             with pytest.raises(MissingEmbedding):
                 rollout_users(behavior, tiny_graph, short, [u0], 2, cfg.max_actions,
                               RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
@@ -865,12 +944,13 @@ class TestBatchedRollout:
     def test_empty_cohort_rejected(self, tiny_graph, small_table):
         policy, cfg = small_policy(small_table, 2)
         spec = RewardSpec.binary(tiny_graph)
-        for behavior in (policy, None):
+        uniform = UniformPolicy(small_table.dim, 2, cfg.max_actions)
+        for behavior, evaluated in ((policy, policy), (uniform, None)):
             with pytest.raises(InvalidSpec, match="at least one user"):
                 rollout_users(behavior, tiny_graph, small_table, [], 2, cfg.max_actions,
                               spec, rng_for(0, "unused"))
             with pytest.raises(InvalidSpec, match="at least one user"):
-                evaluate_mean_reward(behavior, tiny_graph, small_table, [], 2,
+                evaluate_mean_reward(evaluated, tiny_graph, small_table, [], 2,
                                      cfg.max_actions, spec, seed=0)
 
     def test_table_of_another_dim_rejected(self, tiny_graph, small_table):
