@@ -9,6 +9,7 @@ JSON path, before it builds the config.
 """
 
 import dataclasses
+import sys
 
 
 class PathRecError(Exception):
@@ -85,6 +86,12 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_finite(value) -> bool:
+    """An int (not a bool) or float that a finite float holds: not NaN,
+    not infinite, not an int past the float range."""
+    return (is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
 def is_names(value) -> bool:
     """A JSON list of strings."""
     return isinstance(value, list) and all(isinstance(name, str) for name in value)
@@ -93,7 +100,8 @@ def is_names(value) -> bool:
 def check_field_types(cls, values, where: str = ""):
     """Raise InvalidSpec unless each value of ``values``, keyed by a field
     name of the config dataclass ``cls``, has the type of the field's
-    default: an int may stand for a float, a list for a tuple of ints.
+    default: an int may stand for a float, which must be finite (an int
+    within the float range), a list for a tuple of ints.
     ``where`` names the config in the message (the class name by default)."""
     for f in dataclasses.fields(cls):
         if f.name not in values:
@@ -106,11 +114,12 @@ def check_field_types(cls, values, where: str = ""):
         elif isinstance(default, int):
             ok = is_int(value)
         elif isinstance(default, float):
-            ok = is_int(value) or isinstance(value, float)
+            ok = is_finite(value)
         else:
             ok = isinstance(value, type(default))
         if not ok:
-            kind = "a list of ints" if isinstance(default, tuple) else type(default).__name__
+            kind = ("a list of ints" if isinstance(default, tuple) else
+                    "a finite float" if isinstance(default, float) else type(default).__name__)
             raise InvalidSpec(f"{where or cls.__name__}.{f.name} must be {kind}, "
                               f"got {value!r}")
 

@@ -11,7 +11,8 @@ per row, kept in the order a path-by-path search would produce. It is
 walked by ``policy.walk``, the loop rollouts take too: one batched slate
 build and one policy forward per hop over all rows, each row carrying
 its parent's first-layer sum. The search is only its chooser: one
-lexsort per hop for the per-row top-``width``, and the log-probability
+``Slates.actions`` read and one lexsort per hop for the per-row
+top-``width``, whose moves it hands to the walk, and the log-probability
 sums. The search returns the final frontier as a ``Beam``, its two
 arrays and nothing else; ranking sorts, filters and deduplicates its
 rows on the arrays, and ``PathState``/``ScoredPath`` objects are built,
@@ -59,7 +60,8 @@ class Beam:
 def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
                 table: EmbeddingTable, widths: Sequence[int],
                 max_actions: int | None = None) -> Beam:
-    """All complete len(widths)-hop paths explored from ``user``.
+    """All complete paths explored from ``user``, one width per hop of
+    the policy's hop budget.
 
     Per-hop, each partial path keeps its widths[t] most probable actions
     (ties broken by target entity id, then relation, then direction).
@@ -71,6 +73,9 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
         raise UnknownUser(f"entity {user} is not of type {graph.schema.user_type}")
     if not all(is_int(w) and w >= 1 for w in widths):
         raise InvalidSpec(f"beam widths must be ints >= 1, got {list(widths)}")
+    if len(widths) != policy.config.hop_budget:
+        raise InvalidSpec(f"{len(widths)}-hop walks over {table.dim}-dim embeddings meet a policy "
+                          f"of {policy.config.hop_budget} hops over {policy.dim}-dim embeddings")
     cap = policy.config.max_actions if max_actions is None else max_actions
     hop_widths, logprob = iter(widths), np.zeros(1)
 
@@ -93,11 +98,11 @@ def beam_search(user: int, policy: PolicyModel, graph: KnowledgeGraph,
         order = np.lexsort((direction, relation, target, -p[rows, slots], rows))
         ranked = rows[order]
         order = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < width]
-        rows, slots = rows[order], slots[order]
-        logprob = logprob[rows] + np.log(p[rows, slots])
-        return rows, slots
+        rows = rows[order]
+        logprob = logprob[rows] + np.log(p[rows, slots[order]])
+        return rows, (relation[order], target[order], direction[order])
 
-    frontier = walk(policy, graph, table, [user], len(widths), cap, keep_most_probable)
+    frontier = walk(policy, graph, table, [user], cap, keep_most_probable)
     return Beam(frontier, logprob)
 
 

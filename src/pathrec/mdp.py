@@ -12,7 +12,8 @@ Walks run on a ``Frontier``: many paths held as (P, t+1) entity and
 pass over the graph's CSR arrays, kept compact: the kept moves of all
 rows as one run of CSR edge ids and targets, plus a per-row offset and
 size; ``Slates.actions`` reads the (relation, target, direction) of any
-(row, slot) pairs, which ``Frontier.advance`` appends.
+(row, slot) pairs, once per hop, by the walk's chooser, and
+``Frontier.advance`` appends the moves it read.
 ``Frontier.encode`` gathers the entity block every row's last hop
 reached: a hop's entity block is multiplied, and its relation block is
 folded by the policy (``PolicyModel.fold``). ``RewardSpec.terminal_reward``

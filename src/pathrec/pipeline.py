@@ -32,7 +32,8 @@ from .coldstart import ColdProfile, ColdStrategy
 from .datasets import COHORTS, DatasetSplit, SplitConfig, SyntheticSpec, cap_cold_relations
 from .embeddings import EmbedTrainConfig, EmbeddingTable, load_table, save_table, train_embeddings
 from .errors import (InvalidAxisValue, InvalidSpec, ParseError, PathRecError, StageError,
-                     check_field_types, check_keys, config_from_json, is_int)
+                     check_field_types, check_keys, config_from_json, is_finite,
+                     is_int)
 from .graph import KnowledgeGraph
 from .mdp import RewardSpec
 from .policy import AgentConfig, PolicyModel, train_agent, write_history
@@ -569,15 +570,15 @@ def run_seeds(config: RunConfig, seeds: list[int]):
 
 def _report_rows(path: str, report: dict) -> list[dict]:
     """A seed report's rows, each checked to be an object of string
-    ``model``, ``cohort`` and ``metric``, a numeric ``value`` and an int
-    ``n_users``."""
+    ``model``, ``cohort`` and ``metric``, a finite numeric ``value`` and an
+    int ``n_users``."""
     rows = report["rows"]
     if not isinstance(rows, list):
         raise ParseError(f"{path}: rows is not a list")
     for r in rows:
         if not (isinstance(r, dict) and all(isinstance(r.get(k), str)
                                             for k in ("model", "cohort", "metric"))
-                and (is_int(r.get("value")) or isinstance(r.get("value"), float))
+                and is_finite(r.get("value"))
                 and is_int(r.get("n_users"))):
             raise ParseError(f"{path}: malformed report row {r!r}")
     return rows

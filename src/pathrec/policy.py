@@ -8,10 +8,11 @@ entropy bonus keeps exploration alive. All math is float64 numpy, so
 training is deterministic given the seed.
 
 Rollouts and beam search take every hop of an ``mdp.Frontier`` through
-one loop, ``walk``, and differ only in the chooser that picks the rows it
-advances. A rollout batch samples one slot per user from the trained
-policy and scores every row's terminal reward in one
-``RewardSpec.terminal_reward`` call; no per-path objects are built.
+one loop, ``walk``, the policy's hop budget deep, and differ only in the
+chooser that picks the rows it advances and reads their moves
+(``Slates.actions``, once a hop). A rollout batch samples one slot per
+user from the trained policy and scores every row's terminal reward in
+one ``RewardSpec.terminal_reward`` call; no per-path objects are built.
 
 A walk meets W1 by one input rule: a hop's entity block is multiplied
 (``forward``), and its relation block, one of R + 1 rows, is folded into
@@ -353,54 +354,48 @@ class PolicyModel:
         return model.freeze()
 
 
-def check_walk(policy: PolicyModel, graph: KnowledgeGraph, table: EmbeddingTable,
-               hops: int, max_actions: int):
-    """Raise unless ``table`` scores every entity of ``graph``, ``hops``-hop
-    walks over ``table`` encode the policy's states (so each state block
-    meets the right rows of W1) and slates of ``max_actions`` moves fit its
-    slate; ``max_actions`` must be an int (not a bool) >= 1."""
+def walk(policy: PolicyModel, graph: KnowledgeGraph, table: EmbeddingTable,
+         starts: Sequence[int], max_actions: int, choose: Callable,
+         user_scores: np.ndarray | None = None) -> Frontier:
+    """The frontier ``policy`` walks from ``starts`` in its ``hop_budget``
+    hops, one row per start at hop 0: the one hop loop of rollouts and
+    beam search. ``table`` shares the policy's dim and scores every entity
+    of ``graph``; ``max_actions`` is an int from 1 to the policy's cap.
+
+    ``choose(slates, probs, values, cache)`` returns the rows a hop takes
+    and their moves, (relation, target, direction) read once from
+    ``slates.actions``: row i of the next frontier extends row ``rows[i]``
+    by move i and carries that row's first-layer sums, with the relation
+    block just walked folded in (``fold``), and its start's row of
+    ``user_scores`` (``mdp.start_scores`` of ``starts`` when none are
+    given), which ranks its over-cap moves. Each hop builds every row's
+    slate and multiplies the entity block it reached (``forward``).
+    """
     if not is_int(max_actions):
         raise InvalidSpec(f"max_actions must be an int, got {max_actions!r}")
     if max_actions < 1:
         raise InvalidSpec("max_actions must be >= 1")
     cfg = policy.config
-    if hops != cfg.hop_budget or table.dim != policy.dim:
-        raise InvalidSpec(f"{hops}-hop walks over {table.dim}-dim embeddings meet a policy "
-                          f"of {cfg.hop_budget} hops over {policy.dim}-dim embeddings")
+    if table.dim != policy.dim:
+        raise InvalidSpec(f"{cfg.hop_budget}-hop walks over {table.dim}-dim embeddings meet a "
+                          f"policy of {cfg.hop_budget} hops over {policy.dim}-dim embeddings")
     if max_actions > cfg.max_actions:
         raise InvalidSpec(f"max_actions {max_actions} exceeds the policy's slate of "
                           f"{cfg.max_actions} actions")
     if table.entity_count < graph.entity_count:
         raise MissingEmbedding(f"table has {table.entity_count} entity rows, "
                                f"the graph {graph.entity_count} entities")
-
-
-def walk(policy: PolicyModel, graph: KnowledgeGraph, table: EmbeddingTable,
-         starts: Sequence[int], hops: int, max_actions: int, choose: Callable,
-         user_scores: np.ndarray | None = None) -> Frontier:
-    """The frontier ``policy`` walks in ``hops`` hops from ``starts``, one
-    row per start at hop 0: the one hop loop of rollouts and beam search.
-
-    ``choose(slates, probs, values, cache)`` returns the (rows, slots) a
-    hop takes: row i of the next frontier extends row ``rows[i]`` by slot
-    ``slots[i]`` and carries that row's first-layer sums, with the
-    relation block just walked folded in (``fold``), and its start's row
-    of ``user_scores`` (``mdp.start_scores`` of ``starts`` when none are
-    given), which ranks its over-cap moves. Each hop builds every row's
-    slate and multiplies the entity block it reached (``forward``).
-    """
-    check_walk(policy, graph, table, hops, max_actions)
     if user_scores is None:
         user_scores = start_scores(graph, table, starts)
     frontier, score_rows, carry = Frontier.start(starts), np.arange(len(starts)), None
-    for t in range(hops):
+    for t in range(cfg.hop_budget):
         if t:  # gathered here, so the last hop's rows gather nothing
             score_rows = score_rows[rows]
             carry = policy.fold((cache.sum1[rows], cache.end), frontier.relations[:, -1], table)
         slates = frontier.slates(graph, max_actions, user_scores, score_rows)
         probs, values, cache = policy.forward(frontier.encode(table), slates.sizes, carry)
-        rows, slots = choose(slates, probs, values, cache)
-        frontier = frontier.advance(rows, *slates.actions(rows, slots))
+        rows, actions = choose(slates, probs, values, cache)
+        frontier = frontier.advance(rows, *actions)
     return frontier
 
 
@@ -421,11 +416,10 @@ class StepRecord:
 
 def rollout_batch(policy: PolicyModel, graph: KnowledgeGraph,
                   table: EmbeddingTable, users: list[int], user_scores: np.ndarray,
-                  hop_budget: int, max_actions: int, reward_spec: RewardSpec,
-                  rng: np.random.Generator):
+                  max_actions: int, reward_spec: RewardSpec, rng: np.random.Generator):
     """Walk one episode per user, each hop's slot drawn from the policy's
     probabilities; returns (step records, rewards, walked frontier): row b
-    of the ``hop_budget``-hop frontier is user b's path.
+    of the frontier, ``hop_budget`` hops deep, is user b's path.
 
     ``user_scores[b]`` ranks user b's over-cap moves (``mdp.start_scores``).
     """
@@ -437,9 +431,9 @@ def rollout_batch(policy: PolicyModel, graph: KnowledgeGraph,
         # cumsum can undershoot 1.0 by an ulp; clip into the slate
         chosen = np.minimum(_sample_rows(probs, rng), slates.sizes - 1)
         records.append(StepRecord(cache, probs, values, chosen, slates.sizes))
-        return rows, chosen
+        return rows, slates.actions(rows, chosen)
 
-    walked = walk(policy, graph, table, users, hop_budget, max_actions, sample, user_scores)
+    walked = walk(policy, graph, table, users, max_actions, sample, user_scores)
     return records, reward_spec.terminal_reward(walked), walked
 
 
@@ -453,8 +447,7 @@ def episode_gradients(policy: PolicyModel, graph: KnowledgeGraph,
     into ``grads`` (zeroed first) or fresh buffers. Returns (grads, rewards,
     the mean per-step entropy for the curve)."""
     records, rewards, walked = rollout_batch(policy, graph, table, users, user_scores,
-                                             config.hop_budget, config.max_actions,
-                                             reward_spec, rng)
+                                             config.max_actions, reward_spec, rng)
     grads = policy.zero_grads(grads)
     rel_rows = np.vstack([table.relation_vecs, table.self_loop_vec])  # SELF_LOOP's last
     blocks = [records[0].cache.X]  # the state's blocks: each hop's relation, then entity

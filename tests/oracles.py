@@ -759,7 +759,7 @@ def reference_episode_gradients(policy: PolicyModel, graph: KnowledgeGraph,
 class UniformPolicy:
     """The uniform walk as a policy ``policy.walk`` drives: every slot of a
     slate equally probable, values zero and no sums carried. It has the
-    ``config`` (hop budget, action cap) and ``dim`` a walk checks, so
+    ``config`` (hop budget, action cap) and ``dim`` a walk reads, so
     ``rollout_batch`` with it walks the uniform baseline: one
     ``rng.random`` row per hop over the probabilities ``mask / sizes``,
     as wide as the widest slate."""
@@ -776,24 +776,20 @@ class UniformPolicy:
         return probs, np.zeros(len(X)), ForwardCache(np.zeros((len(X), 0)), 0, None, None, None)
 
 
-def evaluate_mean_reward(policy: PolicyModel | None, graph: KnowledgeGraph,
-                         table: EmbeddingTable, users: list[int],
-                         hop_budget: int, max_actions: int,
-                         reward_spec: RewardSpec, seed: int,
-                         episodes: int = 1) -> float:
-    """Mean terminal reward of stochastic rollouts; ``policy=None`` is the
-    uniform-random baseline (``UniformPolicy``). The rollout seed stream
-    depends only on ``seed``, so two policies can be measured on the same
-    episode draws."""
+def evaluate_mean_reward(policy: PolicyModel | UniformPolicy, graph: KnowledgeGraph,
+                         table: EmbeddingTable, users: list[int], max_actions: int,
+                         reward_spec: RewardSpec, seed: int, episodes: int = 1) -> float:
+    """Mean terminal reward of stochastic rollouts of ``policy``, a trained
+    policy or the uniform-random baseline (``UniformPolicy``), each walked
+    its own hop budget deep. The rollout seed stream depends only on
+    ``seed``, so two policies can be measured on the same episode draws."""
     if episodes < 1:
         raise InvalidSpec(f"episodes must be >= 1, got {episodes}")
-    if policy is None:
-        policy = UniformPolicy(table.dim, hop_budget, max_actions)
     rng = rng_for(seed, "reward-eval")
     scores = start_scores(graph, table, users)
     total = 0.0
     for _ in range(episodes):
-        _, rewards, _ = rollout_batch(policy, graph, table, users, scores, hop_budget,
-                                      max_actions, reward_spec, rng)
+        _, rewards, _ = rollout_batch(policy, graph, table, users, scores, max_actions,
+                                      reward_spec, rng)
         total += rewards.mean()
     return total / episodes

@@ -32,8 +32,8 @@ from pathrec.pipeline import (RunConfig, RunPaths, build_augmented,
 from pathrec.policy import AgentConfig, PolicyModel, training_users
 
 from conftest import build_shop_graph
-from oracles import (cold_item_proportion, encode_state, evaluate_mean_reward, frontier_of,
-                     is_complete, pop_baseline, popb_at_k, step, train_popularity,
+from oracles import (UniformPolicy, cold_item_proportion, encode_state, evaluate_mean_reward,
+                     frontier_of, is_complete, pop_baseline, popb_at_k, step, train_popularity,
                      valid_actions)
 from test_datasets import assert_split_invariants
 
@@ -392,11 +392,10 @@ def test_criterion_6_agent_lift_and_runtime(planted):
         users = training_users(split.train_graph)
         cfg = run["config"].agent
         trained = evaluate_mean_reward(agent, split.train_graph, table, users,
-                                       cfg.hop_budget, cfg.max_actions, spec,
-                                       seed=777, episodes=2)
-        uniform = evaluate_mean_reward(None, split.train_graph, table, users,
-                                       cfg.hop_budget, cfg.max_actions, spec,
-                                       seed=777, episodes=2)
+                                       cfg.max_actions, spec, seed=777, episodes=2)
+        uniform = evaluate_mean_reward(UniformPolicy(table.dim, cfg.hop_budget, cfg.max_actions),
+                                       split.train_graph, table, users,
+                                       cfg.max_actions, spec, seed=777, episodes=2)
         ratios[seed] = float(trained / uniform) if uniform > 0 else float("inf")
         if ratios[seed] >= 3.0:
             hits += 1

@@ -45,6 +45,10 @@ The state's block layout is worked out in ``policy.py`` only: no other
 module multiplies a hop count (a name or attribute ``hop_budget`` or
 ``hops``), as ``(1 + 2 * hop_budget) * dim`` did in every caller that
 sized a policy by its state width. A policy is sized by the embedding dim.
+
+A walk is as deep as its policy's hop budget: no function in src takes a
+parameter named ``hop_budget`` or ``hops``, so no caller passes a hop
+count that must equal the policy's.
 """
 
 import ast
@@ -484,3 +488,34 @@ def test_state_layout_scanner_flags_a_copy_of_the_state_width():
                                           if p.name != "policy.py"))
 def test_state_layout_is_worked_out_by_the_policy_only(module):
     assert state_layout_lines((PACKAGE / module).read_text()) == []
+
+
+def hop_count_params(source: str) -> list[int]:
+    """Lines of a ``def`` with a parameter named in ``HOP_COUNTS``."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.FunctionDef)
+                   and HOP_COUNTS & {arg.arg for arg in (*node.args.posonlyargs, *node.args.args,
+                                                         *node.args.kwonlyargs)}})
+
+
+# ``policy.walk``'s signature when its callers passed the hop count
+PARENT_WALK = """
+
+def walk(policy: PolicyModel, graph: KnowledgeGraph, table: EmbeddingTable,
+         starts: Sequence[int], hops: int, max_actions: int, choose: Callable,
+         user_scores: np.ndarray | None = None) -> Frontier:
+    return frontier
+"""
+
+
+def test_hop_count_param_scanner_flags_the_parent_walk():
+    source = (PACKAGE / "policy.py").read_text()
+    assert hop_count_params(source) == []
+    assert hop_count_params(source + PARENT_WALK) == [len(source.splitlines()) + 3]
+    assert hop_count_params("class A:\n    def f(self, *, hop_budget=3):\n        pass\n"
+                            "def g(frontier):\n    return frontier.hops\n") == [2]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_function_takes_a_hop_count(module):
+    assert hop_count_params((PACKAGE / module).read_text()) == []

@@ -203,6 +203,20 @@ class TestRunSeed:
     (EmbedTrainConfig, {"full_softmax": 1}, "EmbedTrainConfig.full_softmax must be bool, got 1"),
     (SplitConfig, {"cap_high": True}, "SplitConfig.cap_high must be int, got True"),
     (SyntheticSpec, {"users": 20.0}, "SyntheticSpec.users must be int, got 20.0"),
+    (SplitConfig, {"train_frac": float("inf")},
+     "SplitConfig.train_frac must be a finite float, got inf"),
+    (SplitConfig, {"cold_frac": float("nan")},
+     "SplitConfig.cold_frac must be a finite float, got nan"),
+    (EmbedTrainConfig, {"learning_rate": float("nan")},
+     "EmbedTrainConfig.learning_rate must be a finite float, got nan"),
+    (AgentConfig, {"learning_rate": float("inf")},
+     "AgentConfig.learning_rate must be a finite float, got inf"),
+    (AgentConfig, {"entropy_coef": float("nan")},
+     "AgentConfig.entropy_coef must be a finite float, got nan"),
+    (SyntheticSpec, {"p_pref": float("-inf")},
+     "SyntheticSpec.p_pref must be a finite float, got -inf"),
+    (EmbedTrainConfig, {"learning_rate": 10 ** 400},
+     "EmbedTrainConfig.learning_rate must be a finite float, got 1000"),
     (RunConfig, {"seed": 1.0}, "seed must be an integer and workdir a string, got 1.0 and"),
     (RunConfig, {"seed": True}, "seed must be an integer and workdir a string, got True and"),
 ])
@@ -1043,7 +1057,8 @@ class TestMultiSeed:
         with pytest.raises(StageError):
             write_aggregate(config, [1, 2])
 
-    @pytest.mark.parametrize("rows", [[1], "no value"])
+    @pytest.mark.parametrize("rows", [[1], "no value", float("nan"), float("inf"),
+                                      pytest.param(10 ** 400, id="int-past-float-range")])
     def test_aggregate_rejects_malformed_rows(self, multi_seed_run, tmp_path, capsys, rows):
         config = multi_seed_run
         copy = dataclasses.replace(config, workdir=str(tmp_path / "runs"))
@@ -1053,6 +1068,8 @@ class TestMultiSeed:
             data = json.load(fh)
         if rows == "no value":
             del data["rows"][0]["value"]
+        elif not isinstance(rows, (list, str)):  # NaN, Infinity, an int past the float range
+            data["rows"][0]["value"] = rows
         else:
             data["rows"] = rows
         write_json(report, data)
@@ -1132,6 +1149,13 @@ class TestCli:
         ("agent.episodes_per_user=0", "batch_size and episodes_per_user must be >= 1"),
         ("agent.learning_rate=-1", "learning_rate must be positive"),
         ("agent.learning_rate=0", "learning_rate must be positive"),
+        ("split.train_frac=1e400", "split.train_frac must be a finite float, got inf"),
+        ("split.cold_frac=NaN", "split.cold_frac must be a finite float, got nan"),
+        ("embed.learning_rate=NaN", "embed.learning_rate must be a finite float, got nan"),
+        ("agent.learning_rate=Infinity", "agent.learning_rate must be a finite float, got inf"),
+        ("agent.entropy_coef=NaN", "agent.entropy_coef must be a finite float, got nan"),
+        pytest.param("agent.learning_rate=1" + "0" * 400,
+                     "agent.learning_rate must be a finite float", id="int-past-float-range"),
     ])
     def test_bad_override_exits_2(self, cli_env, tmp_path, capsys, override, message):
         config_path, _ = cli_env

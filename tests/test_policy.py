@@ -15,6 +15,7 @@ from pathrec import policy as policy_module
 from pathrec.embeddings import (EmbedTrainConfig, EmbeddingTable, init_table, rng_for,
                                 score_tails)
 from pathrec.errors import EmptyGraph, InvalidSpec, MissingEmbedding
+from pathrec.inference import beam_search
 from pathrec.mdp import SELF_LOOP, PathState, RewardSpec, start_scores
 from pathrec.optim import Adam
 from pathrec.policy import (AgentConfig, PolicyModel, _sample_rows,
@@ -498,9 +499,9 @@ def top_two(starts):
         keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < 2
         hops.append((probs, origin[0]))
         origin[0] = origin[0][rows[keep]]
-        return rows[keep], slots[keep]
+        return rows[keep], slates.actions(rows[keep], slots[keep])
 
-    frontier = walk(policy, graph, table, starts, 3, CAP, choose)
+    frontier = walk(policy, graph, table, starts, CAP, choose)
     return frontier, origin[0], hops
 
 users = training_users(graph)
@@ -639,7 +640,7 @@ class TestMultiStep:
         forced = [[1, 0], [2, 1]]
         forcing(monkeypatch, forced + forced)  # the rollout, then the gradients' rollout
         records, rewards, walked = rollout_users(policy, tiny_graph, small_table,
-                                                 users, cfg.hop_budget, cfg.max_actions,
+                                                 users, cfg.max_actions,
                                                  spec, rng_for(0, "unused"))
         grads, _, _ = episode_gradients(policy, tiny_graph, small_table, users,
                                         start_scores(tiny_graph, small_table, users),
@@ -666,7 +667,7 @@ class TestMultiStep:
         u0 = tiny_graph.entity_id("user", "u0")
         spec = RewardSpec.binary(tiny_graph)
         _, _, frontier = rollout_users(policy, tiny_graph, small_table, [u0],
-                                       2, cfg.max_actions, spec,
+                                       cfg.max_actions, spec,
                                        rng_for(3, "roll"))
         assert all(is_complete(s) for s in frontier.states(2))
 
@@ -816,6 +817,24 @@ class TestTrainingFold:
             policy.fold((sums, d), np.asarray([0]), small_table)
 
 
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_each_hop_reads_its_moves_once(tiny_graph, small_table, monkeypatch, hops):
+    """Beam search and rollouts call ``Slates.actions`` once per hop: the
+    chooser reads the moves it takes and hands them to the walk."""
+    calls, actions = [], mdp.Slates.actions
+    monkeypatch.setattr(mdp.Slates, "actions",
+                        lambda slates, rows, slots: calls.append(len(rows))
+                        or actions(slates, rows, slots))
+    policy, cfg = small_policy(small_table, hops)
+    users = [tiny_graph.entity_id("user", name) for name in ("u0", "u1")]
+    beam_search(users[0], policy, tiny_graph, small_table, [3] * hops)
+    assert len(calls) == hops
+    calls.clear()
+    rollout_users(policy, tiny_graph, small_table, users, cfg.max_actions,
+                  RewardSpec.binary(tiny_graph), rng_for(0, "roll"))
+    assert calls == [len(users)] * hops
+
+
 def rollout_users(policy, graph, table, users, *args, **kwargs):
     """``rollout_batch`` on the users' start scores, built for the call."""
     return rollout_batch(policy, graph, table, users, start_scores(graph, table, users),
@@ -896,7 +915,7 @@ class TestBatchedRollout:
         g, table, policy, cfg, users = self.setup_case(make_graph, seed)
         spec = RewardSpec.binary(g) if mode == "upgpr" else RewardSpec.pattern(g, table)
         for pol, ref in ((policy, policy), (UniformPolicy(table.dim, 3, cfg.max_actions), None)):
-            got = rollout_users(pol, g, table, users, 3, cfg.max_actions, spec,
+            got = rollout_users(pol, g, table, users, cfg.max_actions, spec,
                                 rng_for(seed, "roll"))
             want = reference_rollout(ref, g, table, users, 3, cfg.max_actions, spec,
                                      rng_for(seed, "roll"))
@@ -909,7 +928,7 @@ class TestBatchedRollout:
         # the first hop's slates are the widest; forced slots stay inside them
         forced = [rng.integers(0, 2, size=len(users)).tolist() for _ in range(3)]
         forcing(monkeypatch, forced)
-        got = rollout_users(policy, g, table, users, 3, cfg.max_actions, spec,
+        got = rollout_users(policy, g, table, users, cfg.max_actions, spec,
                             rng_for(0, "unused"))
         want = reference_rollout(policy, g, table, users, 3, cfg.max_actions, spec,
                                  rng_for(0, "unused"), forced_actions=forced)
@@ -919,7 +938,7 @@ class TestBatchedRollout:
         policy, cfg = small_policy(small_table, 2)
         u0 = tiny_graph.entity_id("user", "u0")
         with pytest.raises(InvalidSpec, match="exceeds"):
-            rollout_users(policy, tiny_graph, small_table, [u0], 2, cfg.max_actions + 1,
+            rollout_users(policy, tiny_graph, small_table, [u0], cfg.max_actions + 1,
                           RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
 
     @pytest.mark.parametrize("cap", [0, -1])
@@ -928,7 +947,7 @@ class TestBatchedRollout:
         u0 = tiny_graph.entity_id("user", "u0")
         for behavior in (policy, UniformPolicy(small_table.dim, 2, cap)):
             with pytest.raises(InvalidSpec, match="max_actions must be >= 1"):
-                rollout_users(behavior, tiny_graph, small_table, [u0], 2, cap,
+                rollout_users(behavior, tiny_graph, small_table, [u0], cap,
                               RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
 
     def test_table_short_of_graph_rejected(self, tiny_graph, small_table):
@@ -938,19 +957,19 @@ class TestBatchedRollout:
         u0 = tiny_graph.entity_id("user", "u0")
         for behavior in (policy, UniformPolicy(short.dim, 2, cfg.max_actions)):
             with pytest.raises(MissingEmbedding):
-                rollout_users(behavior, tiny_graph, short, [u0], 2, cfg.max_actions,
+                rollout_users(behavior, tiny_graph, short, [u0], cfg.max_actions,
                               RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
 
     def test_empty_cohort_rejected(self, tiny_graph, small_table):
         policy, cfg = small_policy(small_table, 2)
         spec = RewardSpec.binary(tiny_graph)
         uniform = UniformPolicy(small_table.dim, 2, cfg.max_actions)
-        for behavior, evaluated in ((policy, policy), (uniform, None)):
+        for behavior in (policy, uniform):
             with pytest.raises(InvalidSpec, match="at least one user"):
-                rollout_users(behavior, tiny_graph, small_table, [], 2, cfg.max_actions,
+                rollout_users(behavior, tiny_graph, small_table, [], cfg.max_actions,
                               spec, rng_for(0, "unused"))
             with pytest.raises(InvalidSpec, match="at least one user"):
-                evaluate_mean_reward(evaluated, tiny_graph, small_table, [], 2,
+                evaluate_mean_reward(behavior, tiny_graph, small_table, [],
                                      cfg.max_actions, spec, seed=0)
 
     def test_table_of_another_dim_rejected(self, tiny_graph, small_table):
@@ -959,14 +978,7 @@ class TestBatchedRollout:
         u0 = tiny_graph.entity_id("user", "u0")
         with pytest.raises(InvalidSpec, match="over 4-dim embeddings meet a policy of 3 hops "
                                               "over 8-dim"):
-            rollout_users(policy, tiny_graph, narrow, [u0], 3, cfg.max_actions,
-                          RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
-
-    def test_hop_count_other_than_the_policy_rejected(self, tiny_graph, small_table):
-        policy, cfg = small_policy(small_table, 3)
-        u0 = tiny_graph.entity_id("user", "u0")
-        with pytest.raises(InvalidSpec, match="3 hops"):
-            rollout_users(policy, tiny_graph, small_table, [u0], 2, cfg.max_actions,
+            rollout_users(policy, tiny_graph, narrow, [u0], cfg.max_actions,
                           RewardSpec.binary(tiny_graph), rng_for(0, "unused"))
 
     @pytest.mark.parametrize("episodes", [0, -1])
@@ -974,7 +986,7 @@ class TestBatchedRollout:
         policy, cfg = small_policy(small_table, 2)
         u0 = tiny_graph.entity_id("user", "u0")
         with pytest.raises(InvalidSpec, match="episodes"):
-            evaluate_mean_reward(policy, tiny_graph, small_table, [u0], 2, cfg.max_actions,
+            evaluate_mean_reward(policy, tiny_graph, small_table, [u0], cfg.max_actions,
                                  RewardSpec.binary(tiny_graph), seed=0, episodes=episodes)
 
 
@@ -1043,10 +1055,10 @@ class TestTraining:
         policy, history = train_agent(g, table, spec, cfg, seed=1)
         assert len(history) == 60
         users = training_users(g)
-        trained = evaluate_mean_reward(policy, g, table, users, 3, 25, spec,
+        trained = evaluate_mean_reward(policy, g, table, users, 25, spec,
                                        seed=42, episodes=8)
-        uniform = evaluate_mean_reward(None, g, table, users, 3, 25, spec,
-                                       seed=42, episodes=8)
+        uniform = evaluate_mean_reward(UniformPolicy(table.dim, 3, 25), g, table, users, 25,
+                                       spec, seed=42, episodes=8)
         assert trained > uniform
 
     def test_history_and_eval_deterministic(self, make_graph):
@@ -1059,8 +1071,9 @@ class TestTraining:
         _, h2 = train_agent(g, table, spec, cfg, seed=11)
         assert h1 == h2
         users = training_users(g)
-        a = evaluate_mean_reward(None, g, table, users, 2, 10, spec, seed=5)
-        b = evaluate_mean_reward(None, g, table, users, 2, 10, spec, seed=5)
+        uniform = UniformPolicy(table.dim, 2, 10)
+        a = evaluate_mean_reward(uniform, g, table, users, 10, spec, seed=5)
+        b = evaluate_mean_reward(uniform, g, table, users, 10, spec, seed=5)
         assert a == b
 
 
@@ -1109,6 +1122,19 @@ class TestPersistence:
         arrays["dim"] = np.asarray(dim)
         np.savez(path, **arrays)
         with pytest.raises(InvalidSpec, match=rf"^{re.escape(path)}: dim .* no int >= 1"):
+            PolicyModel.load(path)
+
+    def test_stored_config_of_a_non_finite_float_rejected(self, small_table, tmp_path):
+        policy, _ = small_policy(small_table, 2)
+        path = str(tmp_path / "policy.npz")
+        policy.save(path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        config = {**json.loads(str(arrays["config"])), "entropy_coef": float("nan")}
+        arrays["config"] = np.asarray(json.dumps(config))
+        np.savez(path, **arrays)
+        with pytest.raises(InvalidSpec, match=rf"^{re.escape(path)}: config.entropy_coef must be "
+                                              "a finite float, got nan"):
             PolicyModel.load(path)
 
     def test_loaded_and_trained_parameters_refuse_writes(self, tiny_graph, small_table,
