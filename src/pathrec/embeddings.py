@@ -4,8 +4,7 @@ A triplet (h, r, t) is scored f(h, t | r) = <e_h + e_r, e_t> + b_t and the
 conditional probability of the tail given (head, relation) is the softmax
 of f over a candidate set. Training maximizes the log conditional
 probability of stored triplets, approximated by sampled softmax over
-corrupted tails of the same entity type (or computed exactly over all
-type-compatible tails in ``full_softmax`` mode).
+corrupted tails of the same entity type.
 
 Everything is float64 numpy with a fixed summation order, so training is
 bit-reproducible given the seed, the config, and the graph.
@@ -48,7 +47,6 @@ class EmbedTrainConfig:
     learning_rate: float = 0.001
     batch_size: int = 512
     negatives: int = 5
-    full_softmax: bool = False
 
     def __post_init__(self):
         check_field_types(type(self), vars(self))
@@ -244,12 +242,12 @@ def _scatter_rows(grad: np.ndarray, idx: np.ndarray, rows: np.ndarray,
     np.add.at(grad.reshape(-1), flat.reshape(-1), rows.reshape(-1))
 
 
-def _accumulate_batch(table, grads, heads, rels, cand_ids, cand_mask, true_col, scale,
+def _accumulate_batch(table, grads, heads, rels, cand_ids, cand_mask, scale,
                       scratch: BatchScratch):
     """Softmax cross-entropy gradient for one batch of candidate slates.
 
-    cand_ids: (B, C) tail ids per row; cand_mask: True where the slot is a
-    real candidate; true_col: column index of the true tail per row.
+    cand_ids: (B, C) tail ids per row, the true tail in column 0;
+    cand_mask: True where the slot is a real candidate.
     Gradients are scattered in a fixed order: the query gradient into the
     head rows and the relation rows, then the candidate gradients into
     the candidate rows and biases, each in row-major (b, c) order.
@@ -277,10 +275,10 @@ def _accumulate_batch(table, grads, heads, rels, cand_ids, cand_mask, true_col, 
     scores -= scores.max(axis=1, keepdims=True)
     exp = np.exp(scores)
     probs = exp / exp.sum(axis=1, keepdims=True)
-    loss = -np.log(probs[np.arange(B), true_col]).sum() * scale
+    loss = -np.log(probs[:, 0]).sum() * scale
 
     dscores = probs * scale
-    dscores[np.arange(B), true_col] -= scale
+    dscores[:, 0] -= scale
     dquery = np.einsum("bc,bcd->bd", dscores, cand, out=rel)
     _scatter_rows(grads["entity_vecs"], heads, dquery, scratch)
     _scatter_rows(grads["relation_vecs"], rels, dquery, scratch)
@@ -316,41 +314,7 @@ def sampled_softmax_grads(table: EmbeddingTable, graph: KnowledgeGraph,
     cand_ids = np.concatenate([tails[:, None], neg], axis=1)
     mask = np.ones_like(cand_ids, dtype=bool)
     mask[:, 1:] = neg != tails[:, None]
-    loss = _accumulate_batch(table, grads, heads, rels, cand_ids, mask,
-                             np.zeros(B, dtype=np.intp), 1.0 / B, scratch)
-    return loss, grads
-
-
-def full_softmax_grads(table: EmbeddingTable, graph: KnowledgeGraph,
-                       triplets: np.ndarray, pools: dict[str, np.ndarray],
-                       grads: dict[str, np.ndarray] | None = None,
-                       scratch: BatchScratch | None = None):
-    """Exact softmax over all type-compatible tails; mean loss and gradients
-    (into ``grads``, zeroed first, or into fresh buffers; the kernels work
-    in ``scratch``, or in a fresh one). An empty batch or a tail outside
-    its relation's tail type raises InvalidSpec, an id without a table
-    row MissingEmbedding."""
-    _check_batch(table, triplets)
-    grads = _zero_grads(table, grads)
-    scratch = BatchScratch() if scratch is None else scratch
-    B = len(triplets)
-    loss = 0.0
-    rels = triplets[:, 1]
-    for r_id in np.unique(rels):
-        rows = np.nonzero(rels == r_id)[0]
-        relation = graph.schema.relations[r_id]
-        pool = pools[relation.tail_type]
-        pos = {e: i for i, e in enumerate(pool.tolist())}
-        sub = triplets[rows]
-        cand_ids = np.broadcast_to(pool, (len(rows), len(pool))).copy()
-        try:
-            true_col = np.asarray([pos[t] for t in sub[:, 2].tolist()], dtype=np.intp)
-        except KeyError as e:
-            raise InvalidSpec(f"tail id {e.args[0]} of relation {relation.name} is not of "
-                              f"type {relation.tail_type}") from None
-        mask = np.ones_like(cand_ids, dtype=bool)
-        loss += _accumulate_batch(table, grads, sub[:, 0], sub[:, 1],
-                                  cand_ids, mask, true_col, 1.0 / B, scratch)
+    loss = _accumulate_batch(table, grads, heads, rels, cand_ids, mask, 1.0 / B, scratch)
     return loss, grads
 
 
@@ -363,8 +327,6 @@ def train_embeddings(graph: KnowledgeGraph, config: EmbedTrainConfig,
     """
     if graph.triplet_count == 0:
         raise EmptyGraph("cannot train embeddings on a graph with no triplets")
-    if config.full_softmax and graph.entity_count > 1000:
-        raise InvalidSpec("full_softmax mode is limited to graphs with <= 1000 entities")
     table = init_table(graph, config, seed)
     triplets = np.stack(graph.triplet_arrays(), axis=1)
     pools = _type_pools(graph)
@@ -377,11 +339,8 @@ def train_embeddings(graph: KnowledgeGraph, config: EmbedTrainConfig,
         order = rng.permutation(len(triplets))
         for start in range(0, len(order), config.batch_size):
             batch = triplets[order[start:start + config.batch_size]]
-            if config.full_softmax:
-                full_softmax_grads(table, graph, batch, pools, grads=grads, scratch=scratch)
-            else:
-                sampled_softmax_grads(table, graph, batch, pools, config.negatives, rng,
-                                      grads=grads, scratch=scratch)
+            sampled_softmax_grads(table, graph, batch, pools, config.negatives, rng,
+                                  grads=grads, scratch=scratch)
             opt.step([grads["entity_vecs"], grads["relation_vecs"], grads["entity_bias"]])
     return table
 
@@ -404,9 +363,9 @@ def save_table(table: EmbeddingTable, graph: KnowledgeGraph, path: str,
 
 def load_table(path: str, graph: KnowledgeGraph) -> EmbeddingTable:
     """Load a snapshot whose entity and relation keys match ``graph``'s and
-    whose arrays have one row per key: ``entity_vecs`` (entities, d),
-    ``entity_bias`` (entities,), ``relation_vecs`` (relations, d) and
-    ``self_loop_vec`` (d,), else MissingEmbedding."""
+    whose arrays have one row per key and finite values: ``entity_vecs``
+    (entities, d), ``entity_bias`` (entities,), ``relation_vecs``
+    (relations, d) and ``self_loop_vec`` (d,), else MissingEmbedding."""
     with np.load(path, allow_pickle=False) as data:
         keys, want = data["entity_keys"].tolist(), graph.entity_keys()
         if len(keys) < len(want) or tuple(keys[:len(want)]) != want:
@@ -424,4 +383,6 @@ def load_table(path: str, graph: KnowledgeGraph) -> EmbeddingTable:
         if not d or arrays[name].shape != shape:
             raise MissingEmbedding(f"snapshot {path}: {name} is of shape {arrays[name].shape}, "
                                    f"not {shape if d else '(entities, d)'}")
+        if not np.isfinite(arrays[name]).all():
+            raise MissingEmbedding(f"snapshot {path}: {name} holds a NaN or infinite value")
     return EmbeddingTable(*arrays.values())

@@ -109,8 +109,6 @@ def check_field_types(cls, values, where: str = ""):
         value, default = values[f.name], f.default
         if isinstance(default, tuple):
             ok = isinstance(value, (list, tuple)) and all(is_int(v) for v in value)
-        elif isinstance(default, bool):
-            ok = isinstance(value, bool)
         elif isinstance(default, int):
             ok = is_int(value)
         elif isinstance(default, float):

@@ -397,10 +397,11 @@ def read_recommendations(path: str, data: bytes | None = None):
 
 def _is_served_list(items) -> bool:
     """Whether a record's ``items`` is a list of {"item", "path": {"pattern"}}
-    entries, the fields ``evaluate_run`` reads."""
+    entries, the fields ``evaluate_run`` reads, each a string."""
     return isinstance(items, list) and all(
-        isinstance(it, dict) and "item" in it and isinstance(it.get("path"), dict)
-        and "pattern" in it["path"] for it in items)
+        isinstance(it, dict) and isinstance(it.get("item"), str)
+        and isinstance(it.get("path"), dict) and isinstance(it["path"].get("pattern"), str)
+        for it in items)
 
 
 _ITEM, _PATH, _PATTERN = itemgetter("item"), itemgetter("path"), itemgetter("pattern")
@@ -521,7 +522,8 @@ def stage_eval(config: RunConfig):
             for r in records:
                 whose = f"{path}: the record of {r['cohort']} user {r['user']!r}"
                 if not _is_served_list(r.get("items")):
-                    raise StageError("eval", f"{whose} holds no list of items with paths")
+                    raise StageError("eval", f"{whose} holds no list of named items with "
+                                             f"path patterns")
                 names = [it["item"] for it in r["items"]]
                 if len(set(names)) < len(names):
                     raise StageError("eval", f"{whose} lists an item twice")
@@ -571,16 +573,22 @@ def run_seeds(config: RunConfig, seeds: list[int]):
 def _report_rows(path: str, report: dict) -> list[dict]:
     """A seed report's rows, each checked to be an object of string
     ``model``, ``cohort`` and ``metric``, a finite numeric ``value`` and an
-    int ``n_users``."""
+    int ``n_users``, and no two of one (model, cohort, metric)."""
     rows = report["rows"]
     if not isinstance(rows, list):
         raise ParseError(f"{path}: rows is not a list")
+    keys = set()
     for r in rows:
         if not (isinstance(r, dict) and all(isinstance(r.get(k), str)
                                             for k in ("model", "cohort", "metric"))
                 and is_finite(r.get("value"))
                 and is_int(r.get("n_users"))):
             raise ParseError(f"{path}: malformed report row {r!r}")
+        key = (r["model"], r["cohort"], r["metric"])
+        if key in keys:
+            raise ParseError(f"{path}: malformed report row {r!r}: its model, cohort and "
+                             f"metric are repeated")
+        keys.add(key)
     return rows
 
 

@@ -53,7 +53,6 @@ class AgentConfig:
     epochs: int = 50
     learning_rate: float = 0.001
     batch_size: int = 64
-    episodes_per_user: int = 1
     gamma: float = 0.99
     entropy_coef: float = 1e-3
     reward: str = "upgpr"
@@ -66,8 +65,8 @@ class AgentConfig:
             raise InvalidSpec("max_actions must be >= 1")
         if self.epochs < 0:
             raise InvalidSpec("epochs must be >= 0")
-        if self.batch_size < 1 or self.episodes_per_user < 1:
-            raise InvalidSpec("batch_size and episodes_per_user must be >= 1")
+        if self.batch_size < 1:
+            raise InvalidSpec("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise InvalidSpec("learning_rate must be positive")
         if not 0 < self.gamma <= 1:
@@ -331,8 +330,8 @@ class PolicyModel:
     def load(cls, path: str) -> "PolicyModel":
         """The policy ``save`` wrote to ``path``, frozen (``freeze``). The
         stored ``dim`` must be an int >= 1, and each stored parameter
-        float64 and of exactly the shape ``dim`` and the config give it,
-        else InvalidSpec names the file and the member."""
+        float64, finite and of exactly the shape ``dim`` and the config
+        give it, else InvalidSpec names the file and the member."""
         with np.load(path, allow_pickle=False) as data:
             missing = [name for name in ("config", "dim", *PARAM_NAMES)
                        if name not in data.files]
@@ -350,6 +349,8 @@ class PolicyModel:
                 if stored.dtype != np.float64 or stored.shape != param.shape:
                     raise InvalidSpec(f"{path}: parameter {name} is {stored.dtype} of shape "
                                       f"{stored.shape}, not float64 of shape {param.shape}")
+                if not np.isfinite(stored).all():
+                    raise InvalidSpec(f"{path}: parameter {name} holds a NaN or infinite value")
                 param[...] = stored
         return model.freeze()
 
@@ -506,19 +507,18 @@ def train_agent(graph: KnowledgeGraph, table: EmbeddingTable,
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(users))
         reward_sum, entropy_sum, n_episodes, n_batches = 0.0, 0.0, 0, 0
-        for _ in range(config.episodes_per_user):
-            for start in range(0, len(order), config.batch_size):
-                rows = order[start:start + config.batch_size]
-                batch = [users[i] for i in rows]
-                batch_scores = start_scores(graph, table, batch) if scores is None else scores[rows]
-                _, rewards, entropy = episode_gradients(
-                    policy, graph, table, batch, batch_scores, config, reward_spec, rng,
-                    grads=grads)
-                opt.step(grads)
-                reward_sum += rewards.sum()
-                entropy_sum += entropy
-                n_episodes += len(batch)
-                n_batches += 1
+        for start in range(0, len(order), config.batch_size):
+            rows = order[start:start + config.batch_size]
+            batch = [users[i] for i in rows]
+            batch_scores = start_scores(graph, table, batch) if scores is None else scores[rows]
+            _, rewards, entropy = episode_gradients(
+                policy, graph, table, batch, batch_scores, config, reward_spec, rng,
+                grads=grads)
+            opt.step(grads)
+            reward_sum += rewards.sum()
+            entropy_sum += entropy
+            n_episodes += len(batch)
+            n_batches += 1
         history.append((epoch, reward_sum / n_episodes, entropy_sum / n_batches))
     return policy.freeze(), history
 

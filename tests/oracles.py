@@ -592,7 +592,7 @@ def reference_purchases(spec: SyntheticSpec, out_dir: str) -> list[list[int]]:
     return purchases
 
 
-def reference_accumulate_batch(table, grads, heads, rels, cand_ids, cand_mask, true_col, scale):
+def reference_accumulate_batch(table, grads, heads, rels, cand_ids, cand_mask, scale):
     """``embeddings._accumulate_batch`` as first written: every (B, d) and
     (B, C, d) array allocated per call, rows scattered with 2-D
     ``np.add.at``. Same arguments, without the scratch."""
@@ -603,10 +603,10 @@ def reference_accumulate_batch(table, grads, heads, rels, cand_ids, cand_mask, t
     scores -= scores.max(axis=1, keepdims=True)
     exp = np.exp(scores)
     probs = exp / exp.sum(axis=1, keepdims=True)
-    loss = -np.log(probs[np.arange(len(heads)), true_col]).sum() * scale
+    loss = -np.log(probs[np.arange(len(heads)), 0]).sum() * scale
 
     dscores = probs * scale
-    dscores[np.arange(len(heads)), true_col] -= scale
+    dscores[np.arange(len(heads)), 0] -= scale
     dquery = np.einsum("bc,bcd->bd", dscores, cand_vecs)
     np.add.at(grads["entity_vecs"], heads, dquery)
     np.add.at(grads["relation_vecs"], rels, dquery)

@@ -9,8 +9,7 @@ from pathrec import embeddings
 from pathrec.coldstart import (ColdDeclaration, ColdProfile, ColdStrategy,
                                integrate_cold_entities)
 from pathrec.embeddings import (BatchScratch, EmbedTrainConfig, EmbeddingTable,
-                                conditional_prob, full_softmax_grads,
-                                init_table, load_table, rng_for,
+                                conditional_prob, init_table, load_table, rng_for,
                                 sampled_softmax_grads, save_table,
                                 score_tails, score_triplet, train_embeddings,
                                 _accumulate_batch, _scatter_rows, _type_pools,
@@ -156,16 +155,6 @@ class TestGradients:
 
         finite_difference_check(tiny_graph, loss_and_grads)
 
-    def test_full_softmax_gradient(self, tiny_graph):
-        triplets = np.asarray(list(tiny_graph.triplets()), dtype=np.intp)
-        pools = _type_pools(tiny_graph)
-
-        def loss_and_grads(table):
-            return full_softmax_grads(table, tiny_graph, triplets, pools)
-
-        finite_difference_check(tiny_graph, loss_and_grads)
-
-
     def test_flat_scatter_bitwise_equals_2d_add_at(self):
         rng = np.random.default_rng(5)
         for rows, entities, d in ((3072, 820, 100), (40, 3, 6), (7, 1, 1)):
@@ -178,21 +167,16 @@ class TestGradients:
             _scatter_rows(got, idx, vals)
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("full", [False, True])
-    def test_reused_buffers_equal_fresh_over_two_batches(self, tiny_graph, full):
+    def test_reused_buffers_equal_fresh_over_two_batches(self, tiny_graph):
         table = init_table(tiny_graph, EmbedTrainConfig(dim=6), seed=2)
         triplets = np.asarray(list(tiny_graph.triplets()), dtype=np.intp)
         pools = _type_pools(tiny_graph)
         fresh_rng, reused_rng = rng_for(3, "batches"), rng_for(3, "batches")
         buffers = None
         for batch in (triplets[:5], triplets[2:]):
-            if full:
-                fresh = full_softmax_grads(table, tiny_graph, batch, pools)
-                reused = full_softmax_grads(table, tiny_graph, batch, pools, grads=buffers)
-            else:
-                fresh = sampled_softmax_grads(table, tiny_graph, batch, pools, 3, fresh_rng)
-                reused = sampled_softmax_grads(table, tiny_graph, batch, pools, 3,
-                                               reused_rng, grads=buffers)
+            fresh = sampled_softmax_grads(table, tiny_graph, batch, pools, 3, fresh_rng)
+            reused = sampled_softmax_grads(table, tiny_graph, batch, pools, 3,
+                                           reused_rng, grads=buffers)
             assert buffers is None or reused[1] is buffers
             buffers = reused[1]
             assert reused[0] == fresh[0]
@@ -203,7 +187,7 @@ class TestGradients:
 def _reference_kernel(monkeypatch):
     """Route the batch kernels through ``reference_accumulate_batch``."""
     monkeypatch.setattr(embeddings, "_accumulate_batch",
-                        lambda *args: reference_accumulate_batch(*args[:8]))
+                        lambda *args: reference_accumulate_batch(*args[:7]))
 
 
 def _assert_same_grads(got, want):
@@ -228,18 +212,14 @@ class TestScratchKernels:
             heads = rng.integers(0, 5, size=B)         # few heads: repeated rows
             rels = rng.integers(0, 4, size=B)
             cand_ids = rng.integers(0, 9, size=(B, C))  # repeated within and across rows
-            true_col = rng.integers(0, C, size=B)
             mask = rng.random((B, C)) < 0.7
-            mask[np.arange(B), true_col] = True
-            loss = _accumulate_batch(table, got, heads, rels, cand_ids, mask, true_col,
-                                     1.0 / B, scratch)
-            ref = reference_accumulate_batch(table, want, heads, rels, cand_ids, mask,
-                                             true_col, 1.0 / B)
+            mask[:, 0] = True  # the true tail
+            loss = _accumulate_batch(table, got, heads, rels, cand_ids, mask, 1.0 / B, scratch)
+            ref = reference_accumulate_batch(table, want, heads, rels, cand_ids, mask, 1.0 / B)
             assert loss == ref
             _assert_same_grads(got, want)
 
-    @pytest.mark.parametrize("full", [False, True])
-    def test_modes_equal_reference_with_one_scratch(self, make_graph, monkeypatch, full):
+    def test_modes_equal_reference_with_one_scratch(self, make_graph, monkeypatch):
         graph = make_graph(n_users=9, n_items=14, n_brands=3, n_categories=2,
                            interactions=4, seed=6)
         table = init_table(graph, EmbedTrainConfig(dim=5), seed=8)
@@ -252,12 +232,8 @@ class TestScratchKernels:
         def run(scratch):
             rng, grads, out = rng_for(4, "batches"), None, []
             for batch in batches:
-                if full:
-                    loss, grads = full_softmax_grads(table, graph, batch, pools, grads,
-                                                     scratch)
-                else:
-                    loss, grads = sampled_softmax_grads(table, graph, batch, pools, 3, rng,
-                                                        grads, scratch)
+                loss, grads = sampled_softmax_grads(table, graph, batch, pools, 3, rng,
+                                                    grads, scratch)
                 out.append((loss, {k: v.copy() for k, v in grads.items()}))
             return out
 
@@ -267,11 +243,10 @@ class TestScratchKernels:
             assert loss == ref_loss
             _assert_same_grads(grads, ref_grads)
 
-    @pytest.mark.parametrize("full", [False, True])
     def test_training_equals_reference_with_a_short_last_batch(self, make_graph,
-                                                               monkeypatch, full):
+                                                               monkeypatch):
         graph = make_graph(n_users=9, n_items=14, interactions=4, seed=6)
-        cfg = EmbedTrainConfig(dim=5, epochs=2, batch_size=7, negatives=3, full_softmax=full)
+        cfg = EmbedTrainConfig(dim=5, epochs=2, batch_size=7, negatives=3)
         assert graph.triplet_count % cfg.batch_size != 0
         got = train_embeddings(graph, cfg, seed=5)
         _reference_kernel(monkeypatch)
@@ -299,29 +274,24 @@ class TestScratchKernels:
 
 
 class TestMalformedBatches:
-    def _call(self, graph, batch, full, table=None):
+    def _call(self, graph, batch, table=None):
         table = init_table(graph, EmbedTrainConfig(dim=4), seed=1) if table is None else table
-        pools = _type_pools(graph)
-        if full:
-            return full_softmax_grads(table, graph, batch, pools)
-        return sampled_softmax_grads(table, graph, batch, pools, 2, rng_for(1, "bad"))
+        return sampled_softmax_grads(table, graph, batch, _type_pools(graph), 2,
+                                     rng_for(1, "bad"))
 
-    @pytest.mark.parametrize("full", [False, True])
-    def test_empty_batch_rejected(self, tiny_graph, full):
+    def test_empty_batch_rejected(self, tiny_graph):
         with pytest.raises(InvalidSpec, match="non-empty"):
-            self._call(tiny_graph, np.empty((0, 3), dtype=np.intp), full)
+            self._call(tiny_graph, np.empty((0, 3), dtype=np.intp))
 
-    @pytest.mark.parametrize("full", [False, True])
     @pytest.mark.parametrize("column, value", [(0, 8), (0, -1), (1, 99), (1, -1),
                                                (2, 8), (2, -3)])
-    def test_id_outside_table_rejected(self, tiny_graph, full, column, value):
+    def test_id_outside_table_rejected(self, tiny_graph, column, value):
         batch = np.stack(tiny_graph.triplet_arrays(), axis=1)[:3].copy()
         batch[1, column] = value
         with pytest.raises(MissingEmbedding, match=f"id {value} "):
-            self._call(tiny_graph, batch, full)
+            self._call(tiny_graph, batch)
 
-    @pytest.mark.parametrize("full", [False, True])
-    def test_candidate_outside_table_rejected(self, tiny_graph, full):
+    def test_candidate_outside_table_rejected(self, tiny_graph):
         full_table = init_table(tiny_graph, EmbedTrainConfig(dim=4), seed=1)
         items = tiny_graph.items()
         keep = max(items)  # the last item has no row
@@ -330,13 +300,7 @@ class TestMalformedBatches:
         rel = tiny_graph.interaction_relation
         batch = np.asarray([[tiny_graph.entity_id("user", "u0"), rel, min(items)]] * 40)
         with pytest.raises(MissingEmbedding, match="candidate"):
-            self._call(tiny_graph, batch, full, table)
-
-    def test_wrong_type_tail_rejected_in_full_mode(self, tiny_graph):
-        u0 = tiny_graph.entity_id("user", "u0")
-        batch = np.asarray([[u0, tiny_graph.interaction_relation, u0]])
-        with pytest.raises(InvalidSpec, match="is not of type item"):
-            self._call(tiny_graph, batch, full=True)
+            self._call(tiny_graph, batch, table=table)
 
 
 class TestTraining:
@@ -347,19 +311,23 @@ class TestTraining:
         assert np.array_equal(trained.entity_vecs, init.entity_vecs)
         assert np.array_equal(trained.entity_bias, init.entity_bias)
 
-    def test_training_reduces_full_softmax_loss(self, tiny_graph):
-        cfg = EmbedTrainConfig(dim=8, epochs=60, learning_rate=0.05, full_softmax=True)
+    def test_training_reduces_sampled_softmax_loss(self, tiny_graph):
+        cfg = EmbedTrainConfig(dim=8, epochs=60, learning_rate=0.05)
         triplets = np.asarray(list(tiny_graph.triplets()), dtype=np.intp)
         pools = _type_pools(tiny_graph)
-        before, _ = full_softmax_grads(init_table(tiny_graph, cfg, seed=1), tiny_graph,
-                                       triplets, pools)
-        after, _ = full_softmax_grads(train_embeddings(tiny_graph, cfg, seed=1),
-                                      tiny_graph, triplets, pools)
+
+        def loss(table):
+            # one fixed negative stream: both tables are scored on the same slates
+            return sampled_softmax_grads(table, tiny_graph, triplets, pools, cfg.negatives,
+                                         rng_for(1, "loss"))[0]
+
+        before = loss(init_table(tiny_graph, cfg, seed=1))
+        after = loss(train_embeddings(tiny_graph, cfg, seed=1))
         assert after < before
 
     @pytest.mark.parametrize("seed", range(5))
     def test_purchases_outscore_non_purchases(self, tiny_graph, seed):
-        cfg = EmbedTrainConfig(dim=8, epochs=200, learning_rate=0.05, full_softmax=True)
+        cfg = EmbedTrainConfig(dim=8, epochs=200, learning_rate=0.05)
         table = train_embeddings(tiny_graph, cfg, seed=seed)
         rel = tiny_graph.interaction_relation
         for uname, bought, other in (("u0", ("i0", "i1"), "i2"),
@@ -383,17 +351,6 @@ class TestTraining:
         g.add_entity("user", "u0")
         with pytest.raises(EmptyGraph):
             train_embeddings(g.graph, EmbedTrainConfig(dim=4))
-
-    def test_full_softmax_size_guard(self, schema):
-        g = GraphWriter(schema)
-        u = g.add_entity("user", "u0")
-        i = g.add_entity("item", "i0")
-        g.add_triplet(u, g.relation_id("purchase"), i)
-        for k in range(1000):
-            g.add_entity("user", f"filler{k}")
-        cfg = EmbedTrainConfig(dim=4, full_softmax=True)
-        with pytest.raises(InvalidSpec, match="full_softmax"):
-            train_embeddings(g.graph, cfg)
 
 
 class TestSnapshots:

@@ -106,14 +106,14 @@ class TestRunConfig:
 
     def test_config_hashes_pinned(self, tmp_path):
         # a serializer change that moves these renames every existing workdir
-        assert RunConfig().config_hash() == "2d4f07b0eb37f13c"
-        assert tiny_config(str(tmp_path)).config_hash() == "6a0bb7e6b3f032b4"
+        assert RunConfig().config_hash() == "8838e1a33467f9c9"
+        assert tiny_config(str(tmp_path)).config_hash() == "867970166802c7a8"
         files = RunConfig(seed=3, synthetic=None, triplets="data/kg.tsv",
                           schema="data/schema.json",
                           split=SplitConfig(cold_frac=0.25),
                           agent=AgentConfig(hop_budget=2),
                           inference=InferenceConfig(widths=(10, 2), topk=5))
-        assert files.config_hash() == "c2db3927ef5cc1c0"
+        assert files.config_hash() == "ff67b2073b92a529"
 
     def test_dataset_needs_both_file_paths(self):
         with pytest.raises(InvalidSpec):
@@ -133,10 +133,10 @@ class TestRunConfig:
             split=SplitConfig(train_frac=0.6, val_frac=0.25, test_frac=0.15, cold_frac=0.3,
                               cap_low=2, cap_high=5),
             embed=EmbedTrainConfig(dim=12, epochs=4, learning_rate=0.01, batch_size=64,
-                                   negatives=3, full_softmax=True),
+                                   negatives=3),
             agent=AgentConfig(hop_budget=2, max_actions=20, hidden=(32, 16), epochs=5,
-                              learning_rate=0.01, batch_size=16, episodes_per_user=2,
-                              gamma=0.9, entropy_coef=0.01, reward="pgpr"),
+                              learning_rate=0.01, batch_size=16, gamma=0.9, entropy_coef=0.01,
+                              reward="pgpr"),
             cold_strategy=ColdStrategy.NULL,
             inference=InferenceConfig(widths=(6, 2), topk=7))
         files = dataclasses.replace(synthetic, synthetic=None, triplets="kg.tsv",
@@ -200,7 +200,6 @@ class TestRunSeed:
     (InferenceConfig, {"widths": (True, 5, 1)},
      "InferenceConfig.widths must be a list of ints, got (True, 5, 1)"),
     (EmbedTrainConfig, {"dim": 8.0}, "EmbedTrainConfig.dim must be int, got 8.0"),
-    (EmbedTrainConfig, {"full_softmax": 1}, "EmbedTrainConfig.full_softmax must be bool, got 1"),
     (SplitConfig, {"cap_high": True}, "SplitConfig.cap_high must be int, got True"),
     (SyntheticSpec, {"users": 20.0}, "SyntheticSpec.users must be int, got 20.0"),
     (SplitConfig, {"train_frac": float("inf")},
@@ -509,15 +508,17 @@ def drop_items(path):
         fh.writelines(json.dumps(rec) + "\n" for rec in lines)
 
 
-def repeat_item(path):
-    """List the first served user's first item a second time, at the end
-    of the list; every line still decodes and the stamp still matches."""
-    with open(path) as fh:
-        lines = [json.loads(line) for line in fh]
-    rec = next(r for r in lines if r.get("items"))
-    rec["items"].append({**rec["items"][0], "rank": len(rec["items"]) + 1})
-    with open(path, "w") as fh:
-        fh.writelines(json.dumps(r, sort_keys=True) + "\n" for r in lines)
+def first_served(edit):
+    """A fault writer that edits the first served user's list of item
+    entries as ``edit(items)`` leaves it; every line still decodes and the
+    stamp still matches."""
+    def write(path):
+        with open(path) as fh:
+            lines = [json.loads(line) for line in fh]
+        edit(next(r for r in lines if r.get("items"))["items"])
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(r, sort_keys=True) + "\n" for r in lines)
+    return write
 
 
 def first_line(line):
@@ -635,6 +636,17 @@ def state_dim_format(path):
     rewrite_npz(path, widen)
 
 
+def non_finite(path):
+    """Write NaN over the last row of a table's entity vectors, or +inf
+    into one weight of a policy's W1; the stamp still matches the run."""
+    def spoil(arrays):
+        if "W1" in arrays:
+            arrays["W1"][0, 0] = np.inf
+        else:
+            arrays["entity_vecs"][-1] = np.nan
+    rewrite_npz(path, spoil)
+
+
 def short_self_loop(path):
     """Cut the table's self-loop vector to 3 values; the stamp still
     matches the run."""
@@ -737,6 +749,16 @@ FAULTS = [
     ("state-dim-format", "agent/policy.npz", "sweep"),
     ("short-self-loop", "embed/embeddings.npz", "cold-integrate"),
     ("short-self-loop", "cold/embeddings.npz", "recommend"),
+    *(("non-finite", artifact, stage) for artifact, stage in (
+        ("embed/embeddings.npz", "train-agent"),
+        ("embed/embeddings.npz", "cold-integrate"),
+        ("embed/embeddings.npz", "sweep"),
+        ("cold/embeddings.npz", "recommend"),
+        ("agent/policy.npz", "recommend"),
+        ("agent/policy.npz", "sweep"),
+    )),
+    *((fault, "recs/recommendations.jsonl", "eval")
+      for fault in ("int-item", "int-pattern", "list-pattern")),
     ("drop-cohort", "split/manifest.json", "train-embed"),
     ("int-name", "split/profiles.jsonl", "train-embed"),
     ("no-relations", "split/profiles.jsonl", "train-embed"),
@@ -752,13 +774,19 @@ FAULTS = [
 
 
 FAULT_WRITERS = {"truncate": truncate, "cut-lines": cut_lines, "drop-items": drop_items,
-                 "repeat-item": repeat_item,
+                 # the first item listed a second time, at the end of the list
+                 "repeat-item": first_served(lambda items: items.append(
+                     {**items[0], "rank": len(items) + 1})),
                  "bad-target": bad_target, "bad-targets": bad_targets,
                  "seed-in-config": seed_in_config, "list-cohort": list_cohort,
                  "shared-user": shared_user,
                  "config-type": config_type, "config-key": config_key,
                  "param-shape": param_shape, "state-dim-format": state_dim_format,
-                 "short-self-loop": short_self_loop,
+                 "short-self-loop": short_self_loop, "non-finite": non_finite,
+                 "int-item": first_served(lambda items: items[0].update(item=7)),
+                 "int-pattern": first_served(lambda items: items[0]["path"].update(pattern=7)),
+                 "list-pattern": first_served(
+                     lambda items: items[0]["path"].update(pattern=["x"])),
                  "drop-cohort": drop_cohort, "delete": os.remove,
                  "int-name": first_line(lambda rec: json.dumps({**rec, "name": 7}).encode()),
                  "no-relations": first_line(lambda rec: json.dumps(
@@ -1057,7 +1085,7 @@ class TestMultiSeed:
         with pytest.raises(StageError):
             write_aggregate(config, [1, 2])
 
-    @pytest.mark.parametrize("rows", [[1], "no value", float("nan"), float("inf"),
+    @pytest.mark.parametrize("rows", [[1], "no value", "repeated", float("nan"), float("inf"),
                                       pytest.param(10 ** 400, id="int-past-float-range")])
     def test_aggregate_rejects_malformed_rows(self, multi_seed_run, tmp_path, capsys, rows):
         config = multi_seed_run
@@ -1068,6 +1096,8 @@ class TestMultiSeed:
             data = json.load(fh)
         if rows == "no value":
             del data["rows"][0]["value"]
+        elif rows == "repeated":  # counted as a third seed of its key if read
+            data["rows"].append({**data["rows"][0], "value": 0.99})
         elif not isinstance(rows, (list, str)):  # NaN, Infinity, an int past the float range
             data["rows"][0]["value"] = rows
         else:
@@ -1145,8 +1175,9 @@ class TestCli:
                                 "['average_translation', 'null']"),
         ("seed=-1", "seed must be >= 0, got -1"),
         ("dataset.synthetic.seed=-1", "the catalog seed must be >= 0, got -1"),
-        ("agent.batch_size=0", "batch_size and episodes_per_user must be >= 1"),
-        ("agent.episodes_per_user=0", "batch_size and episodes_per_user must be >= 1"),
+        ("agent.batch_size=0", "batch_size must be >= 1"),
+        ("embed.full_softmax=false", "unknown key(s) in embed: full_softmax"),
+        ("agent.episodes_per_user=1", "unknown key(s) in agent: episodes_per_user"),
         ("agent.learning_rate=-1", "learning_rate must be positive"),
         ("agent.learning_rate=0", "learning_rate must be positive"),
         ("split.train_frac=1e400", "split.train_frac must be a finite float, got inf"),
@@ -1165,6 +1196,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "bad").exists()
+
+    def test_diverged_embeddings_exit_2(self, cli_env, tmp_path, capsys):
+        """Training at a learning rate this large writes NaN embeddings,
+        which the next stage refuses to read."""
+        config_path, _ = cli_env
+        assert cli.main(["run", "-c", config_path, "--workdir", str(tmp_path / "run"),
+                         "--set", "embed.learning_rate=1e300"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[train-agent] snapshot ") and "entity_vecs holds a NaN" in err
 
     QUOTED = " e.g. --set 'cold.strategy=\"null\"'"
 
